@@ -33,6 +33,12 @@
 //!   traffic than the scan it saves (measured: the wheel-indexed
 //!   scheduler cascaded ~0.4 entries per delivered packet; the scan
 //!   cascades zero).
+//! - Those scans never touch a `Link` or a `VecDeque`: every link's
+//!   in-service completion and every line's head key are **mirrored**
+//!   into three dense arrays (`serve_at`, `head_at`, `head_seq`), written
+//!   at the few places a completion or a head changes, so "which links
+//!   are due" and "which head is earliest" read a few contiguous words
+//!   (`poll` exit `debug_assert`s the mirrors against the structures).
 //!
 //! Determinism: links due at the same instant drain in ascending `LinkId`
 //! order — the same order the reference scan loop uses — and in-flight
@@ -129,16 +135,28 @@ pub struct Network<P> {
     /// interaction at all.
     head_updates: u64,
     bypass_packets: u64,
-    /// Earliest in-service completion across all links. Kept *exact* at
-    /// every public-API boundary: enqueues fold their (exact) completion
-    /// in O(1), drains recompute once at poll exit. Exactness matters —
-    /// a conservatively-early value would manufacture spurious wake
-    /// instants and change driver-visible timing.
-    service_next: Option<SimTime>,
+    /// Dense mirror of `links[i].next_wake()`: each link's in-service
+    /// completion, [`SimTime::MAX`] while it serves nothing. Written
+    /// wherever a completion changes (enqueue, drain, outage, recovery),
+    /// so the due-link scans read one contiguous array.
+    serve_at: Vec<SimTime>,
+    /// Dense mirror of each delay line's head key `(at, seq)`:
+    /// `head_at[i]` is [`SimTime::MAX`] while line `i` is empty (and
+    /// `head_seq[i]` then meaningless). Written wherever a head changes
+    /// (push to an empty line, sort-insert at the front, pop).
+    head_at: Vec<SimTime>,
+    head_seq: Vec<u64>,
+    /// Earliest in-service completion across all links, [`SimTime::MAX`]
+    /// when none. Kept *exact* at every public-API boundary: enqueues
+    /// fold their (exact) completion in O(1), drains recompute once at
+    /// poll exit. Exactness matters — a conservatively-early value would
+    /// manufacture spurious wake instants and change driver-visible
+    /// timing.
+    service_next: SimTime,
     /// Earliest delay-line head across all lines, maintained with the
     /// same exactness discipline (pushes fold in O(1); the delivery
     /// merge's exit scan recomputes).
-    arrival_next: Option<SimTime>,
+    arrival_next: SimTime,
     /// Reference mode: route in-flight packets through the retained
     /// per-packet wheel instead of the delay lines. Equivalence spec for
     /// the property tests; not for production use.
@@ -173,8 +191,11 @@ impl<P> Network<P> {
             transit_seq: 0,
             head_updates: 0,
             bypass_packets: 0,
-            service_next: None,
-            arrival_next: None,
+            serve_at: Vec::new(),
+            head_at: Vec::new(),
+            head_seq: Vec::new(),
+            service_next: SimTime::MAX,
+            arrival_next: SimTime::MAX,
             inflight_wheel_mode: false,
             in_flight: TimerWheel::new(),
             inboxes: Vec::new(),
@@ -246,6 +267,9 @@ impl<P> Network<P> {
         link.set_trace_tag(id.0);
         self.links.push(link);
         self.lines.push(self.spare_lines.pop().unwrap_or_default());
+        self.serve_at.push(SimTime::MAX);
+        self.head_at.push(SimTime::MAX);
+        self.head_seq.push(0);
         id
     }
 
@@ -328,21 +352,26 @@ impl<P> Network<P> {
     /// link's completion never changes under enqueue, so the fold is a
     /// no-op then; an idle→serving transition contributes its exact time.
     fn enqueue_on_link(&mut self, lid: LinkId, now: SimTime, packet: Packet<P>, tag: u64) -> bool {
-        let link = &mut self.links[lid.0 as usize];
-        let accepted = link.enqueue_tagged(now, packet, tag);
-        self.service_next = earliest([self.service_next, link.next_wake()]);
+        let accepted = self.links[lid.0 as usize].enqueue_tagged(now, packet, tag);
+        let at = self.mirror_serve_at(lid);
+        self.service_next = self.service_next.min(at);
         accepted
+    }
+
+    /// Refreshes `serve_at` for one link after anything that can change
+    /// its in-service completion. Returns the mirrored value.
+    fn mirror_serve_at(&mut self, lid: LinkId) -> SimTime {
+        let i = lid.0 as usize;
+        let at = self.links[i].next_wake().unwrap_or(SimTime::MAX);
+        self.serve_at[i] = at;
+        at
     }
 
     /// Recomputes the eager service minimum from scratch — the O(links)
     /// fallback for mutations that can move a completion *later* (drains,
     /// outages).
     fn recompute_service_next(&mut self) {
-        let mut next = None;
-        for link in &self.links {
-            next = earliest([next, link.next_wake()]);
-        }
-        self.service_next = next;
+        self.service_next = self.serve_at.iter().copied().min().unwrap_or(SimTime::MAX);
     }
 
     /// Processes all work due by `now`: link serializations and propagation
@@ -362,8 +391,8 @@ impl<P> Network<P> {
         let mut any_drained = false;
         loop {
             let mut drained = false;
-            for i in 0..self.links.len() {
-                if self.links[i].next_wake().is_some_and(|t| t <= now) {
+            for i in 0..self.serve_at.len() {
+                if self.serve_at[i] <= now {
                     moved += self.drain_link(LinkId(i as u32), now, &mut drained);
                 }
             }
@@ -385,7 +414,31 @@ impl<P> Network<P> {
             // service minimum stale and worth the O(links) refresh.
             self.recompute_service_next();
         }
+        self.debug_check_mirrors();
         moved
+    }
+
+    /// The mirrors' executable spec: every entry equals what it mirrors.
+    /// Compiled out of release builds.
+    fn debug_check_mirrors(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (i, link) in self.links.iter().enumerate() {
+            assert_eq!(
+                self.serve_at[i],
+                link.next_wake().unwrap_or(SimTime::MAX),
+                "serve_at[{i}] drifted from its link"
+            );
+            match self.lines[i].front() {
+                Some(head) => assert_eq!(
+                    (self.head_at[i], self.head_seq[i]),
+                    (head.at, head.seq),
+                    "head mirror {i} drifted from its line"
+                ),
+                None => assert_eq!(self.head_at[i], SimTime::MAX, "head mirror {i} not cleared"),
+            }
+        }
     }
 
     /// Reference scheduler: identical semantics to [`Network::poll`], but
@@ -405,6 +458,7 @@ impl<P> Network<P> {
             moved += self.deliver_due(now, &mut progress, &mut requeue);
             if !progress {
                 self.recompute_service_next();
+                self.debug_check_mirrors();
                 return moved;
             }
         }
@@ -421,6 +475,9 @@ impl<P> Network<P> {
             host_nodes,
             route_ids,
             lines,
+            serve_at,
+            head_at,
+            head_seq,
             transit_seq,
             head_updates,
             bypass_packets,
@@ -482,7 +539,9 @@ impl<P> Network<P> {
                     };
                     if new_head {
                         *head_updates += 1;
-                        *arrival_next = earliest([*arrival_next, Some(arrive_at)]);
+                        head_at[lid.0 as usize] = arrive_at;
+                        head_seq[lid.0 as usize] = seq;
+                        *arrival_next = (*arrival_next).min(arrive_at);
                     } else {
                         *bypass_packets += 1;
                     }
@@ -492,6 +551,7 @@ impl<P> Network<P> {
                 *misrouted += 1;
             }
         });
+        serve_at[lid.0 as usize] = link.next_wake().unwrap_or(SimTime::MAX);
         if drained > 0 {
             *progress = true;
         }
@@ -523,7 +583,7 @@ impl<P> Network<P> {
         // poll boundary, and the round's drains only *fold* head arrivals
         // into it (pops happen nowhere but here, and every exit below
         // leaves it exact again) — so one read settles "nothing due".
-        if self.arrival_next.is_none_or(|t| t > now) {
+        if self.arrival_next > now {
             return 0;
         }
         let mut moved = 0;
@@ -535,24 +595,25 @@ impl<P> Network<P> {
             // one per packet.
             let mut best: Option<(SimTime, u64, usize)> = None;
             let mut second: Option<(SimTime, u64)> = None;
-            let mut min_head: Option<SimTime> = None;
-            for (li, line) in self.lines.iter().enumerate() {
-                if let Some(head) = line.front() {
-                    min_head = earliest([min_head, Some(head.at)]);
-                    if head.at <= now {
-                        let key = (head.at, head.seq);
-                        match best {
-                            Some((at, seq, _)) if key < (at, seq) => {
-                                second = Some((at, seq));
-                                best = Some((head.at, head.seq, li));
-                            }
-                            Some(_) => {
-                                if second.is_none_or(|s| key < s) {
-                                    second = Some(key);
-                                }
-                            }
-                            None => best = Some((head.at, head.seq, li)),
+            let mut min_head = SimTime::MAX;
+            for (li, (&at, &seq)) in self.head_at.iter().zip(&self.head_seq).enumerate() {
+                if at == SimTime::MAX {
+                    continue; // empty line
+                }
+                min_head = min_head.min(at);
+                if at <= now {
+                    let key = (at, seq);
+                    match best {
+                        Some((b_at, b_seq, _)) if key < (b_at, b_seq) => {
+                            second = Some((b_at, b_seq));
+                            best = Some((at, seq, li));
                         }
+                        Some(_) => {
+                            if second.is_none_or(|s| key < s) {
+                                second = Some(key);
+                            }
+                        }
+                        None => best = Some((at, seq, li)),
                     }
                 }
             }
@@ -568,10 +629,15 @@ impl<P> Network<P> {
                     break;
                 }
                 let ent = self.lines[li].pop_front().expect("due head checked");
-                if !self.lines[li].is_empty() {
-                    // The pop exposed a successor head the scheduler scan
-                    // must now track.
-                    self.head_updates += 1;
+                match self.lines[li].front() {
+                    Some(next) => {
+                        // The pop exposed a successor head the scheduler
+                        // scan must now track.
+                        self.head_updates += 1;
+                        self.head_at[li] = next.at;
+                        self.head_seq[li] = next.seq;
+                    }
+                    None => self.head_at[li] = SimTime::MAX,
                 }
                 let Transit { packet, route, hop } = ent.transit;
                 // Same staleness rule as the serialization arm: a replaced
@@ -590,10 +656,7 @@ impl<P> Network<P> {
                     // A late-arriving packet (ent.at < now) can finish
                     // serializing by `now`; only then does the caller need
                     // another drain round.
-                    if self.links[next.0 as usize]
-                        .next_wake()
-                        .is_some_and(|t| t <= now)
-                    {
+                    if self.serve_at[next.0 as usize] <= now {
                         *requeue = true;
                     }
                 }
@@ -646,9 +709,9 @@ impl<P> Network<P> {
     /// and the reference wheel's top. Three reads — drivers peek this
     /// several times per settle iteration.
     pub fn next_wake(&self) -> Option<SimTime> {
+        let live = self.service_next.min(self.arrival_next);
         earliest([
-            self.service_next,
-            self.arrival_next,
+            (live != SimTime::MAX).then_some(live),
             self.in_flight.next_time(),
         ])
     }
@@ -690,6 +753,7 @@ impl<P> Network<P> {
     /// the service minimum is recomputed.
     pub fn set_link_down(&mut self, lid: LinkId, policy: OutagePolicy) {
         self.links[lid.0 as usize].set_down(policy);
+        self.mirror_serve_at(lid);
         self.recompute_service_next();
     }
 
@@ -697,9 +761,9 @@ impl<P> Network<P> {
     /// serializing folds its new completion into the service minimum —
     /// the idle→serving transition `enqueue_on_link` normally covers.
     pub fn set_link_up(&mut self, now: SimTime, lid: LinkId) {
-        let link = &mut self.links[lid.0 as usize];
-        link.set_up(now);
-        self.service_next = earliest([self.service_next, link.next_wake()]);
+        self.links[lid.0 as usize].set_up(now);
+        let at = self.mirror_serve_at(lid);
+        self.service_next = self.service_next.min(at);
     }
 
     /// `true` while a link is administratively down.
@@ -782,8 +846,11 @@ impl<P> Network<P> {
         self.transit_seq = 0;
         self.head_updates = 0;
         self.bypass_packets = 0;
-        self.service_next = None;
-        self.arrival_next = None;
+        self.serve_at.clear();
+        self.head_at.clear();
+        self.head_seq.clear();
+        self.service_next = SimTime::MAX;
+        self.arrival_next = SimTime::MAX;
         self.in_flight.reset();
         for mut q in self.inboxes.drain(..) {
             q.clear();

@@ -105,6 +105,13 @@ impl Player {
         self.assembler.take_interval()
     }
 
+    /// The earliest instant at which [`Player::poll_into`] can do anything,
+    /// absent further packets (see [`Playout::idle_until`]; reassembly has
+    /// no clock of its own).
+    pub fn idle_until(&self) -> SimTime {
+        self.playout.idle_until()
+    }
+
     /// When the player next needs polling.
     pub fn next_wake(&self, now: SimTime) -> Option<SimTime> {
         self.playout.next_wake(now)

@@ -207,15 +207,71 @@ impl Playout {
         events
     }
 
+    /// The earliest instant at which a poll can change state or emit an
+    /// event, absent further [`Playout::push_frame`] /
+    /// [`Playout::source_ended`] calls. *Exact*, unlike the conservative
+    /// [`Playout::next_wake`]: every poll strictly before it is a no-op,
+    /// and a poll at it (when finite) is not. [`SimTime::ZERO`] means
+    /// "the next poll acts"; [`SimTime::MAX`] means only a push can wake
+    /// the engine.
+    pub fn idle_until(&self) -> SimTime {
+        // A drained source ends the engine on the next poll from any
+        // live state except a `Buffering` that never saw a frame.
+        let drained = self.source_ended && self.buffer.is_empty();
+        match self.state {
+            PlayoutState::Buffering => match self.session_start {
+                None => SimTime::MAX,
+                Some(_) if self.buffered_span() >= self.cfg.prebuffer || drained => SimTime::ZERO,
+                Some(_) if self.buffer.is_empty() => SimTime::MAX,
+                Some(start) => start + self.cfg.prebuffer_timeout,
+            },
+            PlayoutState::Playing => match self.buffer.front() {
+                Some(&(pts_us, _)) => {
+                    let ahead = SimDuration::from_micros(pts_us).saturating_sub(self.origin);
+                    self.epoch + ahead
+                }
+                None if drained => SimTime::ZERO,
+                None => {
+                    // Starvation needs `clock > cursor + grace`: strictly
+                    // after the edge, hence the extra microsecond.
+                    let edge = self.cursor + self.cfg.late_grace;
+                    if edge < self.origin {
+                        SimTime::ZERO
+                    } else {
+                        self.epoch + (edge - self.origin) + SimDuration::from_micros(1)
+                    }
+                }
+            },
+            PlayoutState::Rebuffering => {
+                if self.buffered_span() >= self.cfg.rebuffer_target || drained {
+                    SimTime::ZERO
+                } else if self.buffer.is_empty() {
+                    SimTime::MAX
+                } else {
+                    self.rebuffer_since.expect("set on entry") + self.cfg.rebuffer_halt
+                }
+            }
+            PlayoutState::Ended => SimTime::MAX,
+        }
+    }
+
     /// [`Playout::poll`] appending events to `out`, so a driver loop can
     /// reuse one buffer for the whole session.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<PlayoutEvent>) {
+        // Executable spec of `idle_until`: debug builds hold every poll
+        // before it to having emitted nothing and gone nowhere.
+        let idle = cfg!(debug_assertions) && now < self.idle_until();
+        let (events, state) = (out.len(), self.state);
         match self.state {
             PlayoutState::Buffering => self.poll_buffering(now),
             PlayoutState::Playing => self.poll_playing(now, out),
             PlayoutState::Rebuffering => self.poll_rebuffering(now),
             PlayoutState::Ended => {}
         }
+        debug_assert!(
+            !idle || (out.len() == events && self.state == state),
+            "playout acted at {now:?}, before its idle_until"
+        );
     }
 
     fn poll_buffering(&mut self, now: SimTime) {

@@ -339,12 +339,19 @@ impl Decoder {
         let mut lines = header_text.split("\r\n");
         let start = lines.next().unwrap_or_default();
 
+        // A header-level error consumes the header block it was found in:
+        // the message cannot be framed (its body length is unknown), and
+        // leaving `pos` in front of it would hand every later call the
+        // same bad block again.
+        let body_start = header_end + 4;
+
         let mut headers: Vec<(SmallStr, SmallStr)> = Vec::new();
         for line in lines {
             if line.is_empty() {
                 continue;
             }
             let Some((name, value)) = line.split_once(':') else {
+                self.pos += body_start;
                 return Err(DecodeError::BadHeader(line.to_string()));
             };
             let (name, value) = (name.trim(), value.trim());
@@ -358,13 +365,16 @@ impl Decoder {
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
         {
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| DecodeError::BadContentLength(v.to_string()))?,
+            Some((_, v)) => match v.parse::<usize>() {
+                Ok(n) => n,
+                Err(_) => {
+                    self.pos += body_start;
+                    return Err(DecodeError::BadContentLength(v.to_string()));
+                }
+            },
             None => 0,
         };
 
-        let body_start = header_end + 4;
         if buf.len() < body_start + content_length {
             return Ok(None); // body incomplete
         }
@@ -502,6 +512,24 @@ mod tests {
         let mut dec = Decoder::new();
         dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nno-colon-here\r\n\r\n");
         assert!(matches!(dec.next_message(), Err(DecodeError::BadHeader(_))));
+    }
+
+    #[test]
+    fn header_errors_consume_the_bad_message() {
+        let good = Message::request(Method::Play, "rtsp://s/c").with_header("CSeq", "3");
+        for bad in [
+            &b"PLAY rtsp://s/c RTSP/1.0\r\nno-colon-here\r\n\r\n"[..],
+            &b"PLAY rtsp://s/c RTSP/1.0\r\nContent-Length: abc\r\n\r\n"[..],
+        ] {
+            let mut dec = Decoder::new();
+            dec.feed(bad);
+            dec.feed(&good.encode());
+            assert!(dec.next_message().is_err());
+            // Reported once: the next call is past the bad block.
+            assert_eq!(dec.next_message().unwrap().unwrap(), good);
+            assert_eq!(dec.next_message().unwrap(), None);
+            assert_eq!(dec.buffered(), 0);
+        }
     }
 
     #[test]

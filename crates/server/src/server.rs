@@ -210,6 +210,10 @@ struct ActiveStream {
     last_switch: SimTime,
     tcp_bytes_acked_prev: u64,
     last_timeout_check: SimTime,
+    /// The pump emits and evaluates nothing before this instant (see
+    /// [`RealServer::idle_until`]). Lives with the stream, so whatever
+    /// replaces or drops the stream drops the claim with it.
+    idle_until: SimTime,
 }
 
 /// Exact generation inputs of one frame schedule. [`FrameSchedule::generate`]
@@ -529,6 +533,14 @@ impl RealServer {
         self.stream.is_some()
     }
 
+    /// The instant before which the data pump provably emits and evaluates
+    /// nothing — *exact* where [`RealServer::next_wake`] is conservative.
+    /// [`SimTime::ZERO`] makes no claim: no stream, a stream not yet
+    /// pumped, or a pump the transport blocked.
+    pub fn idle_until(&self) -> SimTime {
+        self.stream.as_ref().map_or(SimTime::ZERO, |s| s.idle_until)
+    }
+
     /// Debug snapshot: (rung, next_frame, schedule len, sent_until ms).
     pub fn debug_stream(&self) -> Option<(usize, usize, usize, u64)> {
         self.stream.as_ref().map(|s| {
@@ -555,6 +567,41 @@ impl RealServer {
         if !self.alive {
             return 0; // dead processes do no work; the stack still RSTs
         }
+        // Executable spec of `control_idle`: debug builds still run the
+        // control plane and hold it to having done nothing.
+        let idle = self.control_idle(stack);
+        let mut work = 0;
+        if !idle || cfg!(debug_assertions) {
+            work = self.poll_control(now, stack);
+            debug_assert!(!idle || work == 0, "control plane worked while idle");
+        }
+        let pumped = self.pump_data(now, stack);
+        if pumped > 0 {
+            trace::emit(now, || TraceEvent::ServerPump {
+                packets: pumped as u32,
+            });
+        }
+        work + pumped
+    }
+
+    /// Whether the control plane provably has nothing to do: it acts only
+    /// on bytes the control socket can read, bytes the decoder still
+    /// holds, a socket error to recover from, or an event a handled
+    /// message left pending — it has no clock.
+    fn control_idle(&self, stack: &Stack) -> bool {
+        let ctrl = stack.tcp_ref(self.ctrl);
+        ctrl.recv_available() == 0
+            && !ctrl.has_error()
+            && !stack.tcp_ref(self.data_tcp).has_error()
+            && self.decoder.buffered() == 0
+            && self.core.pending_play.is_none()
+            && !self.core.pending_teardown
+            && self.core.pending_reports.is_empty()
+    }
+
+    /// The control plane: connection recovery, RTSP requests, and the
+    /// events they queue. Returns units of work done.
+    fn poll_control(&mut self, now: SimTime, stack: &mut Stack) -> usize {
         let mut work = self.recover_connections(stack);
         let unadmitted = self.core.negotiated.is_none();
         work += self.pump_control(stack);
@@ -568,14 +615,7 @@ impl RealServer {
                 });
             }
         }
-        work += self.apply_control_events(now, stack);
-        let pumped = self.pump_data(now, stack);
-        if pumped > 0 {
-            trace::emit(now, || TraceEvent::ServerPump {
-                packets: pumped as u32,
-            });
-        }
-        work + pumped
+        work + self.apply_control_events(now, stack)
     }
 
     /// A client that aborted (RST) kills its session: the daemon recycles
@@ -754,6 +794,7 @@ impl RealServer {
             last_switch: now,
             tcp_bytes_acked_prev: 0,
             last_timeout_check: now,
+            idle_until: SimTime::ZERO,
             clip,
         });
     }
@@ -770,10 +811,24 @@ impl RealServer {
     }
 
     fn pump_data(&mut self, now: SimTime, stack: &mut Stack) -> usize {
+        // Executable spec of `idle_until`: debug builds still run the
+        // pump and hold it to having emitted nothing.
+        let idle = now < self.idle_until();
+        if idle && !cfg!(debug_assertions) {
+            return 0;
+        }
+        let emitted = self.pump_stream(now, stack);
+        debug_assert!(!idle || emitted == 0, "pump emitted at {now:?} while idle");
+        emitted
+    }
+
+    fn pump_stream(&mut self, now: SimTime, stack: &mut Stack) -> usize {
         let Some(mut stream) = self.stream.take() else {
             return 0;
         };
         let mut emitted = 0;
+        // Set when the transport, not the media clock, stopped a loop.
+        let mut blocked = false;
         self.evaluate_rate(now, stack, &mut stream);
 
         let media_clock = now.saturating_since(stream.play_epoch);
@@ -820,6 +875,7 @@ impl RealServer {
                 }
             };
             if !can_send {
+                blocked = true;
                 break;
             }
             let mut pkt = pkt;
@@ -875,6 +931,7 @@ impl RealServer {
                 }
             };
             if !can_send {
+                blocked = true;
                 break;
             }
             for i in 0..self.pkt_scratch.len() {
@@ -924,6 +981,25 @@ impl RealServer {
 
         self.flush_txbuf(stack);
         self.flush_udp(stack);
+        stream.idle_until = if blocked {
+            // What unblocks the pump is not a clock edge: the TCP window
+            // opens when the stack says so, and the token bucket's `f64`
+            // refill depends on every instant it is asked at.
+            SimTime::ZERO
+        } else {
+            // Both loops ran to the horizon, so the next thing the pump
+            // does is the earliest of: the next rate evaluation, the next
+            // audio packet or frame coming inside the buffer lead.
+            let lead = self.cfg.buffer_lead;
+            let mut until = stream.last_rate_eval + self.cfg.rate_eval_period;
+            if stream.next_audio < stream.clip.duration {
+                until = until.min(stream.play_epoch + stream.next_audio.saturating_sub(lead));
+            }
+            if let Some(frame) = stream.schedule.frames().get(stream.next_frame) {
+                until = until.min(stream.play_epoch + frame.pts.saturating_sub(lead));
+            }
+            until
+        };
         self.stream = Some(stream);
         emitted
     }
@@ -1089,6 +1165,7 @@ fn hash_name(name: &str) -> u64 {
 mod tests {
     use super::*;
     use rv_media::ContentKind;
+    use rv_rtsp::{Message, Method};
 
     #[test]
     fn clip_name_takes_last_component() {
@@ -1181,18 +1258,22 @@ mod tests {
         assert!(core.describe("rtsp://s/c.rm").is_some());
     }
 
-    #[test]
-    fn crash_closes_listeners_and_restart_reopens_them() {
-        use rv_net::HostId;
-        use rv_transport::TcpState;
-
-        let mut stack = Stack::new(HostId(1));
+    /// A server host's stack with the three sockets open and listening.
+    fn listening_stack() -> (Stack, TcpHandle, TcpHandle, UdpHandle) {
+        let mut stack = Stack::new(rv_net::HostId(1));
         let ctrl = stack.tcp_socket(554, rv_transport::TcpConfig::default());
         let data = stack.tcp_socket(555, rv_transport::TcpConfig::default());
         let udp = stack.udp_socket(6970);
         stack.tcp(ctrl).listen();
         stack.tcp(data).listen();
+        (stack, ctrl, data, udp)
+    }
 
+    #[test]
+    fn crash_closes_listeners_and_restart_reopens_them() {
+        use rv_transport::TcpState;
+
+        let (mut stack, ctrl, data, udp) = listening_stack();
         let mut server =
             RealServer::new(ServerConfig::default(), Catalog::new(), ctrl, data, udp, 7);
         assert!(server.is_alive());
@@ -1208,6 +1289,175 @@ mod tests {
         assert!(server.is_alive());
         assert_eq!(stack.tcp_ref(ctrl).state(), TcpState::Listen);
         assert_eq!(stack.tcp_ref(data).state(), TcpState::Listen);
+    }
+
+    const URL: &str = "rtsp://s/c.rm";
+
+    /// Hands the server one RTSP request as if its control socket had
+    /// just delivered the bytes.
+    fn request(server: &mut RealServer, msg: Message) {
+        server.decoder.feed(&msg.encode());
+    }
+
+    /// SETUP (TCP) + PLAY under the server's `n`th session id.
+    fn play(server: &mut RealServer, n: u32) {
+        let setup = Message::request(Method::Setup, URL)
+            .with_header("Transport", TransportSpec::tcp().encode());
+        request(server, setup);
+        let session = format!("sess-{n}");
+        request(
+            server,
+            Message::request(Method::Play, URL).with_header("Session", session.as_str()),
+        );
+    }
+
+    /// A server on a bare stack, streaming `c.rm` over TCP from t = 0 into
+    /// a data socket nobody drains: its send buffer absorbs the first
+    /// seconds of media, then blocks the pump.
+    fn streaming(cfg: ServerConfig, client_bps: u32) -> (RealServer, Stack) {
+        let (mut stack, ctrl, data, udp) = listening_stack();
+        let mut catalog = Catalog::new();
+        catalog.add(Clip::new(
+            "c.rm",
+            SimDuration::from_secs(60),
+            ContentKind::News,
+        ));
+        let mut server = RealServer::new(cfg, catalog, ctrl, data, udp, 7);
+        request(
+            &mut server,
+            Message::request(Method::Describe, URL).with_header_display("Bandwidth", client_bps),
+        );
+        play(&mut server, 1);
+        // Three requests handled, one PLAY applied, the lead pumped.
+        assert!(server.poll(SimTime::ZERO, &mut stack) > 4);
+        assert!(server.is_streaming());
+        (server, stack)
+    }
+
+    fn short_lead() -> ServerConfig {
+        ServerConfig {
+            buffer_lead: SimDuration::from_secs(2),
+            ..ServerConfig::default()
+        }
+    }
+
+    const TICK: SimDuration = SimDuration::from_micros(1);
+
+    #[test]
+    fn unblocked_pump_claims_its_next_edge_and_a_blocked_pump_claims_nothing() {
+        let (mut server, mut stack) = streaming(short_lead(), 300_000);
+        let mut now = SimTime::ZERO;
+        let mut claims = 0;
+        while server.idle_until() != SimTime::ZERO {
+            let until = server.idle_until();
+            assert!(until > now, "claim {until:?} not ahead of {now:?}");
+            // One tick short of the claim: nothing to do (debug builds
+            // still run the pump here and assert it emitted nothing).
+            assert_eq!(server.poll(until - TICK, &mut stack), 0);
+            assert_eq!(server.idle_until(), until);
+            now = until;
+            server.poll(now, &mut stack);
+            claims += 1;
+        }
+        // The claim lapsed because the transport blocked, not the clip.
+        assert!(claims > 20, "only {claims} unblocked pumps");
+        assert!(server.is_streaming());
+        assert!(now < SimTime::from_secs(30), "never blocked");
+        assert!(stack.tcp_ref(server.data_tcp).send_capacity_left() < 16 * 1024);
+        // Still blocked a second later: still no claim.
+        server.poll(now + SimDuration::from_secs(1), &mut stack);
+        assert_eq!(server.idle_until(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn play_teardown_and_crash_drop_the_claim() {
+        let (mut server, mut stack) = streaming(short_lead(), 300_000);
+        let now = SimTime::from_millis(10);
+        assert!(now < server.idle_until());
+
+        // A new PLAY while idle: the fresh stream pumps on this very poll.
+        let audio = server.stats().audio_packets;
+        play(&mut server, 2);
+        assert!(server.poll(now, &mut stack) > 3);
+        assert!(server.stats().audio_packets > audio);
+
+        // TEARDOWN while idle: handled and applied now, and with the
+        // stream goes its claim.
+        assert!(now < server.idle_until());
+        request(&mut server, Message::request(Method::Teardown, URL));
+        assert_eq!(server.poll(now, &mut stack), 2);
+        assert!(!server.is_streaming());
+        assert_eq!(server.idle_until(), SimTime::ZERO);
+
+        play(&mut server, 3);
+        server.poll(now, &mut stack);
+        assert!(now < server.idle_until());
+        server.crash(&mut stack);
+        assert_eq!(server.idle_until(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn rung_switch_recomputes_the_claim_from_the_new_schedule() {
+        let cfg = short_lead();
+        let (mut server, mut stack) = streaming(cfg, 300_000);
+        // Past `can_send` the pump does not care which transport carries
+        // it; flipping the live stream to UDP puts the rung under the rate
+        // controller without a control handshake for the client address.
+        let stream = server.stream.as_mut().expect("streaming");
+        stream.transport = TransportKind::Udp;
+        stream.client_udp = Some(Addr::new(rv_net::HostId(0), 5002));
+        let rung = server.current_rung().expect("streaming");
+
+        // A lossy report lands while the pump is idle; the rate it sets
+        // is acted on at the next rate evaluation, no earlier.
+        let mut now = SimTime::from_millis(10);
+        request(
+            &mut server,
+            Message::request(Method::SetParameter, URL)
+                .with_header(REPORT_PARAM, "0.200000:40000.0"),
+        );
+        assert_eq!(server.poll(now, &mut stack), 2);
+        let eval = SimTime::ZERO + cfg.rate_eval_period;
+        while now < eval {
+            assert_eq!(server.stats().switches_down, 0);
+            let until = server.idle_until();
+            // The claim never reaches past a rate evaluation.
+            assert!(until > now && until <= eval);
+            assert_eq!(server.poll(until - TICK, &mut stack), 0);
+            now = until;
+            server.poll(now, &mut stack);
+        }
+        assert_eq!(server.stats().switches_down, 1);
+        assert!(server.current_rung().expect("streaming") < rung);
+
+        // The switch happened inside that pump, so the claim it left is
+        // the new schedule's: stepping claim to claim keeps sending.
+        let frames = server.stats().frames_sent;
+        while now < eval + SimDuration::from_secs(2) {
+            let until = server.idle_until();
+            assert!(until > now && until <= now + cfg.rate_eval_period);
+            assert_eq!(server.poll(until - TICK, &mut stack), 0);
+            now = until;
+            server.poll(now, &mut stack);
+        }
+        assert!(server.stats().frames_sent > frames + 5);
+    }
+
+    #[test]
+    fn report_arriving_while_the_pump_is_idle_is_applied_on_that_poll() {
+        let (mut server, mut stack) = streaming(short_lead(), 300_000);
+        let now = SimTime::from_millis(10);
+        let until = server.idle_until();
+        assert!(now < until);
+        request(
+            &mut server,
+            Message::request(Method::SetParameter, URL)
+                .with_header(REPORT_PARAM, "0.050000:120000.0"),
+        );
+        // One request handled, one report applied, nothing pumped.
+        assert_eq!(server.poll(now, &mut stack), 2);
+        assert_eq!(server.tfrc.last_report(), Some(now));
+        assert_eq!(server.idle_until(), until);
     }
 
     #[test]

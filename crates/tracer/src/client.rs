@@ -368,6 +368,45 @@ impl TracerClient {
     /// progress into their settle fixed point uniformly with the stacks
     /// and the network.
     pub fn poll(&mut self, now: SimTime, stack: &mut Stack) -> usize {
+        // Executable spec of `idle_at`: debug builds still run the poll
+        // and hold it to having done nothing.
+        let idle = self.idle_at(now, stack);
+        if idle && !cfg!(debug_assertions) {
+            return 0;
+        }
+        let work = self.poll_active(now, stack);
+        debug_assert!(!idle || work == 0, "client worked at {now:?} while idle");
+        work
+    }
+
+    /// Whether a poll at `now` provably does nothing: a steady `Playing`
+    /// client with nothing to read acts only on a clock edge, and the
+    /// earliest one is known exactly (the player's
+    /// [`Player::idle_until`], the session deadline, the next receiver
+    /// report, the watch limit). Every other phase, and a hardened
+    /// client (whose fault watch reads socket errors and stall clocks),
+    /// is never idle — it simply runs the poll.
+    fn idle_at(&self, now: SimTime, stack: &Stack) -> bool {
+        if self.phase != Phase::Playing || self.hardened {
+            return false;
+        }
+        let mut until = self.player.idle_until();
+        if let Some(start) = self.start_time {
+            until = until.min(start + self.cfg.session_timeout);
+        }
+        if self.transport == Some(TransportKind::Udp) {
+            until = until.min(self.last_report + self.cfg.report_interval);
+        }
+        if let Some(play_start) = self.play_start {
+            until = until.min(play_start + self.cfg.watch_limit);
+        }
+        now < until
+            && stack.tcp_ref(self.ctrl).recv_available() == 0
+            && stack.tcp_ref(self.data_tcp).recv_available() == 0
+            && stack.udp_ref(self.udp).recv_queue_len() == 0
+    }
+
+    fn poll_active(&mut self, now: SimTime, stack: &mut Stack) -> usize {
         if self.phase == Phase::Done {
             return 0;
         }
@@ -880,5 +919,62 @@ fn classify(err: TcpError) -> SessionOutcome {
         TcpError::ConnectTimeout => SessionOutcome::TimedOut,
         // An established connection torn down under us mid-session.
         TcpError::Reset => SessionOutcome::Aborted,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rv_net::HostId;
+    use rv_transport::TcpConfig;
+
+    /// The early-out belongs to one state only: a steady, unhardened
+    /// `Playing` client with nothing to read, strictly before its next
+    /// clock edge. Every other phase, and a hardened client, runs the poll.
+    #[test]
+    fn only_a_steady_unhardened_playing_client_is_ever_idle() {
+        let mut stack = Stack::new(HostId(0));
+        let ctrl = stack.tcp_socket(2000, TcpConfig::default());
+        let data = stack.tcp_socket(2001, TcpConfig::default());
+        let udp = stack.udp_socket(5002);
+        let server = HostId(1);
+        let cfg = ClientConfig::new(
+            "rtsp://s/c.rm",
+            Addr::new(server, 554),
+            Addr::new(server, 555),
+        );
+        let watch_limit = cfg.watch_limit;
+        let mut client = TracerClient::new(cfg, ctrl, data, udp);
+        client.start_time = Some(SimTime::ZERO);
+        client.play_start = Some(SimTime::ZERO);
+        let now = SimTime::from_secs(1);
+
+        for phase in [
+            Phase::Idle,
+            Phase::Connecting,
+            Phase::Describing,
+            Phase::SettingUp,
+            Phase::ConnectingData,
+            Phase::Starting,
+            Phase::TearingDown,
+            Phase::Waiting,
+            Phase::Done,
+        ] {
+            client.phase = phase;
+            assert!(!client.idle_at(now, &stack), "{phase:?} took the early-out");
+        }
+
+        // Playing, nothing buffered, nothing to read: idle up to the
+        // earliest edge (here the watch limit), not at it.
+        client.phase = Phase::Playing;
+        assert!(client.idle_at(now, &stack));
+        assert_eq!(client.poll(now, &mut stack), 0);
+        assert!(!client.idle_at(SimTime::ZERO + watch_limit, &stack));
+
+        client.harden();
+        assert!(
+            !client.idle_at(now, &stack),
+            "hardened client took the early-out"
+        );
     }
 }

@@ -396,6 +396,12 @@ impl TcpSocket {
         self.syn_retries = 0;
     }
 
+    /// `true` while an abnormal-close reason waits to be collected by
+    /// [`TcpSocket::take_error`].
+    pub fn has_error(&self) -> bool {
+        self.last_error.is_some()
+    }
+
     /// Takes (and clears) the reason the socket last closed abnormally.
     pub fn take_error(&mut self) -> Option<TcpError> {
         self.last_error.take()
