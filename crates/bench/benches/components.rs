@@ -1,7 +1,8 @@
 //! Component micro-benchmarks: the building blocks every session exercises
 //! thousands of times — protocol codecs, packetization, frame-schedule
-//! generation, the statistics kernel, TCP bulk transfer, and packet
-//! forwarding through the simulated network.
+//! generation, the statistics kernel, TCP bulk transfer, packet
+//! forwarding through the simulated network, and the wake queries a
+//! session driver asks every instant.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -263,6 +264,79 @@ fn bench_net_hotpath(c: &mut Criterion) {
     g.finish();
 }
 
+/// The questions a session driver asks every instant, one call each:
+/// the `earliest` fold over the six primary wake sources, the network's
+/// `next_wake`, and the stack's `needs_poll` / `next_wake` — the latter
+/// two on a warm attention memo (a read) and, for `needs_poll`, right
+/// after a `tcp()` access cleared it (the sweep over the three sockets a
+/// session server holds). An established connection with unacked data
+/// keeps a retransmission deadline pending, so every answer is `Some`.
+fn bench_wake_queries(c: &mut Criterion) {
+    let mut bld = NetBuilder::new();
+    let cn = bld.host();
+    let sn = bld.host();
+    bld.duplex(
+        cn,
+        sn,
+        LinkParams::lan()
+            .rate(1e6)
+            .delay(SimDuration::from_millis(10)),
+    );
+    let mut rng = SimRng::seed_from_u64(13);
+    let mut net = bld.build_with_payload::<Segment>(&mut rng);
+    let mut cs = Stack::new(HostId(0));
+    let mut ss = Stack::new(HostId(1));
+    let ch = cs.tcp_socket(1000, TcpConfig::default());
+    let sh = ss.tcp_socket(554, TcpConfig::default());
+    ss.tcp_socket(555, TcpConfig::default());
+    ss.udp_socket(5000);
+    ss.tcp(sh).listen();
+    cs.tcp(ch).connect(Addr::new(HostId(1), 554), SimTime::ZERO);
+    let mut now = SimTime::ZERO;
+    while !ss.tcp_ref(sh).is_established() {
+        net.poll(now);
+        cs.poll(now, &mut net);
+        ss.poll(now, &mut net);
+        now += SimDuration::from_millis(1);
+    }
+    // Data on the wire and unacknowledged: the server's RTO is armed and
+    // the network has a serialization pending.
+    ss.tcp(sh).send(&[7u8; 4_000]);
+    ss.poll(now, &mut net);
+    assert!(net.next_wake().is_some() && ss.next_wake().is_some());
+    assert!(!ss.needs_poll(&net, now));
+
+    let wakes = [
+        net.next_wake(),
+        cs.next_wake(),
+        ss.next_wake(),
+        Some(now + SimDuration::from_millis(20)),
+        None,
+        None,
+    ];
+    let mut g = c.benchmark_group("wake_queries");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("earliest_6", |b| {
+        b.iter(|| rv_sim::earliest(std::hint::black_box(wakes)))
+    });
+    g.bench_function("network_next_wake", |b| {
+        b.iter(|| std::hint::black_box(&net).next_wake())
+    });
+    g.bench_function("stack_needs_poll_memo_hit", |b| {
+        b.iter(|| std::hint::black_box(&ss).needs_poll(&net, now))
+    });
+    g.bench_function("stack_needs_poll_memo_miss", |b| {
+        b.iter(|| {
+            std::hint::black_box(ss.tcp(sh));
+            ss.needs_poll(&net, now)
+        })
+    });
+    g.bench_function("stack_next_wake", |b| {
+        b.iter(|| std::hint::black_box(&ss).next_wake())
+    });
+    g.finish();
+}
+
 /// The scheduler in isolation: the steady-state pattern a session world
 /// drives — a small working set (~8 pending events) with mixed
 /// microsecond-to-tens-of-milliseconds deltas, one push per pop. Runs the
@@ -317,6 +391,7 @@ criterion_group!(
     bench_stats,
     bench_tcp_bulk,
     bench_network_forwarding,
-    bench_net_hotpath
+    bench_net_hotpath,
+    bench_wake_queries
 );
 criterion_main!(benches);

@@ -29,10 +29,12 @@
 //!   link's in-service completion and each delay line's head arrival —
 //!   is maintained as two eager scalar minima (`service_next`,
 //!   `arrival_next`): O(1) folds on enqueue/push, one short scan at poll
-//!   exit. A timer wheel at this fan-in costs more in insert/cascade
-//!   traffic than the scan it saves (measured: the wheel-indexed
-//!   scheduler cascaded ~0.4 entries per delivered packet; the scan
-//!   cascades zero).
+//!   exit. `next_wake` and `poll`'s nothing-due fast path are therefore
+//!   two word reads, a `min` and one bool (the retained wheel mode's
+//!   flag — its wheel is consulted only while that mode is on). A timer
+//!   wheel at this fan-in costs more in insert/cascade traffic than the
+//!   scan it saves (measured: the wheel-indexed scheduler cascaded ~0.4
+//!   entries per delivered packet; the scan cascades zero).
 //! - Those scans never touch a `Link` or a `VecDeque`: every link's
 //!   in-service completion and every line's head key are **mirrored**
 //!   into three dense arrays (`serve_at`, `head_at`, `head_seq`), written
@@ -50,7 +52,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rv_sim::{earliest, OutagePolicy, SimRng, SimTime, TimerWheel};
+use rv_sim::{OutagePolicy, SimRng, SimTime, TimerWheel};
 
 use crate::link::{Link, LinkParams, LinkStats};
 use crate::packet::{HostId, NodeId, Packet};
@@ -384,7 +386,7 @@ impl<P> Network<P> {
     pub fn poll(&mut self, now: SimTime) -> usize {
         // Fast path: nothing due. Drivers re-poll every settle iteration,
         // so this single cached read is the common case.
-        if self.next_wake().is_none_or(|t| t > now) {
+        if self.next_due() > now {
             return 0;
         }
         let mut moved = 0;
@@ -704,16 +706,26 @@ impl<P> Network<P> {
         moved
     }
 
-    /// When the network next needs polling: the earliest over the eager
-    /// service and arrival minima (exact at every public-API boundary)
-    /// and the reference wheel's top. Three reads — drivers peek this
-    /// several times per settle iteration.
-    pub fn next_wake(&self) -> Option<SimTime> {
+    /// The earliest pending instant, [`SimTime::MAX`] when there is none:
+    /// the eager service and arrival minima (exact at every public-API
+    /// boundary). The reference wheel holds packets only in its own mode,
+    /// so it is not even looked at outside it.
+    #[inline]
+    fn next_due(&self) -> SimTime {
         let live = self.service_next.min(self.arrival_next);
-        earliest([
-            (live != SimTime::MAX).then_some(live),
-            self.in_flight.next_time(),
-        ])
+        if self.inflight_wheel_mode {
+            live.min(self.in_flight.next_time().unwrap_or(SimTime::MAX))
+        } else {
+            live
+        }
+    }
+
+    /// When the network next needs polling, `None` when nothing is
+    /// pending. Two word reads, a `min` and the wheel-mode flag — drivers
+    /// peek this several times per settle iteration.
+    pub fn next_wake(&self) -> Option<SimTime> {
+        let due = self.next_due();
+        (due != SimTime::MAX).then_some(due)
     }
 
     /// Pops the next delivered packet for `host`, if any.

@@ -282,8 +282,14 @@ proptest! {
 /// sequence.
 type ScriptOp = (u64, usize, usize, usize, u32, u32);
 
+/// What `next_wake` answered before each poll and after each op, and what
+/// that poll returned. The wheel mode keeps its in-flight packets in a
+/// structure `next_wake` and `poll`'s fast path read only while the mode
+/// is on, so both modes must give the same answers at the same state.
+type WakeLog = Vec<(Option<SimTime>, usize, Option<SimTime>)>;
+
 /// Everything two equivalent networks must agree on after a script.
-type Observables = (Deliveries, u64, u64, u64, Vec<rv_net::LinkStats>);
+type Observables = (Deliveries, u64, u64, u64, Vec<rv_net::LinkStats>, WakeLog);
 
 /// Replays a script of sends, outages, loss bursts, and route changes on a
 /// freshly built chain world, polling before every op and then settling to
@@ -315,11 +321,13 @@ fn run_fault_script(
     net.set_inflight_wheel_mode(wheel_mode);
 
     let mut log = Deliveries::new();
+    let mut wakes = WakeLog::new();
     let mut now_ms = 0u64;
     for (i, &(dt_ms, kind, a, bsel, size, ppm)) in ops.iter().enumerate() {
         now_ms += dt_ms;
         let t = SimTime::from_millis(now_ms);
-        poll_and_drain(&mut net, nh, t, false, &mut log);
+        let wake = net.next_wake();
+        let moved = poll_and_drain(&mut net, nh, t, false, &mut log);
         match kind % 4 {
             0 => {
                 let (src, dst) = (HostId((a % nh) as u32), HostId((bsel % nh) as u32));
@@ -353,6 +361,7 @@ fn run_fault_script(
                 }
             }
         }
+        wakes.push((wake, moved, net.next_wake()));
     }
     // Restore every link so carried queues flush, then settle.
     let end = SimTime::from_millis(now_ms);
@@ -364,7 +373,9 @@ fn run_fault_script(
     }
     for step in 1..=120u64 {
         let t = SimTime::from_millis(now_ms + step * 50);
-        poll_and_drain(&mut net, nh, t, false, &mut log);
+        let wake = net.next_wake();
+        let moved = poll_and_drain(&mut net, nh, t, false, &mut log);
+        wakes.push((wake, moved, net.next_wake()));
     }
     let stats = (0..net.num_links())
         .map(|l| net.link_stats(LinkId(l as u32)))
@@ -376,6 +387,7 @@ fn run_fault_script(
         net.misrouted(),
         net.unroutable(),
         stats,
+        wakes,
     )
 }
 
@@ -386,7 +398,8 @@ proptest! {
     /// loss bursts injected and withdrawn, and route refreshes that
     /// strand in-flight packets (which must still count `misrouted`).
     /// Both worlds replay the identical op script and must agree on every
-    /// delivery record, aggregate counter, and per-link stat.
+    /// delivery record, aggregate counter, and per-link stat — and on
+    /// every `next_wake` answer and `poll` return along the way.
     #[test]
     fn delay_lines_match_wheel_reference(
         nh in 2usize..5,
@@ -413,5 +426,6 @@ proptest! {
         prop_assert_eq!(lines.2, wheel.2, "misrouted diverged");
         prop_assert_eq!(lines.3, wheel.3, "unroutable diverged");
         prop_assert_eq!(lines.4, wheel.4);
+        prop_assert_eq!(lines.5, wheel.5, "next_wake / poll answers diverged");
     }
 }

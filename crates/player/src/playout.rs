@@ -303,7 +303,10 @@ impl Playout {
             }
             let (_, Buffered { frame }) = self.buffer.pop_front().expect("present");
             self.cursor = pts;
-            let due_wall = self.epoch + (pts - self.origin);
+            // A straggler pushed after playout began, with a pts older
+            // than the origin, is due at the epoch itself: it then falls
+            // to the late-drop rule below like any other overdue frame.
+            let due_wall = self.epoch + pts.saturating_sub(self.origin);
             // The frame plays when due and present: the later of its
             // deadline and its arrival-completion time.
             let play_at = due_wall.max(frame.completed_at);
@@ -526,6 +529,27 @@ mod tests {
             .unwrap();
         assert_eq!(e.drop_reason, Some(DropReason::Late));
         assert!(p.stats().dropped_late >= 1);
+    }
+
+    #[test]
+    fn straggler_older_than_the_origin_is_due_at_the_epoch() {
+        let mut p = engine();
+        feed(&mut p, 1000, 21, 0);
+        p.poll(SimTime::from_secs(3)); // starts: epoch = 3 s, origin = 1 s
+        assert_eq!(p.state(), PlayoutState::Playing);
+        // Older than the origin and inside the grace window of the
+        // epoch: plays on arrival.
+        let soon = SimTime::from_millis(3200);
+        p.push_frame(soon, frame(500, soon));
+        let events = p.poll(soon);
+        assert_eq!(events[0].pts, SimDuration::from_millis(500));
+        assert_eq!(events[0].played_at, Some(soon));
+        // Past the grace window: the ordinary late drop.
+        let late = SimTime::from_millis(3900);
+        p.push_frame(late, frame(600, late));
+        let events = p.poll(late);
+        assert_eq!(events[0].pts, SimDuration::from_millis(600));
+        assert_eq!(events[0].drop_reason, Some(DropReason::Late));
     }
 
     #[test]

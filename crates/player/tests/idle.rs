@@ -49,15 +49,22 @@ proptest! {
         steps in prop::collection::vec((0u8..8, 0u64..1_500, 0u64..900), 1..80),
     ) {
         let mut p = engine();
-        // Driver time is monotone, as in every session loop, and frames
-        // arrive in presentation order (a gap of 0 repeats a pts).
+        // Driver time is monotone, as in every session loop. Frames
+        // arrive mostly in presentation order (a gap of 0 repeats a pts);
+        // one push in three is a straggler from behind the newest pts —
+        // often behind the playout origin too.
         let mut now = SimTime::ZERO;
-        let mut pts_ms = 0;
+        let mut newest_ms = 0u64;
         for (kind, dt_ms, gap_ms) in steps {
             now += SimDuration::from_millis(dt_ms);
             match kind {
                 0..=2 => {
-                    pts_ms += gap_ms;
+                    let pts_ms = if kind == 2 {
+                        newest_ms.saturating_sub(gap_ms * 4)
+                    } else {
+                        newest_ms += gap_ms;
+                        newest_ms
+                    };
                     p.push_frame(now, CompleteFrame {
                         index: pts_ms as u32,
                         rung: 0,

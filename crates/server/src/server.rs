@@ -188,12 +188,6 @@ struct ActiveStream {
     /// full and playout smooth.
     max_rung: usize,
     schedule: Arc<FrameSchedule>,
-    /// Schedules already generated for this stream, one slot per rung.
-    /// SureStream oscillates between adjacent rungs for the life of a
-    /// stream, and [`FrameSchedule::generate`] is pure in (encoding,
-    /// content, duration, seed) — so each rung's schedule is computed at
-    /// most once per PLAY and shared from here on every revisit.
-    schedules: Vec<Option<Arc<FrameSchedule>>>,
     next_frame: usize,
     play_epoch: SimTime,
     /// High-water mark of transmitted presentation time.
@@ -305,6 +299,7 @@ pub struct ServerScratch {
     payload_pool: PayloadPool,
     ctrl_buf: Vec<u8>,
     pending_reports: Vec<ReceiverReport>,
+    rung_schedules: Vec<Option<Arc<FrameSchedule>>>,
     /// The worker-wide schedule cache, threaded through the scratch so
     /// consecutive sessions on one worker share it (a handle, not
     /// capacity: see [`ScheduleCache`]).
@@ -322,6 +317,7 @@ impl Default for ServerScratch {
             payload_pool: PayloadPool::new(),
             ctrl_buf: Vec::new(),
             pending_reports: Vec::new(),
+            rung_schedules: Vec::new(),
             schedules: ScheduleCache::default(),
         }
     }
@@ -337,7 +333,9 @@ pub struct RealServer {
     ctrl: TcpHandle,
     data_tcp: TcpHandle,
     udp: UdpHandle,
-    stream: Option<ActiveStream>,
+    /// Boxed: every non-idle pump takes the stream out of here and puts
+    /// it back, which should move a pointer, not the whole struct.
+    stream: Option<Box<ActiveStream>>,
     tfrc: TfrcController,
     next_seq: u32,
     clip_seed: u64,
@@ -361,6 +359,14 @@ pub struct RealServer {
     payload_pool: PayloadPool,
     /// Reused staging buffer for outgoing control responses.
     ctrl_buf: Vec<u8>,
+    /// Schedules already generated for the current stream, one slot per
+    /// rung, reset by every PLAY. SureStream oscillates between adjacent
+    /// rungs for the life of a stream, and [`FrameSchedule::generate`] is
+    /// pure in (encoding, content, duration, seed) — so each rung's
+    /// schedule is looked up at most once per PLAY and shared from here
+    /// on every revisit. Kept beside the stream, not in it, so its
+    /// capacity recycles through [`ServerScratch`].
+    rung_schedules: Vec<Option<Arc<FrameSchedule>>>,
     /// Worker-wide frame-schedule cache (see [`ScheduleCache`]).
     schedule_cache: ScheduleCache,
 }
@@ -430,6 +436,7 @@ impl RealServer {
             pkt_scratch: scratch.pkt_scratch,
             payload_pool: scratch.payload_pool,
             ctrl_buf: scratch.ctrl_buf,
+            rung_schedules: scratch.rung_schedules,
             schedule_cache: scratch.schedules,
             cfg,
         }
@@ -458,6 +465,7 @@ impl RealServer {
         self.pkt_scratch.clear();
         self.ctrl_buf.clear();
         self.core.pending_reports.clear();
+        self.rung_schedules.clear();
         ServerScratch {
             decoder: self.decoder,
             txbuf: self.txbuf,
@@ -467,6 +475,7 @@ impl RealServer {
             payload_pool: self.payload_pool,
             ctrl_buf: self.ctrl_buf,
             pending_reports: self.core.pending_reports,
+            rung_schedules: self.rung_schedules,
             schedules: self.schedule_cache,
         }
     }
@@ -761,16 +770,16 @@ impl RealServer {
             TransportKind::Tcp => None,
         };
 
-        let mut schedules: Vec<Option<Arc<FrameSchedule>>> = vec![None; clip.ladder.len()];
         let schedule = self.schedule_for(&clip, initial);
-        schedules[initial] = Some(Arc::clone(&schedule));
-        self.stream = Some(ActiveStream {
+        self.rung_schedules.clear();
+        self.rung_schedules.resize(clip.ladder.len(), None);
+        self.rung_schedules[initial] = Some(Arc::clone(&schedule));
+        self.stream = Some(Box::new(ActiveStream {
             transport: spec.kind,
             client_udp,
             rung: initial,
             max_rung,
             schedule,
-            schedules,
             next_frame: 0,
             play_epoch: now,
             sent_until: SimDuration::ZERO,
@@ -796,7 +805,7 @@ impl RealServer {
             last_timeout_check: now,
             idle_until: SimTime::ZERO,
             clip,
-        });
+        }));
     }
 
     fn schedule_for(&self, clip: &Clip, rung: usize) -> Arc<FrameSchedule> {
@@ -1111,11 +1120,11 @@ impl RealServer {
             to: rung as u8,
         });
         stream.rung = rung;
-        stream.schedule = match &stream.schedules[rung] {
+        stream.schedule = match &self.rung_schedules[rung] {
             Some(s) => Arc::clone(s),
             None => {
                 let s = self.schedule_for(&stream.clip, rung);
-                stream.schedules[rung] = Some(Arc::clone(&s));
+                self.rung_schedules[rung] = Some(Arc::clone(&s));
                 s
             }
         };

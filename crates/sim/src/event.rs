@@ -119,12 +119,22 @@ impl<E> EventQueue<E> {
 /// Folds optional wake-up times down to the earliest one.
 ///
 /// Poll-based components report `Option<SimTime>` ("wake me then" or "I'm
-/// idle"); drivers combine them with this helper.
+/// idle"); drivers combine them with this helper. Equal to
+/// `times.into_iter().flatten().min()`, spelled as a scalar loop: over a
+/// by-value array the adapter chain reloads the array with wide loads
+/// straddling the narrower stores that built it — a store-forwarding
+/// stall per call, on a function drivers call every instant.
 pub fn earliest<I>(times: I) -> Option<SimTime>
 where
     I: IntoIterator<Item = Option<SimTime>>,
 {
-    times.into_iter().flatten().min()
+    let mut min = SimTime::MAX;
+    let mut any = false;
+    for t in times.into_iter().flatten() {
+        any = true;
+        min = min.min(t);
+    }
+    any.then_some(min)
 }
 
 #[cfg(test)]
@@ -186,6 +196,9 @@ mod tests {
         assert_eq!(earliest([a, b, c]), Some(SimTime::from_secs(2)));
         assert_eq!(earliest([None, None]), None);
         assert_eq!(earliest(std::iter::empty()), None);
+        // A wake at the end of time is still a wake, not "idle".
+        assert_eq!(earliest([None, Some(SimTime::MAX)]), Some(SimTime::MAX));
+        assert_eq!(earliest([Some(SimTime::MAX), a]), a);
     }
 
     #[test]

@@ -184,13 +184,20 @@ proptest! {
         }
     }
 
-    /// `earliest` equals the minimum over the Some() entries.
+    /// `earliest` is `flatten().min()`: `None` for an empty or all-`None`
+    /// input, and a `Some(SimTime::MAX)` entry is a wake like any other.
     #[test]
-    fn earliest_is_min(entries in prop::collection::vec(prop::option::of(0u64..1_000), 0..20)) {
+    fn earliest_is_min(
+        entries in prop::collection::vec(
+            prop::option::of(prop_oneof![0u64..1_000, Just(u64::MAX)]),
+            0..20,
+        ),
+        silent in 0usize..4,
+    ) {
         let opts: Vec<Option<SimTime>> =
             entries.iter().map(|o| o.map(SimTime::from_micros)).collect();
-        let expect = entries.iter().flatten().min().map(|m| SimTime::from_micros(*m));
-        prop_assert_eq!(earliest(opts), expect);
+        prop_assert_eq!(earliest(opts.iter().copied()), opts.iter().copied().flatten().min());
+        prop_assert_eq!(earliest(vec![None; silent]), None);
     }
 
     /// Time arithmetic round-trips: (t + d) - t == d.

@@ -9,7 +9,7 @@ use rv_media::Clip;
 use rv_net::{Addr, HostId, LinkParams, NetBuilder, Network};
 use rv_server::{Catalog, RealServer, ServerConfig};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{earliest, Counter, CounterSet, SimDuration, SimRng, SimTime};
+use rv_sim::{Counter, CounterSet, SimDuration, SimRng, SimTime};
 use rv_transport::{Segment, Stack, TcpConfig};
 
 use rv_sim::FaultPlan;
@@ -339,19 +339,27 @@ impl SessionWorld {
                 self.now = now;
                 break;
             }
-            let mut next = earliest([
-                self.net.next_wake(),
-                self.client_stack.next_wake(),
-                self.server_stack.next_wake(),
-                self.server.next_wake(now),
-                self.client.next_wake(now),
-                self.faults.as_ref().and_then(FaultInjector::next_wake),
-            ]);
+            // The wake fan-in, folded as scalars with `MAX` for "idle":
+            // the same instant as `earliest([...]).unwrap_or(deadline)`
+            // clamped the same way (an all-idle world and a wake at `MAX`
+            // both land on `deadline`), without building the by-value
+            // `Option` array whose reload stalls on every instant.
+            let wake = |t: Option<SimTime>| t.unwrap_or(SimTime::MAX);
+            let mut next = wake(self.net.next_wake())
+                .min(wake(self.client_stack.next_wake()))
+                .min(wake(self.server_stack.next_wake()))
+                .min(wake(self.server.next_wake(now)))
+                .min(wake(self.client.next_wake(now)))
+                .min(wake(
+                    self.faults.as_ref().and_then(FaultInjector::next_wake),
+                ));
             for (stack, server) in &self.replicas {
-                next = earliest([next, stack.next_wake(), server.next_wake(now)]);
+                next = next
+                    .min(wake(stack.next_wake()))
+                    .min(wake(server.next_wake(now)));
             }
             let step_floor = now + SimDuration::from_micros(1);
-            now = next.unwrap_or(deadline).min(deadline).max(step_floor);
+            now = next.min(deadline).max(step_floor);
         }
         self.client.metrics().cloned().unwrap_or_else(|| {
             // Deadline hit before the client finished (should be rare: the

@@ -1,10 +1,13 @@
 //! Property-based tests: TCP's reliable-delivery invariant under arbitrary
-//! loss patterns, segment arithmetic, and stack demux invariants.
+//! loss patterns, segment arithmetic, stack demux invariants, and the
+//! stack's memoized attention summary under arbitrary socket scripts.
 
 use proptest::prelude::*;
-use rv_net::{Addr, HostId};
-use rv_sim::{PayloadBytes, SimDuration, SimTime};
-use rv_transport::{Segment, TcpConfig, TcpFlags, TcpSegment, TcpSocket};
+use rv_net::{Addr, HostId, LinkParams, NetBuilder, Network};
+use rv_sim::{PayloadBytes, SimDuration, SimRng, SimTime};
+use rv_transport::{
+    Segment, Stack, TcpConfig, TcpFlags, TcpHandle, TcpSegment, TcpSocket, UdpHandle,
+};
 
 fn addr(h: u32, p: u16) -> Addr {
     Addr::new(HostId(h), p)
@@ -205,6 +208,136 @@ proptest! {
             accepted_total += accepted;
             prop_assert!(accepted_total <= 16 * 1024);
             prop_assert_eq!(sock.unacked_and_unsent(), accepted_total);
+        }
+    }
+}
+
+/// One host of the attention-memo script: its stack and every handle it
+/// has issued so far (sockets are added mid-script).
+struct ScriptHost {
+    stack: Stack,
+    tcp: Vec<TcpHandle>,
+    udp: Vec<UdpHandle>,
+}
+
+impl ScriptHost {
+    fn new(host: u32) -> Self {
+        let mut stack = Stack::new(HostId(host));
+        let tcp = (0..2)
+            .map(|p| stack.tcp_socket(100 + p, TcpConfig::default()))
+            .collect();
+        let udp = vec![stack.udp_socket(200)];
+        ScriptHost { stack, tcp, udp }
+    }
+
+    /// Holds the stack's three driver queries to a sweep of every socket
+    /// made through the shared accessors. (Owed RSTs never outlive the
+    /// poll that queued them, so the sockets are the whole answer.) In
+    /// debug builds each query also asserts its memo against the stack's
+    /// own sweep.
+    fn check(&self, net: &Network<Segment>, now: SimTime) -> Result<(), String> {
+        let tcp = || self.tcp.iter().map(|&h| self.stack.tcp_ref(h));
+        let pending = tcp().any(TcpSocket::has_pending_work)
+            || self
+                .udp
+                .iter()
+                .any(|&h| self.stack.udp_ref(h).has_pending_work());
+        let due = tcp().filter_map(TcpSocket::next_wake).min();
+        prop_assert_eq!(self.stack.next_wake(), due);
+        prop_assert_eq!(self.stack.has_pending_work(), pending);
+        prop_assert_eq!(
+            self.stack.needs_poll(net, now),
+            net.inbox_len(self.stack.host()) > 0 || pending || due.is_some_and(|t| t <= now)
+        );
+        Ok(())
+    }
+}
+
+proptest! {
+    /// The stack's memoized attention summary is cleared by every path
+    /// that can change what it summarizes: arbitrary scripts of socket
+    /// calls through `tcp()` / `udp()`, new sockets, inbound segments and
+    /// datagrams over a real two-host network, polls, and clock steps up
+    /// to and past retransmission deadlines, with all three queries
+    /// checked on both hosts after every step.
+    #[test]
+    fn attention_memo_tracks_every_socket_change(
+        ops in prop::collection::vec((0u8..14, 0usize..4, 0usize..4, 1u64..2_500), 1..120),
+        loss in 0.0f64..0.3,
+        seed in any::<u64>(),
+    ) {
+        let mut b = NetBuilder::new();
+        let (h0, h1) = (b.host(), b.host());
+        let params = LinkParams::lan()
+            .rate(1e6)
+            .delay(SimDuration::from_millis(15))
+            .loss(loss);
+        b.duplex(h0, h1, params);
+        let mut net = b.build_with_payload::<Segment>(&mut SimRng::seed_from_u64(seed));
+        let mut hosts = [ScriptHost::new(0), ScriptHost::new(1)];
+        let mut now = SimTime::ZERO;
+        for (kind, a, z, dt) in ops {
+            let (me, peer) = (a % 2, 1 - a % 2);
+            let th = hosts[me].tcp[z % hosts[me].tcp.len()];
+            let uh = hosts[me].udp[z % hosts[me].udp.len()];
+            let peer_port = |base: u16, n: usize| Addr::new(HostId(peer as u32), base + (z % n) as u16);
+            match kind {
+                0 => {
+                    if hosts[me].stack.tcp_ref(th).is_closed() {
+                        let dst = peer_port(100, hosts[peer].tcp.len());
+                        hosts[me].stack.tcp(th).connect(dst, now);
+                    }
+                }
+                1 => {
+                    if hosts[me].stack.tcp_ref(th).is_closed() {
+                        hosts[me].stack.tcp(th).listen();
+                    }
+                }
+                2 => {
+                    hosts[me].stack.tcp(th).send(&vec![z as u8; dt as usize]);
+                }
+                3 => hosts[me].stack.tcp(th).close(),
+                4 => hosts[me].stack.tcp(th).abort(),
+                5 => hosts[me].stack.tcp(th).reset(),
+                6 => {
+                    let dst = peer_port(200, hosts[peer].udp.len());
+                    hosts[me].stack.udp(uh).send_to(dst, vec![z as u8; 1 + dt as usize % 900]);
+                }
+                7 => {
+                    // Reads reach the sockets mutably without changing
+                    // what the memo summarizes; they must stay coherent.
+                    hosts[me].stack.tcp(th).recv(usize::MAX);
+                    hosts[me].stack.udp(uh).recv();
+                }
+                8 => {
+                    let port = 100 + hosts[me].tcp.len() as u16;
+                    let h = hosts[me].stack.tcp_socket(port, TcpConfig::default());
+                    hosts[me].tcp.push(h);
+                }
+                9 => {
+                    let port = 200 + hosts[me].udp.len() as u16;
+                    let h = hosts[me].stack.udp_socket(port);
+                    hosts[me].udp.push(h);
+                }
+                10 => {
+                    net.poll(now);
+                }
+                11 => {
+                    net.poll(now);
+                    hosts[me].stack.poll(now, &mut net);
+                }
+                12 => now += SimDuration::from_millis(dt),
+                _ => {
+                    // Step exactly onto a retransmission deadline, so the
+                    // memo's `due <= now` edge is hit, not jumped over.
+                    if let Some(t) = hosts[me].stack.next_wake() {
+                        now = now.max(t);
+                    }
+                }
+            }
+            for host in &hosts {
+                host.check(&net, now)?;
+            }
         }
     }
 }
