@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rv_media::{packetize_frame, Clip, ContentKind, Frame, FrameSchedule, StreamDepacketizer};
 use rv_net::{Addr, HostId, LinkParams, NetBuilder, Packet};
 use rv_rtsp::{Decoder, Message, Method};
-use rv_sim::{EventQueue, SimDuration, SimRng, SimTime, TimerWheel};
+use rv_sim::{SimDuration, SimRng, SimTime};
 use rv_stats::Cdf;
 use rv_transport::{Segment, Stack, TcpConfig};
 
@@ -337,55 +337,8 @@ fn bench_wake_queries(c: &mut Criterion) {
     g.finish();
 }
 
-/// The scheduler in isolation: the steady-state pattern a session world
-/// drives — a small working set (~8 pending events) with mixed
-/// microsecond-to-tens-of-milliseconds deltas, one push per pop. Runs the
-/// identical workload through the `BinaryHeap` [`EventQueue`] and the
-/// [`TimerWheel`] that replaced it on the hot path.
-fn bench_scheduler(c: &mut Criterion) {
-    // Deltas shaped like the session mix: link serialization times
-    // (µs–ms), propagation delays (2–60 ms), and pacing gaps.
-    const DELTAS: [u64; 8] = [120, 430, 1_000, 2_800, 5_000, 12_000, 28_000, 60_000];
-    let mut g = c.benchmark_group("scheduler");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("heap_steady_state_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut now = SimTime::ZERO;
-            for i in 0..8u64 {
-                q.push(now + SimDuration::from_micros(DELTAS[i as usize]), i);
-            }
-            for i in 0..10_000u64 {
-                let ev = q.pop().expect("queue never empties");
-                now = ev.at;
-                let d = DELTAS[(ev.event.wrapping_mul(2_654_435_761) % 8) as usize];
-                q.push(now + SimDuration::from_micros(d), i);
-            }
-            std::hint::black_box(now)
-        })
-    });
-    g.bench_function("wheel_steady_state_10k", |b| {
-        b.iter(|| {
-            let mut q = TimerWheel::new();
-            let mut now = SimTime::ZERO;
-            for i in 0..8u64 {
-                q.push(now + SimDuration::from_micros(DELTAS[i as usize]), i);
-            }
-            for i in 0..10_000u64 {
-                let ev = q.pop().expect("queue never empties");
-                now = ev.at;
-                let d = DELTAS[(ev.event.wrapping_mul(2_654_435_761) % 8) as usize];
-                q.push(now + SimDuration::from_micros(d), i);
-            }
-            std::hint::black_box(now)
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
-    bench_scheduler,
     bench_rtsp_codec,
     bench_media_pipeline,
     bench_stats,

@@ -3,7 +3,7 @@
 //!
 //! Two jobs: a build-vs-run breakdown printed for profiling (run with
 //! `--nocapture`), and a hard per-session allocation budget so the
-//! timing-wheel/arena work cannot silently regress. Run with:
+//! delay-line/arena work cannot silently regress. Run with:
 //!
 //! ```text
 //! cargo test -p realvideo-core --features alloc-stats --release \

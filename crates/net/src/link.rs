@@ -344,7 +344,13 @@ impl<P> Link<P> {
             let rate = self.params.rate_bps * factor;
             let service = SimDuration::from_secs_f64(f64::from(pkt.size) * 8.0 / rate)
                 .max(SimDuration::from_micros(1));
-            self.serving = Some((pkt, tag, at + service));
+            // A slow enough link saturates `service`; the completion then
+            // stops one tick short of `SimTime::MAX`, which callers read
+            // as "serving nothing".
+            let done_at = at
+                .saturating_add(service)
+                .min(SimTime::from_micros(u64::MAX - 1));
+            self.serving = Some((pkt, tag, done_at));
         }
     }
 }
@@ -385,6 +391,19 @@ mod tests {
         let out = drain(&mut l, t0 + SimDuration::from_millis(10));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, t0 + SimDuration::from_millis(15));
+    }
+
+    #[test]
+    fn glacial_link_completes_late_not_early() {
+        // 1,500 bytes at 1e-12 bps: the service time saturates `u64`
+        // microseconds, and the completion must neither wrap around to
+        // before the enqueue nor land on `SimTime::MAX` ("idle").
+        let mut l = link(LinkParams::lan().rate(1e-12));
+        let t0 = SimTime::from_secs(1);
+        assert!(l.enqueue(t0, pkt(1500)));
+        let done = l.next_wake().expect("link is serving");
+        assert!(t0 < done && done < SimTime::MAX, "completion {done:?}");
+        assert!(drain(&mut l, SimTime::from_secs(1_000_000)).is_empty());
     }
 
     #[test]

@@ -30,11 +30,7 @@
 //!   is maintained as two eager scalar minima (`service_next`,
 //!   `arrival_next`): O(1) folds on enqueue/push, one short scan at poll
 //!   exit. `next_wake` and `poll`'s nothing-due fast path are therefore
-//!   two word reads, a `min` and one bool (the retained wheel mode's
-//!   flag — its wheel is consulted only while that mode is on). A timer
-//!   wheel at this fan-in costs more in insert/cascade traffic than the
-//!   scan it saves (measured: the wheel-indexed scheduler cascaded ~0.4
-//!   entries per delivered packet; the scan cascades zero).
+//!   two word reads and a `min`.
 //! - Those scans never touch a `Link` or a `VecDeque`: every link's
 //!   in-service completion and every line's head key are **mirrored**
 //!   into three dense arrays (`serve_at`, `head_at`, `head_seq`), written
@@ -43,16 +39,17 @@
 //!   (`poll` exit `debug_assert`s the mirrors against the structures).
 //!
 //! Determinism: links due at the same instant drain in ascending `LinkId`
-//! order — the same order the reference scan loop uses — and in-flight
-//! arrivals tie-break FIFO on their global push sequence, so the schedule
-//! is bit-identical to [`Network::poll_scan_all`] and to the retained
-//! per-packet wheel path ([`Network::set_inflight_wheel_mode`]), both kept
-//! for the equivalence property tests.
+//! order, and in-flight arrivals tie-break FIFO on their global push
+//! sequence. The executable spec of that schedule is the naive reference
+//! model in `tests/properties.rs` (every link drained every round, one
+//! unsorted bag of in-flight packets popped by minimum `(arrival, seq)`),
+//! which `network_matches_reference_model` holds this type to at every
+//! step of randomized traffic-and-fault scripts.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rv_sim::{OutagePolicy, SimRng, SimTime, TimerWheel};
+use rv_sim::{OutagePolicy, SimRng, SimTime};
 
 use crate::link::{Link, LinkParams, LinkStats};
 use crate::packet::{HostId, NodeId, Packet};
@@ -83,25 +80,20 @@ fn unpack_tag(tag: u64) -> (RouteId, u32) {
     (RouteId((tag >> 32) as u32), tag as u32)
 }
 
-/// A packet in flight between links, tagged with its interned route and
-/// the hop that has just been traversed.
+/// One entry in a per-link delay line: a packet propagating toward the
+/// link's far end, tagged with its interned route and the hop it has just
+/// traversed.
 #[derive(Debug, Clone)]
-struct Transit<P> {
+struct InFlight<P> {
+    /// When the packet arrives at the far end.
+    at: SimTime,
+    /// Global push sequence; orders same-instant arrivals across lines.
+    seq: u64,
     packet: Packet<P>,
     /// The route resolved at send time.
     route: RouteId,
     /// Index into the route of the hop that has just been traversed.
     hop: u32,
-}
-
-/// One entry in a per-link delay line: a [`Transit`] plus the arrival
-/// instant and the global push sequence that orders same-instant arrivals
-/// across lines exactly as the per-packet wheel's internal FIFO did.
-#[derive(Debug, Clone)]
-struct InFlight<P> {
-    at: SimTime,
-    seq: u64,
-    transit: Transit<P>,
 }
 
 /// The simulated network.
@@ -129,7 +121,7 @@ pub struct Network<P> {
     /// Emptied delay lines recycled across rebuilds, like `spare_inboxes`.
     spare_lines: Vec<VecDeque<InFlight<P>>>,
     /// Global stamp assigned to each in-flight push, so cross-line merges
-    /// reproduce the per-packet wheel's FIFO tie-break.
+    /// break same-instant ties in push order.
     transit_seq: u64,
     /// Delay-line observability: head exposures the scheduler scan must
     /// notice (a push to an empty line, or a pop that uncovers a
@@ -159,13 +151,6 @@ pub struct Network<P> {
     /// same exactness discipline (pushes fold in O(1); the delivery
     /// merge's exit scan recomputes).
     arrival_next: SimTime,
-    /// Reference mode: route in-flight packets through the retained
-    /// per-packet wheel instead of the delay lines. Equivalence spec for
-    /// the property tests; not for production use.
-    inflight_wheel_mode: bool,
-    /// Packets that finished a link and are propagating (reference mode
-    /// only; empty while delay lines are active).
-    in_flight: TimerWheel<Transit<P>>,
     inboxes: Vec<VecDeque<Packet<P>>>,
     /// Emptied inboxes recycled across [`Network::reset_for_rebuild`]
     /// cycles, so a rebuilt topology's hosts start with warm buffers.
@@ -198,8 +183,6 @@ impl<P> Network<P> {
             head_seq: Vec::new(),
             service_next: SimTime::MAX,
             arrival_next: SimTime::MAX,
-            inflight_wheel_mode: false,
-            in_flight: TimerWheel::new(),
             inboxes: Vec::new(),
             spare_inboxes: Vec::new(),
             unroutable: 0,
@@ -380,9 +363,8 @@ impl<P> Network<P> {
     /// arrivals, forwarding packets along their routes. Returns the number
     /// of packets that moved.
     ///
-    /// Due links are discovered by scanning every link in ascending
-    /// `LinkId` order — identical to [`Network::poll_scan_all`] except for
-    /// the memoized nothing-due fast path and the per-link due pre-check.
+    /// Due links are found by scanning the `serve_at` mirror in ascending
+    /// `LinkId` order, behind a nothing-due fast path.
     pub fn poll(&mut self, now: SimTime) -> usize {
         // Fast path: nothing due. Drivers re-poll every settle iteration,
         // so this single cached read is the common case.
@@ -392,21 +374,19 @@ impl<P> Network<P> {
         let mut moved = 0;
         let mut any_drained = false;
         loop {
-            let mut drained = false;
             for i in 0..self.serve_at.len() {
                 if self.serve_at[i] <= now {
-                    moved += self.drain_link(LinkId(i as u32), now, &mut drained);
+                    moved += self.drain_link(LinkId(i as u32), now);
+                    any_drained = true;
                 }
             }
-            any_drained |= drained;
             // Another round is needed only when forwarding parked a
             // serialization completing by `now`: a drained link never
             // stays due (`Link::poll` loops until its completion passes
             // `now`), and drain-side pushes due by `now` are consumed by
             // the deliver pass in this same round.
             let mut requeue = false;
-            let mut progress = drained;
-            moved += self.deliver_due(now, &mut progress, &mut requeue);
+            moved += self.deliver_due(now, &mut requeue);
             if !requeue {
                 break;
             }
@@ -443,35 +423,11 @@ impl<P> Network<P> {
         }
     }
 
-    /// Reference scheduler: identical semantics to [`Network::poll`], but
-    /// with no fast path and no due pre-check — every link is drained
-    /// unconditionally every round. Retained so property tests can prove
-    /// the production path delivers the identical packet sequence.
-    #[doc(hidden)]
-    pub fn poll_scan_all(&mut self, now: SimTime) -> usize {
-        let mut moved = 0;
-        loop {
-            let mut progress = false;
-            let mut requeue = false;
-            for i in 0..self.links.len() {
-                moved += self.drain_link(LinkId(i as u32), now, &mut progress);
-            }
-
-            moved += self.deliver_due(now, &mut progress, &mut requeue);
-            if !progress {
-                self.recompute_service_next();
-                self.debug_check_mirrors();
-                return moved;
-            }
-        }
-    }
-
-    /// Drains one link's due serializations into its delay line (or the
-    /// reference per-packet wheel), validating each packet's route id.
-    /// Returns the number of packets that moved onward (misrouted drops
-    /// count as progress but not movement — consistently with the
-    /// propagation arm).
-    fn drain_link(&mut self, lid: LinkId, now: SimTime, progress: &mut bool) -> usize {
+    /// Drains one link's due serializations into its delay line,
+    /// validating each packet's route id. Returns the number of packets
+    /// that moved onward (misrouted drops are not movement — consistently
+    /// with the propagation arm).
+    fn drain_link(&mut self, lid: LinkId, now: SimTime) -> usize {
         let Network {
             links,
             host_nodes,
@@ -484,69 +440,58 @@ impl<P> Network<P> {
             head_updates,
             bypass_packets,
             arrival_next,
-            inflight_wheel_mode,
-            in_flight,
             misrouted,
             ..
         } = self;
         let num_hosts = host_nodes.len();
         let link = &mut links[lid.0 as usize];
         let mut moved = 0;
-        let drained = link.poll(now, &mut |arrive_at, packet, tag| {
+        link.poll(now, &mut |arrive_at, packet, tag| {
             let (route, hop) = unpack_tag(tag);
             // The route existed at send time, but may have been replaced
             // since; a packet stranded by a route change is dropped and
             // counted rather than panicking the simulation.
             let slot = packet.src.host.0 as usize * num_hosts + packet.dst.host.0 as usize;
             if route_ids[slot] == route.0 {
-                let transit = Transit { packet, route, hop };
-                if *inflight_wheel_mode {
-                    in_flight.push(arrive_at, transit);
+                // Arrivals on one link are monotonic while the link
+                // stays busy (FIFO serialization with service ≥ 1 µs,
+                // constant propagation), so appending keeps the line
+                // sorted in the overwhelmingly common case. Sparse
+                // polling breaks the guarantee: an idle link drained
+                // at completion C can take a forwarding enqueue
+                // backdated to an arrival instant < C and finish it
+                // before C. Those stragglers sort-insert so the line
+                // stays ordered by `(at, seq)` — the merge's exactness
+                // contract — under any poll pattern.
+                let line = &mut lines[lid.0 as usize];
+                let seq = *transit_seq;
+                *transit_seq += 1;
+                let entry = InFlight {
+                    at: arrive_at,
+                    seq,
+                    packet,
+                    route,
+                    hop,
+                };
+                let new_head = if line.back().is_none_or(|b| b.at <= arrive_at) {
+                    let was_empty = line.is_empty();
+                    line.push_back(entry);
+                    was_empty
                 } else {
-                    // Arrivals on one link are monotonic while the link
-                    // stays busy (FIFO serialization with service ≥ 1 µs,
-                    // constant propagation), so appending keeps the line
-                    // sorted in the overwhelmingly common case. Sparse
-                    // polling breaks the guarantee: an idle link drained
-                    // at completion C can take a forwarding enqueue
-                    // backdated to an arrival instant < C and finish it
-                    // before C. Those stragglers sort-insert so the line
-                    // stays ordered by `(at, seq)` — the merge's exactness
-                    // contract — under any poll pattern.
-                    let line = &mut lines[lid.0 as usize];
-                    let seq = *transit_seq;
-                    *transit_seq += 1;
-                    let new_head = if line.back().is_none_or(|b| b.at <= arrive_at) {
-                        let was_empty = line.is_empty();
-                        line.push_back(InFlight {
-                            at: arrive_at,
-                            seq,
-                            transit,
-                        });
-                        was_empty
-                    } else {
-                        // Earlier entries all carry smaller seqs, so
-                        // ordering by `at` alone places the straggler
-                        // after every same-instant predecessor.
-                        let pos = line.partition_point(|e| e.at <= arrive_at);
-                        line.insert(
-                            pos,
-                            InFlight {
-                                at: arrive_at,
-                                seq,
-                                transit,
-                            },
-                        );
-                        pos == 0
-                    };
-                    if new_head {
-                        *head_updates += 1;
-                        head_at[lid.0 as usize] = arrive_at;
-                        head_seq[lid.0 as usize] = seq;
-                        *arrival_next = (*arrival_next).min(arrive_at);
-                    } else {
-                        *bypass_packets += 1;
-                    }
+                    // Earlier entries all carry smaller seqs, so
+                    // ordering by `at` alone places the straggler
+                    // after every same-instant predecessor.
+                    let pos = line.partition_point(|e| e.at <= arrive_at);
+                    line.insert(pos, entry);
+                    pos == 0
+                };
+                if new_head {
+                    *head_updates += 1;
+                    head_at[lid.0 as usize] = arrive_at;
+                    head_seq[lid.0 as usize] = seq;
+                    *arrival_next = (*arrival_next).min(arrive_at);
+                } else {
+                    *bypass_packets += 1;
                 }
                 moved += 1;
             } else {
@@ -554,33 +499,17 @@ impl<P> Network<P> {
             }
         });
         serve_at[lid.0 as usize] = link.next_wake().unwrap_or(SimTime::MAX);
-        if drained > 0 {
-            *progress = true;
-        }
         moved
     }
 
     /// Delivers propagation arrivals due by `now`, forwarding each packet
     /// to its next hop or its destination inbox. Returns packets moved.
-    fn deliver_due(&mut self, now: SimTime, progress: &mut bool, requeue: &mut bool) -> usize {
-        if self.inflight_wheel_mode {
-            self.deliver_due_wheel(now, progress, requeue)
-        } else {
-            self.deliver_due_lines(now, progress, requeue)
-        }
-    }
-
-    /// Line-mode delivery: k-way merges the due line heads by `(at, seq)`
-    /// — the exact global pop order a per-packet timer queue would
-    /// produce. The merge is a repeated linear min scan: the line count is
-    /// a topology-sized handful, so the scan beats any heap and allocates
-    /// nothing.
-    fn deliver_due_lines(
-        &mut self,
-        now: SimTime,
-        progress: &mut bool,
-        requeue: &mut bool,
-    ) -> usize {
+    ///
+    /// K-way merges the due line heads by `(at, seq)` — the exact global
+    /// pop order a per-packet timer queue would produce. The merge is a
+    /// repeated linear min scan: the line count is a topology-sized
+    /// handful, so the scan beats any heap and allocates nothing.
+    fn deliver_due(&mut self, now: SimTime, requeue: &mut bool) -> usize {
         // Exact fast path: `arrival_next` is exact on entry — exact at the
         // poll boundary, and the round's drains only *fold* head arrivals
         // into it (pops happen nowhere but here, and every exit below
@@ -625,7 +554,6 @@ impl<P> Network<P> {
                 self.arrival_next = min_head;
                 break;
             };
-            *progress = true;
             while let Some(head) = self.lines[li].front() {
                 if head.at > now || second.is_some_and(|s| s < (head.at, head.seq)) {
                     break;
@@ -641,7 +569,13 @@ impl<P> Network<P> {
                     }
                     None => self.head_at[li] = SimTime::MAX,
                 }
-                let Transit { packet, route, hop } = ent.transit;
+                let InFlight {
+                    at,
+                    packet,
+                    route,
+                    hop,
+                    ..
+                } = ent;
                 // Same staleness rule as the serialization arm: a replaced
                 // route strands the packet, counted not panicked.
                 if self.route_id(packet.src.host, packet.dst.host) != Some(route) {
@@ -654,8 +588,8 @@ impl<P> Network<P> {
                     self.delivered += 1;
                 } else {
                     let next = links[hop as usize + 1];
-                    self.enqueue_on_link(next, ent.at, packet, pack_tag(route, hop + 1));
-                    // A late-arriving packet (ent.at < now) can finish
+                    self.enqueue_on_link(next, at, packet, pack_tag(route, hop + 1));
+                    // A late-arriving packet (at < now) can finish
                     // serializing by `now`; only then does the caller need
                     // another drain round.
                     if self.serve_at[next.0 as usize] <= now {
@@ -668,61 +602,17 @@ impl<P> Network<P> {
         moved
     }
 
-    /// Reference (wheel-mode) delivery: pops per-packet arrivals in
-    /// `(at, seq)` order. Retained as the executable spec the delay-line
-    /// equivalence property tests pin against.
-    fn deliver_due_wheel(
-        &mut self,
-        now: SimTime,
-        progress: &mut bool,
-        requeue: &mut bool,
-    ) -> usize {
-        let mut moved = 0;
-        while let Some(ev) = self.in_flight.pop_due(now) {
-            let Transit { packet, route, hop } = ev.event;
-            *progress = true;
-            // Same staleness rule as the serialization arm: a replaced
-            // route strands the packet, counted not panicked.
-            if self.route_id(packet.src.host, packet.dst.host) != Some(route) {
-                self.misrouted += 1;
-                continue;
-            }
-            let links = &self.route_table[route.0 as usize];
-            if hop as usize + 1 >= links.len() {
-                self.inboxes[packet.dst.host.0 as usize].push_back(packet);
-                self.delivered += 1;
-            } else {
-                let next = links[hop as usize + 1];
-                self.enqueue_on_link(next, ev.at, packet, pack_tag(route, hop + 1));
-                if self.links[next.0 as usize]
-                    .next_wake()
-                    .is_some_and(|t| t <= now)
-                {
-                    *requeue = true;
-                }
-            }
-            moved += 1;
-        }
-        moved
-    }
-
     /// The earliest pending instant, [`SimTime::MAX`] when there is none:
     /// the eager service and arrival minima (exact at every public-API
-    /// boundary). The reference wheel holds packets only in its own mode,
-    /// so it is not even looked at outside it.
+    /// boundary).
     #[inline]
     fn next_due(&self) -> SimTime {
-        let live = self.service_next.min(self.arrival_next);
-        if self.inflight_wheel_mode {
-            live.min(self.in_flight.next_time().unwrap_or(SimTime::MAX))
-        } else {
-            live
-        }
+        self.service_next.min(self.arrival_next)
     }
 
     /// When the network next needs polling, `None` when nothing is
-    /// pending. Two word reads, a `min` and the wheel-mode flag — drivers
-    /// peek this several times per settle iteration.
+    /// pending. Two word reads and a `min` — drivers peek this several
+    /// times per settle iteration.
     pub fn next_wake(&self) -> Option<SimTime> {
         let due = self.next_due();
         (due != SimTime::MAX).then_some(due)
@@ -809,14 +699,6 @@ impl<P> Network<P> {
         self.links.len()
     }
 
-    /// Total timer-wheel cascade work done by this network since the last
-    /// rebuild — the `wheel_cascades` campaign counter. The production
-    /// path has no wheel at all, so this is zero outside the reference
-    /// per-packet wheel mode.
-    pub fn wheel_cascades(&self) -> u64 {
-        self.in_flight.cascades()
-    }
-
     /// Delay-line observability: `(head_updates, bypass_packets)`. Head
     /// updates are line-head exposures — the instants the scheduler scan
     /// must track; bypass packets joined a busy line behind an earlier
@@ -825,24 +707,9 @@ impl<P> Network<P> {
         (self.head_updates, self.bypass_packets)
     }
 
-    /// Routes in-flight packets through the retained per-packet wheel
-    /// instead of the delay lines. The two paths are observationally
-    /// identical (the equivalence property tests pin this); the wheel path
-    /// exists only as their executable spec. Call on an idle network —
-    /// switching with packets in flight would strand them in the inactive
-    /// index.
-    #[doc(hidden)]
-    pub fn set_inflight_wheel_mode(&mut self, wheel: bool) {
-        debug_assert!(
-            self.in_flight.next_time().is_none() && self.lines.iter().all(VecDeque::is_empty),
-            "mode switch with packets in flight"
-        );
-        self.inflight_wheel_mode = wheel;
-    }
-
     /// Scrubs every piece of topology and traffic state while keeping the
-    /// allocated storage — timer wheels, inboxes, scratch buffers, route
-    /// tables — so the next session's rebuild schedules into warm memory.
+    /// allocated storage — delay lines, inboxes, mirrors, route tables —
+    /// so the next session's rebuild schedules into warm memory.
     /// A reset network is logically indistinguishable from
     /// [`Network::new`]; see [`crate::NetBuilder::build_with_payload_into`].
     pub fn reset_for_rebuild(&mut self) {
@@ -863,7 +730,6 @@ impl<P> Network<P> {
         self.head_seq.clear();
         self.service_next = SimTime::MAX;
         self.arrival_next = SimTime::MAX;
-        self.in_flight.reset();
         for mut q in self.inboxes.drain(..) {
             q.clear();
             self.spare_inboxes.push(q);

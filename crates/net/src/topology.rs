@@ -94,7 +94,7 @@ impl NetBuilder {
     }
 
     /// As [`NetBuilder::build_with_payload`] but rebuilding onto a retired
-    /// network, recycling its storage (timer wheels, inboxes, tables). The
+    /// network, recycling its storage (delay lines, inboxes, tables). The
     /// result is logically identical to a fresh build; it merely schedules
     /// into warm memory instead of allocating.
     pub fn build_with_payload_into<P>(self, rng: &mut SimRng, mut net: Network<P>) -> Network<P> {

@@ -13,7 +13,7 @@ use std::ops::Deref;
 /// Bytes storable without a heap allocation.
 const INLINE_CAP: usize = 31;
 
-/// An immutable string that stores up to [`INLINE_CAP`] bytes inline.
+/// An immutable string that stores up to `INLINE_CAP` (31) bytes inline.
 #[derive(Clone)]
 pub enum SmallStr {
     /// Inline storage: `len` valid bytes of `buf`.
@@ -23,7 +23,7 @@ pub enum SmallStr {
         /// Inline byte storage (valid UTF-8 in `..len`).
         buf: [u8; INLINE_CAP],
     },
-    /// Spilled storage for strings longer than [`INLINE_CAP`].
+    /// Spilled storage for strings longer than `INLINE_CAP`.
     Heap(String),
 }
 

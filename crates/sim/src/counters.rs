@@ -44,8 +44,6 @@ pub enum Counter {
     TransportFallbacks,
     /// Server process crashes (fault injection).
     ServerCrashes,
-    /// Timer-wheel entries re-homed by cursor cascades.
-    WheelCascades,
     /// Gateway re-routes of a session to another replica (any reason).
     GatewayRedirects,
     /// Gateway redirects caused by a replica crash or dead replica
@@ -53,18 +51,18 @@ pub enum Counter {
     Failovers,
     /// SETUPs refused by a replica at capacity (453 Busy).
     AdmissionRejects,
-    /// Delay-line head (re-)registrations with the arrival wheel — the
-    /// scheduler work the per-link delay lines still do.
+    /// Delay-line head exposures: a push to an empty line, or a pop that
+    /// uncovers a successor — the heads the network's delivery merge
+    /// must track.
     DelaylineHeadUpdates,
-    /// Packets that joined a busy delay line with no scheduler
-    /// interaction — the per-packet wheel events the delay lines
-    /// eliminated.
+    /// Packets that joined a busy delay line behind an earlier head,
+    /// with no scheduler interaction at all.
     DelaylineBypassPackets,
 }
 
 impl Counter {
     /// Number of counters in the registry.
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 20;
 
     /// Every counter, in registry (serialization) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -83,7 +81,6 @@ impl Counter {
         Counter::SessionRetries,
         Counter::TransportFallbacks,
         Counter::ServerCrashes,
-        Counter::WheelCascades,
         Counter::GatewayRedirects,
         Counter::Failovers,
         Counter::AdmissionRejects,
@@ -110,7 +107,6 @@ impl Counter {
             Counter::SessionRetries => "session_retries",
             Counter::TransportFallbacks => "transport_fallbacks",
             Counter::ServerCrashes => "server_crashes",
-            Counter::WheelCascades => "wheel_cascades",
             Counter::GatewayRedirects => "gateway_redirects",
             Counter::Failovers => "failovers",
             Counter::AdmissionRejects => "admission_rejects",

@@ -1,8 +1,8 @@
 //! # rv-sim — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the RealVideo reproduction: a logical clock
-//! ([`SimTime`]/[`SimDuration`]), a stable time-ordered [`EventQueue`], a
-//! poll-style driver loop ([`run_until`]), and a forkable deterministic RNG
+//! ([`SimTime`]/[`SimDuration`]), a poll-style driver loop ([`run_until`])
+//! with its wake-up fold ([`earliest`]), and a forkable deterministic RNG
 //! ([`SimRng`]).
 //!
 //! Design follows the smoltcp school of event-driven networking: components
@@ -11,23 +11,21 @@
 //! the paper reproduction bit-identical across runs and machines.
 //!
 //! ```
-//! use rv_sim::{Clock, EventQueue, SimTime, StepOutcome, run_until};
+//! use rv_sim::{Clock, SimTime, StepOutcome, run_until};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push(SimTime::from_secs(1), "hello");
-//! queue.push(SimTime::from_secs(2), "world");
+//! let schedule = [(SimTime::from_secs(1), "hello"), (SimTime::from_secs(2), "world")];
+//! let mut next = 0;
 //!
 //! let mut clock = Clock::new();
 //! let mut seen = Vec::new();
-//! run_until(&mut clock, SimTime::from_secs(10), |now| {
-//!     if let Some(ev) = queue.pop_due(now) {
-//!         seen.push(ev.event);
+//! run_until(&mut clock, SimTime::from_secs(10), |now| match schedule.get(next) {
+//!     Some(&(at, what)) if at <= now => {
+//!         seen.push(what);
+//!         next += 1;
 //!         StepOutcome::Worked
-//!     } else if let Some(t) = queue.next_time() {
-//!         StepOutcome::IdleUntil(t)
-//!     } else {
-//!         StepOutcome::Quiescent
 //!     }
+//!     Some(&(at, _)) => StepOutcome::IdleUntil(at),
+//!     None => StepOutcome::Quiescent,
 //! });
 //! assert_eq!(seen, ["hello", "world"]);
 //! ```
@@ -45,20 +43,16 @@ mod bytes;
 mod chacha;
 mod clock;
 mod counters;
-mod event;
 mod fault;
 mod rng;
 mod time;
 pub mod trace;
-mod wheel;
 
 pub use bytes::{ByteRope, PayloadBytes, PayloadPool};
-pub use clock::{run_until, Clock, StepOutcome};
+pub use clock::{earliest, run_until, Clock, StepOutcome};
 pub use counters::{Counter, CounterSet};
-pub use event::{earliest, EventQueue, Scheduled};
 pub use fault::{
     FaultPlan, FaultScenario, FaultSegment, LinkOutage, LossBurst, OutagePolicy, ServerCrash,
 };
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use wheel::{TimerWheel, WheelToken};

@@ -104,7 +104,7 @@ pub fn two_host_world(
 /// sessions.
 #[derive(Debug, Default)]
 pub struct WorldScratch {
-    /// A retired network whose wheels/inboxes/tables keep their capacity.
+    /// A retired network whose delay lines/inboxes/tables keep their capacity.
     pub net: Option<Network<Segment>>,
     /// Buffers harvested from the retired server.
     pub server: Option<ServerScratch>,
@@ -385,7 +385,6 @@ impl SessionWorld {
         c.add(Counter::DropsQueue, links.dropped_queue);
         c.add(Counter::DropsOutage, links.dropped_outage);
         c.add(Counter::PacketsDelivered, links.delivered);
-        c.add(Counter::WheelCascades, self.net.wheel_cascades());
         let (head_updates, bypass) = self.net.delayline_stats();
         c.add(Counter::DelaylineHeadUpdates, head_updates);
         c.add(Counter::DelaylineBypassPackets, bypass);
