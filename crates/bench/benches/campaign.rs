@@ -1,17 +1,16 @@
-//! Executor benchmarks for the plan/execute split: the serial executor
-//! against the threaded executor on the same plan at scale 0.2, for quick
-//! local A/B of an executor change. Sessions are independent closed
-//! worlds, so the speedup is whatever the runner's cores allow — this
-//! file sets no target. The numbers of record are `rvbench`'s
-//! `classic_serial` / `classic_parallel` workloads (`BENCHMARK.json`);
-//! each bench here also prints the sessions/sec summary line so the
-//! numbers are visible in plain bench output.
+//! Execute-phase benchmarks for the plan/execute split: `fold` into
+//! `CampaignAggregates` — the path `run_campaign` takes — with one worker
+//! against several on the same plan at scale 0.2, for quick local A/B of
+//! a change to `fold`. Sessions are independent closed worlds, so the
+//! speedup is whatever the runner's cores allow — this file sets no
+//! target. The numbers of record are `rvbench`'s `classic_serial` /
+//! `classic_parallel` workloads (`BENCHMARK.json`); each bench here also
+//! prints the sessions/sec summary line so the numbers are visible in
+//! plain bench output.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use rv_study::{
-    plan_campaign, run_campaign, CampaignExecutor, SerialExecutor, StudyParams, ThreadedExecutor,
-};
+use rv_study::{fold, plan_campaign, run_campaign, CampaignAggregates, StudyParams};
 
 const SCALE: f64 = 0.2;
 
@@ -23,7 +22,7 @@ fn params(jobs: usize) -> StudyParams {
     }
 }
 
-/// Serial vs. threaded execution of one shared plan.
+/// One worker vs. several over one shared plan.
 fn bench_campaign_parallel(c: &mut Criterion) {
     let plan = plan_campaign(params(1));
     let sessions = plan.total_jobs() as u64;
@@ -31,17 +30,14 @@ fn bench_campaign_parallel(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_parallel");
     g.sample_size(10);
     g.throughput(Throughput::Elements(sessions));
-    g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(SerialExecutor.execute(&plan)))
-    });
-    for workers in [2, 4, 8] {
-        g.bench_function(format!("threaded_{workers}"), |b| {
-            b.iter(|| std::hint::black_box(ThreadedExecutor::new(workers).execute(&plan)))
+    for workers in [1, 2, 4, 8] {
+        g.bench_function(format!("workers_{workers}"), |b| {
+            b.iter(|| std::hint::black_box(fold::<CampaignAggregates>(&plan, workers)))
         });
     }
     g.finish();
 
-    // One end-to-end run per executor, printing the summary line the
+    // One end-to-end run per worker count, printing the summary line the
     // binaries emit — this is where sessions/sec shows up in bench logs.
     // Skipped when cargo runs this target in test mode.
     if std::env::args().any(|a| a == "--test") {

@@ -282,13 +282,15 @@ fn fig1() -> FigureOutput {
         SimDuration::from_secs(300),
         ContentKind::News,
     );
-    let mut world = rv_study::build_session_world(
+    let mut world = rv_study::build_session_world_gw(
         user,
         site,
         &clip,
         SimDuration::from_secs(70),
         0xF161_0001,
         &rv_sim::FaultPlan::none(),
+        None,
+        &mut rv_tracer::WorldScratch::default(),
     );
 
     let mut rows: Vec<Vec<String>> = Vec::new();

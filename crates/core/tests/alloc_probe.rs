@@ -12,7 +12,7 @@
 #![cfg(feature = "alloc-stats")]
 
 use rv_sim::alloc_stats;
-use rv_study::{build_session_world_with, plan_campaign, run_job_with, StudyParams};
+use rv_study::{build_session_world_gw, plan_campaign, run_job_with, StudyParams};
 use rv_tracer::WorldScratch;
 
 #[global_allocator]
@@ -58,13 +58,14 @@ fn alloc_breakdown_per_session() {
         let site = &plan.roster[job.server];
         let entry = &plan.playlist[job.playlist_slot];
         let before = allocs();
-        let mut world = build_session_world_with(
+        let mut world = build_session_world_gw(
             user,
             site,
             &entry.clip,
             plan.params.watch_limit,
             job.session_seed,
             &job.fault_plan,
+            None,
             &mut scratch,
         );
         let built = allocs();

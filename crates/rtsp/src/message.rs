@@ -375,7 +375,9 @@ impl Decoder {
             None => 0,
         };
 
-        if buf.len() < body_start + content_length {
+        // `body_start <= buf.len()`; compared this way round a hostile
+        // Content-Length near `usize::MAX` cannot overflow the sum.
+        if buf.len() - body_start < content_length {
             return Ok(None); // body incomplete
         }
         let body = buf[body_start..body_start + content_length].to_vec();
@@ -484,6 +486,12 @@ mod tests {
         assert_eq!(dec.next_message().unwrap(), None);
         dec.feed(b"\r\n");
         assert!(dec.next_message().unwrap().is_some());
+
+        // A body length no buffer can reach is "incomplete" too, not an
+        // overflow.
+        let mut dec = Decoder::new();
+        dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nContent-Length: 18446744073709551615\r\n\r\n");
+        assert_eq!(dec.next_message().unwrap(), None);
     }
 
     #[test]

@@ -11,13 +11,9 @@
 #![warn(missing_docs)]
 
 mod catalog;
-mod cluster;
 mod ratecontrol;
 mod server;
 
 pub use catalog::Catalog;
-pub use cluster::{ReplicaState, ServerCluster};
 pub use ratecontrol::{ReceiverReport, TfrcConfig, TfrcController, TokenBucket};
-pub use server::{
-    RealServer, ScheduleCache, ServerConfig, ServerScratch, ServerStats, REPORT_PARAM,
-};
+pub use server::{RealServer, ServerConfig, ServerScratch, ServerStats, REPORT_PARAM};

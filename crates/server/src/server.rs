@@ -15,8 +15,7 @@
 //!   exceeds the available rate (Scalable Video Technology),
 //! * protects UDP data with one XOR-parity packet per FEC group.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rv_media::{packetize_frame_into, parity_packet, Clip, FrameSchedule, MediaPacket, PacketKind};
 use rv_net::Addr;
@@ -210,77 +209,6 @@ struct ActiveStream {
     idle_until: SimTime,
 }
 
-/// Exact generation inputs of one frame schedule. [`FrameSchedule::generate`]
-/// is pure in these, so two lookups with equal keys are guaranteed the
-/// same schedule bit for bit — which is why a cache hit can never perturb
-/// a dump.
-type ScheduleKey = (u64, u32, u32, u64, u32, rv_media::ContentKind, u64);
-
-/// Schedules the cache holds before it wipes itself: a session touches at
-/// most a ladder's worth of rungs per server, so this bounds steady-state
-/// memory without ever evicting an entry a live stream is about to revisit.
-const SCHEDULE_CACHE_CAP: usize = 32;
-
-/// A worker-wide frame-schedule cache, shared by every server (primary
-/// and replicas) a worker builds over a campaign.
-///
-/// Keys are the **exact** inputs of [`FrameSchedule::generate`] — seed
-/// included. Seeds are derived per server from the session seed, so
-/// distinct sessions never collide and a hit returns exactly the schedule
-/// the server would have generated; the cache converts regenerations with
-/// identical inputs (rung revisits after a re-SETUP, session retries,
-/// crash/restart cycles) into `Arc` clones. It holds no RNG and draws
-/// nothing: sharing it across sessions cannot shift any random stream.
-#[derive(Debug, Clone, Default)]
-pub struct ScheduleCache {
-    inner: Arc<Mutex<HashMap<ScheduleKey, Arc<FrameSchedule>>>>,
-}
-
-impl ScheduleCache {
-    /// The schedule for these generation inputs, computing and caching it
-    /// on first sight.
-    pub fn get_or_generate(
-        &self,
-        enc: &rv_media::Encoding,
-        content: rv_media::ContentKind,
-        duration: SimDuration,
-        seed: u64,
-    ) -> Arc<FrameSchedule> {
-        let key = (
-            seed,
-            enc.total_bps,
-            enc.audio_bps,
-            enc.frame_rate.to_bits(),
-            enc.keyframe_interval,
-            content,
-            duration.as_micros(),
-        );
-        let mut map = self.inner.lock().expect("schedule cache poisoned");
-        if let Some(s) = map.get(&key) {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(FrameSchedule::generate(enc, content, duration, seed));
-        if map.len() >= SCHEDULE_CACHE_CAP {
-            // Entries from retired sessions can never hit again (their
-            // seeds are gone with the session), so a full wipe only costs
-            // the live session its handful of warm rungs once in a while.
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&s));
-        s
-    }
-
-    /// Number of cached schedules.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("schedule cache poisoned").len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Recyclable server storage harvested from a retired session's server.
 ///
 /// Everything here is capacity, not state: a server built from scratch
@@ -300,10 +228,6 @@ pub struct ServerScratch {
     ctrl_buf: Vec<u8>,
     pending_reports: Vec<ReceiverReport>,
     rung_schedules: Vec<Option<Arc<FrameSchedule>>>,
-    /// The worker-wide schedule cache, threaded through the scratch so
-    /// consecutive sessions on one worker share it (a handle, not
-    /// capacity: see [`ScheduleCache`]).
-    schedules: ScheduleCache,
 }
 
 impl Default for ServerScratch {
@@ -318,7 +242,6 @@ impl Default for ServerScratch {
             ctrl_buf: Vec::new(),
             pending_reports: Vec::new(),
             rung_schedules: Vec::new(),
-            schedules: ScheduleCache::default(),
         }
     }
 }
@@ -363,12 +286,10 @@ pub struct RealServer {
     /// rung, reset by every PLAY. SureStream oscillates between adjacent
     /// rungs for the life of a stream, and [`FrameSchedule::generate`] is
     /// pure in (encoding, content, duration, seed) — so each rung's
-    /// schedule is looked up at most once per PLAY and shared from here
+    /// schedule is generated at most once per PLAY and shared from here
     /// on every revisit. Kept beside the stream, not in it, so its
     /// capacity recycles through [`ServerScratch`].
     rung_schedules: Vec<Option<Arc<FrameSchedule>>>,
-    /// Worker-wide frame-schedule cache (see [`ScheduleCache`]).
-    schedule_cache: ScheduleCache,
 }
 
 impl RealServer {
@@ -437,22 +358,8 @@ impl RealServer {
             payload_pool: scratch.payload_pool,
             ctrl_buf: scratch.ctrl_buf,
             rung_schedules: scratch.rung_schedules,
-            schedule_cache: scratch.schedules,
             cfg,
         }
-    }
-
-    /// A handle to this server's schedule cache, for sharing with replica
-    /// servers of the same world (see [`ScheduleCache`]).
-    pub fn schedule_cache(&self) -> ScheduleCache {
-        self.schedule_cache.clone()
-    }
-
-    /// Points this server at a shared schedule cache. Call before any
-    /// stream starts; schedules already cached under other servers' seeds
-    /// are invisible to this one, so sharing is behavior-neutral.
-    pub fn share_schedule_cache(&mut self, cache: ScheduleCache) {
-        self.schedule_cache = cache;
     }
 
     /// Tears the server down, harvesting its reusable storage for the
@@ -476,7 +383,6 @@ impl RealServer {
             ctrl_buf: self.ctrl_buf,
             pending_reports: self.core.pending_reports,
             rung_schedules: self.rung_schedules,
-            schedules: self.schedule_cache,
         }
     }
 
@@ -492,6 +398,18 @@ impl RealServer {
     pub fn crash(&mut self, stack: &mut Stack) {
         self.alive = false;
         self.stats.crashes += 1;
+        self.drop_session();
+        self.txbuf.clear();
+        self.udp_scratch.clear();
+        self.udp_bounds.clear();
+        stack.tcp(self.ctrl).abort();
+        stack.tcp(self.data_tcp).abort();
+    }
+
+    /// Forgets everything one client's session left behind — stream,
+    /// negotiation, pending control events, RTSP state, undecoded bytes —
+    /// the wipe a process crash and a dead control connection share.
+    fn drop_session(&mut self) {
         self.stream = None;
         self.core.negotiated = None;
         self.core.client_max_bps = None;
@@ -500,11 +418,6 @@ impl RealServer {
         self.core.pending_reports.clear();
         self.rtsp = ServerSession::new();
         self.decoder = Decoder::new();
-        self.txbuf.clear();
-        self.udp_scratch.clear();
-        self.udp_bounds.clear();
-        stack.tcp(self.ctrl).abort();
-        stack.tcp(self.data_tcp).abort();
     }
 
     /// Brings a crashed server back up with fresh listening sockets. The
@@ -634,14 +547,7 @@ impl RealServer {
         let mut work = 0;
         if stack.tcp(self.ctrl).take_error().is_some() {
             // The control connection died: the whole session is gone.
-            self.stream = None;
-            self.core.negotiated = None;
-            self.core.client_max_bps = None;
-            self.core.pending_play = None;
-            self.core.pending_teardown = false;
-            self.core.pending_reports.clear();
-            self.rtsp = ServerSession::new();
-            self.decoder = Decoder::new();
+            self.drop_session();
             stack.tcp(self.ctrl).reset();
             stack.tcp(self.ctrl).listen();
             work += 1;
@@ -815,8 +721,12 @@ impl RealServer {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(hash_name(&clip.name))
             .wrapping_add(rung as u64);
-        self.schedule_cache
-            .get_or_generate(enc, clip.content, clip.duration, seed)
+        Arc::new(FrameSchedule::generate(
+            enc,
+            clip.content,
+            clip.duration,
+            seed,
+        ))
     }
 
     fn pump_data(&mut self, now: SimTime, stack: &mut Stack) -> usize {

@@ -76,30 +76,6 @@ impl Cdf {
             .collect()
     }
 
-    /// Merges another CDF into this one: a sorted multiset union of the
-    /// two sample sets. The result holds exactly the samples both held,
-    /// so merge order cannot matter — `merge(a, merge(b, c))` and
-    /// `merge(merge(a, b), c)` hold the identical sorted vector.
-    pub fn merge(&mut self, other: &Cdf) {
-        let mut merged = Vec::with_capacity(self.sorted.len() + other.sorted.len());
-        let (mut a, mut b) = (
-            self.sorted.iter().peekable(),
-            other.sorted.iter().peekable(),
-        );
-        while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
-            if x <= y {
-                merged.push(x);
-                a.next();
-            } else {
-                merged.push(y);
-                b.next();
-            }
-        }
-        merged.extend(a.copied());
-        merged.extend(b.copied());
-        self.sorted = merged;
-    }
-
     /// The full step-function representation: one `(value, F(value))` pair
     /// per distinct sample value.
     pub fn steps(&self) -> Vec<(f64, f64)> {

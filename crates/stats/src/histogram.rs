@@ -1,8 +1,7 @@
-//! Histograms and categorical tallies.
+//! Categorical tallies.
 //!
 //! The paper's bar-chart figures (7, 8, 9, 10, 16) are categorical counts;
-//! [`CategoryCount`] models those. [`Histogram`] bins continuous samples for
-//! scatter/density-style summaries.
+//! [`CategoryCount`] models those.
 
 use std::collections::BTreeMap;
 
@@ -81,106 +80,6 @@ impl CategoryCount {
     }
 }
 
-/// A fixed-width-bin histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be nonempty");
-        Histogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records a sample. Values outside `[lo, hi)` land in the
-    /// underflow/overflow counters rather than being dropped silently.
-    pub fn add(&mut self, x: f64) {
-        if x.is_nan() || x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// The count in bin `i`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// The `[start, end)` range of bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        let start = self.lo + self.width * i as f64;
-        (start, start + self.width)
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the top of the range (and NaNs are underflow).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded samples including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Merges another histogram into this one. Panics unless both share
-    /// the same `[lo, hi)` range and bin count — merging differently
-    /// configured histograms is a logic error, not a recoverable state.
-    /// Per-bin `u64` addition: associative and commutative.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.width == other.width && self.bins.len() == other.bins.len(),
-            "histogram configs differ"
-        );
-        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
-            *mine += theirs;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-    }
-
-    /// `(bin_midpoint, count)` series for plotting.
-    pub fn series(&self) -> Vec<(f64, u64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let (a, b) = self.bin_range(i);
-                ((a + b) / 2.0, *c)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,45 +113,5 @@ mod tests {
         c.add_n("z", 1);
         assert_eq!(c.by_name(), vec![("a", 3), ("b", 3), ("z", 1)]);
         assert_eq!(c.by_count_ascending(), vec![("z", 1), ("a", 3), ("b", 3)]);
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.add(0.0); // bin 0
-        h.add(1.9); // bin 0
-        h.add(2.0); // bin 1
-        h.add(9.999); // bin 4
-        h.add(10.0); // overflow (half-open top)
-        h.add(-0.1); // underflow
-        h.add(f64::NAN); // underflow
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(4), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 2);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_range(1), (2.0, 4.0));
-    }
-
-    #[test]
-    fn histogram_series_midpoints() {
-        let mut h = Histogram::new(0.0, 4.0, 2);
-        h.add(1.0);
-        h.add(3.0);
-        h.add(3.5);
-        assert_eq!(h.series(), vec![(1.0, 1), (3.0, 2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonempty")]
-    fn inverted_range_panics() {
-        Histogram::new(1.0, 1.0, 4);
     }
 }

@@ -79,21 +79,6 @@ impl Summary {
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
 
-    /// Merges another summary into this one by recomputing every
-    /// statistic over the union of the two sample sets. Since the merged
-    /// state is a pure function of the combined multiset, merge order
-    /// cannot affect the result.
-    pub fn merge(&mut self, other: &Summary) {
-        let mut all = Vec::with_capacity(self.sorted.len() + other.sorted.len());
-        all.extend_from_slice(&self.sorted);
-        all.extend_from_slice(&other.sorted);
-        // Sort before recomputing: from_samples folds its f64 sums in
-        // input order, and only the sorted order is a pure function of
-        // the combined multiset (f64 addition is not associative).
-        all.sort_by(|a, b| a.partial_cmp(b).expect("both sides NaN-free"));
-        *self = Summary::from_samples(&all).expect("both sides NaN-free and nonempty");
-    }
-
     /// Fraction of samples strictly below `x`.
     pub fn fraction_below(&self, x: f64) -> f64 {
         let k = self.sorted.partition_point(|v| *v < x);

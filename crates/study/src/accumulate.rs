@@ -3,9 +3,10 @@
 //! A campaign at full scale simulates millions of sessions; retaining a
 //! [`SessionRecord`] per session caps the study at whatever fits in RAM.
 //! Every figure, report, and summary the study produces is an *aggregate*
-//! — counts, stratified distributions, co-moments — so the executor folds
-//! each finished session into a [`CampaignAccumulator`] and drops the
-//! record. [`CampaignAggregates`] is the accumulator the study runs on;
+//! — counts, stratified distributions, co-moments — so
+//! [`fold`](crate::fold) folds each finished session into a
+//! [`CampaignAccumulator`] and drops the record.
+//! [`CampaignAggregates`] is the accumulator the study runs on;
 //! [`RecordSink`] keeps the old retain-everything path available as an
 //! opt-in debug sink.
 //!
@@ -36,9 +37,9 @@ use crate::population::{ConnectionClass, PcClass};
 ///
 /// Implementations must be order-independent: `observe` in any order
 /// followed by `merge` in any order must yield identical state, because
-/// the threaded executor's self-scheduling makes the fold order
-/// nondeterministic. Build state from integer counts and the mergeable
-/// `rv-stats` primitives and this holds by construction.
+/// self-scheduling workers make the fold order nondeterministic. Build
+/// state from integer counts and the mergeable `rv-stats` primitives and
+/// this holds by construction.
 pub trait CampaignAccumulator: Default + Send {
     /// Folds one finished session into the accumulator.
     fn observe(&mut self, job: &SessionJob, record: &SessionRecord);
@@ -361,10 +362,30 @@ pub struct CampaignAggregates {
 }
 
 impl CampaignAggregates {
-    /// Folds one session record. Public so the retained-record path can
-    /// rebuild aggregates for equivalence testing; the executor calls it
-    /// through [`CampaignAccumulator::observe`].
-    pub fn observe_record(&mut self, r: &SessionRecord) {
+    /// Rated clips for `user` (zero when they rated nothing).
+    pub fn rated_by(&self, user: u32) -> u64 {
+        self.rated_per_user.get(&user).copied().unwrap_or(0)
+    }
+
+    /// Total simulated seconds across all sessions.
+    pub fn sim_seconds(&self) -> f64 {
+        self.sim_time_micros as f64 / 1e6
+    }
+}
+
+/// Figure 25's observed-bandwidth bucket of a played session.
+pub fn bandwidth_bucket(kbps: f64) -> u8 {
+    if kbps < 10.0 {
+        0
+    } else if kbps <= 100.0 {
+        1
+    } else {
+        2
+    }
+}
+
+impl CampaignAccumulator for CampaignAggregates {
+    fn observe(&mut self, _job: &SessionJob, r: &SessionRecord) {
         self.total_attempts += 1;
         *self.plays_per_user.entry(r.user_id).or_insert(0) += 1;
         self.user_countries.add(r.user_country.name());
@@ -439,43 +460,6 @@ impl CampaignAggregates {
         }
     }
 
-    /// Rebuilds aggregates from a retained record set — the reference
-    /// the streaming path is tested against.
-    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a SessionRecord>) -> Self {
-        let mut agg = CampaignAggregates::default();
-        for r in records {
-            agg.observe_record(r);
-        }
-        agg
-    }
-
-    /// Rated clips for `user` (zero when they rated nothing).
-    pub fn rated_by(&self, user: u32) -> u64 {
-        self.rated_per_user.get(&user).copied().unwrap_or(0)
-    }
-
-    /// Total simulated seconds across all sessions.
-    pub fn sim_seconds(&self) -> f64 {
-        self.sim_time_micros as f64 / 1e6
-    }
-}
-
-/// Figure 25's observed-bandwidth bucket of a played session.
-pub fn bandwidth_bucket(kbps: f64) -> u8 {
-    if kbps < 10.0 {
-        0
-    } else if kbps <= 100.0 {
-        1
-    } else {
-        2
-    }
-}
-
-impl CampaignAccumulator for CampaignAggregates {
-    fn observe(&mut self, _job: &SessionJob, record: &SessionRecord) {
-        self.observe_record(record);
-    }
-
     fn merge(&mut self, other: Self) {
         self.total_attempts += other.total_attempts;
         self.unavailable += other.unavailable;
@@ -529,5 +513,55 @@ impl CampaignAccumulator for CampaignAggregates {
         self.failover_recovery.merge(&other.failover_recovery);
 
         self.failures.merge(other.failures);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::StudyParams;
+    use crate::executor::run_job_with;
+    use crate::plan::plan_campaign;
+
+    #[test]
+    fn record_sink_names_the_missing_or_duplicated_slot() {
+        let plan = plan_campaign(StudyParams {
+            scale: 0.002,
+            ..StudyParams::default()
+        });
+        // Three unavailable attempts: records without simulating anything.
+        let jobs: Vec<SessionJob> = plan
+            .collect_jobs()
+            .into_iter()
+            .take(3)
+            .enumerate()
+            .map(|(index, job)| SessionJob {
+                index,
+                available: false,
+                ..job
+            })
+            .collect();
+        let sink_of = |slots: &[usize]| {
+            let mut sink = RecordSink::default();
+            for &slot in slots {
+                let record = run_job_with(&plan, &jobs[slot], &mut Default::default());
+                sink.observe(&jobs[slot], &record);
+            }
+            sink
+        };
+        let missing = |index| Err(CampaignError::MissingRecord { index });
+
+        // Any observe order restores plan order.
+        let records = sink_of(&[2, 0, 1]).into_records(3).unwrap();
+        let users: Vec<u32> = records.iter().map(|r| r.user_id).collect();
+        assert_eq!(users, jobs.iter().map(|j| j.user_id).collect::<Vec<_>>());
+
+        // A hole in the middle, a short tail, a slot filled twice and a
+        // record beyond the plan each name the first slot that is wrong.
+        assert_eq!(sink_of(&[0, 2]).into_records(3).map(drop), missing(1));
+        assert_eq!(sink_of(&[0, 1]).into_records(3).map(drop), missing(2));
+        assert_eq!(sink_of(&[0, 1, 1, 2]).into_records(3).map(drop), missing(2));
+        assert_eq!(sink_of(&[0, 1, 2]).into_records(2).map(drop), missing(3));
+        assert_eq!(RecordSink::default().into_records(0).map(drop), Ok(()));
     }
 }

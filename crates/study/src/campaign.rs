@@ -4,9 +4,9 @@
 //! ([`plan_campaign`](crate::plan_campaign)) is a pure serial pass that
 //! fixes every clip-play attempt — strata, availability verdict (Figure
 //! 10), rating slot, session seed — before any packet is simulated. The
-//! **execute phase** ([`CampaignExecutor`](crate::CampaignExecutor)) runs
-//! those jobs on one thread or many and folds each finished session into
-//! streaming [`CampaignAggregates`] — the constant-memory results path.
+//! **execute phase** ([`fold`]) runs those jobs on one thread or many and
+//! folds each finished session into streaming [`CampaignAggregates`] —
+//! the constant-memory results path.
 //! Output is a pure function of [`StudyParams::seed`] and
 //! [`StudyParams::scale`]; the worker count changes wall time only, never
 //! a byte of the data.
@@ -23,9 +23,9 @@ use rv_tracer::SessionMetrics;
 
 use crate::accumulate::{CampaignAccumulator, CampaignAggregates, RecordSink};
 use crate::error::CampaignError;
-use crate::executor::{CampaignExecutor, Fold, SerialExecutor, ThreadedExecutor, WorkerProfile};
+use crate::executor::{fold, Fold, WorkerProfile};
 use crate::geography::{Country, ServerRegion, UserRegion};
-use crate::plan::{plan_campaign, CampaignPlan};
+use crate::plan::plan_campaign;
 use crate::population::{ConnectionClass, PcClass};
 
 /// Campaign configuration.
@@ -144,7 +144,7 @@ pub struct CampaignSummary {
     pub played: usize,
     /// Attempts that found the clip unavailable (Figure 10).
     pub unavailable: usize,
-    /// Worker threads the executor used.
+    /// Workers that ran: `jobs` clamped to `1..=participants`.
     pub workers: usize,
     /// Jobs each worker ran.
     pub per_worker: Vec<usize>,
@@ -244,12 +244,6 @@ impl StudyData {
         self.records().iter().filter(|r| r.played())
     }
 
-    /// Retained records carrying a rating. Panics like
-    /// [`StudyData::records`].
-    pub fn rated(&self) -> impl Iterator<Item = &SessionRecord> {
-        self.records().iter().filter(|r| r.rating.is_some())
-    }
-
     /// The failure-taxonomy report, built from the streaming tallies in
     /// one pass — available on both paths.
     pub fn failure_report(&self) -> crate::report::FailureReport {
@@ -257,105 +251,85 @@ impl StudyData {
     }
 }
 
-/// Plans and folds a campaign into accumulator `A`, timing the execute
-/// phase. The shared engine under both public entry points.
-fn run_fold<A: CampaignAccumulator>(
+/// Plans a campaign, folds it into accumulator `A` and assembles the
+/// [`StudyData`]; `split` says which part of `A` is the aggregates and
+/// which, if any, the retained records (it is handed the plan's job
+/// count). The one engine under both public entry points.
+fn run<A: CampaignAccumulator>(
     params: StudyParams,
-) -> Result<(CampaignPlan, Fold<A>, PhaseWalls), CampaignError> {
+    split: impl FnOnce(
+        A,
+        usize,
+    ) -> Result<(CampaignAggregates, Option<Vec<SessionRecord>>), CampaignError>,
+) -> Result<StudyData, CampaignError> {
     let plan_start = std::time::Instant::now();
     let plan = plan_campaign(params);
     let plan_wall = plan_start.elapsed();
     let start = std::time::Instant::now();
-    let fold = if params.jobs <= 1 {
-        SerialExecutor.fold(&plan)?
-    } else {
-        ThreadedExecutor::new(params.jobs).fold(&plan)?
-    };
+    let Fold {
+        accumulator,
+        worker_loads,
+        worker_profiles,
+    } = fold::<A>(&plan, params.jobs)?;
     let wall = start.elapsed();
-    Ok((plan, fold, PhaseWalls { plan_wall, wall }))
-}
-
-/// Wall-clock spans of the two in-crate campaign phases.
-struct PhaseWalls {
-    plan_wall: std::time::Duration,
-    wall: std::time::Duration,
-}
-
-fn assemble(
-    plan: &CampaignPlan,
-    aggregates: CampaignAggregates,
-    per_worker: Vec<usize>,
-    profiles: Vec<WorkerProfile>,
-    walls: PhaseWalls,
-    records: Option<Vec<SessionRecord>>,
-) -> StudyData {
+    let (aggregates, records) = split(accumulator, plan.total_jobs())?;
     let summary = CampaignSummary {
         jobs_planned: plan.total_jobs(),
         played: aggregates.played as usize,
         unavailable: aggregates.unavailable as usize,
-        workers: plan.params.jobs.max(1),
-        per_worker,
-        wall: walls.wall,
-        plan_wall: walls.plan_wall,
-        profiles,
+        workers: worker_loads.len(),
+        per_worker: worker_loads,
+        wall,
+        plan_wall,
+        profiles: worker_profiles,
         counters: aggregates.counters,
         sim_seconds: aggregates.sim_seconds(),
     };
-    StudyData {
+    Ok(StudyData {
         aggregates,
         records,
         excluded_users: plan.population.excluded.len() as u32,
         participants: plan.population.participants.len() as u32,
         summary,
-    }
+    })
 }
 
 /// Plans and executes the whole campaign on the streaming results path:
 /// sessions are folded into [`CampaignAggregates`] as they finish and
 /// records are dropped, so memory is independent of session count. The
 /// aggregates are deterministic in `params.seed`, `params.scale`, and
-/// `params.faults`; `params.jobs` picks the executor. Fails with a
+/// `params.faults`; `params.jobs` sets the worker count. Fails with a
 /// [`CampaignError`] instead of panicking when the execute phase cannot
 /// finish (a worker died mid-campaign).
 pub fn run_campaign(params: StudyParams) -> Result<StudyData, CampaignError> {
-    let (plan, fold, walls) = run_fold::<CampaignAggregates>(params)?;
-    Ok(assemble(
-        &plan,
-        fold.accumulator,
-        fold.worker_loads,
-        fold.worker_profiles,
-        walls,
-        None,
-    ))
+    run(params, |aggregates, _| Ok((aggregates, None)))
 }
 
 /// Like [`run_campaign`], but additionally retains every
 /// [`SessionRecord`] in canonical plan order — for dumps, CSV export,
 /// and aggregate-equivalence tests. O(sessions) memory.
 pub fn run_campaign_with_records(params: StudyParams) -> Result<StudyData, CampaignError> {
-    let (plan, fold, walls) = run_fold::<(CampaignAggregates, RecordSink)>(params)?;
-    let (aggregates, sink) = fold.accumulator;
-    let records = sink.into_records(plan.total_jobs())?;
-    Ok(assemble(
-        &plan,
-        aggregates,
-        fold.worker_loads,
-        fold.worker_profiles,
-        walls,
-        Some(records),
-    ))
+    run(
+        params,
+        |(aggregates, sink): (CampaignAggregates, RecordSink), jobs| {
+            Ok((aggregates, Some(sink.into_records(jobs)?)))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick_data() -> StudyData {
-        run_campaign_with_records(StudyParams {
+    fn quick_params() -> StudyParams {
+        StudyParams {
             scale: 0.04,
             ..StudyParams::default()
-        })
-        .expect("quick campaign runs")
+        }
+    }
+
+    fn quick_data() -> StudyData {
+        run_campaign(quick_params()).expect("quick campaign runs")
     }
 
     #[test]
@@ -363,54 +337,39 @@ mod tests {
         let data = quick_data();
         assert_eq!(data.participants, 63);
         assert!(data.excluded_users > 0);
-        let users: std::collections::BTreeSet<u32> =
-            data.records().iter().map(|r| r.user_id).collect();
-        assert_eq!(users.len(), 63);
-        // The streaming aggregates see the same users.
         assert_eq!(data.aggregates.plays_per_user.len(), 63);
     }
 
     #[test]
     fn most_sessions_play_some_are_unavailable() {
-        let data = quick_data();
-        let total = data.records().len();
-        let played = data.played().count();
-        let unavailable = data.records().iter().filter(|r| !r.available).count();
+        let agg = quick_data().aggregates;
+        let (total, played) = (agg.total_attempts, agg.played);
         assert!(played * 10 >= total * 6, "played {played}/{total}");
         // ~10 % unavailability.
-        let frac = unavailable as f64 / total as f64;
+        let frac = agg.unavailable as f64 / total as f64;
         assert!((0.02..0.25).contains(&frac), "unavailable fraction {frac}");
-        assert_eq!(data.aggregates.total_attempts as usize, total);
-        assert_eq!(data.aggregates.unavailable as usize, unavailable);
     }
 
     #[test]
     fn ratings_present_and_in_range() {
-        let data = quick_data();
-        let rated: Vec<u8> = data.rated().map(|r| r.rating.unwrap()).collect();
-        assert!(!rated.is_empty());
-        assert!(rated.iter().all(|r| *r <= 10));
-        assert_eq!(data.aggregates.rated as usize, rated.len());
+        let agg = quick_data().aggregates;
+        assert!(agg.rated > 0);
+        assert_eq!(agg.ratings.count(), agg.rated);
+        assert!(agg.ratings.max().unwrap() <= 10.0);
+        assert_eq!(agg.rated_per_user.values().sum::<u64>(), agg.rated);
     }
 
     #[test]
     fn both_protocols_appear() {
-        let data = quick_data();
-        let udp = data
-            .played()
-            .filter(|r| r.metrics.protocol == rv_rtsp::TransportKind::Udp)
-            .count();
-        let tcp = data
-            .played()
-            .filter(|r| r.metrics.protocol == rv_rtsp::TransportKind::Tcp)
-            .count();
+        let played = quick_data().aggregates.protocol_played;
+        let (udp, tcp) = (played.get("UDP"), played.get("TCP"));
         assert!(udp > 0 && tcp > 0, "udp {udp} tcp {tcp}");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = quick_data();
-        let b = quick_data();
+        let a = run_campaign_with_records(quick_params()).unwrap();
+        let b = run_campaign_with_records(quick_params()).unwrap();
         assert_eq!(a.records().len(), b.records().len());
         for (x, y) in a.records().iter().zip(b.records()) {
             assert_eq!(x.metrics, y.metrics);
@@ -421,11 +380,7 @@ mod tests {
 
     #[test]
     fn streaming_path_retains_no_records() {
-        let data = run_campaign(StudyParams {
-            scale: 0.04,
-            ..StudyParams::default()
-        })
-        .unwrap();
+        let data = quick_data();
         assert!(data.records.is_none());
         // The aggregates still carry the study.
         assert!(data.aggregates.played > 0);
@@ -436,8 +391,8 @@ mod tests {
     fn summary_accounts_for_every_job() {
         let data = quick_data();
         let s = &data.summary;
-        assert_eq!(s.jobs_planned, data.records().len());
-        assert_eq!(s.played, data.played().count());
+        assert_eq!(s.jobs_planned as u64, data.aggregates.total_attempts);
+        assert_eq!(s.played as u64, data.aggregates.played);
         assert_eq!(s.per_worker.iter().sum::<usize>(), s.jobs_planned);
         assert_eq!(s.workers, 1);
         assert!(s.sessions_per_sec() > 0.0);
@@ -446,5 +401,20 @@ mod tests {
         // The Display line carries the pieces the binaries print.
         let line = s.to_string();
         assert!(line.contains("sessions/sec"), "{line}");
+    }
+
+    #[test]
+    fn summary_reports_the_workers_that_ran_not_the_jobs_asked_for() {
+        let data = run_campaign(StudyParams {
+            scale: 0.002,
+            jobs: 500,
+            ..StudyParams::default()
+        })
+        .unwrap();
+        let s = &data.summary;
+        assert_eq!(s.workers, data.participants as usize);
+        assert_eq!(s.per_worker.len(), s.workers);
+        assert_eq!(s.profiles.len(), s.workers);
+        assert!(s.to_string().contains("63 workers"), "{s}");
     }
 }

@@ -1,26 +1,25 @@
-//! The execute phase: runs a [`CampaignPlan`]'s jobs and folds each
-//! finished session into a [`CampaignAccumulator`].
+//! The execute phase: [`fold`] runs a [`CampaignPlan`]'s jobs and folds
+//! each finished session into a [`CampaignAccumulator`].
 //!
-//! Executors differ only in *how* jobs are scheduled — [`SerialExecutor`]
-//! runs them in plan order on the calling thread; [`ThreadedExecutor`]
-//! self-schedules: workers pull the next unclaimed *user* off a shared
-//! atomic cursor (the plan is lazy, so a user is the natural claim unit —
-//! their jobs are regenerated on demand), and a worker stuck on one slow
-//! session never strands pre-assigned work behind it. Each worker folds
-//! into a thread-local accumulator; after the join, the per-worker
-//! accumulators merge in worker-slot order. Because every [`SessionJob`]
-//! carries a self-contained seed and verdict, and because accumulators
-//! are order-independent by contract, all executors produce bit-identical
-//! aggregates for every seed, scale, and worker count;
-//! `tests/determinism.rs` enforces this across the crate boundary. Only
-//! the per-worker *load split* is scheduling-dependent (and therefore
-//! nondeterministic for the threaded executor).
+//! Workers self-schedule: each pulls the next unclaimed *user* off a
+//! shared atomic cursor (the plan is lazy, so a user is the natural claim
+//! unit — their jobs are regenerated on demand), so a worker stuck on one
+//! slow session never strands pre-assigned work behind it. Each worker
+//! folds into its own accumulator; after the join they merge in
+//! worker-slot order. Because every [`SessionJob`] carries a
+//! self-contained seed and verdict, and because accumulators are
+//! order-independent by contract, the merged accumulator is bit-identical
+//! for every seed, scale, and worker count; `tests/determinism.rs`
+//! enforces this across the crate boundary. Only the per-worker *load
+//! split* is scheduling-dependent (and therefore nondeterministic with
+//! more than one worker).
 //!
-//! The historical retain-everything path is the provided
-//! [`CampaignExecutor::execute`], which folds into a [`RecordSink`] and
-//! restores canonical record order — opt-in, because its memory is
-//! O(sessions) while `fold` with aggregate accumulators is O(1) in
-//! session count.
+//! What is kept is the accumulator's choice: [`CampaignAggregates`] is
+//! O(1) in session count; adding a [`RecordSink`] retains every record at
+//! O(sessions) — opt-in, for dumps and equivalence tests.
+//!
+//! [`CampaignAggregates`]: crate::CampaignAggregates
+//! [`RecordSink`]: crate::RecordSink
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -28,22 +27,23 @@ use std::time::{Duration, Instant};
 use rv_sim::{CounterSet, SimRng};
 use rv_tracer::{rate, SessionMetrics, SessionOutcome, WorldScratch};
 
-use crate::accumulate::{CampaignAccumulator, RecordSink};
+use crate::accumulate::CampaignAccumulator;
 use crate::campaign::SessionRecord;
 use crate::error::CampaignError;
 use crate::gateway::GatewaySpec;
 use crate::plan::{CampaignPlan, SessionJob};
 use crate::worldbuild::build_session_world_gw;
 
-/// The outcome of a fold: the merged accumulator plus the per-worker
-/// session counts actually observed during scheduling.
+/// The outcome of a [`fold`]: the merged accumulator plus what each
+/// worker did.
 #[derive(Debug)]
 pub struct Fold<A> {
     /// Every worker's accumulator, merged in worker-slot order.
     pub accumulator: A,
-    /// Sessions each worker ran. Always sums to the plan's job count.
-    /// For the threaded executor the split depends on thread timing and
-    /// is *not* deterministic — only the accumulator is.
+    /// Sessions each worker ran, one entry per worker that ran. Always
+    /// sums to the plan's job count. With more than one worker the split
+    /// depends on thread timing and is *not* deterministic — only the
+    /// accumulator is.
     pub worker_loads: Vec<usize>,
     /// Per-worker execute-phase profile, in worker-slot order. Like the
     /// loads, the timings are scheduling-dependent observability data,
@@ -51,13 +51,13 @@ pub struct Fold<A> {
     pub worker_profiles: Vec<WorkerProfile>,
 }
 
-/// What one executor worker did with its time during the execute phase.
+/// What one worker did with its time during the execute phase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerProfile {
     /// Sessions this worker simulated.
     pub sessions: usize,
     /// Participants this worker claimed off the shared cursor (the
-    /// self-scheduling unit). Serial runs claim every user.
+    /// self-scheduling unit). A lone worker claims every user.
     pub claims: usize,
     /// Time spent inside session simulation.
     pub busy: Duration,
@@ -73,177 +73,78 @@ impl WorkerProfile {
     }
 }
 
-/// The outcome of a retained-record execute: records in canonical plan
-/// order plus the observed per-worker loads.
-#[derive(Debug)]
-pub struct Execution {
-    /// One record per planned job, in plan order.
-    pub records: Vec<SessionRecord>,
-    /// Jobs each worker ran; see [`Fold::worker_loads`].
-    pub worker_loads: Vec<usize>,
-}
-
-/// A strategy for running a plan's jobs.
-pub trait CampaignExecutor {
-    /// Runs every job, folding each finished session into a fresh `A` and
-    /// merging per-worker accumulators in canonical worker order. Fails
-    /// with a [`CampaignError`] when a worker died before the plan
-    /// finished.
-    fn fold<A: CampaignAccumulator>(&self, plan: &CampaignPlan) -> Result<Fold<A>, CampaignError>;
-
-    /// Runs every job and retains all records in canonical plan order.
-    /// O(sessions) memory — the debug/dump path, not the campaign path.
-    fn execute(&self, plan: &CampaignPlan) -> Result<Execution, CampaignError> {
-        let fold = self.fold::<RecordSink>(plan)?;
-        Ok(Execution {
-            records: fold.accumulator.into_records(plan.total_jobs())?,
-            worker_loads: fold.worker_loads,
-        })
-    }
-}
-
-/// Runs jobs one at a time on the calling thread, in plan order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
-
-impl CampaignExecutor for SerialExecutor {
-    fn fold<A: CampaignAccumulator>(&self, plan: &CampaignPlan) -> Result<Fold<A>, CampaignError> {
-        let started = Instant::now();
-        let mut acc = A::default();
-        let mut ran = 0usize;
-        let mut busy = Duration::ZERO;
-        let mut scratch = WorldScratch::default();
-        for user_idx in 0..plan.num_users() {
-            for job in plan.user_jobs(user_idx) {
-                let job_start = Instant::now();
-                let record = run_job_with(plan, &job, &mut scratch);
-                busy += job_start.elapsed();
-                acc.observe(&job, &record);
-                ran += 1;
-            }
+/// One worker's life: claim users off `cursor` until the roster is
+/// exhausted, run their jobs on one recycled scratch, fold every record
+/// into a fresh `A`.
+fn work<A: CampaignAccumulator>(plan: &CampaignPlan, cursor: &AtomicUsize) -> (A, WorkerProfile) {
+    let started = Instant::now();
+    let mut acc = A::default();
+    let mut profile = WorkerProfile::default();
+    let mut scratch = WorldScratch::default();
+    loop {
+        let user_idx = cursor.fetch_add(1, Ordering::Relaxed);
+        if user_idx >= plan.num_users() {
+            break;
         }
-        let profile = WorkerProfile {
-            sessions: ran,
-            claims: plan.num_users(),
-            busy,
-            wall: started.elapsed(),
-        };
-        Ok(Fold {
-            accumulator: acc,
-            worker_loads: vec![ran],
-            worker_profiles: vec![profile],
-        })
+        profile.claims += 1;
+        for job in plan.user_jobs(user_idx) {
+            let job_start = Instant::now();
+            let record = run_job_with(plan, &job, &mut scratch);
+            profile.busy += job_start.elapsed();
+            acc.observe(&job, &record);
+            profile.sessions += 1;
+        }
     }
+    profile.wall = started.elapsed();
+    (acc, profile)
 }
 
-/// Fans users across `workers` OS threads with self-scheduling: every
-/// worker pulls the next unclaimed participant off a shared atomic
-/// cursor, regenerates their jobs from the lazy plan, and folds the
-/// results into a thread-local accumulator until the roster is exhausted.
+/// Runs every job of `plan` on `workers` self-scheduling workers (clamped
+/// to `1..=plan.num_users()`), folding each finished session into an `A`
+/// per worker and merging those in worker-slot order.
 ///
-/// Compared to pre-assigned contiguous chunks, a long-running session
-/// cannot strand the rest of its chunk behind it — the other workers
-/// simply drain the remaining users. Per-worker accumulators merge in
-/// worker-slot order after the join; since accumulators are
-/// order-independent by contract, the merged result is bit-identical to
-/// [`SerialExecutor`]'s regardless of scheduling.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedExecutor {
-    /// Number of worker threads (≥ 1).
-    pub workers: usize,
-}
-
-impl ThreadedExecutor {
-    /// An executor with `workers` threads (clamped to ≥ 1).
-    pub fn new(workers: usize) -> Self {
-        ThreadedExecutor {
-            workers: workers.max(1),
-        }
-    }
-}
-
-impl CampaignExecutor for ThreadedExecutor {
-    fn fold<A: CampaignAccumulator>(&self, plan: &CampaignPlan) -> Result<Fold<A>, CampaignError> {
-        if self.workers == 1 || plan.num_users() <= 1 {
-            return SerialExecutor.fold(plan);
-        }
-        let workers = self.workers.min(plan.num_users());
-        let cursor = AtomicUsize::new(0);
+/// One worker — asked for, or all a one-user plan can occupy — runs on the
+/// calling thread: no spawn, no second accumulator, jobs in plan order.
+/// More fan out across scoped OS threads. The accumulator is bit-identical
+/// either way. Fails with a [`CampaignError`] when a spawned worker died
+/// before the plan finished.
+pub fn fold<A: CampaignAccumulator>(
+    plan: &CampaignPlan,
+    workers: usize,
+) -> Result<Fold<A>, CampaignError> {
+    let workers = workers.clamp(1, plan.num_users().max(1));
+    let cursor = AtomicUsize::new(0);
+    let finished = if workers == 1 {
+        vec![Ok(work::<A>(plan, &cursor))]
+    } else {
         // Join every worker explicitly: a panicked worker becomes a typed
         // error instead of propagating out of the scope and aborting the
         // caller with the worker's payload.
-        let mut first_dead: Option<usize> = None;
-        let mut merged = A::default();
-        let mut worker_loads = vec![0usize; workers];
-        let mut worker_profiles = vec![WorkerProfile::default(); workers];
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let mut local = A::default();
-                        let mut ran = 0usize;
-                        let mut claims = 0usize;
-                        let mut busy = Duration::ZERO;
-                        let mut scratch = WorldScratch::default();
-                        loop {
-                            let user_idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if user_idx >= plan.num_users() {
-                                break;
-                            }
-                            claims += 1;
-                            for job in plan.user_jobs(user_idx) {
-                                let job_start = Instant::now();
-                                let record = run_job_with(plan, &job, &mut scratch);
-                                busy += job_start.elapsed();
-                                local.observe(&job, &record);
-                                ran += 1;
-                            }
-                        }
-                        let profile = WorkerProfile {
-                            sessions: ran,
-                            claims,
-                            busy,
-                            wall: started.elapsed(),
-                        };
-                        (local, ran, profile)
-                    })
-                })
+                .map(|_| scope.spawn(|| work::<A>(plan, &cursor)))
                 .collect();
-            // Merge in worker-slot order — the canonical merge order.
-            // (Accumulators are order-independent anyway; fixing the
-            // order makes the guarantee not depend on that contract.)
-            for (worker, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok((local, ran, profile)) => {
-                        worker_loads[worker] = ran;
-                        worker_profiles[worker] = profile;
-                        merged.merge(local);
-                    }
-                    Err(_) => {
-                        if first_dead.is_none() {
-                            first_dead = Some(worker);
-                        }
-                    }
-                }
-            }
-        });
-        if let Some(worker) = first_dead {
-            return Err(CampaignError::WorkerPanicked { worker });
-        }
-        Ok(Fold {
-            accumulator: merged,
-            worker_loads,
-            worker_profiles,
+            handles.into_iter().map(|h| h.join()).collect()
         })
+    };
+    // Merge in worker-slot order — the canonical merge order.
+    // (Accumulators are order-independent anyway; fixing the order makes
+    // the guarantee not depend on that contract.)
+    let mut merged: Option<A> = None;
+    let mut worker_profiles = Vec::with_capacity(workers);
+    for (worker, joined) in finished.into_iter().enumerate() {
+        let (local, profile) = joined.map_err(|_| CampaignError::WorkerPanicked { worker })?;
+        worker_profiles.push(profile);
+        match &mut merged {
+            Some(acc) => acc.merge(local),
+            None => merged = Some(local),
+        }
     }
-}
-
-/// Runs one job to a [`SessionRecord`]. Pure in `(plan, job)`: no shared
-/// mutable state, so any thread may run any job in any order.
-pub fn run_job(plan: &CampaignPlan, job: &SessionJob) -> SessionRecord {
-    run_job_with(plan, job, &mut WorldScratch::default())
+    Ok(Fold {
+        accumulator: merged.unwrap_or_default(),
+        worker_loads: worker_profiles.iter().map(|p| p.sessions).collect(),
+        worker_profiles,
+    })
 }
 
 /// The gateway spec for one job, or `None` when the params leave the
@@ -266,10 +167,11 @@ pub fn gateway_spec(
     })
 }
 
-/// As [`run_job`] but recycling world storage across calls. `scratch` is
-/// capacity-only and carries no session state, so results stay pure in
-/// `(plan, job)` — the executors' bit-identity guarantee does not depend
-/// on which scratch (or how fresh a scratch) ran the job.
+/// Runs one job to a [`SessionRecord`], recycling world storage across
+/// calls. `scratch` is capacity-only and carries no session state, so the
+/// result is pure in `(plan, job)`: any thread may run any job in any
+/// order, on a fresh scratch or a warm one, and [`fold`]'s bit-identity
+/// guarantee does not depend on which.
 pub fn run_job_with(
     plan: &CampaignPlan,
     job: &SessionJob,
@@ -334,61 +236,74 @@ pub fn run_job_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accumulate::CampaignAggregates;
+    use crate::accumulate::{CampaignAggregates, RecordSink};
     use crate::campaign::StudyParams;
     use crate::plan::plan_campaign;
 
-    #[test]
-    fn threaded_matches_serial_bit_for_bit() {
-        let plan = plan_campaign(StudyParams {
+    fn small_plan() -> CampaignPlan {
+        plan_campaign(StudyParams {
             scale: 0.02,
             ..StudyParams::default()
-        });
-        let serial = SerialExecutor.execute(&plan).unwrap().records;
-        for workers in [2, 3, 5] {
-            let parallel = ThreadedExecutor::new(workers)
-                .execute(&plan)
+        })
+    }
+
+    #[test]
+    fn threaded_aggregates_match_serial_bit_for_bit() {
+        let plan = small_plan();
+        let users = plan.num_users();
+        let one_thread = fold::<CampaignAggregates>(&plan, 1).unwrap();
+        assert_eq!(one_thread.worker_loads, [plan.total_jobs()]);
+        for workers in [0, 1, 2, users, users + 5] {
+            let fold = fold::<CampaignAggregates>(&plan, workers).unwrap();
+            assert_eq!(
+                fold.accumulator, one_thread.accumulator,
+                "{workers} workers"
+            );
+            assert_eq!(fold.worker_loads.len(), workers.clamp(1, users));
+            assert_eq!(fold.worker_loads.iter().sum::<usize>(), plan.total_jobs());
+            assert_eq!(fold.worker_profiles.len(), fold.worker_loads.len());
+            let claims: usize = fold.worker_profiles.iter().map(|p| p.claims).sum();
+            assert_eq!(claims, users, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn threaded_matches_serial_bit_for_bit() {
+        let plan = small_plan();
+        let jobs = plan.collect_jobs();
+        let records = |workers| {
+            let (aggregates, sink) = fold::<(CampaignAggregates, RecordSink)>(&plan, workers)
                 .unwrap()
-                .records;
-            assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
+                .accumulator;
+            (aggregates, sink.into_records(plan.total_jobs()).unwrap())
+        };
+        let (serial_aggregates, serial) = records(1);
+        for workers in [2, 3, 5] {
+            let (aggregates, parallel) = records(workers);
+            assert_eq!(aggregates, serial_aggregates);
+            assert_eq!(parallel.len(), jobs.len());
+            // Plan order, whichever worker ran what.
+            for ((s, p), job) in serial.iter().zip(&parallel).zip(&jobs) {
+                assert_eq!(p.user_id, job.user_id);
+                assert!(std::sync::Arc::ptr_eq(
+                    &p.clip_name,
+                    &plan.clip_names[job.playlist_slot]
+                ));
                 assert_eq!(s.user_id, p.user_id);
                 assert_eq!(s.clip_name, p.clip_name);
                 assert_eq!(s.available, p.available);
                 assert_eq!(s.metrics, p.metrics);
+                assert_eq!(s.counters, p.counters);
                 assert_eq!(s.rating, p.rating);
             }
         }
     }
 
     #[test]
-    fn threaded_aggregates_match_serial_bit_for_bit() {
-        let plan = plan_campaign(StudyParams {
-            scale: 0.02,
-            ..StudyParams::default()
-        });
-        let serial = SerialExecutor
-            .fold::<CampaignAggregates>(&plan)
-            .unwrap()
-            .accumulator;
-        for workers in [2, 4, 8] {
-            let threaded = ThreadedExecutor::new(workers)
-                .fold::<CampaignAggregates>(&plan)
-                .unwrap()
-                .accumulator;
-            assert_eq!(serial, threaded, "{workers} workers");
-        }
-    }
-
-    #[test]
     fn worker_loads_cover_all_jobs() {
-        let plan = plan_campaign(StudyParams {
-            scale: 0.02,
-            ..StudyParams::default()
-        });
+        let plan = small_plan();
         for workers in [1, 2, 4, 7] {
-            let exec = ThreadedExecutor::new(workers);
-            let loads = exec.execute(&plan).unwrap().worker_loads;
+            let loads = fold::<RecordSink>(&plan, workers).unwrap().worker_loads;
             assert_eq!(loads.iter().sum::<usize>(), plan.total_jobs());
             assert!(loads.len() <= workers);
         }
@@ -396,17 +311,14 @@ mod tests {
 
     #[test]
     fn records_share_interned_clip_names() {
-        let plan = plan_campaign(StudyParams {
-            scale: 0.01,
-            ..StudyParams::default()
-        });
-        let records = SerialExecutor.execute(&plan).unwrap().records;
-        let first = &records[0];
+        let plan = small_plan();
+        let job = &plan.user_jobs(0)[0];
+        let record = run_job_with(&plan, job, &mut WorldScratch::default());
         // The record's name points into the plan's intern table, not a
         // fresh allocation.
         assert!(plan
             .clip_names
             .iter()
-            .any(|n| std::sync::Arc::ptr_eq(n, &first.clip_name)));
+            .any(|n| std::sync::Arc::ptr_eq(n, &record.clip_name)));
     }
 }

@@ -5,13 +5,13 @@
 //! 63-participant population with its connection/PC/firewall mix
 //! ([`build_population`]), the eleven-server roster ([`server_roster`]),
 //! the 98-clip playlist ([`build_playlist`]), per-session world
-//! construction ([`build_session_world`]), and the campaign runner that
+//! construction ([`build_session_world_gw`]), and the campaign runner that
 //! replays the whole June 2001 study and yields the streaming
 //! [`CampaignAggregates`] every figure is computed from. Campaigns run
 //! in two phases: a pure plan pass ([`plan_campaign`]) fixes every
-//! session as a [`SessionJob`] (lazily — plan memory is O(users)), and a
-//! [`CampaignExecutor`] (serial or threaded) folds them into a
-//! [`CampaignAccumulator`] — bit-identically, whatever the thread count.
+//! session as a [`SessionJob`] (lazily — plan memory is O(users)), and
+//! [`fold`] runs them on one thread or many into a
+//! [`CampaignAccumulator`] — bit-identically, whatever the worker count.
 //! [`run_campaign`] keeps aggregates only (constant memory in session
 //! count); [`run_campaign_with_records`] also retains the
 //! [`SessionRecord`]s for dumps and equivalence tests.
@@ -41,10 +41,7 @@ pub use campaign::{
     run_campaign, run_campaign_with_records, CampaignSummary, SessionRecord, StudyData, StudyParams,
 };
 pub use error::CampaignError;
-pub use executor::{
-    gateway_spec, run_job, run_job_with, CampaignExecutor, Execution, Fold, SerialExecutor,
-    ThreadedExecutor, WorkerProfile,
-};
+pub use executor::{fold, gateway_spec, run_job_with, Fold, WorkerProfile};
 pub use gateway::{replica_zone, route as gateway_route, GatewayPlan, GatewayPolicy, GatewaySpec};
 pub use geography::{
     path_profile, server_region, user_region, zone, Country, PathProfile, ServerRegion, UserRegion,
@@ -59,4 +56,4 @@ pub use population::{
 pub use report::{FailureBreakdown, FailureReport};
 pub use servers::{server_roster, ServerSite};
 pub use tracefile::{trace_session, SessionTrace, TraceError};
-pub use worldbuild::{build_session_world, build_session_world_gw, build_session_world_with};
+pub use worldbuild::build_session_world_gw;

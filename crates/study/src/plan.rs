@@ -163,7 +163,7 @@ impl CampaignPlan {
     }
 
     /// Materializes every job in canonical plan order. O(sessions)
-    /// memory — for tests and small runs; the executor never calls it.
+    /// memory — for tests and small runs; `fold` never calls it.
     pub fn collect_jobs(&self) -> Vec<SessionJob> {
         (0..self.num_users())
             .flat_map(|u| self.user_jobs(u))

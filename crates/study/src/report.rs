@@ -88,8 +88,8 @@ pub struct FailureReport {
 
 impl FailureReport {
     /// Builds the report from streaming [`FailureTallies`] — the one-pass
-    /// path: the executor folded every attempt into the tallies as it
-    /// finished, so no record scan happens here. The tallies' `BTreeMap`s
+    /// path: every attempt was folded into the tallies as it finished,
+    /// so no record scan happens here. The tallies' `BTreeMap`s
     /// carry the same orderings the record scan produced, so both
     /// constructors yield identical reports.
     pub fn from_tallies(tallies: &FailureTallies) -> Self {
@@ -255,13 +255,13 @@ mod tests {
 
     #[test]
     fn report_accounts_for_every_attempt() {
-        let data = run_campaign_with_records(StudyParams {
+        let data = run_campaign(StudyParams {
             scale: 0.04,
             ..StudyParams::default()
         })
         .unwrap();
-        let report = FailureReport::from_records(data.records());
-        assert_eq!(report.attempts, data.records().len());
+        let report = data.failure_report();
+        assert_eq!(report.attempts, data.summary.jobs_planned);
         let outcome_total: usize = report.outcomes.iter().map(|(_, c)| c).sum();
         assert_eq!(outcome_total, report.attempts);
         let server_total: usize = report.by_server.iter().map(|b| b.attempts).sum();

@@ -252,7 +252,7 @@ mod tests {
         let clip = plan.clip_names[job.playlist_slot].to_string();
         let trace = trace_session(params, job.user_id, &clip).unwrap();
         // The trace replays the exact planned session.
-        let record = crate::executor::run_job(&plan, job);
+        let record = crate::executor::run_job_with(&plan, job, &mut WorldScratch::default());
         assert_eq!(trace.metrics, record.metrics);
         assert_eq!(trace.counters, record.counters);
         // Begin and end frame the timeline. (End may not be the literal

@@ -97,60 +97,18 @@ fn study_fault_links() -> FaultLinkMap {
 /// `site`. `session_seed` isolates this session's randomness;
 /// `fault_plan` scripts this session's trouble (pass
 /// [`FaultPlan::none`] for a healthy world — arming an empty plan is
-/// free).
-pub fn build_session_world(
-    user: &UserProfile,
-    site: &ServerSite,
-    clip: &Clip,
-    watch_limit: SimDuration,
-    session_seed: u64,
-    fault_plan: &FaultPlan,
-) -> SessionWorld {
-    let mut scratch = WorldScratch::default();
-    build_session_world_with(
-        user,
-        site,
-        clip,
-        watch_limit,
-        session_seed,
-        fault_plan,
-        &mut scratch,
-    )
-}
-
-/// As [`build_session_world`] but recycling storage harvested from a
-/// previously retired world. Executors thread one [`WorldScratch`] per
-/// worker through consecutive sessions; the worlds built are
-/// bit-identical to fresh ones, they just reuse warm allocations.
-#[allow(clippy::too_many_arguments)]
-pub fn build_session_world_with(
-    user: &UserProfile,
-    site: &ServerSite,
-    clip: &Clip,
-    watch_limit: SimDuration,
-    session_seed: u64,
-    fault_plan: &FaultPlan,
-    scratch: &mut WorldScratch,
-) -> SessionWorld {
-    build_session_world_gw(
-        user,
-        site,
-        clip,
-        watch_limit,
-        session_seed,
-        fault_plan,
-        None,
-        scratch,
-    )
-}
-
-/// As [`build_session_world_with`] but with an optional gateway tier:
-/// `Some(spec)` stands up `spec.replicas` servers for the site (replica 0
-/// is the classic server; replicas 1.. get their own hosts behind cloud
-/// B), seeds each with a standing load, arms admission control, and hands
-/// the client the gateway's replica order to walk on busy/crash. `None`
-/// — and any spec with `replicas <= 1` and `capacity == 0` — builds the
-/// single-server world bit for bit.
+/// free). `scratch` recycles storage harvested from a previously retired
+/// world — [`fold`](crate::fold) threads one [`WorldScratch`] per worker
+/// through consecutive sessions; the worlds built are bit-identical to
+/// ones built on a fresh scratch, they just reuse warm allocations.
+///
+/// `gateway` is the optional gateway tier: `Some(spec)` stands up
+/// `spec.replicas` servers for the site (replica 0 is the classic server;
+/// replicas 1.. get their own hosts behind cloud B), seeds each with a
+/// standing load, arms admission control, and hands the client the
+/// gateway's replica order to walk on busy/crash. `None` — and any spec
+/// with `replicas <= 1` and `capacity == 0` — builds the single-server
+/// world bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn build_session_world_gw(
     user: &UserProfile,
@@ -284,7 +242,7 @@ pub fn build_session_world_gw(
                 background_sessions: plan.loads[usize::from(k)],
                 ..ServerConfig::default()
             };
-            let mut srv = RealServer::new(
+            let srv = RealServer::new(
                 cfg,
                 cat,
                 r_ctrl,
@@ -292,10 +250,6 @@ pub fn build_session_world_gw(
                 r_udp,
                 session_seed ^ 0x5EED ^ (u64::from(k) << 32),
             );
-            // Replicas generate under their own seeds, so sharing the
-            // worker-wide cache is behavior-neutral (exact-input keys);
-            // it just lets a failover re-stream hit warm schedules.
-            srv.share_schedule_cache(real_server.schedule_cache());
             replicas.push((stack, srv));
         }
     }
@@ -369,6 +323,27 @@ mod tests {
     use rv_sim::SimTime;
     use rv_tracer::SessionOutcome;
 
+    /// A gateway-free world on a fresh scratch.
+    fn classic_world(
+        user: &UserProfile,
+        site: &ServerSite,
+        clip: &Clip,
+        watch_limit: SimDuration,
+        session_seed: u64,
+        fault_plan: &FaultPlan,
+    ) -> SessionWorld {
+        build_session_world_gw(
+            user,
+            site,
+            clip,
+            watch_limit,
+            session_seed,
+            fault_plan,
+            None,
+            &mut WorldScratch::default(),
+        )
+    }
+
     #[test]
     fn built_world_plays_a_session() {
         let mut rng = SimRng::seed_from_u64(1);
@@ -381,7 +356,7 @@ mod tests {
         let roster = server_roster();
         let site = &roster[9]; // US/CNN
         let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
-        let mut world = build_session_world(
+        let mut world = classic_world(
             user,
             site,
             &clip,
@@ -416,7 +391,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let m = build_session_world(user, site, &clip, SimDuration::from_secs(30), 42, &down)
+        let m = classic_world(user, site, &clip, SimDuration::from_secs(30), 42, &down)
             .run(SimTime::from_secs(150));
         assert_eq!(m.outcome, SessionOutcome::ServerDown);
 
@@ -431,7 +406,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let m = build_session_world(user, site, &clip, SimDuration::from_secs(30), 42, &cut)
+        let m = classic_world(user, site, &clip, SimDuration::from_secs(30), 42, &cut)
             .run(SimTime::from_secs(150));
         assert!(!m.outcome.is_played(), "outcome {:?}", m.outcome);
     }
@@ -458,7 +433,7 @@ mod tests {
         let site = &roster[9];
         let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
 
-        let mut w1 = build_session_world(
+        let mut w1 = classic_world(
             modem,
             site,
             &clip,
@@ -467,7 +442,7 @@ mod tests {
             &FaultPlan::none(),
         );
         let m1 = w1.run(SimTime::from_secs(150));
-        let mut w2 = build_session_world(
+        let mut w2 = classic_world(
             lan,
             site,
             &clip,

@@ -99,8 +99,8 @@ pub fn two_host_world(
 /// Recycled storage carried from one retired [`SessionWorld`] to the
 /// next. Everything inside is capacity-only — retired worlds are
 /// scrubbed of session state before harvesting — so worlds built from
-/// scratch storage are bit-identical to worlds built fresh. Executors
-/// keep one of these per worker and thread it through consecutive
+/// scratch storage are bit-identical to worlds built fresh. The campaign
+/// keeps one of these per worker and threads it through consecutive
 /// sessions.
 #[derive(Debug, Default)]
 pub struct WorldScratch {

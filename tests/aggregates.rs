@@ -5,13 +5,28 @@
 //! constant-memory path without changing a single published number.
 
 use realvideo_core::all_figures;
-use rv_study::{run_campaign_with_records, CampaignAggregates, StudyParams};
+use rv_study::{
+    plan_campaign, run_campaign_with_records, CampaignAccumulator, CampaignAggregates,
+    SessionRecord, StudyParams,
+};
+
+/// The aggregation spec: one serial pass over a retained record set, in
+/// plan order, into one accumulator — no workers, no merge.
+fn from_records(params: StudyParams, records: &[SessionRecord]) -> CampaignAggregates {
+    let jobs = plan_campaign(params).collect_jobs();
+    assert_eq!(jobs.len(), records.len());
+    let mut rebuilt = CampaignAggregates::default();
+    for (job, record) in jobs.iter().zip(records) {
+        rebuilt.observe(job, record);
+    }
+    rebuilt
+}
 
 fn check_equivalence(params: StudyParams, label: &str) {
     let data = run_campaign_with_records(params).expect("campaign runs");
     // The campaign streamed `data.aggregates` as each session finished;
     // rebuilding from the retained records must land on the same bits.
-    let rebuilt = CampaignAggregates::from_records(data.records());
+    let rebuilt = from_records(params, data.records());
     assert_eq!(
         data.aggregates, rebuilt,
         "streaming vs rebuilt aggregates differ ({label})"

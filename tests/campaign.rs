@@ -1,73 +1,74 @@
 //! Cross-crate integration: the full campaign pipeline, from world model
 //! through sessions to figures, checked against the paper's headline
-//! claims at reduced scale.
+//! claims at reduced scale. The shape checks read the streaming
+//! aggregates — what `repro` computes every figure from — so they run the
+//! constant-memory path; only the determinism check retains records.
 
 use realvideo_core::{all_figures, figure};
-use rv_rtsp::TransportKind;
-use rv_stats::Cdf;
-use rv_study::{run_campaign_with_records, ConnectionClass, StudyParams, UserRegion};
+use rv_study::{
+    run_campaign, run_campaign_with_records, CampaignAggregates, ConnectionClass, StudyParams,
+    UserRegion,
+};
 
-fn campaign() -> rv_study::StudyData {
-    run_campaign_with_records(StudyParams {
+fn params() -> StudyParams {
+    StudyParams {
         scale: 0.08,
         ..StudyParams::default()
-    })
-    .expect("campaign runs")
+    }
+}
+
+fn campaign() -> rv_study::StudyData {
+    run_campaign(params()).expect("campaign runs")
+}
+
+fn aggregates() -> CampaignAggregates {
+    campaign().aggregates
 }
 
 #[test]
 fn campaign_structure_matches_study() {
     let data = campaign();
     assert_eq!(data.participants, 63);
-    let countries: std::collections::BTreeSet<_> =
-        data.records().iter().map(|r| r.user_country).collect();
-    assert_eq!(countries.len(), 12, "12 user countries");
-    let servers: std::collections::BTreeSet<_> =
-        data.records().iter().map(|r| r.server_name).collect();
-    assert!(servers.len() >= 9, "most of the 11 servers visited");
+    let agg = &data.aggregates;
+    assert_eq!(agg.user_countries.len(), 12, "12 user countries");
+    assert!(
+        agg.attempts_by_server.len() >= 9,
+        "most of the 11 servers visited"
+    );
 }
 
 #[test]
 fn unavailability_is_about_ten_percent() {
-    let data = campaign();
-    let unavailable = data.records().iter().filter(|r| !r.available).count();
-    let frac = unavailable as f64 / data.records().len() as f64;
+    let agg = aggregates();
+    let frac = agg.unavailable as f64 / agg.total_attempts as f64;
     assert!((0.04..0.20).contains(&frac), "unavailable fraction {frac}");
 }
 
 #[test]
 fn overall_frame_rate_shape_matches_figure_11() {
-    let data = campaign();
-    let fps: Vec<f64> = data.played().map(|r| r.metrics.frame_rate).collect();
-    let cdf = Cdf::from_samples(&fps).expect("played sessions");
+    let fps = aggregates().fps;
+    let mean = fps.mean().expect("played sessions");
     // Paper: mean 10 fps, ~25% below 3 fps, ~25% at or above 15 fps,
     // <1% at full-motion rates. Tolerances are generous: reduced scale.
-    assert!((6.0..13.0).contains(&cdf.mean()), "mean fps {}", cdf.mean());
+    assert!((6.0..13.0).contains(&mean), "mean fps {mean}");
     assert!(
-        (0.10..0.40).contains(&cdf.at(3.0)),
+        (0.10..0.40).contains(&fps.at(3.0)),
         "below 3 fps: {}",
-        cdf.at(3.0)
+        fps.at(3.0)
     );
-    let at_least_15 = 1.0 - cdf.at(15.0 - 1e-9);
+    let at_least_15 = 1.0 - fps.at(15.0 - 1e-9);
     assert!(
         (0.08..0.40).contains(&at_least_15),
         ">=15 fps: {at_least_15}"
     );
-    let full_motion = 1.0 - cdf.at(24.0 - 1e-9);
+    let full_motion = 1.0 - fps.at(24.0 - 1e-9);
     assert!(full_motion < 0.05, "full motion fraction {full_motion}");
 }
 
 #[test]
 fn modem_is_clearly_worse_than_broadband() {
-    let data = campaign();
-    let mean = |class: ConnectionClass| {
-        let v: Vec<f64> = data
-            .played()
-            .filter(|r| r.connection == class)
-            .map(|r| r.metrics.frame_rate)
-            .collect();
-        v.iter().sum::<f64>() / v.len() as f64
-    };
+    let agg = aggregates();
+    let mean = |class: ConnectionClass| agg.fps_by_connection[&class].mean().unwrap();
     let modem = mean(ConnectionClass::Modem56k);
     let dsl = mean(ConnectionClass::DslCable);
     let lan = mean(ConnectionClass::T1Lan);
@@ -81,44 +82,32 @@ fn modem_is_clearly_worse_than_broadband() {
 
 #[test]
 fn jitter_shape_matches_figure_20() {
-    let data = campaign();
-    let jitter: Vec<f64> = data.played().filter_map(|r| r.metrics.jitter_ms).collect();
-    let cdf = Cdf::from_samples(&jitter).expect("jitter samples");
+    let jitter = aggregates().jitter;
+    assert!(!jitter.is_empty(), "jitter samples");
     // Paper: just over 50% imperceptible (<=50 ms), ~15% >=300 ms.
     assert!(
-        (0.30..0.70).contains(&cdf.at(50.0)),
+        (0.30..0.70).contains(&jitter.at(50.0)),
         "imperceptible fraction {}",
-        cdf.at(50.0)
+        jitter.at(50.0)
     );
-    let bad = 1.0 - cdf.at(300.0);
+    let bad = 1.0 - jitter.at(300.0);
     assert!((0.05..0.40).contains(&bad), "heavy-jitter fraction {bad}");
 }
 
 #[test]
 fn transport_split_is_roughly_half_and_half() {
-    let data = campaign();
-    let total = data.played().count();
-    let udp = data
-        .played()
-        .filter(|r| r.metrics.protocol == TransportKind::Udp)
-        .count();
-    let frac = udp as f64 / total as f64;
+    let agg = aggregates();
+    assert_eq!(agg.protocol_played.total(), agg.played);
+    let frac = agg.protocol_played.fraction("UDP");
     // Paper: ~56% UDP / 44% TCP.
     assert!((0.38..0.70).contains(&frac), "UDP fraction {frac}");
 }
 
 #[test]
 fn udp_bandwidth_tracks_tcp_bandwidth() {
-    let data = campaign();
-    let mean_bw = |udp: bool| {
-        let v: Vec<f64> = data
-            .played()
-            .filter(|r| (r.metrics.protocol == TransportKind::Udp) == udp)
-            .map(|r| r.metrics.bandwidth_kbps)
-            .collect();
-        v.iter().sum::<f64>() / v.len() as f64
-    };
-    let (udp, tcp) = (mean_bw(true), mean_bw(false));
+    let agg = aggregates();
+    let mean_bw = |proto| agg.bw_by_protocol[proto].mean().unwrap();
+    let (udp, tcp) = (mean_bw("UDP"), mean_bw("TCP"));
     // Figure 18: comparable means (application-layer congestion control).
     assert!(
         udp / tcp > 0.5 && udp / tcp < 2.0,
@@ -128,15 +117,8 @@ fn udp_bandwidth_tracks_tcp_bandwidth() {
 
 #[test]
 fn australia_nz_users_see_the_worst_frame_rates() {
-    let data = campaign();
-    let below3 = |region: UserRegion| {
-        let v: Vec<f64> = data
-            .played()
-            .filter(|r| r.user_region == region)
-            .map(|r| r.metrics.frame_rate)
-            .collect();
-        v.iter().filter(|f| **f < 3.0).count() as f64 / v.len().max(1) as f64
-    };
+    let agg = aggregates();
+    let below3 = |region: UserRegion| agg.fps_by_user_region[&region].at(3.0);
     let aus = below3(UserRegion::AustraliaNz);
     let europe = below3(UserRegion::Europe);
     // Figure 15's ordering.
@@ -145,10 +127,13 @@ fn australia_nz_users_see_the_worst_frame_rates() {
 
 #[test]
 fn ratings_center_near_five() {
-    let data = campaign();
-    let ratings: Vec<f64> = data.rated().map(|r| f64::from(r.rating.unwrap())).collect();
-    assert!(ratings.len() > 30, "enough rated clips: {}", ratings.len());
-    let mean = ratings.iter().sum::<f64>() / ratings.len() as f64;
+    let ratings = aggregates().ratings;
+    assert!(
+        ratings.count() > 30,
+        "enough rated clips: {}",
+        ratings.count()
+    );
+    let mean = ratings.mean().unwrap();
     assert!((3.5..6.5).contains(&mean), "mean rating {mean}");
 }
 
@@ -167,8 +152,8 @@ fn every_figure_renders_from_campaign_data() {
 
 #[test]
 fn campaign_is_deterministic() {
-    let a = campaign();
-    let b = campaign();
+    let a = run_campaign_with_records(params()).unwrap();
+    let b = run_campaign_with_records(params()).unwrap();
     assert_eq!(a.records().len(), b.records().len());
     for (x, y) in a.records().iter().zip(b.records()) {
         assert_eq!(x.metrics, y.metrics);

@@ -84,20 +84,16 @@ fn streaming_aggregates_are_identical_across_worker_counts() {
 #[test]
 fn seed_and_scale_select_the_data_not_the_executor() {
     // Different seeds must differ (the invariant is not vacuous)...
-    let a = run_campaign_with_records(params(4)).unwrap();
-    let b = run_campaign_with_records(StudyParams {
+    let a = run_campaign(params(4)).unwrap();
+    let b = run_campaign(StudyParams {
         seed: 0xBEEF,
         ..params(4)
     })
     .unwrap();
-    let a_played: Vec<f64> = a.played().map(|r| r.metrics.frame_rate).collect();
-    let b_played: Vec<f64> = b.played().map(|r| r.metrics.frame_rate).collect();
-    assert_ne!(a_played, b_played);
+    assert_ne!(a.aggregates.fps, b.aggregates.fps);
     assert_ne!(a.aggregates, b.aggregates);
     // ...and a parallel re-run of the same seed must not.
-    let c = run_campaign_with_records(params(4)).unwrap();
-    let c_played: Vec<f64> = c.played().map(|r| r.metrics.frame_rate).collect();
-    assert_eq!(a_played, c_played);
+    let c = run_campaign(params(4)).unwrap();
     assert_eq!(a.aggregates, c.aggregates);
 }
 
