@@ -259,14 +259,18 @@ impl<P> Network<P> {
     }
 
     /// Installs the source route from `src` to `dst`, interning it into
-    /// the route table and issuing a fresh [`RouteId`].
+    /// the route table and issuing a fresh [`RouteId`]. Takes a `Vec` to
+    /// intern or an `Arc` to share (a [`crate::TopologyPrototype`]'s
+    /// routes are cloned into every network built from it); route ids are
+    /// issued in call order either way.
     ///
     /// Panics if the link sequence is not contiguous from `src`'s node to
     /// `dst`'s node — a broken route would silently blackhole traffic.
-    pub fn set_route(&mut self, src: HostId, dst: HostId, route: Vec<LinkId>) {
+    pub fn set_route(&mut self, src: HostId, dst: HostId, route: impl Into<Arc<[LinkId]>>) {
+        let route = route.into();
         assert!(!route.is_empty(), "route must have at least one link");
         let mut at = self.host_node(src);
-        for lid in &route {
+        for lid in route.iter() {
             let link = &self.links[lid.0 as usize];
             assert_eq!(
                 link.from, at,
@@ -275,33 +279,6 @@ impl<P> Network<P> {
             at = link.to;
         }
         assert_eq!(at, self.host_node(dst), "route does not end at destination");
-        let rid = RouteId(self.route_table.len() as u32);
-        assert!(rid.0 != NO_ROUTE, "route id space exhausted");
-        self.route_table.push(route.into());
-        let slot = self.route_slot(src, dst);
-        self.route_ids[slot] = rid.0;
-    }
-
-    /// Interns a pre-validated shared route, as [`Network::set_route`]
-    /// but cloning an `Arc` from a [`crate::TopologyPrototype`] instead of
-    /// allocating and re-walking the link sequence. Route ids are issued
-    /// in call order, so installing a prototype's routes in recorded order
-    /// yields the identical id assignment (and therefore identical packet
-    /// tags) as the BFS build it was derived from.
-    pub fn install_route(&mut self, src: HostId, dst: HostId, route: Arc<[LinkId]>) {
-        debug_assert!(!route.is_empty(), "route must have at least one link");
-        debug_assert!({
-            let mut at = self.host_node(src);
-            for lid in route.iter() {
-                let link = &self.links[lid.0 as usize];
-                assert_eq!(
-                    link.from, at,
-                    "route hop does not start where previous ended"
-                );
-                at = link.to;
-            }
-            at == self.host_node(dst)
-        });
         let rid = RouteId(self.route_table.len() as u32);
         assert!(rid.0 != NO_ROUTE, "route id space exhausted");
         self.route_table.push(route);
@@ -694,11 +671,6 @@ impl<P> Network<P> {
         self.delivered
     }
 
-    /// Number of links.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Delay-line observability: `(head_updates, bypass_packets)`. Head
     /// updates are line-head exposures — the instants the scheduler scan
     /// must track; bypass packets joined a busy line behind an earlier
@@ -711,7 +683,7 @@ impl<P> Network<P> {
     /// allocated storage — delay lines, inboxes, mirrors, route tables —
     /// so the next session's rebuild schedules into warm memory.
     /// A reset network is logically indistinguishable from
-    /// [`Network::new`]; see [`crate::NetBuilder::build_with_payload_into`].
+    /// [`Network::new`]; see [`crate::NetBuilder::build_from_prototype_into`].
     pub fn reset_for_rebuild(&mut self) {
         self.num_nodes = 0;
         self.host_nodes.clear();

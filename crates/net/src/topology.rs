@@ -68,38 +68,17 @@ impl NetBuilder {
         self.link(b, a, params);
     }
 
-    /// Adds an asymmetric pair (common for consumer access: downstream fat,
-    /// upstream thin).
-    pub fn duplex_asym(&mut self, a: BuildNode, b: BuildNode, ab: LinkParams, ba: LinkParams) {
-        self.link(a, b, ab);
-        self.link(b, a, ba);
-    }
-
     /// Materializes the network and installs BFS shortest-hop routes between
-    /// every ordered pair of hosts that is connected.
+    /// every ordered pair of hosts that is connected: [`NetBuilder::prototype`]
+    /// followed by [`NetBuilder::build_from_prototype_into`] on a fresh
+    /// network — the one build path, so a one-off build and a cached
+    /// rebuild cannot drift apart.
     ///
-    /// `rng` seeds the per-link loss/congestion streams (forked, so link
-    /// count changes don't perturb unrelated links... each link gets its own
-    /// child stream in creation order).
-    pub fn build(self, rng: &mut SimRng) -> Network<()>
-    where
-        (): Sized,
-    {
-        self.build_with_payload::<()>(rng)
-    }
-
-    /// As [`NetBuilder::build`] but for an arbitrary payload type.
+    /// `rng` seeds the per-link loss/congestion streams (each link gets its
+    /// own child stream, keyed by its endpoints).
     pub fn build_with_payload<P>(self, rng: &mut SimRng) -> Network<P> {
-        self.build_onto(rng, Network::new())
-    }
-
-    /// As [`NetBuilder::build_with_payload`] but rebuilding onto a retired
-    /// network, recycling its storage (delay lines, inboxes, tables). The
-    /// result is logically identical to a fresh build; it merely schedules
-    /// into warm memory instead of allocating.
-    pub fn build_with_payload_into<P>(self, rng: &mut SimRng, mut net: Network<P>) -> Network<P> {
-        net.reset_for_rebuild();
-        self.build_onto(rng, net)
+        let proto = self.prototype();
+        self.build_from_prototype_into(rng, Network::new(), &proto)
     }
 
     /// Computes this builder's routing structure once, for reuse by
@@ -109,13 +88,14 @@ impl NetBuilder {
     /// prototype serves every session whose topology differs only in
     /// rates, delays, and loss.
     pub fn prototype(&self) -> TopologyPrototype {
+        // Link ids are issued in declaration order, so builder index ==
+        // link id.
         let mut adj: Vec<Vec<(u32, LinkId)>> = vec![Vec::new(); self.net_nodes as usize];
         for (i, (from, to, _)) in self.links.iter().enumerate() {
             adj[*from as usize].push((*to, LinkId(i as u32)));
         }
-        // Record routes in exactly the host-pair order `build_onto`
-        // installs them, so replaying them through
-        // `Network::install_route` issues identical route ids.
+        // BFS from every host to every other host. The recording order is
+        // the route-id order of every network built from this prototype.
         let mut routes = Vec::new();
         for (src_pos, src_idx) in self.hosts.iter().enumerate() {
             let preds = bfs(&adj, *src_idx, self.net_nodes);
@@ -140,13 +120,15 @@ impl NetBuilder {
         }
     }
 
-    /// As [`NetBuilder::build_with_payload_into`] but installing the
-    /// prototype's pre-computed routes instead of re-running BFS: nodes
-    /// and links are created exactly as a full build would (same ids,
-    /// same per-link RNG fork order, this builder's own parameters), then
-    /// each cached route `Arc` is cloned into the route table in recorded
-    /// order. The result is bit-identical to a full build; it merely
-    /// skips the per-session routing work and its allocations.
+    /// Builds this topology onto `net` — a fresh [`Network::new`] or a
+    /// retired network whose storage (delay lines, inboxes, tables) is
+    /// recycled — and installs `proto`'s routes: nodes and links are
+    /// created in declaration order (so ids match handles) with this
+    /// builder's own parameters and one RNG fork per link, then each
+    /// recorded route `Arc` is cloned into the route table in recorded
+    /// order. Routing is a pure function of structure, so a cached
+    /// prototype yields a network bit-identical to one built from a
+    /// prototype computed on the spot.
     ///
     /// Panics if the prototype was derived from a structurally different
     /// builder (see [`TopologyPrototype::matches`]).
@@ -179,48 +161,7 @@ impl NetBuilder {
             );
         }
         for (src, dst, route) in &proto.routes {
-            net.install_route(*src, *dst, Arc::clone(route));
-        }
-        net
-    }
-
-    fn build_onto<P>(self, rng: &mut SimRng, mut net: Network<P>) -> Network<P> {
-        // Create nodes in declaration order so ids match handles.
-        let mut node_ids: Vec<NodeId> = Vec::with_capacity(self.net_nodes as usize);
-        let mut host_ids: Vec<(u32, HostId)> = Vec::new();
-        for idx in 0..self.net_nodes {
-            if self.hosts.contains(&idx) {
-                let h = net.add_host();
-                node_ids.push(net.host_node(h));
-                host_ids.push((idx, h));
-            } else {
-                node_ids.push(net.add_node());
-            }
-        }
-
-        // Create links, remembering adjacency for routing.
-        let mut adj: Vec<Vec<(u32, LinkId)>> = vec![Vec::new(); self.net_nodes as usize];
-        for (from, to, params) in &self.links {
-            let lid = net.add_link(
-                node_ids[*from as usize],
-                node_ids[*to as usize],
-                *params,
-                rng.fork(u64::from(*from) << 32 | u64::from(*to)),
-            );
-            adj[*from as usize].push((*to, lid));
-        }
-
-        // BFS from every host to every other host.
-        for (src_idx, src_host) in &host_ids {
-            let preds = bfs(&adj, *src_idx, self.net_nodes);
-            for (dst_idx, dst_host) in &host_ids {
-                if src_idx == dst_idx {
-                    continue;
-                }
-                if let Some(route) = trace(&preds, *src_idx, *dst_idx) {
-                    net.set_route(*src_host, *dst_host, route);
-                }
-            }
+            net.set_route(*src, *dst, Arc::clone(route));
         }
         net
     }
@@ -261,11 +202,6 @@ impl TopologyPrototype {
                 .iter()
                 .zip(b.links.iter())
                 .all(|(&(f, t), &(bf, bt, _))| f == bf && t == bt)
-    }
-
-    /// Number of cached routes.
-    pub fn num_routes(&self) -> usize {
-        self.routes.len()
     }
 
     /// The recorded route between two hosts, if one exists. The route
@@ -381,7 +317,7 @@ mod tests {
         let _a = b.host();
         let _b = b.host();
         let mut rng = SimRng::seed_from_u64(3);
-        let net = b.build(&mut rng);
+        let net = b.build_with_payload::<()>(&mut rng);
         assert!(!net.has_route(HostId(0), HostId(1)));
     }
 
@@ -392,7 +328,7 @@ mod tests {
         let c = b.host();
         b.link(a, c, LinkParams::lan());
         let mut rng = SimRng::seed_from_u64(4);
-        let net = b.build(&mut rng);
+        let net = b.build_with_payload::<()>(&mut rng);
         assert!(net.has_route(HostId(0), HostId(1)));
         assert!(!net.has_route(HostId(1), HostId(0)));
     }
@@ -419,13 +355,98 @@ mod tests {
     }
 
     #[test]
+    fn cached_rebuild_of_a_retired_network_equals_a_fresh_build() {
+        // The study's session shape: client and two servers behind two
+        // routers, over lossy links so the per-link RNG forks matter.
+        let shape = || {
+            let mut b = NetBuilder::new();
+            let client = b.host();
+            let server = b.host();
+            let (cloud_a, cloud_b) = (b.router(), b.router());
+            let lossy = LinkParams::lan()
+                .rate(400_000.0)
+                .delay(SimDuration::from_millis(7))
+                .loss(0.2);
+            b.link(cloud_a, client, lossy);
+            b.link(client, cloud_a, lossy.rate(50_000.0));
+            b.duplex(cloud_a, cloud_b, lossy);
+            b.duplex(cloud_b, server, lossy);
+            let replica = b.host();
+            b.duplex(cloud_b, replica, lossy);
+            b
+        };
+        let hosts = [HostId(0), HostId(1), HostId(2)];
+        // 40 packets spread over the six host pairs, one per millisecond,
+        // polled every millisecond: every delivery as `(instant,
+        // receiving host, payload)`.
+        let drive = |net: &mut Network<u32>, until_ms: u64| {
+            let mut delivered = Vec::new();
+            for ms in 0..until_ms {
+                let now = SimTime::from_millis(ms);
+                if ms < 40 {
+                    // Source cycles every packet, the offset to the
+                    // destination (1 or 2 hosts on) every third.
+                    let src = ms as usize % 3;
+                    let dst = (src + 1 + ms as usize / 3 % 2) % 3;
+                    let (src, dst) = (Addr::new(hosts[src], 1), Addr::new(hosts[dst], 1));
+                    net.send(now, Packet::new(src, dst, 300, ms as u32));
+                }
+                net.poll(now);
+                for h in hosts {
+                    while let Some(p) = net.recv(h) {
+                        delivered.push((now, h, p.payload));
+                    }
+                }
+            }
+            delivered
+        };
+
+        let mut fresh = shape().build_with_payload::<u32>(&mut SimRng::seed_from_u64(9));
+
+        // A network built from the cache under another seed, abandoned
+        // with packets queued, in flight and undelivered — then rebuilt
+        // onto from the same (now cached) prototype.
+        let mut cache = PrototypeCache::default();
+        let proto = cache.get_or_build(&shape());
+        let mut retired = shape().build_from_prototype_into(
+            &mut SimRng::seed_from_u64(1234),
+            Network::new(),
+            &proto,
+        );
+        drive(&mut retired, 25);
+        assert!(retired.next_wake().is_some(), "retired mid-traffic");
+        let proto = cache.get_or_build(&shape());
+        assert_eq!(cache.len(), 1);
+        let mut rebuilt =
+            shape().build_from_prototype_into(&mut SimRng::seed_from_u64(9), retired, &proto);
+
+        for src in hosts {
+            for dst in hosts {
+                if src != dst {
+                    assert!(fresh.route(src, dst).is_some());
+                    assert_eq!(fresh.route(src, dst), rebuilt.route(src, dst));
+                }
+            }
+        }
+        let want = drive(&mut fresh, 400);
+        assert!(
+            want.len() > 10 && want.len() < 40,
+            "{} delivered",
+            want.len()
+        );
+        assert_eq!(drive(&mut rebuilt, 400), want);
+        assert_eq!(fresh.total_link_stats(), rebuilt.total_link_stats());
+    }
+
+    #[test]
     fn asymmetric_duplex_uses_each_direction() {
         let mut b = NetBuilder::new();
         let a = b.host();
         let c = b.host();
         let down = LinkParams::lan().rate(500_000.0);
         let up = LinkParams::lan().rate(50_000.0);
-        b.duplex_asym(a, c, down, up);
+        b.link(a, c, down);
+        b.link(c, a, up);
         let mut rng = SimRng::seed_from_u64(6);
         let mut net = b.build_with_payload::<u8>(&mut rng);
         // 1250 bytes: 20 ms down at 500 kbps, 200 ms up at 50 kbps.

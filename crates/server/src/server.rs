@@ -209,61 +209,21 @@ struct ActiveStream {
     idle_until: SimTime,
 }
 
-/// Recyclable server storage harvested from a retired session's server.
+/// Recyclable server storage: every buffer a [`RealServer`] stages bytes
+/// in. The server holds one of these for its whole life and hands it back,
+/// emptied, from [`RealServer::into_scratch`] for the next session's
+/// server to start on.
 ///
-/// Everything here is capacity, not state: a server built from scratch
-/// behaves bit-identically to one built fresh — its staging buffers and
-/// payload pool simply start warm, so steady-state streaming allocates
-/// nothing. The payload pool is the big win: its working set of recycled
-/// backings (sized by how long TCP holds sent bytes for retransmit) is
-/// paid for once per worker instead of once per session.
-#[derive(Debug)]
+/// Everything here is capacity, not state: a server built on a retired
+/// server's scratch behaves bit-identically to one built on
+/// `ServerScratch::default()` — its staging buffers and payload pool
+/// simply start warm, so steady-state streaming allocates nothing. The
+/// payload pool is the big win: its working set of recycled backings
+/// (sized by how long TCP holds sent bytes for retransmit) is paid for
+/// once per worker instead of once per session.
+#[derive(Debug, Default)]
 pub struct ServerScratch {
     decoder: Decoder,
-    txbuf: Vec<u8>,
-    udp_scratch: Vec<u8>,
-    udp_bounds: Vec<(Addr, usize, usize)>,
-    pkt_scratch: Vec<MediaPacket>,
-    payload_pool: PayloadPool,
-    ctrl_buf: Vec<u8>,
-    pending_reports: Vec<ReceiverReport>,
-    rung_schedules: Vec<Option<Arc<FrameSchedule>>>,
-}
-
-impl Default for ServerScratch {
-    fn default() -> Self {
-        ServerScratch {
-            decoder: Decoder::new(),
-            txbuf: Vec::new(),
-            udp_scratch: Vec::new(),
-            udp_bounds: Vec::new(),
-            pkt_scratch: Vec::new(),
-            payload_pool: PayloadPool::new(),
-            ctrl_buf: Vec::new(),
-            pending_reports: Vec::new(),
-            rung_schedules: Vec::new(),
-        }
-    }
-}
-
-/// The streaming server for one session.
-#[derive(Debug)]
-pub struct RealServer {
-    cfg: ServerConfig,
-    core: ServerCore,
-    rtsp: ServerSession,
-    decoder: Decoder,
-    ctrl: TcpHandle,
-    data_tcp: TcpHandle,
-    udp: UdpHandle,
-    /// Boxed: every non-idle pump takes the stream out of here and puts
-    /// it back, which should move a pointer, not the whole struct.
-    stream: Option<Box<ActiveStream>>,
-    tfrc: TfrcController,
-    next_seq: u32,
-    clip_seed: u64,
-    stats: ServerStats,
-    alive: bool,
     /// Staging buffer for the TCP data path: one pump's packets are
     /// encoded here back-to-back and pushed to the socket as a single
     /// large chunk, so segmentization slices one backing allocation
@@ -288,36 +248,37 @@ pub struct RealServer {
     /// pure in (encoding, content, duration, seed) — so each rung's
     /// schedule is generated at most once per PLAY and shared from here
     /// on every revisit. Kept beside the stream, not in it, so its
-    /// capacity recycles through [`ServerScratch`].
+    /// capacity recycles.
     rung_schedules: Vec<Option<Arc<FrameSchedule>>>,
+}
+
+/// The streaming server for one session.
+#[derive(Debug)]
+pub struct RealServer {
+    cfg: ServerConfig,
+    core: ServerCore,
+    rtsp: ServerSession,
+    ctrl: TcpHandle,
+    data_tcp: TcpHandle,
+    udp: UdpHandle,
+    /// Boxed: every non-idle pump takes the stream out of here and puts
+    /// it back, which should move a pointer, not the whole struct.
+    stream: Option<Box<ActiveStream>>,
+    tfrc: TfrcController,
+    next_seq: u32,
+    clip_seed: u64,
+    stats: ServerStats,
+    alive: bool,
+    scratch: ServerScratch,
 }
 
 impl RealServer {
     /// Creates a server. `ctrl` and `data_tcp` must be listening TCP
     /// sockets; `udp` the server's data socket. `clip_seed` makes clip
-    /// encodings deterministic per server.
+    /// encodings deterministic per server. `scratch` is a retired
+    /// server's storage, or `ServerScratch::default()` for a cold start —
+    /// behavior is identical either way.
     pub fn new(
-        cfg: ServerConfig,
-        catalog: Catalog,
-        ctrl: TcpHandle,
-        data_tcp: TcpHandle,
-        udp: UdpHandle,
-        clip_seed: u64,
-    ) -> Self {
-        Self::with_scratch(
-            cfg,
-            catalog,
-            ctrl,
-            data_tcp,
-            udp,
-            clip_seed,
-            ServerScratch::default(),
-        )
-    }
-
-    /// As [`RealServer::new`] but reusing a retired server's storage (see
-    /// [`ServerScratch`]). Behavior is identical to a fresh server.
-    pub fn with_scratch(
         cfg: ServerConfig,
         catalog: Catalog,
         ctrl: TcpHandle,
@@ -338,10 +299,9 @@ impl RealServer {
                 negotiated: None,
                 pending_play: None,
                 pending_teardown: false,
-                pending_reports: scratch.pending_reports,
+                pending_reports: Vec::new(),
             },
             rtsp: ServerSession::new(),
-            decoder: scratch.decoder,
             ctrl,
             data_tcp,
             udp,
@@ -351,39 +311,24 @@ impl RealServer {
             clip_seed,
             stats: ServerStats::default(),
             alive: true,
-            txbuf: scratch.txbuf,
-            udp_scratch: scratch.udp_scratch,
-            udp_bounds: scratch.udp_bounds,
-            pkt_scratch: scratch.pkt_scratch,
-            payload_pool: scratch.payload_pool,
-            ctrl_buf: scratch.ctrl_buf,
-            rung_schedules: scratch.rung_schedules,
+            scratch,
             cfg,
         }
     }
 
-    /// Tears the server down, harvesting its reusable storage for the
-    /// next session (capacity only — no session state survives).
-    pub fn into_scratch(mut self) -> ServerScratch {
-        self.decoder.reset();
-        self.txbuf.clear();
-        self.udp_scratch.clear();
-        self.udp_bounds.clear();
-        self.pkt_scratch.clear();
-        self.ctrl_buf.clear();
-        self.core.pending_reports.clear();
-        self.rung_schedules.clear();
-        ServerScratch {
-            decoder: self.decoder,
-            txbuf: self.txbuf,
-            udp_scratch: self.udp_scratch,
-            udp_bounds: self.udp_bounds,
-            pkt_scratch: self.pkt_scratch,
-            payload_pool: self.payload_pool,
-            ctrl_buf: self.ctrl_buf,
-            pending_reports: self.core.pending_reports,
-            rung_schedules: self.rung_schedules,
-        }
+    /// Tears the server down, harvesting its storage for the next
+    /// session's server, scrubbed here so no session state survives
+    /// (capacity only).
+    pub fn into_scratch(self) -> ServerScratch {
+        let mut scratch = self.scratch;
+        scratch.decoder.reset();
+        scratch.txbuf.clear();
+        scratch.udp_scratch.clear();
+        scratch.udp_bounds.clear();
+        scratch.pkt_scratch.clear();
+        scratch.ctrl_buf.clear();
+        scratch.rung_schedules.clear();
+        scratch
     }
 
     /// `true` unless [`RealServer::crash`] has taken the process down.
@@ -399,9 +344,9 @@ impl RealServer {
         self.alive = false;
         self.stats.crashes += 1;
         self.drop_session();
-        self.txbuf.clear();
-        self.udp_scratch.clear();
-        self.udp_bounds.clear();
+        self.scratch.txbuf.clear();
+        self.scratch.udp_scratch.clear();
+        self.scratch.udp_bounds.clear();
         stack.tcp(self.ctrl).abort();
         stack.tcp(self.data_tcp).abort();
     }
@@ -417,7 +362,7 @@ impl RealServer {
         self.core.pending_teardown = false;
         self.core.pending_reports.clear();
         self.rtsp = ServerSession::new();
-        self.decoder = Decoder::new();
+        self.scratch.decoder.reset();
     }
 
     /// Brings a crashed server back up with fresh listening sockets. The
@@ -515,7 +460,7 @@ impl RealServer {
         ctrl.recv_available() == 0
             && !ctrl.has_error()
             && !stack.tcp_ref(self.data_tcp).has_error()
-            && self.decoder.buffered() == 0
+            && self.scratch.decoder.buffered() == 0
             && self.core.pending_play.is_none()
             && !self.core.pending_teardown
             && self.core.pending_reports.is_empty()
@@ -581,17 +526,17 @@ impl RealServer {
 
     fn pump_control(&mut self, stack: &mut Stack) -> usize {
         let mut handled = 0;
-        let decoder = &mut self.decoder;
+        let decoder = &mut self.scratch.decoder;
         stack
             .tcp(self.ctrl)
             .recv_with(usize::MAX, &mut |chunk| decoder.feed(chunk));
         loop {
-            match self.decoder.next_message() {
+            match self.scratch.decoder.next_message() {
                 Ok(Some(msg)) => {
                     let resp = self.rtsp.on_request(&mut self.core, &msg);
-                    self.ctrl_buf.clear();
-                    resp.encode_into(&mut self.ctrl_buf);
-                    stack.tcp(self.ctrl).send(&self.ctrl_buf);
+                    self.scratch.ctrl_buf.clear();
+                    resp.encode_into(&mut self.scratch.ctrl_buf);
+                    stack.tcp(self.ctrl).send(&self.scratch.ctrl_buf);
                     handled += 1;
                 }
                 Ok(None) => break,
@@ -677,9 +622,9 @@ impl RealServer {
         };
 
         let schedule = self.schedule_for(&clip, initial);
-        self.rung_schedules.clear();
-        self.rung_schedules.resize(clip.ladder.len(), None);
-        self.rung_schedules[initial] = Some(Arc::clone(&schedule));
+        self.scratch.rung_schedules.clear();
+        self.scratch.rung_schedules.resize(clip.ladder.len(), None);
+        self.scratch.rung_schedules[initial] = Some(Arc::clone(&schedule));
         self.stream = Some(Box::new(ActiveStream {
             transport: spec.kind,
             client_udp,
@@ -790,7 +735,7 @@ impl RealServer {
                     // Staged bytes count against the socket window exactly
                     // as if each packet had been written eagerly.
                     stack.tcp_ref(self.data_tcp).send_capacity_left()
-                        >= wire as usize + self.txbuf.len()
+                        >= wire as usize + self.scratch.txbuf.len()
                 }
             };
             if !can_send {
@@ -826,14 +771,19 @@ impl RealServer {
                     continue;
                 }
             }
-            self.pkt_scratch.clear();
+            self.scratch.pkt_scratch.clear();
             packetize_frame_into(
                 &frame,
                 stream.rung as u8,
                 stream.group_id,
-                &mut self.pkt_scratch,
+                &mut self.scratch.pkt_scratch,
             );
-            let wire: u32 = self.pkt_scratch.iter().map(|p| p.wire_len() as u32).sum();
+            let wire: u32 = self
+                .scratch
+                .pkt_scratch
+                .iter()
+                .map(|p| p.wire_len() as u32)
+                .sum();
             // Charge the FEC parity share up front so the pacing budget
             // covers every byte that will hit the wire.
             let wire_with_fec = if self.cfg.fec_group > 0 && stream.transport == TransportKind::Udp
@@ -846,15 +796,15 @@ impl RealServer {
                 TransportKind::Udp => stream.bucket.try_consume(now, wire_with_fec),
                 TransportKind::Tcp => {
                     stack.tcp_ref(self.data_tcp).send_capacity_left()
-                        >= wire as usize + self.txbuf.len()
+                        >= wire as usize + self.scratch.txbuf.len()
                 }
             };
             if !can_send {
                 blocked = true;
                 break;
             }
-            for i in 0..self.pkt_scratch.len() {
-                let mut pkt = self.pkt_scratch[i];
+            for i in 0..self.scratch.pkt_scratch.len() {
+                let mut pkt = self.scratch.pkt_scratch[i];
                 pkt.seq = self.bump_seq();
                 self.transmit(&stream, pkt);
                 if self.cfg.fec_group > 0 && stream.transport == TransportKind::Udp {
@@ -928,28 +878,28 @@ impl RealServer {
     /// socket accepts the whole buffer (modulo the same tail truncation an
     /// unchecked eager write would have hit).
     fn flush_txbuf(&mut self, stack: &mut Stack) {
-        if self.txbuf.is_empty() {
+        if self.scratch.txbuf.is_empty() {
             return;
         }
-        let chunk = self.payload_pool.copy_in(&self.txbuf);
+        let chunk = self.scratch.payload_pool.copy_in(&self.scratch.txbuf);
         stack.tcp(self.data_tcp).send_bytes(chunk);
-        self.txbuf.clear();
+        self.scratch.txbuf.clear();
     }
 
     /// Sends the pump's staged datagrams: one shared backing allocation,
     /// each datagram a zero-copy slice of it. Queue order and simulated
     /// time are exactly those of per-packet eager sends.
     fn flush_udp(&mut self, stack: &mut Stack) {
-        if self.udp_bounds.is_empty() {
+        if self.scratch.udp_bounds.is_empty() {
             return;
         }
-        let backing = self.payload_pool.copy_in(&self.udp_scratch);
-        for (dst, start, len) in self.udp_bounds.drain(..) {
+        let backing = self.scratch.payload_pool.copy_in(&self.scratch.udp_scratch);
+        for (dst, start, len) in self.scratch.udp_bounds.drain(..) {
             stack
                 .udp(self.udp)
                 .send_to(dst, backing.slice(start..start + len));
         }
-        self.udp_scratch.clear();
+        self.scratch.udp_scratch.clear();
     }
 
     fn evaluate_rate(&mut self, now: SimTime, stack: &mut Stack, stream: &mut ActiveStream) {
@@ -1030,11 +980,11 @@ impl RealServer {
             to: rung as u8,
         });
         stream.rung = rung;
-        stream.schedule = match &self.rung_schedules[rung] {
+        stream.schedule = match &self.scratch.rung_schedules[rung] {
             Some(s) => Arc::clone(s),
             None => {
                 let s = self.schedule_for(&stream.clip, rung);
-                self.rung_schedules[rung] = Some(Arc::clone(&s));
+                self.scratch.rung_schedules[rung] = Some(Arc::clone(&s));
                 s
             }
         };
@@ -1052,13 +1002,13 @@ impl RealServer {
         match stream.transport {
             TransportKind::Udp => {
                 let dst = stream.client_udp.expect("UDP stream has client address");
-                let start = self.udp_scratch.len();
-                pkt.encode_into(&mut self.udp_scratch);
-                self.udp_bounds.push((dst, start, pkt.wire_len()));
+                let start = self.scratch.udp_scratch.len();
+                pkt.encode_into(&mut self.scratch.udp_scratch);
+                self.scratch.udp_bounds.push((dst, start, pkt.wire_len()));
             }
             TransportKind::Tcp => {
                 // Staged; flushed once at the end of the pump.
-                pkt.encode_into(&mut self.txbuf);
+                pkt.encode_into(&mut self.scratch.txbuf);
             }
         }
     }
@@ -1193,8 +1143,15 @@ mod tests {
         use rv_transport::TcpState;
 
         let (mut stack, ctrl, data, udp) = listening_stack();
-        let mut server =
-            RealServer::new(ServerConfig::default(), Catalog::new(), ctrl, data, udp, 7);
+        let mut server = RealServer::new(
+            ServerConfig::default(),
+            Catalog::new(),
+            ctrl,
+            data,
+            udp,
+            7,
+            ServerScratch::default(),
+        );
         assert!(server.is_alive());
 
         server.crash(&mut stack);
@@ -1215,7 +1172,7 @@ mod tests {
     /// Hands the server one RTSP request as if its control socket had
     /// just delivered the bytes.
     fn request(server: &mut RealServer, msg: Message) {
-        server.decoder.feed(&msg.encode());
+        server.scratch.decoder.feed(&msg.encode());
     }
 
     /// SETUP (TCP) + PLAY under the server's `n`th session id.
@@ -1241,7 +1198,8 @@ mod tests {
             SimDuration::from_secs(60),
             ContentKind::News,
         ));
-        let mut server = RealServer::new(cfg, catalog, ctrl, data, udp, 7);
+        let mut server =
+            RealServer::new(cfg, catalog, ctrl, data, udp, 7, ServerScratch::default());
         request(
             &mut server,
             Message::request(Method::Describe, URL).with_header_display("Bandwidth", client_bps),

@@ -172,11 +172,6 @@ pub fn snapshot() -> (u64, u64) {
     )
 }
 
-/// Currently live heap bytes (allocated minus freed).
-pub fn live_bytes() -> u64 {
-    LIVE.load(Ordering::Relaxed)
-}
-
 /// High-water mark of live heap bytes since process start (or the last
 /// [`reset`]) — the number the campaign's flat-memory acceptance check
 /// gates on.

@@ -214,7 +214,7 @@ impl<const N: usize> PartialEq<[u8; N]> for PayloadBytes {
 /// Windows handed out are byte-for-byte identical to fresh allocations
 /// (length-exact, contents fully overwritten), so pooling is invisible to
 /// everything but the allocator.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PayloadPool {
     chunks: Vec<Arc<[u8]>>,
     chunk_capacity: usize,
@@ -229,6 +229,15 @@ pub struct PayloadPool {
 /// Default backing capacity: comfortably above one pacing pump's staged
 /// bytes at the highest simulated media rates.
 const DEFAULT_POOL_CHUNK: usize = 16 * 1024;
+
+/// [`PayloadPool::new`], so a struct holding a pool can derive `Default`
+/// (a derived impl here would set a zero chunk capacity, which pools
+/// nothing).
+impl Default for PayloadPool {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl PayloadPool {
     /// A pool with the default chunk capacity.
@@ -422,14 +431,6 @@ impl ByteRope {
         read
     }
 
-    /// Reads and consumes up to `max` bytes into one `Vec` (single walk,
-    /// single allocation).
-    pub fn read_vec(&mut self, max: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(max.min(self.len));
-        self.read_with(max, &mut |chunk| out.extend_from_slice(chunk));
-        out
-    }
-
     /// Number of chunks currently chained (instrumentation/tests).
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
@@ -550,7 +551,12 @@ mod tests {
         assert_eq!(n, 4);
         assert_eq!(got, vec![1, 2, 3, 4]);
         assert_eq!(r.len(), 1);
-        assert_eq!(r.read_vec(usize::MAX), vec![5]);
+        got.clear();
+        assert_eq!(
+            r.read_with(usize::MAX, &mut |c| got.extend_from_slice(c)),
+            1
+        );
+        assert_eq!(got, vec![5]);
         assert_eq!(r.read_with(10, &mut |_| panic!("empty rope")), 0);
     }
 

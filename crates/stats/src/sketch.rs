@@ -327,11 +327,6 @@ impl CoMoments {
         self.sum_x.mean(self.n)
     }
 
-    /// Mean of y, or `None` when empty.
-    pub fn mean_y(&self) -> Option<f64> {
-        self.sum_y.mean(self.n)
-    }
-
     /// Pearson correlation coefficient; `None` with fewer than two pairs
     /// or when either variable is constant.
     pub fn pearson(&self) -> Option<f64> {

@@ -12,9 +12,8 @@ use rv_sim::{CounterSet, SimTime};
 use rv_tracer::{SessionMetrics, WorldScratch};
 
 use crate::campaign::StudyParams;
-use crate::executor::gateway_spec;
+use crate::executor::run_job_with;
 use crate::plan::plan_campaign;
-use crate::worldbuild::build_session_world_gw;
 
 /// One traced session: the event timeline plus the session's record-level
 /// results, for cross-checking the trace against the campaign output.
@@ -158,45 +157,20 @@ pub fn trace_session(
         });
     };
 
-    let user = &plan.population.participants[job.user];
-    let site = &plan.roster[job.server];
-    let entry = &plan.playlist[job.playlist_slot];
-
     trace::start();
     trace::emit(SimTime::ZERO, || TraceEvent::SessionBegin {
         user: user_id,
         clip: clip.to_string(),
     });
-    let (metrics, counters) = if job.available {
-        let mut scratch = WorldScratch::default();
-        // Same gateway decision the campaign executor would make, so the
-        // trace stays a faithful zoom-in at any replica count.
-        let gateway = gateway_spec(&params, job);
-        let mut world = build_session_world_gw(
-            user,
-            site,
-            &entry.clip,
-            params.watch_limit,
-            job.session_seed,
-            &job.fault_plan,
-            gateway.as_ref(),
-            &mut scratch,
-        );
-        let metrics = world.run(params.session_deadline);
-        (metrics, world.counters())
-    } else {
+    // The campaign's own job runner, so the trace is the exact session a
+    // campaign would run at any replica count, fault plan or seed.
+    let record = run_job_with(&plan, job, &mut WorldScratch::default());
+    if !job.available {
         // The clip was unavailable at request time: nothing simulated.
         trace::emit(SimTime::ZERO, || TraceEvent::SessionEnd {
             outcome: "unavailable",
         });
-        (
-            SessionMetrics::failed(
-                rv_tracer::SessionOutcome::Unavailable,
-                rv_rtsp::TransportKind::Tcp,
-            ),
-            CounterSet::new(),
-        )
-    };
+    }
     let records = trace::finish();
 
     Ok(SessionTrace {
@@ -205,8 +179,8 @@ pub fn trace_session(
         available: job.available,
         faulted: !job.fault_plan.is_empty(),
         records,
-        metrics,
-        counters,
+        metrics: record.metrics,
+        counters: record.counters,
     })
 }
 
@@ -252,7 +226,7 @@ mod tests {
         let clip = plan.clip_names[job.playlist_slot].to_string();
         let trace = trace_session(params, job.user_id, &clip).unwrap();
         // The trace replays the exact planned session.
-        let record = crate::executor::run_job_with(&plan, job, &mut WorldScratch::default());
+        let record = run_job_with(&plan, job, &mut WorldScratch::default());
         assert_eq!(trace.metrics, record.metrics);
         assert_eq!(trace.counters, record.counters);
         // Begin and end frame the timeline. (End may not be the literal

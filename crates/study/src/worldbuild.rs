@@ -8,13 +8,13 @@
 
 use rv_media::Clip;
 use rv_net::{Addr, CongestionParams, HostId, LinkId, LinkParams, NetBuilder};
-use rv_server::{Catalog, RealServer, ServerConfig};
+use rv_server::{Catalog, ServerConfig};
 use rv_sim::{FaultPlan, SimDuration, SimRng};
 use rv_tracer::{
-    client_data_tcp_config, ports, ClientConfig, FaultLinkMap, GatewayEndpoint, SessionWorld,
-    TracerClient, WorldScratch,
+    client_data_tcp_config, client_endpoint, ports, server_endpoint, ClientConfig, FaultLinkMap,
+    GatewayEndpoint, SessionWorld, WorldScratch,
 };
-use rv_transport::{Stack, TcpConfig};
+use rv_transport::TcpConfig;
 
 use crate::gateway::{route as gateway_route, GatewaySpec};
 use crate::geography::{path_profile, zone};
@@ -169,12 +169,10 @@ pub fn build_session_world_gw(
     // construction). Link parameters and per-link RNG forks stay fully
     // per-session — only the route derivation is shared.
     let proto = scratch.topo.get_or_build(&b);
-    let old = scratch.net.take().unwrap_or_default();
-    let net = b.build_from_prototype_into(&mut rng.fork(1), old, &proto);
+    let retired = std::mem::take(&mut scratch.net);
+    let net = b.build_from_prototype_into(&mut rng.fork(1), retired, &proto);
 
-    // --- stacks & sockets ---
-    let mut client_stack = Stack::new(HostId(0));
-    let mut server_stack = Stack::new(HostId(1));
+    // --- servers ---
     // Dialup-era TCP used a 536-byte MSS and small windows: a full-size
     // 1460-byte MSS slow-start burst overruns a modem's ~10 KB buffer
     // several segments per window, which Reno cannot repair without RTO
@@ -190,69 +188,28 @@ pub fn build_session_world_gw(
         mss: data_mss,
         ..TcpConfig::default()
     };
-    let c_data_cfg = TcpConfig {
-        mss: data_mss,
-        recv_capacity: if dialup { 8 * 1024 } else { 32 * 1024 },
-        ..client_data_tcp_config()
+    // Server `k` of the site: same clip, own host, stack and RNG stream,
+    // standing load from the gateway plan, and the storage server `k` of
+    // this worker's previous world retired (cold the first time).
+    let mut server_at = |k: u8| {
+        let mut catalog = Catalog::new();
+        catalog.add(clip.clone());
+        let cfg = ServerConfig {
+            prefers_udp: site.prefers_udp,
+            capacity: gateway.map_or(0, |g| g.capacity),
+            background_sessions: gw_plan.as_ref().map_or(0, |p| p.loads[usize::from(k)]),
+            ..ServerConfig::default()
+        };
+        let warm = scratch.servers.get_mut(usize::from(k)).map(std::mem::take);
+        server_endpoint(
+            HostId(1 + u32::from(k)),
+            s_data_cfg,
+            cfg,
+            catalog,
+            session_seed ^ 0x5EED ^ (u64::from(k) << 32),
+            warm.unwrap_or_default(),
+        )
     };
-    let s_ctrl = server_stack.tcp_socket(ports::CTRL, TcpConfig::default());
-    let s_data = server_stack.tcp_socket(ports::DATA_TCP, s_data_cfg);
-    let s_udp = server_stack.udp_socket(ports::DATA_UDP);
-    server_stack.tcp(s_ctrl).listen();
-    server_stack.tcp(s_data).listen();
-    let c_ctrl = client_stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
-    let c_data = client_stack.tcp_socket(ports::CLIENT_DATA, c_data_cfg);
-    let c_udp = client_stack.udp_socket(ports::CLIENT_UDP);
-
-    // --- server ---
-    let mut catalog = Catalog::new();
-    catalog.add(clip.clone());
-    let server_cfg = ServerConfig {
-        prefers_udp: site.prefers_udp,
-        capacity: gateway.map_or(0, |g| g.capacity),
-        background_sessions: gw_plan.as_ref().map_or(0, |p| p.loads[0]),
-        ..ServerConfig::default()
-    };
-    let real_server = RealServer::with_scratch(
-        server_cfg,
-        catalog,
-        s_ctrl,
-        s_data,
-        s_udp,
-        session_seed ^ 0x5EED,
-        scratch.server.take().unwrap_or_default(),
-    );
-
-    // Replica servers: same site, same clip, own stack and RNG stream,
-    // seeded standing load from the gateway plan.
-    let mut replicas = Vec::new();
-    if let (Some(g), Some(plan)) = (gateway, gw_plan.as_ref()) {
-        for k in 1..n_replicas {
-            let mut stack = Stack::new(HostId(1 + u32::from(k)));
-            let r_ctrl = stack.tcp_socket(ports::CTRL, TcpConfig::default());
-            let r_data = stack.tcp_socket(ports::DATA_TCP, s_data_cfg);
-            let r_udp = stack.udp_socket(ports::DATA_UDP);
-            stack.tcp(r_ctrl).listen();
-            stack.tcp(r_data).listen();
-            let mut cat = Catalog::new();
-            cat.add(clip.clone());
-            let cfg = ServerConfig {
-                prefers_udp: site.prefers_udp,
-                capacity: g.capacity,
-                background_sessions: plan.loads[usize::from(k)],
-                ..ServerConfig::default()
-            };
-            let srv = RealServer::new(
-                cfg,
-                cat,
-                r_ctrl,
-                r_data,
-                r_udp,
-                session_seed ^ 0x5EED ^ (u64::from(k) << 32),
-            );
-            replicas.push((stack, srv));
-        }
-    }
 
     // --- client ---
     let url = format!("rtsp://{}/{}", site.name.replace('/', "."), clip.name);
@@ -298,17 +255,21 @@ pub fn build_session_world_gw(
             })
             .collect();
     }
-    let tracer = TracerClient::with_scratch(
+    let c_data_cfg = TcpConfig {
+        mss: data_mss,
+        recv_capacity: if dialup { 8 * 1024 } else { 32 * 1024 },
+        ..client_data_tcp_config()
+    };
+    let tracer = client_endpoint(
+        HostId(0),
+        c_data_cfg,
         client_cfg,
-        c_ctrl,
-        c_data,
-        c_udp,
-        scratch.client.take().unwrap_or_default(),
+        std::mem::take(&mut scratch.client),
     );
 
-    let mut world = SessionWorld::new(net, client_stack, server_stack, real_server, tracer);
-    for (stack, srv) in replicas {
-        world.add_replica(stack, srv);
+    let mut world = SessionWorld::new(net, tracer, server_at(0));
+    for k in 1..n_replicas {
+        world.add_replica(server_at(k));
     }
     world.set_faults(fault_plan, &study_fault_links());
     world

@@ -151,14 +151,17 @@ impl Phase {
     }
 }
 
-/// Capacity-only scratch harvested from a retired [`TracerClient`],
-/// ready to seed the next one. Holds no session state — only warmed
-/// buffers — so a client built from scratch storage behaves
-/// bit-identically to one built fresh.
+/// Recyclable client storage: the buffers a [`TracerClient`] holds for
+/// its whole life and hands back, emptied, from
+/// [`TracerClient::into_scratch`] for the next session's client. Holds no
+/// session state — only warmed capacity — so a client built on a retired
+/// client's scratch behaves bit-identically to one built on
+/// `ClientScratch::default()`.
 #[derive(Debug, Default)]
 pub struct ClientScratch {
     decoder: Decoder,
     events: Vec<PlayoutEvent>,
+    /// Reused staging buffer for outgoing control messages.
     encode_buf: Vec<u8>,
 }
 
@@ -167,7 +170,6 @@ pub struct ClientScratch {
 pub struct TracerClient {
     cfg: ClientConfig,
     session: ClientSession,
-    decoder: Decoder,
     ctrl: TcpHandle,
     data_tcp: TcpHandle,
     udp: UdpHandle,
@@ -179,7 +181,6 @@ pub struct TracerClient {
     start_time: Option<SimTime>,
     play_start: Option<SimTime>,
     last_report: SimTime,
-    events: Vec<PlayoutEvent>,
     last_rung: u8,
     /// Last rung observed by the flight recorder this attempt; `None`
     /// until the first media packet, so the initial rung is not reported
@@ -223,20 +224,15 @@ pub struct TracerClient {
     /// bit-compatible with. The harness hardens the client when it arms
     /// a non-empty fault plan.
     hardened: bool,
-    /// Reused staging buffer for outgoing control messages.
-    encode_buf: Vec<u8>,
+    scratch: ClientScratch,
 }
 
 impl TracerClient {
     /// Creates a client over pre-created sockets (`ctrl` and `data_tcp`
-    /// unconnected TCP sockets, `udp` bound to `cfg.udp_port`).
-    pub fn new(cfg: ClientConfig, ctrl: TcpHandle, data_tcp: TcpHandle, udp: UdpHandle) -> Self {
-        Self::with_scratch(cfg, ctrl, data_tcp, udp, ClientScratch::default())
-    }
-
-    /// As [`TracerClient::new`] but seeded with buffers recycled from a
-    /// retired client.
-    pub fn with_scratch(
+    /// unconnected TCP sockets, `udp` bound to `cfg.udp_port`). `scratch`
+    /// is a retired client's storage, or `ClientScratch::default()` for a
+    /// cold start — behavior is identical either way.
+    pub fn new(
         cfg: ClientConfig,
         ctrl: TcpHandle,
         data_tcp: TcpHandle,
@@ -248,7 +244,6 @@ impl TracerClient {
         TracerClient {
             session: ClientSession::new(&cfg.url),
             cfg,
-            decoder: scratch.decoder,
             ctrl,
             data_tcp,
             udp,
@@ -260,7 +255,6 @@ impl TracerClient {
             start_time: None,
             play_start: None,
             last_report: SimTime::ZERO,
-            events: scratch.events,
             last_rung: 0,
             rung_seen: None,
             outcome: None,
@@ -279,21 +273,18 @@ impl TracerClient {
             first_failover_at: None,
             failover_recovery: None,
             hardened: false,
-            encode_buf: scratch.encode_buf,
+            scratch,
         }
     }
 
     /// Retires this client, harvesting its buffers (emptied, capacity
     /// kept) for the next session's client.
-    pub fn into_scratch(mut self) -> ClientScratch {
-        self.decoder.reset();
-        self.events.clear();
-        self.encode_buf.clear();
-        ClientScratch {
-            decoder: self.decoder,
-            events: self.events,
-            encode_buf: self.encode_buf,
-        }
+    pub fn into_scratch(self) -> ClientScratch {
+        let mut scratch = self.scratch;
+        scratch.decoder.reset();
+        scratch.events.clear();
+        scratch.encode_buf.clear();
+        scratch
     }
 
     /// Arms the resilient FSM: connect/response timeouts, bounded
@@ -354,7 +345,7 @@ impl TracerClient {
 
     /// The playout events recorded so far (played and dropped frames).
     pub fn events(&self) -> &[PlayoutEvent] {
-        &self.events
+        &self.scratch.events
     }
 
     /// The negotiated data transport, once known.
@@ -491,9 +482,9 @@ impl TracerClient {
     /// Serializes `msg` into the reused staging buffer and queues it on
     /// the control connection — no per-message allocation.
     fn send_control(&mut self, stack: &mut Stack, msg: &Message) {
-        self.encode_buf.clear();
-        msg.encode_into(&mut self.encode_buf);
-        stack.tcp(self.ctrl).send(&self.encode_buf);
+        self.scratch.encode_buf.clear();
+        msg.encode_into(&mut self.scratch.encode_buf);
+        stack.tcp(self.ctrl).send(&self.scratch.encode_buf);
     }
 
     /// Detects connection errors and silent stalls; classifies them into
@@ -643,10 +634,10 @@ impl TracerClient {
         // A fresh protocol stack for the next attempt; the wall clock
         // (start_time) and the retry/hop ledgers carry over.
         self.session = ClientSession::new(&self.cfg.url);
-        self.decoder = Decoder::new();
+        self.scratch.decoder.reset();
         self.depkt = StreamDepacketizer::new();
         self.player = Player::new(self.cfg.playout, self.cfg.cpu_power);
-        self.events.clear();
+        self.scratch.events.clear();
         self.transport = None;
         self.rung_seen = None;
         self.clip = None;
@@ -675,12 +666,12 @@ impl TracerClient {
 
     fn pump_control(&mut self, now: SimTime, stack: &mut Stack) -> usize {
         let mut handled = 0;
-        let decoder = &mut self.decoder;
+        let decoder = &mut self.scratch.decoder;
         stack
             .tcp(self.ctrl)
             .recv_with(usize::MAX, &mut |chunk| decoder.feed(chunk));
         loop {
-            let msg = match self.decoder.next_message() {
+            let msg = match self.scratch.decoder.next_message() {
                 Ok(Some(msg)) => msg,
                 Ok(None) => break,
                 Err(_) => {
@@ -807,9 +798,9 @@ impl TracerClient {
             }
         }
 
-        let before = self.events.len();
-        self.player.poll_into(now, &mut self.events);
-        work += self.events.len() - before;
+        let before = self.scratch.events.len();
+        self.player.poll_into(now, &mut self.scratch.events);
+        work += self.scratch.events.len() - before;
 
         // Receiver reports keep the server's UDP rate control fed.
         if self.transport == Some(TransportKind::Udp)
@@ -870,7 +861,7 @@ impl TracerClient {
             protocol,
             encoded_fps,
             encoded_bps,
-            &self.events,
+            &self.scratch.events,
             self.player.playout_stats(),
             self.player.reassembly_stats(),
             self.start_time.unwrap_or(now),
@@ -944,7 +935,7 @@ mod tests {
             Addr::new(server, 555),
         );
         let watch_limit = cfg.watch_limit;
-        let mut client = TracerClient::new(cfg, ctrl, data, udp);
+        let mut client = TracerClient::new(cfg, ctrl, data, udp, ClientScratch::default());
         client.start_time = Some(SimTime::ZERO);
         client.play_start = Some(SimTime::ZERO);
         let now = SimTime::from_secs(1);

@@ -6,30 +6,24 @@
 //! examples reuse.
 
 use rv_media::Clip;
-use rv_net::{Addr, HostId, LinkParams, NetBuilder, Network};
-use rv_server::{Catalog, RealServer, ServerConfig};
+use rv_net::{Addr, HostId, LinkParams, NetBuilder, Network, PrototypeCache};
+use rv_server::{Catalog, RealServer, ServerConfig, ServerScratch, ServerStats};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{Counter, CounterSet, SimDuration, SimRng, SimTime};
+use rv_sim::{Counter, CounterSet, FaultPlan, SimDuration, SimRng, SimTime};
 use rv_transport::{Segment, Stack, TcpConfig};
-
-use rv_sim::FaultPlan;
-
-use rv_server::ServerScratch;
 
 use crate::client::{ClientConfig, ClientScratch, TracerClient};
 use crate::faults::{FaultAction, FaultInjector, FaultLinkMap};
 use crate::metrics::SessionMetrics;
 
-/// Standard port assignments for a session world.
+/// Standard TCP port assignments for a session world. (The UDP data ports
+/// are configuration: [`ServerConfig::data_udp_port`] and
+/// [`ClientConfig::udp_port`], which RTSP SETUP advertises.)
 pub mod ports {
     /// Server RTSP control port.
     pub const CTRL: u16 = 554;
     /// Server TCP data port.
     pub const DATA_TCP: u16 = 555;
-    /// Server UDP data port.
-    pub const DATA_UDP: u16 = 6970;
-    /// Client UDP data port.
-    pub const CLIENT_UDP: u16 = 5002;
     /// Client control source port.
     pub const CLIENT_CTRL: u16 = 2000;
     /// Client TCP data source port.
@@ -49,14 +43,60 @@ pub fn client_data_tcp_config() -> TcpConfig {
     }
 }
 
-/// Builds the canonical two-host streaming world: client and server joined
-/// by a symmetric duplex link, sockets on the standard [`ports`], one clip
-/// in the catalog, and a watch-for-a-minute client. `cfg_fn` customizes the
-/// client and server configurations before construction.
+/// Stands up one server endpoint on `host`: a transport stack with the
+/// control and TCP data sockets listening on the standard [`ports`]
+/// (`data_tcp` configures the data one), the UDP data socket on
+/// `cfg.data_udp_port`, and the [`RealServer`] over them. `scratch` is a
+/// retired server's storage or `ServerScratch::default()`.
 ///
-/// Tests, examples, and benches all build their worlds through this one
-/// function; richer topologies (the study's access/transit/server-access
-/// chains) are assembled in `rv-study`.
+/// Every server in the repo — primary, replica, example, test — is built
+/// here, so a server reachable at `Addr::new(host, ports::CTRL)` is one
+/// call.
+pub fn server_endpoint(
+    host: HostId,
+    data_tcp: TcpConfig,
+    cfg: ServerConfig,
+    catalog: Catalog,
+    seed: u64,
+    scratch: ServerScratch,
+) -> (Stack, RealServer) {
+    let mut stack = Stack::new(host);
+    let ctrl = stack.tcp_socket(ports::CTRL, TcpConfig::default());
+    let data = stack.tcp_socket(ports::DATA_TCP, data_tcp);
+    let udp = stack.udp_socket(cfg.data_udp_port);
+    stack.tcp(ctrl).listen();
+    stack.tcp(data).listen();
+    let server = RealServer::new(cfg, catalog, ctrl, data, udp, seed, scratch);
+    (stack, server)
+}
+
+/// Stands up the client endpoint on `host`: a transport stack with the
+/// control and TCP data sockets on the standard [`ports`] (`data_tcp`
+/// configures the data one; see [`client_data_tcp_config`]), the UDP
+/// socket on `cfg.udp_port`, and the [`TracerClient`] over them.
+/// `scratch` is a retired client's storage or `ClientScratch::default()`.
+pub fn client_endpoint(
+    host: HostId,
+    data_tcp: TcpConfig,
+    cfg: ClientConfig,
+    scratch: ClientScratch,
+) -> (Stack, TracerClient) {
+    let mut stack = Stack::new(host);
+    let ctrl = stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
+    let data = stack.tcp_socket(ports::CLIENT_DATA, data_tcp);
+    let udp = stack.udp_socket(cfg.udp_port);
+    let client = TracerClient::new(cfg, ctrl, data, udp, scratch);
+    (stack, client)
+}
+
+/// Builds the canonical two-host streaming world: client and server joined
+/// by a symmetric duplex link, one clip in the catalog, and a
+/// watch-for-a-minute client. `cfg_fn` customizes the client and server
+/// configurations before construction.
+///
+/// Tests, examples, and benches build their worlds through this function;
+/// richer topologies (the study's access/transit/server-access chains) are
+/// assembled in `rv-study` from the same two endpoint constructors.
 pub fn two_host_world(
     params: LinkParams,
     clip: Clip,
@@ -70,17 +110,6 @@ pub fn two_host_world(
     let mut rng = SimRng::seed_from_u64(seed);
     let net = b.build_with_payload::<Segment>(&mut rng);
 
-    let mut client_stack = Stack::new(HostId(0));
-    let mut server_stack = Stack::new(HostId(1));
-    let s_ctrl = server_stack.tcp_socket(ports::CTRL, TcpConfig::default());
-    let s_data = server_stack.tcp_socket(ports::DATA_TCP, TcpConfig::default());
-    let s_udp = server_stack.udp_socket(ports::DATA_UDP);
-    server_stack.tcp(s_ctrl).listen();
-    server_stack.tcp(s_data).listen();
-    let c_ctrl = client_stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
-    let c_data = client_stack.tcp_socket(ports::CLIENT_DATA, client_data_tcp_config());
-    let c_udp = client_stack.udp_socket(ports::CLIENT_UDP);
-
     let mut catalog = Catalog::new();
     let url = format!("rtsp://server/{}", clip.name);
     catalog.add(clip);
@@ -91,32 +120,48 @@ pub fn two_host_world(
         Addr::new(HostId(1), ports::DATA_TCP),
     );
     cfg_fn(&mut client_cfg, &mut server_cfg);
-    let server = RealServer::new(server_cfg, catalog, s_ctrl, s_data, s_udp, seed);
-    let client = TracerClient::new(client_cfg, c_ctrl, c_data, c_udp);
-    SessionWorld::new(net, client_stack, server_stack, server, client)
+    SessionWorld::new(
+        net,
+        client_endpoint(
+            HostId(0),
+            client_data_tcp_config(),
+            client_cfg,
+            ClientScratch::default(),
+        ),
+        server_endpoint(
+            HostId(1),
+            TcpConfig::default(),
+            server_cfg,
+            catalog,
+            seed,
+            ServerScratch::default(),
+        ),
+    )
 }
 
 /// Recycled storage carried from one retired [`SessionWorld`] to the
-/// next. Everything inside is capacity-only — retired worlds are
-/// scrubbed of session state before harvesting — so worlds built from
-/// scratch storage are bit-identical to worlds built fresh. The campaign
-/// keeps one of these per worker and threads it through consecutive
-/// sessions.
+/// next: [`SessionWorld::retire`] fills it, the next world's builder
+/// takes what it needs (leaving cold defaults behind). Everything inside
+/// is capacity-only — retired worlds are scrubbed of session state before
+/// harvesting — so worlds built on warm storage are bit-identical to
+/// worlds built on `WorldScratch::default()`. The campaign keeps one of
+/// these per worker and threads it through consecutive sessions.
 #[derive(Debug, Default)]
 pub struct WorldScratch {
     /// A retired network whose delay lines/inboxes/tables keep their capacity.
-    pub net: Option<Network<Segment>>,
-    /// Buffers harvested from the retired server.
-    pub server: Option<ServerScratch>,
+    pub net: Network<Segment>,
+    /// Buffers harvested from the retired servers, indexed by replica
+    /// (the primary is replica 0).
+    pub servers: Vec<ServerScratch>,
     /// Buffers harvested from the retired client.
-    pub client: Option<ClientScratch>,
+    pub client: ClientScratch,
     /// Worker-lifetime topology prototypes: each distinct graph shape's
     /// BFS route set, computed once and cloned into every session that
     /// builds it. Unlike the fields above this is a read-shared cache,
     /// not recycled capacity — but the same bit-identity rule holds
     /// (routes are a pure function of structure; see
     /// [`rv_net::TopologyPrototype`]).
-    pub topo: rv_net::PrototypeCache,
+    pub topo: PrototypeCache,
 }
 
 /// One complete streaming world: network, two stacks, server, client.
@@ -148,13 +193,13 @@ pub struct SessionWorld {
 }
 
 impl SessionWorld {
-    /// Creates a world with its clock at zero.
+    /// Creates a world with its clock at zero from a network and the
+    /// client and (primary) server endpoints — the `(stack, application)`
+    /// pairs [`client_endpoint`] and [`server_endpoint`] return.
     pub fn new(
         net: Network<Segment>,
-        client_stack: Stack,
-        server_stack: Stack,
-        server: RealServer,
-        client: TracerClient,
+        (client_stack, client): (Stack, TracerClient),
+        (server_stack, server): (Stack, RealServer),
     ) -> Self {
         SessionWorld {
             net,
@@ -173,9 +218,29 @@ impl SessionWorld {
     /// client's point of view; the primary is replica 0). The replica
     /// participates in the drive loop, fault routing, and the counter
     /// snapshot exactly like the primary.
-    pub fn add_replica(&mut self, stack: Stack, server: RealServer) {
-        self.replicas.push((stack, server));
+    pub fn add_replica(&mut self, endpoint: (Stack, RealServer)) {
+        self.replicas.push(endpoint);
         self.replica_flags.push((false, true));
+    }
+
+    /// Server `r` with its stack: the primary is server 0, `replicas[k]`
+    /// is server `k + 1`.
+    fn server(&self, r: usize) -> Option<(&Stack, &RealServer)> {
+        match r.checked_sub(1) {
+            None => Some((&self.server_stack, &self.server)),
+            Some(k) => self.replicas.get(k).map(|(stack, server)| (stack, server)),
+        }
+    }
+
+    /// As [`SessionWorld::server`], mutably.
+    fn server_mut(&mut self, r: usize) -> Option<(&mut Stack, &mut RealServer)> {
+        match r.checked_sub(1) {
+            None => Some((&mut self.server_stack, &mut self.server)),
+            Some(k) => self
+                .replicas
+                .get_mut(k)
+                .map(|(stack, server)| (stack, server)),
+        }
     }
 
     /// Arms this world with a fault plan. `map` grounds the plan's
@@ -197,14 +262,9 @@ impl SessionWorld {
         self.faults = Some(FaultInjector::new(plan, map));
     }
 
-    /// Applies every fault event due at `now`. Returns applied count.
-    fn apply_faults(&mut self, now: SimTime) -> usize {
-        let Some(injector) = &mut self.faults else {
-            return 0;
-        };
-        let mut applied = 0;
-        while let Some(action) = injector.pop_due(now) {
-            applied += 1;
+    /// Applies every fault event due at `now`.
+    fn apply_faults(&mut self, now: SimTime) {
+        while let Some(action) = self.faults.as_mut().and_then(|f| f.pop_due(now)) {
             // Fault events are traced here rather than in the components:
             // this is the one place that has both the simulated clock and
             // the decoded action.
@@ -221,25 +281,18 @@ impl SessionWorld {
                 FaultAction::BurstOff(l) => self.net.set_link_extra_loss(l, 0),
                 FaultAction::ServerCrash(r) => {
                     trace::emit(now, || TraceEvent::ServerCrash);
-                    if r == 0 {
-                        self.server.crash(&mut self.server_stack);
-                    } else if let Some((stack, server)) = self.replicas.get_mut(usize::from(r) - 1)
-                    {
+                    if let Some((stack, server)) = self.server_mut(usize::from(r)) {
                         server.crash(stack);
                     }
                 }
                 FaultAction::ServerRestart(r) => {
                     trace::emit(now, || TraceEvent::ServerRestart);
-                    if r == 0 {
-                        self.server.restart(&mut self.server_stack);
-                    } else if let Some((stack, server)) = self.replicas.get_mut(usize::from(r) - 1)
-                    {
+                    if let Some((stack, server)) = self.server_mut(usize::from(r)) {
                         server.restart(stack);
                     }
                 }
             }
         }
-        applied
     }
 
     /// Drives everything until the client finishes or `deadline` passes.
@@ -388,23 +441,23 @@ impl SessionWorld {
         let (head_updates, bypass) = self.net.delayline_stats();
         c.add(Counter::DelaylineHeadUpdates, head_updates);
         c.add(Counter::DelaylineBypassPackets, bypass);
-        let tcp_c = self.client_stack.total_tcp_stats();
-        let mut tcp_s = self.server_stack.total_tcp_stats();
-        for (stack, _) in &self.replicas {
+        let mut tcp = self.client_stack.total_tcp_stats();
+        let mut server = ServerStats::default();
+        for (stack, replica) in (0..).map_while(|r| self.server(r)) {
             let t = stack.total_tcp_stats();
-            tcp_s.retransmits += t.retransmits;
-            tcp_s.timeouts += t.timeouts;
-            tcp_s.fast_retransmits += t.fast_retransmits;
+            tcp.retransmits += t.retransmits;
+            tcp.timeouts += t.timeouts;
+            tcp.fast_retransmits += t.fast_retransmits;
+            let s = replica.stats();
+            server.switches_up += s.switches_up;
+            server.switches_down += s.switches_down;
+            server.frames_thinned += s.frames_thinned;
+            server.crashes += s.crashes;
+            server.admission_rejects += s.admission_rejects;
         }
-        c.add(
-            Counter::TcpRetransmits,
-            tcp_c.retransmits + tcp_s.retransmits,
-        );
-        c.add(Counter::TcpRtoTimeouts, tcp_c.timeouts + tcp_s.timeouts);
-        c.add(
-            Counter::TcpFastRetransmits,
-            tcp_c.fast_retransmits + tcp_s.fast_retransmits,
-        );
+        c.add(Counter::TcpRetransmits, tcp.retransmits);
+        c.add(Counter::TcpRtoTimeouts, tcp.timeouts);
+        c.add(Counter::TcpFastRetransmits, tcp.fast_retransmits);
         let playout = self.client.playout_stats();
         c.add(Counter::RebufferEvents, playout.rebuffer_events);
         c.add(Counter::RebufferMicros, playout.rebuffer_time.as_micros());
@@ -413,15 +466,6 @@ impl SessionWorld {
             Counter::TransportFallbacks,
             u64::from(self.client.fell_back()),
         );
-        let mut server = self.server.stats();
-        for (_, replica) in &self.replicas {
-            let s = replica.stats();
-            server.switches_up += s.switches_up;
-            server.switches_down += s.switches_down;
-            server.frames_thinned += s.frames_thinned;
-            server.crashes += s.crashes;
-            server.admission_rejects += s.admission_rejects;
-        }
         c.add(Counter::RungSwitchesUp, server.switches_up);
         c.add(Counter::RungSwitchesDown, server.switches_down);
         c.add(Counter::FramesThinned, server.frames_thinned);
@@ -433,24 +477,22 @@ impl SessionWorld {
     }
 
     /// Retires this world, harvesting its recyclable storage into
-    /// `scratch` for the next session. The network is scrubbed here (not
-    /// at rebuild) so in-flight payload `Arc`s drop now and their pool
-    /// chunks are free for reuse by the time the next server copies
-    /// packets in.
+    /// `scratch` for the next session: the network, the client's buffers
+    /// and every server's, each into its replica's slot. The network is
+    /// scrubbed here (not at rebuild) so in-flight payload `Arc`s drop now
+    /// and their pool chunks are free for reuse by the time the next
+    /// server copies packets in.
     pub fn retire(mut self, scratch: &mut WorldScratch) {
         self.net.reset_for_rebuild();
-        scratch.net = Some(self.net);
-        scratch.server = Some(self.server.into_scratch());
-        scratch.client = Some(self.client.into_scratch());
-    }
-
-    /// Convenience: host ids for the conventional two-host layout.
-    pub fn client_host() -> HostId {
-        HostId(0)
-    }
-
-    /// The server's host id in the conventional layout.
-    pub fn server_host() -> HostId {
-        HostId(1)
+        scratch.net = self.net;
+        scratch.client = self.client.into_scratch();
+        let replicas = self.replicas.into_iter().map(|(_, server)| server);
+        for (r, server) in std::iter::once(self.server).chain(replicas).enumerate() {
+            let harvested = server.into_scratch();
+            match scratch.servers.get_mut(r) {
+                Some(slot) => *slot = harvested,
+                None => scratch.servers.push(harvested),
+            }
+        }
     }
 }

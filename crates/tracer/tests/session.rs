@@ -3,13 +3,13 @@
 use rv_media::{Clip, ContentKind};
 use rv_net::{Addr, HostId, LinkParams, NetBuilder};
 use rv_rtsp::{FirewallPolicy, TransportKind, TransportPreference};
-use rv_server::{Catalog, RealServer, ServerConfig};
+use rv_server::{Catalog, ServerConfig, ServerScratch};
 use rv_sim::{SimDuration, SimRng, SimTime};
 use rv_tracer::{
-    client_data_tcp_config, ports, two_host_world, ClientConfig, SessionOutcome, SessionWorld,
-    TracerClient,
+    client_data_tcp_config, client_endpoint, ports, server_endpoint, two_host_world, ClientConfig,
+    ClientScratch, SessionOutcome, SessionWorld,
 };
-use rv_transport::{Segment, Stack, TcpConfig};
+use rv_transport::{Segment, TcpConfig};
 
 /// Builds a complete world over symmetric links of the given rate/delay.
 fn world(
@@ -116,17 +116,6 @@ fn unavailable_clip_reports_unavailable() {
     let mut rng = SimRng::seed_from_u64(7);
     let net = b.build_with_payload::<Segment>(&mut rng);
 
-    let mut client_stack = Stack::new(HostId(0));
-    let mut server_stack = Stack::new(HostId(1));
-    let s_ctrl = server_stack.tcp_socket(ports::CTRL, TcpConfig::default());
-    let s_data = server_stack.tcp_socket(ports::DATA_TCP, TcpConfig::default());
-    let s_udp = server_stack.udp_socket(ports::DATA_UDP);
-    server_stack.tcp(s_ctrl).listen();
-    server_stack.tcp(s_data).listen();
-    let c_ctrl = client_stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
-    let c_data = client_stack.tcp_socket(ports::CLIENT_DATA, client_data_tcp_config());
-    let c_udp = client_stack.udp_socket(ports::CLIENT_UDP);
-
     let mut catalog = Catalog::new();
     catalog.add(Clip::new(
         "news1.rm",
@@ -135,14 +124,26 @@ fn unavailable_clip_reports_unavailable() {
     ));
     catalog.set_available("news1.rm", false);
 
-    let server = RealServer::new(ServerConfig::default(), catalog, s_ctrl, s_data, s_udp, 1);
+    let server = server_endpoint(
+        HostId(1),
+        TcpConfig::default(),
+        ServerConfig::default(),
+        catalog,
+        1,
+        ServerScratch::default(),
+    );
     let client_cfg = ClientConfig::new(
         "rtsp://server/news1.rm",
         Addr::new(HostId(1), ports::CTRL),
         Addr::new(HostId(1), ports::DATA_TCP),
     );
-    let client = TracerClient::new(client_cfg, c_ctrl, c_data, c_udp);
-    let mut w = SessionWorld::new(net, client_stack, server_stack, server, client);
+    let client = client_endpoint(
+        HostId(0),
+        client_data_tcp_config(),
+        client_cfg,
+        ClientScratch::default(),
+    );
+    let mut w = SessionWorld::new(net, client, server);
     let m = w.run(SimTime::from_secs(30));
     assert_eq!(m.outcome, SessionOutcome::Unavailable);
 }

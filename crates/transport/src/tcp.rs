@@ -327,11 +327,6 @@ impl TcpSocket {
         self.send_buf.len()
     }
 
-    /// `true` when every queued byte has been acknowledged.
-    pub fn all_sent_and_acked(&self) -> bool {
-        self.send_buf.is_empty() && self.snd_una == self.snd_nxt
-    }
-
     /// Requests graceful close after queued data drains.
     pub fn close(&mut self) {
         self.close_requested = true;

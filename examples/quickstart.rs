@@ -7,13 +7,17 @@
 
 use rv_media::{Clip, ContentKind};
 use rv_net::{Addr, HostId, LinkParams, NetBuilder};
-use rv_server::{Catalog, RealServer, ServerConfig};
+use rv_server::{Catalog, ServerConfig, ServerScratch};
 use rv_sim::{SimDuration, SimRng, SimTime};
-use rv_tracer::{client_data_tcp_config, ports, ClientConfig, SessionWorld, TracerClient};
-use rv_transport::{Segment, Stack, TcpConfig};
+use rv_tracer::{
+    client_data_tcp_config, client_endpoint, ports, server_endpoint, ClientConfig, ClientScratch,
+    SessionWorld,
+};
+use rv_transport::{Segment, TcpConfig};
 
 fn main() {
     // 1. A two-host network: client <-> server over a 500 kbps, 40 ms path.
+    //    Hosts are numbered in declaration order: client 0, server 1.
     let mut b = NetBuilder::new();
     let client_node = b.host();
     let server_node = b.host();
@@ -28,35 +32,38 @@ fn main() {
     let mut rng = SimRng::seed_from_u64(7);
     let net = b.build_with_payload::<Segment>(&mut rng);
 
-    // 2. Transport stacks and sockets on each host.
-    let mut client_stack = Stack::new(HostId(0));
-    let mut server_stack = Stack::new(HostId(1));
-    let s_ctrl = server_stack.tcp_socket(ports::CTRL, TcpConfig::default());
-    let s_data = server_stack.tcp_socket(ports::DATA_TCP, TcpConfig::default());
-    let s_udp = server_stack.udp_socket(ports::DATA_UDP);
-    server_stack.tcp(s_ctrl).listen();
-    server_stack.tcp(s_data).listen();
-    let c_ctrl = client_stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
-    let c_data = client_stack.tcp_socket(ports::CLIENT_DATA, client_data_tcp_config());
-    let c_udp = client_stack.udp_socket(ports::CLIENT_UDP);
-
-    // 3. A server with one clip; a client that watches it for a minute.
+    // 2. A server endpoint (stack, listening sockets, RealServer) with one
+    //    clip in its catalog.
     let mut catalog = Catalog::new();
     catalog.add(Clip::new(
         "news1.rm",
         SimDuration::from_secs(300),
         ContentKind::News,
     ));
-    let server = RealServer::new(ServerConfig::default(), catalog, s_ctrl, s_data, s_udp, 42);
+    let server = server_endpoint(
+        HostId(1),
+        TcpConfig::default(),
+        ServerConfig::default(),
+        catalog,
+        42,
+        ServerScratch::default(),
+    );
+
+    // 3. A client endpoint that watches the clip for a minute.
     let client_cfg = ClientConfig::new(
         "rtsp://server/news1.rm",
         Addr::new(HostId(1), ports::CTRL),
         Addr::new(HostId(1), ports::DATA_TCP),
     );
-    let client = TracerClient::new(client_cfg, c_ctrl, c_data, c_udp);
+    let client = client_endpoint(
+        HostId(0),
+        client_data_tcp_config(),
+        client_cfg,
+        ClientScratch::default(),
+    );
 
     // 4. Run the world and report.
-    let mut world = SessionWorld::new(net, client_stack, server_stack, server, client);
+    let mut world = SessionWorld::new(net, client, server);
     let m = world.run(SimTime::from_secs(150));
 
     println!("outcome            : {:?}", m.outcome);

@@ -1,0 +1,87 @@
+//! The scratch contract: a [`WorldScratch`] carries capacity, never state.
+//! Whatever sessions a worker's scratch has been through — none, the same
+//! plan in another order, worlds with a different number of replicas — the
+//! next session's record is the same, bit for bit. `fold`'s freedom to hand
+//! any job to any worker rests on this.
+
+use rv_sim::FaultScenario;
+use rv_study::{
+    plan_campaign, run_job_with, CampaignPlan, GatewayPolicy, SessionJob, SessionRecord,
+    StudyParams,
+};
+use rv_tracer::WorldScratch;
+
+/// `--faults --replicas 2 --gateway nearest` at a small scale.
+fn cluster_plan(scale: f64) -> CampaignPlan {
+    plan_campaign(StudyParams {
+        scale,
+        faults: FaultScenario::default_on(),
+        replicas: 2,
+        gateway: GatewayPolicy::NearestHealthy,
+        ..StudyParams::default()
+    })
+}
+
+fn cold(plan: &CampaignPlan, job: &SessionJob) -> SessionRecord {
+    run_job_with(plan, job, &mut WorldScratch::default())
+}
+
+fn assert_same(a: &SessionRecord, b: &SessionRecord, what: &str) {
+    let key = (a.user_id, &a.clip_name);
+    assert_eq!(key, (b.user_id, &b.clip_name));
+    assert_eq!(a.metrics, b.metrics, "{what}: metrics of {key:?}");
+    assert_eq!(a.rating, b.rating, "{what}: rating of {key:?}");
+    assert_eq!(a.counters, b.counters, "{what}: counters of {key:?}");
+}
+
+#[test]
+fn warm_scratch_in_any_order_equals_cold_scratch() {
+    let plan = cluster_plan(0.015);
+    let jobs = plan.collect_jobs();
+    assert!(jobs.iter().any(|j| !j.fault_plan.is_empty()));
+
+    let each_cold: Vec<_> = jobs.iter().map(|j| cold(&plan, j)).collect();
+    let served_by_replica = each_cold
+        .iter()
+        .filter(|r| r.metrics.served_replica == 1)
+        .count();
+    assert!(served_by_replica > 0, "no session reached replica 1");
+
+    let mut scratch = WorldScratch::default();
+    for (job, want) in jobs.iter().zip(&each_cold) {
+        let got = run_job_with(&plan, job, &mut scratch);
+        assert_same(&got, want, "plan order");
+    }
+    assert_eq!(scratch.servers.len(), 2, "one scratch slot per replica");
+
+    let mut scratch = WorldScratch::default();
+    for (job, want) in jobs.iter().zip(&each_cold).rev() {
+        let got = run_job_with(&plan, job, &mut scratch);
+        assert_same(&got, want, "reverse order");
+    }
+}
+
+/// `PrototypeCache`'s hit rate, and the scratch's replica slots under
+/// worlds of alternating width: classic and 2-replica sessions interleaved
+/// on one scratch build exactly one prototype per replica count (hit rate
+/// = 1 − 2/sessions) and still match their cold records.
+#[test]
+fn mixed_replica_counts_share_one_scratch() {
+    let classic = plan_campaign(StudyParams {
+        scale: 0.005,
+        ..StudyParams::default()
+    });
+    let cluster = cluster_plan(0.005);
+    let mut scratch = WorldScratch::default();
+    let mut sessions = 0;
+    for (narrow, wide) in classic.collect_jobs().iter().zip(&cluster.collect_jobs()) {
+        for (plan, job) in [(&cluster, wide), (&classic, narrow)] {
+            let got = run_job_with(plan, job, &mut scratch);
+            assert_same(&got, &cold(plan, job), "mixed widths");
+            sessions += usize::from(job.available);
+        }
+    }
+    assert!(sessions > 10, "only {sessions} sessions simulated");
+    assert_eq!(scratch.topo.len(), 2);
+    assert_eq!(scratch.servers.len(), 2);
+}
