@@ -462,6 +462,11 @@ fn run_trace(params: StudyParams, user: Option<u32>, clip: Option<String>, out: 
         if trace.faulted { "on" } else { "off" },
     );
     eprintln!("counters: {}", counters_line(&trace.counters));
+    let driver = trace.driver;
+    eprintln!(
+        "driver: instants={} light_instants={} settle_guard_trips={}",
+        driver.instants, driver.light_instants, driver.settle_guard_trips
+    );
     eprintln!("wrote {jsonl_path} and {chrome_path}");
 }
 

@@ -44,10 +44,13 @@ impl FrameSchedule {
         seed: u64,
     ) -> FrameSchedule {
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut frames = Vec::new();
         let mut t = SimDuration::ZERO;
         let mut index = 0u32;
         let base_interval = SimDuration::from_secs_f64(1.0 / encoding.frame_rate);
+        // One allocation, not a doubling chain: frames are never closer
+        // than the base interval (`action <= 1` only stretches it).
+        let at_most = duration.as_micros() / base_interval.as_micros().max(1) + 1;
+        let mut frames = Vec::with_capacity(at_most as usize);
         let mean_bytes = f64::from(encoding.mean_frame_bytes());
 
         while t < duration {
@@ -172,6 +175,21 @@ mod tests {
             "actual {actual} encoded {encoded}"
         );
         assert!(actual > encoded * 0.35, "actual {actual} too low");
+    }
+
+    /// What lets `generate` reserve once: frames are never closer than
+    /// the base interval, whatever the scenes' action levels.
+    #[test]
+    fn frame_count_stays_inside_the_up_front_reserve() {
+        for kind in [ContentKind::Sports, ContentKind::Talk, ContentKind::News] {
+            for bps in [20_000, 80_000, 450_000] {
+                let s = schedule(bps, kind, 300);
+                let base = SimDuration::from_secs_f64(1.0 / s.encoded_fps());
+                let reserve = s.duration().as_micros() / base.as_micros() + 1;
+                assert!(s.len() as u64 <= reserve, "{} > {reserve}", s.len());
+                assert!(s.frames.capacity() as u64 >= reserve);
+            }
+        }
     }
 
     #[test]

@@ -210,16 +210,21 @@ impl TokenBucket {
         self.last_fill = now;
     }
 
+    /// Refills to `now` and reports whether `bytes` could be spent,
+    /// spending nothing: all a refused [`TokenBucket::try_consume`] does.
+    /// Asking again at the same `now` refills by `0.0` — nothing.
+    pub fn covers(&mut self, now: SimTime, bytes: u32) -> bool {
+        self.refill(now);
+        self.tokens >= f64::from(bytes)
+    }
+
     /// Attempts to spend `bytes`; `true` on success.
     pub fn try_consume(&mut self, now: SimTime, bytes: u32) -> bool {
-        self.refill(now);
-        let need = f64::from(bytes);
-        if self.tokens >= need {
-            self.tokens -= need;
-            true
-        } else {
-            false
+        let covered = self.covers(now, bytes);
+        if covered {
+            self.tokens -= f64::from(bytes);
         }
+        covered
     }
 
     /// When enough tokens for `bytes` will have accumulated.

@@ -204,9 +204,14 @@ struct ActiveStream {
     tcp_bytes_acked_prev: u64,
     last_timeout_check: SimTime,
     /// The pump emits and evaluates nothing before this instant (see
-    /// [`RealServer::idle_until`]). Lives with the stream, so whatever
-    /// replaces or drops the stream drops the claim with it.
+    /// [`RealServer::idle_until`]) while the transport still refuses
+    /// `blocked_need`. Lives with the stream, so whatever replaces or
+    /// drops the stream drops the claim with it.
     idle_until: SimTime,
+    /// The smallest item the last pump owed and the transport refused, in
+    /// bytes of TCP send capacity or bucket tokens; `u32::MAX` when it
+    /// refused nothing and the claim is the clock's alone.
+    blocked_need: u32,
 }
 
 /// Recyclable server storage: every buffer a [`RealServer`] stages bytes
@@ -402,10 +407,54 @@ impl RealServer {
 
     /// The instant before which the data pump provably emits and evaluates
     /// nothing — *exact* where [`RealServer::next_wake`] is conservative.
-    /// [`SimTime::ZERO`] makes no claim: no stream, a stream not yet
-    /// pumped, or a pump the transport blocked.
+    /// A pump the transport blocked claims the next clock edge among what
+    /// it does *not* owe yet (rate evaluation, an audio packet or frame
+    /// still outside the buffer lead), for as long as the transport keeps
+    /// refusing what it does owe. [`SimTime::ZERO`] makes no claim: no
+    /// stream, a stream not yet pumped, or a blocked retry that is itself
+    /// work (a thinning frame accrues `thin_debt` every time it is tried).
     pub fn idle_until(&self) -> SimTime {
         self.stream.as_ref().map_or(SimTime::ZERO, |s| s.idle_until)
+    }
+
+    /// The instant strictly before which — with no new inbound packet — a
+    /// poll does nothing beyond what [`RealServer::quiet_step`] does:
+    /// forever for a dead process, [`SimTime::ZERO`] (no claim) while the
+    /// control plane has anything to act on, else the pump's claim.
+    pub fn quiet_until(&self, stack: &Stack) -> SimTime {
+        if !self.alive {
+            SimTime::MAX
+        } else if !self.control_idle(stack) {
+            SimTime::ZERO
+        } else {
+            self.stream.as_ref().map_or(SimTime::MAX, |s| s.idle_until)
+        }
+    }
+
+    /// Takes a server through instant `now`, strictly before its
+    /// [`RealServer::quiet_until`], in place of a poll. Returns whether
+    /// that poll would indeed have done nothing — the last pump's claim
+    /// still stands: `now` is short of its clock edge and the transport
+    /// still refuses the smallest item owed. On `false` the caller owes
+    /// the server a full poll at `now`.
+    ///
+    /// This is not a pure question for a pump blocked on its token
+    /// bucket: the bucket's `f64` fill level depends on every instant it
+    /// is asked at, so the step makes exactly the one refill the pump's
+    /// refused `try_consume` would have made.
+    pub fn quiet_step(&mut self, now: SimTime, stack: &Stack) -> bool {
+        let Some(stream) = self.stream.as_mut() else {
+            return true;
+        };
+        let need = stream.blocked_need;
+        now < stream.idle_until
+            && (need == u32::MAX
+                || match stream.transport {
+                    TransportKind::Tcp => {
+                        stack.tcp_ref(self.data_tcp).send_capacity_left() < need as usize
+                    }
+                    TransportKind::Udp => !stream.bucket.covers(now, need),
+                })
     }
 
     /// Debug snapshot: (rung, next_frame, schedule len, sent_until ms).
@@ -441,6 +490,13 @@ impl RealServer {
         if !idle || cfg!(debug_assertions) {
             work = self.poll_control(now, stack);
             debug_assert!(!idle || work == 0, "control plane worked while idle");
+            if work > 0 {
+                // A receiver report moves the rate a blocked bucket
+                // refills at: what the last pump learned no longer holds.
+                if let Some(stream) = self.stream.as_mut().filter(|s| s.blocked_need != u32::MAX) {
+                    stream.idle_until = SimTime::ZERO;
+                }
+            }
         }
         let pumped = self.pump_data(now, stack);
         if pumped > 0 {
@@ -655,6 +711,7 @@ impl RealServer {
             tcp_bytes_acked_prev: 0,
             last_timeout_check: now,
             idle_until: SimTime::ZERO,
+            blocked_need: u32::MAX,
             clip,
         }));
     }
@@ -675,9 +732,9 @@ impl RealServer {
     }
 
     fn pump_data(&mut self, now: SimTime, stack: &mut Stack) -> usize {
-        // Executable spec of `idle_until`: debug builds still run the
+        // Executable spec of `quiet_step`: debug builds still run the
         // pump and hold it to having emitted nothing.
-        let idle = now < self.idle_until();
+        let idle = self.quiet_step(now, stack);
         if idle && !cfg!(debug_assertions) {
             return 0;
         }
@@ -691,8 +748,10 @@ impl RealServer {
             return 0;
         };
         let mut emitted = 0;
-        // Set when the transport, not the media clock, stopped a loop.
-        let mut blocked = false;
+        // What the transport, not the media clock, stopped each loop on:
+        // the bytes it refused.
+        let mut audio_need = None;
+        let mut video_need = None;
         self.evaluate_rate(now, stack, &mut stream);
 
         let media_clock = now.saturating_since(stream.play_epoch);
@@ -739,7 +798,7 @@ impl RealServer {
                 }
             };
             if !can_send {
-                blocked = true;
+                audio_need = Some(wire);
                 break;
             }
             let mut pkt = pkt;
@@ -800,7 +859,7 @@ impl RealServer {
                 }
             };
             if !can_send {
-                blocked = true;
+                video_need = Some(wire_with_fec);
                 break;
             }
             for i in 0..self.scratch.pkt_scratch.len() {
@@ -850,21 +909,31 @@ impl RealServer {
 
         self.flush_txbuf(stack);
         self.flush_udp(stack);
-        stream.idle_until = if blocked {
-            // What unblocks the pump is not a clock edge: the TCP window
-            // opens when the stack says so, and the token bucket's `f64`
-            // refill depends on every instant it is asked at.
+        // Retrying a refused frame is itself work when it thins: every
+        // try accrues `thin_debt`. Such a pump claims nothing.
+        let retry_thins = video_need.is_some()
+            && thin_ratio < 0.90
+            && !stream.schedule.frames()[stream.next_frame].key;
+        stream.blocked_need = audio_need
+            .unwrap_or(u32::MAX)
+            .min(video_need.unwrap_or(u32::MAX));
+        stream.idle_until = if retry_thins {
             SimTime::ZERO
         } else {
-            // Both loops ran to the horizon, so the next thing the pump
-            // does is the earliest of: the next rate evaluation, the next
-            // audio packet or frame coming inside the buffer lead.
+            // Each loop ran to the horizon or to a refusal, so the next
+            // thing the pump does — short of the transport relenting,
+            // which is not a clock edge: the staged bytes are flushed, so
+            // a refused item needs `blocked_need` on its own — is the
+            // earliest of: the next rate evaluation, the next audio
+            // packet or frame coming inside the buffer lead.
             let lead = self.cfg.buffer_lead;
             let mut until = stream.last_rate_eval + self.cfg.rate_eval_period;
-            if stream.next_audio < stream.clip.duration {
+            if audio_need.is_none() && stream.next_audio < stream.clip.duration {
                 until = until.min(stream.play_epoch + stream.next_audio.saturating_sub(lead));
             }
-            if let Some(frame) = stream.schedule.frames().get(stream.next_frame) {
+            if let (None, Some(frame)) =
+                (video_need, stream.schedule.frames().get(stream.next_frame))
+            {
                 until = until.min(stream.play_epoch + frame.pts.saturating_sub(lead));
             }
             until
@@ -1218,14 +1287,46 @@ mod tests {
         }
     }
 
+    /// More lead than the data socket's send buffer holds: the first pump
+    /// fills the socket, and what is still owed — flipped to UDP — is many
+    /// times the token bucket's burst, at an allowed rate comfortably
+    /// above the rung's (no thinning).
+    fn long_lead() -> ServerConfig {
+        ServerConfig {
+            buffer_lead: SimDuration::from_secs(40),
+            ..ServerConfig::default()
+        }
+    }
+
     const TICK: SimDuration = SimDuration::from_micros(1);
 
+    /// Past `can_send` the pump does not care which transport carries it;
+    /// flipping the live stream to UDP puts it under the rate controller
+    /// and the token bucket without a control handshake for the client
+    /// address.
+    fn flip_to_udp(server: &mut RealServer) {
+        let stream = server.stream.as_mut().expect("streaming");
+        stream.transport = TransportKind::Udp;
+        stream.client_udp = Some(Addr::new(rv_net::HostId(0), 5002));
+    }
+
+    fn blocked_need(server: &RealServer) -> u32 {
+        server.stream.as_ref().expect("streaming").blocked_need
+    }
+
+    /// Frees the data socket's send buffer, as the peer's ACKs would.
+    fn drain_data_socket(server: &RealServer, stack: &mut Stack) {
+        stack.tcp(server.data_tcp).reset();
+        stack.tcp(server.data_tcp).listen();
+    }
+
     #[test]
-    fn unblocked_pump_claims_its_next_edge_and_a_blocked_pump_claims_nothing() {
-        let (mut server, mut stack) = streaming(short_lead(), 300_000);
+    fn tcp_blocked_pump_claims_its_next_clock_edge_until_capacity_reaches_the_need() {
+        let cfg = short_lead();
+        let (mut server, mut stack) = streaming(cfg, 300_000);
         let mut now = SimTime::ZERO;
         let mut claims = 0;
-        while server.idle_until() != SimTime::ZERO {
+        while blocked_need(&server) == u32::MAX {
             let until = server.idle_until();
             assert!(until > now, "claim {until:?} not ahead of {now:?}");
             // One tick short of the claim: nothing to do (debug builds
@@ -1236,14 +1337,129 @@ mod tests {
             server.poll(now, &mut stack);
             claims += 1;
         }
-        // The claim lapsed because the transport blocked, not the clip.
+        // The transport blocked, not the clip.
         assert!(claims > 20, "only {claims} unblocked pumps");
         assert!(server.is_streaming());
         assert!(now < SimTime::from_secs(30), "never blocked");
-        assert!(stack.tcp_ref(server.data_tcp).send_capacity_left() < 16 * 1024);
-        // Still blocked a second later: still no claim.
-        server.poll(now + SimDuration::from_secs(1), &mut stack);
-        assert_eq!(server.idle_until(), SimTime::ZERO);
+        let need = blocked_need(&server) as usize;
+        assert!(stack.tcp_ref(server.data_tcp).send_capacity_left() < need);
+        assert!(need < 16 * 1024);
+
+        // Blocked, the pump still claims a clock edge — the earliest thing
+        // it does not owe yet — and walks edge to edge sending nothing.
+        for _ in 0..40 {
+            let until = server.idle_until();
+            assert!(until > now && until <= now + cfg.rate_eval_period);
+            assert_eq!(server.quiet_until(&stack), until);
+            assert!(server.quiet_step(until - TICK, &stack));
+            assert_eq!(server.poll(until - TICK, &mut stack), 0);
+            // At the edge itself the newly owed item may be small enough
+            // to fit where the refused one does not.
+            now = until;
+            server.poll(now, &mut stack);
+            assert_ne!(blocked_need(&server), u32::MAX);
+        }
+
+        // One byte short of the need is still a refusal; the need is not.
+        let until = server.idle_until();
+        let need = blocked_need(&server) as usize;
+        drain_data_socket(&server, &mut stack);
+        let room = stack.tcp_ref(server.data_tcp).send_capacity_left();
+        stack.tcp(server.data_tcp).send(&vec![0; room - need + 1]);
+        assert!(server.quiet_step(until - TICK, &stack));
+        drain_data_socket(&server, &mut stack);
+        stack.tcp(server.data_tcp).send(&vec![0; room - need]);
+        assert_eq!(
+            server.quiet_until(&stack),
+            until,
+            "the clock's claim stands"
+        );
+        assert!(!server.quiet_step(until - TICK, &stack));
+        assert!(server.poll(until - TICK, &mut stack) > 0);
+    }
+
+    #[test]
+    fn bucket_blocked_pump_refills_every_instant_and_sends_the_instant_the_need_fits() {
+        let (mut server, mut stack) = streaming(long_lead(), 300_000);
+        flip_to_udp(&mut server);
+        let mut now = SimTime::from_millis(20);
+        assert!(server.poll(now, &mut stack) > 0);
+        let (mut refused, mut sent) = (0, 0);
+        for _ in 0..400 {
+            now += SimDuration::from_micros(7_321);
+            let need = blocked_need(&server);
+            assert_ne!(need, u32::MAX, "the backlog outlasts the test");
+            if now >= server.quiet_until(&stack) {
+                // A clock edge (rate evaluation): no claim reaches past it.
+                server.poll(now, &mut stack);
+                continue;
+            }
+            let bucket = &server.stream.as_ref().expect("streaming").bucket;
+            let fits = bucket.clone().covers(now, need);
+            // The step is the refill, and its answer is the bucket's.
+            assert_eq!(server.quiet_step(now, &stack), !fits);
+            let bucket = &mut server.stream.as_mut().expect("streaming").bucket;
+            assert_eq!(bucket.next_ready(now, need) <= now, fits);
+            // Debug builds run the pump under the claim and hold it to
+            // nothing emitted; either way the poll agrees with the step.
+            let pumped = server.poll(now, &mut stack);
+            assert_eq!(pumped > 0, fits);
+            refused += u32::from(!fits);
+            sent += u32::from(fits);
+        }
+        assert!(refused > 200 && sent > 20, "{refused} refused, {sent} sent");
+    }
+
+    #[test]
+    fn report_voids_a_blocked_claim_and_a_thinning_retry_never_makes_one() {
+        let (mut server, mut stack) = streaming(long_lead(), 300_000);
+        flip_to_udp(&mut server);
+        let mut now = SimTime::from_millis(20);
+        server.poll(now, &mut stack);
+        assert_ne!(blocked_need(&server), u32::MAX);
+        let rate = server.stream.as_ref().expect("streaming").bucket.rate_bps();
+
+        // A lossy report lands one tick later: the bucket cannot yet
+        // cover the need, but the claim was made at the old rate — the
+        // pump runs in full and re-rates the bucket.
+        now += TICK;
+        request(
+            &mut server,
+            Message::request(Method::SetParameter, URL)
+                .with_header(REPORT_PARAM, "0.200000:40000.0"),
+        );
+        assert!(now < server.idle_until());
+        server.poll(now, &mut stack);
+        let stream = server.stream.as_ref().expect("streaming");
+        assert!(stream.bucket.rate_bps() < rate / 2.0);
+
+        // At that rate the stream thins until the rung comes down to
+        // meet it. Every refused retry of a thinning frame accrues thin
+        // debt, so it is never claimed away; any other refusal is.
+        let (mut thinning, mut claimed) = (0, 0);
+        for _ in 0..3_000 {
+            now += SimDuration::from_millis(20);
+            server.poll(now, &mut stack);
+            let stream = server.stream.as_ref().expect("streaming");
+            // Audio is a trickle: when the bucket refuses, it refuses a frame.
+            if stream.blocked_need == u32::MAX || stream.next_frame == stream.schedule.len() {
+                continue;
+            }
+            let rung_bps = f64::from(stream.clip.ladder.rungs()[stream.rung].total_bps);
+            let thins = !stream.schedule.frames()[stream.next_frame].key
+                && 0.85 * server.allowed_bps() / rung_bps < 0.90;
+            if thins {
+                assert_eq!(stream.idle_until, SimTime::ZERO);
+                thinning += 1;
+            } else {
+                assert!(now < stream.idle_until);
+                claimed += 1;
+            }
+        }
+        assert!(
+            thinning > 100 && claimed > 100,
+            "{thinning} thinning, {claimed} claimed"
+        );
     }
 
     #[test]
@@ -1277,12 +1493,7 @@ mod tests {
     fn rung_switch_recomputes_the_claim_from_the_new_schedule() {
         let cfg = short_lead();
         let (mut server, mut stack) = streaming(cfg, 300_000);
-        // Past `can_send` the pump does not care which transport carries
-        // it; flipping the live stream to UDP puts the rung under the rate
-        // controller without a control handshake for the client address.
-        let stream = server.stream.as_mut().expect("streaming");
-        stream.transport = TransportKind::Udp;
-        stream.client_udp = Some(Addr::new(rv_net::HostId(0), 5002));
+        flip_to_udp(&mut server);
         let rung = server.current_rung().expect("streaming");
 
         // A lossy report lands while the pump is idle; the rate it sets
@@ -1357,5 +1568,109 @@ mod tests {
         core.set_parameter("u", REPORT_PARAM, "not a report");
         assert_eq!(core.pending_reports.len(), 1);
         assert!((core.pending_reports[0].loss_rate - 0.05).abs() < 1e-9);
+    }
+
+    /// What a pump may change while it emits nothing, bit for bit.
+    fn pump_state(server: &RealServer) -> impl PartialEq + std::fmt::Debug {
+        let s = server.stream.as_ref().expect("streaming");
+        (
+            // `{:?}` round-trips `f64`s: fill level, last fill, rate.
+            format!("{:?}", s.bucket),
+            s.thin_debt.to_bits(),
+            (s.next_frame, s.next_audio, s.audio_seq, s.rung),
+            (s.last_rate_eval, s.last_switch, s.last_timeout_check),
+            (s.idle_until, s.blocked_need),
+            (server.tfrc.allowed_bps().to_bits(), server.next_seq),
+            server.stats,
+        )
+    }
+
+    proptest::proptest! {
+        /// Under arbitrary poll schedules, report sequences and drains of
+        /// the data socket, on either transport: whenever the server says
+        /// it is quiet, the full control plane and the full pump (called
+        /// here directly, past their early-outs) do nothing and leave
+        /// every bit where the quiet step left it; no claim reaches past
+        /// the next thing the pump owes; and the rate stays inside its
+        /// bounds and the rung inside the ladder.
+        #[test]
+        fn quiet_claims_are_exact_under_arbitrary_schedules(
+            udp in proptest::prelude::any::<bool>(),
+            long in proptest::prelude::any::<bool>(),
+            steps in proptest::prelude::prop::collection::vec(
+                (
+                    proptest::prop_oneof![1u64..25_000, 1u64..25_000, 100_000u64..1_500_000],
+                    0u8..24,
+                    0u32..400_000,
+                ),
+                50..400,
+            ),
+        ) {
+            let cfg = if long { long_lead() } else { short_lead() };
+            let (mut server, mut stack) = streaming(cfg, 300_000);
+            if udp {
+                flip_to_udp(&mut server);
+            }
+            let mut now = SimTime::ZERO;
+            let mut quiet_steps = 0;
+            for (dt, op, arg) in steps {
+                now += SimDuration::from_micros(dt);
+                match op {
+                    0 => {
+                        let report = ReceiverReport {
+                            loss_rate: f64::from(arg % 1_000) / 2_000.0 * f64::from(arg % 3),
+                            recv_rate_bps: f64::from(arg),
+                        };
+                        request(
+                            &mut server,
+                            Message::request(Method::SetParameter, URL)
+                                .with_header(REPORT_PARAM, report.encode()),
+                        );
+                    }
+                    1 if !udp => drain_data_socket(&server, &mut stack),
+                    _ => {}
+                }
+                if now < server.quiet_until(&stack) && server.quiet_step(now, &stack) {
+                    quiet_steps += 1;
+                    // Every pump re-rates the bucket before reading it, so
+                    // an early-out may leave a stale rate behind — except
+                    // under a refusal, whose step refills: a report voids
+                    // those (asserted by the refill matching below).
+                    let stream = server.stream.as_mut().expect("streaming");
+                    if stream.blocked_need == u32::MAX {
+                        stream.bucket.set_rate(server.tfrc.allowed_bps().max(8_000.0));
+                    }
+                    let left = pump_state(&server);
+                    proptest::prop_assert_eq!(server.poll_control(now, &mut stack), 0);
+                    proptest::prop_assert_eq!(server.pump_stream(now, &mut stack), 0);
+                    let after = pump_state(&server);
+                    proptest::prop_assert!(after == left, "{:?}\n != \n{:?}", after, left);
+                    proptest::prop_assert_eq!(server.poll(now, &mut stack), 0);
+                } else {
+                    server.poll(now, &mut stack);
+                }
+
+                let s = server.stream.as_ref().expect("streaming");
+                // Every edge still ahead bounds the claim; an edge already
+                // passed is an item owed, which only a refusal excuses.
+                let lead = server.cfg.buffer_lead;
+                let audio = (s.next_audio < s.clip.duration)
+                    .then(|| s.play_epoch + s.next_audio.saturating_sub(lead));
+                let frame = s.schedule.frames().get(s.next_frame)
+                    .map(|f| s.play_epoch + f.pts.saturating_sub(lead));
+                let eval = Some(s.last_rate_eval + server.cfg.rate_eval_period);
+                for edge in [audio, frame, eval].into_iter().flatten() {
+                    if edge > now {
+                        proptest::prop_assert!(s.idle_until <= edge);
+                    } else {
+                        proptest::prop_assert!(s.blocked_need != u32::MAX, "owed at {:?}, unclaimed", edge);
+                    }
+                }
+                proptest::prop_assert!(s.rung <= s.max_rung && s.max_rung < s.clip.ladder.len());
+                let allowed = server.allowed_bps();
+                proptest::prop_assert!((10_000.0..=600_000.0).contains(&allowed), "allowed {}", allowed);
+            }
+            proptest::prop_assert!(quiet_steps > 0);
+        }
     }
 }

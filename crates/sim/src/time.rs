@@ -47,11 +47,7 @@ impl SimTime {
     /// Creates an instant from fractional seconds, rounding to the nearest
     /// microsecond. Negative inputs clamp to time zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            SimTime::ZERO
-        } else {
-            SimTime((secs * 1e6).round() as u64)
-        }
+        SimTime(SimDuration::from_secs_f64(secs).0)
     }
 
     /// Microseconds since time zero.
@@ -103,6 +99,26 @@ impl SimTime {
     }
 }
 
+/// Exactly `x.round() as u64` (half away from zero; negatives and NaN to
+/// zero; saturating), spelled without the call: baseline x86-64 has no
+/// rounding instruction, so `f64::round` is a libc call, and
+/// `Link::start_next` comes through here once per packet served.
+fn round_to_u64(x: f64) -> u64 {
+    /// From here up every `f64` is an integer.
+    const ALL_INTEGERS: f64 = (1u64 << 52) as f64;
+    // Below 0.5 — `0.5 - ulp` in particular, which `+ 0.5` would carry to
+    // 1.0 — the nearest integer is zero; from 2^52 up `+ 0.5` would tie an
+    // odd integer to its even neighbour. Between, the sum is exact or
+    // stays inside its integer's unit interval.
+    if x < 0.5 {
+        0
+    } else if x >= ALL_INTEGERS {
+        x as u64
+    } else {
+        (x + 0.5) as u64
+    }
+}
+
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -127,11 +143,7 @@ impl SimDuration {
     /// A duration from fractional seconds, rounding to the nearest
     /// microsecond. Negative inputs clamp to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration((secs * 1e6).round() as u64)
-        }
+        SimDuration(round_to_u64(secs * 1e6))
     }
 
     /// Total microseconds.
@@ -309,6 +321,51 @@ mod tests {
         let t = SimTime::from_secs_f64(1.234567);
         assert_eq!(t.as_micros(), 1_234_567);
         assert!((t.as_secs_f64() - 1.234567).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        /// The branch form is `f64::round` on every bit pattern: arbitrary
+        /// ones, the neighbourhood of every half-integer boundary, odd
+        /// integers past 2^52, and — every case — the two inputs `+ 0.5`
+        /// alone gets wrong, NaN, both infinities and the saturating end.
+        #[test]
+        fn round_to_u64_is_f64_round(
+            bits in proptest::prelude::any::<u64>(),
+            whole in 0u64..(1 << 54),
+            ulps in 0u64..4,
+        ) {
+            let half = whole as f64 + 0.5;
+            let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+            let first_odd = ((1u64 << 52) + 1) as f64;
+            proptest::prop_assert_eq!(below_half + 0.5, 1.0);
+            proptest::prop_assert_ne!(first_odd + 0.5, first_odd);
+            for x in [
+                f64::from_bits(bits),
+                f64::from_bits(half.to_bits() - ulps),
+                f64::from_bits(half.to_bits() + ulps),
+                ((1u64 << 52) + 2 * whole + 1) as f64,
+                below_half,
+                first_odd,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                u64::MAX as f64,
+            ] {
+                proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+            }
+        }
+    }
+
+    #[test]
+    fn float_seconds_saturate_and_nan_is_zero() {
+        // A glacial link's service time saturates instead of wrapping.
+        assert_eq!(
+            SimDuration::from_secs_f64(1500.0 * 8.0 / 1e-300),
+            SimDuration::MAX
+        );
+        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
+        assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
     }
 
     #[test]

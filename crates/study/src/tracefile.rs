@@ -9,7 +9,7 @@
 
 use rv_sim::trace::{self, TraceEvent, TraceRecord};
 use rv_sim::{CounterSet, SimTime};
-use rv_tracer::{SessionMetrics, WorldScratch};
+use rv_tracer::{DriverWork, SessionMetrics, WorldScratch};
 
 use crate::campaign::StudyParams;
 use crate::executor::run_job_with;
@@ -35,6 +35,9 @@ pub struct SessionTrace {
     /// The session's deterministic counters — identical to the values
     /// this session contributes to the campaign totals.
     pub counters: CounterSet,
+    /// What the driver loop did to run the session: instants visited,
+    /// how many of them only the network needed, settle-guard trips.
+    pub driver: DriverWork,
 }
 
 impl SessionTrace {
@@ -164,7 +167,8 @@ pub fn trace_session(
     });
     // The campaign's own job runner, so the trace is the exact session a
     // campaign would run at any replica count, fault plan or seed.
-    let record = run_job_with(&plan, job, &mut WorldScratch::default());
+    let mut scratch = WorldScratch::default();
+    let record = run_job_with(&plan, job, &mut scratch);
     if !job.available {
         // The clip was unavailable at request time: nothing simulated.
         trace::emit(SimTime::ZERO, || TraceEvent::SessionEnd {
@@ -181,6 +185,7 @@ pub fn trace_session(
         records,
         metrics: record.metrics,
         counters: record.counters,
+        driver: scratch.work,
     })
 }
 

@@ -359,9 +359,9 @@ impl TracerClient {
     /// progress into their settle fixed point uniformly with the stacks
     /// and the network.
     pub fn poll(&mut self, now: SimTime, stack: &mut Stack) -> usize {
-        // Executable spec of `idle_at`: debug builds still run the poll
-        // and hold it to having done nothing.
-        let idle = self.idle_at(now, stack);
+        // Executable spec of `quiet_until`: debug builds still run the
+        // poll and hold it to having done nothing.
+        let idle = now < self.quiet_until(stack);
         if idle && !cfg!(debug_assertions) {
             return 0;
         }
@@ -370,16 +370,21 @@ impl TracerClient {
         work
     }
 
-    /// Whether a poll at `now` provably does nothing: a steady `Playing`
-    /// client with nothing to read acts only on a clock edge, and the
-    /// earliest one is known exactly (the player's
-    /// [`Player::idle_until`], the session deadline, the next receiver
-    /// report, the watch limit). Every other phase, and a hardened
-    /// client (whose fault watch reads socket errors and stall clocks),
-    /// is never idle — it simply runs the poll.
-    fn idle_at(&self, now: SimTime, stack: &Stack) -> bool {
-        if self.phase != Phase::Playing || self.hardened {
-            return false;
+    /// The instant strictly before which — with no new inbound packet — a
+    /// poll provably does nothing; [`SimTime::ZERO`] makes no claim. A
+    /// steady `Playing` client with nothing to read and no socket error to
+    /// act on moves only on a clock edge, and the earliest one is known
+    /// exactly: the player's [`Player::idle_until`], the session deadline,
+    /// the next receiver report, the watch limit and, hardened, the fault
+    /// watch's stall and UDP-silence limits. Every other phase claims
+    /// nothing — it simply runs the poll.
+    pub fn quiet_until(&self, stack: &Stack) -> SimTime {
+        if self.phase != Phase::Playing
+            || stack.tcp_ref(self.ctrl).recv_available() != 0
+            || stack.tcp_ref(self.data_tcp).recv_available() != 0
+            || stack.udp_ref(self.udp).recv_queue_len() != 0
+        {
+            return SimTime::ZERO;
         }
         let mut until = self.player.idle_until();
         if let Some(start) = self.start_time {
@@ -391,10 +396,26 @@ impl TracerClient {
         if let Some(play_start) = self.play_start {
             until = until.min(play_start + self.cfg.watch_limit);
         }
-        now < until
-            && stack.tcp_ref(self.ctrl).recv_available() == 0
-            && stack.tcp_ref(self.data_tcp).recv_available() == 0
-            && stack.udp_ref(self.udp).recv_queue_len() == 0
+        if self.hardened {
+            // What `watch_faults` reads while `Playing`.
+            let Some(quiet_since) = self.last_data.or(self.play_start) else {
+                return SimTime::ZERO;
+            };
+            if stack.tcp_ref(self.ctrl).has_error()
+                || (self.transport == Some(TransportKind::Tcp)
+                    && stack.tcp_ref(self.data_tcp).has_error())
+            {
+                return SimTime::ZERO;
+            }
+            until = until.min(quiet_since + self.cfg.stall_limit);
+            if self.transport == Some(TransportKind::Udp)
+                && !self.fell_back
+                && self.last_data.is_none()
+            {
+                until = until.min(quiet_since + self.cfg.data_timeout);
+            }
+        }
+        until
     }
 
     fn poll_active(&mut self, now: SimTime, stack: &mut Stack) -> usize {
@@ -919,11 +940,12 @@ mod tests {
     use rv_net::HostId;
     use rv_transport::TcpConfig;
 
-    /// The early-out belongs to one state only: a steady, unhardened
-    /// `Playing` client with nothing to read, strictly before its next
-    /// clock edge. Every other phase, and a hardened client, runs the poll.
+    /// The early-out belongs to one phase only: a steady `Playing` client
+    /// with nothing to read, strictly before its next clock edge. Every
+    /// other phase runs the poll; hardening only adds edges and the
+    /// socket-error veto.
     #[test]
-    fn only_a_steady_unhardened_playing_client_is_ever_idle() {
+    fn only_a_steady_playing_client_is_ever_quiet() {
         let mut stack = Stack::new(HostId(0));
         let ctrl = stack.tcp_socket(2000, TcpConfig::default());
         let data = stack.tcp_socket(2001, TcpConfig::default());
@@ -934,7 +956,8 @@ mod tests {
             Addr::new(server, 554),
             Addr::new(server, 555),
         );
-        let watch_limit = cfg.watch_limit;
+        let (watch_limit, stall_limit, data_timeout) =
+            (cfg.watch_limit, cfg.stall_limit, cfg.data_timeout);
         let mut client = TracerClient::new(cfg, ctrl, data, udp, ClientScratch::default());
         client.start_time = Some(SimTime::ZERO);
         client.play_start = Some(SimTime::ZERO);
@@ -952,20 +975,30 @@ mod tests {
             Phase::Done,
         ] {
             client.phase = phase;
-            assert!(!client.idle_at(now, &stack), "{phase:?} took the early-out");
+            assert_eq!(
+                client.quiet_until(&stack),
+                SimTime::ZERO,
+                "{phase:?} took the early-out"
+            );
         }
 
-        // Playing, nothing buffered, nothing to read: idle up to the
-        // earliest edge (here the watch limit), not at it.
+        // Playing, nothing buffered, nothing to read: quiet up to the
+        // earliest edge (here the watch limit), not at it. Debug builds
+        // run the poll under the claim and assert it did nothing.
         client.phase = Phase::Playing;
-        assert!(client.idle_at(now, &stack));
+        assert_eq!(client.quiet_until(&stack), SimTime::ZERO + watch_limit);
         assert_eq!(client.poll(now, &mut stack), 0);
-        assert!(!client.idle_at(SimTime::ZERO + watch_limit, &stack));
 
+        // Hardened, the fault watch's clocks come first: total silence on
+        // UDP trips the fallback, silence after data trips the stall.
         client.harden();
-        assert!(
-            !client.idle_at(now, &stack),
-            "hardened client took the early-out"
-        );
+        assert_eq!(client.quiet_until(&stack), SimTime::ZERO + stall_limit);
+        assert_eq!(client.poll(now, &mut stack), 0);
+        client.transport = Some(TransportKind::Udp);
+        client.last_report = SimTime::from_secs(30);
+        assert_eq!(client.quiet_until(&stack), SimTime::ZERO + data_timeout);
+        client.last_data = Some(now);
+        assert_eq!(client.quiet_until(&stack), now + stall_limit);
+        assert_eq!(client.poll(now + SimDuration::from_secs(1), &mut stack), 0);
     }
 }

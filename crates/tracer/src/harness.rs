@@ -162,6 +162,9 @@ pub struct WorldScratch {
     /// (routes are a pure function of structure; see
     /// [`rv_net::TopologyPrototype`]).
     pub topo: PrototypeCache,
+    /// The driver work of every world retired into this scratch, summed:
+    /// a worker's tally, which no session ever reads back.
+    pub work: DriverWork,
 }
 
 /// One complete streaming world: network, two stacks, server, client.
@@ -190,6 +193,22 @@ pub struct SessionWorld {
     /// Per-replica settle-loop scheduling flags `(app_ran, poll_app)`,
     /// kept across `run` calls so their capacity is allocated once.
     replica_flags: Vec<(bool, bool)>,
+    /// What `run` has done so far.
+    work: DriverWork,
+}
+
+/// What the driver loop did, as opposed to what the simulation did — so
+/// plain numbers beside the world, not [`CounterSet`] keys: a faster
+/// driver must not move a digest of the simulation's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriverWork {
+    /// Instants [`SessionWorld::run`] visited.
+    pub instants: u64,
+    /// Those at which only the network had work — every other component
+    /// was strictly before its `quiet_until` — and only the network ran.
+    pub light_instants: u64,
+    /// Instants the settle loop left unconverged at its 64-round guard.
+    pub settle_guard_trips: u64,
 }
 
 impl SessionWorld {
@@ -211,7 +230,13 @@ impl SessionWorld {
             now: SimTime::ZERO,
             faults: None,
             replica_flags: Vec::new(),
+            work: DriverWork::default(),
         }
+    }
+
+    /// What [`SessionWorld::run`] has done so far.
+    pub fn driver_work(&self) -> DriverWork {
+        self.work
     }
 
     /// Adds a server replica (index `1 + replicas.len()` from the
@@ -300,119 +325,45 @@ impl SessionWorld {
     /// deadlines; the clock picks up where it left off.
     pub fn run(&mut self, deadline: SimTime) -> SessionMetrics {
         let mut now = self.now;
+        // Strictly before this instant every component but the network
+        // has promised to be quiet; `ZERO` promises nothing.
+        let mut quiet_until = SimTime::ZERO;
         loop {
-            self.apply_faults(now);
-            // Settle all work at the current instant. The guard bounds
-            // pathological ping-pong at one instant.
-            //
-            // Components are wake-scheduled: a stack is polled only when it
-            // has observable work (`needs_poll`: inbound packets, deferred
-            // output, a due timer) or its application has run since the
-            // stack was last flushed. Applications run once per instant
-            // unconditionally (their time-based triggers — pacing, reports,
-            // timeouts — fire on the first poll of an instant) and again
-            // only after their stack delivered or flushed something. All
-            // poll results, the applications' included, feed the `moved`
-            // fixed-point counter uniformly.
-            let mut client_app_ran = false;
-            let mut server_app_ran = false;
-            let mut poll_client_app = true;
-            let mut poll_server_app = true;
-            for flags in &mut self.replica_flags {
-                *flags = (false, true);
-            }
-            for _ in 0..64 {
-                let mut moved = self.net.poll(now);
-                if self.client_stack.needs_poll(&self.net, now) || client_app_ran {
-                    let handled = self.client_stack.poll(now, &mut self.net);
-                    client_app_ran = false;
-                    poll_client_app |= handled > 0;
-                    moved += handled;
-                }
-                if self.server_stack.needs_poll(&self.net, now) || server_app_ran {
-                    let handled = self.server_stack.poll(now, &mut self.net);
-                    server_app_ran = false;
-                    poll_server_app |= handled > 0;
-                    moved += handled;
-                }
-                if poll_server_app {
-                    poll_server_app = false;
-                    let worked = self.server.poll(now, &mut self.server_stack);
-                    server_app_ran |= worked > 0;
-                    moved += worked;
-                }
-                if poll_client_app {
-                    poll_client_app = false;
-                    let worked = self.client.poll(now, &mut self.client_stack);
-                    client_app_ran |= worked > 0;
-                    moved += worked;
-                }
-                // Replica servers ride the same wake-scheduling contract
-                // as the primary: stack when it has observable work, app
-                // once per instant and again after stack progress.
-                for ((stack, server), (app_ran, poll_app)) in
-                    self.replicas.iter_mut().zip(&mut self.replica_flags)
-                {
-                    if stack.needs_poll(&self.net, now) || *app_ran {
-                        let handled = stack.poll(now, &mut self.net);
-                        *app_ran = false;
-                        *poll_app |= handled > 0;
-                        moved += handled;
-                    }
-                    if *poll_app {
-                        *poll_app = false;
-                        let worked = server.poll(now, stack);
-                        *app_ran |= worked > 0;
-                        moved += worked;
-                    }
-                    if stack.needs_poll(&self.net, now) || *app_ran {
-                        let handled = stack.poll(now, &mut self.net);
-                        *app_ran = false;
-                        *poll_app |= handled > 0;
-                        moved += handled;
-                    }
-                }
-                if self.client_stack.needs_poll(&self.net, now) || client_app_ran {
-                    let handled = self.client_stack.poll(now, &mut self.net);
-                    client_app_ran = false;
-                    poll_client_app |= handled > 0;
-                    moved += handled;
-                }
-                if self.server_stack.needs_poll(&self.net, now) || server_app_ran {
-                    let handled = self.server_stack.poll(now, &mut self.net);
-                    server_app_ran = false;
-                    poll_server_app |= handled > 0;
-                    moved += handled;
-                }
-                if moved == 0 {
+            // Network-only instants: while the promise holds and no inbox
+            // fills, an instant costs the network's poll and nothing else.
+            // The instants themselves are the ones the settle loop would
+            // visit — same wake fold — because they cannot be skipped:
+            // server and client tick `now + 20 ms`, and a blocked token
+            // bucket's `f64` fill depends on every instant it is asked at.
+            while now < quiet_until.min(deadline) {
+                self.net.poll(now);
+                if self.inbound_waiting() || !self.servers_stay_quiet(now) {
+                    // Someone has work after all: settle this instant in
+                    // full (its `net.poll` finds nothing left to do).
                     break;
                 }
+                // Executable spec of the promise: debug builds settle the
+                // instant anyway and hold the settle to having moved nothing.
+                debug_assert_eq!(self.settle(now), Some(0), "quiet world moved at {now:?}");
+                self.work.instants += 1;
+                self.work.light_instants += 1;
+                now = self.next_instant(now, deadline);
             }
+            self.apply_faults(now);
+            self.work.instants += 1;
+            let converged = self.settle(now).is_some();
             if self.client.is_done() || now >= deadline {
                 self.now = now;
                 break;
             }
-            // The wake fan-in, folded as scalars with `MAX` for "idle":
-            // the same instant as `earliest([...]).unwrap_or(deadline)`
-            // clamped the same way (an all-idle world and a wake at `MAX`
-            // both land on `deadline`), without building the by-value
-            // `Option` array whose reload stalls on every instant.
-            let wake = |t: Option<SimTime>| t.unwrap_or(SimTime::MAX);
-            let mut next = wake(self.net.next_wake())
-                .min(wake(self.client_stack.next_wake()))
-                .min(wake(self.server_stack.next_wake()))
-                .min(wake(self.server.next_wake(now)))
-                .min(wake(self.client.next_wake(now)))
-                .min(wake(
-                    self.faults.as_ref().and_then(FaultInjector::next_wake),
-                ));
-            for (stack, server) in &self.replicas {
-                next = next
-                    .min(wake(stack.next_wake()))
-                    .min(wake(server.next_wake(now)));
-            }
-            let step_floor = now + SimDuration::from_micros(1);
-            now = next.min(deadline).max(step_floor);
+            quiet_until = if converged {
+                self.quiet_until()
+            } else {
+                // Still moving at the guard: nobody is quiet.
+                self.work.settle_guard_trips += 1;
+                SimTime::ZERO
+            };
+            now = self.next_instant(now, deadline);
         }
         self.client.metrics().cloned().unwrap_or_else(|| {
             // Deadline hit before the client finished (should be rare: the
@@ -425,6 +376,167 @@ impl SessionWorld {
                     .unwrap_or(rv_rtsp::TransportKind::Tcp),
             )
         })
+    }
+
+    /// Settles all work at instant `now`. Returns what the rounds moved in
+    /// total, or `None` if the guard — which bounds pathological ping-pong
+    /// at one instant — cut the loop short while things still moved.
+    ///
+    /// Components are wake-scheduled: a stack is polled only when it
+    /// has observable work (`needs_poll`: inbound packets, deferred
+    /// output, a due timer) or its application has run since the
+    /// stack was last flushed. Applications run once per instant
+    /// unconditionally (their time-based triggers — pacing, reports,
+    /// timeouts — fire on the first poll of an instant) and again
+    /// only after their stack delivered or flushed something. All
+    /// poll results, the applications' included, feed the `moved`
+    /// fixed-point counter uniformly.
+    fn settle(&mut self, now: SimTime) -> Option<usize> {
+        let mut total = 0;
+        let mut client_app_ran = false;
+        let mut server_app_ran = false;
+        let mut poll_client_app = true;
+        let mut poll_server_app = true;
+        for flags in &mut self.replica_flags {
+            *flags = (false, true);
+        }
+        for _ in 0..64 {
+            let mut moved = self.net.poll(now);
+            if self.client_stack.needs_poll(&self.net, now) || client_app_ran {
+                let handled = self.client_stack.poll(now, &mut self.net);
+                client_app_ran = false;
+                poll_client_app |= handled > 0;
+                moved += handled;
+            }
+            if self.server_stack.needs_poll(&self.net, now) || server_app_ran {
+                let handled = self.server_stack.poll(now, &mut self.net);
+                server_app_ran = false;
+                poll_server_app |= handled > 0;
+                moved += handled;
+            }
+            if poll_server_app {
+                poll_server_app = false;
+                let worked = self.server.poll(now, &mut self.server_stack);
+                server_app_ran |= worked > 0;
+                moved += worked;
+            }
+            if poll_client_app {
+                poll_client_app = false;
+                let worked = self.client.poll(now, &mut self.client_stack);
+                client_app_ran |= worked > 0;
+                moved += worked;
+            }
+            // Replica servers ride the same wake-scheduling contract
+            // as the primary: stack when it has observable work, app
+            // once per instant and again after stack progress.
+            for ((stack, server), (app_ran, poll_app)) in
+                self.replicas.iter_mut().zip(&mut self.replica_flags)
+            {
+                if stack.needs_poll(&self.net, now) || *app_ran {
+                    let handled = stack.poll(now, &mut self.net);
+                    *app_ran = false;
+                    *poll_app |= handled > 0;
+                    moved += handled;
+                }
+                if *poll_app {
+                    *poll_app = false;
+                    let worked = server.poll(now, stack);
+                    *app_ran |= worked > 0;
+                    moved += worked;
+                }
+                if stack.needs_poll(&self.net, now) || *app_ran {
+                    let handled = stack.poll(now, &mut self.net);
+                    *app_ran = false;
+                    *poll_app |= handled > 0;
+                    moved += handled;
+                }
+            }
+            if self.client_stack.needs_poll(&self.net, now) || client_app_ran {
+                let handled = self.client_stack.poll(now, &mut self.net);
+                client_app_ran = false;
+                poll_client_app |= handled > 0;
+                moved += handled;
+            }
+            if self.server_stack.needs_poll(&self.net, now) || server_app_ran {
+                let handled = self.server_stack.poll(now, &mut self.net);
+                server_app_ran = false;
+                poll_server_app |= handled > 0;
+                moved += handled;
+            }
+            if moved == 0 {
+                return Some(total);
+            }
+            total += moved;
+        }
+        None
+    }
+
+    /// The instant after `now`: the wake fan-in, folded as scalars with
+    /// `MAX` for "idle" — the same instant as
+    /// `earliest([...]).unwrap_or(deadline)` clamped the same way (an
+    /// all-idle world and a wake at `MAX` both land on `deadline`),
+    /// without building the by-value `Option` array whose reload stalls
+    /// on every instant.
+    fn next_instant(&self, now: SimTime, deadline: SimTime) -> SimTime {
+        let wake = |t: Option<SimTime>| t.unwrap_or(SimTime::MAX);
+        let mut next = wake(self.net.next_wake())
+            .min(wake(self.client_stack.next_wake()))
+            .min(wake(self.server_stack.next_wake()))
+            .min(wake(self.server.next_wake(now)))
+            .min(wake(self.client.next_wake(now)))
+            .min(wake(
+                self.faults.as_ref().and_then(FaultInjector::next_wake),
+            ));
+        for (stack, server) in &self.replicas {
+            next = next
+                .min(wake(stack.next_wake()))
+                .min(wake(server.next_wake(now)));
+        }
+        let step_floor = now + SimDuration::from_micros(1);
+        next.min(deadline).max(step_floor)
+    }
+
+    /// The instant strictly before which — unless the network delivers a
+    /// packet — settling an instant does nothing beyond the network's own
+    /// poll and each server's [`RealServer::quiet_step`]: the earliest of
+    /// every component's `quiet_until` and the next scheduled fault.
+    /// Asked right after a settle converged.
+    fn quiet_until(&self) -> SimTime {
+        let mut until = self
+            .client
+            .quiet_until(&self.client_stack)
+            .min(self.client_stack.quiet_until())
+            .min(
+                self.faults
+                    .as_ref()
+                    .and_then(FaultInjector::next_wake)
+                    .unwrap_or(SimTime::MAX),
+            );
+        for (stack, server) in (0..).map_while(|r| self.server(r)) {
+            until = until
+                .min(stack.quiet_until())
+                .min(server.quiet_until(stack));
+        }
+        until
+    }
+
+    /// Whether the network has delivered anything a stack must look at.
+    fn inbound_waiting(&self) -> bool {
+        self.net.inbox_len(self.client_stack.host()) > 0
+            || (0..)
+                .map_while(|r| self.server(r))
+                .any(|(stack, _)| self.net.inbox_len(stack.host()) > 0)
+    }
+
+    /// Takes the servers through a network-only instant, stopping at the
+    /// first that turns out to owe a full poll (a blocked bucket refilled
+    /// far enough to send) — the settle that follows polls them all.
+    fn servers_stay_quiet(&mut self, now: SimTime) -> bool {
+        self.server.quiet_step(now, &self.server_stack)
+            && self
+                .replicas
+                .iter_mut()
+                .all(|(stack, server)| server.quiet_step(now, stack))
     }
 
     /// Snapshots this world's deterministic counters. Collected from the
@@ -483,6 +595,9 @@ impl SessionWorld {
     /// and their pool chunks are free for reuse by the time the next
     /// server copies packets in.
     pub fn retire(mut self, scratch: &mut WorldScratch) {
+        scratch.work.instants += self.work.instants;
+        scratch.work.light_instants += self.work.light_instants;
+        scratch.work.settle_guard_trips += self.work.settle_guard_trips;
         self.net.reset_for_rebuild();
         scratch.net = self.net;
         scratch.client = self.client.into_scratch();
@@ -493,6 +608,99 @@ impl SessionWorld {
                 Some(slot) => *slot = harvested,
                 None => scratch.servers.push(harvested),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rv_media::ContentKind;
+    use rv_net::LinkId;
+    use rv_rtsp::TransportPreference;
+    use rv_sim::{FaultSegment, LinkOutage, OutagePolicy};
+
+    impl SessionWorld {
+        /// The reference driver: `run` without its network-only stretch —
+        /// every instant is settled in full.
+        fn run_settling_every_instant(&mut self, deadline: SimTime) -> SessionMetrics {
+            let mut now = self.now;
+            loop {
+                self.apply_faults(now);
+                self.work.instants += 1;
+                self.settle(now);
+                if self.client.is_done() || now >= deadline {
+                    self.now = now;
+                    return self.client.metrics().cloned().expect("client finished");
+                }
+                now = self.next_instant(now, deadline);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random two-host worlds — path, transport, watch limit, seed, and
+        /// optionally an access-link outage (which hardens the client) —
+        /// end in the same record, counters and clock, after the same
+        /// number of instants, whether `run` drives them or the reference
+        /// that settles every instant does.
+        #[test]
+        fn run_visits_and_leaves_what_settling_every_instant_does(
+            (rate, delay_ms, loss, queue) in (30_000.0f64..2_000_000.0, 1u64..300, 0.0f64..0.08, 8u32..128),
+            tcp in any::<bool>(),
+            watch_s in 3u64..25,
+            seed in any::<u64>(),
+            outage in prop::option::of((1u64..20, 1u64..25, any::<bool>())),
+        ) {
+            let build = || {
+                let params = LinkParams::lan()
+                    .rate(rate)
+                    .delay(SimDuration::from_millis(delay_ms))
+                    .loss(loss)
+                    .queue(queue * 1024);
+                let clip = Clip::new("c.rm", SimDuration::from_secs(90), ContentKind::News);
+                let mut world = two_host_world(params, clip, seed, |c, _| {
+                    c.watch_limit = SimDuration::from_secs(watch_s);
+                    if tcp {
+                        c.transport_pref = TransportPreference::ForceTcp;
+                    }
+                });
+                if let Some((start, len, carry)) = outage {
+                    let plan = FaultPlan {
+                        link_outages: vec![LinkOutage {
+                            segment: FaultSegment::ClientAccess,
+                            start: SimTime::from_secs(start),
+                            end: SimTime::from_secs(start + len),
+                            policy: if carry {
+                                OutagePolicy::CarryInFlight
+                            } else {
+                                OutagePolicy::DropInFlight
+                            },
+                        }],
+                        ..FaultPlan::none()
+                    };
+                    let map = FaultLinkMap {
+                        client_access: vec![LinkId(0), LinkId(1)],
+                        ..FaultLinkMap::default()
+                    };
+                    world.set_faults(&plan, &map);
+                }
+                world
+            };
+            let deadline = SimTime::from_secs(200);
+            let mut driven = build();
+            let got = driven.run(deadline);
+            let mut reference = build();
+            let want = reference.run_settling_every_instant(deadline);
+
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(driven.counters(), reference.counters());
+            prop_assert_eq!(driven.now, reference.now);
+            let (work, all) = (driven.driver_work(), reference.driver_work());
+            prop_assert_eq!(work.instants, all.instants);
+            prop_assert_eq!(work.settle_guard_trips, 0);
+            prop_assert!(work.light_instants < work.instants);
         }
     }
 }

@@ -20,8 +20,8 @@ mod rating;
 pub use client::{ClientConfig, ClientScratch, GatewayEndpoint, TracerClient};
 pub use faults::{FaultInjector, FaultLinkMap};
 pub use harness::{
-    client_data_tcp_config, client_endpoint, ports, server_endpoint, two_host_world, SessionWorld,
-    WorldScratch,
+    client_data_tcp_config, client_endpoint, ports, server_endpoint, two_host_world, DriverWork,
+    SessionWorld, WorldScratch,
 };
 pub use metrics::{finalize, jitter_ms, SessionMetrics, SessionOutcome};
 pub use rating::{rate, system_score, RaterProfile};

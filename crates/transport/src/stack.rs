@@ -40,8 +40,9 @@ pub struct Stack {
     /// has deferred output, earliest TCP `rto_deadline` or
     /// [`SimTime::MAX`])`. `None` = stale; the next query refills it with
     /// one sweep, every later one is a read. A `Cell` because the queries
-    /// (`needs_poll`, `next_wake`, `has_pending_work`) take `&self` and
-    /// run eight-plus times per simulated instant between mutations.
+    /// (`needs_poll`, `next_wake`, `quiet_until`, `has_pending_work`)
+    /// take `&self` and run eight-plus times per simulated instant
+    /// between mutations.
     ///
     /// Invariant: every route by which a socket can be reached mutably
     /// clears it — [`Stack::tcp`], [`Stack::udp`], [`Stack::tcp_socket`],
@@ -295,6 +296,20 @@ impl Stack {
         }
         let (pending, due) = self.attention();
         pending || due <= now
+    }
+
+    /// The instant strictly before which — with no new inbound packet and
+    /// no application call on a socket — a poll does nothing:
+    /// [`Stack::needs_poll`] answered once for a whole stretch of instants
+    /// instead of per instant. [`SimTime::ZERO`] (no claim) while anything
+    /// is deferred, else the earliest socket timer ([`SimTime::MAX`] with
+    /// none armed).
+    pub fn quiet_until(&self) -> SimTime {
+        if self.has_pending_work() {
+            SimTime::ZERO
+        } else {
+            self.attention().1
+        }
     }
 }
 

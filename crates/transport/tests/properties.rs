@@ -218,6 +218,9 @@ struct ScriptHost {
     stack: Stack,
     tcp: Vec<TcpHandle>,
     udp: Vec<UdpHandle>,
+    /// A socket call has been made since the stack was last polled — the
+    /// one reason to poll that the stack's own queries leave to the driver.
+    app_ran: bool,
 }
 
 impl ScriptHost {
@@ -227,10 +230,15 @@ impl ScriptHost {
             .map(|p| stack.tcp_socket(100 + p, TcpConfig::default()))
             .collect();
         let udp = vec![stack.udp_socket(200)];
-        ScriptHost { stack, tcp, udp }
+        ScriptHost {
+            stack,
+            tcp,
+            udp,
+            app_ran: false,
+        }
     }
 
-    /// Holds the stack's three driver queries to a sweep of every socket
+    /// Holds the stack's four driver queries to a sweep of every socket
     /// made through the shared accessors. (Owed RSTs never outlive the
     /// poll that queued them, so the sockets are the whole answer.) In
     /// debug builds each query also asserts its memo against the stack's
@@ -249,6 +257,13 @@ impl ScriptHost {
             self.stack.needs_poll(net, now),
             net.inbox_len(self.stack.host()) > 0 || pending || due.is_some_and(|t| t <= now)
         );
+        // `needs_poll` on an empty inbox, answered for all instants at once.
+        let quiet_until = if pending {
+            SimTime::ZERO
+        } else {
+            due.unwrap_or(SimTime::MAX)
+        };
+        prop_assert_eq!(self.stack.quiet_until(), quiet_until);
         Ok(())
     }
 }
@@ -281,6 +296,7 @@ proptest! {
             let th = hosts[me].tcp[z % hosts[me].tcp.len()];
             let uh = hosts[me].udp[z % hosts[me].udp.len()];
             let peer_port = |base: u16, n: usize| Addr::new(HostId(peer as u32), base + (z % n) as u16);
+            hosts[me].app_ran |= kind < 10;
             match kind {
                 0 => {
                     if hosts[me].stack.tcp_ref(th).is_closed() {
@@ -324,7 +340,13 @@ proptest! {
                 }
                 11 => {
                     net.poll(now);
-                    hosts[me].stack.poll(now, &mut net);
+                    let ScriptHost { stack, app_ran, .. } = &mut hosts[me];
+                    let quiet = !*app_ran
+                        && net.inbox_len(stack.host()) == 0
+                        && now < stack.quiet_until();
+                    let handled = stack.poll(now, &mut net);
+                    prop_assert!(!quiet || handled == 0, "quiet stack handled {}", handled);
+                    *app_ran = false;
                 }
                 12 => now += SimDuration::from_millis(dt),
                 _ => {

@@ -7,8 +7,10 @@
 use rv_sim::trace::{self, TraceEvent};
 use rv_sim::{Counter, FaultScenario, SimTime};
 use rv_study::{
-    plan_campaign, run_campaign_with_records, trace_session, GatewayPolicy, StudyParams, TraceError,
+    plan_campaign, run_campaign_with_records, run_job_with, trace_session, GatewayPolicy,
+    StudyParams, TraceError,
 };
+use rv_tracer::WorldScratch;
 
 fn params() -> StudyParams {
     StudyParams {
@@ -286,4 +288,34 @@ fn recorder_is_reentrant_per_thread() {
     assert!(!trace::active());
     // Disarmed emit is a no-op, not a panic.
     trace::emit(SimTime::ZERO, || TraceEvent::RebufferStart);
+}
+
+#[test]
+fn the_driver_reports_its_work_and_most_instants_need_only_the_network() {
+    // The driver's own tally — beside the world, never in the counters —
+    // summed over a classic campaign as any worker's scratch sums it.
+    // 0.40 would mean only the driver's half of the quiet contract is
+    // live, 0.50 that the server's bucket-blocked claim is missing.
+    let plan = plan_campaign(StudyParams {
+        scale: 0.1,
+        ..StudyParams::default()
+    });
+    let mut scratch = WorldScratch::default();
+    for user_idx in 0..plan.num_users() {
+        for job in plan.user_jobs(user_idx) {
+            run_job_with(&plan, &job, &mut scratch);
+        }
+    }
+    let work = scratch.work;
+    assert_eq!(work.settle_guard_trips, 0);
+    assert!(work.instants > 1_000_000, "{work:?}");
+    let light = work.light_instants as f64 / work.instants as f64;
+    assert!(light >= 0.70, "light share {light:.3}: {work:?}");
+
+    // `repro trace` prints the same tally for one session.
+    let job = plan.user_jobs(0).into_iter().find(|j| j.available).unwrap();
+    let clip = plan.clip_names[job.playlist_slot].to_string();
+    let traced = trace_session(plan.params, job.user_id, &clip).unwrap();
+    assert!(traced.driver.light_instants > 0);
+    assert!(traced.driver.light_instants < traced.driver.instants);
 }
