@@ -6,7 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use rv_media::{packetize_frame, Clip, ContentKind, Frame, FrameSchedule, StreamDepacketizer};
+use rv_media::{
+    packetize_frame, Clip, ContentKind, Frame, FrameSchedule, LazySchedule, StreamDepacketizer,
+};
 use rv_net::{Addr, HostId, LinkParams, NetBuilder, Packet};
 use rv_rtsp::{Decoder, Message, Method};
 use rv_sim::{SimDuration, SimRng, SimTime};
@@ -70,6 +72,26 @@ fn bench_media_pipeline(c: &mut Criterion) {
                 SimDuration::from_secs(60),
                 99,
             ))
+        })
+    });
+
+    // What a 2 s session asks of a 6-minute clip (watch + the 13 s buffer
+    // lead), on recycled storage: against six times the whole-clip case
+    // above, this is what generating on demand saves such a session.
+    c.bench_function("frame_schedule_first_16s_of_360s", |b| {
+        let clip = Clip::new("x.rm", SimDuration::from_secs(360), ContentKind::Sports);
+        let enc = &clip.ladder.rungs()[4];
+        let mut storage = Vec::new();
+        b.iter(|| {
+            let mut lazy = LazySchedule::start(
+                enc,
+                ContentKind::Sports,
+                clip.duration,
+                99,
+                std::mem::take(&mut storage),
+            );
+            std::hint::black_box(lazy.first_frame_at(SimDuration::from_secs(16)));
+            storage = lazy.into_storage();
         })
     });
 

@@ -7,6 +7,12 @@
 //! distributed lengths and per-scene action levels, then emits frames whose
 //! sizes track the video bitrate budget with keyframes every
 //! `keyframe_interval` frames.
+//!
+//! There is one generator, `LazySchedule::step`, and two ways to hold
+//! what it produced: a [`LazySchedule`] — the frames generated so far plus
+//! the state to resume from, answering only questions it can extend itself
+//! to answer — and a [`FrameSchedule`], the whole clip's table, which is a
+//! lazy schedule stepped to the end.
 
 use rv_sim::{SimDuration, SimRng};
 
@@ -25,6 +31,149 @@ pub struct Frame {
     pub key: bool,
 }
 
+/// A frame schedule generated on demand: a prefix of the clip's frame
+/// table and the generator that resumes after it.
+///
+/// The prefix is the spec: whatever has been generated equals the same
+/// leading frames of [`FrameSchedule::generate`]'s table, and every answer
+/// equals the one that table gives — a question about frames not generated
+/// yet extends the prefix first, never answers from it as if it were the
+/// clip. A streaming session that watches a minute of a ten-minute clip
+/// so pays for the frames it streams, not the clip it names.
+#[derive(Debug, Clone)]
+pub struct LazySchedule {
+    /// The generated prefix, in presentation order.
+    frames: Vec<Frame>,
+    rng: SimRng,
+    /// Presentation time of the next frame to generate.
+    t: SimDuration,
+    /// The current scene: where it ends, its frame spacing and its mean
+    /// frame size.
+    scene_end: SimDuration,
+    interval: SimDuration,
+    frame_bytes: f64,
+    duration: SimDuration,
+    // What the generator reads of the encoding and the content.
+    encoded_fps: f64,
+    base_interval: SimDuration,
+    mean_bytes: f64,
+    keyframe_interval: u32,
+    mean_action: f64,
+}
+
+impl LazySchedule {
+    /// Starts the schedule for `encoding` over `duration` of `content`
+    /// with nothing generated yet. Deterministic in `seed`; the same clip
+    /// always encodes identically.
+    ///
+    /// `storage` is where the prefix will live — capacity, not state: it
+    /// is cleared here, and [`LazySchedule::into_storage`] hands it back
+    /// for the next schedule to start on.
+    pub fn start(
+        encoding: &Encoding,
+        content: ContentKind,
+        duration: SimDuration,
+        seed: u64,
+        mut storage: Vec<Frame>,
+    ) -> LazySchedule {
+        storage.clear();
+        LazySchedule {
+            frames: storage,
+            rng: SimRng::seed_from_u64(seed),
+            t: SimDuration::ZERO,
+            scene_end: SimDuration::ZERO,
+            interval: SimDuration::ZERO,
+            frame_bytes: 0.0,
+            duration,
+            encoded_fps: encoding.frame_rate,
+            base_interval: SimDuration::from_secs_f64(1.0 / encoding.frame_rate),
+            mean_bytes: f64::from(encoding.mean_frame_bytes()),
+            keyframe_interval: encoding.keyframe_interval,
+            mean_action: content.mean_action(),
+        }
+    }
+
+    /// The generator: appends the clip's next frame to the prefix, or
+    /// returns `false` at the clip's end.
+    fn step(&mut self) -> bool {
+        if self.t >= self.duration {
+            return false;
+        }
+        if self.t >= self.scene_end {
+            // A scene: exponential length (mean 8 s), its own action level.
+            let scene_len = self
+                .rng
+                .exp_duration(SimDuration::from_secs(8))
+                .clamp(SimDuration::from_secs(2), SimDuration::from_secs(30));
+            self.scene_end = (self.t + scene_len).min(self.duration);
+            let action = (self.mean_action + self.rng.normal(0.0, 0.12)).clamp(0.3, 1.0);
+            // Low action → encoder emits fewer frames; budget per frame grows
+            // so the bitrate stays near target.
+            self.interval = self.base_interval.mul_f64(1.0 / action);
+            self.frame_bytes = self.mean_bytes / action;
+        }
+        let index = self.frames.len() as u32;
+        let key = index.is_multiple_of(self.keyframe_interval);
+        // Keyframes cost ~3x a delta frame; delta frames vary ±30 %.
+        let size = if key {
+            self.frame_bytes * 3.0
+        } else {
+            self.frame_bytes * self.rng.range(0.7..1.3)
+        };
+        self.frames.push(Frame {
+            index,
+            pts: self.t,
+            size: size.max(16.0) as u32,
+            key,
+        });
+        self.t += self.interval;
+        true
+    }
+
+    /// Frame `i` of the clip, or `None` when the clip has no such frame.
+    /// Extends the prefix as far as index `i`, no further.
+    pub fn frame(&mut self, i: usize) -> Option<Frame> {
+        while self.frames.len() <= i && self.step() {}
+        self.frames.get(i).copied()
+    }
+
+    /// Index of the clip's first frame with `pts >= t`, or the clip's
+    /// frame count when there is none. Extends the prefix to that frame
+    /// (or to the clip's end), no further.
+    pub fn first_frame_at(&mut self, t: SimDuration) -> usize {
+        while self.frames.last().is_none_or(|f| f.pts < t) && self.step() {}
+        self.frames.partition_point(|f| f.pts < t)
+    }
+
+    /// How many frames have been generated so far — a fact about this
+    /// schedule's work, not about the clip.
+    pub fn generated(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Steps to the clip's end: the whole table.
+    pub fn finish(mut self) -> FrameSchedule {
+        // One allocation, not a doubling chain: frames are never closer
+        // than the base interval (`action <= 1` only stretches it).
+        let left = self.duration.saturating_sub(self.t);
+        let at_most = left.as_micros() / self.base_interval.as_micros().max(1) + 1;
+        self.frames.reserve(at_most as usize);
+        while self.step() {}
+        FrameSchedule {
+            frames: self.frames,
+            duration: self.duration,
+            encoded_fps: self.encoded_fps,
+        }
+    }
+
+    /// Retires the schedule, keeping the prefix's storage, emptied, for
+    /// the next [`LazySchedule::start`].
+    pub fn into_storage(mut self) -> Vec<Frame> {
+        self.frames.clear();
+        self.frames
+    }
+}
+
 /// The full frame sequence of one encoding of one clip.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameSchedule {
@@ -34,7 +183,8 @@ pub struct FrameSchedule {
 }
 
 impl FrameSchedule {
-    /// Generates the schedule for `encoding` over `duration` of `content`.
+    /// Generates the schedule for `encoding` over `duration` of `content`:
+    /// a [`LazySchedule`] stepped to the end.
     ///
     /// Deterministic in `seed`; the same clip always encodes identically.
     pub fn generate(
@@ -43,52 +193,7 @@ impl FrameSchedule {
         duration: SimDuration,
         seed: u64,
     ) -> FrameSchedule {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut t = SimDuration::ZERO;
-        let mut index = 0u32;
-        let base_interval = SimDuration::from_secs_f64(1.0 / encoding.frame_rate);
-        // One allocation, not a doubling chain: frames are never closer
-        // than the base interval (`action <= 1` only stretches it).
-        let at_most = duration.as_micros() / base_interval.as_micros().max(1) + 1;
-        let mut frames = Vec::with_capacity(at_most as usize);
-        let mean_bytes = f64::from(encoding.mean_frame_bytes());
-
-        while t < duration {
-            // A scene: exponential length (mean 8 s), its own action level.
-            let scene_len = rng
-                .exp_duration(SimDuration::from_secs(8))
-                .clamp(SimDuration::from_secs(2), SimDuration::from_secs(30));
-            let scene_end = (t + scene_len).min(duration);
-            let action = (content.mean_action() + rng.normal(0.0, 0.12)).clamp(0.3, 1.0);
-            // Low action → encoder emits fewer frames; budget per frame grows
-            // so the bitrate stays near target.
-            let interval = base_interval.mul_f64(1.0 / action);
-            let frame_bytes = mean_bytes / action;
-
-            while t < scene_end {
-                let key = index.is_multiple_of(encoding.keyframe_interval);
-                // Keyframes cost ~3x a delta frame; delta frames vary ±30 %.
-                let size = if key {
-                    frame_bytes * 3.0
-                } else {
-                    frame_bytes * rng.range(0.7..1.3)
-                };
-                frames.push(Frame {
-                    index,
-                    pts: t,
-                    size: size.max(16.0) as u32,
-                    key,
-                });
-                index += 1;
-                t += interval;
-            }
-        }
-
-        FrameSchedule {
-            frames,
-            duration,
-            encoded_fps: encoding.frame_rate,
-        }
+        LazySchedule::start(encoding, content, duration, seed, Vec::new()).finish()
     }
 
     /// All frames in presentation order.
@@ -158,6 +263,45 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// FNV-1a over every field of every frame.
+    fn table_digest(s: &FrameSchedule) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for f in s.frames() {
+            for word in [
+                u64::from(f.index),
+                f.pts.as_micros(),
+                u64::from(f.size),
+                u64::from(f.key),
+            ] {
+                h = (h ^ word).wrapping_mul(0x1_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The generator draws what it drew when it was two nested loops, in
+    /// that order (scene header when `t` reaches `scene_end`, then one
+    /// `range` per non-key frame): these digests were taken from that
+    /// code, and every recorded campaign dump rests on the same tables.
+    #[test]
+    fn tables_are_the_ones_the_nested_loops_generated() {
+        let news = schedule(80_000, ContentKind::News, 60);
+        let sports = schedule(450_000, ContentKind::Sports, 600);
+        let talk = schedule(20_000, ContentKind::Talk, 7);
+        assert_eq!(
+            (news.len(), table_digest(&news)),
+            (753, 0xb6a0_5620_d62d_aa8f)
+        );
+        assert_eq!(
+            (sports.len(), table_digest(&sports)),
+            (16_536, 0xaffc_ec87_1ecd_4729)
+        );
+        assert_eq!(
+            (talk.len(), table_digest(&talk)),
+            (35, 0xc971_45eb_1a6f_97c7)
+        );
+    }
+
     #[test]
     fn pts_is_strictly_increasing() {
         let s = schedule(150_000, ContentKind::Sports, 60);
@@ -190,6 +334,47 @@ mod tests {
                 assert!(s.frames.capacity() as u64 >= reserve);
             }
         }
+    }
+
+    #[test]
+    fn lazy_schedule_generates_only_as_far_as_the_answer_needs() {
+        let secs = SimDuration::from_secs;
+        let whole = schedule(80_000, ContentKind::News, 600);
+        let start = |storage| {
+            LazySchedule::start(
+                &standard_rung(80_000),
+                ContentKind::News,
+                secs(600),
+                42,
+                storage,
+            )
+        };
+        let mut lazy = start(Vec::new());
+        assert_eq!(lazy.generated(), 0);
+        assert_eq!(lazy.frame(9), Some(whole.frames()[9]));
+        assert_eq!(lazy.generated(), 10);
+        let at_16s = lazy.first_frame_at(secs(16));
+        assert_eq!(at_16s, whole.first_frame_at(secs(16)));
+        assert_eq!(lazy.generated(), at_16s + 1);
+        // Questions about the prefix generate nothing.
+        assert_eq!(lazy.frame(3), Some(whole.frames()[3]));
+        assert_eq!(lazy.first_frame_at(secs(1)), whole.first_frame_at(secs(1)));
+        assert_eq!(lazy.generated(), at_16s + 1);
+        // Past the end the answer is the clip's, not the prefix's.
+        assert_eq!(lazy.frame(whole.len()), None);
+        assert_eq!(lazy.generated(), whole.len());
+        assert_eq!(lazy.first_frame_at(secs(601)), whole.len());
+
+        // Retired storage is capacity only: the next schedule starts empty
+        // on it and generates the same frames.
+        let storage = lazy.into_storage();
+        let capacity = storage.capacity();
+        let mut lazy = start(storage);
+        assert_eq!(lazy.generated(), 0);
+        assert_eq!(lazy.frame(9), Some(whole.frames()[9]));
+        let again = lazy.finish();
+        assert_eq!(again, whole);
+        assert!(capacity >= whole.len() && again.frames.capacity() >= capacity);
     }
 
     #[test]

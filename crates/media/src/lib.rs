@@ -22,4 +22,4 @@ pub use adu::{
     StreamDepacketizer, MAX_PAYLOAD, MEDIA_HEADER_BYTES,
 };
 pub use clip::{standard_rung, Clip, ContentKind, Encoding, SureStream};
-pub use frames::{Frame, FrameSchedule};
+pub use frames::{Frame, FrameSchedule, LazySchedule};

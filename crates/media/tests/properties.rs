@@ -1,11 +1,12 @@
 //! Property-based tests: the media codec round-trips under any field
-//! values, packetization conserves bytes, and frame schedules keep their
-//! invariants for every encoding/content/duration combination.
+//! values, packetization conserves bytes, frame schedules keep their
+//! invariants for every encoding/content/duration combination, and a
+//! schedule generated on demand answers as the whole table does.
 
 use proptest::prelude::*;
 use rv_media::{
-    packetize_frame, standard_rung, Clip, ContentKind, Frame, FrameSchedule, MediaPacket,
-    PacketKind, StreamDepacketizer, SureStream, MAX_PAYLOAD,
+    packetize_frame, standard_rung, Clip, ContentKind, Frame, FrameSchedule, LazySchedule,
+    MediaPacket, PacketKind, StreamDepacketizer, SureStream, MAX_PAYLOAD,
 };
 use rv_sim::SimDuration;
 
@@ -129,6 +130,49 @@ proptest! {
         prop_assert!(s.actual_fps() <= s.encoded_fps() + 1.0 / secs as f64 + 0.01);
         // First frame is a keyframe (decoder bootstrap).
         prop_assert!(s.frames()[0].key);
+    }
+
+    /// The executable spec of [`LazySchedule`]: under any interleaving of
+    /// its two questions — indices and times past the clip's end and
+    /// times that *are* a frame's `pts` (what a rung switch asks)
+    /// included — every answer is the whole table's, the prefix grows
+    /// exactly as far as the answer needs (to index `i`; to the first
+    /// `pts >= t`; never past the clip's end), and stepping what is left
+    /// to the end gives the whole table frame for frame.
+    #[test]
+    fn lazy_schedule_answers_as_the_whole_table(
+        total_bps in 15_000u32..500_000,
+        content in arb_content(),
+        millis in 0u64..900_000,
+        seed in any::<u64>(),
+        questions in prop::collection::vec((0u8..3, any::<u32>()), 0..24),
+    ) {
+        let enc = standard_rung(total_bps);
+        let duration = SimDuration::from_millis(millis);
+        let whole = FrameSchedule::generate(&enc, content, duration, seed);
+        let mut lazy = LazySchedule::start(&enc, content, duration, seed, Vec::new());
+        let mut needed = 0;
+        for (kind, q) in questions {
+            let at = match (kind, whole.frames().get(q as usize % whole.len().max(1))) {
+                (0, _) => None,
+                (1, Some(frame)) => Some(frame.pts),
+                // Any time up to a tenth past the clip's end.
+                _ => Some(SimDuration::from_micros(u64::from(q) % (millis * 1_100 + 2))),
+            };
+            let reached = if let Some(t) = at {
+                let i = lazy.first_frame_at(t);
+                prop_assert_eq!(i, whole.first_frame_at(t));
+                i
+            } else {
+                // Any index up to a tenth past the clip's end.
+                let i = q as usize % (whole.len() + whole.len() / 10 + 2);
+                prop_assert_eq!(lazy.frame(i), whole.frames().get(i).copied());
+                i
+            };
+            needed = needed.max(reached + 1);
+            prop_assert_eq!(lazy.generated(), needed.min(whole.len()));
+        }
+        prop_assert_eq!(lazy.finish(), whole);
     }
 
     /// The DESCRIBE body round-trips for any ladder subset.

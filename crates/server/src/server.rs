@@ -15,9 +15,9 @@
 //!   exceeds the available rate (Scalable Video Technology),
 //! * protects UDP data with one XOR-parity packet per FEC group.
 
-use std::sync::Arc;
-
-use rv_media::{packetize_frame_into, parity_packet, Clip, FrameSchedule, MediaPacket, PacketKind};
+use rv_media::{
+    packetize_frame_into, parity_packet, Clip, Frame, LazySchedule, MediaPacket, PacketKind,
+};
 use rv_net::Addr;
 use rv_rtsp::{Decoder, ServerHandler, ServerSession, Status, TransportKind, TransportSpec};
 use rv_sim::trace::{self, TraceEvent};
@@ -186,7 +186,10 @@ struct ActiveStream {
     /// headroom between rung rate and path rate is what keeps the buffer
     /// full and playout smooth.
     max_rung: usize,
-    schedule: Arc<FrameSchedule>,
+    /// The current rung's schedule, generated as far as the pump has
+    /// asked. Owned: a rung switch parks it in
+    /// [`ServerScratch::rung_schedules`] and takes the new rung's out.
+    schedule: LazySchedule,
     next_frame: usize,
     play_epoch: SimTime,
     /// High-water mark of transmitted presentation time.
@@ -247,14 +250,29 @@ pub struct ServerScratch {
     payload_pool: PayloadPool,
     /// Reused staging buffer for outgoing control responses.
     ctrl_buf: Vec<u8>,
-    /// Schedules already generated for the current stream, one slot per
-    /// rung, reset by every PLAY. SureStream oscillates between adjacent
-    /// rungs for the life of a stream, and [`FrameSchedule::generate`] is
-    /// pure in (encoding, content, duration, seed) — so each rung's
-    /// schedule is generated at most once per PLAY and shared from here
-    /// on every revisit. Kept beside the stream, not in it, so its
-    /// capacity recycles.
-    rung_schedules: Vec<Option<Arc<FrameSchedule>>>,
+    /// The current stream's schedules for the rungs it is *not* on, one
+    /// slot per rung, each generated as far as the pump got while it was
+    /// on that rung; the streaming rung's slot is empty, its schedule is
+    /// in the stream. SureStream oscillates between adjacent rungs for
+    /// the life of a stream, so a revisit resumes the parked schedule
+    /// instead of generating its prefix again. Emptied into
+    /// `frame_storage` wherever the stream dies.
+    rung_schedules: Vec<Option<LazySchedule>>,
+    /// Retired schedules' frame tables, emptied, one slot per rung: the
+    /// storage the next schedule of that rung starts on. Kept by rung
+    /// because a rung's frame rate sizes its table — once a rung has
+    /// served its longest stream, starting a schedule on it allocates
+    /// nothing.
+    frame_storage: Vec<Vec<Frame>>,
+}
+
+impl ServerScratch {
+    /// Frames of recycled schedule storage held, summed over the rungs:
+    /// what a test of the recycling contract reads to see that a warm
+    /// session grew nothing.
+    pub fn frame_capacity(&self) -> usize {
+        self.frame_storage.iter().map(Vec::capacity).sum()
+    }
 }
 
 /// The streaming server for one session.
@@ -324,7 +342,8 @@ impl RealServer {
     /// Tears the server down, harvesting its storage for the next
     /// session's server, scrubbed here so no session state survives
     /// (capacity only).
-    pub fn into_scratch(self) -> ServerScratch {
+    pub fn into_scratch(mut self) -> ServerScratch {
+        self.retire_stream();
         let mut scratch = self.scratch;
         scratch.decoder.reset();
         scratch.txbuf.clear();
@@ -332,7 +351,6 @@ impl RealServer {
         scratch.udp_bounds.clear();
         scratch.pkt_scratch.clear();
         scratch.ctrl_buf.clear();
-        scratch.rung_schedules.clear();
         scratch
     }
 
@@ -360,7 +378,7 @@ impl RealServer {
     /// negotiation, pending control events, RTSP state, undecoded bytes —
     /// the wipe a process crash and a dead control connection share.
     fn drop_session(&mut self) {
-        self.stream = None;
+        self.retire_stream();
         self.core.negotiated = None;
         self.core.client_max_bps = None;
         self.core.pending_play = None;
@@ -368,6 +386,24 @@ impl RealServer {
         self.core.pending_reports.clear();
         self.rtsp = ServerSession::new();
         self.scratch.decoder.reset();
+    }
+
+    /// Ends the stream, if there is one, keeping the storage under every
+    /// schedule it started — the one streaming and the ones parked per
+    /// rung — for the next PLAY's schedules. Every place a stream dies
+    /// goes through here.
+    fn retire_stream(&mut self) {
+        let Some(stream) = self.stream.take() else {
+            return;
+        };
+        let scratch = &mut self.scratch;
+        scratch.rung_schedules[stream.rung] = Some(stream.schedule);
+        let slots = scratch.frame_storage.iter_mut();
+        for (slot, schedule) in slots.zip(scratch.rung_schedules.drain(..)) {
+            if let Some(schedule) = schedule {
+                *slot = schedule.into_storage();
+            }
+        }
     }
 
     /// Brings a crashed server back up with fresh listening sockets. The
@@ -457,13 +493,14 @@ impl RealServer {
                 })
     }
 
-    /// Debug snapshot: (rung, next_frame, schedule len, sent_until ms).
+    /// Debug snapshot: (rung, next_frame, frames generated so far on this
+    /// rung's schedule, sent_until ms).
     pub fn debug_stream(&self) -> Option<(usize, usize, usize, u64)> {
         self.stream.as_ref().map(|s| {
             (
                 s.rung,
                 s.next_frame,
-                s.schedule.len(),
+                s.schedule.generated(),
                 s.sent_until.as_millis(),
             )
         })
@@ -559,7 +596,7 @@ impl RealServer {
                 .as_ref()
                 .is_some_and(|s| s.transport == TransportKind::Tcp)
             {
-                self.stream = None;
+                self.retire_stream();
             }
             stack.tcp(self.data_tcp).reset();
             stack.tcp(self.data_tcp).listen();
@@ -609,7 +646,7 @@ impl RealServer {
         let mut applied = 0;
         if self.core.pending_teardown {
             self.core.pending_teardown = false;
-            self.stream = None;
+            self.retire_stream();
             applied += 1;
         }
         if let Some(clip_name) = self.core.pending_play.take() {
@@ -677,10 +714,13 @@ impl RealServer {
             TransportKind::Tcp => None,
         };
 
-        let schedule = self.schedule_for(&clip, initial);
-        self.scratch.rung_schedules.clear();
-        self.scratch.rung_schedules.resize(clip.ladder.len(), None);
-        self.scratch.rung_schedules[initial] = Some(Arc::clone(&schedule));
+        self.retire_stream();
+        let rungs = clip.ladder.len();
+        self.scratch.rung_schedules.resize_with(rungs, || None);
+        if self.scratch.frame_storage.len() < rungs {
+            self.scratch.frame_storage.resize_with(rungs, Vec::new);
+        }
+        let schedule = self.start_schedule(&clip, initial);
         self.stream = Some(Box::new(ActiveStream {
             transport: spec.kind,
             client_udp,
@@ -716,19 +756,17 @@ impl RealServer {
         }));
     }
 
-    fn schedule_for(&self, clip: &Clip, rung: usize) -> Arc<FrameSchedule> {
+    /// The schedule of `clip` at `rung`, nothing generated yet, on the
+    /// rung's recycled storage.
+    fn start_schedule(&mut self, clip: &Clip, rung: usize) -> LazySchedule {
         let enc = &clip.ladder.rungs()[rung];
         let seed = self
             .clip_seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(hash_name(&clip.name))
             .wrapping_add(rung as u64);
-        Arc::new(FrameSchedule::generate(
-            enc,
-            clip.content,
-            clip.duration,
-            seed,
-        ))
+        let storage = std::mem::take(&mut self.scratch.frame_storage[rung]);
+        LazySchedule::start(enc, clip.content, clip.duration, seed, storage)
     }
 
     fn pump_data(&mut self, now: SimTime, stack: &mut Stack) -> usize {
@@ -811,8 +849,7 @@ impl RealServer {
         }
 
         // --- video frames ---
-        while stream.next_frame < stream.schedule.len() {
-            let frame = stream.schedule.frames()[stream.next_frame];
+        while let Some(frame) = stream.schedule.frame(stream.next_frame) {
             if frame.pts > horizon {
                 break;
             }
@@ -884,11 +921,12 @@ impl RealServer {
             stream.sent_until = frame.pts;
         }
 
+        // The loop stopped on this frame (past the horizon, or refused) or
+        // on the clip's end: either way it is already generated.
+        let upcoming = stream.schedule.frame(stream.next_frame);
+
         // --- end of stream ---
-        if !stream.eos_sent
-            && stream.next_frame >= stream.schedule.len()
-            && stream.next_audio >= stream.clip.duration
-        {
+        if !stream.eos_sent && upcoming.is_none() && stream.next_audio >= stream.clip.duration {
             let mut pkt = MediaPacket {
                 kind: PacketKind::EndOfStream,
                 key: false,
@@ -911,9 +949,8 @@ impl RealServer {
         self.flush_udp(stack);
         // Retrying a refused frame is itself work when it thins: every
         // try accrues `thin_debt`. Such a pump claims nothing.
-        let retry_thins = video_need.is_some()
-            && thin_ratio < 0.90
-            && !stream.schedule.frames()[stream.next_frame].key;
+        let retry_thins =
+            video_need.is_some() && thin_ratio < 0.90 && upcoming.is_some_and(|f| !f.key);
         stream.blocked_need = audio_need
             .unwrap_or(u32::MAX)
             .min(video_need.unwrap_or(u32::MAX));
@@ -931,9 +968,7 @@ impl RealServer {
             if audio_need.is_none() && stream.next_audio < stream.clip.duration {
                 until = until.min(stream.play_epoch + stream.next_audio.saturating_sub(lead));
             }
-            if let (None, Some(frame)) =
-                (video_need, stream.schedule.frames().get(stream.next_frame))
-            {
+            if let (None, Some(frame)) = (video_need, upcoming) {
                 until = until.min(stream.play_epoch + frame.pts.saturating_sub(lead));
             }
             until
@@ -1048,15 +1083,17 @@ impl RealServer {
             from,
             to: rung as u8,
         });
-        stream.rung = rung;
-        stream.schedule = match &self.scratch.rung_schedules[rung] {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = self.schedule_for(&stream.clip, rung);
-                self.scratch.rung_schedules[rung] = Some(Arc::clone(&s));
-                s
-            }
+        debug_assert_ne!(
+            rung, stream.rung,
+            "the streaming rung has no parked schedule"
+        );
+        let resumed = match self.scratch.rung_schedules[rung].take() {
+            Some(parked) => parked,
+            None => self.start_schedule(&stream.clip, rung),
         };
+        let left = std::mem::replace(&mut stream.schedule, resumed);
+        self.scratch.rung_schedules[stream.rung] = Some(left);
+        stream.rung = rung;
         stream.next_frame = stream.schedule.first_frame_at(stream.sent_until);
         stream.fec_buf.clear();
         stream.thin_debt = 0.0;
@@ -1102,7 +1139,7 @@ fn hash_name(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rv_media::ContentKind;
+    use rv_media::{ContentKind, FrameSchedule};
     use rv_rtsp::{Message, Method};
 
     #[test]
@@ -1256,17 +1293,21 @@ mod tests {
         );
     }
 
-    /// A server on a bare stack, streaming `c.rm` over TCP from t = 0 into
-    /// a data socket nobody drains: its send buffer absorbs the first
-    /// seconds of media, then blocks the pump.
+    /// A server on a bare stack, streaming a 60 s `c.rm` over TCP from
+    /// t = 0 into a data socket nobody drains: its send buffer absorbs the
+    /// first seconds of media, then blocks the pump.
     fn streaming(cfg: ServerConfig, client_bps: u32) -> (RealServer, Stack) {
+        streaming_clip(cfg, client_bps, SimDuration::from_secs(60))
+    }
+
+    fn streaming_clip(
+        cfg: ServerConfig,
+        client_bps: u32,
+        duration: SimDuration,
+    ) -> (RealServer, Stack) {
         let (mut stack, ctrl, data, udp) = listening_stack();
         let mut catalog = Catalog::new();
-        catalog.add(Clip::new(
-            "c.rm",
-            SimDuration::from_secs(60),
-            ContentKind::News,
-        ));
+        catalog.add(Clip::new("c.rm", duration, ContentKind::News));
         let mut server =
             RealServer::new(cfg, catalog, ctrl, data, udp, 7, ServerScratch::default());
         request(
@@ -1440,14 +1481,17 @@ mod tests {
         for _ in 0..3_000 {
             now += SimDuration::from_millis(20);
             server.poll(now, &mut stack);
-            let stream = server.stream.as_ref().expect("streaming");
+            let allowed_bps = server.allowed_bps();
+            let stream = server.stream.as_mut().expect("streaming");
             // Audio is a trickle: when the bucket refuses, it refuses a frame.
-            if stream.blocked_need == u32::MAX || stream.next_frame == stream.schedule.len() {
+            let Some(frame) = stream.schedule.frame(stream.next_frame) else {
+                continue;
+            };
+            if stream.blocked_need == u32::MAX {
                 continue;
             }
             let rung_bps = f64::from(stream.clip.ladder.rungs()[stream.rung].total_bps);
-            let thins = !stream.schedule.frames()[stream.next_frame].key
-                && 0.85 * server.allowed_bps() / rung_bps < 0.90;
+            let thins = !frame.key && 0.85 * allowed_bps / rung_bps < 0.90;
             if thins {
                 assert_eq!(stream.idle_until, SimTime::ZERO);
                 thinning += 1;
@@ -1529,6 +1573,188 @@ mod tests {
             server.poll(now, &mut stack);
         }
         assert!(server.stats().frames_sent > frames + 5);
+    }
+
+    /// The whole-clip table of the live stream's clip at `rung`: what the
+    /// server's lazy schedules are prefixes of.
+    fn whole_table(server: &mut RealServer, rung: usize) -> FrameSchedule {
+        let clip = server.stream.as_ref().expect("streaming").clip.clone();
+        server.start_schedule(&clip, rung).finish()
+    }
+
+    /// Polls every 20 ms up to `until` against a peer that keeps up: the
+    /// clock, not the transport, paces the pump.
+    fn stream_drained(
+        server: &mut RealServer,
+        stack: &mut Stack,
+        now: &mut SimTime,
+        until: SimTime,
+    ) {
+        while *now < until {
+            *now = (*now + SimDuration::from_millis(20)).min(until);
+            drain_data_socket(server, stack);
+            server.poll(*now, stack);
+        }
+    }
+
+    #[test]
+    fn two_seconds_of_a_ten_minute_clip_generate_two_seconds_plus_the_lead() {
+        let cfg = ServerConfig::default();
+        let (mut server, mut stack) = streaming_clip(cfg, 300_000, SimDuration::from_secs(600));
+        let rung = server.current_rung().expect("streaming");
+        let whole = whole_table(&mut server, rung);
+        let watched = SimDuration::from_secs(2);
+        let mut now = SimTime::ZERO;
+        stream_drained(&mut server, &mut stack, &mut now, SimTime::ZERO + watched);
+        assert_eq!(server.current_rung(), Some(rung));
+        assert_eq!(blocked_need(&server), u32::MAX);
+
+        // Every frame inside the lead is sent; the one frame generated
+        // beyond it is the one the pump looked at to know it could stop.
+        let horizon = watched + cfg.buffer_lead;
+        let inside = whole.frames().partition_point(|f| f.pts <= horizon);
+        let (_, next_frame, generated, _) = server.debug_stream().expect("streaming");
+        assert_eq!(next_frame, inside);
+        assert_eq!(generated, inside + 1);
+        assert!(
+            whole.len() > 30 * generated,
+            "{generated} of {}",
+            whole.len()
+        );
+    }
+
+    #[test]
+    fn rung_round_trip_lands_where_the_whole_tables_say() {
+        /// Switches the live stream as a rate evaluation would; returns
+        /// where it landed.
+        fn switch(server: &mut RealServer, now: SimTime, rung: usize) -> (usize, SimDuration) {
+            let mut stream = server.stream.take().expect("streaming");
+            server.switch_rung(now, &mut stream, rung);
+            // A rate evaluation sits inside a pump, which ends by claiming
+            // afresh from the new schedule.
+            stream.idle_until = SimTime::ZERO;
+            let landed = (stream.next_frame, stream.sent_until);
+            server.stream = Some(stream);
+            landed
+        }
+
+        let (mut server, mut stack) =
+            streaming_clip(short_lead(), 300_000, SimDuration::from_secs(600));
+        let a = server.current_rung().expect("streaming");
+        let b = a - 1;
+        let whole_a = whole_table(&mut server, a);
+        let whole_b = whole_table(&mut server, b);
+        let mut now = SimTime::from_millis(10);
+        let (_, next_a, generated_a, _) = server.debug_stream().expect("streaming");
+        assert_eq!(generated_a, next_a + 1);
+
+        // A → B → A with B sending nothing: `sent_until` is still the pts
+        // of A's last sent frame, so the round trip lands *on* that frame
+        // (`next_frame − 1`) and sends it again — behind the parked
+        // schedule's frontier, which is why the prefix is a table.
+        let (next, sent_until) = switch(&mut server, now, b);
+        assert_eq!(next, whole_b.first_frame_at(sent_until));
+        assert_eq!(switch(&mut server, now, a), (next_a - 1, sent_until));
+        assert_eq!(whole_a.first_frame_at(sent_until), next_a - 1);
+        assert_eq!(whole_a.frames()[next_a - 1].pts, sent_until);
+        // The parked schedule came back; it did not start over.
+        assert_eq!(server.debug_stream().expect("streaming").2, generated_a);
+
+        // A → B, a second of streaming on B, → A: `sent_until` is one of
+        // B's timestamps now, ahead of everything A had generated.
+        switch(&mut server, now, b);
+        let frames = server.stats().frames_sent;
+        stream_drained(&mut server, &mut stack, &mut now, SimTime::from_secs(1));
+        assert_eq!(server.current_rung(), Some(b));
+        assert!(server.stats().frames_sent > frames + 5);
+        let (next, sent_until) = switch(&mut server, now, a);
+        assert!(sent_until > whole_a.frames()[generated_a - 1].pts);
+        assert_eq!(next, whole_a.first_frame_at(sent_until));
+        assert_eq!(server.debug_stream().expect("streaming").2, next + 1);
+        let (next, _) = switch(&mut server, now, b);
+        assert_eq!(next, whole_b.first_frame_at(sent_until));
+    }
+
+    #[test]
+    fn every_way_a_stream_dies_keeps_its_frame_storage() {
+        use rv_transport::{TcpFlags, TcpSegment};
+
+        /// How many rungs hold recycled storage.
+        fn stored(server: &RealServer) -> usize {
+            let storage = &server.scratch.frame_storage;
+            assert!(storage.iter().all(Vec::is_empty), "storage holds frames");
+            storage.iter().filter(|v| v.capacity() > 0).count()
+        }
+        /// A second rung visited, so the stream holds two schedules.
+        fn visit_two_rungs(server: &mut RealServer) {
+            let mut stream = server.stream.take().expect("streaming");
+            let down = stream.rung - 1;
+            server.switch_rung(SimTime::from_millis(5), &mut stream, down);
+            server.stream = Some(stream);
+        }
+
+        let (mut server, mut stack) = streaming(short_lead(), 300_000);
+        let now = SimTime::from_millis(10);
+        assert_eq!(stored(&server), 0);
+        visit_two_rungs(&mut server);
+
+        // TEARDOWN.
+        request(&mut server, Message::request(Method::Teardown, URL));
+        server.poll(now, &mut stack);
+        assert_eq!(stored(&server), 2);
+        let warm = server.scratch.frame_capacity();
+
+        // PLAY starts on its rung's storage, and a PLAY over a live
+        // stream takes the old stream's back first.
+        play(&mut server, 2);
+        server.poll(now, &mut stack);
+        assert_eq!(stored(&server), 1);
+        visit_two_rungs(&mut server);
+        assert_eq!(stored(&server), 0);
+        play(&mut server, 3);
+        server.poll(now, &mut stack);
+        assert_eq!(stored(&server), 1);
+
+        // The data connection resetting under a TCP stream.
+        visit_two_rungs(&mut server);
+        let peer = Addr::new(rv_net::HostId(0), 5001);
+        let rst = TcpFlags {
+            rst: true,
+            ..TcpFlags::ACK
+        };
+        for flags in [TcpFlags::SYN, rst] {
+            let seg = TcpSegment {
+                seq: 0,
+                ack: 0,
+                flags,
+                window: 65_535,
+                data: rv_sim::PayloadBytes::empty(),
+            };
+            stack.tcp(server.data_tcp).on_segment(now, peer, seg);
+        }
+        server.poll(now, &mut stack);
+        assert!(!server.is_streaming());
+        assert_eq!(stored(&server), 2);
+
+        // A crash (the control connection dying takes the same path).
+        play(&mut server, 4);
+        server.poll(now, &mut stack);
+        visit_two_rungs(&mut server);
+        server.crash(&mut stack);
+        assert_eq!(stored(&server), 2);
+
+        // Retirement with a stream still live.
+        server.restart(&mut stack);
+        request(&mut server, Message::request(Method::Describe, URL));
+        play(&mut server, 1);
+        server.poll(now, &mut stack);
+        assert!(server.is_streaming());
+        visit_two_rungs(&mut server);
+        let scratch = server.into_scratch();
+        assert!(scratch.rung_schedules.is_empty());
+        assert!(scratch.frame_storage.iter().all(Vec::is_empty));
+        // Five streams over the same two rungs grew nothing after the first.
+        assert_eq!(scratch.frame_capacity(), warm);
     }
 
     #[test]
@@ -1650,13 +1876,13 @@ mod tests {
                     server.poll(now, &mut stack);
                 }
 
-                let s = server.stream.as_ref().expect("streaming");
+                let s = server.stream.as_mut().expect("streaming");
                 // Every edge still ahead bounds the claim; an edge already
                 // passed is an item owed, which only a refusal excuses.
                 let lead = server.cfg.buffer_lead;
                 let audio = (s.next_audio < s.clip.duration)
                     .then(|| s.play_epoch + s.next_audio.saturating_sub(lead));
-                let frame = s.schedule.frames().get(s.next_frame)
+                let frame = s.schedule.frame(s.next_frame)
                     .map(|f| s.play_epoch + f.pts.saturating_sub(lead));
                 let eval = Some(s.last_rate_eval + server.cfg.rate_eval_period);
                 for edge in [audio, frame, eval].into_iter().flatten() {

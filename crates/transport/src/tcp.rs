@@ -456,6 +456,13 @@ impl TcpSocket {
     }
 
     /// Processes an inbound segment.
+    ///
+    /// An acknowledgment of something not yet sent (`SEG.ACK > SND.NXT`,
+    /// RFC 793 §3.9) is ignored in every state: `snd_una` does not move
+    /// and no handshake completes on it. RFC 793 answers with an ACK (or a
+    /// reset during the handshake); staying silent is the other choice it
+    /// leaves a receiver that must not believe the number, and it keeps a
+    /// peer that cannot count from drawing traffic out of this socket.
     pub fn on_segment(&mut self, now: SimTime, src: Addr, seg: TcpSegment) {
         if seg.flags.rst {
             match self.state {
@@ -488,7 +495,11 @@ impl TcpSocket {
                 }
             }
             TcpState::SynSent => {
-                if seg.flags.syn && seg.flags.ack && seg.ack == self.iss + 1 {
+                if seg.flags.syn
+                    && seg.flags.ack
+                    && seg.ack == self.iss + 1
+                    && seg.ack <= self.snd_nxt
+                {
                     self.rcv_nxt = seg.seq + 1;
                     self.snd_una = seg.ack;
                     self.rwnd = seg.window;
@@ -498,7 +509,7 @@ impl TcpSocket {
                 }
             }
             TcpState::SynRcvd => {
-                if seg.flags.ack && seg.ack == self.iss + 1 {
+                if seg.flags.ack && seg.ack == self.iss + 1 && seg.ack <= self.snd_nxt {
                     self.snd_una = seg.ack;
                     self.rwnd = seg.window;
                     self.state = TcpState::Established;
@@ -1020,6 +1031,64 @@ mod tests {
                 return exchanged;
             }
         }
+    }
+
+    /// The minimal hostile script behind the `flight_size` underflow
+    /// (`snd_nxt - snd_una`, found by `attention_memo_tracks_every_socket_change`
+    /// at 1,000 cases): a peer acknowledges a SYN+ACK — or a SYN — that
+    /// has not been sent yet.
+    #[test]
+    fn ack_of_unsent_data_is_ignored_in_both_handshakes() {
+        let now = SimTime::ZERO;
+        let seg = |flags, seq, ack| TcpSegment {
+            seq,
+            ack,
+            flags,
+            window: 65_535,
+            data: PayloadBytes::empty(),
+        };
+
+        // Passive side: SYN, then the "completing" ACK before any poll.
+        let mut server = TcpSocket::new(addr(1, 554), TcpConfig::default());
+        server.listen();
+        server.on_segment(now, addr(0, 1000), seg(TcpFlags::SYN, 100, 0));
+        let ack = seg(TcpFlags::ACK, 101, server.iss + 1);
+        server.on_segment(now, addr(0, 1000), ack.clone());
+        assert_eq!(server.state(), TcpState::SynRcvd);
+        assert_eq!((server.snd_una, server.snd_nxt), (server.iss, server.iss));
+        // The poll that used to underflow sends the SYN+ACK instead ...
+        assert_eq!(server.poll(now).len(), 1);
+        assert_eq!(server.flight_size(), 1);
+        // ... after which the very same ACK is acceptable.
+        server.on_segment(now, addr(0, 1000), ack);
+        assert!(server.is_established());
+        assert_eq!(server.flight_size(), 0);
+
+        // Active side: a SYN+ACK answering a SYN still unsent.
+        let mut client = TcpSocket::new(addr(0, 1000), TcpConfig::default());
+        client.connect(addr(1, 554), now);
+        let syn_ack = seg(TcpFlags::SYN_ACK, 500, client.iss + 1);
+        client.on_segment(now, addr(1, 554), syn_ack.clone());
+        assert_eq!(client.state(), TcpState::SynSent);
+        assert_eq!(client.snd_una, client.iss);
+        assert_eq!(client.poll(now).len(), 1);
+        client.on_segment(now, addr(1, 554), syn_ack);
+        assert!(client.is_established());
+        client.send(&[7; 100]);
+        assert_eq!(
+            client.poll(now).len(),
+            1,
+            "the handshake ACK rides on the data"
+        );
+        assert_eq!(client.flight_size(), 100);
+
+        // Established: `snd_una` stays put, and so does the flight.
+        client.on_segment(
+            now,
+            addr(1, 554),
+            seg(TcpFlags::ACK, 501, client.snd_nxt + 1),
+        );
+        assert_eq!(client.flight_size(), 100);
     }
 
     fn established_pair() -> (TcpSocket, TcpSocket) {

@@ -54,6 +54,20 @@ fn warm_scratch_in_any_order_equals_cold_scratch() {
     }
     assert_eq!(scratch.servers.len(), 2, "one scratch slot per replica");
 
+    // A second pass over the same plan finds every rung's frame storage
+    // already as large as its longest stream needs: it grows none.
+    let frame_capacity = |scratch: &WorldScratch| -> Vec<usize> {
+        let servers = scratch.servers.iter();
+        servers.map(|s| s.frame_capacity()).collect()
+    };
+    let warm = frame_capacity(&scratch);
+    assert!(warm.iter().all(|frames| *frames > 0), "{warm:?}");
+    for (job, want) in jobs.iter().zip(&each_cold) {
+        let got = run_job_with(&plan, job, &mut scratch);
+        assert_same(&got, want, "second pass");
+    }
+    assert_eq!(frame_capacity(&scratch), warm);
+
     let mut scratch = WorldScratch::default();
     for (job, want) in jobs.iter().zip(&each_cold).rev() {
         let got = run_job_with(&plan, job, &mut scratch);
