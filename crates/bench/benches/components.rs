@@ -1,8 +1,9 @@
 //! Component micro-benchmarks: the building blocks every session exercises
 //! thousands of times — protocol codecs, packetization, frame-schedule
 //! generation, the statistics kernel, TCP bulk transfer, packet
-//! forwarding through the simulated network, and the wake queries a
-//! session driver asks every instant.
+//! forwarding through the simulated network, the wake queries a session
+//! driver asks every instant, and the payload pool every staged pump and
+//! every segment that spans two of them goes through.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -11,7 +12,7 @@ use rv_media::{
 };
 use rv_net::{Addr, HostId, LinkParams, NetBuilder, Packet};
 use rv_rtsp::{Decoder, Message, Method};
-use rv_sim::{SimDuration, SimRng, SimTime};
+use rv_sim::{ByteRope, PayloadPool, SimDuration, SimRng, SimTime};
 use rv_stats::Cdf;
 use rv_transport::{Segment, Stack, TcpConfig};
 
@@ -359,6 +360,57 @@ fn bench_wake_queries(c: &mut Criterion) {
     g.finish();
 }
 
+/// The layer numbers the campaign's memory and allocation figures rest
+/// on. `copy_in` of a mean pump (1,200 B) with windows released in claim
+/// order, as ACKs and deliveries release them: the cost must not depend
+/// on how many backings an earlier burst left the pool owning (40 live of
+/// 40 against 40 live of 900), nor on the oldest window being stuck
+/// behind an outage with a thousand live behind it (one requeue per trip
+/// through the claim queue, not a pass per claim). And the rope's
+/// spanning slice — an MSS across two pump-sized chunks, 119.5 times a
+/// session — which gathers into a recycled backing.
+fn bench_payload_pool(c: &mut Criterion) {
+    let pump = [0xA5u8; 1_200];
+    // A pool that once had `owned` windows out and now keeps `live`.
+    let warm = |owned: usize, live: usize| {
+        let mut pool = PayloadPool::new();
+        let mut windows: std::collections::VecDeque<_> =
+            (0..owned).map(|_| pool.copy_in(&pump)).collect();
+        windows.drain(..owned - live);
+        (pool, windows)
+    };
+    let mut g = c.benchmark_group("payload_pool");
+    g.throughput(Throughput::Bytes(pump.len() as u64));
+    for owned in [40, 900] {
+        let (mut pool, mut windows) = warm(owned, 40);
+        g.bench_function(format!("copy_in_1200B_40_live_of_{owned}_owned"), |b| {
+            b.iter(|| {
+                windows.pop_front();
+                windows.push_back(pool.copy_in(std::hint::black_box(&pump)));
+            })
+        });
+    }
+    let (mut pool, mut windows) = warm(1_000, 1_000);
+    let pinned = windows.pop_front();
+    g.bench_function("copy_in_1200B_1000_live_front_pinned", |b| {
+        b.iter(|| {
+            windows.pop_front();
+            windows.push_back(pool.copy_in(std::hint::black_box(&pump)));
+        })
+    });
+    drop(pinned);
+
+    let mut rope = ByteRope::new();
+    for _ in 0..8 {
+        rope.push_slice(&[0x5Au8; 1_219]);
+    }
+    g.throughput(Throughput::Bytes(1_460));
+    g.bench_function("rope_slice_spanning_mss", |b| {
+        b.iter(|| std::hint::black_box(&mut rope).slice(1_000, 1_460))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_rtsp_codec,
@@ -367,6 +419,7 @@ criterion_group!(
     bench_tcp_bulk,
     bench_network_forwarding,
     bench_net_hotpath,
-    bench_wake_queries
+    bench_wake_queries,
+    bench_payload_pool
 );
 criterion_main!(benches);

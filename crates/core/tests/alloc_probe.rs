@@ -147,13 +147,14 @@ fn alloc_breakdown_per_session() {
         println!("  {n:>5}  {site}");
     }
 
-    // Measured steady state is ~731 allocs/session (scratch arena +
-    // schedule/topology caches); the budget sits close enough above it
-    // that any allocation creep on the session hot path trips this
-    // probe rather than hiding under an old slack bound.
+    // Measured steady state is ~389 allocs/session (scratch arena,
+    // topology prototypes, on-demand schedules, pooled gathers and
+    // control writes); the budget sits close enough above it that any
+    // allocation creep on the session hot path trips this probe rather
+    // than hiding under an old slack bound.
     assert!(
-        per_session < 800.0,
-        "allocation budget blown: {per_session:.1} allocs/session (budget 800)"
+        per_session < 450.0,
+        "allocation budget blown: {per_session:.1} allocs/session (budget 450)"
     );
 }
 

@@ -133,7 +133,19 @@ pub struct Link<P> {
 
 impl<P> Link<P> {
     /// Creates a link between two nodes.
-    pub fn new(from: NodeId, to: NodeId, params: LinkParams, mut rng: SimRng) -> Self {
+    pub fn new(from: NodeId, to: NodeId, params: LinkParams, rng: SimRng) -> Self {
+        Self::new_on(from, to, params, rng, VecDeque::new())
+    }
+
+    /// [`Link::new`] on a retired link's emptied queue storage
+    /// ([`Link::into_queue_storage`]): capacity only.
+    pub(crate) fn new_on(
+        from: NodeId,
+        to: NodeId,
+        params: LinkParams,
+        mut rng: SimRng,
+        queue: VecDeque<(Packet<P>, u64)>,
+    ) -> Self {
         assert!(params.rate_bps > 0.0, "link rate must be positive");
         let congestion = CongestionProcess::new(params.congestion, rng.fork(0xC0));
         Link {
@@ -142,7 +154,7 @@ impl<P> Link<P> {
             params,
             congestion,
             rng,
-            queue: VecDeque::new(),
+            queue,
             queued_bytes: 0,
             serving: None,
             down: None,
@@ -150,6 +162,13 @@ impl<P> Link<P> {
             trace_tag: 0,
             stats: LinkStats::default(),
         }
+    }
+
+    /// Retires the link, keeping its packet queue's storage (emptied —
+    /// queued payloads drop here) for the next link built on it.
+    pub(crate) fn into_queue_storage(mut self) -> VecDeque<(Packet<P>, u64)> {
+        self.queue.clear();
+        self.queue
     }
 
     /// Sets the identity this link reports in trace events. The owning
@@ -374,6 +393,23 @@ mod tests {
         let mut out = Vec::new();
         l.poll(now, &mut |at, pkt, _tag| out.push((at, pkt)));
         out
+    }
+
+    #[test]
+    fn retired_queue_storage_carries_capacity_not_packets() {
+        let slow = LinkParams::lan().rate(1_000.0);
+        let mut l = link(slow);
+        for _ in 0..20 {
+            assert!(l.enqueue(SimTime::ZERO, pkt(100)));
+        }
+        let storage = l.into_queue_storage();
+        assert!(storage.is_empty());
+        let capacity = storage.capacity();
+        assert!(capacity >= 19, "one packet is in service, 19 queued");
+        let rng = SimRng::seed_from_u64(5);
+        let warm = Link::new_on(NodeId(0), NodeId(1), slow, rng, storage);
+        assert_eq!(warm.queue.capacity(), capacity);
+        assert_eq!((warm.backlog_bytes(), warm.next_wake()), (0, None));
     }
 
     #[test]

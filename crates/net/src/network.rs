@@ -120,6 +120,9 @@ pub struct Network<P> {
     lines: Vec<VecDeque<InFlight<P>>>,
     /// Emptied delay lines recycled across rebuilds, like `spare_inboxes`.
     spare_lines: Vec<VecDeque<InFlight<P>>>,
+    /// Retired links' emptied packet queues, handed to the next links the
+    /// same way.
+    spare_queues: Vec<VecDeque<(Packet<P>, u64)>>,
     /// Global stamp assigned to each in-flight push, so cross-line merges
     /// break same-instant ties in push order.
     transit_seq: u64,
@@ -175,6 +178,7 @@ impl<P> Network<P> {
             route_table: Vec::new(),
             lines: Vec::new(),
             spare_lines: Vec::new(),
+            spare_queues: Vec::new(),
             transit_seq: 0,
             head_updates: 0,
             bypass_packets: 0,
@@ -248,7 +252,8 @@ impl<P> Network<P> {
         rng: SimRng,
     ) -> LinkId {
         let id = LinkId(self.links.len() as u32);
-        let mut link = Link::new(from, to, params, rng);
+        let queue = self.spare_queues.pop().unwrap_or_default();
+        let mut link = Link::new_on(from, to, params, rng, queue);
         link.set_trace_tag(id.0);
         self.links.push(link);
         self.lines.push(self.spare_lines.pop().unwrap_or_default());
@@ -687,7 +692,9 @@ impl<P> Network<P> {
     pub fn reset_for_rebuild(&mut self) {
         self.num_nodes = 0;
         self.host_nodes.clear();
-        self.links.clear();
+        for link in self.links.drain(..) {
+            self.spare_queues.push(link.into_queue_storage());
+        }
         self.route_ids.clear();
         self.route_table.clear();
         for mut line in self.lines.drain(..) {

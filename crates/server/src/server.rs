@@ -21,7 +21,7 @@ use rv_media::{
 use rv_net::Addr;
 use rv_rtsp::{Decoder, ServerHandler, ServerSession, Status, TransportKind, TransportSpec};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{PayloadPool, SimDuration, SimTime};
+use rv_sim::{PayloadPool, PoolFootprint, SimDuration, SimTime};
 use rv_transport::{Stack, TcpHandle, UdpHandle};
 
 use crate::catalog::Catalog;
@@ -272,6 +272,14 @@ impl ServerScratch {
     /// session grew nothing.
     pub fn frame_capacity(&self) -> usize {
         self.frame_storage.iter().map(Vec::capacity).sum()
+    }
+
+    /// Backings and bytes the payload pool owns, and the most it had in
+    /// flight at once: read beside [`ServerScratch::frame_capacity`] to
+    /// see that a warm session grew nothing and that what is owned
+    /// tracks what was in flight.
+    pub fn payload_footprint(&self) -> PoolFootprint {
+        self.payload_pool.footprint()
     }
 }
 

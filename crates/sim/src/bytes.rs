@@ -199,103 +199,197 @@ impl<const N: usize> PartialEq<[u8; N]> for PayloadBytes {
     }
 }
 
+/// The size classes, derived here and nowhere else: class `c` holds
+/// backings of `1 << (POOL_MIN_SHIFT + c)` bytes.
+const POOL_MIN_SHIFT: u32 = 9;
+const POOL_MAX_SHIFT: u32 = 18;
+const POOL_CLASSES: usize = (POOL_MAX_SHIFT - POOL_MIN_SHIFT + 1) as usize;
+
+/// The class whose backings hold `len` bytes, for `len` in
+/// `1..=MAX_POOLED`; of a backing's own length, the class it belongs to.
+fn pool_class(len: usize) -> usize {
+    let shift = len.next_power_of_two().trailing_zeros();
+    (shift.max(POOL_MIN_SHIFT) - POOL_MIN_SHIFT) as usize
+}
+
+/// A zeroed backing in one allocation (`Arc<[u8]>` collects an
+/// exact-size iterator straight into its own block; `Arc::from(Vec)`
+/// would allocate twice).
+fn zeroed_backing(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, len).collect()
+}
+
 /// A recycling allocator for [`PayloadBytes`] backings.
 ///
 /// The data path's one unavoidable copy ([`PayloadBytes::copy_from_slice`]
 /// on the way into the shared representation) is also its one unavoidable
 /// *allocation* — and on a server pumping media every ~20 ms, those add up
-/// to thousands per session. The pool removes them: it keeps a small set
-/// of fixed-capacity `Arc<[u8]>` backings and copies new payloads into
-/// whichever one has no outstanding windows (`Arc` strong count of one —
-/// checked via [`Arc::get_mut`], so reuse is possible exactly when no
-/// other view of the bytes can exist). Once the working set is warm,
-/// [`PayloadPool::copy_in`] allocates nothing.
+/// to thousands per session. The pool removes them, and what it owns and
+/// what it touches track what is in flight:
+///
+/// * **Size classes.** Backings are powers of two from 512 B to
+///   [`PayloadPool::MAX_POOLED`] (256 KiB); a payload is written into the
+///   smallest class that holds it, so a 1.2 KB pump occupies 2 KiB, not
+///   the largest payload's capacity. Anything larger is one exact
+///   allocation the pool never keeps.
+/// * **A claim-order queue.** A backing with windows out waits in the
+///   order it was claimed. Windows release in roughly FIFO order (ACKed
+///   TCP data, delivered UDP datagrams), so freed backings collect at the
+///   front, where each claim moves them onto their class's free stack.
+///   The only freedom test anywhere is [`Arc::get_mut`] — it succeeds
+///   exactly when no other view of the bytes can exist.
+/// * **Most-recently-freed first.** A claim takes the *top* of its
+///   class's stack: the backing the receiver dropped last, still in
+///   cache, instead of the one freed longest ago. Backings the working
+///   set no longer needs sink to the bottom and are never touched again.
+/// * **No allocation past a free backing.** When the front is pinned (a
+///   loss-dropped packet freed behind an older in-flight one, an outage
+///   parking the oldest) and the class's stack is empty, one pass walks
+///   the queue — shelving every free backing it meets, requeueing every
+///   pinned one behind the newest claim — and stops at the first free
+///   backing of the class. Only a pass that finds none allocates, so per
+///   class the pool never owns more backings than were once live
+///   together. A long-pinned backing costs one requeue per trip through
+///   the queue, not a pass per claim.
 ///
 /// Windows handed out are byte-for-byte identical to fresh allocations
 /// (length-exact, contents fully overwritten), so pooling is invisible to
-/// everything but the allocator.
-#[derive(Debug)]
+/// everything but the allocator. Once the working set is warm,
+/// [`PayloadPool::gather`] allocates nothing.
+#[derive(Debug, Default)]
 pub struct PayloadPool {
-    chunks: Vec<Arc<[u8]>>,
-    chunk_capacity: usize,
-    /// Rotating scan start. Windows release in roughly FIFO order (ACKed
-    /// TCP data, delivered UDP datagrams), so the chunk freed longest ago
-    /// sits just past the one most recently claimed; starting the scan
-    /// there makes reuse O(1) amortized instead of rescanning the pinned
-    /// prefix on every call.
-    cursor: usize,
+    /// Backings with windows out and the payload length written into
+    /// each, oldest claim at the front.
+    out: VecDeque<(Arc<[u8]>, u32)>,
+    /// Free backings by class, the most recently shelved on top.
+    free: [Vec<Arc<[u8]>>; POOL_CLASSES],
+    /// Payload lengths summed over `out`, and the sum's high-water mark.
+    out_bytes: usize,
+    peak_out_bytes: usize,
 }
 
-/// Default backing capacity: comfortably above one pacing pump's staged
-/// bytes at the highest simulated media rates.
-const DEFAULT_POOL_CHUNK: usize = 16 * 1024;
-
-/// [`PayloadPool::new`], so a struct holding a pool can derive `Default`
-/// (a derived impl here would set a zero chunk capacity, which pools
-/// nothing).
-impl Default for PayloadPool {
-    fn default() -> Self {
-        Self::new()
-    }
+/// What a [`PayloadPool`] holds (instrumentation/tests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PoolFootprint {
+    /// Backings owned, free or with windows out.
+    pub backings: usize,
+    /// Their capacities, summed.
+    pub bytes: usize,
+    /// High-water mark of payload bytes with windows out: what was in
+    /// flight at once (a freed payload counts until a claim notices).
+    pub peak_out_bytes: usize,
 }
 
 impl PayloadPool {
-    /// A pool with the default chunk capacity.
+    /// The largest payload the pool recycles a backing for: the top size
+    /// class. Covers a full TCP send buffer, the largest single write the
+    /// data path makes.
+    pub const MAX_POOLED: usize = 1 << POOL_MAX_SHIFT;
+
+    /// An empty pool. Allocation-free until the first claim.
     pub fn new() -> Self {
-        Self::with_chunk_capacity(DEFAULT_POOL_CHUNK)
+        Self::default()
     }
 
-    /// A pool whose recycled backings hold up to `capacity` bytes.
-    /// Payloads larger than that fall back to a fresh exact allocation.
-    pub fn with_chunk_capacity(capacity: usize) -> Self {
-        PayloadPool {
-            chunks: Vec::new(),
-            chunk_capacity: capacity.max(1),
-            cursor: 0,
-        }
-    }
-
-    /// Copies `bytes` into a recycled backing when one is free, a fresh
-    /// one otherwise. The returned window is indistinguishable from
-    /// [`PayloadBytes::copy_from_slice`].
+    /// Copies `bytes` into a recycled backing when one of its class is
+    /// free, a fresh one otherwise. The returned window is
+    /// indistinguishable from [`PayloadBytes::copy_from_slice`].
     pub fn copy_in(&mut self, bytes: &[u8]) -> PayloadBytes {
-        if bytes.is_empty() {
+        self.gather(bytes.len(), |out| out.copy_from_slice(bytes))
+    }
+
+    /// A `len`-byte payload written in place by `fill`, which receives
+    /// exactly `len` bytes of unspecified content and must overwrite all
+    /// of them. The pool's one writing primitive: a backing of `len`'s
+    /// class is claimed, filled, and queued behind the other claims.
+    pub fn gather(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> PayloadBytes {
+        if len == 0 {
             return PayloadBytes::empty();
         }
-        let len = u32::try_from(bytes.len()).expect("payload exceeds u32::MAX bytes");
-        if bytes.len() > self.chunk_capacity {
-            return PayloadBytes::copy_from_slice(bytes);
+        let window = u32::try_from(len).expect("payload exceeds u32::MAX bytes");
+        let pooled = len <= Self::MAX_POOLED;
+        let mut buf = if pooled {
+            self.claim(pool_class(len))
+        } else {
+            zeroed_backing(len)
+        };
+        // Infallible: a fresh backing has one owner, and a shelved one had
+        // none but the pool when it was shelved and can gain none since.
+        let bytes = Arc::get_mut(&mut buf).expect("claimed backing has no other owner");
+        fill(&mut bytes[..len]);
+        if pooled {
+            self.out_bytes += len;
+            self.peak_out_bytes = self.peak_out_bytes.max(self.out_bytes);
+            self.out.push_back((Arc::clone(&buf), window));
         }
-        let n = self.chunks.len();
-        for probe in 0..n {
-            let i = (self.cursor + probe) % n;
-            // Strong count 1 ⇔ every window into this backing is gone.
-            if let Some(buf) = Arc::get_mut(&mut self.chunks[i]) {
-                buf[..bytes.len()].copy_from_slice(bytes);
-                self.cursor = i + 1;
-                return PayloadBytes {
-                    buf: Arc::clone(&self.chunks[i]),
-                    off: 0,
-                    len,
-                };
-            }
-        }
-        // Every backing still has live windows: grow the working set.
-        let mut fresh = vec![0u8; self.chunk_capacity];
-        fresh[..bytes.len()].copy_from_slice(bytes);
-        let arc: Arc<[u8]> = Arc::from(fresh);
-        self.chunks.push(Arc::clone(&arc));
-        self.cursor = 0;
         PayloadBytes {
-            buf: arc,
+            buf,
             off: 0,
-            len,
+            len: window,
         }
     }
 
-    /// Number of backings the pool currently owns (instrumentation/tests).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+    /// A backing of `class` nobody else can see, off `out` and the stacks.
+    fn claim(&mut self, class: usize) -> Arc<[u8]> {
+        // Windows release FIFO: whatever was freed since the last claim
+        // sits at the front, oldest first — so the newest lands on top.
+        while let Some((front, _)) = self.out.front_mut() {
+            if Arc::get_mut(front).is_none() {
+                break;
+            }
+            self.shelve_front();
+        }
+        if let Some(buf) = self.free[class].pop() {
+            return buf;
+        }
+        // The front is pinned and the class has nothing free in sight:
+        // look behind it before allocating.
+        for _ in 0..self.out.len() {
+            // Infallible: the loop bound counted this entry.
+            let (front, _) = self.out.front_mut().expect("queue outlasts its length");
+            if Arc::get_mut(front).is_none() {
+                self.out.rotate_left(1);
+                continue;
+            }
+            let found = pool_class(front.len()) == class;
+            self.shelve_front();
+            if found {
+                break;
+            }
+        }
+        let shelved = self.free[class].pop();
+        shelved.unwrap_or_else(|| zeroed_backing(1 << (POOL_MIN_SHIFT + class as u32)))
+    }
+
+    /// Moves the front of `out`, known free, onto its class's stack.
+    fn shelve_front(&mut self) {
+        // Infallible: both callers have just tested the front.
+        let (buf, len) = self.out.pop_front().expect("caller saw a front");
+        self.out_bytes -= len as usize;
+        self.free[pool_class(buf.len())].push(buf);
+    }
+
+    /// What the pool holds (instrumentation/tests).
+    pub fn footprint(&self) -> PoolFootprint {
+        let out = self.out.iter().map(|(buf, _)| buf);
+        let owned = out.chain(self.free.iter().flatten());
+        let (backings, bytes) = owned.fold((0, 0), |(n, b), buf| (n + 1, b + buf.len()));
+        PoolFootprint {
+            backings,
+            bytes,
+            peak_out_bytes: self.peak_out_bytes,
+        }
+    }
+
+    /// Backings owned of the class a `len`-byte payload is written into
+    /// (instrumentation/tests); 0 for lengths the pool does not recycle.
+    pub fn backings_for(&self, len: usize) -> usize {
+        if len == 0 || len > Self::MAX_POOLED {
+            return 0;
+        }
+        let class = pool_class(len);
+        let out = self.out.iter().map(|(buf, _)| pool_class(buf.len()));
+        out.filter(|&c| c == class).count() + self.free[class].len()
     }
 }
 
@@ -304,14 +398,21 @@ impl PayloadPool {
 ///
 /// Pushing takes ownership of a chunk without copying. [`ByteRope::slice`]
 /// returns a zero-copy sub-window when the requested range lies within
-/// one chunk (the common case: the server flushes one chunk per pacing
-/// tick, far larger than an MSS) and pays one bounded gather copy when it
-/// spans chunks — segment sizes are dictated by MSS/window arithmetic and
-/// must not bend to chunk geometry, or the wire trace would change.
+/// one chunk and pays one bounded gather copy when it spans chunks —
+/// segment sizes are dictated by MSS/window arithmetic and must not bend
+/// to chunk geometry, or the wire trace would change. Spanning is not
+/// rare: the server stages one chunk per pacing pump, 1,219 bytes on
+/// average in a June-2001 campaign against a 1,460- or 536-byte MSS, and
+/// a session takes the spanning arm 119.5 times. So the gather's backing
+/// comes from the rope's own [`PayloadPool`], as does the chunk
+/// [`ByteRope::push_slice`] copies into: one copy, and once the pool is
+/// warm no allocation.
 #[derive(Debug, Default)]
 pub struct ByteRope {
     chunks: VecDeque<PayloadBytes>,
     len: usize,
+    /// Backings for the copies the rope itself makes; survives `clear`.
+    pool: PayloadPool,
 }
 
 impl ByteRope {
@@ -346,18 +447,19 @@ impl ByteRope {
         self.chunks.push_back(chunk);
     }
 
-    /// Appends by copying `bytes` into one fresh chunk.
+    /// Appends by copying `bytes` into one chunk from the rope's pool.
     pub fn push_slice(&mut self, bytes: &[u8]) {
-        self.push(PayloadBytes::copy_from_slice(bytes));
+        let chunk = self.pool.copy_in(bytes);
+        self.push(chunk);
     }
 
     /// The bytes at `off..off + len` as one payload. Zero-copy when the
-    /// range lies within a single chunk; otherwise gathers into a fresh
-    /// allocation.
+    /// range lies within a single chunk; otherwise gathered into a backing
+    /// from the rope's pool (which is why this takes `&mut self`).
     ///
     /// # Panics
     /// When `off + len` exceeds the buffered length.
-    pub fn slice(&self, off: usize, len: usize) -> PayloadBytes {
+    pub fn slice(&mut self, off: usize, len: usize) -> PayloadBytes {
         assert!(
             off + len <= self.len,
             "slice {off}+{len} out of bounds for rope of {} bytes",
@@ -381,14 +483,16 @@ impl ByteRope {
         }
         // Spanning slice: gather. Bounded by the caller's request (an MSS
         // on the TCP transmit path), not by the rope size.
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&first[start..]);
-        while out.len() < len {
-            let chunk = iter.next().expect("length within rope");
-            let take = (len - out.len()).min(chunk.len());
-            out.extend_from_slice(&chunk[..take]);
-        }
-        PayloadBytes::from_vec(out)
+        self.pool.gather(len, |out| {
+            let (head, mut rest) = out.split_at_mut(first.len() - start);
+            head.copy_from_slice(&first[start..]);
+            while !rest.is_empty() {
+                let chunk = iter.next().expect("length within rope");
+                let (filled, tail) = rest.split_at_mut(rest.len().min(chunk.len()));
+                filled.copy_from_slice(&chunk[..filled.len()]);
+                rest = tail;
+            }
+        })
     }
 
     /// Drops the first `n` bytes (acknowledged data leaving a send
@@ -562,20 +666,20 @@ mod tests {
 
     #[test]
     fn pool_recycles_backing_once_windows_drop() {
-        let mut pool = PayloadPool::with_chunk_capacity(64);
+        let mut pool = PayloadPool::new();
         let a = pool.copy_in(&[1, 2, 3]);
         assert_eq!(a, [1u8, 2, 3]);
-        assert_eq!(pool.chunk_count(), 1);
+        assert_eq!(pool.footprint().backings, 1);
         // `a` still alive: a second copy_in must not clobber it.
         let b = pool.copy_in(&[9, 9]);
         assert!(!a.same_backing(&b));
-        assert_eq!(pool.chunk_count(), 2);
+        assert_eq!(pool.footprint().backings, 2);
         assert_eq!(a, [1u8, 2, 3]);
         drop(a);
         drop(b);
         // Both backings free again: no growth, contents exact.
         let c = pool.copy_in(&[7; 64]);
-        assert_eq!(pool.chunk_count(), 2);
+        assert_eq!(pool.footprint().backings, 2);
         assert_eq!(c, [7u8; 64]);
         // Slices keep the backing pinned too.
         let s = c.slice(1..5);
@@ -586,13 +690,152 @@ mod tests {
     }
 
     #[test]
-    fn pool_oversize_payloads_fall_back_to_exact_alloc() {
-        let mut pool = PayloadPool::with_chunk_capacity(4);
-        let big = pool.copy_in(&[5; 100]);
-        assert_eq!(big.len(), 100);
-        assert_eq!(big, [5u8; 100]);
-        assert_eq!(pool.chunk_count(), 0, "oversize payloads are not pooled");
+    fn pool_payloads_above_the_top_class_fall_back_to_exact_alloc() {
+        let mut pool = PayloadPool::new();
+        let big = pool.copy_in(&vec![5; PayloadPool::MAX_POOLED + 1]);
+        assert_eq!(big.len(), PayloadPool::MAX_POOLED + 1);
+        assert!(big.iter().all(|&b| b == 5));
+        assert_eq!(
+            pool.footprint().backings,
+            0,
+            "oversize payloads are not pooled"
+        );
+        assert_eq!(pool.backings_for(big.len()), 0);
         assert!(pool.copy_in(&[]).is_empty());
+        // The bound is the top class, inclusive: a full TCP send buffer
+        // written in one pump is recycled.
+        let top = pool.copy_in(&vec![6; PayloadPool::MAX_POOLED]);
+        assert_eq!(top.len(), PayloadPool::MAX_POOLED);
+        assert!(top.iter().all(|&b| b == 6));
+        let owned = pool.footprint();
+        assert_eq!((owned.backings, owned.bytes), (1, PayloadPool::MAX_POOLED));
+    }
+
+    /// What `fill` finds in the backing it is handed: the stamp the
+    /// backing's previous claim wrote, 0 for a fresh one. The only way to
+    /// name a backing whose every window is gone.
+    fn claim_stamped(pool: &mut PayloadPool, len: usize, stamp: u8) -> (PayloadBytes, u8) {
+        let mut found = 0;
+        let window = pool.gather(len, |out| {
+            found = out[0];
+            out.fill(stamp);
+        });
+        (window, found)
+    }
+
+    #[test]
+    fn pool_sizes_a_backing_to_its_payloads_class() {
+        let mut pool = PayloadPool::new();
+        let mut live = Vec::new(); // every claim a new backing
+        for (len, capacity) in [(1, 512), (512, 512), (513, 1024), (1_219, 2_048)] {
+            let before = pool.footprint().bytes;
+            live.push(pool.copy_in(&vec![1; len]));
+            assert_eq!(pool.footprint().bytes - before, capacity, "{len} bytes");
+        }
+        assert_eq!(pool.backings_for(300), 2);
+        assert_eq!(pool.backings_for(2_000), 1);
+        assert_eq!(pool.backings_for(2_049), 0);
+        // A class serves only its own lengths: nothing above is reused for
+        // a small payload, nothing below for a large one.
+        let mut pool = PayloadPool::new();
+        drop(pool.copy_in(&[1; 4_000]));
+        drop(pool.copy_in(&[1; 100]));
+        assert_eq!(pool.footprint().backings, 2);
+        assert_eq!(
+            claim_stamped(&mut pool, 3_000, 2).1,
+            1,
+            "4 KiB class reused"
+        );
+    }
+
+    #[test]
+    fn pool_reuses_the_backing_freed_last() {
+        let mut pool = PayloadPool::new();
+        let windows: Vec<_> = (1..=3)
+            .map(|s| claim_stamped(&mut pool, 600, s).0)
+            .collect();
+        drop(windows); // freed in claim order: 1, 2, 3
+        let (third, found) = claim_stamped(&mut pool, 700, 4);
+        assert_eq!(found, 3, "the top of the stack is the backing freed last");
+        let (second, found) = claim_stamped(&mut pool, 700, 5);
+        assert_eq!(found, 2);
+        drop(third);
+        assert_eq!(claim_stamped(&mut pool, 700, 6).1, 4, "freed since: on top");
+        assert!(second.iter().all(|&b| b == 5));
+        assert_eq!(pool.footprint().backings, 3);
+    }
+
+    #[test]
+    fn pool_looks_behind_a_pinned_front_before_allocating() {
+        let mut pool = PayloadPool::new();
+        let pinned = claim_stamped(&mut pool, 600, 1).0;
+        let other_class = claim_stamped(&mut pool, 5_000, 2).0;
+        let behind = claim_stamped(&mut pool, 600, 3).0;
+        let newest = claim_stamped(&mut pool, 600, 4).0;
+        drop(other_class);
+        drop(behind);
+        // The oldest claim is still out, its class's stack is empty, and a
+        // free backing of the class sits two places behind it.
+        let (reused, found) = claim_stamped(&mut pool, 600, 5);
+        assert_eq!(found, 3);
+        assert_eq!(pool.footprint().backings, 4, "nothing allocated");
+        // The other class's backing was shelved on the way past.
+        assert_eq!(claim_stamped(&mut pool, 5_000, 6).1, 2);
+        // All three of the class out: only now does it grow.
+        assert_eq!(claim_stamped(&mut pool, 600, 7).1, 0);
+        assert_eq!(pool.backings_for(600), 4);
+        assert!(pinned.iter().all(|&b| b == 1));
+        assert!(newest.iter().all(|&b| b == 4));
+        assert!(reused.iter().all(|&b| b == 5));
+    }
+
+    #[test]
+    fn pool_footprint_tracks_what_is_out() {
+        let mut pool = PayloadPool::new();
+        assert_eq!(pool.footprint(), PoolFootprint::default());
+        let a = pool.copy_in(&[1; 600]);
+        let b = pool.copy_in(&[2; 3_000]);
+        drop(a);
+        drop(b);
+        let c = pool.copy_in(&[3; 10]);
+        let want = PoolFootprint {
+            backings: 3,
+            bytes: 1_024 + 4_096 + 512,
+            peak_out_bytes: 600 + 3_000,
+        };
+        assert_eq!(pool.footprint(), want);
+        drop(c);
+    }
+
+    #[test]
+    fn rope_copies_come_from_its_pool() {
+        let mut r = ByteRope::new();
+        r.push_slice(&[1; 700]);
+        r.push_slice(&[2; 700]);
+        let spanning = r.slice(600, 200);
+        assert_eq!(&spanning[..100], &[1; 100]);
+        assert_eq!(&spanning[100..], &[2; 100]);
+        assert_eq!(r.pool.footprint().backings, 3);
+        // Once the segment is gone its backing serves the next gather,
+        // and a retransmission of the same range reads the same bytes.
+        drop(spanning);
+        let again = r.slice(600, 200);
+        assert_eq!(r.pool.footprint().backings, 3);
+        assert_eq!(&again[..100], &[1; 100]);
+        assert_eq!(&again[100..], &[2; 100]);
+        // `clear` drops the bytes, not the pool: what the rope copies
+        // next lands in the backings it already owns.
+        drop(again);
+        r.clear();
+        r.push_slice(&[3; 900]);
+        r.push_slice(&[4; 300]);
+        assert_eq!(r.pool.footprint().backings, 3);
+        assert_eq!(r.slice(0, 1_200)[899..901], [3, 4]);
+        assert_eq!(
+            r.pool.footprint().backings,
+            4,
+            "a 2 KiB gather: a new class"
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod rng;
 mod time;
 pub mod trace;
 
-pub use bytes::{ByteRope, PayloadBytes, PayloadPool};
+pub use bytes::{ByteRope, PayloadBytes, PayloadPool, PoolFootprint};
 pub use clock::{earliest, run_until, Clock, StepOutcome};
 pub use counters::{Counter, CounterSet};
 pub use fault::{

@@ -592,7 +592,7 @@ impl SessionWorld {
     /// `scratch` for the next session: the network, the client's buffers
     /// and every server's, each into its replica's slot. The network is
     /// scrubbed here (not at rebuild) so in-flight payload `Arc`s drop now
-    /// and their pool chunks are free for reuse by the time the next
+    /// and their pool backings are free for reuse by the time the next
     /// server copies packets in.
     pub fn retire(mut self, scratch: &mut WorldScratch) {
         scratch.work.instants += self.work.instants;

@@ -1150,6 +1150,63 @@ mod tests {
         assert_eq!(c.stats().retransmits, 1);
     }
 
+    /// The data segments among `pkts`, payloads only.
+    fn data_of(pkts: &[Packet<Segment>]) -> Vec<PayloadBytes> {
+        let segments = pkts.iter().filter_map(|p| match &p.payload {
+            Segment::Tcp(seg) if !seg.data.is_empty() => Some(seg.data.clone()),
+            _ => None,
+        });
+        segments.collect()
+    }
+
+    #[test]
+    fn spanning_segment_and_its_retransmits_gather_the_same_bytes() {
+        let (mut c, mut _s) = established_pair();
+        // Two pump-sized writes: the first MSS takes all of one and 660
+        // bytes of the other, the second lies within the second write.
+        let a = PayloadBytes::from_vec((0..800u32).map(|i| i as u8).collect());
+        let b = PayloadBytes::from_vec((0..800u32).map(|i| (i * 7) as u8).collect());
+        assert_eq!(c.send_bytes(a.clone()) + c.send_bytes(b.clone()), 1600);
+        let stream: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
+
+        let sent = data_of(&c.poll(SimTime::from_millis(1)));
+        assert_eq!(sent.len(), 2);
+        assert_eq!(sent[0], stream[..1460]);
+        assert!(!sent[0].same_backing(&a) && !sent[0].same_backing(&b));
+        assert_eq!(sent[1], stream[1460..]);
+        assert!(sent[1].same_backing(&b), "within one write: still a slice");
+
+        // Nothing is delivered. The head is gathered again at each RTO:
+        // while the first copy is in flight, into another backing ...
+        let rto_fires = c.next_wake().expect("rto armed");
+        let retx = data_of(&c.poll(rto_fires + SimDuration::from_millis(1)));
+        assert_eq!(retx[0], sent[0], "retransmit differs from the transmission");
+        assert!(!retx[0].same_backing(&sent[0]));
+
+        // ... and once the first copy is gone (dropped on the path), into
+        // the backing it left. The copy still in flight and the sender's
+        // own buffer are untouched by that rewrite.
+        let in_flight = retx[0].clone();
+        drop((sent, retx));
+        let rto_fires = c.next_wake().expect("rto re-armed");
+        let again = data_of(&c.poll(rto_fires + SimDuration::from_millis(1)));
+        assert_eq!(again[0], stream[..1460]);
+        assert!(!again[0].same_backing(&in_flight));
+        assert_eq!(in_flight, stream[..1460]);
+        assert_eq!(a, stream[..800]);
+        assert_eq!(b, stream[800..]);
+        assert_eq!(c.stats().retransmits, 2);
+        assert_eq!(c.send_buf.slice(0, 1600), stream[..]);
+    }
+
+    #[test]
+    fn a_full_send_buffer_is_a_pooled_payload() {
+        // The largest single write the data path makes is a pump filling
+        // the send buffer; the pool's top class must hold it, or every
+        // first pump of a session allocates its payload afresh.
+        assert!(TcpConfig::default().send_capacity <= rv_sim::PayloadPool::MAX_POOLED);
+    }
+
     #[test]
     fn data_flows_in_order() {
         let (mut c, mut s) = established_pair();

@@ -60,19 +60,49 @@ fn warm_scratch_in_any_order_equals_cold_scratch() {
         let servers = scratch.servers.iter();
         servers.map(|s| s.frame_capacity()).collect()
     };
+    // Nor does a payload pool: per size class it already owns as many
+    // backings as its busiest session had in flight at once.
+    let pool_owned = |scratch: &WorldScratch| -> Vec<(usize, usize)> {
+        let pools = scratch.servers.iter().map(|s| s.payload_footprint());
+        pools.map(|owned| (owned.backings, owned.bytes)).collect()
+    };
     let warm = frame_capacity(&scratch);
+    let warm_pools = pool_owned(&scratch);
     assert!(warm.iter().all(|frames| *frames > 0), "{warm:?}");
+    assert!(warm_pools.iter().all(|(backings, _)| *backings > 0));
     for (job, want) in jobs.iter().zip(&each_cold) {
         let got = run_job_with(&plan, job, &mut scratch);
         assert_same(&got, want, "second pass");
     }
     assert_eq!(frame_capacity(&scratch), warm);
+    assert_eq!(pool_owned(&scratch), warm_pools);
 
     let mut scratch = WorldScratch::default();
     for (job, want) in jobs.iter().zip(&each_cold).rev() {
         let got = run_job_with(&plan, job, &mut scratch);
         assert_same(&got, want, "reverse order");
     }
+}
+
+/// What a worker's payload pool owns tracks what its sessions had in
+/// flight, not how many payloads they staged: after a classic campaign the
+/// bytes owned are a small multiple of the most payload bytes that were
+/// out at once — 4.1× here: each class keeps its own busiest moment, and a
+/// payload occupies up to twice its length (a 16 KiB backing for every
+/// payload, handed out in rotation, owned 933 of them: 29×).
+#[test]
+fn payload_pool_owns_what_was_in_flight() {
+    let plan = plan_campaign(StudyParams {
+        scale: 0.1,
+        ..StudyParams::default()
+    });
+    let mut scratch = WorldScratch::default();
+    for job in &plan.collect_jobs() {
+        run_job_with(&plan, job, &mut scratch);
+    }
+    let owned = scratch.servers[0].payload_footprint();
+    assert!(owned.peak_out_bytes > 256 * 1024, "{owned:?}");
+    assert!(owned.bytes <= 6 * owned.peak_out_bytes, "{owned:?}");
 }
 
 /// `PrototypeCache`'s hit rate, and the scratch's replica slots under
