@@ -309,8 +309,8 @@ fn fig1() -> FigureOutput {
         // Coded values of the rung currently being streamed.
         let (coded_bw, coded_fps) = world
             .server
-            .debug_stream()
-            .map(|(rung, _, _, _)| {
+            .current_rung()
+            .map(|rung| {
                 let enc = &clip.ladder.rungs()[rung];
                 (enc.total_bps / 1000, enc.frame_rate)
             })

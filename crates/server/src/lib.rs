@@ -11,9 +11,13 @@
 #![warn(missing_docs)]
 
 mod catalog;
+mod control;
+mod pump;
 mod ratecontrol;
+mod schedules;
 mod server;
 
 pub use catalog::Catalog;
+pub use control::REPORT_PARAM;
 pub use ratecontrol::{ReceiverReport, TfrcConfig, TfrcController, TokenBucket};
-pub use server::{RealServer, ServerConfig, ServerScratch, ServerStats, REPORT_PARAM};
+pub use server::{RealServer, ServerConfig, ServerScratch, ServerStats};

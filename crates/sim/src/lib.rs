@@ -1,9 +1,9 @@
 //! # rv-sim — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the RealVideo reproduction: a logical clock
-//! ([`SimTime`]/[`SimDuration`]), a poll-style driver loop ([`run_until`])
-//! with its wake-up fold ([`earliest`]), and a forkable deterministic RNG
-//! ([`SimRng`]).
+//! ([`SimTime`]/[`SimDuration`]), the wake-up fold every poll-style driver
+//! loop ends an instant with ([`earliest`]), and a forkable deterministic
+//! RNG ([`SimRng`]).
 //!
 //! Design follows the smoltcp school of event-driven networking: components
 //! are plain state machines polled with an explicit `now`, never reading the
@@ -11,23 +11,28 @@
 //! the paper reproduction bit-identical across runs and machines.
 //!
 //! ```
-//! use rv_sim::{Clock, SimTime, StepOutcome, run_until};
+//! use rv_sim::{earliest, SimTime};
 //!
+//! // One component: a sorted schedule. "Poll" takes what is due at `now`;
+//! // "next wake" is the next entry's time, `None` once it has run out.
 //! let schedule = [(SimTime::from_secs(1), "hello"), (SimTime::from_secs(2), "world")];
 //! let mut next = 0;
 //!
-//! let mut clock = Clock::new();
+//! let mut now = SimTime::ZERO;
 //! let mut seen = Vec::new();
-//! run_until(&mut clock, SimTime::from_secs(10), |now| match schedule.get(next) {
-//!     Some(&(at, what)) if at <= now => {
+//! loop {
+//!     while let Some(&(_, what)) = schedule.get(next).filter(|(at, _)| *at <= now) {
 //!         seen.push(what);
 //!         next += 1;
-//!         StepOutcome::Worked
 //!     }
-//!     Some(&(at, _)) => StepOutcome::IdleUntil(at),
-//!     None => StepOutcome::Quiescent,
-//! });
-//! assert_eq!(seen, ["hello", "world"]);
+//!     // A driver folds every component's answer into the instant to visit
+//!     // next; with none left, the simulation has quiesced.
+//!     match earliest([schedule.get(next).map(|&(at, _)| at)]) {
+//!         Some(wake) => now = wake,
+//!         None => break,
+//!     }
+//! }
+//! assert_eq!((seen, now), (vec!["hello", "world"], SimTime::from_secs(2)));
 //! ```
 
 // The `alloc-stats` feature implements `GlobalAlloc`, whose contract is
@@ -49,7 +54,7 @@ mod time;
 pub mod trace;
 
 pub use bytes::{ByteRope, PayloadBytes, PayloadPool, PoolFootprint};
-pub use clock::{earliest, run_until, Clock, StepOutcome};
+pub use clock::earliest;
 pub use counters::{Counter, CounterSet};
 pub use fault::{
     FaultPlan, FaultScenario, FaultSegment, LinkOutage, LossBurst, OutagePolicy, ServerCrash,

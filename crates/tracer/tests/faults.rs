@@ -6,7 +6,7 @@ use rv_media::{Clip, ContentKind};
 use rv_net::{LinkId, LinkParams};
 use rv_rtsp::TransportKind;
 use rv_sim::{
-    FaultPlan, FaultSegment, LinkOutage, OutagePolicy, ServerCrash, SimDuration, SimTime,
+    Counter, FaultPlan, FaultSegment, LinkOutage, OutagePolicy, ServerCrash, SimDuration, SimTime,
 };
 use rv_tracer::{two_host_world, ClientConfig, FaultLinkMap, SessionOutcome, SessionWorld};
 
@@ -99,6 +99,31 @@ fn crash_mid_play_with_restart_recovers_degraded() {
         other => panic!("expected PlayedDegraded, got {other:?}"),
     }
     assert!(m.frames_played > 100, "played {}", m.frames_played);
+}
+
+/// A hand-written plan may overlap two crash windows on one replica:
+/// crash, crash, restart, restart. The server is down from the first
+/// crash to the first restart — a dead process cannot die again, a live
+/// one is not restarted — and the session ends with a typed outcome.
+#[test]
+fn overlapping_crash_windows_on_one_replica_are_one_crash() {
+    let crash = |at, restart_after| ServerCrash {
+        at: SimTime::from_secs(at),
+        restart_after: Some(SimDuration::from_secs(restart_after)),
+        replica: 0,
+    };
+    let plan = FaultPlan {
+        server_crashes: vec![crash(5, 10), crash(8, 2)],
+        ..FaultPlan::none()
+    };
+    let mut w = faulted_world(&plan, |_| {});
+    let m = w.run(SimTime::from_secs(150));
+    match m.outcome {
+        SessionOutcome::PlayedDegraded { retries, .. } => assert!(retries >= 1),
+        other => panic!("expected PlayedDegraded, got {other:?}"),
+    }
+    assert!(w.server.is_alive());
+    assert_eq!(w.counters().get(Counter::ServerCrashes), 1);
 }
 
 #[test]

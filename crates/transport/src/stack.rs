@@ -317,7 +317,7 @@ impl Stack {
 mod tests {
     use super::*;
     use rv_net::{LinkParams, NetBuilder};
-    use rv_sim::{earliest, Clock, SimDuration, SimRng, StepOutcome};
+    use rv_sim::{earliest, SimDuration, SimRng};
 
     /// Builds two hosts joined by symmetric links and returns
     /// (network, client stack, server stack).
@@ -331,26 +331,26 @@ mod tests {
         (net, Stack::new(HostId(0)), Stack::new(HostId(1)))
     }
 
-    /// Drives network + both stacks until `deadline` or quiescence.
+    /// Drives network + both stacks from `*now` until `deadline` or
+    /// quiescence: settle the instant, then jump to the earliest wake.
     fn drive(
         net: &mut Network<Segment>,
         a: &mut Stack,
         b: &mut Stack,
-        clock: &mut Clock,
+        now: &mut SimTime,
         deadline: SimTime,
     ) {
-        rv_sim::run_until(clock, deadline, |now| {
-            let mut work = net.poll(now);
-            work += a.poll(now, net);
-            work += b.poll(now, net);
-            if work > 0 {
-                StepOutcome::Worked
-            } else if let Some(t) = earliest([net.next_wake(), a.next_wake(), b.next_wake()]) {
-                StepOutcome::IdleUntil(t)
-            } else {
-                StepOutcome::Quiescent
+        while *now <= deadline {
+            while net.poll(*now) + a.poll(*now, net) + b.poll(*now, net) > 0 {}
+            let Some(wake) = earliest([net.next_wake(), a.next_wake(), b.next_wake()]) else {
+                return;
+            };
+            if wake > deadline && *now == deadline {
+                return;
             }
-        });
+            // A wake that is already due must still move the clock.
+            *now = wake.min(deadline).max(*now + SimDuration::from_micros(1));
+        }
     }
 
     #[test]
@@ -367,14 +367,14 @@ mod tests {
         let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
         cs.tcp(ch).send(&payload);
 
-        let mut clock = Clock::new();
+        let mut now = SimTime::ZERO;
         let mut received = Vec::new();
         for step in 1..300 {
             drive(
                 &mut net,
                 &mut cs,
                 &mut ss,
-                &mut clock,
+                &mut now,
                 SimTime::from_millis(step * 100),
             );
             received.extend(ss.tcp(sh).recv(usize::MAX));
@@ -403,14 +403,14 @@ mod tests {
         let payload = vec![0xABu8; 60_000];
         cs.tcp(ch).send(&payload);
 
-        let mut clock = Clock::new();
+        let mut now = SimTime::ZERO;
         let mut received = Vec::new();
         for step in 1..600 {
             drive(
                 &mut net,
                 &mut cs,
                 &mut ss,
-                &mut clock,
+                &mut now,
                 SimTime::from_millis(step * 100),
             );
             received.extend(ss.tcp(sh).recv(usize::MAX));
@@ -438,18 +438,12 @@ mod tests {
         let cu = cs.udp_socket(5000);
         let su = ss.udp_socket(5001);
 
-        let mut clock = Clock::new();
+        let mut now = SimTime::ZERO;
         for i in 0..200u16 {
             ss.udp(su)
                 .send_to(Addr::new(HostId(0), 5000), i.to_be_bytes().to_vec());
         }
-        drive(
-            &mut net,
-            &mut cs,
-            &mut ss,
-            &mut clock,
-            SimTime::from_secs(30),
-        );
+        drive(&mut net, &mut cs, &mut ss, &mut now, SimTime::from_secs(30));
 
         let mut got = 0;
         while cs.udp(cu).recv().is_some() {
@@ -467,14 +461,8 @@ mod tests {
         let (mut net, mut cs, mut ss) = world(params);
         let cu = cs.udp_socket(5000);
         cs.udp(cu).send_to(Addr::new(HostId(1), 9999), vec![1]);
-        let mut clock = Clock::new();
-        drive(
-            &mut net,
-            &mut cs,
-            &mut ss,
-            &mut clock,
-            SimTime::from_secs(1),
-        );
+        let mut now = SimTime::ZERO;
+        drive(&mut net, &mut cs, &mut ss, &mut now, SimTime::from_secs(1));
         assert_eq!(ss.dropped_no_socket(), 1);
     }
 
@@ -495,14 +483,8 @@ mod tests {
         cs.tcp(c1).send(b"control");
         cs.tcp(c2).send(b"data");
 
-        let mut clock = Clock::new();
-        drive(
-            &mut net,
-            &mut cs,
-            &mut ss,
-            &mut clock,
-            SimTime::from_secs(5),
-        );
+        let mut now = SimTime::ZERO;
+        drive(&mut net, &mut cs, &mut ss, &mut now, SimTime::from_secs(5));
         assert_eq!(ss.tcp(s1).recv(64), b"control".to_vec());
         assert_eq!(ss.tcp(s2).recv(64), b"data".to_vec());
     }

@@ -46,7 +46,7 @@ fn main() {
             .iter()
             .filter(|e| e.played_at.is_some())
             .count();
-        if let Some((rung, _, _, _)) = world.server.debug_stream() {
+        if let Some(rung) = world.server.current_rung() {
             let marker = if rung != prev_rung { " <-- switch" } else { "" };
             prev_rung = rung;
             println!(
