@@ -163,6 +163,40 @@ pub fn render_summaries(dim: GroupBy, summaries: &[GroupSummary]) -> String {
     )
 }
 
+/// The `repro dump` table: a header, then one space-separated row per
+/// played session (records must have been retained).
+pub fn dump_table(data: &StudyData) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from(
+        "user conn pc server proto enc_kbps fps jitter bw_kbps lost rebuf dropped startup recov\n",
+    );
+    for r in data.records().iter().filter(|r| r.played()) {
+        let m = &r.metrics;
+        let _ = writeln!(
+            out,
+            "{} {:?} {:.2} {} {} {} {:.1} {} {:.0} {} {} {} {:.1} {}",
+            r.user_id,
+            r.connection,
+            r.pc.cpu_power(),
+            r.server_name,
+            match m.protocol {
+                rv_rtsp::TransportKind::Udp => "udp",
+                rv_rtsp::TransportKind::Tcp => "tcp",
+            },
+            m.encoded_bps / 1000,
+            m.frame_rate,
+            m.jitter_ms.map(|j| format!("{j:.0}")).unwrap_or("-".into()),
+            m.bandwidth_kbps,
+            m.packets_lost,
+            m.rebuffer_events,
+            m.frames_dropped,
+            m.startup_delay.map(|d| d.as_secs_f64()).unwrap_or(-1.0),
+            m.frames_recovered,
+        );
+    }
+    out
+}
+
 /// One line of the per-session CSV export (RealTracer uploaded records to
 /// WPI as flat rows; this is the equivalent schema).
 pub fn csv_header() -> &'static str {

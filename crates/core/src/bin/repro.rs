@@ -5,6 +5,7 @@
 //! repro all [--scale S] [--seed N] [--jobs J]   # every figure
 //! repro fig11 fig16 [--scale S]                 # specific figures
 //! repro failures --faults [--scale S]           # failure taxonomy
+//! repro golden --check | --record [--epoch N]   # bit-identity vs GOLDEN.json
 //! repro list                                    # figure index
 //! ```
 //!
@@ -38,6 +39,13 @@
 //! `--profile` prints the phase walls (plan/execute/figures) and the
 //! per-worker busy/idle split to stderr after the run.
 //!
+//! `repro golden --check` recomputes the digests of a small fixed campaign
+//! matrix (faults off/on × replicas 1/2; dump, figures and failure report
+//! hashed apart from the counter totals) and compares them with
+//! `GOLDEN.json` in the current directory, naming the first configuration
+//! that differs; `--record` rewrites the file, under `--epoch N` when the
+//! difference is meant (see `realvideo_core::golden`).
+//!
 //! `repro trace --user U --clip C [--faults] [--trace-out PREFIX]` replays
 //! one planned session with the flight recorder armed and writes the
 //! timeline as `PREFIX.jsonl` (one event per line) and `PREFIX.chrome.json`
@@ -45,8 +53,8 @@
 //! keys exit non-zero listing nearby valid keys instead of writing an
 //! empty trace.
 
-use realvideo_core::analysis::{csv_header, csv_row};
-use realvideo_core::{figure, gateway_figures, FigureOutput, FIGURE_IDS};
+use realvideo_core::analysis::{csv_header, csv_row, dump_table};
+use realvideo_core::{figure, gateway_figures, golden, FigureOutput, FIGURE_IDS};
 use rv_study::{run_campaign, run_campaign_with_records, GatewayPolicy, StudyParams};
 
 // With `--features alloc-stats` every allocation in the process is
@@ -87,6 +95,9 @@ fn main() {
     let mut trace_clip: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut profile = false;
+    let mut golden_mode = false;
+    let mut golden_record = false;
+    let mut golden_epoch: Option<u32> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -156,6 +167,17 @@ fn main() {
             "--profile" => profile = true,
             "trace" => trace_mode = true,
             "gateway" => gateway_mode = true,
+            "golden" => golden_mode = true,
+            "--check" => golden_record = false,
+            "--record" => golden_record = true,
+            "--epoch" => {
+                i += 1;
+                golden_epoch = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| die("--epoch wants an integer")),
+                );
+            }
             "--user" => {
                 i += 1;
                 trace_user = Some(
@@ -201,6 +223,10 @@ fn main() {
     }
     if gateway_mode {
         run_gateway_sweep(params, gateway_flag);
+        return;
+    }
+    if golden_mode {
+        run_golden(params.jobs, golden_record, golden_epoch);
         return;
     }
     if ids.is_empty() && bench_out.is_none() && dump_records.is_none() {
@@ -269,30 +295,7 @@ fn main() {
             continue;
         }
         if id == "dump" {
-            println!("user conn pc server proto enc_kbps fps jitter bw_kbps lost rebuf dropped startup recov");
-            for r in data.records().iter().filter(|r| r.played()) {
-                let m = &r.metrics;
-                println!(
-                    "{} {:?} {:.2} {} {} {} {:.1} {} {:.0} {} {} {} {:.1} {}",
-                    r.user_id,
-                    r.connection,
-                    r.pc.cpu_power(),
-                    r.server_name,
-                    match m.protocol {
-                        rv_rtsp::TransportKind::Udp => "udp",
-                        _ => "tcp",
-                    },
-                    m.encoded_bps / 1000,
-                    m.frame_rate,
-                    m.jitter_ms.map(|j| format!("{j:.0}")).unwrap_or("-".into()),
-                    m.bandwidth_kbps,
-                    m.packets_lost,
-                    m.rebuffer_events,
-                    m.frames_dropped,
-                    m.startup_delay.map(|d| d.as_secs_f64()).unwrap_or(-1.0),
-                    m.frames_recovered,
-                );
-            }
+            print!("{}", dump_table(&data));
             continue;
         }
         let FigureOutput { id, title, body } = figure(&id, &data).expect("validated id");
@@ -437,6 +440,32 @@ fn run_gateway_sweep(mut params: StudyParams, policy_chosen: bool) {
         println!("==================================================================");
         println!("{body}");
     }
+}
+
+/// The `repro golden` subcommand: check the campaign matrix's digests
+/// against `GOLDEN.json` in the current directory, or re-record it.
+fn run_golden(jobs: usize, record: bool, epoch: Option<u32>) {
+    const PATH: &str = "GOLDEN.json";
+    let recorded = std::fs::read_to_string(PATH);
+    if !record {
+        let text = recorded.unwrap_or_else(|e| die(&format!("cannot read {PATH}: {e}")));
+        match golden::check(&text, jobs) {
+            Ok(()) => println!("golden: {} configs identical", golden::CONFIGS.len()),
+            Err(why) => {
+                eprintln!("repro: golden: {why}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
+    // Re-recording keeps the file's epoch unless told a new one.
+    let kept = recorded.ok().and_then(|text| golden::parse(&text).ok());
+    let epoch = epoch.or(kept.map(|(epoch, _)| epoch)).unwrap_or(1);
+    let rows = golden::compute(jobs).unwrap_or_else(|e| die(&format!("campaign failed: {e}")));
+    if let Err(e) = std::fs::write(PATH, golden::render(epoch, &rows)) {
+        die(&format!("cannot write {PATH}: {e}"));
+    }
+    eprintln!("recorded {} configs at epoch {epoch} in {PATH}", rows.len());
 }
 
 /// The `repro trace` subcommand: replay one planned session with the

@@ -15,6 +15,7 @@
 
 pub mod analysis;
 pub mod figures;
+pub mod golden;
 
 pub use figures::{all_figures, figure, gateway_figures, FigureOutput, FIGURE_IDS};
 

@@ -15,12 +15,16 @@
 
 mod message;
 mod session;
-mod smallstr;
 mod transport;
 
-pub use message::{DecodeError, Decoder, Message, Method, Status};
-pub use session::{ClientEvent, ClientSession, ClientState, ServerHandler, ServerSession};
-pub use smallstr::SmallStr;
+pub use message::{
+    DecodeError, Decoder, Message, MessageView, Method, StartLine, Status, Writer, MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+};
+pub use session::{
+    ClientEvent, ClientSession, ClientState, OutOfOrder, ProtocolError, ServerHandler,
+    ServerSession,
+};
 pub use transport::{
     negotiate, FirewallPolicy, NegotiationError, TransportKind, TransportPreference, TransportSpec,
 };

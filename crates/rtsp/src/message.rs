@@ -1,15 +1,15 @@
-//! RTSP message model and text codec.
+//! RTSP wire format: one writer, one view.
 //!
 //! RealServer spoke RTSP (RFC 2326) on its control connection. The codec
 //! here parses and serializes the realistic wire format — request line,
 //! headers, CRLF framing, optional body with Content-Length — because the
 //! control connection runs over the simulated TCP byte stream and must
-//! survive arbitrary segmentation.
+//! survive arbitrary segmentation. Every message is written by
+//! [`Writer`] straight into a buffer its caller reuses, and read by
+//! [`MessageView`] straight out of the [`Decoder`]'s buffer.
 
 use std::fmt;
 use std::fmt::Write as _;
-
-use crate::smallstr::SmallStr;
 
 /// RTSP request methods used by the streaming session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,192 +105,379 @@ impl Status {
     }
 }
 
-/// An RTSP message: request or response, headers, optional body.
-///
-/// Headers live in a `Vec` in insertion order with [`SmallStr`]
-/// name/value storage: building or parsing a typical control message
-/// costs one allocation (the header vector) instead of a `String` pair
-/// plus a map node per header. Lookup stays case-insensitive; setting an
-/// existing name replaces its value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
-    /// A client request.
-    Request {
-        /// The method.
-        method: Method,
-        /// The target URL, e.g. `rtsp://server/clip.rm`.
-        url: SmallStr,
-        /// Header fields (names case-preserved, lookup case-insensitive).
-        headers: Vec<(SmallStr, SmallStr)>,
-        /// Message body.
-        body: Vec<u8>,
-    },
-    /// A server response.
-    Response {
-        /// Status code.
-        status: Status,
-        /// Header fields.
-        headers: Vec<(SmallStr, SmallStr)>,
-        /// Message body.
-        body: Vec<u8>,
-    },
-}
+/// Longest header block (start line and header lines, up to the blank
+/// line) the decoder will frame. Ours run to ~130 bytes.
+pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 
-impl Message {
-    /// Builds a bodyless request.
-    pub fn request(method: Method, url: &str) -> Message {
-        Message::Request {
-            method,
-            url: SmallStr::from(url),
-            headers: Vec::new(),
-            body: Vec::new(),
-        }
+/// Largest `Content-Length` the decoder will wait for. A presentation
+/// description is a few hundred bytes.
+pub const MAX_BODY_BYTES: usize = 64 * 1024;
+
+/// The one encoder: writes a message's wire bytes onto the end of the
+/// caller's buffer — a start line, then `name: value` lines in call
+/// order, then [`Writer::finish`] or [`Writer::body`] closes the header
+/// block. Nothing is staged or owned in between, so a message written
+/// into a warm buffer allocates nothing.
+#[derive(Debug)]
+#[must_use = "a message is framed only once `finish` or `body` closes its header block"]
+pub struct Writer<'a>(&'a mut Vec<u8>);
+
+impl<'a> Writer<'a> {
+    /// Starts a request.
+    pub fn request(out: &'a mut Vec<u8>, method: Method, url: &str) -> Self {
+        Writer(out).put(format_args!("{method} {url} RTSP/1.0\r\n"))
     }
 
-    /// Builds a bodyless response.
-    pub fn response(status: Status) -> Message {
-        Message::Response {
-            status,
-            headers: Vec::new(),
-            body: Vec::new(),
-        }
+    /// Starts a response.
+    pub fn response(out: &'a mut Vec<u8>, status: Status) -> Self {
+        Writer(out).put(format_args!(
+            "RTSP/1.0 {} {}\r\n",
+            status.0,
+            status.reason()
+        ))
     }
 
-    fn set_header(&mut self, name: &str, value: SmallStr) {
-        let headers = self.headers_mut();
-        match headers.iter_mut().find(|(k, _)| k.as_str() == name) {
-            Some((_, v)) => *v = value,
-            None => headers.push((SmallStr::from(name), value)),
-        }
+    /// Adds one header line, `value` rendered in place.
+    pub fn header(self, name: &str, value: impl fmt::Display) -> Self {
+        self.put(format_args!("{name}: {value}\r\n"))
     }
 
-    /// Adds a header (builder style). Setting a name twice replaces the
-    /// first value. Accepts `&str` or an owned [`SmallStr`] (the latter
-    /// moves in without re-copying a spilled value).
-    pub fn with_header(mut self, name: &str, value: impl Into<SmallStr>) -> Message {
-        self.set_header(name, value.into());
-        self
+    /// Closes a bodyless message.
+    pub fn finish(self) {
+        self.0.extend_from_slice(b"\r\n");
     }
 
-    /// Adds a header rendering `value` through [`fmt::Display`] — the
-    /// `CSeq`/`Bandwidth` path, with no intermediate `String`.
-    pub fn with_header_display(mut self, name: &str, value: impl fmt::Display) -> Message {
-        self.set_header(name, SmallStr::from_display(value));
-        self
-    }
-
-    /// Sets the body and Content-Length (builder style).
-    pub fn with_body(mut self, body: Vec<u8>) -> Message {
-        self.set_header("Content-Length", SmallStr::from_display(body.len()));
-        match &mut self {
-            Message::Request { body: b, .. } | Message::Response { body: b, .. } => *b = body,
-        }
-        self
-    }
-
-    /// The message headers, in insertion (and wire) order.
-    pub fn headers(&self) -> &[(SmallStr, SmallStr)] {
-        match self {
-            Message::Request { headers, .. } | Message::Response { headers, .. } => headers,
-        }
-    }
-
-    fn headers_mut(&mut self) -> &mut Vec<(SmallStr, SmallStr)> {
-        match self {
-            Message::Request { headers, .. } | Message::Response { headers, .. } => headers,
-        }
-    }
-
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers()
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The message body.
-    pub fn body(&self) -> &[u8] {
-        match self {
-            Message::Request { body, .. } | Message::Response { body, .. } => body,
-        }
-    }
-
-    /// Serializes to the RTSP wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Serializes onto the end of `out`, so a send loop can reuse one
-    /// staging buffer across messages.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut text = WriteBytes(out);
-        match self {
-            Message::Request { method, url, .. } => {
-                write!(text, "{method} {url} RTSP/1.0\r\n").expect("Vec write never errors");
-            }
-            Message::Response { status, .. } => {
-                write!(text, "RTSP/1.0 {} {}\r\n", status.0, status.reason())
-                    .expect("Vec write never errors");
-            }
-        }
-        for (k, v) in self.headers() {
-            write!(text, "{k}: {v}\r\n").expect("Vec write never errors");
-        }
+    /// Closes the message with `body` and its `Content-Length`.
+    pub fn body(self, body: &[u8]) {
+        let out = self.header("Content-Length", body.len()).0;
         out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(self.body());
+        out.extend_from_slice(body);
+    }
+
+    fn put(mut self, text: fmt::Arguments<'_>) -> Self {
+        // Infallible because the sink below never errors: an `Err` could
+        // only be a `Display` impl's own, which truncates that value.
+        let _ = self.write_fmt(text);
+        self
     }
 }
 
-/// `fmt::Write` adapter over a byte buffer (RTSP text is ASCII; UTF-8
-/// passes through byte-for-byte).
-struct WriteBytes<'a>(&'a mut Vec<u8>);
-
-impl fmt::Write for WriteBytes<'_> {
+/// RTSP text is ASCII; UTF-8 passes through byte-for-byte.
+impl fmt::Write for Writer<'_> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         self.0.extend_from_slice(s.as_bytes());
         Ok(())
     }
 }
 
-/// Errors the decoder can report for malformed input.
+/// What a message's first line says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StartLine<'a> {
+    /// A client request for `url`, e.g. `rtsp://server/clip.rm`.
+    Request {
+        /// The method.
+        method: Method,
+        /// The target URL.
+        url: &'a str,
+    },
+    /// A server response.
+    Response {
+        /// Status code.
+        status: Status,
+    },
+}
+
+impl<'a> StartLine<'a> {
+    fn parse(line: &'a str) -> Result<Self, DecodeError> {
+        if let Some(rest) = line.strip_prefix("RTSP/1.0 ") {
+            let code = rest.split(' ').next().and_then(|c| c.parse().ok());
+            let status = Status(code.ok_or(DecodeError::BadStartLine)?);
+            return Ok(StartLine::Response { status });
+        }
+        let mut parts = line.split(' ');
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(method), Some(url), Some("RTSP/1.0")) => {
+                let method = Method::from_str(method).ok_or(DecodeError::UnknownMethod)?;
+                Ok(StartLine::Request { method, url })
+            }
+            _ => Err(DecodeError::BadStartLine),
+        }
+    }
+}
+
+/// The one parser's result: a message read in place, borrowed from the
+/// bytes it was framed in (the [`Decoder`]'s buffer, or a [`Message`]'s
+/// own). It owns nothing and copies nothing.
+///
+/// Headers keep wire order and spelling; names and values are trimmed.
+/// A hostile peer may repeat a name, and the view answers as a map keyed
+/// on exact spelling would: **lines repeating a spelling collapse into
+/// the first such line's place with the last one's value**, and
+/// [`header`](Self::header), case-insensitive, **returns the first entry
+/// that matches**. So `A: 1`, `a: 2`, `A: 3` reads `[(A, 3), (a, 2)]` and
+/// `header("a")` is `3`.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    start: StartLine<'a>,
+    /// The header lines between the start line and the blank line.
+    head: &'a str,
+    body: &'a [u8],
+}
+
+/// Trimmed `(name, value)` of each header line, repeats and all.
+fn lines(head: &str) -> impl Iterator<Item = (&str, &str)> {
+    head.split("\r\n")
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim(), value.trim()))
+}
+
+fn lookup<'a>(head: &'a str, name: &str) -> Option<&'a str> {
+    let mut found: Option<(&str, &str)> = None;
+    for (n, v) in lines(head) {
+        match found {
+            None if n.eq_ignore_ascii_case(name) => found = Some((n, v)),
+            Some((spelling, _)) if n == spelling => found = Some((n, v)),
+            _ => {}
+        }
+    }
+    found.map(|(_, value)| value)
+}
+
+impl<'a> MessageView<'a> {
+    /// The request or status line.
+    pub fn start(&self) -> StartLine<'a> {
+        self.start
+    }
+
+    /// Header entries in wire order (see the type's duplicate rule).
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let head = self.head;
+        lines(head)
+            .enumerate()
+            .filter(move |&(i, (name, _))| !lines(head).take(i).any(|(n, _)| n == name))
+            .map(move |(i, (name, value))| {
+                let later = lines(head).skip(i + 1).filter(|&(n, _)| n == name);
+                (name, later.last().map_or(value, |(_, v)| v))
+            })
+    }
+
+    /// Case-insensitive header lookup (see the type's duplicate rule).
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        lookup(self.head, name)
+    }
+
+    /// The message body.
+    pub fn body(&self) -> &'a [u8] {
+        self.body
+    }
+}
+
+impl PartialEq for MessageView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.start == other.start && self.body == other.body && self.headers().eq(other.headers())
+    }
+}
+
+impl PartialEq<Message> for MessageView<'_> {
+    fn eq(&self, other: &Message) -> bool {
+        other.view().is_some_and(|view| view == *self)
+    }
+}
+
+/// How far [`parse`] got with the bytes it was shown.
+enum Parsed<'a> {
+    /// No whole message yet: the first `scanned` bytes hold no header
+    /// terminator, and nothing changes before `want` bytes are in.
+    Partial { scanned: usize, want: usize },
+    /// A message, and the bytes it took.
+    Whole(MessageView<'a>, usize),
+    /// An error, and the bytes to discard with it.
+    Bad(DecodeError, usize),
+}
+
+/// Frames and parses the message at the front of `buf`, resuming the
+/// terminator search `scanned` bytes in.
+///
+/// A header-level error consumes the header block it was found in: the
+/// message cannot be framed (its body length is unknown), and leaving it
+/// in front would hand every later call the same bad block. A start-line
+/// error consumes the whole framed message; a size-limit error, all of
+/// `buf` — a peer that far gone has no message boundary left to find.
+fn parse(buf: &[u8], scanned: usize) -> Parsed<'_> {
+    let from = scanned.min(buf.len());
+    let terminator = buf[from..].windows(4).position(|w| w == b"\r\n\r\n");
+    let Some(head_end) = terminator.map(|at| from + at) else {
+        if buf.len() >= MAX_HEADER_BYTES + 4 {
+            return Parsed::Bad(DecodeError::HeaderTooLarge, buf.len());
+        }
+        return Parsed::Partial {
+            scanned: buf.len().saturating_sub(3),
+            want: buf.len() + 1,
+        };
+    };
+    if head_end > MAX_HEADER_BYTES {
+        return Parsed::Bad(DecodeError::HeaderTooLarge, buf.len());
+    }
+    let body_start = head_end + 4;
+    let Ok(block) = std::str::from_utf8(&buf[..head_end]) else {
+        return Parsed::Bad(DecodeError::NotUtf8, body_start);
+    };
+    let (start, head) = block.split_once("\r\n").unwrap_or((block, ""));
+    let colonless = |line: &str| !line.is_empty() && !line.contains(':');
+    if head.split("\r\n").any(colonless) {
+        return Parsed::Bad(DecodeError::BadHeader, body_start);
+    }
+    let body_len = match lookup(head, "content-length").map(str::parse::<usize>) {
+        None => 0,
+        Some(Ok(n)) if n <= MAX_BODY_BYTES => n,
+        Some(Ok(_)) => return Parsed::Bad(DecodeError::BodyTooLarge, buf.len()),
+        Some(Err(_)) => return Parsed::Bad(DecodeError::BadContentLength, body_start),
+    };
+    let end = body_start + body_len;
+    if buf.len() < end {
+        return Parsed::Partial {
+            scanned: head_end,
+            want: end,
+        };
+    }
+    match StartLine::parse(start) {
+        Ok(start) => {
+            let body = &buf[body_start..end];
+            Parsed::Whole(MessageView { start, head, body }, end)
+        }
+        Err(err) => Parsed::Bad(err, end),
+    }
+}
+
+/// An owned message — its wire bytes — for tests and benches: built
+/// through [`Writer`], read through [`MessageView`]. A session never
+/// makes one; it writes into, and reads out of, buffers it already has.
 #[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Message {
+    wire: Vec<u8>,
+    /// Where the body starts: just past the blank line.
+    body_at: usize,
+}
+
+impl Message {
+    fn framed(wire: Vec<u8>) -> Message {
+        let body_at = wire.len();
+        Message { wire, body_at }
+    }
+
+    /// Builds a bodyless request.
+    pub fn request(method: Method, url: &str) -> Message {
+        let mut wire = Vec::new();
+        Writer::request(&mut wire, method, url).finish();
+        Message::framed(wire)
+    }
+
+    /// Builds a bodyless response.
+    pub fn response(status: Status) -> Message {
+        let mut wire = Vec::new();
+        Writer::response(&mut wire, status).finish();
+        Message::framed(wire)
+    }
+
+    /// Adds a header line (builder style), `value` rendered in place.
+    pub fn with_header(mut self, name: &str, value: impl fmt::Display) -> Message {
+        let body = self.wire.split_off(self.body_at);
+        self.wire.truncate(self.body_at - 2); // reopen the header block
+        Writer(&mut self.wire).header(name, value).finish();
+        self.body_at = self.wire.len();
+        self.wire.extend_from_slice(&body);
+        self
+    }
+
+    /// Sets the body and Content-Length (builder style).
+    pub fn with_body(mut self, body: Vec<u8>) -> Message {
+        self.wire.truncate(self.body_at - 2);
+        Writer(&mut self.wire).body(&body);
+        self.body_at = self.wire.len() - body.len();
+        self
+    }
+
+    /// Reads the message in place; `None` if what was built is not one
+    /// well-formed message (a header value holding a blank line, say).
+    pub fn view(&self) -> Option<MessageView<'_>> {
+        match parse(&self.wire, 0) {
+            Parsed::Whole(view, used) if used == self.wire.len() => Some(view),
+            _ => None,
+        }
+    }
+
+    /// Case-insensitive header lookup.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.view()?.header(name)
+    }
+
+    /// The message body.
+    pub fn body(&self) -> &[u8] {
+        &self.wire[self.body_at..]
+    }
+
+    /// The RTSP wire format.
+    pub fn encode(&self) -> Vec<u8> {
+        self.wire.clone()
+    }
+
+    /// Serializes onto the end of `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.wire);
+    }
+}
+
+/// Errors the decoder can report for malformed input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The start line was not a valid request or response line.
-    BadStartLine(String),
+    BadStartLine,
     /// A header line had no colon.
-    BadHeader(String),
+    BadHeader,
     /// Content-Length was not a number.
-    BadContentLength(String),
+    BadContentLength,
     /// The method is not one we speak.
-    UnknownMethod(String),
+    UnknownMethod,
+    /// The header block was not UTF-8.
+    NotUtf8,
+    /// No blank line within [`MAX_HEADER_BYTES`].
+    HeaderTooLarge,
+    /// A Content-Length above [`MAX_BODY_BYTES`].
+    BodyTooLarge,
 }
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::BadStartLine(l) => write!(f, "bad start line: {l:?}"),
-            DecodeError::BadHeader(l) => write!(f, "bad header line: {l:?}"),
-            DecodeError::BadContentLength(v) => write!(f, "bad Content-Length: {v:?}"),
-            DecodeError::UnknownMethod(m) => write!(f, "unknown method: {m:?}"),
-        }
+        f.write_str(match self {
+            DecodeError::BadStartLine => "bad start line",
+            DecodeError::BadHeader => "header line without a colon",
+            DecodeError::BadContentLength => "bad Content-Length",
+            DecodeError::UnknownMethod => "unknown method",
+            DecodeError::NotUtf8 => "header block is not UTF-8",
+            DecodeError::HeaderTooLarge => "header block exceeds MAX_HEADER_BYTES",
+            DecodeError::BodyTooLarge => "Content-Length exceeds MAX_BODY_BYTES",
+        })
     }
 }
 
 impl std::error::Error for DecodeError {}
 
 /// Incremental decoder over a TCP byte stream: feed bytes in arbitrary
-/// chunks, pop complete messages.
+/// chunks, read complete messages in place.
 ///
 /// Consumed bytes are tracked with a cursor rather than drained per
 /// message, so a burst of pipelined messages walks the buffer once
-/// instead of memmoving the tail after each one.
+/// instead of memmoving the tail after each one; and what an incomplete
+/// message already taught the decoder (`scanned`, `want`) is kept, so
+/// bytes dribbled in one at a time are each looked at once.
 #[derive(Debug, Default)]
 pub struct Decoder {
     buf: Vec<u8>,
     pos: usize,
+    /// Bytes past `pos` known to hold no header terminator.
+    scanned: usize,
+    /// Bytes past `pos` that must be buffered before anything can change.
+    want: usize,
 }
 
 impl Decoder {
@@ -303,7 +490,7 @@ impl Decoder {
     /// reset decoder behaves like a fresh one but feeds into warm memory.
     pub fn reset(&mut self) {
         self.buf.clear();
-        self.pos = 0;
+        (self.pos, self.scanned, self.want) = (0, 0, 0);
     }
 
     /// Appends received bytes.
@@ -325,97 +512,30 @@ impl Decoder {
         self.buf.len() - self.pos
     }
 
-    /// Attempts to decode one complete message. Returns `Ok(None)` when more
-    /// bytes are needed.
-    pub fn next_message(&mut self) -> Result<Option<Message>, DecodeError> {
-        let buf = &self.buf[self.pos..];
-        // Find the header/body separator.
-        let Some(header_end) = find_crlf_crlf(buf) else {
+    /// Attempts to decode one complete message, borrowed from the
+    /// decoder's buffer until the next `feed` / `next_message`. Returns
+    /// `Ok(None)` when more bytes are needed; an `Err` has discarded the
+    /// bytes it names (see [`DecodeError`]), so the next call moves on.
+    pub fn next_message(&mut self) -> Result<Option<MessageView<'_>>, DecodeError> {
+        if self.buffered() < self.want {
             return Ok(None);
-        };
-        // Borrowed when the header block is valid UTF-8 (always, for our
-        // own encoder's output); lossily copied only for invalid input.
-        let header_text = String::from_utf8_lossy(&buf[..header_end]);
-        let mut lines = header_text.split("\r\n");
-        let start = lines.next().unwrap_or_default();
-
-        // A header-level error consumes the header block it was found in:
-        // the message cannot be framed (its body length is unknown), and
-        // leaving `pos` in front of it would hand every later call the
-        // same bad block again.
-        let body_start = header_end + 4;
-
-        let mut headers: Vec<(SmallStr, SmallStr)> = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
+        }
+        // Cursor updates are spelled out per arm: the view borrows `buf`.
+        match parse(&self.buf[self.pos..], self.scanned) {
+            Parsed::Partial { scanned, want } => {
+                (self.scanned, self.want) = (scanned, want);
+                Ok(None)
             }
-            let Some((name, value)) = line.split_once(':') else {
-                self.pos += body_start;
-                return Err(DecodeError::BadHeader(line.to_string()));
-            };
-            let (name, value) = (name.trim(), value.trim());
-            match headers.iter_mut().find(|(k, _)| k.as_str() == name) {
-                Some((_, v)) => *v = SmallStr::from(value),
-                None => headers.push((SmallStr::from(name), SmallStr::from(value))),
+            Parsed::Whole(view, used) => {
+                (self.pos, self.scanned, self.want) = (self.pos + used, 0, 0);
+                Ok(Some(view))
+            }
+            Parsed::Bad(err, used) => {
+                (self.pos, self.scanned, self.want) = (self.pos + used, 0, 0);
+                Err(err)
             }
         }
-
-        let content_length = match headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        {
-            Some((_, v)) => match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    self.pos += body_start;
-                    return Err(DecodeError::BadContentLength(v.to_string()));
-                }
-            },
-            None => 0,
-        };
-
-        // `body_start <= buf.len()`; compared this way round a hostile
-        // Content-Length near `usize::MAX` cannot overflow the sum.
-        if buf.len() - body_start < content_length {
-            return Ok(None); // body incomplete
-        }
-        let body = buf[body_start..body_start + content_length].to_vec();
-
-        // Parse the start line.
-        let msg = if let Some(rest) = start.strip_prefix("RTSP/1.0 ") {
-            let mut parts = rest.splitn(2, ' ');
-            match parts.next().and_then(|c| c.parse::<u16>().ok()) {
-                Some(code) => Ok(Message::Response {
-                    status: Status(code),
-                    headers,
-                    body,
-                }),
-                None => Err(DecodeError::BadStartLine(start.to_string())),
-            }
-        } else {
-            let mut parts = start.split(' ');
-            let method_str = parts.next().unwrap_or_default();
-            match (parts.next(), parts.next()) {
-                (Some(url), Some("RTSP/1.0")) => match Method::from_str(method_str) {
-                    Some(method) => Ok(Message::Request {
-                        method,
-                        url: SmallStr::from(url),
-                        headers,
-                        body,
-                    }),
-                    None => Err(DecodeError::UnknownMethod(method_str.to_string())),
-                },
-                _ => Err(DecodeError::BadStartLine(start.to_string())),
-            }
-        };
-        self.pos += body_start + content_length;
-        msg.map(Some)
     }
-}
-
-fn find_crlf_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 #[cfg(test)]
@@ -453,16 +573,16 @@ mod tests {
             .with_header("Transport", "udp;client_port=5000")
             .with_body(b"0123456789".to_vec());
         let bytes = msg.encode();
-        // Feed one byte at a time.
+        // Feed one byte at a time: nothing before the last byte, all of
+        // it after.
         let mut dec = Decoder::new();
-        let mut decoded = None;
-        for b in &bytes {
+        let (last, rest) = bytes.split_last().unwrap();
+        for b in rest {
             dec.feed(std::slice::from_ref(b));
-            if let Some(m) = dec.next_message().unwrap() {
-                decoded = Some(m);
-            }
+            assert_eq!(dec.next_message(), Ok(None));
         }
-        assert_eq!(decoded.unwrap(), msg);
+        dec.feed(std::slice::from_ref(last));
+        assert_eq!(dec.next_message().unwrap().unwrap(), msg);
     }
 
     #[test]
@@ -487,39 +607,148 @@ mod tests {
         dec.feed(b"\r\n");
         assert!(dec.next_message().unwrap().is_some());
 
-        // A body length no buffer can reach is "incomplete" too, not an
-        // overflow.
+        // A body shorter than its Content-Length is incomplete, and the
+        // decoder waits for exactly the missing bytes.
         let mut dec = Decoder::new();
-        dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nContent-Length: 18446744073709551615\r\n\r\n");
+        dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nContent-Length: 3\r\n\r\nab");
         assert_eq!(dec.next_message().unwrap(), None);
+        dec.feed(b"c");
+        assert_eq!(dec.next_message().unwrap().unwrap().body(), b"abc");
     }
 
     #[test]
     fn bad_inputs_are_errors() {
         let mut dec = Decoder::new();
         dec.feed(b"NONSENSE\r\n\r\n");
-        assert!(matches!(
-            dec.next_message(),
-            Err(DecodeError::BadStartLine(_))
-        ));
+        assert_eq!(dec.next_message(), Err(DecodeError::BadStartLine));
 
         let mut dec = Decoder::new();
         dec.feed(b"FETCH rtsp://s/c RTSP/1.0\r\n\r\n");
-        assert!(matches!(
-            dec.next_message(),
-            Err(DecodeError::UnknownMethod(_))
-        ));
+        assert_eq!(dec.next_message(), Err(DecodeError::UnknownMethod));
 
         let mut dec = Decoder::new();
         dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nContent-Length: abc\r\n\r\n");
-        assert!(matches!(
-            dec.next_message(),
-            Err(DecodeError::BadContentLength(_))
-        ));
+        assert_eq!(dec.next_message(), Err(DecodeError::BadContentLength));
 
         let mut dec = Decoder::new();
         dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nno-colon-here\r\n\r\n");
-        assert!(matches!(dec.next_message(), Err(DecodeError::BadHeader(_))));
+        assert_eq!(dec.next_message(), Err(DecodeError::BadHeader));
+
+        let mut dec = Decoder::new();
+        dec.feed(b"PLAY rtsp://s/\xff RTSP/1.0\r\nCSeq: 1\r\n\r\n");
+        assert_eq!(dec.next_message(), Err(DecodeError::NotUtf8));
+    }
+
+    /// A peer that never ends its header block, or promises a body no
+    /// peer will send, is cut off at a fixed size with everything
+    /// buffered discarded — however the bytes were segmented.
+    #[test]
+    fn oversized_messages_are_typed_errors_that_discard_the_buffer() {
+        let endless = b"X-Pad: 0123456789abcdef\r\n".repeat(MAX_HEADER_BYTES / 25 + 2);
+        for chunk in [1, 7, endless.len()] {
+            let mut dec = Decoder::new();
+            dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\n");
+            let mut errors = 0;
+            for piece in endless.chunks(chunk) {
+                dec.feed(piece);
+                match dec.next_message() {
+                    Ok(None) => assert!(dec.buffered() < MAX_HEADER_BYTES + 4 + chunk),
+                    Err(err) => {
+                        assert_eq!(err, DecodeError::HeaderTooLarge);
+                        assert_eq!(dec.buffered(), 0);
+                        errors += 1;
+                    }
+                    Ok(Some(msg)) => panic!("framed {msg:?}"),
+                }
+            }
+            assert!(errors >= 1, "chunk {chunk}");
+        }
+
+        // One-shot and terminated, but past the limit: the same error.
+        let mut dec = Decoder::new();
+        dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\n");
+        dec.feed(&endless);
+        dec.feed(b"\r\n");
+        assert_eq!(dec.next_message(), Err(DecodeError::HeaderTooLarge));
+        assert_eq!(dec.buffered(), 0);
+
+        // The largest body is waited for; one byte more is refused at once.
+        let mut dec = Decoder::new();
+        let ask = |n: usize| format!("PLAY rtsp://s/c RTSP/1.0\r\nContent-Length: {n}\r\n\r\n");
+        dec.feed(ask(MAX_BODY_BYTES).as_bytes());
+        assert_eq!(dec.next_message(), Ok(None));
+        dec.reset();
+        for n in [MAX_BODY_BYTES + 1, usize::MAX] {
+            dec.feed(ask(n).as_bytes());
+            dec.feed(b"trailing");
+            assert_eq!(dec.next_message(), Err(DecodeError::BodyTooLarge));
+            assert_eq!(dec.buffered(), 0);
+        }
+    }
+
+    /// The separator scan resumes where it stopped: a header block
+    /// dribbled in a byte at a time is looked at once, not once a byte.
+    #[test]
+    fn dribbled_header_block_is_scanned_once() {
+        let mut dec = Decoder::new();
+        dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nCSeq: 1");
+        assert_eq!(dec.next_message(), Ok(None));
+        assert_eq!(
+            (dec.scanned, dec.want),
+            (dec.buffered() - 3, dec.buffered() + 1)
+        );
+        // Nothing new: the call does not even look.
+        assert_eq!(dec.next_message(), Ok(None));
+        dec.feed(b"\r\nContent-Length: 4\r\n\r\nab");
+        assert_eq!(dec.next_message(), Ok(None));
+        // Header block found; only the body's last byte can matter now.
+        assert_eq!(dec.want, dec.buffered() + 2);
+        dec.feed(b"c");
+        assert_eq!(dec.next_message(), Ok(None));
+        dec.feed(b"d");
+        assert_eq!(dec.next_message().unwrap().unwrap().body(), b"abcd");
+        assert_eq!((dec.scanned, dec.want, dec.buffered()), (0, 0, 0));
+    }
+
+    /// The duplicate rule the view documents, against the map-by-exact-
+    /// spelling answer the owned parse used to give.
+    #[test]
+    fn hostile_duplicate_headers_read_as_the_owned_parse_did() {
+        let mut dec = Decoder::new();
+        dec.feed(
+            b"SET_PARAMETER rtsp://s/c RTSP/1.0\r\nA: 1\r\nCSeq: 7\r\na: 2\r\n A :3 \r\n\
+              cseq: 8\r\nCSeq: 9\r\nb:\r\n\r\n",
+        );
+        let msg = dec.next_message().unwrap().unwrap();
+        // Same spelling: one entry, where the first stood, last value.
+        // Different case: separate entries.
+        let entries: Vec<_> = msg.headers().collect();
+        assert_eq!(
+            entries,
+            [
+                ("A", "3"),
+                ("CSeq", "9"),
+                ("a", "2"),
+                ("cseq", "8"),
+                ("b", "")
+            ]
+        );
+        // Lookup ignores case and returns the first entry that matches.
+        assert_eq!(msg.header("a"), Some("3"));
+        assert_eq!(msg.header("A"), Some("3"));
+        assert_eq!(msg.header("CSEQ"), Some("9"));
+        assert_eq!(msg.header("cseq"), Some("9"));
+        assert_eq!(msg.header("B"), Some(""));
+        assert_eq!(msg.header("c"), None);
+
+        // A lower-case spelling first: it is the one lookups find.
+        dec.feed(b"RTSP/1.0 200 OK\r\ncseq: 1\r\nCSeq: 2\r\ncseq: 3\r\n\r\n");
+        let msg = dec.next_message().unwrap().unwrap();
+        assert_eq!(msg.header("CSeq"), Some("3"));
+        assert_eq!(
+            msg.headers().collect::<Vec<_>>(),
+            [("cseq", "3"), ("CSeq", "2")]
+        );
     }
 
     #[test]

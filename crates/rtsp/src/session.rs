@@ -3,9 +3,13 @@
 //! These machines own CSeq bookkeeping and legal-transition enforcement;
 //! the application layers (rv-server, rv-tracer) supply the decisions via
 //! [`ServerHandler`] and drive the client through explicit request methods.
+//! Both sides write their messages straight into the caller's staging
+//! buffer and read the peer's through a borrowed [`MessageView`].
 
-use crate::message::{Message, Method, Status};
-use crate::smallstr::SmallStr;
+use std::fmt;
+use std::ops::Range;
+
+use crate::message::{MessageView, Method, StartLine, Status, Writer};
 use crate::transport::TransportSpec;
 
 /// Progress of a client session.
@@ -29,11 +33,12 @@ pub enum ClientState {
     Failed,
 }
 
-/// What a client learned from a server response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientEvent {
-    /// DESCRIBE succeeded; body is the presentation description.
-    Described(Vec<u8>),
+/// What a client learned from a server response. Owns no heap: the
+/// description is lent from the message it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClientEvent<'a> {
+    /// DESCRIBE succeeded; the body is the presentation description.
+    Described(&'a [u8]),
     /// The clip is unavailable (404 and friends).
     Unavailable(Status),
     /// SETUP succeeded with the final transport.
@@ -42,9 +47,44 @@ pub enum ClientEvent {
     Started,
     /// TEARDOWN acknowledged.
     TornDown,
+    /// The reply to a SET_PARAMETER report: expected once a report, and
+    /// of no consequence to the session.
+    ReportAcked,
     /// The response violated the protocol or arrived out of order.
-    ProtocolError(String),
+    ProtocolError(ProtocolError),
 }
+
+/// How a response broke the protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtocolError {
+    /// A request arrived where a response was expected.
+    NotAResponse,
+    /// A response with no request outstanding.
+    Unsolicited,
+    /// A response whose CSeq is not the outstanding request's (stale).
+    CSeqMismatch,
+    /// A successful SETUP reply carrying no parsable Transport.
+    SetupWithoutTransport,
+    /// A reply to a method the client never has outstanding.
+    UnexpectedResponse,
+}
+
+/// A request the session's state does not allow. Nothing was written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfOrder {
+    /// The refused call.
+    pub call: &'static str,
+    /// The state it was made in.
+    pub state: ClientState,
+}
+
+impl fmt::Display for OutOfOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}() out of order in {:?}", self.call, self.state)
+    }
+}
+
+impl std::error::Error for OutOfOrder {}
 
 /// Client-side RTSP session.
 #[derive(Debug)]
@@ -54,6 +94,8 @@ pub struct ClientSession {
     cseq: u32,
     /// CSeq of the outstanding request, if any.
     pending: Option<(u32, Method)>,
+    /// CSeqs from the oldest unacknowledged report to the newest sent.
+    reports: Range<u32>,
     session_id: Option<String>,
 }
 
@@ -65,6 +107,7 @@ impl ClientSession {
             state: ClientState::Init,
             cseq: 0,
             pending: None,
+            reports: 0..0,
             session_id: None,
         }
     }
@@ -79,135 +122,153 @@ impl ClientSession {
         self.session_id.as_deref()
     }
 
-    fn request(&mut self, method: Method) -> Message {
+    fn allow(&self, call: &'static str, legal: bool) -> Result<(), OutOfOrder> {
+        let state = self.state;
+        legal.then_some(()).ok_or(OutOfOrder { call, state })
+    }
+
+    /// Starts the next request: its start line and CSeq.
+    fn start<'a>(&mut self, method: Method, out: &'a mut Vec<u8>) -> Writer<'a> {
         self.cseq += 1;
+        Writer::request(out, method, &self.url).header("CSeq", self.cseq)
+    }
+
+    /// Starts a request whose reply the state machine waits for.
+    fn request<'a>(&mut self, method: Method, out: &'a mut Vec<u8>) -> Writer<'a> {
+        let writer = self.start(method, out);
         self.pending = Some((self.cseq, method));
-        let mut msg = Message::request(method, &self.url).with_header_display("CSeq", self.cseq);
-        if let Some(id) = &self.session_id {
-            msg = msg.with_header("Session", id);
+        self.with_session(writer)
+    }
+
+    fn with_session<'a>(&self, writer: Writer<'a>) -> Writer<'a> {
+        match &self.session_id {
+            Some(id) => writer.header("Session", id),
+            None => writer,
         }
-        msg
     }
 
-    /// Builds the DESCRIBE request. Panics when not in `Init`.
-    pub fn describe(&mut self) -> Message {
-        assert_eq!(self.state, ClientState::Init, "describe() out of order");
+    /// Writes the DESCRIBE request, advertising the player's connection
+    /// speed as a Bandwidth header when given. Legal only in `Init`.
+    pub fn describe(
+        &mut self,
+        bandwidth_bps: Option<u32>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), OutOfOrder> {
+        self.allow("describe", self.state == ClientState::Init)?;
         self.state = ClientState::Describing;
-        self.request(Method::Describe)
+        let writer = self.request(Method::Describe, out);
+        match bandwidth_bps {
+            Some(bps) => writer.header("Bandwidth", bps).finish(),
+            None => writer.finish(),
+        }
+        Ok(())
     }
 
-    /// Builds the SETUP request with the transport the player wants.
-    pub fn setup(&mut self, spec: TransportSpec) -> Message {
-        assert_eq!(self.state, ClientState::SettingUp, "setup() out of order");
-        self.request(Method::Setup)
-            .with_header("Transport", spec.encode())
+    /// Writes the SETUP request with the transport the player wants.
+    pub fn setup(&mut self, spec: TransportSpec, out: &mut Vec<u8>) -> Result<(), OutOfOrder> {
+        self.allow("setup", self.state == ClientState::SettingUp)?;
+        let writer = self.request(Method::Setup, out);
+        writer.header("Transport", spec).finish();
+        Ok(())
     }
 
-    /// Builds the PLAY request.
-    pub fn play(&mut self) -> Message {
-        assert_eq!(self.state, ClientState::Starting, "play() out of order");
-        self.request(Method::Play)
+    /// Writes the PLAY request.
+    pub fn play(&mut self, out: &mut Vec<u8>) -> Result<(), OutOfOrder> {
+        self.allow("play", self.state == ClientState::Starting)?;
+        self.request(Method::Play, out).finish();
+        Ok(())
     }
 
-    /// Builds a SETUP that renegotiates the transport mid-session (the
+    /// Writes a SETUP that renegotiates the transport mid-session (the
     /// RealPlayer UDP→TCP fallback). Legal while playing or starting: the
     /// session drops back to `SettingUp`, the server answers with a fresh
     /// session id, and the client must PLAY again before data resumes.
-    pub fn resetup(&mut self, spec: TransportSpec) -> Message {
-        assert!(
-            matches!(self.state, ClientState::Playing | ClientState::Starting),
-            "resetup() outside an active session"
-        );
+    pub fn resetup(&mut self, spec: TransportSpec, out: &mut Vec<u8>) -> Result<(), OutOfOrder> {
+        let active = matches!(self.state, ClientState::Playing | ClientState::Starting);
+        self.allow("resetup", active)?;
         self.state = ClientState::SettingUp;
-        self.setup(spec)
+        self.setup(spec, out)
     }
 
-    /// Builds a SET_PARAMETER carrying an application parameter (used for
-    /// receiver statistics feedback on UDP sessions). Legal only while
-    /// playing; does not change state and expects no meaningful reply.
-    pub fn set_parameter(&mut self, name: &str, value: &str) -> Message {
-        assert_eq!(
-            self.state,
-            ClientState::Playing,
-            "set_parameter() outside playback"
-        );
-        self.cseq += 1;
-        let mut msg = Message::request(Method::SetParameter, &self.url)
-            .with_header_display("CSeq", self.cseq)
-            .with_header(name, value);
-        if let Some(id) = &self.session_id {
-            msg = msg.with_header("Session", id);
+    /// Writes a SET_PARAMETER carrying an application parameter (used for
+    /// receiver statistics feedback on UDP sessions), `value` rendered in
+    /// place. Legal only while playing; does not change state, and its
+    /// reply comes back as [`ClientEvent::ReportAcked`].
+    pub fn set_parameter(
+        &mut self,
+        name: &str,
+        value: impl fmt::Display,
+        out: &mut Vec<u8>,
+    ) -> Result<(), OutOfOrder> {
+        self.allow("set_parameter", self.state == ClientState::Playing)?;
+        let writer = self.start(Method::SetParameter, out).header(name, value);
+        self.with_session(writer).finish();
+        if self.reports.is_empty() {
+            self.reports.start = self.cseq;
         }
-        msg
+        self.reports.end = self.cseq + 1;
+        Ok(())
     }
 
-    /// Builds the TEARDOWN request (legal from any active state).
-    pub fn teardown(&mut self) -> Message {
+    /// Writes the TEARDOWN request (legal from any state).
+    pub fn teardown(&mut self, out: &mut Vec<u8>) {
         self.state = ClientState::TearingDown;
-        self.request(Method::Teardown)
+        self.request(Method::Teardown, out).finish();
     }
 
     /// Processes a server response, advancing the state machine.
-    pub fn on_response(&mut self, msg: &Message) -> ClientEvent {
-        let Message::Response { status, .. } = msg else {
+    pub fn on_response<'a>(&mut self, msg: &MessageView<'a>) -> ClientEvent<'a> {
+        let StartLine::Response { status } = msg.start() else {
             self.state = ClientState::Failed;
-            return ClientEvent::ProtocolError("request received where response expected".into());
+            return ClientEvent::ProtocolError(ProtocolError::NotAResponse);
         };
-        // CSeq must match the outstanding request; unsolicited OK responses
-        // to SET_PARAMETER are tolerated (pending is None for those).
+        // CSeq must match the outstanding request; replies to reports
+        // (which leave `pending` alone) and stale responses are named
+        // and leave the state machine where it was.
         let cseq: Option<u32> = msg.header("CSeq").and_then(|v| v.parse().ok());
-        let Some((want, method)) = self.pending else {
-            return ClientEvent::ProtocolError("unsolicited response".into());
+        let method = match self.pending {
+            Some((want, method)) if cseq == Some(want) => method,
+            pending => {
+                return match cseq {
+                    Some(cseq) if self.reports.contains(&cseq) => {
+                        self.reports.start = cseq + 1;
+                        ClientEvent::ReportAcked
+                    }
+                    _ if pending.is_none() => {
+                        ClientEvent::ProtocolError(ProtocolError::Unsolicited)
+                    }
+                    _ => ClientEvent::ProtocolError(ProtocolError::CSeqMismatch),
+                };
+            }
         };
-        if cseq != Some(want) {
-            // A reply to SET_PARAMETER or a stale response: ignore politely.
-            return ClientEvent::ProtocolError(format!("CSeq mismatch: want {want} got {cseq:?}"));
-        }
         self.pending = None;
 
-        match (method, status.is_success()) {
+        let (state, event) = match (method, status.is_success()) {
             (Method::Describe, true) => {
-                self.state = ClientState::SettingUp;
-                ClientEvent::Described(msg.body().to_vec())
-            }
-            (Method::Describe, false) => {
-                self.state = ClientState::Failed;
-                ClientEvent::Unavailable(*status)
+                (ClientState::SettingUp, ClientEvent::Described(msg.body()))
             }
             (Method::Setup, true) => {
                 self.session_id = msg.header("Session").map(str::to_string);
                 match msg.header("Transport").and_then(TransportSpec::parse) {
-                    Some(spec) => {
-                        self.state = ClientState::Starting;
-                        ClientEvent::SetUp(spec)
-                    }
-                    None => {
-                        self.state = ClientState::Failed;
-                        ClientEvent::ProtocolError("SETUP reply without transport".into())
-                    }
+                    Some(spec) => (ClientState::Starting, ClientEvent::SetUp(spec)),
+                    None => (
+                        ClientState::Failed,
+                        ClientEvent::ProtocolError(ProtocolError::SetupWithoutTransport),
+                    ),
                 }
             }
-            (Method::Setup, false) => {
-                self.state = ClientState::Failed;
-                ClientEvent::Unavailable(*status)
+            (Method::Play, true) => (ClientState::Playing, ClientEvent::Started),
+            (Method::Describe | Method::Setup | Method::Play, false) => {
+                (ClientState::Failed, ClientEvent::Unavailable(status))
             }
-            (Method::Play, true) => {
-                self.state = ClientState::Playing;
-                ClientEvent::Started
-            }
-            (Method::Play, false) => {
-                self.state = ClientState::Failed;
-                ClientEvent::Unavailable(*status)
-            }
-            (Method::Teardown, _) => {
-                self.state = ClientState::Done;
-                ClientEvent::TornDown
-            }
-            (m, ok) => {
-                self.state = ClientState::Failed;
-                ClientEvent::ProtocolError(format!("unexpected response to {m} (ok={ok})"))
-            }
-        }
+            (Method::Teardown, _) => (ClientState::Done, ClientEvent::TornDown),
+            _ => (
+                ClientState::Failed,
+                ClientEvent::ProtocolError(ProtocolError::UnexpectedResponse),
+            ),
+        };
+        self.state = state;
+        event
     }
 }
 
@@ -233,8 +294,9 @@ pub trait ServerHandler {
 /// delegating decisions to a [`ServerHandler`].
 #[derive(Debug, Default)]
 pub struct ServerSession {
+    /// Sessions set up so far; the live one's id is `sess-{this}`.
     session_counter: u32,
-    session_id: Option<String>,
+    live: bool,
 }
 
 impl ServerSession {
@@ -243,85 +305,85 @@ impl ServerSession {
         Self::default()
     }
 
-    /// Handles one request, returning the response to send.
-    pub fn on_request<H: ServerHandler>(&mut self, handler: &mut H, msg: &Message) -> Message {
-        let Message::Request {
-            method,
-            url,
-            headers,
-            ..
-        } = msg
-        else {
-            return Message::response(Status(400));
+    /// Handles one request, writing the response to send onto `out`.
+    pub fn on_request<H: ServerHandler>(
+        &mut self,
+        handler: &mut H,
+        msg: &MessageView<'_>,
+        out: &mut Vec<u8>,
+    ) {
+        let StartLine::Request { method, url } = msg.start() else {
+            return Writer::response(out, Status(400)).finish();
         };
-        let cseq = SmallStr::from(msg.header("CSeq").unwrap_or("0"));
+        let cseq = msg.header("CSeq").unwrap_or("0");
         if let Some(bw) = msg.header("Bandwidth").and_then(|v| v.parse().ok()) {
             handler.client_bandwidth(bw);
         }
-        let respond = |status: Status| Message::response(status).with_header("CSeq", &cseq);
+        let respond = |out, status: Status| Writer::response(out, status).header("CSeq", cseq);
 
-        match method {
-            Method::Options => respond(Status::OK).with_header(
-                "Public",
-                "DESCRIBE, SETUP, PLAY, PAUSE, TEARDOWN, SET_PARAMETER",
-            ),
+        let status = match method {
+            Method::Options => {
+                let public = "DESCRIBE, SETUP, PLAY, PAUSE, TEARDOWN, SET_PARAMETER";
+                return respond(out, Status::OK).header("Public", public).finish();
+            }
             Method::Describe => match handler.describe(url) {
-                Some(body) => respond(Status::OK).with_body(body),
-                None => respond(Status::NOT_FOUND),
+                Some(body) => return respond(out, Status::OK).body(&body),
+                None => Status::NOT_FOUND,
             },
             Method::Setup => {
-                let Some(requested) = msg.header("Transport").and_then(TransportSpec::parse) else {
-                    return respond(Status::UNSUPPORTED_TRANSPORT);
-                };
-                match handler.setup(url, requested) {
-                    Ok(spec) => {
+                let requested = msg.header("Transport").and_then(TransportSpec::parse);
+                match requested.map(|spec| handler.setup(url, spec)) {
+                    Some(Ok(spec)) => {
                         self.session_counter += 1;
-                        let id = format!("sess-{}", self.session_counter);
-                        self.session_id = Some(id.clone());
-                        respond(Status::OK)
-                            .with_header("Session", id.as_str())
-                            .with_header("Transport", spec.encode())
+                        self.live = true;
+                        return respond(out, Status::OK)
+                            .header("Session", format_args!("sess-{}", self.session_counter))
+                            .header("Transport", spec)
+                            .finish();
                     }
-                    Err(status) => respond(status),
+                    Some(Err(status)) => status,
+                    None => Status::UNSUPPORTED_TRANSPORT,
                 }
             }
-            Method::Play => {
-                if self.session_matches(msg.header("Session")) {
-                    handler.play(url);
-                    respond(Status::OK)
-                } else {
-                    respond(Status(454)) // Session Not Found
-                }
+            Method::Play if self.session_matches(msg.header("Session")) => {
+                handler.play(url);
+                Status::OK
             }
-            Method::Pause => respond(Status::OK),
+            Method::Play => Status(454), // Session Not Found
+            Method::Pause => Status::OK,
             Method::SetParameter => {
                 // Every non-CSeq/Session header is an application parameter.
-                for (k, v) in headers {
+                for (k, v) in msg.headers() {
                     if !k.eq_ignore_ascii_case("cseq") && !k.eq_ignore_ascii_case("session") {
                         handler.set_parameter(url, k, v);
                     }
                 }
-                respond(Status::OK)
+                Status::OK
             }
             Method::Teardown => {
                 handler.teardown(url);
-                self.session_id = None;
-                respond(Status::OK)
+                self.live = false;
+                Status::OK
             }
-        }
+        };
+        respond(out, status).finish()
     }
 
+    /// Whether `got` spells the live session's id, `sess-{counter}` in
+    /// canonical decimal — compared without rendering it.
     fn session_matches(&self, got: Option<&str>) -> bool {
-        match (&self.session_id, got) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
+        let digits = got.and_then(|id| id.strip_prefix("sess-"));
+        self.live
+            && digits.is_some_and(|d| {
+                !d.starts_with(['0', '+']) && d.parse() == Ok(self.session_counter)
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{Decoder, Message};
     use crate::transport::TransportKind;
 
     /// A scripted handler for tests.
@@ -370,36 +432,95 @@ mod tests {
         }
     }
 
-    fn full_handshake(handler: &mut TestHandler) -> (ClientSession, ServerSession) {
+    /// The two directions of a control connection: a staging buffer
+    /// and the peer's decoder each.
+    #[derive(Default)]
+    struct Wire {
+        req: Vec<u8>,
+        resp: Vec<u8>,
+        to_server: Decoder,
+        to_client: Decoder,
+    }
+
+    impl Wire {
+        /// Carries the request in `req` to the server and its reply
+        /// back; returns what the client made of it.
+        fn exchange<'a>(
+            &'a mut self,
+            client: &mut ClientSession,
+            server: &mut ServerSession,
+            handler: &mut TestHandler,
+        ) -> ClientEvent<'a> {
+            self.to_server.feed(&self.req);
+            self.req.clear();
+            let msg = self.to_server.next_message().unwrap().unwrap();
+            self.resp.clear();
+            server.on_request(handler, &msg, &mut self.resp);
+            self.to_client.feed(&self.resp);
+            let reply = self.to_client.next_message().unwrap().unwrap();
+            client.on_response(&reply)
+        }
+
+        /// The server's reply to a hand-built request.
+        fn ask(
+            &mut self,
+            server: &mut ServerSession,
+            h: &mut TestHandler,
+            req: &Message,
+        ) -> Message {
+            self.resp.clear();
+            server.on_request(h, &req.view().unwrap(), &mut self.resp);
+            let mut dec = Decoder::new();
+            dec.feed(&self.resp);
+            let reply = dec.next_message().unwrap().unwrap();
+            let StartLine::Response { status } = reply.start() else {
+                panic!("expected response, got {reply:?}");
+            };
+            reply
+                .headers()
+                .fold(Message::response(status), |m, (k, v)| m.with_header(k, v))
+        }
+    }
+
+    fn full_handshake(handler: &mut TestHandler) -> (ClientSession, ServerSession, Wire) {
         let mut client = ClientSession::new("rtsp://srv/clip.rm");
         let mut server = ServerSession::new();
+        let mut wire = Wire::default();
 
-        let resp = server.on_request(handler, &client.describe());
+        client.describe(None, &mut wire.req).unwrap();
         assert_eq!(
-            client.on_response(&resp),
-            ClientEvent::Described(b"sdp-body".to_vec())
+            wire.exchange(&mut client, &mut server, handler),
+            ClientEvent::Described(b"sdp-body")
         );
 
-        let resp = server.on_request(handler, &client.setup(TransportSpec::udp(5002)));
-        match client.on_response(&resp) {
+        client
+            .setup(TransportSpec::udp(5002), &mut wire.req)
+            .unwrap();
+        match wire.exchange(&mut client, &mut server, handler) {
             ClientEvent::SetUp(_) => {}
             other => panic!("expected SetUp, got {other:?}"),
         }
 
-        let resp = server.on_request(handler, &client.play());
-        assert_eq!(client.on_response(&resp), ClientEvent::Started);
+        client.play(&mut wire.req).unwrap();
+        assert_eq!(
+            wire.exchange(&mut client, &mut server, handler),
+            ClientEvent::Started
+        );
         assert_eq!(client.state(), ClientState::Playing);
-        (client, server)
+        (client, server, wire)
     }
 
     #[test]
     fn full_session_lifecycle() {
         let mut h = TestHandler::default();
-        let (mut client, mut server) = full_handshake(&mut h);
+        let (mut client, mut server, mut wire) = full_handshake(&mut h);
         assert!(h.played);
 
-        let resp = server.on_request(&mut h, &client.teardown());
-        assert_eq!(client.on_response(&resp), ClientEvent::TornDown);
+        client.teardown(&mut wire.req);
+        assert_eq!(
+            wire.exchange(&mut client, &mut server, &mut h),
+            ClientEvent::TornDown
+        );
         assert_eq!(client.state(), ClientState::Done);
         assert!(h.torn_down);
     }
@@ -412,9 +533,10 @@ mod tests {
         };
         let mut client = ClientSession::new("rtsp://srv/missing.rm");
         let mut server = ServerSession::new();
-        let resp = server.on_request(&mut h, &client.describe());
+        let mut wire = Wire::default();
+        client.describe(None, &mut wire.req).unwrap();
         assert_eq!(
-            client.on_response(&resp),
+            wire.exchange(&mut client, &mut server, &mut h),
             ClientEvent::Unavailable(Status::NOT_FOUND)
         );
         assert_eq!(client.state(), ClientState::Failed);
@@ -428,10 +550,13 @@ mod tests {
         };
         let mut client = ClientSession::new("rtsp://srv/clip.rm");
         let mut server = ServerSession::new();
-        let resp = server.on_request(&mut h, &client.describe());
-        client.on_response(&resp);
-        let resp = server.on_request(&mut h, &client.setup(TransportSpec::udp(5002)));
-        match client.on_response(&resp) {
+        let mut wire = Wire::default();
+        client.describe(None, &mut wire.req).unwrap();
+        wire.exchange(&mut client, &mut server, &mut h);
+        client
+            .setup(TransportSpec::udp(5002), &mut wire.req)
+            .unwrap();
+        match wire.exchange(&mut client, &mut server, &mut h) {
             ClientEvent::SetUp(spec) => assert_eq!(spec.kind, TransportKind::Tcp),
             other => panic!("{other:?}"),
         }
@@ -443,12 +568,12 @@ mod tests {
             force_tcp: true,
             ..TestHandler::default()
         };
-        let (mut client, mut server) = full_handshake(&mut h);
+        let (mut client, mut server, mut wire) = full_handshake(&mut h);
         let old_id = client.session_id().unwrap().to_string();
 
         // Black-holed UDP: the player re-SETUPs over the live control channel.
-        let resp = server.on_request(&mut h, &client.resetup(TransportSpec::tcp()));
-        match client.on_response(&resp) {
+        client.resetup(TransportSpec::tcp(), &mut wire.req).unwrap();
+        match wire.exchange(&mut client, &mut server, &mut h) {
             ClientEvent::SetUp(spec) => assert_eq!(spec.kind, TransportKind::Tcp),
             other => panic!("{other:?}"),
         }
@@ -456,8 +581,11 @@ mod tests {
         assert_ne!(old_id, new_id, "re-SETUP must mint a fresh session id");
 
         h.played = false;
-        let resp = server.on_request(&mut h, &client.play());
-        assert_eq!(client.on_response(&resp), ClientEvent::Started);
+        client.play(&mut wire.req).unwrap();
+        assert_eq!(
+            wire.exchange(&mut client, &mut server, &mut h),
+            ClientEvent::Started
+        );
         assert_eq!(client.state(), ClientState::Playing);
         assert!(h.played);
     }
@@ -470,44 +598,138 @@ mod tests {
         let req = Message::request(Method::Play, "rtsp://srv/clip.rm")
             .with_header("CSeq", "9")
             .with_header("Session", "sess-999");
-        let resp = server.on_request(&mut h, &req);
-        match resp {
-            Message::Response { status, .. } => assert_eq!(status, Status(454)),
-            _ => panic!("expected response"),
-        }
+        let resp = Wire::default().ask(&mut server, &mut h, &req);
+        assert_eq!(
+            resp,
+            Message::response(Status(454)).with_header("CSeq", "9")
+        );
         assert!(!h.played);
+
+        // The live id matches only as the server spelt it, and not once
+        // the session is torn down.
+        let (_, mut server, mut wire) = full_handshake(&mut h);
+        h.played = false;
+        for (id, status) in [
+            ("sess-01", 454),
+            ("sess-+1", 454),
+            ("sess-2", 454),
+            ("sess-1", 200),
+        ] {
+            let req =
+                Message::request(Method::Play, "rtsp://srv/clip.rm").with_header("Session", id);
+            let resp = wire.ask(&mut server, &mut h, &req);
+            assert_eq!(
+                resp.view().unwrap().start(),
+                StartLine::Response {
+                    status: Status(status)
+                }
+            );
+            assert_eq!(h.played, status == 200, "{id}");
+        }
+        let down = Message::request(Method::Teardown, "rtsp://srv/clip.rm");
+        wire.ask(&mut server, &mut h, &down);
+        let req =
+            Message::request(Method::Play, "rtsp://srv/clip.rm").with_header("Session", "sess-1");
+        let resp = wire.ask(&mut server, &mut h, &req);
+        assert_eq!(
+            resp,
+            Message::response(Status(454)).with_header("CSeq", "0")
+        );
     }
 
     #[test]
     fn set_parameter_reaches_handler() {
         let mut h = TestHandler::default();
-        let (mut client, mut server) = full_handshake(&mut h);
-        let msg = client.set_parameter("x-loss-rate", "0.031");
-        server.on_request(&mut h, &msg);
+        let (mut client, mut server, mut wire) = full_handshake(&mut h);
+        client
+            .set_parameter("x-loss-rate", "0.031", &mut wire.req)
+            .unwrap();
+        // Its reply is named for what it is, not an error.
+        assert_eq!(
+            wire.exchange(&mut client, &mut server, &mut h),
+            ClientEvent::ReportAcked
+        );
         assert_eq!(
             h.params,
             vec![("x-loss-rate".to_string(), "0.031".to_string())]
         );
         // Still playing: feedback must not disturb the session.
         assert_eq!(client.state(), ClientState::Playing);
+
+        // Acknowledged once: the same reply again is unsolicited. And a
+        // report's reply overtaken by a TEARDOWN is still a report's reply.
+        let again = Message::response(Status::OK).with_header("CSeq", "4");
+        assert_eq!(
+            client.on_response(&again.view().unwrap()),
+            ClientEvent::ProtocolError(ProtocolError::Unsolicited)
+        );
+        client
+            .set_parameter("x-loss-rate", 0.5, &mut wire.req)
+            .unwrap();
+        client.teardown(&mut wire.req);
+        assert_eq!(
+            wire.exchange(&mut client, &mut server, &mut h),
+            ClientEvent::ReportAcked
+        );
+        assert_eq!(client.state(), ClientState::TearingDown);
+        assert_eq!(
+            client.on_response(&again.view().unwrap()),
+            ClientEvent::ProtocolError(ProtocolError::CSeqMismatch)
+        );
     }
 
     #[test]
     fn cseq_mismatch_is_flagged() {
         let mut client = ClientSession::new("rtsp://srv/c");
-        let _ = client.describe();
+        client.describe(None, &mut Vec::new()).unwrap();
         let bogus = Message::response(Status::OK).with_header("CSeq", "42");
-        match client.on_response(&bogus) {
-            ClientEvent::ProtocolError(_) => {}
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            client.on_response(&bogus.view().unwrap()),
+            ClientEvent::ProtocolError(ProtocolError::CSeqMismatch)
+        );
+        assert_eq!(client.state(), ClientState::Describing);
+        let request = Message::request(Method::Play, "rtsp://srv/c");
+        assert_eq!(
+            client.on_response(&request.view().unwrap()),
+            ClientEvent::ProtocolError(ProtocolError::NotAResponse)
+        );
+        assert_eq!(client.state(), ClientState::Failed);
+    }
+
+    /// The typed error, unwrapped by a caller that chose to, says what
+    /// the old `assert!` said.
+    #[test]
+    #[should_panic(expected = "setup() out of order")]
+    fn setup_before_describe_panics() {
+        let mut client = ClientSession::new("rtsp://srv/c");
+        let refused = client.setup(TransportSpec::udp(5002), &mut Vec::new());
+        refused.unwrap_or_else(|err| panic!("{err}"));
     }
 
     #[test]
-    #[should_panic(expected = "out of order")]
-    fn setup_before_describe_panics() {
+    fn out_of_order_requests_are_refused_and_write_nothing() {
         let mut client = ClientSession::new("rtsp://srv/c");
-        let _ = client.setup(TransportSpec::udp(5002));
+        let mut out = Vec::new();
+        let refused = |call, state| Err(OutOfOrder { call, state });
+        assert_eq!(
+            client.setup(TransportSpec::udp(5002), &mut out),
+            refused("setup", ClientState::Init)
+        );
+        assert_eq!(client.play(&mut out), refused("play", ClientState::Init));
+        assert_eq!(
+            client.resetup(TransportSpec::tcp(), &mut out),
+            refused("resetup", ClientState::Init)
+        );
+        assert_eq!(
+            client.set_parameter("x", 1, &mut out),
+            refused("set_parameter", ClientState::Init)
+        );
+        // Refused calls write nothing and spend no CSeq.
+        assert!(out.is_empty());
+        client.describe(None, &mut out).unwrap();
+        assert!(out.ends_with(b"CSeq: 1\r\n\r\n"));
+        let err = client.describe(None, &mut out).unwrap_err();
+        assert_eq!(err.to_string(), "describe() out of order in Describing");
     }
 
     #[test]
@@ -515,7 +737,7 @@ mod tests {
         let mut h = TestHandler::default();
         let mut server = ServerSession::new();
         let req = Message::request(Method::Options, "*").with_header("CSeq", "1");
-        let resp = server.on_request(&mut h, &req);
+        let resp = Wire::default().ask(&mut server, &mut h, &req);
         assert!(resp.header("Public").unwrap().contains("SETUP"));
     }
 }

@@ -7,9 +7,6 @@
 //! negotiation outcome.
 
 use std::fmt;
-use std::fmt::Write as _;
-
-use crate::smallstr::SmallStr;
 
 /// The transport finally carrying stream data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,28 +80,15 @@ impl TransportSpec {
         }
     }
 
-    /// Serializes to a Transport header value, e.g.
-    /// `x-real-rdt/udp;client_port=5002;server_port=6970`.
-    pub fn encode(&self) -> SmallStr {
-        let mut s = SmallStr::new();
-        match self.kind {
-            TransportKind::Udp => write!(s, "x-real-rdt/udp;client_port={}", self.client_port),
-            TransportKind::Tcp => write!(s, "x-real-rdt/tcp;interleaved"),
-        }
-        .expect("SmallStr never errors");
-        if let Some(sp) = self.server_port {
-            write!(s, ";server_port={sp}").expect("SmallStr never errors");
-        }
-        s
-    }
-
     /// Parses a Transport header value.
     pub fn parse(value: &str) -> Option<TransportSpec> {
         let mut parts = value.split(';');
-        let proto = parts.next()?.to_ascii_lowercase();
-        let kind = if proto.ends_with("/udp") {
+        let proto = parts.next()?;
+        // The last four bytes, if they are text: `/udp` or `/tcp`, any case.
+        let suffix = proto.len().checked_sub(4).and_then(|at| proto.get(at..))?;
+        let kind = if suffix.eq_ignore_ascii_case("/udp") {
             TransportKind::Udp
-        } else if proto.ends_with("/tcp") {
+        } else if suffix.eq_ignore_ascii_case("/tcp") {
             TransportKind::Tcp
         } else {
             return None;
@@ -123,6 +107,21 @@ impl TransportSpec {
             // "interleaved" and unknown parameters are tolerated.
         }
         Some(spec)
+    }
+}
+
+/// The Transport header value, e.g.
+/// `x-real-rdt/udp;client_port=5002;server_port=6970`.
+impl fmt::Display for TransportSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            TransportKind::Udp => write!(f, "x-real-rdt/udp;client_port={}", self.client_port)?,
+            TransportKind::Tcp => f.write_str("x-real-rdt/tcp;interleaved")?,
+        }
+        match self.server_port {
+            Some(port) => write!(f, ";server_port={port}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -181,13 +180,13 @@ mod tests {
             client_port: 5002,
             server_port: Some(6970),
         };
-        assert_eq!(TransportSpec::parse(&spec.encode()), Some(spec));
+        assert_eq!(TransportSpec::parse(&spec.to_string()), Some(spec));
     }
 
     #[test]
     fn spec_round_trips_tcp() {
         let spec = TransportSpec::tcp();
-        let parsed = TransportSpec::parse(&spec.encode()).unwrap();
+        let parsed = TransportSpec::parse(&spec.to_string()).unwrap();
         assert_eq!(parsed.kind, TransportKind::Tcp);
     }
 

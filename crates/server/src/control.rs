@@ -188,9 +188,9 @@ impl RealServer {
         loop {
             match self.scratch.decoder.next_message() {
                 Ok(Some(msg)) => {
-                    let resp = self.rtsp.on_request(&mut self.core, &msg);
                     self.scratch.ctrl_buf.clear();
-                    resp.encode_into(&mut self.scratch.ctrl_buf);
+                    self.rtsp
+                        .on_request(&mut self.core, &msg, &mut self.scratch.ctrl_buf);
                     stack.tcp(self.ctrl).send(&self.scratch.ctrl_buf);
                     handled += 1;
                 }

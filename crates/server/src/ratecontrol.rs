@@ -8,7 +8,8 @@
 //! the TCP-equation throughput for the measured RTT and loss and caps the
 //! stream rate there, probing gently upward when the path is clean.
 
-use rv_rtsp::SmallStr;
+use std::fmt;
+
 use rv_sim::{SimDuration, SimTime};
 
 /// A receiver report, carried on the control channel.
@@ -20,17 +21,16 @@ pub struct ReceiverReport {
     pub recv_rate_bps: f64,
 }
 
-impl ReceiverReport {
-    /// Serializes as `loss:recv` for a SET_PARAMETER header value. The
-    /// rendering fits [`SmallStr`] inline, so the once-a-second report
-    /// path does not allocate.
-    pub fn encode(&self) -> SmallStr {
-        SmallStr::from_display(format_args!(
-            "{:.6}:{:.1}",
-            self.loss_rate, self.recv_rate_bps
-        ))
+/// The `loss:recv` form of a SET_PARAMETER header value, rendered in
+/// place by whoever writes the header: the once-a-second report path
+/// does not allocate.
+impl fmt::Display for ReceiverReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:.6}:{:.1}", self.loss_rate, self.recv_rate_bps)
     }
+}
 
+impl ReceiverReport {
     /// Parses the `loss:recv` form.
     pub fn parse(s: &str) -> Option<ReceiverReport> {
         let (loss, rate) = s.split_once(':')?;
@@ -247,7 +247,9 @@ mod tests {
             loss_rate: 0.031,
             recv_rate_bps: 123_456.7,
         };
-        assert_eq!(ReceiverReport::parse(&r.encode()), Some(r));
+        // The wire form is pinned: six decimals of loss, one of rate.
+        assert_eq!(r.to_string(), "0.031000:123456.7");
+        assert_eq!(ReceiverReport::parse(&r.to_string()), Some(r));
     }
 
     #[test]

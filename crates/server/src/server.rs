@@ -22,7 +22,7 @@
 
 use rv_rtsp::{Decoder, ServerSession};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{PoolFootprint, SimDuration, SimTime};
+use rv_sim::{PayloadPool, PoolFootprint, SimDuration, SimTime};
 use rv_transport::{Stack, TcpHandle, UdpHandle};
 
 use crate::catalog::Catalog;
@@ -119,6 +119,12 @@ pub struct ServerScratch {
     pub(crate) staging: Staging,
     /// Parked schedules and recycled frame tables, per rung.
     pub(crate) schedules: RungSchedules,
+    /// The send-buffer pools of the stack this server ran on, in socket
+    /// creation order. The server never looks inside: whoever builds and
+    /// retires its stack (`rv_tracer::server_endpoint`,
+    /// `SessionWorld::retire`) threads them through here, so the next
+    /// session's sockets start on this one's backings.
+    pub socket_pools: Vec<PayloadPool>,
 }
 
 impl ServerScratch {
@@ -509,8 +515,8 @@ mod tests {
 
     /// SETUP (TCP) + PLAY under the server's `n`th session id.
     fn play(server: &mut RealServer, n: u32) {
-        let setup = Message::request(Method::Setup, URL)
-            .with_header("Transport", TransportSpec::tcp().encode());
+        let setup =
+            Message::request(Method::Setup, URL).with_header("Transport", TransportSpec::tcp());
         request(server, setup);
         let session = format!("sess-{n}");
         request(
@@ -546,7 +552,7 @@ mod tests {
         let mut server = RealServer::new(cfg, catalog, ctrl, data, udp, 7, scratch);
         request(
             &mut server,
-            Message::request(Method::Describe, URL).with_header_display("Bandwidth", client_bps),
+            Message::request(Method::Describe, URL).with_header("Bandwidth", client_bps),
         );
         play(&mut server, 1);
         // Three requests handled, one PLAY applied, the lead pumped.
@@ -1120,7 +1126,7 @@ mod tests {
                         request(
                             &mut server,
                             Message::request(Method::SetParameter, URL)
-                                .with_header(REPORT_PARAM, report.encode()),
+                                .with_header(REPORT_PARAM, report),
                         );
                     }
                     1 if !udp => drain_data_socket(&server, &mut stack),

@@ -421,6 +421,21 @@ impl ByteRope {
         ByteRope::default()
     }
 
+    /// An empty rope whose copies start on `pool`: a retired rope's
+    /// ([`ByteRope::into_pool`]), so the next connection's gathers land
+    /// on backings the last one paid for.
+    pub fn on_pool(pool: PayloadPool) -> Self {
+        ByteRope {
+            pool,
+            ..ByteRope::default()
+        }
+    }
+
+    /// Drops the buffered bytes and gives up the pool.
+    pub fn into_pool(self) -> PayloadPool {
+        self.pool
+    }
+
     /// Total buffered bytes.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {

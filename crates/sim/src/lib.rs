@@ -48,6 +48,7 @@ mod bytes;
 mod chacha;
 mod clock;
 mod counters;
+mod digest;
 mod fault;
 mod rng;
 mod time;
@@ -56,6 +57,7 @@ pub mod trace;
 pub use bytes::{ByteRope, PayloadBytes, PayloadPool, PoolFootprint};
 pub use clock::earliest;
 pub use counters::{Counter, CounterSet};
+pub use digest::Fnv;
 pub use fault::{
     FaultPlan, FaultScenario, FaultSegment, LinkOutage, LossBurst, OutagePolicy, ServerCrash,
 };

@@ -11,12 +11,12 @@ use rv_media::{Clip, MediaPacket, StreamDepacketizer};
 use rv_net::Addr;
 use rv_player::{Player, PlayoutConfig, PlayoutEvent, PlayoutState};
 use rv_rtsp::{
-    ClientEvent, ClientSession, Decoder, FirewallPolicy, Message, Status, TransportKind,
+    ClientEvent, ClientSession, Decoder, FirewallPolicy, OutOfOrder, Status, TransportKind,
     TransportPreference, TransportSpec,
 };
 use rv_server::{ReceiverReport, REPORT_PARAM};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{SimDuration, SimTime};
+use rv_sim::{PayloadPool, SimDuration, SimTime};
 use rv_transport::{Stack, TcpError, TcpHandle, UdpHandle};
 
 use crate::metrics::{finalize, SessionMetrics, SessionOutcome};
@@ -163,6 +163,10 @@ pub struct ClientScratch {
     events: Vec<PlayoutEvent>,
     /// Reused staging buffer for outgoing control messages.
     encode_buf: Vec<u8>,
+    /// The send-buffer pools of the stack this client ran on, in socket
+    /// creation order: [`client_endpoint`](crate::client_endpoint) starts
+    /// the next stack on them, `SessionWorld::retire` puts them back.
+    pub socket_pools: Vec<PayloadPool>,
 }
 
 /// The instrumented client.
@@ -457,17 +461,13 @@ impl TracerClient {
 
         work += self.pump_control(now, stack);
         if self.phase == Phase::Connecting && stack.tcp(self.ctrl).is_established() {
-            let msg = self
-                .session
-                .describe()
-                .with_header_display("Bandwidth", self.cfg.max_bandwidth_bps);
-            self.send_control(stack, &msg);
+            let speed = Some(self.cfg.max_bandwidth_bps);
+            self.send_control(stack, |session, out| session.describe(speed, out));
             self.set_phase(Phase::Describing, now);
             work += 1;
         }
         if self.phase == Phase::ConnectingData && stack.tcp(self.data_tcp).is_established() {
-            let msg = self.session.play();
-            self.send_control(stack, &msg);
+            self.send_control(stack, ClientSession::play);
             self.set_phase(Phase::Starting, now);
             work += 1;
         }
@@ -500,12 +500,20 @@ impl TracerClient {
         self.rung_seen = Some(rung);
     }
 
-    /// Serializes `msg` into the reused staging buffer and queues it on
-    /// the control connection — no per-message allocation.
-    fn send_control(&mut self, stack: &mut Stack, msg: &Message) {
+    /// Has the session `write` its next request into the reused staging
+    /// buffer and queues it on the control connection — no per-message
+    /// allocation. A request the session refuses as out of order (its
+    /// state machine and this one's phases disagreeing) wrote nothing and
+    /// sends nothing: the silence ends as any unanswered request does.
+    fn send_control(
+        &mut self,
+        stack: &mut Stack,
+        write: impl FnOnce(&mut ClientSession, &mut Vec<u8>) -> Result<(), OutOfOrder>,
+    ) {
         self.scratch.encode_buf.clear();
-        msg.encode_into(&mut self.scratch.encode_buf);
-        stack.tcp(self.ctrl).send(&self.scratch.encode_buf);
+        if write(&mut self.session, &mut self.scratch.encode_buf).is_ok() {
+            stack.tcp(self.ctrl).send(&self.scratch.encode_buf);
+        }
     }
 
     /// Detects connection errors and silent stalls; classifies them into
@@ -558,8 +566,9 @@ impl TracerClient {
                     // Nothing at all ever arrived on UDP: the path
                     // black-holes datagrams (NAT/firewall). Renegotiate
                     // TCP over the still-live control connection.
-                    let msg = self.session.resetup(TransportSpec::tcp());
-                    self.send_control(stack, &msg);
+                    self.send_control(stack, |session, out| {
+                        session.resetup(TransportSpec::tcp(), out)
+                    });
                     trace::emit(now, || TraceEvent::TransportFallback);
                     self.fell_back = true;
                     self.transport = None;
@@ -703,16 +712,12 @@ impl TracerClient {
                 }
             };
             handled += 1;
-            // Replies to SET_PARAMETER reports are CSeq-mismatched by
-            // design; on_response classifies them as ProtocolError and the
-            // session state is unaffected.
             match self.session.on_response(&msg) {
                 ClientEvent::Described(body) => {
                     let name = self.cfg.url.rsplit('/').next().unwrap_or("clip");
-                    self.clip = Clip::parse_description(name, &body);
+                    self.clip = Clip::parse_description(name, body);
                     let spec = self.pick_transport();
-                    let msg = self.session.setup(spec);
-                    self.send_control(stack, &msg);
+                    self.send_control(stack, |session, out| session.setup(spec, out));
                     self.set_phase(Phase::SettingUp, now);
                 }
                 ClientEvent::Unavailable(status) => {
@@ -743,8 +748,7 @@ impl TracerClient {
                             self.set_phase(Phase::ConnectingData, now);
                         }
                         TransportKind::Udp => {
-                            let msg = self.session.play();
-                            self.send_control(stack, &msg);
+                            self.send_control(stack, ClientSession::play);
                             self.set_phase(Phase::Starting, now);
                         }
                     }
@@ -758,9 +762,9 @@ impl TracerClient {
                     self.finish(now, self.outcome.unwrap_or(SessionOutcome::Played));
                     return handled;
                 }
-                ClientEvent::ProtocolError(_) => {
-                    // Tolerated: report replies and stale responses.
-                }
+                // Tolerated, and the session state is unaffected: the
+                // reply to a receiver report, or a stale response.
+                ClientEvent::ReportAcked | ClientEvent::ProtocolError(_) => {}
             }
         }
         handled
@@ -834,8 +838,9 @@ impl TracerClient {
                 loss_rate: loss,
                 recv_rate_bps: bytes as f64 * 8.0 / interval.max(0.1),
             };
-            let msg = self.session.set_parameter(REPORT_PARAM, &report.encode());
-            self.send_control(stack, &msg);
+            self.send_control(stack, |session, out| {
+                session.set_parameter(REPORT_PARAM, report, out)
+            });
             work += 1;
         }
 
@@ -845,8 +850,10 @@ impl TracerClient {
             .is_some_and(|s| now.saturating_since(s) >= self.cfg.watch_limit);
         if watched_out || self.player.state() == PlayoutState::Ended {
             self.outcome = Some(SessionOutcome::Played);
-            let msg = self.session.teardown();
-            self.send_control(stack, &msg);
+            self.send_control(stack, |session, out| {
+                session.teardown(out);
+                Ok(())
+            });
             self.set_phase(Phase::TearingDown, now);
             work += 1;
         }

@@ -58,9 +58,9 @@ pub fn server_endpoint(
     cfg: ServerConfig,
     catalog: Catalog,
     seed: u64,
-    scratch: ServerScratch,
+    mut scratch: ServerScratch,
 ) -> (Stack, RealServer) {
-    let mut stack = Stack::new(host);
+    let mut stack = Stack::on_pools(host, std::mem::take(&mut scratch.socket_pools));
     let ctrl = stack.tcp_socket(ports::CTRL, TcpConfig::default());
     let data = stack.tcp_socket(ports::DATA_TCP, data_tcp);
     let udp = stack.udp_socket(cfg.data_udp_port);
@@ -79,9 +79,9 @@ pub fn client_endpoint(
     host: HostId,
     data_tcp: TcpConfig,
     cfg: ClientConfig,
-    scratch: ClientScratch,
+    mut scratch: ClientScratch,
 ) -> (Stack, TracerClient) {
-    let mut stack = Stack::new(host);
+    let mut stack = Stack::on_pools(host, std::mem::take(&mut scratch.socket_pools));
     let ctrl = stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
     let data = stack.tcp_socket(ports::CLIENT_DATA, data_tcp);
     let udp = stack.udp_socket(cfg.udp_port);
@@ -601,9 +601,12 @@ impl SessionWorld {
         self.net.reset_for_rebuild();
         scratch.net = self.net;
         scratch.client = self.client.into_scratch();
-        let replicas = self.replicas.into_iter().map(|(_, server)| server);
-        for (r, server) in std::iter::once(self.server).chain(replicas).enumerate() {
-            let harvested = server.into_scratch();
+        scratch.client.socket_pools = self.client_stack.into_pools();
+        let primary = (self.server_stack, self.server);
+        let servers = std::iter::once(primary).chain(self.replicas);
+        for (r, (stack, server)) in servers.enumerate() {
+            let mut harvested = server.into_scratch();
+            harvested.socket_pools = stack.into_pools();
             match scratch.servers.get_mut(r) {
                 Some(slot) => *slot = harvested,
                 None => scratch.servers.push(harvested),

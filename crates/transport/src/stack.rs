@@ -9,7 +9,7 @@ use rv_sim::SimTime;
 use crate::segment::{Segment, TcpFlags, TcpSegment};
 use crate::tcp::{TcpConfig, TcpSocket, TcpState};
 use crate::udp::UdpSocket;
-use rv_sim::PayloadBytes;
+use rv_sim::{PayloadBytes, PayloadPool};
 
 /// Handle to a TCP socket within a [`Stack`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +51,9 @@ pub struct Stack {
     /// Debug builds recompute the sweep on every query and assert the
     /// memo equals it.
     attention: Cell<Option<(bool, SimTime)>>,
+    /// Send-buffer pools for the TCP sockets still to be created, the
+    /// next one's last (see [`Stack::on_pools`]).
+    spare_pools: Vec<PayloadPool>,
 }
 
 impl Stack {
@@ -65,7 +68,31 @@ impl Stack {
             udp_blackhole: false,
             udp_blackholed: 0,
             attention: Cell::new(None),
+            spare_pools: Vec::new(),
         }
+    }
+
+    /// An empty stack for `host` whose TCP sockets, in creation order,
+    /// start their send buffers on `pools` — what [`Stack::into_pools`]
+    /// gave up when the last stack of this shape retired, so socket `i`
+    /// inherits the working set socket `i` had. Sockets past the end of
+    /// `pools` start cold. Capacity only: a stack on warm pools behaves
+    /// bit-identically to [`Stack::new`]'s.
+    pub fn on_pools(host: HostId, mut pools: Vec<PayloadPool>) -> Self {
+        pools.reverse();
+        Stack {
+            spare_pools: pools,
+            ..Stack::new(host)
+        }
+    }
+
+    /// Retires the stack, keeping each TCP socket's send-buffer pool, in
+    /// socket creation order.
+    pub fn into_pools(self) -> Vec<PayloadPool> {
+        let mut pools = self.spare_pools; // the list `on_pools` was given
+        pools.clear();
+        pools.extend(self.tcp.into_iter().map(TcpSocket::into_send_pool));
+        pools
     }
 
     /// The host this stack belongs to.
@@ -77,7 +104,8 @@ impl Stack {
     pub fn tcp_socket(&mut self, port: u16, cfg: TcpConfig) -> TcpHandle {
         self.attention.set(None);
         let local = Addr::new(self.host, port);
-        self.tcp.push(TcpSocket::new(local, cfg));
+        let pool = self.spare_pools.pop().unwrap_or_default();
+        self.tcp.push(TcpSocket::new(local, cfg).on_send_pool(pool));
         TcpHandle(self.tcp.len() - 1)
     }
 

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use rv_net::{Addr, Packet};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{ByteRope, PayloadBytes, SimDuration, SimTime};
+use rv_sim::{ByteRope, PayloadBytes, PayloadPool, SimDuration, SimTime};
 
 use crate::segment::{Segment, TcpFlags, TcpSegment, DEFAULT_MSS};
 
@@ -227,6 +227,21 @@ impl TcpSocket {
             pending_rst: None,
             stats: TcpStats::default(),
         }
+    }
+
+    /// Starts this socket's send buffer on `pool`, a retired socket's
+    /// ([`TcpSocket::into_send_pool`]). Capacity only: the pool is
+    /// invisible to everything but the allocator. For a socket that has
+    /// sent nothing yet.
+    pub fn on_send_pool(mut self, pool: PayloadPool) -> Self {
+        debug_assert_eq!(self.send_buf.len(), 0);
+        self.send_buf = ByteRope::on_pool(pool);
+        self
+    }
+
+    /// Retires the socket, keeping the pool its send buffer copied into.
+    pub fn into_send_pool(self) -> PayloadPool {
+        self.send_buf.into_pool()
     }
 
     /// The local endpoint.
