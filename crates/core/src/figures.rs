@@ -277,11 +277,11 @@ fn fig1() -> FigureOutput {
         .expect("population has healthy DSL users");
     let roster = server_roster();
     let site = roster.iter().find(|s| s.name == "US/CNN").expect("CNN");
-    let clip = Clip::new(
+    let clip = std::sync::Arc::new(Clip::new(
         "fig1-clip.rm",
         SimDuration::from_secs(300),
         ContentKind::News,
-    );
+    ));
     let mut world = rv_study::build_session_world_gw(
         user,
         site,

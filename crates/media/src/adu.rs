@@ -241,6 +241,18 @@ impl StreamDepacketizer {
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
     }
+
+    /// Drops every buffered byte, keeping the buffer's capacity: a reset
+    /// depacketizer is a fresh one with its storage warm.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.pos = 0;
+    }
+
+    /// Bytes of buffer storage held.
+    pub fn retained_bytes(&self) -> usize {
+        self.buf.capacity()
+    }
 }
 
 #[cfg(test)]

@@ -221,16 +221,30 @@ impl Clip {
     /// SDP-inspired line protocol listing content kind, duration, and the
     /// ladder.
     pub fn describe(&self) -> Vec<u8> {
-        let mut s = String::new();
-        s.push_str(&format!("c={}\n", self.content.tag()));
-        s.push_str(&format!("d={}\n", self.duration.as_millis()));
+        let mut body = Vec::new();
+        self.describe_into(&mut body);
+        body
+    }
+
+    /// [`Clip::describe`] written onto the end of `out`, each value
+    /// rendered in place: into a warm buffer, no allocation.
+    pub fn describe_into(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        // Infallible because `Vec<u8>`'s `io::Write` never fails and every
+        // value rendered is a number or a static tag.
+        let _ = write!(
+            out,
+            "c={}\nd={}\n",
+            self.content.tag(),
+            self.duration.as_millis()
+        );
         for r in &self.ladder.rungs {
-            s.push_str(&format!(
-                "s=total:{};audio:{};fps:{};dim:{}x{};ki:{}\n",
+            let _ = writeln!(
+                out,
+                "s=total:{};audio:{};fps:{};dim:{}x{};ki:{}",
                 r.total_bps, r.audio_bps, r.frame_rate, r.width, r.height, r.keyframe_interval
-            ));
+            );
         }
-        s.into_bytes()
     }
 
     /// Parses a presentation description produced by [`Clip::describe`].
@@ -239,7 +253,8 @@ impl Clip {
         let text = std::str::from_utf8(body).ok()?;
         let mut content = None;
         let mut duration = None;
-        let mut rungs = Vec::new();
+        // Sized once: a ladder is one allocation, not one per doubling.
+        let mut rungs = Vec::with_capacity(text.lines().filter(|l| l.starts_with("s=")).count());
         for line in text.lines() {
             if let Some(tag) = line.strip_prefix("c=") {
                 content = Some(ContentKind::from_tag(tag)?);

@@ -202,12 +202,15 @@ impl<P> Network<P> {
         self.host_nodes.push(node);
         self.inboxes
             .push(self.spare_inboxes.pop().unwrap_or_default());
-        // Re-stride the dense route matrix for the new host count.
+        // Re-stride the dense route matrix for the new host count, in
+        // place: slot `(src, dst)` moves from `src * (n - 1) + dst` to
+        // `src * n + dst`, never lower, so walking down from the last slot
+        // reads every slot before anything is written over it.
         let n = self.host_nodes.len();
-        let old = std::mem::replace(&mut self.route_ids, vec![NO_ROUTE; n * n]);
-        for (i, rid) in old.into_iter().enumerate() {
-            if rid != NO_ROUTE {
-                let (src, dst) = (i / (n - 1), i % (n - 1));
+        self.route_ids.resize(n * n, NO_ROUTE);
+        for src in (0..n - 1).rev() {
+            for dst in (0..n - 1).rev() {
+                let rid = std::mem::replace(&mut self.route_ids[src * (n - 1) + dst], NO_ROUTE);
                 self.route_ids[src * n + dst] = rid;
             }
         }
@@ -794,6 +797,32 @@ mod tests {
         // Two 10 ms propagation legs plus ~1 us serialization each.
         net.poll(SimTime::from_millis(21));
         assert_eq!(net.recv(b).unwrap().payload, 9);
+    }
+
+    /// Hosts added after routes exist re-stride the route matrix in place:
+    /// every route keeps its pair, and the new host's row and column are
+    /// empty — whatever the retired matrix underneath held.
+    #[test]
+    fn adding_a_host_keeps_every_route_on_its_pair() {
+        let (mut net, a, b) = two_hosts(LinkParams::lan());
+        let c = net.add_host();
+        assert!(net.has_route(a, b) && net.has_route(b, a));
+        for (src, dst) in [(a, a), (b, b), (a, c), (c, a), (b, c), (c, b), (c, c)] {
+            assert!(!net.has_route(src, dst), "{src:?} -> {dst:?}");
+        }
+        let ca = net.add_link(net.host_node(c), net.host_node(a), LinkParams::lan(), rng());
+        net.set_route(c, a, vec![ca]);
+        let d = net.add_host();
+        let routed = [(a, b), (b, a), (c, a)];
+        for src in [a, b, c, d] {
+            for dst in [a, b, c, d] {
+                assert_eq!(net.has_route(src, dst), routed.contains(&(src, dst)));
+            }
+        }
+        // A rebuild on the same storage starts from an empty matrix.
+        net.reset_for_rebuild();
+        let (x, y) = (net.add_host(), net.add_host());
+        assert!(!net.has_route(x, y) && !net.has_route(y, x));
     }
 
     #[test]

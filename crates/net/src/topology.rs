@@ -16,6 +16,7 @@ use crate::network::{LinkId, Network};
 use crate::packet::{HostId, NodeId};
 
 /// Declarative topology builder.
+#[derive(Debug)]
 pub struct NetBuilder {
     net_nodes: u32,
     hosts: Vec<u32>, // node indices that are hosts, in creation order
@@ -40,6 +41,14 @@ impl NetBuilder {
             hosts: Vec::new(),
             links: Vec::new(),
         }
+    }
+
+    /// Forgets every declaration, keeping the storage: a cleared builder
+    /// is [`NetBuilder::new`]'s, warm.
+    pub fn clear(&mut self) {
+        self.net_nodes = 0;
+        self.hosts.clear();
+        self.links.clear();
     }
 
     /// Declares a host (endpoint with sockets).
@@ -133,13 +142,13 @@ impl NetBuilder {
     /// Panics if the prototype was derived from a structurally different
     /// builder (see [`TopologyPrototype::matches`]).
     pub fn build_from_prototype_into<P>(
-        self,
+        &self,
         rng: &mut SimRng,
         mut net: Network<P>,
         proto: &TopologyPrototype,
     ) -> Network<P> {
         assert!(
-            proto.matches(&self),
+            proto.matches(self),
             "topology prototype does not match builder structure"
         );
         net.reset_for_rebuild();

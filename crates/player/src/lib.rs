@@ -20,6 +20,11 @@ use rv_media::MediaPacket;
 use rv_sim::{SimDuration, SimTime};
 
 /// A complete receiving player: depacketization + reassembly + playout.
+///
+/// A player is also recyclable storage: [`Player::renew`] takes one that
+/// has played a session back to [`Player::new`]'s state — every counter,
+/// clock, frame and group gone — with the buffers it grew, so the next
+/// session on it allocates only where its traffic outgrows the last.
 #[derive(Debug)]
 pub struct Player {
     assembler: Assembler,
@@ -29,13 +34,30 @@ pub struct Player {
 
 impl Player {
     /// Creates a player; `cpu_power` scales the decode model (1.0 = typical
-    /// new 2001 PC).
+    /// new 2001 PC; see [`Playout::new`] for one that is not positive).
     pub fn new(cfg: PlayoutConfig, cpu_power: f64) -> Self {
         Player {
             assembler: Assembler::new(),
             playout: Playout::new(cfg, cpu_power),
             frame_scratch: Vec::new(),
         }
+    }
+
+    /// Returns to [`Player::new`]`(cfg, cpu_power)`'s state, keeping the
+    /// storage the reassembly maps, the playout buffer and the frame
+    /// scratch grew.
+    pub fn renew(&mut self, cfg: PlayoutConfig, cpu_power: f64) {
+        self.assembler.clear();
+        self.playout.renew(cfg, cpu_power);
+        self.frame_scratch.clear();
+    }
+
+    /// Bytes of storage the player holds: what a warm player carries from
+    /// one session into the next.
+    pub fn retained_bytes(&self) -> usize {
+        self.assembler.retained_bytes()
+            + self.playout.retained_bytes()
+            + self.frame_scratch.capacity() * std::mem::size_of::<CompleteFrame>()
     }
 
     /// Feeds one received media packet.
@@ -115,5 +137,12 @@ impl Player {
     /// When the player next needs polling.
     pub fn next_wake(&self, now: SimTime) -> Option<SimTime> {
         self.playout.next_wake(now)
+    }
+}
+
+/// A default-configured player on a typical PC, holding nothing.
+impl Default for Player {
+    fn default() -> Self {
+        Player::new(PlayoutConfig::default(), 1.0)
     }
 }

@@ -127,7 +127,9 @@ pub struct Playout {
     origin: SimDuration,
     /// Media pts of the last frame handed to playout (for span math).
     cursor: SimDuration,
-    rebuffer_since: Option<SimTime>,
+    /// When the current halt began; read only while `Rebuffering`, and
+    /// set on every entry to it.
+    rebuffer_since: SimTime,
     decode_ready_at: SimTime,
     source_ended: bool,
     stats: PlayoutStats,
@@ -135,23 +137,41 @@ pub struct Playout {
 
 impl Playout {
     /// Creates an engine; `cpu_power` scales decode speed (1.0 = modern
-    /// 2001 PC, ~0.1 = an old Pentium MMX with scarce RAM).
+    /// 2001 PC, ~0.1 = an old Pentium MMX with scarce RAM). A `cpu_power`
+    /// that is not positive (or NaN) is a PC that never finishes a decode:
+    /// the first frame plays, every later one drops for
+    /// [`DropReason::Decode`].
     pub fn new(cfg: PlayoutConfig, cpu_power: f64) -> Self {
-        assert!(cpu_power > 0.0, "cpu_power must be positive");
         Playout {
             cfg,
-            cpu_power,
+            cpu_power: if cpu_power > 0.0 { cpu_power } else { 0.0 },
             state: PlayoutState::Buffering,
             buffer: VecDeque::new(),
             session_start: None,
             epoch: SimTime::ZERO,
             origin: SimDuration::ZERO,
             cursor: SimDuration::ZERO,
-            rebuffer_since: None,
+            rebuffer_since: SimTime::ZERO,
             decode_ready_at: SimTime::ZERO,
             source_ended: false,
             stats: PlayoutStats::default(),
         }
+    }
+
+    /// Returns to [`Playout::new`]`(cfg, cpu_power)`'s state, keeping the
+    /// frame buffer's storage.
+    pub fn renew(&mut self, cfg: PlayoutConfig, cpu_power: f64) {
+        let mut buffer = std::mem::take(&mut self.buffer);
+        buffer.clear();
+        *self = Playout {
+            buffer,
+            ..Playout::new(cfg, cpu_power)
+        };
+    }
+
+    /// Bytes of frame-buffer storage held.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        self.buffer.capacity() * std::mem::size_of::<(u64, Buffered)>()
     }
 
     /// Current state.
@@ -248,7 +268,7 @@ impl Playout {
                 } else if self.buffer.is_empty() {
                     SimTime::MAX
                 } else {
-                    self.rebuffer_since.expect("set on entry") + self.cfg.rebuffer_halt
+                    self.rebuffer_since + self.cfg.rebuffer_halt
                 }
             }
             PlayoutState::Ended => SimTime::MAX,
@@ -278,30 +298,32 @@ impl Playout {
         let Some(start) = self.session_start else {
             return; // nothing arrived yet
         };
-        let span = self.buffered_span();
-        let timed_out = now.saturating_since(start) >= self.cfg.prebuffer_timeout;
-        if span >= self.cfg.prebuffer || (timed_out && !self.buffer.is_empty()) {
+        let ready = self.buffered_span() >= self.cfg.prebuffer
+            || now.saturating_since(start) >= self.cfg.prebuffer_timeout;
+        match self.buffer.front() {
             // Playout begins at the earliest buffered frame.
-            let first = SimDuration::from_micros(self.buffer.front().expect("nonempty").0);
-            self.origin = first;
-            self.cursor = first;
-            self.epoch = now;
-            self.state = PlayoutState::Playing;
-            self.stats.playback_started_at = Some(now);
-        } else if self.source_ended && self.buffer.is_empty() {
-            self.state = PlayoutState::Ended;
+            Some(&(first, _)) if ready => {
+                let first = SimDuration::from_micros(first);
+                self.origin = first;
+                self.cursor = first;
+                self.epoch = now;
+                self.state = PlayoutState::Playing;
+                self.stats.playback_started_at = Some(now);
+            }
+            None if self.source_ended => self.state = PlayoutState::Ended,
+            _ => {}
         }
     }
 
     fn poll_playing(&mut self, now: SimTime, events: &mut Vec<PlayoutEvent>) {
         let clock = self.media_clock(now);
 
-        while let Some(&(pts_us, _)) = self.buffer.front() {
+        while let Some(&(pts_us, Buffered { frame })) = self.buffer.front() {
             let pts = SimDuration::from_micros(pts_us);
             if pts > clock {
                 break;
             }
-            let (_, Buffered { frame }) = self.buffer.pop_front().expect("present");
+            self.buffer.pop_front();
             self.cursor = pts;
             // A straggler pushed after playout began, with a pts older
             // than the origin, is due at the epoch itself: it then falls
@@ -341,8 +363,9 @@ impl Playout {
                     .decode_per_kib
                     .mul_f64(f64::from(frame.size) / 1024.0))
             .mul_f64(1.0 / self.cpu_power);
-            self.decode_ready_at = play_at + decode;
-            self.stats.decode_busy += decode;
+            // Saturating: a PC with no decode power finishes never.
+            self.decode_ready_at = play_at.saturating_add(decode);
+            self.stats.decode_busy = self.stats.decode_busy.saturating_add(decode);
             self.stats.frames_played += 1;
             events.push(PlayoutEvent {
                 frame_index: frame.index,
@@ -360,7 +383,7 @@ impl Playout {
                 // Nothing left although the clock marched past the last
                 // frame: the buffer starved.
                 self.state = PlayoutState::Rebuffering;
-                self.rebuffer_since = Some(now);
+                self.rebuffer_since = now;
                 self.stats.rebuffer_events += 1;
                 trace::emit(now, || TraceEvent::RebufferStart);
             }
@@ -368,31 +391,25 @@ impl Playout {
     }
 
     fn poll_rebuffering(&mut self, now: SimTime) {
-        let since = self.rebuffer_since.expect("set on entry");
-        let halted = now.saturating_since(since);
-        let span = self.buffered_span();
-        if span >= self.cfg.rebuffer_target
-            || (halted >= self.cfg.rebuffer_halt && !self.buffer.is_empty())
-        {
+        let halted = now.saturating_since(self.rebuffer_since);
+        let ready =
+            self.buffered_span() >= self.cfg.rebuffer_target || halted >= self.cfg.rebuffer_halt;
+        match self.buffer.front() {
             // Resume: the playout clock skips the halt.
-            let first = SimDuration::from_micros(self.buffer.front().expect("nonempty").0);
-            self.origin = first;
-            self.cursor = first;
-            self.epoch = now;
-            self.stats.rebuffer_time += halted;
-            self.rebuffer_since = None;
-            self.state = PlayoutState::Playing;
-            trace::emit(now, || TraceEvent::RebufferEnd {
-                stalled_us: halted.as_micros(),
-            });
-        } else if self.source_ended && self.buffer.is_empty() {
-            self.stats.rebuffer_time += halted;
-            self.rebuffer_since = None;
-            self.state = PlayoutState::Ended;
-            trace::emit(now, || TraceEvent::RebufferEnd {
-                stalled_us: halted.as_micros(),
-            });
+            Some(&(first, _)) if ready => {
+                let first = SimDuration::from_micros(first);
+                self.origin = first;
+                self.cursor = first;
+                self.epoch = now;
+                self.state = PlayoutState::Playing;
+            }
+            None if self.source_ended => self.state = PlayoutState::Ended,
+            _ => return,
         }
+        self.stats.rebuffer_time += halted;
+        trace::emit(now, || TraceEvent::RebufferEnd {
+            stalled_us: halted.as_micros(),
+        });
     }
 
     /// When the engine next needs polling.
@@ -408,9 +425,10 @@ impl Playout {
                 let ahead = SimDuration::from_micros(pts_us).saturating_sub(self.origin);
                 (self.epoch + ahead).max(now + SimDuration::from_millis(1))
             }),
-            PlayoutState::Rebuffering => self
-                .rebuffer_since
-                .map(|s| (s + self.cfg.rebuffer_halt).max(now + SimDuration::from_millis(50))),
+            PlayoutState::Rebuffering => Some(
+                (self.rebuffer_since + self.cfg.rebuffer_halt)
+                    .max(now + SimDuration::from_millis(50)),
+            ),
             PlayoutState::Ended => None,
         }
     }

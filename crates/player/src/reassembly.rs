@@ -4,8 +4,13 @@
 //! assembler reconstructs complete frames, applies the parity packets'
 //! single-loss recovery, and keeps the sequence-gap statistics the player
 //! reports back to the server's rate controller.
-
-use std::collections::{BTreeMap, HashMap, HashSet};
+//!
+//! Nothing here hashes and nothing here is freed: the frames awaiting
+//! fragments and the FEC groups live in [`Slots`], sorted vectors whose
+//! retired entries keep their storage for the next, and the frames already
+//! yielded are runs of keys. [`Assembler::clear`] returns all of it to a
+//! fresh assembler's state with its capacity, so a warm assembler
+//! allocates nothing a session's traffic has not outgrown.
 
 use rv_media::{MediaPacket, PacketKind};
 use rv_sim::{SimDuration, SimTime};
@@ -44,12 +49,26 @@ pub struct ReassemblyStats {
     pub audio_packets: u64,
 }
 
-#[derive(Debug)]
+/// `(rung, frame index)`: what identifies a frame.
+type FrameKey = (u8, u32);
+
+/// Room a frame or group slot is given the first time it is used, so that
+/// which slot a frame lands in never decides whether storage grows: 256
+/// fragments (a 358 KB frame), four FEC groups per frame (a server's
+/// fragments of one frame share one), eight frames per group (a group is
+/// eight data packets). Only traffic no server sends outgrows it.
+const FRAGMENT_WORDS: usize = 4;
+const GROUPS_PER_FRAME: usize = 4;
+const FRAMES_PER_GROUP: usize = 8;
+
+#[derive(Debug, Default)]
 struct PartialFrame {
-    got: Vec<bool>,
+    /// Fragments received, one bit each.
+    got: Vec<u64>,
+    frag_count: u16,
     /// FEC groups this frame has fragments in (tiny: a fragment run spans
     /// at most a couple of groups), so completion can drop the frame from
-    /// exactly those groups instead of scanning the whole group map.
+    /// exactly those groups instead of scanning every group.
     member_of: Vec<u32>,
     received: u16,
     bytes: u32,
@@ -57,35 +76,203 @@ struct PartialFrame {
     key: bool,
 }
 
+impl PartialFrame {
+    /// Refills a retired frame's storage as the fresh partial frame of
+    /// `pkt`: no fragment yet.
+    fn start(&mut self, pkt: &MediaPacket) {
+        self.got.clear();
+        self.got.reserve(FRAGMENT_WORDS);
+        self.got.resize(usize::from(pkt.frag_count).div_ceil(64), 0);
+        self.frag_count = pkt.frag_count;
+        self.member_of.clear();
+        self.member_of.reserve(GROUPS_PER_FRAME);
+        self.received = 0;
+        self.bytes = 0;
+        self.pts = SimDuration::from_micros(pkt.pts_micros);
+        self.key = pkt.key;
+    }
+
+    /// Records fragment `idx`; `false` for a duplicate or one past the
+    /// frame's count.
+    fn receive(&mut self, idx: u16) -> bool {
+        if idx >= self.frag_count {
+            return false;
+        }
+        let (word, bit) = (usize::from(idx / 64), 1u64 << (idx % 64));
+        if self.got[word] & bit != 0 {
+            return false;
+        }
+        self.got[word] |= bit;
+        self.received += 1;
+        true
+    }
+
+    fn complete(&self) -> bool {
+        self.received == self.frag_count
+    }
+
+    /// Whether exactly one fragment is missing.
+    fn one_short(&self) -> bool {
+        u32::from(self.received) + 1 == u32::from(self.frag_count)
+    }
+}
+
 #[derive(Debug, Default)]
 struct FecGroup {
+    /// Data fragments received in the group. Wraps like the `u16` group
+    /// size it is compared with (a TCP stream's one group counts every
+    /// packet of the session).
     data_received: u16,
     parity: Option<u16>, // group size announced by the parity packet
     /// Size of the largest member fragment, from the parity packet: the
     /// best available estimate for a recovered fragment's size.
     parity_len: u16,
-    /// Incomplete frames that have fragments in this group. A plain Vec:
-    /// membership is a handful of frames, and the backing allocation is
-    /// recycled when the group retires.
-    frames: Vec<(u8, u32)>,
+    /// Incomplete frames that have fragments in this group: a handful.
+    frames: Vec<FrameKey>,
+}
+
+impl FecGroup {
+    /// Refills a retired group's storage as a fresh group.
+    fn start(&mut self) {
+        self.data_received = 0;
+        self.parity = None;
+        self.parity_len = 0;
+        self.frames.clear();
+        self.frames.reserve(FRAMES_PER_GROUP);
+    }
+
+    fn forget(&mut self, key: FrameKey) {
+        self.frames.retain(|k| *k != key);
+    }
+}
+
+/// A small sorted map whose removed entries keep their storage: the live
+/// entries are `entries[..live]` in key order, binary-searched; past them
+/// lie retired values, handed to the next insertion for refilling. A
+/// working set of a few dozen frames or groups costs a few shifts per
+/// insert and no hashing, and once as many entries have been live at once
+/// as will ever be, nothing allocates.
+#[derive(Debug)]
+struct Slots<K, V> {
+    entries: Vec<(K, V)>,
+    live: usize,
+}
+
+impl<K, V> Default for Slots<K, V> {
+    fn default() -> Self {
+        Slots {
+            entries: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<K: Ord + Copy, V: Default> Slots<K, V> {
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn find(&self, key: K) -> Result<usize, usize> {
+        self.entries[..self.live].binary_search_by(|(k, _)| k.cmp(&key))
+    }
+
+    fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        let at = self.find(key).ok()?;
+        Some(&mut self.entries[at].1)
+    }
+
+    /// The index of the live entry for `key`; absent, a retired value (or
+    /// a new default one) refilled by `start` is inserted in order first.
+    fn entry(&mut self, key: K, start: impl FnOnce(&mut V)) -> usize {
+        match self.find(key) {
+            Ok(at) => at,
+            Err(at) => {
+                if self.live == self.entries.len() {
+                    self.entries.push((key, V::default()));
+                }
+                // The first retired slot moves into place.
+                self.entries[at..=self.live].rotate_right(1);
+                self.live += 1;
+                self.entries[at].0 = key;
+                start(&mut self.entries[at].1);
+                at
+            }
+        }
+    }
+
+    /// Retires the live entry at `at`, returning its value — readable
+    /// until the next insertion reuses it.
+    fn remove(&mut self, at: usize) -> &mut V {
+        self.entries[at..self.live].rotate_left(1);
+        self.live -= 1;
+        &mut self.entries[self.live].1
+    }
+
+    /// Retires every live entry `keep` refuses, keeping the rest in order.
+    fn retain(&mut self, mut keep: impl FnMut(K, &mut V) -> bool) {
+        let mut kept = 0;
+        for at in 0..self.live {
+            let (key, value) = &mut self.entries[at];
+            if keep(*key, value) {
+                self.entries.swap(kept, at);
+                kept += 1;
+            }
+        }
+        self.live = kept;
+    }
+
+    fn clear(&mut self) {
+        self.live = 0;
+    }
+}
+
+/// Every frame key already yielded, exactly, for any `u32` index: disjoint
+/// half-open runs of [`Completed::key`], in order. Frames complete almost
+/// in index order, so a run grows at its end and the runs number the gaps
+/// between completed frames, never the size of an index.
+#[derive(Debug, Default)]
+struct Completed {
+    runs: Vec<(u64, u64)>,
+}
+
+impl Completed {
+    fn key((rung, index): FrameKey) -> u64 {
+        (u64::from(rung) << 32) | u64::from(index)
+    }
+
+    fn contains(&self, frame: FrameKey) -> bool {
+        let k = Self::key(frame);
+        let at = self.runs.partition_point(|&(_, end)| end <= k);
+        self.runs.get(at).is_some_and(|&(start, _)| start <= k)
+    }
+
+    /// Adds a key known to be absent.
+    fn insert(&mut self, frame: FrameKey) {
+        let k = Self::key(frame);
+        // Runs before `at` end short of `k`; the run at `at`, if any, ends
+        // exactly at `k` or (`k` being absent) starts past it.
+        let at = self.runs.partition_point(|&(_, end)| end < k);
+        match self.runs.get(at).copied() {
+            Some((_, end)) if end == k => match self.runs.get(at + 1).copied() {
+                Some((next, next_end)) if next == k + 1 => {
+                    self.runs[at].1 = next_end;
+                    self.runs.remove(at + 1);
+                }
+                _ => self.runs[at].1 = k + 1,
+            },
+            Some((start, _)) if start == k + 1 => self.runs[at].0 = k,
+            _ => self.runs.insert(at, (k, k + 1)),
+        }
+    }
 }
 
 /// Reassembles frames from media packets.
 #[derive(Debug)]
 pub struct Assembler {
-    partial: HashMap<(u8, u32), PartialFrame>,
-    /// Retired fragment bitmaps, recycled so steady-state reassembly
-    /// allocates nothing per frame.
-    spare_got: Vec<Vec<bool>>,
-    /// Retired group-membership lists, recycled with the bitmaps.
-    spare_member: Vec<Vec<u32>>,
-    /// Retired FEC-group frame lists, recycled as groups die.
-    spare_frames: Vec<Vec<(u8, u32)>>,
-    /// Reused key buffer for `expire_before`.
-    expire_scratch: Vec<(u8, u32)>,
+    partial: Slots<FrameKey, PartialFrame>,
     /// Frames already delivered; re-received fragments must not rebuild them.
-    completed: HashSet<(u8, u32)>,
-    groups: BTreeMap<u32, FecGroup>,
+    completed: Completed,
+    groups: Slots<u32, FecGroup>,
     /// Highest transport sequence seen, for loss estimation.
     max_seq: Option<u32>,
     seen_count: u64,
@@ -110,13 +297,9 @@ impl Assembler {
     /// An empty assembler.
     pub fn new() -> Self {
         Assembler {
-            partial: HashMap::new(),
-            spare_got: Vec::new(),
-            spare_member: Vec::new(),
-            spare_frames: Vec::new(),
-            expire_scratch: Vec::new(),
-            completed: HashSet::new(),
-            groups: BTreeMap::new(),
+            partial: Slots::default(),
+            completed: Completed::default(),
+            groups: Slots::default(),
             max_seq: None,
             seen_count: 0,
             interval_bytes: 0,
@@ -127,6 +310,23 @@ impl Assembler {
             eos: false,
             stats: ReassemblyStats::default(),
         }
+    }
+
+    /// Returns to [`Assembler::new`]'s state — no frame, group, counter or
+    /// interval survives — keeping the storage this one grew.
+    pub fn clear(&mut self) {
+        let mut partial = std::mem::take(&mut self.partial);
+        let mut groups = std::mem::take(&mut self.groups);
+        let mut completed = std::mem::take(&mut self.completed);
+        partial.clear();
+        groups.clear();
+        completed.runs.clear();
+        *self = Assembler {
+            partial,
+            completed,
+            groups,
+            ..Assembler::new()
+        };
     }
 
     /// Lifetime counters (loss estimate updated on the fly).
@@ -189,54 +389,31 @@ impl Assembler {
 
     fn on_video(&mut self, now: SimTime, pkt: MediaPacket, out: &mut Vec<CompleteFrame>) {
         let key = (pkt.rung, pkt.frame_index);
-        if self.completed.contains(&key) {
+        if self.completed.contains(key) {
             return; // duplicate of an already-delivered frame
         }
-        let entry = match self.partial.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let mut got = self.spare_got.pop().unwrap_or_default();
-                got.clear();
-                got.resize(usize::from(pkt.frag_count), false);
-                let mut member_of = self.spare_member.pop().unwrap_or_default();
-                member_of.clear();
-                v.insert(PartialFrame {
-                    got,
-                    member_of,
-                    received: 0,
-                    bytes: 0,
-                    pts: SimDuration::from_micros(pkt.pts_micros),
-                    key: pkt.key,
-                })
-            }
-        };
-        let idx = usize::from(pkt.frag_index);
-        if idx >= entry.got.len() || entry.got[idx] {
+        let at = self.partial.entry(key, |p| p.start(&pkt));
+        let entry = &mut self.partial.entries[at].1;
+        if !entry.receive(pkt.frag_index) {
             return; // duplicate or malformed
         }
-        entry.got[idx] = true;
-        entry.received += 1;
         entry.bytes += u32::from(pkt.payload_len);
 
-        let spare_frames = &mut self.spare_frames;
-        let group = self.groups.entry(pkt.group_id).or_insert_with(|| FecGroup {
-            frames: spare_frames.pop().unwrap_or_default(),
-            ..FecGroup::default()
-        });
-        group.data_received += 1;
+        let g = self.groups.entry(pkt.group_id, FecGroup::start);
+        let group = &mut self.groups.entries[g].1;
+        group.data_received = group.data_received.wrapping_add(1);
 
-        if entry.received == entry.got.len() as u16 {
-            let mut done = self.partial.remove(&key).expect("present");
-            self.spare_got.push(std::mem::take(&mut done.got));
+        let entry = &mut self.partial.entries[at].1;
+        if entry.complete() {
+            let done = self.partial.remove(at);
             self.completed.insert(key);
             self.stats.frames_completed += 1;
             // The frame left the partial set; drop it from group tracking.
-            for gid in done.member_of.drain(..) {
-                if let Some(g) = self.groups.get_mut(&gid) {
-                    g.frames.retain(|k| *k != key);
+            for &gid in &done.member_of {
+                if let Some(g) = self.groups.get_mut(gid) {
+                    g.forget(key);
                 }
             }
-            self.spare_member.push(done.member_of);
             out.push(CompleteFrame {
                 index: pkt.frame_index,
                 rung: pkt.rung,
@@ -257,7 +434,8 @@ impl Assembler {
     }
 
     fn on_parity(&mut self, now: SimTime, pkt: MediaPacket, out: &mut Vec<CompleteFrame>) {
-        let group = self.groups.entry(pkt.group_id).or_default();
+        let g = self.groups.entry(pkt.group_id, FecGroup::start);
+        let group = &mut self.groups.entries[g].1;
         group.parity = Some(pkt.frag_count);
         group.parity_len = pkt.payload_len;
         self.try_recover(now, pkt.group_id, out);
@@ -269,46 +447,39 @@ impl Assembler {
     /// carried, so recovery completes the unique frame in the group that is
     /// one fragment short.
     fn try_recover(&mut self, now: SimTime, group_id: u32, out: &mut Vec<CompleteFrame>) {
-        let Some(group) = self.groups.get(&group_id) else {
+        let Ok(g) = self.groups.find(group_id) else {
             return;
         };
+        let group = &self.groups.entries[g].1;
         let Some(size) = group.parity else {
             return;
         };
-        if group.data_received + 1 != size {
+        if group.data_received.wrapping_add(1) != size {
             return;
         }
         // Find the unique one-fragment-short frame touched by this group.
         let mut candidate = None;
-        for k in &group.frames {
-            let short = self
-                .partial
-                .get(k)
-                .is_some_and(|p| p.received + 1 == p.got.len() as u16);
-            if short {
+        for &k in &group.frames {
+            let at = self.partial.find(k).ok();
+            if at.is_some_and(|at| self.partial.entries[at].1.one_short()) {
                 if candidate.is_some() {
                     return; // ambiguous: more than one frame is short
                 }
-                candidate = Some(*k);
+                candidate = at.map(|at| (k, at));
             }
         }
-        let Some(key) = candidate else {
+        let Some((key, at)) = candidate else {
             return;
         };
-        let recovered_len = self.groups[&group_id].parity_len;
-        let mut done = self.partial.remove(&key).expect("candidate exists");
-        self.spare_got.push(std::mem::take(&mut done.got));
+        let recovered_len = group.parity_len;
+        let done = self.partial.remove(at);
         self.completed.insert(key);
-        if let Some(mut dead) = self.groups.remove(&group_id) {
-            dead.frames.clear();
-            self.spare_frames.push(dead.frames);
-        }
-        for gid in done.member_of.drain(..) {
-            if let Some(g) = self.groups.get_mut(&gid) {
-                g.frames.retain(|k| *k != key);
+        self.groups.remove(g);
+        for &gid in &done.member_of {
+            if let Some(g) = self.groups.get_mut(gid) {
+                g.forget(key);
             }
         }
-        self.spare_member.push(done.member_of);
         self.stats.frames_completed += 1;
         self.stats.frames_recovered += 1;
         // The recovered fragment's bytes are synthesized; the parity
@@ -358,37 +529,40 @@ impl Assembler {
     /// Discards partial frames older than `horizon` (their playout deadline
     /// passed; holding them forever would leak).
     pub fn expire_before(&mut self, horizon: SimDuration) {
-        let mut stale = std::mem::take(&mut self.expire_scratch);
-        stale.clear();
-        stale.extend(
-            self.partial
-                .iter()
-                .filter(|(_, p)| p.pts < horizon)
-                .map(|(k, _)| *k),
-        );
-        for key in stale.drain(..) {
-            if let Some(mut dead) = self.partial.remove(&key) {
-                self.spare_got.push(std::mem::take(&mut dead.got));
-                for gid in dead.member_of.drain(..) {
-                    if let Some(g) = self.groups.get_mut(&gid) {
-                        g.frames.retain(|k| *k != key);
-                    }
+        let groups = &mut self.groups;
+        self.partial.retain(|key, p| {
+            if p.pts >= horizon {
+                return true;
+            }
+            for &gid in &p.member_of {
+                if let Some(g) = groups.get_mut(gid) {
+                    g.forget(key);
                 }
-                self.spare_member.push(dead.member_of);
             }
-        }
-        self.expire_scratch = stale;
-        // Old FEC groups with no live frames can go too, their frame-list
-        // backings returned to the spare pool.
-        let mut spare_frames = std::mem::take(&mut self.spare_frames);
-        self.groups.retain(|_, g| {
-            let keep = !g.frames.is_empty() || g.parity.is_none();
-            if !keep {
-                spare_frames.push(std::mem::take(&mut g.frames));
-            }
-            keep
+            false
         });
-        self.spare_frames = spare_frames;
+        // Old FEC groups with no live frames can go too.
+        self.groups
+            .retain(|_, g| !g.frames.is_empty() || g.parity.is_none());
+    }
+
+    /// Bytes of storage held for frames, groups and completed runs —
+    /// what a warm assembler carries into its next session.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let frames = self.partial.entries.iter().map(|(_, p)| {
+            p.got.capacity() * size_of::<u64>() + p.member_of.capacity() * size_of::<u32>()
+        });
+        let groups = self
+            .groups
+            .entries
+            .iter()
+            .map(|(_, g)| g.frames.capacity() * size_of::<FrameKey>());
+        self.partial.entries.capacity() * size_of::<(FrameKey, PartialFrame)>()
+            + self.groups.entries.capacity() * size_of::<(u32, FecGroup)>()
+            + self.completed.runs.capacity() * size_of::<(u64, u64)>()
+            + frames.sum::<usize>()
+            + groups.sum::<usize>()
     }
 }
 
@@ -553,5 +727,39 @@ mod tests {
         assert_eq!(a.pending_frames(), 1);
         a.expire_before(SimDuration::from_secs(10));
         assert_eq!(a.pending_frames(), 0);
+    }
+
+    #[test]
+    fn completed_runs_are_exact_at_the_ends_of_the_index_space() {
+        let mut c = Completed::default();
+        for frame in [
+            (0, u32::MAX),
+            (1, 0),
+            (0, 5),
+            (0, 7),
+            (0, 6),
+            (255, u32::MAX),
+        ] {
+            assert!(!c.contains(frame), "{frame:?}");
+            c.insert(frame);
+            assert!(c.contains(frame), "{frame:?}");
+        }
+        // 5..=7 merged; the rung boundary is a contiguous key pair.
+        assert_eq!(c.runs.len(), 3, "{:?}", c.runs);
+        for absent in [(0, 4), (0, 8), (0, u32::MAX - 1), (1, 1), (254, u32::MAX)] {
+            assert!(!c.contains(absent), "{absent:?}");
+        }
+    }
+
+    #[test]
+    fn a_hostile_frame_index_costs_one_run() {
+        let mut a = Assembler::new();
+        let mut p = packetize_frame(&frame(0, 100), 0, 0)[0];
+        for index in [u32::MAX, 0, u32::MAX / 2] {
+            p.frame_index = index;
+            assert_eq!(a.on_packet(SimTime::ZERO, p).len(), 1);
+        }
+        assert_eq!(a.completed.runs.len(), 3);
+        assert!(a.retained_bytes() < 4096, "{}", a.retained_bytes());
     }
 }

@@ -96,7 +96,10 @@ pub struct ClientSession {
     pending: Option<(u32, Method)>,
     /// CSeqs from the oldest unacknowledged report to the newest sent.
     reports: Range<u32>,
-    session_id: Option<String>,
+    /// The session id the server assigned at SETUP, while `has_session`;
+    /// otherwise just storage.
+    session_id: String,
+    has_session: bool,
 }
 
 impl ClientSession {
@@ -108,8 +111,25 @@ impl ClientSession {
             cseq: 0,
             pending: None,
             reports: 0..0,
-            session_id: None,
+            session_id: String::new(),
+            has_session: false,
         }
+    }
+
+    /// Returns to [`ClientSession::new`]`(url)`'s state, keeping the
+    /// storage of its two strings: a session renewed for a URL no longer
+    /// than the last allocates nothing.
+    pub fn renew(&mut self, url: &str) {
+        let mut own = std::mem::take(&mut self.url);
+        let mut session_id = std::mem::take(&mut self.session_id);
+        own.clear();
+        own.push_str(url);
+        session_id.clear();
+        *self = ClientSession {
+            url: own,
+            session_id,
+            ..ClientSession::new("")
+        };
     }
 
     /// Current state.
@@ -119,7 +139,7 @@ impl ClientSession {
 
     /// The session id the server assigned at SETUP.
     pub fn session_id(&self) -> Option<&str> {
-        self.session_id.as_deref()
+        self.has_session.then_some(self.session_id.as_str())
     }
 
     fn allow(&self, call: &'static str, legal: bool) -> Result<(), OutOfOrder> {
@@ -141,7 +161,7 @@ impl ClientSession {
     }
 
     fn with_session<'a>(&self, writer: Writer<'a>) -> Writer<'a> {
-        match &self.session_id {
+        match self.session_id() {
             Some(id) => writer.header("Session", id),
             None => writer,
         }
@@ -248,7 +268,10 @@ impl ClientSession {
                 (ClientState::SettingUp, ClientEvent::Described(msg.body()))
             }
             (Method::Setup, true) => {
-                self.session_id = msg.header("Session").map(str::to_string);
+                let id = msg.header("Session");
+                self.has_session = id.is_some();
+                self.session_id.clear();
+                self.session_id.push_str(id.unwrap_or_default());
                 match msg.header("Transport").and_then(TransportSpec::parse) {
                     Some(spec) => (ClientState::Starting, ClientEvent::SetUp(spec)),
                     None => (
@@ -272,10 +295,20 @@ impl ClientSession {
     }
 }
 
+/// A session for the empty URL, holding nothing: storage for
+/// [`ClientSession::renew`].
+impl Default for ClientSession {
+    fn default() -> Self {
+        ClientSession::new("")
+    }
+}
+
 /// The server application's decisions, invoked by [`ServerSession`].
 pub trait ServerHandler {
-    /// Returns the presentation description for `url`, or `None` → 404.
-    fn describe(&mut self, url: &str) -> Option<Vec<u8>>;
+    /// Writes the presentation description for `url` onto the end of
+    /// `body` and returns `true`; or writes nothing and returns `false`
+    /// → 404.
+    fn describe(&mut self, url: &str, body: &mut Vec<u8>) -> bool;
     /// Observes the client's advertised maximum bandwidth (the RealPlayer
     /// "connection speed" setting, sent as a Bandwidth header). Default: ignore.
     fn client_bandwidth(&mut self, _bps: u32) {}
@@ -326,10 +359,21 @@ impl ServerSession {
                 let public = "DESCRIBE, SETUP, PLAY, PAUSE, TEARDOWN, SET_PARAMETER";
                 return respond(out, Status::OK).header("Public", public).finish();
             }
-            Method::Describe => match handler.describe(url) {
-                Some(body) => return respond(out, Status::OK).body(&body),
-                None => Status::NOT_FOUND,
-            },
+            Method::Describe => {
+                // The body is written first, where the response will
+                // start, then rotated behind the head written after it:
+                // the bytes `Writer::body` would write, staged nowhere.
+                let start = out.len();
+                if handler.describe(url, out) {
+                    let len = out.len() - start;
+                    respond(&mut *out, Status::OK)
+                        .header("Content-Length", len)
+                        .finish();
+                    return out[start..].rotate_left(len);
+                }
+                out.truncate(start);
+                Status::NOT_FOUND
+            }
             Method::Setup => {
                 let requested = msg.header("Transport").and_then(TransportSpec::parse);
                 match requested.map(|spec| handler.setup(url, spec)) {
@@ -408,8 +452,11 @@ mod tests {
     }
 
     impl ServerHandler for TestHandler {
-        fn describe(&mut self, _url: &str) -> Option<Vec<u8>> {
-            self.clip_exists.then(|| b"sdp-body".to_vec())
+        fn describe(&mut self, _url: &str, body: &mut Vec<u8>) -> bool {
+            if self.clip_exists {
+                body.extend_from_slice(b"sdp-body");
+            }
+            self.clip_exists
         }
         fn setup(&mut self, _url: &str, requested: TransportSpec) -> Result<TransportSpec, Status> {
             if self.force_tcp {
@@ -523,6 +570,43 @@ mod tests {
         );
         assert_eq!(client.state(), ClientState::Done);
         assert!(h.torn_down);
+    }
+
+    /// A session renewed after a whole handshake (session id and all)
+    /// writes exactly the requests a new session for the URL writes: the
+    /// old id is gone and the CSeq restarts.
+    #[test]
+    fn a_renewed_session_writes_what_a_new_one_writes() {
+        let mut h = TestHandler::default();
+        let (mut renewed, _, _) = full_handshake(&mut h);
+        assert!(renewed.session_id().is_some());
+        renewed.renew("rtsp://srv/other.rm");
+        let (h2, h3) = (&mut TestHandler::default(), &mut TestHandler::default());
+        let mut fresh = ClientSession::new("rtsp://srv/other.rm");
+        let (mut a, mut b) = (Wire::default(), Wire::default());
+        let (mut s1, mut s2) = (ServerSession::new(), ServerSession::new());
+        assert_eq!(renewed.session_id(), None);
+        for step in 0..3 {
+            match step {
+                0 => {
+                    renewed.describe(Some(56_000), &mut a.req).unwrap();
+                    fresh.describe(Some(56_000), &mut b.req).unwrap();
+                }
+                1 => {
+                    renewed.setup(TransportSpec::tcp(), &mut a.req).unwrap();
+                    fresh.setup(TransportSpec::tcp(), &mut b.req).unwrap();
+                }
+                _ => {
+                    renewed.play(&mut a.req).unwrap();
+                    fresh.play(&mut b.req).unwrap();
+                }
+            }
+            assert_eq!(a.req, b.req, "step {step}");
+            let got = format!("{:?}", a.exchange(&mut renewed, &mut s1, h2));
+            assert_eq!(got, format!("{:?}", b.exchange(&mut fresh, &mut s2, h3)));
+        }
+        assert_eq!(renewed.session_id(), fresh.session_id());
+        assert_eq!(renewed.state(), ClientState::Playing);
     }
 
     #[test]

@@ -21,8 +21,11 @@ struct Handler {
 }
 
 impl ServerHandler for Handler {
-    fn describe(&mut self, _url: &str) -> Option<Vec<u8>> {
-        (!self.missing).then(|| SDP.to_vec())
+    fn describe(&mut self, _url: &str, body: &mut Vec<u8>) -> bool {
+        if !self.missing {
+            body.extend_from_slice(SDP);
+        }
+        !self.missing
     }
     fn setup(&mut self, _url: &str, requested: TransportSpec) -> Result<TransportSpec, Status> {
         self.verdict.unwrap_or(Ok(TransportSpec {

@@ -5,19 +5,24 @@
 //! ("general RealVideo clip availability", Figure 10); the catalog models
 //! that with a per-clip availability flag the study toggles per request.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rv_media::Clip;
 
 /// A collection of clips served by one server.
+///
+/// Clips are shared, not owned: every server a campaign stands up for a
+/// clip serves the plan's one copy of it, and a stream holds it the same
+/// way — standing up a server clones no clip.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    clips: BTreeMap<String, CatalogEntry>,
+    /// By name, in order.
+    clips: Vec<CatalogEntry>,
 }
 
 #[derive(Debug, Clone)]
 struct CatalogEntry {
-    clip: Clip,
+    clip: Arc<Clip>,
     available: bool,
 }
 
@@ -27,39 +32,52 @@ impl Catalog {
         Self::default()
     }
 
-    /// Adds a clip (available by default). Replaces any same-named clip.
-    pub fn add(&mut self, clip: Clip) {
-        self.clips.insert(
-            clip.name.clone(),
-            CatalogEntry {
-                clip,
-                available: true,
-            },
-        );
+    /// Adds a clip (available by default) — owned, or shared with
+    /// whoever else holds it. Replaces any same-named clip.
+    pub fn add(&mut self, clip: impl Into<Arc<Clip>>) {
+        let entry = CatalogEntry {
+            clip: clip.into(),
+            available: true,
+        };
+        match self.find(&entry.clip.name) {
+            Ok(at) => self.clips[at] = entry,
+            Err(at) => self.clips.insert(at, entry),
+        }
+    }
+
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.clips
+            .binary_search_by(|e| e.clip.name.as_str().cmp(name))
+    }
+
+    fn entry(&self, name: &str) -> Option<&CatalogEntry> {
+        self.find(name).ok().map(|at| &self.clips[at])
     }
 
     /// Looks up an *available* clip.
-    pub fn get(&self, name: &str) -> Option<&Clip> {
-        self.clips
-            .get(name)
-            .filter(|e| e.available)
-            .map(|e| &e.clip)
+    pub fn get(&self, name: &str) -> Option<&Arc<Clip>> {
+        self.entry(name).filter(|e| e.available).map(|e| &e.clip)
     }
 
     /// Looks up a clip regardless of availability.
-    pub fn get_any(&self, name: &str) -> Option<&Clip> {
-        self.clips.get(name).map(|e| &e.clip)
+    pub fn get_any(&self, name: &str) -> Option<&Arc<Clip>> {
+        self.entry(name).map(|e| &e.clip)
     }
 
     /// Marks a clip (un)available; returns `false` if unknown.
     pub fn set_available(&mut self, name: &str, available: bool) -> bool {
-        match self.clips.get_mut(name) {
-            Some(e) => {
-                e.available = available;
+        match self.find(name) {
+            Ok(at) => {
+                self.clips[at].available = available;
                 true
             }
-            None => false,
+            Err(_) => false,
         }
+    }
+
+    /// Removes every clip, keeping the storage.
+    pub fn clear(&mut self) {
+        self.clips.clear();
     }
 
     /// Number of clips.
@@ -74,7 +92,7 @@ impl Catalog {
 
     /// Clip names in sorted order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.clips.keys().map(String::as_str)
+        self.clips.iter().map(|e| e.clip.name.as_str())
     }
 }
 

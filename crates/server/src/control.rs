@@ -2,6 +2,8 @@
 //! connection, and the events they queue for the pump. It has no clock:
 //! it acts only on what [`RealServer::control_idle`] reads.
 
+use std::sync::Arc;
+
 use rv_media::Clip;
 use rv_net::Addr;
 use rv_rtsp::{ServerHandler, ServerSession, Status, TransportKind, TransportSpec};
@@ -30,7 +32,9 @@ pub(crate) struct ServerCore {
     pub(crate) admission_rejects: u64,
     client_max_bps: Option<u32>,
     pub(crate) negotiated: Option<TransportSpec>,
-    pending_play: Option<String>,
+    /// A PLAY not yet applied, with the clip it named — `None` when the
+    /// catalog has no such clip, which applying still counts as work.
+    pending_play: Option<Option<Arc<Clip>>>,
     pending_teardown: bool,
     pub(crate) pending_reports: Vec<ReceiverReport>,
 }
@@ -55,9 +59,14 @@ impl ServerCore {
 }
 
 impl ServerHandler for ServerCore {
-    fn describe(&mut self, url: &str) -> Option<Vec<u8>> {
-        let name = clip_name(url);
-        self.catalog.get(name).map(Clip::describe)
+    fn describe(&mut self, url: &str, body: &mut Vec<u8>) -> bool {
+        match self.catalog.get(clip_name(url)) {
+            Some(clip) => {
+                clip.describe_into(body);
+                true
+            }
+            None => false,
+        }
     }
 
     fn client_bandwidth(&mut self, bps: u32) {
@@ -82,7 +91,9 @@ impl ServerHandler for ServerCore {
     }
 
     fn play(&mut self, url: &str) {
-        self.pending_play = Some(clip_name(url).to_string());
+        // Resolved now, while the URL is still in the decoder's buffer:
+        // the catalog does not change under a session.
+        self.pending_play = Some(self.catalog.get(clip_name(url)).cloned());
     }
 
     fn set_parameter(&mut self, _url: &str, name: &str, value: &str) {
@@ -211,8 +222,10 @@ impl RealServer {
             self.retire_stream();
             applied += 1;
         }
-        if let Some(clip_name) = self.core.pending_play.take() {
-            self.start_stream(now, stack, &clip_name);
+        if let Some(clip) = self.core.pending_play.take() {
+            if let Some(clip) = clip {
+                self.start_stream(now, stack, clip);
+            }
             applied += 1;
         }
         let rtt = stack
@@ -226,13 +239,10 @@ impl RealServer {
         applied
     }
 
-    /// Applies a PLAY: resolves what was negotiated into a clip, the
+    /// Applies a PLAY of `clip`: resolves what was negotiated into the
     /// client's datagram address (UDP) and its connection speed, and
     /// opens the stream.
-    fn start_stream(&mut self, now: SimTime, stack: &Stack, clip_name: &str) {
-        let Some(clip) = self.core.catalog.get(clip_name).cloned() else {
-            return; // vanished between DESCRIBE and PLAY
-        };
+    fn start_stream(&mut self, now: SimTime, stack: &Stack, clip: Arc<Clip>) {
         let Some(spec) = self.core.negotiated else {
             return; // PLAY without SETUP: session machine already rejected
         };

@@ -3,6 +3,8 @@
 //! and, at its one exit, the [`PumpClaim`] that says when it next has
 //! anything to do.
 
+use std::sync::Arc;
+
 use rv_media::{packetize_frame_into, parity_packet, Clip, Frame, LazySchedule};
 use rv_media::{MediaPacket, PacketKind};
 use rv_net::Addr;
@@ -119,7 +121,8 @@ impl PumpClaim {
 /// One active outbound stream.
 #[derive(Debug)]
 pub(crate) struct ActiveStream {
-    pub(crate) clip: Clip,
+    /// Shared with the catalog.
+    pub(crate) clip: Arc<Clip>,
     pub(crate) outlet: Outlet,
     pub(crate) rung: usize,
     /// Highest rung this client's bandwidth setting allows. SureStream
@@ -137,7 +140,9 @@ pub(crate) struct ActiveStream {
     pub(crate) sent_until: SimDuration,
     pub(crate) next_audio: SimDuration,
     pub(crate) audio_seq: u32,
-    fec_buf: Vec<MediaPacket>,
+    /// The open FEC group's data packets; its storage comes from and
+    /// goes back to [`crate::ServerScratch`].
+    pub(crate) fec_buf: Vec<MediaPacket>,
     group_id: u32,
     pub(crate) thin_debt: f64,
     eos_sent: bool,
@@ -357,7 +362,7 @@ impl RealServer {
     pub(crate) fn open_stream(
         &mut self,
         now: SimTime,
-        clip: Clip,
+        clip: Arc<Clip>,
         client: Option<Addr>,
         client_bps: f64,
     ) {
@@ -412,7 +417,7 @@ impl RealServer {
             sent_until: SimDuration::ZERO,
             next_audio: SimDuration::ZERO,
             audio_seq: 0,
-            fec_buf: Vec::new(),
+            fec_buf: std::mem::take(&mut self.scratch.fec_buf),
             group_id: 0,
             thin_debt: 0.0,
             eos_sent: false,

@@ -70,12 +70,14 @@ impl RungSchedules {
 impl RealServer {
     /// Ends the stream, if there is one, keeping the storage under every
     /// schedule it started — the one streaming and the ones parked — for
-    /// the next PLAY's schedules. Every place a stream dies goes through
-    /// here.
+    /// the next PLAY's schedules, and its FEC buffer for the next
+    /// stream's. Every place a stream dies goes through here.
     pub(crate) fn retire_stream(&mut self) {
-        let Some(stream) = self.stream.take() else {
+        let Some(mut stream) = self.stream.take() else {
             return;
         };
+        stream.fec_buf.clear();
+        self.scratch.fec_buf = stream.fec_buf;
         let schedules = &mut self.scratch.schedules;
         schedules.parked[stream.rung] = Some(stream.schedule);
         for (slot, schedule) in schedules.storage.iter_mut().zip(schedules.parked.drain(..)) {

@@ -20,15 +20,16 @@
 //! is `control.rs`, the data pump and its claim `pump.rs`, schedule
 //! storage `schedules.rs`.
 
+use rv_media::MediaPacket;
 use rv_rtsp::{Decoder, ServerSession};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{PayloadPool, PoolFootprint, SimDuration, SimTime};
-use rv_transport::{Stack, TcpHandle, UdpHandle};
+use rv_sim::{PoolFootprint, SimDuration, SimTime};
+use rv_transport::{Stack, StackStorage, TcpHandle, UdpHandle};
 
 use crate::catalog::Catalog;
 use crate::control::ServerCore;
 use crate::pump::{ActiveStream, Staging};
-use crate::ratecontrol::{TfrcConfig, TfrcController};
+use crate::ratecontrol::{ReceiverReport, TfrcConfig, TfrcController};
 use crate::schedules::RungSchedules;
 
 /// Server tuning knobs: what the study, the harness or an ablation sets.
@@ -119,15 +120,28 @@ pub struct ServerScratch {
     pub(crate) staging: Staging,
     /// Parked schedules and recycled frame tables, per rung.
     pub(crate) schedules: RungSchedules,
-    /// The send-buffer pools of the stack this server ran on, in socket
-    /// creation order. The server never looks inside: whoever builds and
-    /// retires its stack (`rv_tracer::server_endpoint`,
-    /// `SessionWorld::retire`) threads them through here, so the next
-    /// session's sockets start on this one's backings.
-    pub socket_pools: Vec<PayloadPool>,
+    /// The queue receiver reports wait in between a control pump and
+    /// the rate controller.
+    pub(crate) reports: Vec<ReceiverReport>,
+    /// The last stream's FEC buffer, emptied.
+    pub(crate) fec_buf: Vec<MediaPacket>,
+    /// The retired server's catalog, emptied.
+    catalog: Catalog,
+    /// The storage of the stack this server ran on: every socket's ropes,
+    /// pools and queues. The server never looks inside: whoever builds
+    /// and retires its stack (`rv_tracer::server_endpoint`,
+    /// `SessionWorld::retire`) threads it through here, so the next
+    /// session's sockets start on this one's.
+    pub sockets: StackStorage,
 }
 
 impl ServerScratch {
+    /// An empty catalog on the storage of the one the last server served
+    /// from: filling it with as many clips allocates nothing.
+    pub fn catalog(&mut self) -> Catalog {
+        std::mem::take(&mut self.catalog)
+    }
+
     /// Frames of recycled schedule storage held, summed over the rungs:
     /// what a test of the recycling contract reads to see that a warm
     /// session grew nothing.
@@ -175,10 +189,12 @@ impl RealServer {
         data_tcp: TcpHandle,
         udp: UdpHandle,
         clip_seed: u64,
-        scratch: ServerScratch,
+        mut scratch: ServerScratch,
     ) -> Self {
+        let mut core = ServerCore::new(&cfg, catalog);
+        core.pending_reports = std::mem::take(&mut scratch.reports);
         RealServer {
-            core: ServerCore::new(&cfg, catalog),
+            core,
             rtsp: ServerSession::new(),
             ctrl,
             data_tcp,
@@ -202,6 +218,10 @@ impl RealServer {
         let mut scratch = self.scratch;
         scratch.decoder.reset();
         scratch.ctrl_buf.clear();
+        scratch.reports = self.core.pending_reports;
+        scratch.reports.clear();
+        scratch.catalog = self.core.catalog;
+        scratch.catalog.clear();
         scratch
     }
 
@@ -361,7 +381,7 @@ mod tests {
     use super::*;
     use crate::control::{clip_name, REPORT_PARAM};
     use crate::pump::{Outlet, RATE_EVAL_PERIOD};
-    use crate::ratecontrol::{ReceiverReport, TokenBucket};
+    use crate::ratecontrol::TokenBucket;
     use crate::schedules::hash_name;
     use rv_media::{Clip, ContentKind, FrameSchedule};
     use rv_net::Addr;
@@ -424,9 +444,12 @@ mod tests {
         ));
         catalog.set_available("c.rm", false);
         let mut core = ServerCore::new(&ServerConfig::default(), catalog);
-        assert!(core.describe("rtsp://s/c.rm").is_none());
+        let mut body = Vec::new();
+        assert!(!core.describe("rtsp://s/c.rm", &mut body));
+        assert!(body.is_empty(), "a 404 writes no body");
         core.catalog.set_available("c.rm", true);
-        assert!(core.describe("rtsp://s/c.rm").is_some());
+        assert!(core.describe("rtsp://s/c.rm", &mut body));
+        assert_eq!(body, core.catalog.get("c.rm").unwrap().describe());
     }
 
     /// A server host's stack with the three sockets open and listening.

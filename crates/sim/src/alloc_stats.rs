@@ -51,8 +51,10 @@ std::thread_local! {
 }
 
 /// Turns on backtrace sampling: every `every`-th allocation records its
-/// backtrace (pass 0 to turn sampling off). A profiler of last resort —
-/// expensive while on, so only for targeted probes.
+/// backtrace (pass 0 to turn sampling off). An allocation is what
+/// [`snapshot`] counts — `alloc`, `alloc_zeroed` and `realloc` alike — so
+/// at `every = 1` the samples add up to the counter. A profiler of last
+/// resort — expensive while on, so only for targeted probes.
 pub fn start_sampling(every: u64) {
     SAMPLE_EVERY.store(every, Ordering::Relaxed);
 }
@@ -121,8 +123,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a fresh allocation of the new size for accounting
         // purposes (that is what it costs when it cannot grow in place);
-        // the live gauge nets out the old block.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // the live gauge nets out the old block. Sampled like `alloc`, so
+        // a census of sites adds up to `ALLOCS`.
+        let count = ALLOCS.fetch_add(1, Ordering::Relaxed) + 1;
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         BY_SIZE[size_class(new_size as u64)].fetch_add(1, Ordering::Relaxed);
         let old = layout.size() as u64;
@@ -138,6 +141,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
                 Some(live.saturating_sub(delta))
             });
         }
+        maybe_sample(new, count);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 

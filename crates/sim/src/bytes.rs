@@ -421,21 +421,6 @@ impl ByteRope {
         ByteRope::default()
     }
 
-    /// An empty rope whose copies start on `pool`: a retired rope's
-    /// ([`ByteRope::into_pool`]), so the next connection's gathers land
-    /// on backings the last one paid for.
-    pub fn on_pool(pool: PayloadPool) -> Self {
-        ByteRope {
-            pool,
-            ..ByteRope::default()
-        }
-    }
-
-    /// Drops the buffered bytes and gives up the pool.
-    pub fn into_pool(self) -> PayloadPool {
-        self.pool
-    }
-
     /// Total buffered bytes.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
@@ -447,10 +432,16 @@ impl ByteRope {
         self.len == 0
     }
 
-    /// Drops all buffered bytes.
+    /// Drops all buffered bytes, keeping the chunk deque's capacity and
+    /// the pool: a cleared rope is an empty one with its storage warm.
     pub fn clear(&mut self) {
         self.chunks.clear();
         self.len = 0;
+    }
+
+    /// Bytes of storage held: the chunk deque and the pool's backings.
+    pub fn retained_bytes(&self) -> usize {
+        self.chunks.capacity() * std::mem::size_of::<PayloadBytes>() + self.pool.footprint().bytes
     }
 
     /// Appends a chunk, taking ownership (no copy).

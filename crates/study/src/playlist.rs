@@ -6,6 +6,8 @@
 //! the playlist sequentially from the top (RealTracer's default), so the
 //! list is shuffled to make every prefix representative.
 
+use std::sync::Arc;
+
 use rv_media::{Clip, ContentKind, SureStream};
 use rv_sim::{SimDuration, SimRng};
 
@@ -16,8 +18,9 @@ use crate::servers::ServerSite;
 pub struct PlaylistEntry {
     /// Index into the server roster.
     pub server: usize,
-    /// The clip (name is unique across the playlist).
-    pub clip: Clip,
+    /// The clip (name is unique across the playlist), shared by every
+    /// server that streams it.
+    pub clip: Arc<Clip>,
 }
 
 /// The number of clips in the study playlist.
@@ -89,12 +92,12 @@ pub fn build_playlist(roster: &[ServerSite], rng: &mut SimRng) -> Vec<PlaylistEn
             };
             playlist.push(PlaylistEntry {
                 server: server_idx,
-                clip: Clip::with_ladder(
+                clip: Arc::new(Clip::with_ladder(
                     &name,
                     SimDuration::from_secs_f64(minutes * 60.0),
                     content,
                     ladder,
-                ),
+                )),
             });
         }
     }

@@ -6,13 +6,16 @@
 //! the last hop — the three candidate bottlenecks whose interplay the
 //! paper's Figures 12–15 dissect.
 
+use std::fmt::Write;
+use std::sync::{Arc, OnceLock};
+
 use rv_media::Clip;
-use rv_net::{Addr, CongestionParams, HostId, LinkId, LinkParams, NetBuilder};
-use rv_server::{Catalog, ServerConfig};
+use rv_net::{Addr, CongestionParams, HostId, LinkId, LinkParams};
+use rv_server::ServerConfig;
 use rv_sim::{FaultPlan, SimDuration, SimRng};
 use rv_tracer::{
-    client_data_tcp_config, client_endpoint, ports, server_endpoint, ClientConfig, FaultLinkMap,
-    GatewayEndpoint, SessionWorld, WorldScratch,
+    client_data_tcp_config, client_endpoint, ports, server_endpoint, FaultLinkMap, GatewayEndpoint,
+    SessionWorld, WorldScratch,
 };
 use rv_transport::TcpConfig;
 
@@ -85,12 +88,14 @@ fn access_links(user: &UserProfile) -> (LinkParams, LinkParams) {
 /// Which concrete links realize each abstract fault segment in the
 /// study topology. Link ids follow construction order below: the access
 /// pair first (down, up), then the transit duplex, then server access.
-fn study_fault_links() -> FaultLinkMap {
-    FaultLinkMap {
+/// The same for every session, so made once per process.
+fn study_fault_links() -> &'static FaultLinkMap {
+    static MAP: OnceLock<FaultLinkMap> = OnceLock::new();
+    MAP.get_or_init(|| FaultLinkMap {
         client_access: vec![LinkId(0), LinkId(1)],
         transit: vec![LinkId(2), LinkId(3)],
         server_access: vec![LinkId(4), LinkId(5)],
-    }
+    })
 }
 
 /// Builds the complete [`SessionWorld`] for `user` fetching `clip` from
@@ -113,7 +118,7 @@ fn study_fault_links() -> FaultLinkMap {
 pub fn build_session_world_gw(
     user: &UserProfile,
     site: &ServerSite,
-    clip: &Clip,
+    clip: &Arc<Clip>,
     watch_limit: SimDuration,
     session_seed: u64,
     fault_plan: &FaultPlan,
@@ -122,8 +127,9 @@ pub fn build_session_world_gw(
 ) -> SessionWorld {
     let mut rng = SimRng::seed_from_u64(session_seed);
 
-    // --- topology ---
-    let mut b = NetBuilder::new();
+    // --- topology --- (declared on the last world's builder storage)
+    let mut b = std::mem::take(&mut scratch.builder);
+    b.clear();
     let client = b.host(); // host 0
     let server = b.host(); // host 1
     let cloud_a = b.router();
@@ -171,6 +177,7 @@ pub fn build_session_world_gw(
     let proto = scratch.topo.get_or_build(&b);
     let retired = std::mem::take(&mut scratch.net);
     let net = b.build_from_prototype_into(&mut rng.fork(1), retired, &proto);
+    scratch.builder = b;
 
     // --- servers ---
     // Dialup-era TCP used a 536-byte MSS and small windows: a full-size
@@ -188,12 +195,11 @@ pub fn build_session_world_gw(
         mss: data_mss,
         ..TcpConfig::default()
     };
-    // Server `k` of the site: same clip, own host, stack and RNG stream,
-    // standing load from the gateway plan, and the storage server `k` of
-    // this worker's previous world retired (cold the first time).
+    // Server `k` of the site: the same shared clip, own host, stack and
+    // RNG stream, standing load from the gateway plan, and the storage
+    // server `k` of this worker's previous world retired (cold the first
+    // time).
     let mut server_at = |k: u8| {
-        let mut catalog = Catalog::new();
-        catalog.add(clip.clone());
         let cfg = ServerConfig {
             prefers_udp: site.prefers_udp,
             capacity: gateway.map_or(0, |g| g.capacity),
@@ -201,23 +207,31 @@ pub fn build_session_world_gw(
             ..ServerConfig::default()
         };
         let warm = scratch.servers.get_mut(usize::from(k)).map(std::mem::take);
+        let mut warm = warm.unwrap_or_default();
+        let mut catalog = warm.catalog();
+        catalog.add(Arc::clone(clip));
         server_endpoint(
             HostId(1 + u32::from(k)),
             s_data_cfg,
             cfg,
             catalog,
             session_seed ^ 0x5EED ^ (u64::from(k) << 32),
-            warm.unwrap_or_default(),
+            warm,
         )
     };
 
     // --- client ---
-    let url = format!("rtsp://{}/{}", site.name.replace('/', "."), clip.name);
-    let mut client_cfg = ClientConfig::new(
-        &url,
+    // On the last client's config storage: the URL is written into the
+    // string the last URL was.
+    let mut client_cfg = scratch.client.config(
         Addr::new(HostId(1), ports::CTRL),
         Addr::new(HostId(1), ports::DATA_TCP),
     );
+    let host = site.name.chars().map(|c| if c == '/' { '.' } else { c });
+    client_cfg.url.push_str("rtsp://");
+    client_cfg.url.extend(host);
+    // Infallible because writing to a `String` never fails.
+    let _ = write!(client_cfg.url, "/{}", clip.name);
     client_cfg.transport_pref = user.transport_pref;
     client_cfg.firewall = user.firewall;
     // Users picked a RealPlayer connection-speed *preset*, not their true
@@ -245,15 +259,13 @@ pub fn build_session_world_gw(
     // client walks: first entry is the chosen replica, the rest are the
     // failover chain for busy/crashed destinations.
     if let Some(plan) = gw_plan.as_ref() {
-        client_cfg.gateway = plan
-            .order
-            .iter()
-            .map(|&k| GatewayEndpoint {
+        client_cfg
+            .gateway
+            .extend(plan.order.iter().map(|&k| GatewayEndpoint {
                 replica: k,
                 ctrl: Addr::new(HostId(1 + u32::from(k)), ports::CTRL),
                 data: Addr::new(HostId(1 + u32::from(k)), ports::DATA_TCP),
-            })
-            .collect();
+            }));
     }
     let c_data_cfg = TcpConfig {
         mss: data_mss,
@@ -271,7 +283,7 @@ pub fn build_session_world_gw(
     for k in 1..n_replicas {
         world.add_replica(server_at(k));
     }
-    world.set_faults(fault_plan, &study_fault_links());
+    world.set_faults(fault_plan, study_fault_links());
     world
 }
 
@@ -288,7 +300,7 @@ mod tests {
     fn classic_world(
         user: &UserProfile,
         site: &ServerSite,
-        clip: &Clip,
+        clip: &Arc<Clip>,
         watch_limit: SimDuration,
         session_seed: u64,
         fault_plan: &FaultPlan,
@@ -316,7 +328,11 @@ mod tests {
             .expect("some DSL user");
         let roster = server_roster();
         let site = &roster[9]; // US/CNN
-        let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
+        let clip = Arc::new(Clip::new(
+            "t.rm",
+            SimDuration::from_secs(240),
+            ContentKind::News,
+        ));
         let mut world = classic_world(
             user,
             site,
@@ -341,7 +357,11 @@ mod tests {
             .expect("some DSL user");
         let roster = server_roster();
         let site = &roster[9];
-        let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
+        let clip = Arc::new(Clip::new(
+            "t.rm",
+            SimDuration::from_secs(240),
+            ContentKind::News,
+        ));
 
         // Server dead before the first SYN: refused until retries run out.
         let down = FaultPlan {
@@ -392,7 +412,11 @@ mod tests {
             .unwrap();
         let roster = server_roster();
         let site = &roster[9];
-        let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
+        let clip = Arc::new(Clip::new(
+            "t.rm",
+            SimDuration::from_secs(240),
+            ContentKind::News,
+        ));
 
         let mut w1 = classic_world(
             modem,

@@ -16,8 +16,8 @@ use rv_rtsp::{
 };
 use rv_server::{ReceiverReport, REPORT_PARAM};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{PayloadPool, SimDuration, SimTime};
-use rv_transport::{Stack, TcpError, TcpHandle, UdpHandle};
+use rv_sim::{SimDuration, SimTime};
+use rv_transport::{Stack, StackStorage, TcpError, TcpHandle, UdpHandle};
 
 use crate::metrics::{finalize, SessionMetrics, SessionOutcome};
 
@@ -151,34 +151,70 @@ impl Phase {
     }
 }
 
-/// Recyclable client storage: the buffers a [`TracerClient`] holds for
-/// its whole life and hands back, emptied, from
-/// [`TracerClient::into_scratch`] for the next session's client. Holds no
-/// session state — only warmed capacity — so a client built on a retired
-/// client's scratch behaves bit-identically to one built on
+/// Recyclable client storage: every per-attempt component a
+/// [`TracerClient`] holds for its whole life — the RTSP session, the
+/// control decoder and staging buffer, the player, the TCP depacketizer,
+/// the playout event log, the config's strings — handed back from
+/// [`TracerClient::into_scratch`] scrubbed to a fresh component's state
+/// with the storage it grew, for the next session's client. Holds no session state, so a client built on a
+/// retired client's scratch behaves bit-identically to one built on
 /// `ClientScratch::default()`.
 #[derive(Debug, Default)]
 pub struct ClientScratch {
+    session: ClientSession,
     decoder: Decoder,
     events: Vec<PlayoutEvent>,
     /// Reused staging buffer for outgoing control messages.
     encode_buf: Vec<u8>,
-    /// The send-buffer pools of the stack this client ran on, in socket
-    /// creation order: [`client_endpoint`](crate::client_endpoint) starts
-    /// the next stack on them, `SessionWorld::retire` puts them back.
-    pub socket_pools: Vec<PayloadPool>,
+    player: Player,
+    depkt: StreamDepacketizer,
+    /// The storage of the stack this client ran on: every socket's ropes,
+    /// pools and queues. [`client_endpoint`](crate::client_endpoint)
+    /// starts the next stack on it, `SessionWorld::retire` puts it back.
+    pub sockets: StackStorage,
+    /// The retired config's URL and gateway list, emptied.
+    url: String,
+    gateway: Vec<GatewayEndpoint>,
+}
+
+impl ClientScratch {
+    /// [`ClientConfig::new`] with an empty URL, on the storage of the
+    /// config the last client ran with: write the URL into `url` and the
+    /// gateway plan into `gateway`, and neither allocates what the last
+    /// session's did not outgrow.
+    pub fn config(&mut self, server_ctrl: Addr, server_data: Addr) -> ClientConfig {
+        ClientConfig {
+            url: std::mem::take(&mut self.url),
+            gateway: std::mem::take(&mut self.gateway),
+            ..ClientConfig::new("", server_ctrl, server_data)
+        }
+    }
+
+    /// Bytes of storage the player, depacketizer and event log hold:
+    /// what a test of the recycling contract reads to see that a warm
+    /// session grew none.
+    pub fn player_bytes(&self) -> usize {
+        self.player.retained_bytes()
+            + self.depkt.retained_bytes()
+            + self.events.capacity() * std::mem::size_of::<PlayoutEvent>()
+    }
+
+    /// Scrubs what an attempt leaves in the decoder, the depacketizer and
+    /// the event log.
+    fn reset_attempt(&mut self) {
+        self.decoder.reset();
+        self.depkt.reset();
+        self.events.clear();
+    }
 }
 
 /// The instrumented client.
 #[derive(Debug)]
 pub struct TracerClient {
     cfg: ClientConfig,
-    session: ClientSession,
     ctrl: TcpHandle,
     data_tcp: TcpHandle,
     udp: UdpHandle,
-    player: Player,
-    depkt: StreamDepacketizer,
     phase: Phase,
     transport: Option<TransportKind>,
     clip: Option<Clip>,
@@ -241,18 +277,16 @@ impl TracerClient {
         ctrl: TcpHandle,
         data_tcp: TcpHandle,
         udp: UdpHandle,
-        scratch: ClientScratch,
+        mut scratch: ClientScratch,
     ) -> Self {
-        let player = Player::new(cfg.playout, cfg.cpu_power);
+        scratch.session.renew(&cfg.url);
+        scratch.player.renew(cfg.playout, cfg.cpu_power);
         let backoff = cfg.retry_backoff;
         TracerClient {
-            session: ClientSession::new(&cfg.url),
             cfg,
             ctrl,
             data_tcp,
             udp,
-            player,
-            depkt: StreamDepacketizer::new(),
             phase: Phase::Idle,
             transport: None,
             clip: None,
@@ -281,13 +315,23 @@ impl TracerClient {
         }
     }
 
-    /// Retires this client, harvesting its buffers (emptied, capacity
-    /// kept) for the next session's client.
+    /// Retires this client, harvesting its components — each scrubbed to
+    /// a fresh one's state, capacity kept — for the next session's client.
     pub fn into_scratch(self) -> ClientScratch {
         let mut scratch = self.scratch;
-        scratch.decoder.reset();
-        scratch.events.clear();
+        scratch.reset_attempt();
+        scratch.session.renew("");
         scratch.encode_buf.clear();
+        scratch.player.renew(PlayoutConfig::default(), 1.0);
+        let ClientConfig {
+            mut url,
+            mut gateway,
+            ..
+        } = self.cfg;
+        url.clear();
+        gateway.clear();
+        scratch.url = url;
+        scratch.gateway = gateway;
         scratch
     }
 
@@ -390,7 +434,7 @@ impl TracerClient {
         {
             return SimTime::ZERO;
         }
-        let mut until = self.player.idle_until();
+        let mut until = self.scratch.player.idle_until();
         if let Some(start) = self.start_time {
             until = until.min(start + self.cfg.session_timeout);
         }
@@ -511,7 +555,8 @@ impl TracerClient {
         write: impl FnOnce(&mut ClientSession, &mut Vec<u8>) -> Result<(), OutOfOrder>,
     ) {
         self.scratch.encode_buf.clear();
-        if write(&mut self.session, &mut self.scratch.encode_buf).is_ok() {
+        let scratch = &mut self.scratch;
+        if write(&mut scratch.session, &mut scratch.encode_buf).is_ok() {
             stack.tcp(self.ctrl).send(&self.scratch.encode_buf);
         }
     }
@@ -663,11 +708,10 @@ impl TracerClient {
         while stack.udp(self.udp).recv().is_some() {}
         // A fresh protocol stack for the next attempt; the wall clock
         // (start_time) and the retry/hop ledgers carry over.
-        self.session = ClientSession::new(&self.cfg.url);
-        self.scratch.decoder.reset();
-        self.depkt = StreamDepacketizer::new();
-        self.player = Player::new(self.cfg.playout, self.cfg.cpu_power);
-        self.scratch.events.clear();
+        let (cfg, scratch) = (&self.cfg, &mut self.scratch);
+        scratch.session.renew(&cfg.url);
+        scratch.reset_attempt();
+        scratch.player.renew(cfg.playout, cfg.cpu_power);
         self.transport = None;
         self.rung_seen = None;
         self.clip = None;
@@ -712,10 +756,10 @@ impl TracerClient {
                 }
             };
             handled += 1;
-            match self.session.on_response(&msg) {
+            match self.scratch.session.on_response(&msg) {
                 ClientEvent::Described(body) => {
-                    let name = self.cfg.url.rsplit('/').next().unwrap_or("clip");
-                    self.clip = Clip::parse_description(name, body);
+                    // Only the ladder is read (at `finish`): no name.
+                    self.clip = Clip::parse_description("", body);
                     let spec = self.pick_transport();
                     self.send_control(stack, |session, out| session.setup(spec, out));
                     self.set_phase(Phase::SettingUp, now);
@@ -804,27 +848,27 @@ impl TracerClient {
                 self.note_rung(now, pkt.rung);
                 self.last_rung = pkt.rung;
                 self.note_media(now);
-                self.player.on_packet(now, pkt);
+                self.scratch.player.on_packet(now, pkt);
             }
         }
         // TCP stream: depacketize straight out of the receive rope —
         // no intermediate `Vec` between the socket and the depacketizer.
-        let depkt = &mut self.depkt;
+        let depkt = &mut self.scratch.depkt;
         let fed = stack
             .tcp(self.data_tcp)
             .recv_with(usize::MAX, &mut |chunk| depkt.feed(chunk));
         if fed > 0 {
-            while let Some(pkt) = self.depkt.next_packet() {
+            while let Some(pkt) = self.scratch.depkt.next_packet() {
                 work += 1;
                 self.note_rung(now, pkt.rung);
                 self.last_rung = pkt.rung;
                 self.note_media(now);
-                self.player.on_packet(now, pkt);
+                self.scratch.player.on_packet(now, pkt);
             }
         }
 
         let before = self.scratch.events.len();
-        self.player.poll_into(now, &mut self.scratch.events);
+        self.scratch.player.poll_into(now, &mut self.scratch.events);
         work += self.scratch.events.len() - before;
 
         // Receiver reports keep the server's UDP rate control fed.
@@ -833,7 +877,7 @@ impl TracerClient {
         {
             let interval = now.saturating_since(self.last_report).as_secs_f64();
             self.last_report = now;
-            let (loss, bytes) = self.player.take_interval();
+            let (loss, bytes) = self.scratch.player.take_interval();
             let report = ReceiverReport {
                 loss_rate: loss,
                 recv_rate_bps: bytes as f64 * 8.0 / interval.max(0.1),
@@ -848,7 +892,7 @@ impl TracerClient {
         let watched_out = self
             .play_start
             .is_some_and(|s| now.saturating_since(s) >= self.cfg.watch_limit);
-        if watched_out || self.player.state() == PlayoutState::Ended {
+        if watched_out || self.scratch.player.state() == PlayoutState::Ended {
             self.outcome = Some(SessionOutcome::Played);
             self.send_control(stack, |session, out| {
                 session.teardown(out);
@@ -869,7 +913,7 @@ impl TracerClient {
             SessionOutcome::Played if self.retries > 0 || self.hops_used > 0 || self.fell_back => {
                 SessionOutcome::PlayedDegraded {
                     retries: self.retries.saturating_add(self.hops_used),
-                    rebuffers: self.player.playout_stats().rebuffer_events.min(255) as u8,
+                    rebuffers: self.scratch.player.playout_stats().rebuffer_events.min(255) as u8,
                     fell_back: self.fell_back,
                 }
             }
@@ -890,8 +934,8 @@ impl TracerClient {
             encoded_fps,
             encoded_bps,
             &self.scratch.events,
-            self.player.playout_stats(),
-            self.player.reassembly_stats(),
+            self.scratch.player.playout_stats(),
+            self.scratch.player.reassembly_stats(),
             self.start_time.unwrap_or(now),
             now,
         );
@@ -908,7 +952,7 @@ impl TracerClient {
     /// Retried sessions rebuild the player per attempt, so this reflects
     /// the attempt that produced the session's record.
     pub fn playout_stats(&self) -> rv_player::PlayoutStats {
-        self.player.playout_stats()
+        self.scratch.player.playout_stats()
     }
 
     /// When the client next needs polling.

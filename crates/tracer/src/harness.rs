@@ -60,7 +60,7 @@ pub fn server_endpoint(
     seed: u64,
     mut scratch: ServerScratch,
 ) -> (Stack, RealServer) {
-    let mut stack = Stack::on_pools(host, std::mem::take(&mut scratch.socket_pools));
+    let mut stack = Stack::on_storage(host, std::mem::take(&mut scratch.sockets));
     let ctrl = stack.tcp_socket(ports::CTRL, TcpConfig::default());
     let data = stack.tcp_socket(ports::DATA_TCP, data_tcp);
     let udp = stack.udp_socket(cfg.data_udp_port);
@@ -81,7 +81,7 @@ pub fn client_endpoint(
     cfg: ClientConfig,
     mut scratch: ClientScratch,
 ) -> (Stack, TracerClient) {
-    let mut stack = Stack::on_pools(host, std::mem::take(&mut scratch.socket_pools));
+    let mut stack = Stack::on_storage(host, std::mem::take(&mut scratch.sockets));
     let ctrl = stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
     let data = stack.tcp_socket(ports::CLIENT_DATA, data_tcp);
     let udp = stack.udp_socket(cfg.udp_port);
@@ -155,6 +155,9 @@ pub struct WorldScratch {
     pub servers: Vec<ServerScratch>,
     /// Buffers harvested from the retired client.
     pub client: ClientScratch,
+    /// The last world's topology declarations, for the next world to
+    /// clear and declare its own on.
+    pub builder: NetBuilder,
     /// Worker-lifetime topology prototypes: each distinct graph shape's
     /// BFS route set, computed once and cloned into every session that
     /// builds it. Unlike the fields above this is a read-shared cache,
@@ -601,12 +604,12 @@ impl SessionWorld {
         self.net.reset_for_rebuild();
         scratch.net = self.net;
         scratch.client = self.client.into_scratch();
-        scratch.client.socket_pools = self.client_stack.into_pools();
+        scratch.client.sockets = self.client_stack.into_storage();
         let primary = (self.server_stack, self.server);
         let servers = std::iter::once(primary).chain(self.replicas);
         for (r, (stack, server)) in servers.enumerate() {
             let mut harvested = server.into_scratch();
-            harvested.socket_pools = stack.into_pools();
+            harvested.sockets = stack.into_storage();
             match scratch.servers.get_mut(r) {
                 Some(slot) => *slot = harvested,
                 None => scratch.servers.push(harvested),

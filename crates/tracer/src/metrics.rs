@@ -155,18 +155,26 @@ impl SessionMetrics {
 ///
 /// Returns `None` with fewer than three played frames (fewer than two
 /// intervals — a standard deviation needs at least two samples).
+///
+/// Two passes over the gaps between played frames, nothing collected: the
+/// first counts and sums them, the second sums their squared deviations —
+/// the same `f64` operations in the same order as over a collected list.
 pub fn jitter_ms(events: &[PlayoutEvent]) -> Option<f64> {
-    let played: Vec<SimTime> = events.iter().filter_map(|e| e.played_at).collect();
-    if played.len() < 3 {
+    let gaps = || {
+        let played = || events.iter().filter_map(|e| e.played_at);
+        let later = played().skip(1);
+        played()
+            .zip(later)
+            .map(|(a, b): (SimTime, SimTime)| b.saturating_since(a).as_secs_f64() * 1e3)
+    };
+    let mut count = 0usize;
+    let total = gaps().inspect(|_| count += 1).sum::<f64>();
+    if count < 2 {
         return None;
     }
-    let gaps: Vec<f64> = played
-        .windows(2)
-        .map(|w| w[1].saturating_since(w[0]).as_secs_f64() * 1e3)
-        .collect();
-    let n = gaps.len() as f64;
-    let mean = gaps.iter().sum::<f64>() / n;
-    let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / n;
+    let n = count as f64;
+    let mean = total / n;
+    let var = gaps().map(|g| (g - mean).powi(2)).sum::<f64>() / n;
     Some(var.sqrt())
 }
 

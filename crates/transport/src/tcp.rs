@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use rv_net::{Addr, Packet};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{ByteRope, PayloadBytes, PayloadPool, SimDuration, SimTime};
+use rv_sim::{ByteRope, PayloadBytes, SimDuration, SimTime};
 
 use crate::segment::{Segment, TcpFlags, TcpSegment, DEFAULT_MSS};
 
@@ -112,6 +112,29 @@ pub struct TcpStats {
     pub bytes_delivered: u64,
 }
 
+/// A retired socket's storage: both ropes (chunk deques and payload
+/// pools), the out-of-order queue and the ACK queue, emptied. Capacity
+/// only — [`TcpSocket::on_storage`] starts a socket on it that behaves
+/// bit-identically to [`TcpSocket::new`]'s.
+#[derive(Debug, Default)]
+pub(crate) struct TcpStorage {
+    send_buf: ByteRope,
+    recv_buf: ByteRope,
+    ooo: Vec<(u64, PayloadBytes)>,
+    pending_acks: VecDeque<(u64, u32)>,
+}
+
+impl TcpStorage {
+    /// Bytes of storage held.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.send_buf.retained_bytes()
+            + self.recv_buf.retained_bytes()
+            + self.ooo.capacity() * size_of::<(u64, PayloadBytes)>()
+            + self.pending_acks.capacity() * size_of::<(u64, u32)>()
+    }
+}
+
 /// A TCP connection endpoint.
 #[derive(Debug)]
 pub struct TcpSocket {
@@ -192,6 +215,17 @@ pub struct TcpSocket {
 impl TcpSocket {
     /// Creates a closed socket bound to `local`.
     pub fn new(local: Addr, cfg: TcpConfig) -> Self {
+        TcpSocket::on_storage(local, cfg, TcpStorage::default())
+    }
+
+    /// [`TcpSocket::new`] on a retired socket's storage.
+    pub(crate) fn on_storage(local: Addr, cfg: TcpConfig, storage: TcpStorage) -> Self {
+        let TcpStorage {
+            send_buf,
+            recv_buf,
+            ooo,
+            pending_acks,
+        } = storage;
         TcpSocket {
             cfg,
             local,
@@ -201,7 +235,7 @@ impl TcpSocket {
             snd_una: 0,
             snd_nxt: 0,
             buf_seq: 1,
-            send_buf: ByteRope::new(),
+            send_buf,
             cwnd: f64::from(cfg.initial_cwnd_segments * cfg.mss),
             ssthresh: f64::from(cfg.initial_ssthresh),
             rwnd: cfg.recv_capacity as u32,
@@ -214,13 +248,13 @@ impl TcpSocket {
             rto_deadline: None,
             rtt_sample: None,
             rcv_nxt: 0,
-            recv_buf: ByteRope::new(),
-            ooo: Vec::new(),
+            recv_buf,
+            ooo,
             ooo_bytes: 0,
             peer_fin: false,
             fin_seq: None,
             close_requested: false,
-            pending_acks: VecDeque::new(),
+            pending_acks,
             pending_retransmit: false,
             syn_retries: 0,
             last_error: None,
@@ -229,19 +263,20 @@ impl TcpSocket {
         }
     }
 
-    /// Starts this socket's send buffer on `pool`, a retired socket's
-    /// ([`TcpSocket::into_send_pool`]). Capacity only: the pool is
-    /// invisible to everything but the allocator. For a socket that has
-    /// sent nothing yet.
-    pub fn on_send_pool(mut self, pool: PayloadPool) -> Self {
-        debug_assert_eq!(self.send_buf.len(), 0);
-        self.send_buf = ByteRope::on_pool(pool);
-        self
-    }
-
-    /// Retires the socket, keeping the pool its send buffer copied into.
-    pub fn into_send_pool(self) -> PayloadPool {
-        self.send_buf.into_pool()
+    /// Retires the socket, keeping its storage emptied: every byte and
+    /// payload it held is dropped here.
+    pub(crate) fn into_storage(self) -> TcpStorage {
+        let mut storage = TcpStorage {
+            send_buf: self.send_buf,
+            recv_buf: self.recv_buf,
+            ooo: self.ooo,
+            pending_acks: self.pending_acks,
+        };
+        storage.send_buf.clear();
+        storage.recv_buf.clear();
+        storage.ooo.clear();
+        storage.pending_acks.clear();
+        storage
     }
 
     /// The local endpoint.

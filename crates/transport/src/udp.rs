@@ -24,6 +24,22 @@ pub struct UdpStats {
     pub bytes_received: u64,
 }
 
+/// A retired socket's queues, emptied (capacity only).
+#[derive(Debug, Default)]
+pub(crate) struct UdpStorage {
+    outbox: VecDeque<Packet<Segment>>,
+    inbox: VecDeque<(Addr, PayloadBytes)>,
+}
+
+impl UdpStorage {
+    /// Bytes of storage held.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.outbox.capacity() * size_of::<Packet<Segment>>()
+            + self.inbox.capacity() * size_of::<(Addr, PayloadBytes)>()
+    }
+}
+
 /// An unconnected UDP socket.
 #[derive(Debug)]
 pub struct UdpSocket {
@@ -39,13 +55,30 @@ pub struct UdpSocket {
 impl UdpSocket {
     /// Creates a socket bound to `local`.
     pub fn new(local: Addr) -> Self {
+        UdpSocket::on_storage(local, UdpStorage::default())
+    }
+
+    /// [`UdpSocket::new`] on a retired socket's queues.
+    pub(crate) fn on_storage(local: Addr, storage: UdpStorage) -> Self {
         UdpSocket {
             local,
-            outbox: VecDeque::new(),
-            inbox: VecDeque::new(),
+            outbox: storage.outbox,
+            inbox: storage.inbox,
             inbox_capacity: 4096,
             stats: UdpStats::default(),
         }
+    }
+
+    /// Retires the socket, keeping its queues emptied: every datagram it
+    /// held is dropped here.
+    pub(crate) fn into_storage(self) -> UdpStorage {
+        let mut storage = UdpStorage {
+            outbox: self.outbox,
+            inbox: self.inbox,
+        };
+        storage.outbox.clear();
+        storage.inbox.clear();
+        storage
     }
 
     /// The local endpoint.

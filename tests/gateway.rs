@@ -53,7 +53,11 @@ fn crash_failover_recovers_on_a_healthy_replica() {
     let user = dsl_user(&pop);
     let roster = server_roster();
     let site = &roster[9]; // US/CNN
-    let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
+    let clip = std::sync::Arc::new(Clip::new(
+        "t.rm",
+        SimDuration::from_secs(240),
+        ContentKind::News,
+    ));
 
     // Replica 0 (the sticky first choice) is dead from t=0; replica 1 is
     // healthy. The classic study ends in ServerDown here — the gateway
@@ -97,7 +101,11 @@ fn failover_exhaustion_degrades_to_server_down() {
     let user = dsl_user(&pop);
     let roster = server_roster();
     let site = &roster[9];
-    let clip = Clip::new("t.rm", SimDuration::from_secs(240), ContentKind::News);
+    let clip = std::sync::Arc::new(Clip::new(
+        "t.rm",
+        SimDuration::from_secs(240),
+        ContentKind::News,
+    ));
 
     // Every replica dead, no restarts: the client walks the whole order,
     // runs out of hops, and the session fails exactly like the classic

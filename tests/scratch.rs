@@ -66,16 +66,26 @@ fn warm_scratch_in_any_order_equals_cold_scratch() {
         let pools = scratch.servers.iter().map(|s| s.payload_footprint());
         pools.map(|owned| (owned.backings, owned.bytes)).collect()
     };
+    // Nor does the client's player, depacketizer and event log, nor any
+    // socket's ropes, pools and queues, client's or server's.
+    let player_and_sockets = |scratch: &WorldScratch| -> (usize, Vec<usize>) {
+        let servers = scratch.servers.iter().map(|s| s.sockets.retained_bytes());
+        let sockets = std::iter::once(scratch.client.sockets.retained_bytes()).chain(servers);
+        (scratch.client.player_bytes(), sockets.collect())
+    };
     let warm = frame_capacity(&scratch);
     let warm_pools = pool_owned(&scratch);
+    let warm_storage = player_and_sockets(&scratch);
     assert!(warm.iter().all(|frames| *frames > 0), "{warm:?}");
     assert!(warm_pools.iter().all(|(backings, _)| *backings > 0));
+    assert!(warm_storage.0 > 0 && warm_storage.1.iter().all(|bytes| *bytes > 0));
     for (job, want) in jobs.iter().zip(&each_cold) {
         let got = run_job_with(&plan, job, &mut scratch);
         assert_same(&got, want, "second pass");
     }
     assert_eq!(frame_capacity(&scratch), warm);
     assert_eq!(pool_owned(&scratch), warm_pools);
+    assert_eq!(player_and_sockets(&scratch), warm_storage);
 
     let mut scratch = WorldScratch::default();
     for (job, want) in jobs.iter().zip(&each_cold).rev() {
