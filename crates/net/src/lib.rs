@@ -21,6 +21,6 @@ mod topology;
 
 pub use congestion::{CongestionParams, CongestionProcess};
 pub use link::{Link, LinkParams, LinkStats};
-pub use network::{LinkId, Network, RouteId};
+pub use network::{LinkId, Network, RouteError, RouteId};
 pub use packet::{Addr, HostId, NodeId, Packet};
 pub use topology::{BuildNode, NetBuilder, PrototypeCache, TopologyPrototype};

@@ -5,6 +5,15 @@
 //! overflow — the dominant loss mechanism on 2001-era bottlenecks. A
 //! configurable random-loss term models non-congestive corruption, and the
 //! [`CongestionProcess`] modulates both available rate and loss.
+//!
+//! A link owns every packet it holds, start to end, in one ring, oldest
+//! first: the packets on the wire (serialized, propagating toward the far
+//! end), then the packet in service, then the waiting queue. A packet is
+//! written into the ring once, when it is enqueued, and read out once —
+//! by [`Link::poll`] when the link stands alone, or by the owning
+//! [`Network`](crate::Network) when it arrives at the far end. Finishing a
+//! serialization moves nothing: the packet in service simply becomes the
+//! wire's last entry.
 
 use std::collections::VecDeque;
 
@@ -97,6 +106,31 @@ pub struct LinkStats {
     pub bytes_delivered: u64,
 }
 
+/// One packet in a link's ring: the packet, its caller tag, and — once it
+/// is on the wire — when it reaches the far end and its place in the
+/// owning network's global push order.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot<P> {
+    pub(crate) packet: Packet<P>,
+    pub(crate) tag: u64,
+    /// Arrival at the far end; set when serialization finishes.
+    pub(crate) at: SimTime,
+    /// Global push sequence; set when the packet goes on the wire.
+    pub(crate) seq: u64,
+}
+
+/// What became of one finished serialization ([`Link::serve_one`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Served {
+    /// On the wire, and now its head `(arrival, seq)`: it went onto an
+    /// empty wire, or sort-inserted in front of every packet there.
+    Head(SimTime, u64),
+    /// On the wire behind an earlier head.
+    Behind,
+    /// Dropped: the caller's liveness check refused it.
+    Stranded,
+}
+
 /// A unidirectional link from one node to another.
 ///
 /// Each queued packet carries an opaque `u64` tag supplied at enqueue time
@@ -104,6 +138,10 @@ pub struct LinkStats {
 /// network layer uses it to carry routing state (interned route id + hop)
 /// through the link so per-hop forwarding never re-derives it; standalone
 /// users can pass [`Link::enqueue`], which tags with zero.
+///
+/// A rate that is not positive (zero, negative, NaN) is a link with no
+/// capacity: it takes packets, and every non-empty one's serialization
+/// saturates the clock, as on a glacial link.
 #[derive(Debug, Clone)]
 pub struct Link<P> {
     /// Node the link transmits from.
@@ -113,10 +151,16 @@ pub struct Link<P> {
     params: LinkParams,
     congestion: CongestionProcess,
     rng: SimRng,
-    queue: VecDeque<(Packet<P>, u64)>,
+    /// Every packet the link holds, oldest first: `wire` packets on the
+    /// wire, sorted by `(at, seq)`; then the packet in service, while
+    /// `serving` is `Some`; then the waiting queue.
+    ring: VecDeque<Slot<P>>,
+    /// Length of the wire run at the ring's front.
+    wire: usize,
+    /// Bytes waiting (the packet in service not counted).
     queued_bytes: u32,
-    /// The packet currently being serialized, its tag, and when it finishes.
-    serving: Option<(Packet<P>, u64, SimTime)>,
+    /// When the packet in service (`ring[wire]`) finishes serializing.
+    serving: Option<SimTime>,
     /// Outage state: `Some(policy)` while the link is administratively
     /// down. With `DropInFlight` the link refuses traffic; with
     /// `CarryInFlight` the queue keeps filling and drains on recovery.
@@ -137,16 +181,20 @@ impl<P> Link<P> {
         Self::new_on(from, to, params, rng, VecDeque::new())
     }
 
-    /// [`Link::new`] on a retired link's emptied queue storage
+    /// [`Link::new`] on a retired link's emptied ring storage
     /// ([`Link::into_queue_storage`]): capacity only.
     pub(crate) fn new_on(
         from: NodeId,
         to: NodeId,
-        params: LinkParams,
+        mut params: LinkParams,
         mut rng: SimRng,
-        queue: VecDeque<(Packet<P>, u64)>,
+        ring: VecDeque<Slot<P>>,
     ) -> Self {
-        assert!(params.rate_bps > 0.0, "link rate must be positive");
+        if params.rate_bps.is_nan() || params.rate_bps <= 0.0 {
+            // No capacity: the smallest positive rate makes every non-empty
+            // serialization saturate (see `start_next`).
+            params.rate_bps = f64::MIN_POSITIVE;
+        }
         let congestion = CongestionProcess::new(params.congestion, rng.fork(0xC0));
         Link {
             from,
@@ -154,7 +202,8 @@ impl<P> Link<P> {
             params,
             congestion,
             rng,
-            queue,
+            ring,
+            wire: 0,
             queued_bytes: 0,
             serving: None,
             down: None,
@@ -164,11 +213,11 @@ impl<P> Link<P> {
         }
     }
 
-    /// Retires the link, keeping its packet queue's storage (emptied —
-    /// queued payloads drop here) for the next link built on it.
-    pub(crate) fn into_queue_storage(mut self) -> VecDeque<(Packet<P>, u64)> {
-        self.queue.clear();
-        self.queue
+    /// Retires the link, keeping its ring's storage (emptied — the
+    /// payloads it held drop here) for the next link built on it.
+    pub(crate) fn into_queue_storage(mut self) -> VecDeque<Slot<P>> {
+        self.ring.clear();
+        self.ring
     }
 
     /// Sets the identity this link reports in trace events. The owning
@@ -234,7 +283,7 @@ impl<P> Link<P> {
                     link: self.trace_tag,
                     queued_bytes: self.queued_bytes,
                 });
-                self.queue.push_back((packet, tag));
+                self.push(packet, tag);
                 return true;
             }
             None => {}
@@ -269,11 +318,21 @@ impl<P> Link<P> {
             link: self.trace_tag,
             queued_bytes: self.queued_bytes,
         });
-        self.queue.push_back((packet, tag));
+        self.push(packet, tag);
         if self.serving.is_none() {
             self.start_next(now);
         }
         true
+    }
+
+    /// Appends an accepted packet to the waiting queue at the ring's back.
+    fn push(&mut self, packet: Packet<P>, tag: u64) {
+        self.ring.push_back(Slot {
+            packet,
+            tag,
+            at: SimTime::ZERO,
+            seq: 0,
+        });
     }
 
     /// Completes any serializations due by `now`, feeding each finished
@@ -284,26 +343,109 @@ impl<P> Link<P> {
     /// packets drained.
     pub fn poll(&mut self, now: SimTime, sink: &mut impl FnMut(SimTime, Packet<P>, u64)) -> usize {
         let mut drained = 0;
-        while let Some((_, _, done_at)) = &self.serving {
-            let done_at = *done_at;
-            if done_at > now {
+        while self.finish_due(now) {
+            // `finish_due` left the finished packet at the wire's back.
+            self.wire -= 1;
+            let Some(slot) = self.ring.remove(self.wire) else {
                 break;
-            }
-            let (pkt, tag, _) = self.serving.take().expect("checked above");
-            self.stats.delivered += 1;
-            self.stats.bytes_delivered += u64::from(pkt.size);
-            // The next packet starts serializing the moment the previous one
-            // finished, not when we happened to poll.
-            self.start_next(done_at);
-            sink(done_at + self.params.prop_delay, pkt, tag);
+            };
+            sink(slot.at, slot.packet, slot.tag);
             drained += 1;
         }
         drained
     }
 
+    /// If the packet in service finishes by `now`: counts it delivered,
+    /// stamps its arrival at the far end, makes it the wire's last entry
+    /// (unsorted — the caller places it) and starts the next packet at
+    /// the completion instant, not when the link happened to be polled.
+    fn finish_due(&mut self, now: SimTime) -> bool {
+        let Some(done_at) = self.serving.filter(|&t| t <= now) else {
+            return false;
+        };
+        let Some(slot) = self.ring.get_mut(self.wire) else {
+            return false;
+        };
+        slot.at = done_at + self.params.prop_delay;
+        self.stats.delivered += 1;
+        self.stats.bytes_delivered += u64::from(slot.packet.size);
+        self.wire += 1;
+        self.serving = None;
+        self.start_next(done_at);
+        true
+    }
+
+    /// Finishes the serialization due by `now`, if one is, and puts the
+    /// packet on the wire in `(arrival, seq)` order, stamped with the
+    /// next of `seq` — unless `live` refuses it (its packet and tag), in
+    /// which case it is dropped and takes no stamp. `None` when nothing
+    /// was due.
+    ///
+    /// While the link stays busy its completions, and so its arrivals,
+    /// are monotone (FIFO serialization with service ≥ 1 µs, constant
+    /// propagation), so the packet is already in place. Sparse polling
+    /// breaks that: an idle link drained at completion C can take a
+    /// forwarding enqueue backdated to an arrival instant before C and
+    /// finish it before C. That straggler moves down the wire until it
+    /// sits behind every packet arriving no later — they all carry
+    /// smaller stamps, so ordering by arrival alone keeps `(at, seq)`.
+    pub(crate) fn serve_one(
+        &mut self,
+        now: SimTime,
+        seq: &mut u64,
+        live: impl FnOnce(&Packet<P>, u64) -> bool,
+    ) -> Option<Served> {
+        if !self.finish_due(now) {
+            return None;
+        }
+        let mut i = self.wire - 1;
+        let slot = &mut self.ring[i];
+        if !live(&slot.packet, slot.tag) {
+            self.wire = i;
+            self.ring.remove(i);
+            return Some(Served::Stranded);
+        }
+        slot.seq = *seq;
+        *seq += 1;
+        let (at, stamp) = (slot.at, slot.seq);
+        while i > 0 && self.ring[i - 1].at > at {
+            self.ring.swap(i - 1, i);
+            i -= 1;
+        }
+        Some(if i == 0 {
+            Served::Head(at, stamp)
+        } else {
+            Served::Behind
+        })
+    }
+
+    /// The wire's head `(arrival, seq)`, `None` while nothing propagates.
+    pub(crate) fn wire_head(&self) -> Option<(SimTime, u64)> {
+        let head = self.ring.front().filter(|_| self.wire > 0)?;
+        Some((head.at, head.seq))
+    }
+
+    /// Takes the wire's head off the link: the packet has arrived.
+    pub(crate) fn pop_wire(&mut self) -> Option<Slot<P>> {
+        if self.wire == 0 {
+            return None;
+        }
+        self.wire -= 1;
+        self.ring.pop_front()
+    }
+
+    /// `true` when the wire is sorted by `(arrival, seq)`: the order
+    /// [`Link::serve_one`] keeps. A debug check's question.
+    pub(crate) fn wire_is_sorted(&self) -> bool {
+        let wire = self.ring.range(..self.wire);
+        wire.clone()
+            .zip(wire.skip(1))
+            .all(|(a, b)| (a.at, a.seq) < (b.at, b.seq))
+    }
+
     /// When the link next needs polling: the in-service completion time.
     pub fn next_wake(&self) -> Option<SimTime> {
-        self.serving.as_ref().map(|(_, _, t)| *t)
+        self.serving
     }
 
     /// `true` while the link is administratively down.
@@ -316,23 +458,24 @@ impl<P> Link<P> {
     /// `dropped_outage`) and traffic is refused until [`Link::set_up`];
     /// with [`OutagePolicy::CarryInFlight`] the in-service packet
     /// returns to the head of the queue and everything waits out the
-    /// outage.
+    /// outage. Packets already on the wire arrive either way.
     pub fn set_down(&mut self, policy: OutagePolicy) {
         self.down = Some(policy);
         match policy {
             OutagePolicy::DropInFlight => {
-                let flushed = self.queue.len() as u64 + u64::from(self.serving.is_some());
-                self.stats.dropped_outage += flushed;
-                self.queue.clear();
+                self.stats.dropped_outage += (self.ring.len() - self.wire) as u64;
+                self.ring.truncate(self.wire);
                 self.queued_bytes = 0;
                 self.serving = None;
             }
             OutagePolicy::CarryInFlight => {
-                if let Some((pkt, tag, _)) = self.serving.take() {
+                if self.serving.take().is_some() {
                     // Re-serialize from scratch on recovery, like a
-                    // retransmit after a line hit.
-                    self.queued_bytes += pkt.size;
-                    self.queue.push_front((pkt, tag));
+                    // retransmit after a line hit: the packet stays where
+                    // it is, at the queue's head.
+                    if let Some(slot) = self.ring.get(self.wire) {
+                        self.queued_bytes += slot.packet.size;
+                    }
                 }
             }
         }
@@ -353,15 +496,19 @@ impl<P> Link<P> {
         self.extra_loss_ppm = ppm;
     }
 
+    /// Starts serializing the queue's head, if any, at `at`. Only called
+    /// while nothing is in service, so the head sits right behind the
+    /// wire.
     fn start_next(&mut self, at: SimTime) {
         if self.down.is_some() {
             return;
         }
-        if let Some((pkt, tag)) = self.queue.pop_front() {
-            self.queued_bytes -= pkt.size;
+        if let Some(slot) = self.ring.get(self.wire) {
+            let size = slot.packet.size;
+            self.queued_bytes -= size;
             let factor = self.congestion.capacity_factor(at).max(0.05);
             let rate = self.params.rate_bps * factor;
-            let service = SimDuration::from_secs_f64(f64::from(pkt.size) * 8.0 / rate)
+            let service = SimDuration::from_secs_f64(f64::from(size) * 8.0 / rate)
                 .max(SimDuration::from_micros(1));
             // A slow enough link saturates `service`; the completion then
             // stops one tick short of `SimTime::MAX`, which callers read
@@ -369,7 +516,7 @@ impl<P> Link<P> {
             let done_at = at
                 .saturating_add(service)
                 .min(SimTime::from_micros(u64::MAX - 1));
-            self.serving = Some((pkt, tag, done_at));
+            self.serving = Some(done_at);
         }
     }
 }
@@ -408,8 +555,69 @@ mod tests {
         assert!(capacity >= 19, "one packet is in service, 19 queued");
         let rng = SimRng::seed_from_u64(5);
         let warm = Link::new_on(NodeId(0), NodeId(1), slow, rng, storage);
-        assert_eq!(warm.queue.capacity(), capacity);
+        assert_eq!(warm.ring.capacity(), capacity);
         assert_eq!((warm.backlog_bytes(), warm.next_wake()), (0, None));
+    }
+
+    /// A link with no capacity is a defined model, not a panic: it takes
+    /// packets and never finishes serializing one that has bytes.
+    #[test]
+    fn a_rate_that_is_not_positive_is_a_link_with_no_capacity() {
+        for rate in [0.0, -1e6, f64::NAN] {
+            let mut l = link(LinkParams::lan().rate(rate));
+            let t0 = SimTime::from_secs(1);
+            assert!(l.enqueue(t0, pkt(1500)));
+            assert!(l.enqueue(t0, pkt(100)));
+            assert_eq!(
+                l.next_wake(),
+                Some(SimTime::from_micros(u64::MAX - 1)),
+                "rate {rate}"
+            );
+            assert!(drain(&mut l, SimTime::from_secs(1_000_000)).is_empty());
+            assert_eq!(l.backlog_bytes(), 100);
+        }
+    }
+
+    /// The ring under the network's calls: finished packets stay on the
+    /// wire in `(arrival, seq)` order, a straggler sorts in ahead of later
+    /// arrivals, a refused packet leaves without a stamp, and arrivals
+    /// leave from the front.
+    #[test]
+    fn the_wire_keeps_arrival_order_and_sorts_a_straggler_in() {
+        let params = LinkParams::lan()
+            .rate(1_000_000.0)
+            .delay(SimDuration::from_millis(5))
+            .queue(u32::MAX);
+        let mut l = link(params);
+        let mut seq = 0;
+        let live = |_: &Packet<u32>, tag: u64| tag != 9;
+        // Two back-to-back 10 ms serializations, then a stranded one.
+        for tag in [1, 2, 9] {
+            assert!(l.enqueue_tagged(SimTime::ZERO, pkt(1250), tag));
+        }
+        let ms = SimTime::from_millis;
+        assert_eq!(
+            l.serve_one(ms(30), &mut seq, live),
+            Some(Served::Head(ms(15), 0))
+        );
+        assert_eq!(l.serve_one(ms(30), &mut seq, live), Some(Served::Behind));
+        assert_eq!(l.serve_one(ms(30), &mut seq, live), Some(Served::Stranded));
+        assert_eq!(l.serve_one(ms(30), &mut seq, live), None);
+        assert_eq!((seq, l.wire_head()), (2, Some((ms(15), 0))));
+        // Idle since 30 ms; an enqueue backdated to 1 ms finishes at
+        // 1.1 ms and arrives at 6.1 ms — ahead of everything on the wire.
+        assert!(l.enqueue_tagged(ms(1), pkt(13), 3));
+        let early = SimTime::from_micros(6_104);
+        assert_eq!(
+            l.serve_one(ms(30), &mut seq, live),
+            Some(Served::Head(early, 2))
+        );
+        assert!(l.wire_is_sorted());
+        let arrivals: Vec<(SimTime, u64)> = std::iter::from_fn(|| l.pop_wire())
+            .map(|s| (s.at, s.tag))
+            .collect();
+        assert_eq!(arrivals, [(early, 3), (ms(15), 1), (ms(25), 2)]);
+        assert_eq!(l.stats().delivered, 4);
     }
 
     #[test]

@@ -13,45 +13,52 @@
 //!   every packet carries `(RouteId, hop)` through the links as an opaque
 //!   tag, so per-hop forwarding is two array indexes — no map lookup,
 //!   no O(route-length) scan for "which hop is this link".
-//! - In-flight propagation rides per-link **delay lines** instead of
-//!   per-packet timer events. A link is a fixed-delay, rate-limited FIFO:
-//!   while it stays busy, serialization completions are monotonic
-//!   (service time is at least 1 µs) and the propagation delay is
-//!   constant, so arrivals on any one link append in order. The rare
-//!   exception — a sparsely polled link drained idle, then handed a
-//!   backdated forwarding enqueue — sort-inserts instead. Each line is a
-//!   `VecDeque` of in-flight packets stamped with a global push sequence,
-//!   kept sorted by `(arrival, seq)`; due heads are merged by that key,
-//!   which reproduces exactly the global FIFO pop order a per-packet
-//!   timer queue would have produced.
+//! - A packet crossing a hop is pushed into the link's ring once and
+//!   popped once. The ring ([`Link`]) holds the link's packets in order:
+//!   on the wire, in service, waiting. Finishing a serialization moves
+//!   nothing — the packet in service becomes the wire's last entry,
+//!   stamped with a global push sequence — and arrival pops the wire's
+//!   front. A link is a fixed-delay, rate-limited FIFO: while it stays
+//!   busy its completions are monotonic (service time is at least 1 µs)
+//!   and the propagation delay is constant, so each wire is sorted by
+//!   `(arrival, seq)` as it stands. The rare exception — a sparsely polled
+//!   link drained idle, then handed a backdated forwarding enqueue —
+//!   sort-inserts instead. Due wire heads are merged by that key, which
+//!   reproduces exactly the global FIFO pop order a per-packet timer
+//!   queue would have produced.
 //! - There is no due-time index: a session topology has a handful of
 //!   links, so the earliest pending instant — the minimum over each
-//!   link's in-service completion and each delay line's head arrival —
-//!   is maintained as two eager scalar minima (`service_next`,
-//!   `arrival_next`): O(1) folds on enqueue/push, one short scan at poll
-//!   exit. `next_wake` and `poll`'s nothing-due fast path are therefore
-//!   two word reads and a `min`.
-//! - Those scans never touch a `Link` or a `VecDeque`: every link's
-//!   in-service completion and every line's head key are **mirrored**
-//!   into three dense arrays (`serve_at`, `head_at`, `head_seq`), written
-//!   at the few places a completion or a head changes, so "which links
-//!   are due" and "which head is earliest" read a few contiguous words
-//!   (`poll` exit `debug_assert`s the mirrors against the structures).
+//!   link's in-service completion and each wire's head arrival — is
+//!   maintained as two eager scalar minima (`service_next`,
+//!   `arrival_next`). `poll` computes both inside the scans it makes
+//!   anyway: the service minimum in the due-link scan, the arrival
+//!   minimum in the delivery merge's head scan, which ends after the
+//!   first run when no other wire had a due head. `next_wake` and
+//!   `poll`'s nothing-due fast path are therefore two word reads and a
+//!   `min`.
+//! - Those scans never touch a `Link`: every link's in-service
+//!   completion and every wire's head key are **mirrored** into three
+//!   dense arrays (`serve_at`, `head_at`, `head_seq`), written at the few
+//!   places a completion or a head changes, so "which links are due" and
+//!   "which head is earliest" read a few contiguous words (`poll` exit
+//!   checks the mirrors against the links in debug builds).
 //!
 //! Determinism: links due at the same instant drain in ascending `LinkId`
 //! order, and in-flight arrivals tie-break FIFO on their global push
 //! sequence. The executable spec of that schedule is the naive reference
-//! model in `tests/properties.rs` (every link drained every round, one
-//! unsorted bag of in-flight packets popped by minimum `(arrival, seq)`),
-//! which `network_matches_reference_model` holds this type to at every
-//! step of randomized traffic-and-fault scripts.
+//! model in `tests/properties.rs` (every link drained every round through
+//! its public [`Link::poll`], one unsorted bag of in-flight packets popped
+//! by minimum `(arrival, seq)`), which `network_matches_reference_model`
+//! holds this type to at every step of randomized traffic-and-fault
+//! scripts.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 use rv_sim::{OutagePolicy, SimRng, SimTime};
 
-use crate::link::{Link, LinkParams, LinkStats};
+use crate::link::{Link, LinkParams, LinkStats, Served, Slot};
 use crate::packet::{HostId, NodeId, Packet};
 
 /// Index of a link within the network.
@@ -67,6 +74,43 @@ pub struct LinkId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteId(pub u32);
 
+/// Why [`Network::set_route`] refused a route: a broken route would
+/// silently blackhole traffic. A refused route changes nothing — the
+/// pair keeps the route it had, or stays unroutable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteError {
+    /// The route names no link.
+    Empty,
+    /// The route names a link the network does not have.
+    UnknownLink(LinkId),
+    /// Hop `hop` does not start where the previous hop ended (hop 0:
+    /// at the source host's node).
+    Discontiguous {
+        /// Index of the offending hop in the route.
+        hop: usize,
+    },
+    /// The last hop does not end at the destination host's node.
+    WrongDestination,
+    /// Every route id has been issued.
+    IdsExhausted,
+}
+
+impl fmt::Display for RouteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RouteError::Empty => write!(f, "route must have at least one link"),
+            RouteError::UnknownLink(lid) => write!(f, "route names unknown link {}", lid.0),
+            RouteError::Discontiguous { hop } => {
+                write!(f, "route hop {hop} does not start where previous ended")
+            }
+            RouteError::WrongDestination => write!(f, "route does not end at destination"),
+            RouteError::IdsExhausted => write!(f, "route id space exhausted"),
+        }
+    }
+}
+
+impl std::error::Error for RouteError {}
+
 /// Sentinel in the dense route matrix: no route installed for the pair.
 const NO_ROUTE: u32 = u32::MAX;
 
@@ -80,22 +124,6 @@ fn unpack_tag(tag: u64) -> (RouteId, u32) {
     (RouteId((tag >> 32) as u32), tag as u32)
 }
 
-/// One entry in a per-link delay line: a packet propagating toward the
-/// link's far end, tagged with its interned route and the hop it has just
-/// traversed.
-#[derive(Debug, Clone)]
-struct InFlight<P> {
-    /// When the packet arrives at the far end.
-    at: SimTime,
-    /// Global push sequence; orders same-instant arrivals across lines.
-    seq: u64,
-    packet: Packet<P>,
-    /// The route resolved at send time.
-    route: RouteId,
-    /// Index into the route of the hop that has just been traversed.
-    hop: u32,
-}
-
 /// The simulated network.
 #[derive(Debug)]
 pub struct Network<P> {
@@ -103,6 +131,8 @@ pub struct Network<P> {
     num_nodes: u32,
     /// host -> node mapping (hosts are nodes with an inbox).
     host_nodes: Vec<NodeId>,
+    /// The links, each owning every packet it holds: waiting, in service
+    /// and propagating on its wire.
     links: Vec<Link<P>>,
     /// Source routes as a dense host×host matrix: entry
     /// `src * num_hosts + dst` is the interned route id, or
@@ -114,22 +144,16 @@ pub struct Network<P> {
     /// once issued; replaced routes leave their entry in place so stale
     /// ids can still be resolved for the misrouted check.
     route_table: Vec<Arc<[LinkId]>>,
-    /// Per-link delay lines: packets that finished serializing on a link
-    /// and are propagating toward its far end, in (monotonic) arrival
-    /// order. Indexed by `LinkId`.
-    lines: Vec<VecDeque<InFlight<P>>>,
-    /// Emptied delay lines recycled across rebuilds, like `spare_inboxes`.
-    spare_lines: Vec<VecDeque<InFlight<P>>>,
-    /// Retired links' emptied packet queues, handed to the next links the
-    /// same way.
-    spare_queues: Vec<VecDeque<(Packet<P>, u64)>>,
-    /// Global stamp assigned to each in-flight push, so cross-line merges
-    /// break same-instant ties in push order.
+    /// Retired links' emptied rings, handed to the next links built, like
+    /// `spare_inboxes`.
+    spare_rings: Vec<VecDeque<Slot<P>>>,
+    /// Global stamp assigned to each packet going on a wire, so
+    /// cross-link merges break same-instant ties in push order.
     transit_seq: u64,
-    /// Delay-line observability: head exposures the scheduler scan must
-    /// notice (a push to an empty line, or a pop that uncovers a
-    /// successor), and packets that joined a busy line with no scheduler
-    /// interaction at all.
+    /// Wire observability: head exposures the scheduler scan must notice
+    /// (a push onto an empty wire or in front of its head, or an arrival
+    /// that uncovers a successor), and packets that joined a busy wire
+    /// with no scheduler interaction at all.
     head_updates: u64,
     bypass_packets: u64,
     /// Dense mirror of `links[i].next_wake()`: each link's in-service
@@ -137,22 +161,22 @@ pub struct Network<P> {
     /// wherever a completion changes (enqueue, drain, outage, recovery),
     /// so the due-link scans read one contiguous array.
     serve_at: Vec<SimTime>,
-    /// Dense mirror of each delay line's head key `(at, seq)`:
-    /// `head_at[i]` is [`SimTime::MAX`] while line `i` is empty (and
-    /// `head_seq[i]` then meaningless). Written wherever a head changes
-    /// (push to an empty line, sort-insert at the front, pop).
+    /// Dense mirror of each wire's head key `(at, seq)`: `head_at[i]` is
+    /// [`SimTime::MAX`] while link `i`'s wire is empty (and `head_seq[i]`
+    /// then meaningless). Written wherever a head changes (a push onto an
+    /// empty wire or in front of its head, an arrival).
     head_at: Vec<SimTime>,
     head_seq: Vec<u64>,
     /// Earliest in-service completion across all links, [`SimTime::MAX`]
     /// when none. Kept *exact* at every public-API boundary: enqueues
-    /// fold their (exact) completion in O(1), drains recompute once at
-    /// poll exit. Exactness matters — a conservatively-early value would
-    /// manufacture spurious wake instants and change driver-visible
+    /// fold their (exact) completion in O(1), `poll`'s due-link scan
+    /// recomputes it. Exactness matters — a conservatively-early value
+    /// would manufacture spurious wake instants and change driver-visible
     /// timing.
     service_next: SimTime,
-    /// Earliest delay-line head across all lines, maintained with the
-    /// same exactness discipline (pushes fold in O(1); the delivery
-    /// merge's exit scan recomputes).
+    /// Earliest wire head across all links, maintained with the same
+    /// exactness discipline (wire pushes fold in O(1); the delivery
+    /// merge's head scan recomputes).
     arrival_next: SimTime,
     inboxes: Vec<VecDeque<Packet<P>>>,
     /// Emptied inboxes recycled across [`Network::reset_for_rebuild`]
@@ -176,9 +200,7 @@ impl<P> Network<P> {
             links: Vec::new(),
             route_ids: Vec::new(),
             route_table: Vec::new(),
-            lines: Vec::new(),
-            spare_lines: Vec::new(),
-            spare_queues: Vec::new(),
+            spare_rings: Vec::new(),
             transit_seq: 0,
             head_updates: 0,
             bypass_packets: 0,
@@ -255,11 +277,10 @@ impl<P> Network<P> {
         rng: SimRng,
     ) -> LinkId {
         let id = LinkId(self.links.len() as u32);
-        let queue = self.spare_queues.pop().unwrap_or_default();
-        let mut link = Link::new_on(from, to, params, rng, queue);
+        let ring = self.spare_rings.pop().unwrap_or_default();
+        let mut link = Link::new_on(from, to, params, rng, ring);
         link.set_trace_tag(id.0);
         self.links.push(link);
-        self.lines.push(self.spare_lines.pop().unwrap_or_default());
         self.serve_at.push(SimTime::MAX);
         self.head_at.push(SimTime::MAX);
         self.head_seq.push(0);
@@ -272,26 +293,40 @@ impl<P> Network<P> {
     /// routes are cloned into every network built from it); route ids are
     /// issued in call order either way.
     ///
-    /// Panics if the link sequence is not contiguous from `src`'s node to
-    /// `dst`'s node — a broken route would silently blackhole traffic.
-    pub fn set_route(&mut self, src: HostId, dst: HostId, route: impl Into<Arc<[LinkId]>>) {
+    /// Refuses, changing nothing, a route that is empty, names a link the
+    /// network lacks, or is not contiguous from `src`'s node to `dst`'s.
+    pub fn set_route(
+        &mut self,
+        src: HostId,
+        dst: HostId,
+        route: impl Into<Arc<[LinkId]>>,
+    ) -> Result<(), RouteError> {
         let route = route.into();
-        assert!(!route.is_empty(), "route must have at least one link");
+        if route.is_empty() {
+            return Err(RouteError::Empty);
+        }
         let mut at = self.host_node(src);
-        for lid in route.iter() {
-            let link = &self.links[lid.0 as usize];
-            assert_eq!(
-                link.from, at,
-                "route hop does not start where previous ended"
-            );
+        for (hop, &lid) in route.iter().enumerate() {
+            let link = self
+                .links
+                .get(lid.0 as usize)
+                .ok_or(RouteError::UnknownLink(lid))?;
+            if link.from != at {
+                return Err(RouteError::Discontiguous { hop });
+            }
             at = link.to;
         }
-        assert_eq!(at, self.host_node(dst), "route does not end at destination");
-        let rid = RouteId(self.route_table.len() as u32);
-        assert!(rid.0 != NO_ROUTE, "route id space exhausted");
+        if at != self.host_node(dst) {
+            return Err(RouteError::WrongDestination);
+        }
+        let rid = u32::try_from(self.route_table.len())
+            .ok()
+            .filter(|&rid| rid != NO_ROUTE)
+            .ok_or(RouteError::IdsExhausted)?;
         self.route_table.push(route);
         let slot = self.route_slot(src, dst);
-        self.route_ids[slot] = rid.0;
+        self.route_ids[slot] = rid;
+        Ok(())
     }
 
     /// Whether a route exists between two hosts.
@@ -337,19 +372,13 @@ impl<P> Network<P> {
         at
     }
 
-    /// Recomputes the eager service minimum from scratch — the O(links)
-    /// fallback for mutations that can move a completion *later* (drains,
-    /// outages).
-    fn recompute_service_next(&mut self) {
-        self.service_next = self.serve_at.iter().copied().min().unwrap_or(SimTime::MAX);
-    }
-
     /// Processes all work due by `now`: link serializations and propagation
     /// arrivals, forwarding packets along their routes. Returns the number
     /// of packets that moved.
     ///
     /// Due links are found by scanning the `serve_at` mirror in ascending
-    /// `LinkId` order, behind a nothing-due fast path.
+    /// `LinkId` order, behind a nothing-due fast path; the same scan
+    /// recomputes the service minimum.
     pub fn poll(&mut self, now: SimTime) -> usize {
         // Fast path: nothing due. Drivers re-poll every settle iteration,
         // so this single cached read is the common case.
@@ -357,17 +386,21 @@ impl<P> Network<P> {
             return 0;
         }
         let mut moved = 0;
-        let mut any_drained = false;
         loop {
+            // Drains only move completions later and the scan reads each
+            // link's after its drain, so its minimum is exact; the
+            // forwarding enqueues below fold into it.
+            let mut service_next = SimTime::MAX;
             for i in 0..self.serve_at.len() {
                 if self.serve_at[i] <= now {
-                    moved += self.drain_link(LinkId(i as u32), now);
-                    any_drained = true;
+                    moved += self.drain_link(i, now);
                 }
+                service_next = service_next.min(self.serve_at[i]);
             }
+            self.service_next = service_next;
             // Another round is needed only when forwarding parked a
             // serialization completing by `now`: a drained link never
-            // stays due (`Link::poll` loops until its completion passes
+            // stays due (`serve_one` runs until its completion passes
             // `now`), and drain-side pushes due by `now` are consumed by
             // the deliver pass in this same round.
             let mut requeue = false;
@@ -376,17 +409,13 @@ impl<P> Network<P> {
                 break;
             }
         }
-        if any_drained {
-            // Drains move completions later; only then is the eager
-            // service minimum stale and worth the O(links) refresh.
-            self.recompute_service_next();
-        }
         self.debug_check_mirrors();
         moved
     }
 
-    /// The mirrors' executable spec: every entry equals what it mirrors.
-    /// Compiled out of release builds.
+    /// The mirrors' executable spec: every entry equals what it mirrors,
+    /// and every wire is in `(arrival, seq)` order. Compiled out of
+    /// release builds.
     fn debug_check_mirrors(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -397,27 +426,30 @@ impl<P> Network<P> {
                 link.next_wake().unwrap_or(SimTime::MAX),
                 "serve_at[{i}] drifted from its link"
             );
-            match self.lines[i].front() {
+            match link.wire_head() {
                 Some(head) => assert_eq!(
                     (self.head_at[i], self.head_seq[i]),
-                    (head.at, head.seq),
-                    "head mirror {i} drifted from its line"
+                    head,
+                    "head mirror {i} drifted from its wire"
                 ),
                 None => assert_eq!(self.head_at[i], SimTime::MAX, "head mirror {i} not cleared"),
             }
+            assert!(
+                link.wire_is_sorted(),
+                "wire {i} out of (arrival, seq) order"
+            );
         }
     }
 
-    /// Drains one link's due serializations into its delay line,
-    /// validating each packet's route id. Returns the number of packets
-    /// that moved onward (misrouted drops are not movement — consistently
-    /// with the propagation arm).
-    fn drain_link(&mut self, lid: LinkId, now: SimTime) -> usize {
+    /// Drains one link's due serializations onto its wire, validating
+    /// each packet's route id. Returns the number of packets that moved
+    /// onward (misrouted drops are not movement — consistently with the
+    /// propagation arm).
+    fn drain_link(&mut self, i: usize, now: SimTime) -> usize {
         let Network {
             links,
             host_nodes,
             route_ids,
-            lines,
             serve_at,
             head_at,
             head_seq,
@@ -429,160 +461,155 @@ impl<P> Network<P> {
             ..
         } = self;
         let num_hosts = host_nodes.len();
-        let link = &mut links[lid.0 as usize];
-        let mut moved = 0;
-        link.poll(now, &mut |arrive_at, packet, tag| {
-            let (route, hop) = unpack_tag(tag);
-            // The route existed at send time, but may have been replaced
-            // since; a packet stranded by a route change is dropped and
-            // counted rather than panicking the simulation.
+        // The route existed at send time, but may have been replaced
+        // since; a packet stranded by a route change is dropped and
+        // counted rather than panicking the simulation.
+        let live = |packet: &Packet<P>, tag: u64| {
             let slot = packet.src.host.0 as usize * num_hosts + packet.dst.host.0 as usize;
-            if route_ids[slot] == route.0 {
-                // Arrivals on one link are monotonic while the link
-                // stays busy (FIFO serialization with service ≥ 1 µs,
-                // constant propagation), so appending keeps the line
-                // sorted in the overwhelmingly common case. Sparse
-                // polling breaks the guarantee: an idle link drained
-                // at completion C can take a forwarding enqueue
-                // backdated to an arrival instant < C and finish it
-                // before C. Those stragglers sort-insert so the line
-                // stays ordered by `(at, seq)` — the merge's exactness
-                // contract — under any poll pattern.
-                let line = &mut lines[lid.0 as usize];
-                let seq = *transit_seq;
-                *transit_seq += 1;
-                let entry = InFlight {
-                    at: arrive_at,
-                    seq,
-                    packet,
-                    route,
-                    hop,
-                };
-                let new_head = if line.back().is_none_or(|b| b.at <= arrive_at) {
-                    let was_empty = line.is_empty();
-                    line.push_back(entry);
-                    was_empty
-                } else {
-                    // Earlier entries all carry smaller seqs, so
-                    // ordering by `at` alone places the straggler
-                    // after every same-instant predecessor.
-                    let pos = line.partition_point(|e| e.at <= arrive_at);
-                    line.insert(pos, entry);
-                    pos == 0
-                };
-                if new_head {
+            route_ids[slot] == unpack_tag(tag).0 .0
+        };
+        let link = &mut links[i];
+        let mut moved = 0;
+        while let Some(served) = link.serve_one(now, transit_seq, live) {
+            match served {
+                Served::Head(at, seq) => {
                     *head_updates += 1;
-                    head_at[lid.0 as usize] = arrive_at;
-                    head_seq[lid.0 as usize] = seq;
-                    *arrival_next = (*arrival_next).min(arrive_at);
-                } else {
-                    *bypass_packets += 1;
+                    head_at[i] = at;
+                    head_seq[i] = seq;
+                    *arrival_next = (*arrival_next).min(at);
+                    moved += 1;
                 }
-                moved += 1;
-            } else {
-                *misrouted += 1;
+                Served::Behind => {
+                    *bypass_packets += 1;
+                    moved += 1;
+                }
+                Served::Stranded => *misrouted += 1,
             }
-        });
-        serve_at[lid.0 as usize] = link.next_wake().unwrap_or(SimTime::MAX);
+        }
+        serve_at[i] = link.next_wake().unwrap_or(SimTime::MAX);
         moved
     }
 
     /// Delivers propagation arrivals due by `now`, forwarding each packet
     /// to its next hop or its destination inbox. Returns packets moved.
     ///
-    /// K-way merges the due line heads by `(at, seq)` — the exact global
+    /// K-way merges the due wire heads by `(at, seq)` — the exact global
     /// pop order a per-packet timer queue would produce. The merge is a
-    /// repeated linear min scan: the line count is a topology-sized
+    /// repeated linear min scan: the link count is a topology-sized
     /// handful, so the scan beats any heap and allocates nothing.
     fn deliver_due(&mut self, now: SimTime, requeue: &mut bool) -> usize {
         // Exact fast path: `arrival_next` is exact on entry — exact at the
         // poll boundary, and the round's drains only *fold* head arrivals
-        // into it (pops happen nowhere but here, and every exit below
+        // into it (arrivals happen nowhere but here, and every exit below
         // leaves it exact again) — so one read settles "nothing due".
         if self.arrival_next > now {
             return 0;
         }
         let mut moved = 0;
         loop {
-            // One scan finds the earliest due head and the runner-up key;
-            // the inner loop then drains a whole *run* from the winning
-            // line — every consecutive entry still ahead of the runner-up
-            // — so bursts on one link (the common case) cost one scan, not
-            // one per packet.
+            // One scan finds the earliest due head, the runner-up due key
+            // and the earliest head not yet due; `deliver_run` then takes
+            // a whole *run* from the winning wire — every consecutive
+            // entry still ahead of the runner-up — so bursts on one link
+            // cost one scan, not one per packet.
             let mut best: Option<(SimTime, u64, usize)> = None;
             let mut second: Option<(SimTime, u64)> = None;
-            let mut min_head = SimTime::MAX;
+            let mut later = SimTime::MAX;
             for (li, (&at, &seq)) in self.head_at.iter().zip(&self.head_seq).enumerate() {
                 if at == SimTime::MAX {
-                    continue; // empty line
+                    continue; // empty wire
                 }
-                min_head = min_head.min(at);
-                if at <= now {
-                    let key = (at, seq);
-                    match best {
-                        Some((b_at, b_seq, _)) if key < (b_at, b_seq) => {
-                            second = Some((b_at, b_seq));
-                            best = Some((at, seq, li));
-                        }
-                        Some(_) => {
-                            if second.is_none_or(|s| key < s) {
-                                second = Some(key);
-                            }
-                        }
-                        None => best = Some((at, seq, li)),
+                if at > now {
+                    later = later.min(at);
+                    continue;
+                }
+                let key = (at, seq);
+                match best {
+                    Some((b_at, b_seq, _)) if key < (b_at, b_seq) => {
+                        second = Some((b_at, b_seq));
+                        best = Some((at, seq, li));
                     }
+                    Some(_) => {
+                        if second.is_none_or(|s| key < s) {
+                            second = Some(key);
+                        }
+                    }
+                    None => best = Some((at, seq, li)),
                 }
             }
             let Some((_, _, li)) = best else {
-                // Exit scan: no due heads remain, and `min_head` is the
-                // exact minimum over every surviving (future) head.
-                self.arrival_next = min_head;
+                // No due heads remain, and `later` is the exact minimum
+                // over every surviving (future) head.
+                self.arrival_next = later;
                 break;
             };
-            while let Some(head) = self.lines[li].front() {
-                if head.at > now || second.is_some_and(|s| s < (head.at, head.seq)) {
-                    break;
-                }
-                let ent = self.lines[li].pop_front().expect("due head checked");
-                match self.lines[li].front() {
-                    Some(next) => {
-                        // The pop exposed a successor head the scheduler
-                        // scan must now track.
-                        self.head_updates += 1;
-                        self.head_at[li] = next.at;
-                        self.head_seq[li] = next.seq;
-                    }
-                    None => self.head_at[li] = SimTime::MAX,
-                }
-                let InFlight {
-                    at,
-                    packet,
-                    route,
-                    hop,
-                    ..
-                } = ent;
-                // Same staleness rule as the serialization arm: a replaced
-                // route strands the packet, counted not panicked.
-                if self.route_id(packet.src.host, packet.dst.host) != Some(route) {
-                    self.misrouted += 1;
-                    continue;
-                }
-                let links = &self.route_table[route.0 as usize];
-                if hop as usize + 1 >= links.len() {
-                    self.inboxes[packet.dst.host.0 as usize].push_back(packet);
-                    self.delivered += 1;
-                } else {
-                    let next = links[hop as usize + 1];
-                    self.enqueue_on_link(next, at, packet, pack_tag(route, hop + 1));
-                    // A late-arriving packet (at < now) can finish
-                    // serializing by `now`; only then does the caller need
-                    // another drain round.
-                    if self.serve_at[next.0 as usize] <= now {
-                        *requeue = true;
-                    }
-                }
-                moved += 1;
+            moved += self.deliver_run(li, now, second, requeue);
+            if second.is_none() {
+                // No other wire had a due head, and forwarding only
+                // enqueues — no wire changes outside `poll`'s drains — so
+                // every other head is where the scan saw it, after `now`,
+                // and this wire's run ended on a head after `now` too.
+                self.arrival_next = later.min(self.head_at[li]);
+                break;
             }
+        }
+        moved
+    }
+
+    /// Delivers wire `li`'s arrivals from its head while they are due by
+    /// `now` and ahead of `second` (the earliest due head on any other
+    /// wire). Returns packets moved.
+    fn deliver_run(
+        &mut self,
+        li: usize,
+        now: SimTime,
+        second: Option<(SimTime, u64)>,
+        requeue: &mut bool,
+    ) -> usize {
+        let mut moved = 0;
+        loop {
+            let head = (self.head_at[li], self.head_seq[li]);
+            if head.0 > now || second.is_some_and(|s| s < head) {
+                break;
+            }
+            let Some(Slot {
+                packet, tag, at, ..
+            }) = self.links[li].pop_wire()
+            else {
+                break; // the mirror said due; the wire agrees (debug-checked)
+            };
+            match self.links[li].wire_head() {
+                Some((next_at, next_seq)) => {
+                    // The arrival exposed a successor head the scheduler
+                    // scan must now track.
+                    self.head_updates += 1;
+                    self.head_at[li] = next_at;
+                    self.head_seq[li] = next_seq;
+                }
+                None => self.head_at[li] = SimTime::MAX,
+            }
+            let (route, hop) = unpack_tag(tag);
+            // Same staleness rule as the serialization arm: a replaced
+            // route strands the packet, counted not panicked.
+            if self.route_id(packet.src.host, packet.dst.host) != Some(route) {
+                self.misrouted += 1;
+                continue;
+            }
+            let links = &self.route_table[route.0 as usize];
+            if hop as usize + 1 >= links.len() {
+                self.inboxes[packet.dst.host.0 as usize].push_back(packet);
+                self.delivered += 1;
+            } else {
+                let next = links[hop as usize + 1];
+                self.enqueue_on_link(next, at, packet, pack_tag(route, hop + 1));
+                // A late-arriving packet (at < now) can finish
+                // serializing by `now`; only then does the caller need
+                // another drain round.
+                if self.serve_at[next.0 as usize] <= now {
+                    *requeue = true;
+                }
+            }
+            moved += 1;
         }
         moved
     }
@@ -637,11 +664,11 @@ impl<P> Network<P> {
 
     /// Takes a link down (fault injection). See [`Link::set_down`] for
     /// the policy semantics. A flush can retire the in-service packet, so
-    /// the service minimum is recomputed.
+    /// the service minimum is recomputed; the wire is untouched.
     pub fn set_link_down(&mut self, lid: LinkId, policy: OutagePolicy) {
         self.links[lid.0 as usize].set_down(policy);
         self.mirror_serve_at(lid);
-        self.recompute_service_next();
+        self.service_next = self.serve_at.iter().copied().min().unwrap_or(SimTime::MAX);
     }
 
     /// Brings a link back up at `now`. A carried queue that resumes
@@ -679,16 +706,17 @@ impl<P> Network<P> {
         self.delivered
     }
 
-    /// Delay-line observability: `(head_updates, bypass_packets)`. Head
-    /// updates are line-head exposures — the instants the scheduler scan
-    /// must track; bypass packets joined a busy line behind an earlier
-    /// head — the per-packet scheduling events the delay lines eliminated.
+    /// Wire observability: `(head_updates, bypass_packets)`. Head updates
+    /// are wire-head exposures — the instants the scheduler scan must
+    /// track; bypass packets joined a busy wire behind an earlier head —
+    /// the per-packet scheduling events the wires eliminated. (The name
+    /// is the counters': each wire was once a separate delay line.)
     pub fn delayline_stats(&self) -> (u64, u64) {
         (self.head_updates, self.bypass_packets)
     }
 
     /// Scrubs every piece of topology and traffic state while keeping the
-    /// allocated storage — delay lines, inboxes, mirrors, route tables —
+    /// allocated storage — link rings, inboxes, mirrors, route tables —
     /// so the next session's rebuild schedules into warm memory.
     /// A reset network is logically indistinguishable from
     /// [`Network::new`]; see [`crate::NetBuilder::build_from_prototype_into`].
@@ -696,14 +724,10 @@ impl<P> Network<P> {
         self.num_nodes = 0;
         self.host_nodes.clear();
         for link in self.links.drain(..) {
-            self.spare_queues.push(link.into_queue_storage());
+            self.spare_rings.push(link.into_queue_storage());
         }
         self.route_ids.clear();
         self.route_table.clear();
-        for mut line in self.lines.drain(..) {
-            line.clear();
-            self.spare_lines.push(line);
-        }
         self.transit_seq = 0;
         self.head_updates = 0;
         self.bypass_packets = 0;
@@ -746,8 +770,8 @@ mod tests {
         let (na, nb) = (net.host_node(a), net.host_node(b));
         let ab = net.add_link(na, nb, params, rng());
         let ba = net.add_link(nb, na, params, rng());
-        net.set_route(a, b, vec![ab]);
-        net.set_route(b, a, vec![ba]);
+        net.set_route(a, b, vec![ab]).unwrap();
+        net.set_route(b, a, vec![ba]).unwrap();
         (net, a, b)
     }
 
@@ -791,7 +815,7 @@ mod tests {
             .delay(SimDuration::from_millis(10));
         let l1 = net.add_link(net.host_node(a), r, params, rng());
         let l2 = net.add_link(r, net.host_node(b), params, rng());
-        net.set_route(a, b, vec![l1, l2]);
+        net.set_route(a, b, vec![l1, l2]).unwrap();
         let pkt = Packet::new(Addr::new(a, 1), Addr::new(b, 2), 125, 9u32);
         net.send(SimTime::ZERO, pkt);
         // Two 10 ms propagation legs plus ~1 us serialization each.
@@ -811,7 +835,7 @@ mod tests {
             assert!(!net.has_route(src, dst), "{src:?} -> {dst:?}");
         }
         let ca = net.add_link(net.host_node(c), net.host_node(a), LinkParams::lan(), rng());
-        net.set_route(c, a, vec![ca]);
+        net.set_route(c, a, vec![ca]).unwrap();
         let d = net.add_host();
         let routed = [(a, b), (b, a), (c, a)];
         for src in [a, b, c, d] {
@@ -833,7 +857,35 @@ mod tests {
         let b = net.add_host();
         let c = net.add_host();
         let l = net.add_link(net.host_node(a), net.host_node(c), LinkParams::lan(), rng());
-        net.set_route(a, b, vec![l]);
+        net.set_route(a, b, vec![l])
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Every way a route can be broken is a typed refusal that leaves the
+    /// pair's route as it was.
+    #[test]
+    fn set_route_refuses_broken_routes_and_keeps_the_old_one() {
+        let (mut net, a, b) = two_hosts(LinkParams::lan());
+        let (ab, ba) = (LinkId(0), LinkId(1));
+        let refusals = [
+            (vec![], RouteError::Empty),
+            (vec![LinkId(7)], RouteError::UnknownLink(LinkId(7))),
+            (vec![ba], RouteError::Discontiguous { hop: 0 }),
+            (vec![ab, ab], RouteError::Discontiguous { hop: 1 }),
+            (vec![ab, ba], RouteError::WrongDestination),
+        ];
+        for (route, why) in refusals {
+            assert_eq!(net.set_route(a, b, route), Err(why));
+            assert_eq!(net.route(a, b), Some(&[ab][..]));
+        }
+        assert_eq!(
+            RouteError::WrongDestination.to_string(),
+            "route does not end at destination"
+        );
+        let pkt = Packet::new(Addr::new(a, 1), Addr::new(b, 1), 100, 1u32);
+        assert!(net.send(SimTime::ZERO, pkt));
+        net.poll(SimTime::from_secs(1));
+        assert_eq!((net.delivered(), net.misrouted()), (1, 0));
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl NetBuilder {
     }
 
     /// Builds this topology onto `net` — a fresh [`Network::new`] or a
-    /// retired network whose storage (delay lines, inboxes, tables) is
+    /// retired network whose storage (link rings, inboxes, tables) is
     /// recycled — and installs `proto`'s routes: nodes and links are
     /// created in declaration order (so ids match handles) with this
     /// builder's own parameters and one RNG fork per link, then each
@@ -139,18 +139,23 @@ impl NetBuilder {
     /// prototype yields a network bit-identical to one built from a
     /// prototype computed on the spot.
     ///
-    /// Panics if the prototype was derived from a structurally different
-    /// builder (see [`TopologyPrototype::matches`]).
+    /// A prototype derived from a structurally different builder (see
+    /// [`TopologyPrototype::matches`]) is not used: the routes are then
+    /// computed on the spot, so the network is always the one
+    /// [`NetBuilder::build_with_payload`] builds.
     pub fn build_from_prototype_into<P>(
         &self,
         rng: &mut SimRng,
         mut net: Network<P>,
         proto: &TopologyPrototype,
     ) -> Network<P> {
-        assert!(
-            proto.matches(self),
-            "topology prototype does not match builder structure"
-        );
+        let own;
+        let proto = if proto.matches(self) {
+            proto
+        } else {
+            own = self.prototype();
+            &own
+        };
         net.reset_for_rebuild();
         // Node ids are issued sequentially, so builder index == node id —
         // no mapping table needed.
@@ -170,7 +175,12 @@ impl NetBuilder {
             );
         }
         for (src, dst, route) in &proto.routes {
-            net.set_route(*src, *dst, Arc::clone(route));
+            // Infallible: a matching prototype's routes are BFS paths over
+            // these very link endpoints — non-empty, contiguous, ending at
+            // `dst` — with one id per host pair. (Were one refused, its
+            // pair would count `unroutable`, not panic.)
+            let installed = net.set_route(*src, *dst, Arc::clone(route));
+            debug_assert_eq!(installed, Ok(()));
         }
         net
     }
@@ -183,7 +193,7 @@ impl NetBuilder {
 ///
 /// Soundness does not rest on any cache key discipline: the prototype
 /// records the exact structure (node count, host set, link endpoints) it
-/// was derived from, and every build asserts the builder matches before a
+/// was derived from, and every build checks the builder matches before a
 /// single cached route is installed. Routes are a pure function of that
 /// structure, so a matching build gets bit-identical routing.
 #[derive(Debug)]
@@ -445,6 +455,26 @@ mod tests {
         );
         assert_eq!(drive(&mut rebuilt, 400), want);
         assert_eq!(fresh.total_link_stats(), rebuilt.total_link_stats());
+    }
+
+    /// A prototype of another shape is not installed: the build routes
+    /// this builder's own structure, as a one-off build would.
+    #[test]
+    fn a_mismatched_prototype_builds_the_builders_own_routes() {
+        let mut b = NetBuilder::new();
+        let (a, c, r) = (b.host(), b.host(), b.router());
+        b.duplex(a, r, LinkParams::lan());
+        b.duplex(r, c, LinkParams::lan());
+        let mut other = NetBuilder::new();
+        let (x, y) = (other.host(), other.host());
+        other.duplex(x, y, LinkParams::lan());
+        let wrong = other.prototype();
+        assert!(!wrong.matches(&b));
+        let net: Network<u8> =
+            b.build_from_prototype_into(&mut SimRng::seed_from_u64(1), Network::new(), &wrong);
+        let (h0, h1) = (HostId(0), HostId(1));
+        assert_eq!(net.route(h0, h1), Some(&[LinkId(0), LinkId(2)][..]));
+        assert_eq!(net.route(h1, h0), Some(&[LinkId(3), LinkId(1)][..]));
     }
 
     #[test]

@@ -217,22 +217,32 @@ struct Model {
     /// a fresh generation, stranding packets that carry the old one.
     routes: HashMap<(HostId, HostId), (u64, Vec<LinkId>)>,
     generations: u64,
-    /// `(arrival, push seq, packet, generation << 32 | hop just crossed)`.
-    bag: Vec<(SimTime, u64, Packet<u32>, u64)>,
+    /// `(arrival, push seq, packet, generation << 32 | hop just crossed,
+    /// link just crossed)`.
+    bag: Vec<(SimTime, u64, Packet<u32>, u64, usize)>,
     pushes: u64,
     /// Payloads delivered to each host, in delivery order.
     inboxes: Vec<Vec<u32>>,
     delivered: u64,
     misrouted: u64,
     unroutable: u64,
+    /// What `Network::delayline_stats` counts, read off the bag: a push
+    /// that arrives before everything else in flight from its link, or an
+    /// arrival that leaves some behind, exposes a new head of that link's
+    /// wire; any other push joins it behind one.
+    head_updates: u64,
+    bypass: u64,
+    /// Pushes that arrive before something already in flight from their
+    /// link: the network's sort-insert.
+    stragglers: u64,
 }
 
 impl Model {
     /// Links get the per-link RNG fork `NetBuilder` gives them.
-    fn new(nh: usize, links: &[(u32, u32)], params: LinkParams, rng: &mut SimRng) -> Self {
+    fn new(nh: usize, links: &[(u32, u32, LinkParams)], rng: &mut SimRng) -> Self {
         let links = links
             .iter()
-            .map(|&(from, to)| {
+            .map(|&(from, to, params)| {
                 let fork = rng.fork(u64::from(from) << 32 | u64::from(to));
                 Link::new(NodeId(from), NodeId(to), params, fork)
             })
@@ -247,6 +257,9 @@ impl Model {
             delivered: 0,
             misrouted: 0,
             unroutable: 0,
+            head_updates: 0,
+            bypass: 0,
+            stragglers: 0,
         }
     }
 
@@ -280,7 +293,14 @@ impl Model {
                 for (at, pkt, tag) in done {
                     progress = true;
                     if self.live_route(&pkt, tag >> 32).is_some() {
-                        self.bag.push((at, self.pushes, pkt, tag));
+                        let same_link = || self.bag.iter().filter(|e| e.4 == l).map(|e| e.0);
+                        // Ties go behind: the push carries the largest seq.
+                        match same_link().min() {
+                            Some(head) if head <= at => self.bypass += 1,
+                            _ => self.head_updates += 1,
+                        }
+                        self.stragglers += u64::from(same_link().any(|a| a > at));
+                        self.bag.push((at, self.pushes, pkt, tag, l));
                         self.pushes += 1;
                         moved += 1;
                     } else {
@@ -293,7 +313,10 @@ impl Model {
                 .min_by_key(|&i| (self.bag[i].0, self.bag[i].1))
             {
                 progress = true;
-                let (at, _, pkt, tag) = self.bag.swap_remove(i);
+                let (at, _, pkt, tag, l) = self.bag.swap_remove(i);
+                if self.bag.iter().any(|e| e.4 == l) {
+                    self.head_updates += 1;
+                }
                 let hop = (tag as u32) as usize + 1;
                 let Some(route) = self.live_route(&pkt, tag >> 32) else {
                     self.misrouted += 1;
@@ -331,7 +354,7 @@ fn same<T: PartialEq + Debug>(what: impl Display, net: T, model: T) -> Result<()
 }
 
 /// Everything observable without consuming it: `next_wake`, the three
-/// aggregate counters, and every link's stats.
+/// aggregate counters, the two wire counters, and every link's stats.
 fn agree(net: &Network<u32>, model: &Model, when: &str) -> Result<(), String> {
     same(
         format_args!("next_wake {when}"),
@@ -342,6 +365,11 @@ fn agree(net: &Network<u32>, model: &Model, when: &str) -> Result<(), String> {
         format_args!("(delivered, misrouted, unroutable) {when}"),
         (net.delivered(), net.misrouted(), net.unroutable()),
         (model.delivered, model.misrouted, model.unroutable),
+    )?;
+    same(
+        format_args!("(head updates, bypass packets) {when}"),
+        net.delayline_stats(),
+        (model.head_updates, model.bypass),
     )?;
     for (l, link) in model.links.iter().enumerate() {
         let stats = net.link_stats(LinkId(l as u32));
@@ -414,7 +442,8 @@ proptest! {
         let b = chain_builder(nh, nr, params);
         let proto = b.prototype();
         let mut net: Network<u32> = b.build_with_payload(&mut SimRng::seed_from_u64(seed));
-        let mut model = Model::new(nh, &ends, params, &mut SimRng::seed_from_u64(seed));
+        let links: Vec<_> = ends.iter().map(|&(from, to)| (from, to, params)).collect();
+        let mut model = Model::new(nh, &links, &mut SimRng::seed_from_u64(seed));
         let host = |i: usize| HostId((i % nh) as u32);
         for (src, dst) in (0..nh * nh).map(|i| (host(i / nh), host(i))) {
             if let Some(route) = proto.route(src, dst) {
@@ -454,7 +483,7 @@ proptest! {
                     // sequence strands every packet already in flight on
                     // the old one (they must count `misrouted`).
                     if let Some(route) = proto.route(host(a), host(bsel)) {
-                        net.set_route(host(a), host(bsel), route.to_vec());
+                        prop_assert!(net.set_route(host(a), host(bsel), route.to_vec()).is_ok());
                         model.set_route(host(a), host(bsel), route);
                     }
                 }
@@ -484,4 +513,53 @@ proptest! {
         }
         prop_assert!(net.next_wake().is_none(), "world failed to quiesce");
     }
+}
+
+/// The straggler path, forced: a slow link is drained idle at completion
+/// C by a sparse poll, then handed a forwarding enqueue backdated to an
+/// arrival before C. It restarts service in the logical past, finishes
+/// first, and must sort in ahead of the packet already on its wire — and
+/// be delivered in the same poll, as the model delivers it.
+#[test]
+fn a_backdated_enqueue_sorts_in_ahead_of_the_wire() -> Result<(), String> {
+    let fast = LinkParams::lan()
+        .rate(1_000_000.0)
+        .delay(SimDuration::from_millis(1));
+    let slow = LinkParams::lan()
+        .rate(100_000.0)
+        .delay(SimDuration::from_millis(50));
+    let mut b = NetBuilder::new();
+    let (a, z, r) = (b.host(), b.host(), b.router());
+    b.link(a, r, fast);
+    b.link(r, z, slow);
+    let proto = b.prototype();
+    let mut net: Network<u32> = b.build_with_payload(&mut SimRng::seed_from_u64(3));
+    let links = [(0, 2, fast), (2, 1, slow)];
+    let mut model = Model::new(2, &links, &mut SimRng::seed_from_u64(3));
+    let (a, z) = (HostId(0), HostId(1));
+    let route = proto.route(a, z).ok_or("no route a -> z")?;
+    model.set_route(a, z, route);
+
+    let ms = SimTime::from_millis;
+    // Packet 1 (1,250 B) reaches the router at 11 ms and serializes on
+    // the slow link until 111 ms, arriving at 161 ms.
+    send_both(&mut net, &mut model, SimTime::ZERO, (a, z), 1250, 1)?;
+    poll_both(&mut net, &mut model, ms(15))?;
+    // Packet 2 (125 B) reaches the router at 22 ms, but nothing polls
+    // until 120 ms: the slow link is drained at 111 ms first, then takes
+    // packet 2 at 22 ms and finishes it at 32 ms — arriving at 82 ms.
+    send_both(&mut net, &mut model, ms(20), (a, z), 125, 2)?;
+    poll_both(&mut net, &mut model, ms(20))?;
+    assert_eq!(model.stragglers, 0);
+    poll_both(&mut net, &mut model, ms(120))?;
+    assert_eq!(
+        model.stragglers, 1,
+        "the scenario must exercise the sort-insert"
+    );
+    poll_both(&mut net, &mut model, ms(200))?;
+    same("delivered", net.delivered(), 2)?;
+    // Four pushes onto an empty wire or in front of its head, one arrival
+    // exposing packet 1 behind packet 2; nothing joined a wire behind.
+    same("wire counters", net.delayline_stats(), (5, 0))?;
+    same("quiescent", net.next_wake(), None)
 }

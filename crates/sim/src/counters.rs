@@ -51,12 +51,13 @@ pub enum Counter {
     Failovers,
     /// SETUPs refused by a replica at capacity (453 Busy).
     AdmissionRejects,
-    /// Delay-line head exposures: a push to an empty line, or a pop that
-    /// uncovers a successor — the heads the network's delivery merge
-    /// must track.
+    /// Wire-head exposures (each link's wire — its packets propagating
+    /// toward the far end — was once a separate delay line): a push onto
+    /// an empty wire or in front of its head, or an arrival that uncovers
+    /// a successor — the heads the network's delivery merge must track.
     DelaylineHeadUpdates,
-    /// Packets that joined a busy delay line behind an earlier head,
-    /// with no scheduler interaction at all.
+    /// Packets that joined a busy wire behind an earlier head, with no
+    /// scheduler interaction at all.
     DelaylineBypassPackets,
 }
 

@@ -148,7 +148,7 @@ pub fn two_host_world(
 /// these per worker and threads it through consecutive sessions.
 #[derive(Debug, Default)]
 pub struct WorldScratch {
-    /// A retired network whose delay lines/inboxes/tables keep their capacity.
+    /// A retired network whose link rings/inboxes/tables keep their capacity.
     pub net: Network<Segment>,
     /// Buffers harvested from the retired servers, indexed by replica
     /// (the primary is replica 0).
