@@ -21,7 +21,7 @@ use rv_server::{ReceiverReport, REPORT_PARAM};
 use rv_sim::{alloc_stats, PayloadPool, SimDuration, SimRng, SimTime};
 use rv_study::{build_session_world_gw, plan_campaign, run_job_with, StudyParams};
 use rv_tracer::WorldScratch;
-use rv_transport::{Segment, Stack, StackStorage, TcpConfig};
+use rv_transport::{Segment, Stack, TcpConfig};
 
 #[global_allocator]
 static ALLOC: alloc_stats::CountingAlloc = alloc_stats::CountingAlloc;
@@ -369,13 +369,13 @@ fn receiver_reports_allocate_nothing() {
 }
 
 /// What one session's data path keeps from the last: the topology, both
-/// hosts' stack storage, the network, the server's staging buffer and
+/// hosts' stacks, the network, the server's staging buffer and
 /// payload pool, and the client's player, depacketizer and event log.
 struct DataPath {
     topology: NetBuilder,
     routes: TopologyPrototype,
     net: Network<Segment>,
-    stacks: [StackStorage; 2],
+    stacks: [Stack; 2],
     pool: PayloadPool,
     staging: Vec<u8>,
     packets: Vec<MediaPacket>,
@@ -420,9 +420,9 @@ impl DataPath {
         let mut net = self
             .topology
             .build_from_prototype_into(&mut rng, net, &self.routes);
-        let [client_storage, server_storage] = std::mem::take(&mut self.stacks);
-        let mut cs = Stack::on_storage(HostId(0), client_storage);
-        let mut ss = Stack::on_storage(HostId(1), server_storage);
+        let [mut cs, mut ss] = std::mem::take(&mut self.stacks);
+        cs.renew(HostId(0));
+        ss.renew(HostId(1));
         let (ct, cu) = (
             cs.tcp_socket(2001, TcpConfig::default()),
             cs.udp_socket(5002),
@@ -434,7 +434,7 @@ impl DataPath {
         ss.tcp(st).listen();
         cs.tcp(ct).connect(Addr::new(HostId(1), 555), SimTime::ZERO);
         self.player.renew(PlayoutConfig::default(), 1.0);
-        self.depkt.reset();
+        self.depkt.renew();
         self.events.clear();
 
         let (mut next, mut group, mut seq) = (0u32, 0u32, 0u32);
@@ -513,9 +513,8 @@ impl DataPath {
             self.player.playout_stats()
         );
         self.fec.clear();
-        net.reset_for_rebuild();
         self.net = net;
-        self.stacks = [cs.into_storage(), ss.into_storage()];
+        self.stacks = [cs, ss];
     }
 }
 

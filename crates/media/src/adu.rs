@@ -242,9 +242,9 @@ impl StreamDepacketizer {
         self.buf.len() - self.pos
     }
 
-    /// Drops every buffered byte, keeping the buffer's capacity: a reset
-    /// depacketizer is a fresh one with its storage warm.
-    pub fn reset(&mut self) {
+    /// Returns to [`StreamDepacketizer::new`]'s state, keeping the
+    /// buffer's capacity: every buffered byte is dropped.
+    pub fn renew(&mut self) {
         self.buf.clear();
         self.pos = 0;
     }

@@ -340,16 +340,13 @@ mod tests {
     fn lazy_schedule_generates_only_as_far_as_the_answer_needs() {
         let secs = SimDuration::from_secs;
         let whole = schedule(80_000, ContentKind::News, 600);
-        let start = |storage| {
-            LazySchedule::start(
-                &standard_rung(80_000),
-                ContentKind::News,
-                secs(600),
-                42,
-                storage,
-            )
-        };
-        let mut lazy = start(Vec::new());
+        let mut lazy = LazySchedule::start(
+            &standard_rung(80_000),
+            ContentKind::News,
+            secs(600),
+            42,
+            Vec::new(),
+        );
         assert_eq!(lazy.generated(), 0);
         assert_eq!(lazy.frame(9), Some(whole.frames()[9]));
         assert_eq!(lazy.generated(), 10);
@@ -364,17 +361,6 @@ mod tests {
         assert_eq!(lazy.frame(whole.len()), None);
         assert_eq!(lazy.generated(), whole.len());
         assert_eq!(lazy.first_frame_at(secs(601)), whole.len());
-
-        // Retired storage is capacity only: the next schedule starts empty
-        // on it and generates the same frames.
-        let storage = lazy.into_storage();
-        let capacity = storage.capacity();
-        let mut lazy = start(storage);
-        assert_eq!(lazy.generated(), 0);
-        assert_eq!(lazy.frame(9), Some(whole.frames()[9]));
-        let again = lazy.finish();
-        assert_eq!(again, whole);
-        assert!(capacity >= whole.len() && again.frames.capacity() >= capacity);
     }
 
     #[test]

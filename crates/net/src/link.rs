@@ -220,6 +220,11 @@ impl<P> Link<P> {
         self.ring
     }
 
+    /// Packets the ring has room for.
+    pub(crate) fn ring_capacity(&self) -> usize {
+        self.ring.capacity()
+    }
+
     /// Sets the identity this link reports in trace events. The owning
     /// [`Network`](crate::Network) tags each link with its `LinkId`.
     pub fn set_trace_tag(&mut self, tag: u32) {

@@ -179,7 +179,7 @@ pub struct Network<P> {
     /// merge's head scan recomputes).
     arrival_next: SimTime,
     inboxes: Vec<VecDeque<Packet<P>>>,
-    /// Emptied inboxes recycled across [`Network::reset_for_rebuild`]
+    /// Emptied inboxes recycled across [`Network::renew`]
     /// cycles, so a rebuilt topology's hosts start with warm buffers.
     spare_inboxes: Vec<VecDeque<Packet<P>>>,
     /// Packets dropped because no route existed.
@@ -715,34 +715,50 @@ impl<P> Network<P> {
         (self.head_updates, self.bypass_packets)
     }
 
-    /// Scrubs every piece of topology and traffic state while keeping the
-    /// allocated storage — link rings, inboxes, mirrors, route tables —
-    /// so the next session's rebuild schedules into warm memory.
-    /// A reset network is logically indistinguishable from
-    /// [`Network::new`]; see [`crate::NetBuilder::build_from_prototype_into`].
-    pub fn reset_for_rebuild(&mut self) {
-        self.num_nodes = 0;
-        self.host_nodes.clear();
-        for link in self.links.drain(..) {
-            self.spare_rings.push(link.into_queue_storage());
+    /// Returns to [`Network::new`]'s state, keeping the allocated
+    /// storage — link rings, inboxes, mirrors, route tables — so the next
+    /// session's rebuild schedules into warm memory. Every packet the
+    /// network held is dropped here. [`crate::NetBuilder::build_from_prototype_into`]
+    /// renews the network it builds on.
+    pub fn renew(&mut self) {
+        fn emptied<T>(v: &mut Vec<T>) -> Vec<T> {
+            let mut v = std::mem::take(v);
+            v.clear();
+            v
         }
-        self.route_ids.clear();
-        self.route_table.clear();
-        self.transit_seq = 0;
-        self.head_updates = 0;
-        self.bypass_packets = 0;
-        self.serve_at.clear();
-        self.head_at.clear();
-        self.head_seq.clear();
-        self.service_next = SimTime::MAX;
-        self.arrival_next = SimTime::MAX;
-        for mut q in self.inboxes.drain(..) {
+        // Reversed onto the spares, which are popped: link `i` and host
+        // `i` of the next topology get link `i`'s ring and host `i`'s
+        // inbox, sized by the same role's last need.
+        let mut spare_rings = std::mem::take(&mut self.spare_rings);
+        spare_rings.extend(self.links.drain(..).rev().map(Link::into_queue_storage));
+        let mut spare_inboxes = std::mem::take(&mut self.spare_inboxes);
+        spare_inboxes.extend(self.inboxes.drain(..).rev().map(|mut q| {
             q.clear();
-            self.spare_inboxes.push(q);
-        }
-        self.unroutable = 0;
-        self.misrouted = 0;
-        self.delivered = 0;
+            q
+        }));
+        *self = Network {
+            host_nodes: emptied(&mut self.host_nodes),
+            links: emptied(&mut self.links),
+            route_ids: emptied(&mut self.route_ids),
+            route_table: emptied(&mut self.route_table),
+            spare_rings,
+            serve_at: emptied(&mut self.serve_at),
+            head_at: emptied(&mut self.head_at),
+            head_seq: emptied(&mut self.head_seq),
+            inboxes: emptied(&mut self.inboxes),
+            spare_inboxes,
+            ..Network::new()
+        };
+    }
+
+    /// Bytes of packet storage held, live and spare: link rings and
+    /// inboxes, what a retired network carries into the next session.
+    pub fn retained_bytes(&self) -> usize {
+        let rings = self.links.iter().map(Link::ring_capacity);
+        let rings = rings.chain(self.spare_rings.iter().map(VecDeque::capacity));
+        let inboxes = self.inboxes.iter().chain(&self.spare_inboxes);
+        rings.sum::<usize>() * std::mem::size_of::<Slot<P>>()
+            + inboxes.map(VecDeque::capacity).sum::<usize>() * std::mem::size_of::<Packet<P>>()
     }
 }
 
@@ -825,7 +841,7 @@ mod tests {
 
     /// Hosts added after routes exist re-stride the route matrix in place:
     /// every route keeps its pair, and the new host's row and column are
-    /// empty — whatever the retired matrix underneath held.
+    /// empty.
     #[test]
     fn adding_a_host_keeps_every_route_on_its_pair() {
         let (mut net, a, b) = two_hosts(LinkParams::lan());
@@ -843,10 +859,6 @@ mod tests {
                 assert_eq!(net.has_route(src, dst), routed.contains(&(src, dst)));
             }
         }
-        // A rebuild on the same storage starts from an empty matrix.
-        net.reset_for_rebuild();
-        let (x, y) = (net.add_host(), net.add_host());
-        assert!(!net.has_route(x, y) && !net.has_route(y, x));
     }
 
     #[test]

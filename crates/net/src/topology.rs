@@ -43,12 +43,25 @@ impl NetBuilder {
         }
     }
 
-    /// Forgets every declaration, keeping the storage: a cleared builder
-    /// is [`NetBuilder::new`]'s, warm.
-    pub fn clear(&mut self) {
-        self.net_nodes = 0;
-        self.hosts.clear();
-        self.links.clear();
+    /// Returns to [`NetBuilder::new`]'s state, keeping the storage: every
+    /// declaration is forgotten.
+    pub fn renew(&mut self) {
+        let mut hosts = std::mem::take(&mut self.hosts);
+        let mut links = std::mem::take(&mut self.links);
+        hosts.clear();
+        links.clear();
+        *self = NetBuilder {
+            hosts,
+            links,
+            ..NetBuilder::new()
+        };
+    }
+
+    /// Bytes of declaration storage held.
+    pub fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.hosts.capacity() * size_of::<u32>()
+            + self.links.capacity() * size_of::<(u32, u32, LinkParams)>()
     }
 
     /// Declares a host (endpoint with sockets).
@@ -156,7 +169,7 @@ impl NetBuilder {
             own = self.prototype();
             &own
         };
-        net.reset_for_rebuild();
+        net.renew();
         // Node ids are issued sequentially, so builder index == node id —
         // no mapping table needed.
         for idx in 0..self.net_nodes {

@@ -47,7 +47,7 @@ impl Player {
     /// storage the reassembly maps, the playout buffer and the frame
     /// scratch grew.
     pub fn renew(&mut self, cfg: PlayoutConfig, cpu_power: f64) {
-        self.assembler.clear();
+        self.assembler.renew();
         self.playout.renew(cfg, cpu_power);
         self.frame_scratch.clear();
     }

@@ -8,7 +8,7 @@
 //! Nothing here hashes and nothing here is freed: the frames awaiting
 //! fragments and the FEC groups live in [`Slots`], sorted vectors whose
 //! retired entries keep their storage for the next, and the frames already
-//! yielded are runs of keys. [`Assembler::clear`] returns all of it to a
+//! yielded are runs of keys. [`Assembler::renew`] returns all of it to a
 //! fresh assembler's state with its capacity, so a warm assembler
 //! allocates nothing a session's traffic has not outgrown.
 
@@ -314,7 +314,7 @@ impl Assembler {
 
     /// Returns to [`Assembler::new`]'s state — no frame, group, counter or
     /// interval survives — keeping the storage this one grew.
-    pub fn clear(&mut self) {
+    pub fn renew(&mut self) {
         let mut partial = std::mem::take(&mut self.partial);
         let mut groups = std::mem::take(&mut self.groups);
         let mut completed = std::mem::take(&mut self.completed);

@@ -470,7 +470,7 @@ impl Trio {
                 warm.expire_before(SimDuration::from_micros(pkt.pts_micros / 2));
             }
         }
-        warm.clear();
+        warm.renew();
         Trio {
             model: reference::Assembler::new(),
             fresh: Assembler::new(),

@@ -486,11 +486,17 @@ impl Decoder {
         Self::default()
     }
 
-    /// Discards all buffered bytes, keeping the buffer's capacity — a
-    /// reset decoder behaves like a fresh one but feeds into warm memory.
-    pub fn reset(&mut self) {
+    /// Returns to [`Decoder::new`]'s state, keeping the buffer's capacity:
+    /// every buffered byte is dropped, and the next feed goes into warm
+    /// memory.
+    pub fn renew(&mut self) {
         self.buf.clear();
         (self.pos, self.scanned, self.want) = (0, 0, 0);
+    }
+
+    /// Bytes of buffer storage held.
+    pub fn retained_bytes(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Appends received bytes.
@@ -677,7 +683,7 @@ mod tests {
         let ask = |n: usize| format!("PLAY rtsp://s/c RTSP/1.0\r\nContent-Length: {n}\r\n\r\n");
         dec.feed(ask(MAX_BODY_BYTES).as_bytes());
         assert_eq!(dec.next_message(), Ok(None));
-        dec.reset();
+        dec.renew();
         for n in [MAX_BODY_BYTES + 1, usize::MAX] {
             dec.feed(ask(n).as_bytes());
             dec.feed(b"trailing");

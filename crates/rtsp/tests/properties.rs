@@ -125,18 +125,18 @@ proptest! {
         }
         let mut dec = Decoder::new();
         drain(&mut dec, &raw, chunk);
-        dec.reset();
+        dec.renew();
         let fed = bytes.len();
         drain(&mut dec, &bytes, chunk);
         prop_assert!(dec.buffered() <= fed);
         // Past the header limit: the padding is refused, not hoarded.
         let padded = pad >= MAX_HEADER_BYTES + 4;
-        dec.reset();
+        dec.renew();
         let results = drain(&mut dec, &vec![b'x'; pad], chunk * 64);
         prop_assert_eq!(results > 0, padded);
         drain(&mut dec, &bytes, chunk);
         // A reset decoder is a fresh one, whatever it was fed before.
-        dec.reset();
+        dec.renew();
         let good = Message::request(Method::Play, "rtsp://s/c").with_header("CSeq", "3");
         dec.feed(&good.encode());
         prop_assert!(dec.next_message().unwrap().unwrap() == good);

@@ -160,7 +160,7 @@ impl RealServer {
         self.core.pending_teardown = false;
         self.core.pending_reports.clear();
         self.rtsp = ServerSession::new();
-        self.scratch.decoder.reset();
+        self.scratch.decoder.renew();
     }
 
     /// A client that aborted (RST) kills its session: the daemon recycles

@@ -226,15 +226,6 @@ impl TokenBucket {
         }
         covered
     }
-
-    /// When enough tokens for `bytes` will have accumulated.
-    pub fn next_ready(&self, now: SimTime, bytes: u32) -> SimTime {
-        let deficit = f64::from(bytes) - self.tokens;
-        if deficit <= 0.0 || self.rate_bps <= 0.0 {
-            return now;
-        }
-        now + SimDuration::from_secs_f64(deficit * 8.0 / self.rate_bps)
-    }
 }
 
 #[cfg(test)]
@@ -386,17 +377,6 @@ mod tests {
         let t1 = t0 + SimDuration::from_millis(100);
         assert!(tb.try_consume(t1, 1000));
         assert!(!tb.try_consume(t1, 1));
-    }
-
-    #[test]
-    fn next_ready_predicts_refill() {
-        let mut tb = TokenBucket::new(80_000.0, 1_000.0);
-        let t0 = SimTime::from_secs(1);
-        assert!(tb.try_consume(t0, 1000));
-        let ready = tb.next_ready(t0, 500);
-        assert_eq!(ready, t0 + SimDuration::from_millis(50));
-        assert!(!tb.try_consume(ready - SimDuration::from_millis(1), 500));
-        assert!(tb.try_consume(ready, 500));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use rv_media::MediaPacket;
 use rv_rtsp::{Decoder, ServerSession};
 use rv_sim::trace::{self, TraceEvent};
 use rv_sim::{PoolFootprint, SimDuration, SimTime};
-use rv_transport::{Stack, StackStorage, TcpHandle, UdpHandle};
+use rv_transport::{Stack, TcpHandle, UdpHandle};
 
 use crate::catalog::Catalog;
 use crate::control::ServerCore;
@@ -100,12 +100,12 @@ pub struct ServerStats {
 }
 
 /// Recyclable server storage: every buffer a [`RealServer`] stages bytes
-/// in. The server holds one of these for its whole life and hands it back,
-/// emptied, from [`RealServer::into_scratch`] for the next session's
-/// server to start on.
+/// in. The server holds one of these for its whole life and hands it back
+/// from [`RealServer::into_scratch`] for the next session's server to
+/// start on; [`RealServer::new`] renews it.
 ///
-/// Everything here is capacity, not state: a server built on a retired
-/// server's scratch behaves bit-identically to one built on
+/// Only capacity carries over: a server built on a retired server's
+/// scratch behaves bit-identically to one built on
 /// `ServerScratch::default()` — its staging buffers and payload pool
 /// simply start warm, so steady-state streaming allocates nothing. The
 /// payload pool is the big win: its working set of recycled backings
@@ -125,21 +125,31 @@ pub struct ServerScratch {
     pub(crate) reports: Vec<ReceiverReport>,
     /// The last stream's FEC buffer, emptied.
     pub(crate) fec_buf: Vec<MediaPacket>,
-    /// The retired server's catalog, emptied.
+    /// The retired server's catalog, which [`ServerScratch::catalog`]
+    /// empties.
     catalog: Catalog,
-    /// The storage of the stack this server ran on: every socket's ropes,
-    /// pools and queues. The server never looks inside: whoever builds
-    /// and retires its stack (`rv_tracer::server_endpoint`,
-    /// `SessionWorld::retire`) threads it through here, so the next
-    /// session's sockets start on this one's.
-    pub sockets: StackStorage,
+    /// The retired stack this server ran on. The server never looks
+    /// inside: whoever builds and retires its stack
+    /// (`rv_tracer::server_endpoint`, `SessionWorld::retire`) threads it
+    /// through here, so the next session's sockets renew this one's.
+    pub stack: Stack,
 }
 
 impl ServerScratch {
     /// An empty catalog on the storage of the one the last server served
     /// from: filling it with as many clips allocates nothing.
     pub fn catalog(&mut self) -> Catalog {
-        std::mem::take(&mut self.catalog)
+        let mut catalog = std::mem::take(&mut self.catalog);
+        catalog.clear();
+        catalog
+    }
+
+    /// Returns the staging buffers [`RealServer::new`] starts on to a
+    /// cold scratch's state, keeping their storage.
+    fn renew(&mut self) {
+        self.decoder.renew();
+        self.ctrl_buf.clear();
+        self.reports.clear();
     }
 
     /// Frames of recycled schedule storage held, summed over the rungs:
@@ -191,6 +201,7 @@ impl RealServer {
         clip_seed: u64,
         mut scratch: ServerScratch,
     ) -> Self {
+        scratch.renew();
         let mut core = ServerCore::new(&cfg, catalog);
         core.pending_reports = std::mem::take(&mut scratch.reports);
         RealServer {
@@ -211,17 +222,12 @@ impl RealServer {
     }
 
     /// Tears the server down, harvesting its storage for the next
-    /// session's server, scrubbed here so no session state survives
-    /// (capacity only).
+    /// session's server, which renews it.
     pub fn into_scratch(mut self) -> ServerScratch {
         self.retire_stream();
         let mut scratch = self.scratch;
-        scratch.decoder.reset();
-        scratch.ctrl_buf.clear();
         scratch.reports = self.core.pending_reports;
-        scratch.reports.clear();
         scratch.catalog = self.core.catalog;
-        scratch.catalog.clear();
         scratch
     }
 
@@ -278,11 +284,6 @@ impl RealServer {
     /// The UDP rate controller's current allowed rate.
     pub fn allowed_bps(&self) -> f64 {
         self.tfrc.allowed_bps()
-    }
-
-    /// `true` while a stream is active.
-    pub fn is_streaming(&self) -> bool {
-        self.stream.is_some()
     }
 
     /// Debug: the rate controller's smoothed loss estimate.
@@ -510,7 +511,7 @@ mod tests {
 
         // Up: a restart keeps the stream and the half-open connection.
         server.restart(&mut stack);
-        assert!(server.is_alive() && server.is_streaming());
+        assert!(server.is_alive() && server.stream.is_some());
         assert_eq!(stack.tcp_ref(server.ctrl).state(), TcpState::SynRcvd);
 
         // Down: the second crash counts nothing and owes no second RST.
@@ -523,7 +524,7 @@ mod tests {
 
         server.restart(&mut stack);
         server.restart(&mut stack);
-        assert!(server.is_alive() && !server.is_streaming());
+        assert!(server.is_alive() && server.stream.is_none());
         assert_eq!(stack.tcp_ref(server.ctrl).state(), TcpState::Listen);
         assert_eq!(server.stats().crashes, 1);
     }
@@ -580,7 +581,7 @@ mod tests {
         play(&mut server, 1);
         // Three requests handled, one PLAY applied, the lead pumped.
         assert!(server.poll(SimTime::ZERO, &mut stack) > 4);
-        assert!(server.is_streaming());
+        assert!(server.stream.is_some());
         (server, stack)
     }
 
@@ -658,7 +659,7 @@ mod tests {
         }
         // The transport blocked, not the clip.
         assert!(claims > 20, "only {claims} unblocked pumps");
-        assert!(server.is_streaming());
+        assert!(server.stream.is_some());
         assert!(now < SimTime::from_secs(30), "never blocked");
         let need = blocked_need(&server) as usize;
         assert!(stack.tcp_ref(server.data_tcp).send_capacity_left() < need);
@@ -716,7 +717,11 @@ mod tests {
             let fits = bucket(&mut server).clone().covers(now, need);
             // The step is the refill, and its answer is the bucket's.
             assert_eq!(server.quiet_step(now, &stack), !fits);
-            assert_eq!(bucket(&mut server).next_ready(now, need) <= now, fits);
+            // It already refilled to `now`: refilling again changes nothing.
+            let stepped = bucket(&mut server).clone();
+            let mut again = stepped.clone();
+            assert_eq!(again.covers(now, need), fits);
+            assert_eq!(format!("{again:?}"), format!("{stepped:?}"));
             // Debug builds run the pump under the claim and hold it to
             // nothing emitted; either way the poll agrees with the step.
             let pumped = server.poll(now, &mut stack);
@@ -798,7 +803,7 @@ mod tests {
         assert!(now < idle_until(&server));
         request(&mut server, Message::request(Method::Teardown, URL));
         assert_eq!(server.poll(now, &mut stack), 2);
-        assert!(!server.is_streaming());
+        assert!(server.stream.is_none());
         assert_eq!(idle_until(&server), SimTime::ZERO);
 
         play(&mut server, 3);
@@ -1013,7 +1018,7 @@ mod tests {
             stack.tcp(server.data_tcp).on_segment(now, peer, seg);
         }
         server.poll(now, &mut stack);
-        assert!(!server.is_streaming());
+        assert!(server.stream.is_none());
         assert_eq!(stored(&server), 2);
 
         // A crash (the control connection dying takes the same path).
@@ -1028,7 +1033,7 @@ mod tests {
         request(&mut server, Message::request(Method::Describe, URL));
         play(&mut server, 1);
         server.poll(now, &mut stack);
-        assert!(server.is_streaming());
+        assert!(server.stream.is_some());
         visit_two_rungs(&mut server);
         let scratch = server.into_scratch();
         assert!(scratch.schedules.parked.is_empty());

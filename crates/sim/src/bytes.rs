@@ -49,12 +49,13 @@ impl PayloadBytes {
     /// Takes ownership of `vec` as shared bytes. This is the one copy a
     /// payload pays on its way into the shared representation
     /// (`Arc<[u8]>` cannot adopt a `Vec`'s allocation); every clone,
-    /// slice, and retransmission afterwards is copy-free.
+    /// slice, and retransmission afterwards is copy-free. `vec` is under
+    /// 4 GiB (the precondition of `window_len`).
     pub fn from_vec(vec: Vec<u8>) -> Self {
         if vec.is_empty() {
             return PayloadBytes::empty();
         }
-        let len = u32::try_from(vec.len()).expect("payload exceeds u32::MAX bytes");
+        let len = window_len(vec.len());
         PayloadBytes {
             buf: Arc::from(vec),
             off: 0,
@@ -62,12 +63,13 @@ impl PayloadBytes {
         }
     }
 
-    /// Copies `bytes` into a fresh shared backing.
+    /// Copies `bytes` into a fresh shared backing. `bytes` is under
+    /// 4 GiB (the precondition of `window_len`).
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
         if bytes.is_empty() {
             return PayloadBytes::empty();
         }
-        let len = u32::try_from(bytes.len()).expect("payload exceeds u32::MAX bytes");
+        let len = window_len(bytes.len());
         PayloadBytes {
             buf: Arc::from(bytes),
             off: 0,
@@ -212,6 +214,18 @@ fn pool_class(len: usize) -> usize {
     (shift.max(POOL_MIN_SHIFT) - POOL_MIN_SHIFT) as usize
 }
 
+/// A window's length as the `u32` that keeps a payload 24 bytes.
+/// Precondition, infallible because every payload the simulator makes is
+/// bounded four orders of magnitude below 4 GiB (the largest is a 256 KiB
+/// send buffer): a longer one is a caller bug, refused here.
+fn window_len(len: usize) -> u32 {
+    assert!(
+        len <= u32::MAX as usize,
+        "payload of {len} bytes exceeds u32::MAX"
+    );
+    len as u32
+}
+
 /// A zeroed backing in one allocation (`Arc<[u8]>` collects an
 /// exact-size iterator straight into its own block; `Arc::from(Vec)`
 /// would allocate twice).
@@ -300,23 +314,24 @@ impl PayloadPool {
 
     /// A `len`-byte payload written in place by `fill`, which receives
     /// exactly `len` bytes of unspecified content and must overwrite all
-    /// of them. The pool's one writing primitive: a backing of `len`'s
-    /// class is claimed, filled, and queued behind the other claims.
+    /// of them (`len` is under 4 GiB, the precondition of `window_len`).
+    /// The pool's one writing primitive: a backing of `len`'s class is
+    /// claimed, filled, and queued behind the other claims.
     pub fn gather(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> PayloadBytes {
         if len == 0 {
             return PayloadBytes::empty();
         }
-        let window = u32::try_from(len).expect("payload exceeds u32::MAX bytes");
+        let window = window_len(len);
         let pooled = len <= Self::MAX_POOLED;
         let mut buf = if pooled {
             self.claim(pool_class(len))
         } else {
             zeroed_backing(len)
         };
-        // Infallible: a fresh backing has one owner, and a shelved one had
-        // none but the pool when it was shelved and can gain none since.
-        let bytes = Arc::get_mut(&mut buf).expect("claimed backing has no other owner");
-        fill(&mut bytes[..len]);
+        // Writes in place, never copying: a fresh backing has one owner,
+        // and a shelved one had none but the pool when it was shelved and
+        // can gain none since.
+        fill(&mut Arc::make_mut(&mut buf)[..len]);
         if pooled {
             self.out_bytes += len;
             self.peak_out_bytes = self.peak_out_bytes.max(self.out_bytes);
@@ -345,8 +360,9 @@ impl PayloadPool {
         // The front is pinned and the class has nothing free in sight:
         // look behind it before allocating.
         for _ in 0..self.out.len() {
-            // Infallible: the loop bound counted this entry.
-            let (front, _) = self.out.front_mut().expect("queue outlasts its length");
+            let Some((front, _)) = self.out.front_mut() else {
+                break;
+            };
             if Arc::get_mut(front).is_none() {
                 self.out.rotate_left(1);
                 continue;
@@ -363,10 +379,10 @@ impl PayloadPool {
 
     /// Moves the front of `out`, known free, onto its class's stack.
     fn shelve_front(&mut self) {
-        // Infallible: both callers have just tested the front.
-        let (buf, len) = self.out.pop_front().expect("caller saw a front");
-        self.out_bytes -= len as usize;
-        self.free[pool_class(buf.len())].push(buf);
+        if let Some((buf, len)) = self.out.pop_front() {
+            self.out_bytes -= len as usize;
+            self.free[pool_class(buf.len())].push(buf);
+        }
     }
 
     /// What the pool holds (instrumentation/tests).
@@ -476,13 +492,16 @@ impl ByteRope {
         }
         let mut start = off;
         let mut iter = self.chunks.iter();
-        // Skip chunks wholly before the window.
-        let first = loop {
-            let chunk = iter.next().expect("offset within rope");
-            if start < chunk.len() {
-                break chunk;
+        // Skip chunks wholly before the window; the assert above puts
+        // byte `off` in one of them.
+        let Some(first) = iter.find(|chunk| {
+            let holds = start < chunk.len();
+            if !holds {
+                start -= chunk.len();
             }
-            start -= chunk.len();
+            holds
+        }) else {
+            return PayloadBytes::empty();
         };
         if start + len <= first.len() {
             return first.slice(start..start + len);
@@ -492,8 +511,10 @@ impl ByteRope {
         self.pool.gather(len, |out| {
             let (head, mut rest) = out.split_at_mut(first.len() - start);
             head.copy_from_slice(&first[start..]);
-            while !rest.is_empty() {
-                let chunk = iter.next().expect("length within rope");
+            for chunk in iter {
+                if rest.is_empty() {
+                    break;
+                }
                 let (filled, tail) = rest.split_at_mut(rest.len().min(chunk.len()));
                 filled.copy_from_slice(&chunk[..filled.len()]);
                 rest = tail;
@@ -507,8 +528,8 @@ impl ByteRope {
     pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len, "advance {n} past rope of {} bytes", self.len);
         let mut left = n;
-        while left > 0 {
-            let head = self.chunks.front_mut().expect("bytes remain");
+        // The assert above leaves a chunk under every byte to drop.
+        while let Some(head) = self.chunks.front_mut().filter(|_| left > 0) {
             if left >= head.len() {
                 left -= head.len();
                 self.chunks.pop_front();

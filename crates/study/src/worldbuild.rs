@@ -129,7 +129,7 @@ pub fn build_session_world_gw(
 
     // --- topology --- (declared on the last world's builder storage)
     let mut b = std::mem::take(&mut scratch.builder);
-    b.clear();
+    b.renew();
     let client = b.host(); // host 0
     let server = b.host(); // host 1
     let cloud_a = b.router();

@@ -17,7 +17,7 @@ use rv_rtsp::{
 use rv_server::{ReceiverReport, REPORT_PARAM};
 use rv_sim::trace::{self, TraceEvent};
 use rv_sim::{SimDuration, SimTime};
-use rv_transport::{Stack, StackStorage, TcpError, TcpHandle, UdpHandle};
+use rv_transport::{Stack, TcpError, TcpHandle, UdpHandle};
 
 use crate::metrics::{finalize, SessionMetrics, SessionOutcome};
 
@@ -154,11 +154,11 @@ impl Phase {
 /// Recyclable client storage: every per-attempt component a
 /// [`TracerClient`] holds for its whole life — the RTSP session, the
 /// control decoder and staging buffer, the player, the TCP depacketizer,
-/// the playout event log, the config's strings — handed back from
-/// [`TracerClient::into_scratch`] scrubbed to a fresh component's state
-/// with the storage it grew, for the next session's client. Holds no session state, so a client built on a
-/// retired client's scratch behaves bit-identically to one built on
-/// `ClientScratch::default()`.
+/// the playout event log, the config's strings — handed back as it was
+/// from [`TracerClient::into_scratch`] for the next session's client,
+/// which renews each component (`ClientScratch::renew`). Only capacity
+/// carries over, so a client built on a retired client's scratch behaves
+/// bit-identically to one built on `ClientScratch::default()`.
 #[derive(Debug, Default)]
 pub struct ClientScratch {
     session: ClientSession,
@@ -168,11 +168,12 @@ pub struct ClientScratch {
     encode_buf: Vec<u8>,
     player: Player,
     depkt: StreamDepacketizer,
-    /// The storage of the stack this client ran on: every socket's ropes,
-    /// pools and queues. [`client_endpoint`](crate::client_endpoint)
-    /// starts the next stack on it, `SessionWorld::retire` puts it back.
-    pub sockets: StackStorage,
-    /// The retired config's URL and gateway list, emptied.
+    /// The retired stack this client ran on.
+    /// [`client_endpoint`](crate::client_endpoint) renews it for the next
+    /// session, `SessionWorld::retire` puts it back.
+    pub stack: Stack,
+    /// The retired config's URL and gateway list, which
+    /// [`ClientScratch::config`] empties.
     url: String,
     gateway: Vec<GatewayEndpoint>,
 }
@@ -183,9 +184,13 @@ impl ClientScratch {
     /// gateway plan into `gateway`, and neither allocates what the last
     /// session's did not outgrow.
     pub fn config(&mut self, server_ctrl: Addr, server_data: Addr) -> ClientConfig {
+        let mut url = std::mem::take(&mut self.url);
+        let mut gateway = std::mem::take(&mut self.gateway);
+        url.clear();
+        gateway.clear();
         ClientConfig {
-            url: std::mem::take(&mut self.url),
-            gateway: std::mem::take(&mut self.gateway),
+            url,
+            gateway,
             ..ClientConfig::new("", server_ctrl, server_data)
         }
     }
@@ -199,12 +204,16 @@ impl ClientScratch {
             + self.events.capacity() * std::mem::size_of::<PlayoutEvent>()
     }
 
-    /// Scrubs what an attempt leaves in the decoder, the depacketizer and
-    /// the event log.
-    fn reset_attempt(&mut self) {
-        self.decoder.reset();
-        self.depkt.reset();
+    /// Returns every per-attempt component to the state a client for
+    /// `cfg` starts an attempt in, keeping its storage: the one scrub,
+    /// run by [`TracerClient::new`] and at every relaunch.
+    fn renew(&mut self, cfg: &ClientConfig) {
+        self.session.renew(&cfg.url);
+        self.decoder.renew();
         self.events.clear();
+        self.encode_buf.clear();
+        self.player.renew(cfg.playout, cfg.cpu_power);
+        self.depkt.renew();
     }
 }
 
@@ -279,8 +288,7 @@ impl TracerClient {
         udp: UdpHandle,
         mut scratch: ClientScratch,
     ) -> Self {
-        scratch.session.renew(&cfg.url);
-        scratch.player.renew(cfg.playout, cfg.cpu_power);
+        scratch.renew(&cfg);
         let backoff = cfg.retry_backoff;
         TracerClient {
             cfg,
@@ -315,23 +323,12 @@ impl TracerClient {
         }
     }
 
-    /// Retires this client, harvesting its components — each scrubbed to
-    /// a fresh one's state, capacity kept — for the next session's client.
+    /// Retires this client, harvesting its components and its config's
+    /// strings for the next session's client, which renews them.
     pub fn into_scratch(self) -> ClientScratch {
         let mut scratch = self.scratch;
-        scratch.reset_attempt();
-        scratch.session.renew("");
-        scratch.encode_buf.clear();
-        scratch.player.renew(PlayoutConfig::default(), 1.0);
-        let ClientConfig {
-            mut url,
-            mut gateway,
-            ..
-        } = self.cfg;
-        url.clear();
-        gateway.clear();
-        scratch.url = url;
-        scratch.gateway = gateway;
+        scratch.url = self.cfg.url;
+        scratch.gateway = self.cfg.gateway;
         scratch
     }
 
@@ -708,10 +705,7 @@ impl TracerClient {
         while stack.udp(self.udp).recv().is_some() {}
         // A fresh protocol stack for the next attempt; the wall clock
         // (start_time) and the retry/hop ledgers carry over.
-        let (cfg, scratch) = (&self.cfg, &mut self.scratch);
-        scratch.session.renew(&cfg.url);
-        scratch.reset_attempt();
-        scratch.player.renew(cfg.playout, cfg.cpu_power);
+        self.scratch.renew(&self.cfg);
         self.transport = None;
         self.rung_seen = None;
         self.clip = None;

@@ -60,7 +60,8 @@ pub fn server_endpoint(
     seed: u64,
     mut scratch: ServerScratch,
 ) -> (Stack, RealServer) {
-    let mut stack = Stack::on_storage(host, std::mem::take(&mut scratch.sockets));
+    let mut stack = std::mem::take(&mut scratch.stack);
+    stack.renew(host);
     let ctrl = stack.tcp_socket(ports::CTRL, TcpConfig::default());
     let data = stack.tcp_socket(ports::DATA_TCP, data_tcp);
     let udp = stack.udp_socket(cfg.data_udp_port);
@@ -81,7 +82,8 @@ pub fn client_endpoint(
     cfg: ClientConfig,
     mut scratch: ClientScratch,
 ) -> (Stack, TracerClient) {
-    let mut stack = Stack::on_storage(host, std::mem::take(&mut scratch.sockets));
+    let mut stack = std::mem::take(&mut scratch.stack);
+    stack.renew(host);
     let ctrl = stack.tcp_socket(ports::CLIENT_CTRL, TcpConfig::default());
     let data = stack.tcp_socket(ports::CLIENT_DATA, data_tcp);
     let udp = stack.udp_socket(cfg.udp_port);
@@ -141,10 +143,10 @@ pub fn two_host_world(
 
 /// Recycled storage carried from one retired [`SessionWorld`] to the
 /// next: [`SessionWorld::retire`] fills it, the next world's builder
-/// takes what it needs (leaving cold defaults behind). Everything inside
-/// is capacity-only — retired worlds are scrubbed of session state before
-/// harvesting — so worlds built on warm storage are bit-identical to
-/// worlds built on `WorldScratch::default()`. The campaign keeps one of
+/// takes what it needs (leaving cold defaults behind) and renews each
+/// component it takes. Only capacity survives a renew, so worlds built on
+/// warm storage are bit-identical to worlds built on
+/// `WorldScratch::default()`. The campaign keeps one of
 /// these per worker and threads it through consecutive sessions.
 #[derive(Debug, Default)]
 pub struct WorldScratch {
@@ -591,25 +593,25 @@ impl SessionWorld {
         c
     }
 
-    /// Retires this world, harvesting its recyclable storage into
-    /// `scratch` for the next session: the network, the client's buffers
-    /// and every server's, each into its replica's slot. The network is
-    /// scrubbed here (not at rebuild) so in-flight payload `Arc`s drop now
-    /// and their pool backings are free for reuse by the time the next
-    /// server copies packets in.
-    pub fn retire(mut self, scratch: &mut WorldScratch) {
+    /// Retires this world, moving its recyclable storage into `scratch`
+    /// for the next session: the network, the client with its stack and
+    /// every server with its stack, each into its replica's slot. Nothing
+    /// is scrubbed here: the next build renews each component before
+    /// anything claims from a payload pool, so the payloads a retired
+    /// component still holds are dropped before their backings are
+    /// wanted.
+    pub fn retire(self, scratch: &mut WorldScratch) {
         scratch.work.instants += self.work.instants;
         scratch.work.light_instants += self.work.light_instants;
         scratch.work.settle_guard_trips += self.work.settle_guard_trips;
-        self.net.reset_for_rebuild();
         scratch.net = self.net;
         scratch.client = self.client.into_scratch();
-        scratch.client.sockets = self.client_stack.into_storage();
+        scratch.client.stack = self.client_stack;
         let primary = (self.server_stack, self.server);
         let servers = std::iter::once(primary).chain(self.replicas);
         for (r, (stack, server)) in servers.enumerate() {
             let mut harvested = server.into_scratch();
-            harvested.sockets = stack.into_storage();
+            harvested.stack = stack;
             match scratch.servers.get_mut(r) {
                 Some(slot) => *slot = harvested,
                 None => scratch.servers.push(harvested),

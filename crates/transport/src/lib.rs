@@ -18,6 +18,6 @@ mod udp;
 pub use segment::{
     Segment, TcpFlags, TcpSegment, UdpDatagram, DEFAULT_MSS, TCP_HEADER_BYTES, UDP_HEADER_BYTES,
 };
-pub use stack::{Stack, StackStorage, TcpHandle, UdpHandle};
+pub use stack::{Stack, TcpHandle, UdpHandle};
 pub use tcp::{TcpConfig, TcpError, TcpSocket, TcpState, TcpStats};
 pub use udp::{UdpSocket, UdpStats};

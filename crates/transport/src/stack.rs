@@ -7,8 +7,8 @@ use rv_net::{Addr, HostId, Network, Packet};
 use rv_sim::SimTime;
 
 use crate::segment::{Segment, TcpFlags, TcpSegment};
-use crate::tcp::{TcpConfig, TcpSocket, TcpState, TcpStorage};
-use crate::udp::{UdpSocket, UdpStorage};
+use crate::tcp::{TcpConfig, TcpSocket, TcpState};
+use crate::udp::UdpSocket;
 use rv_sim::PayloadBytes;
 
 /// Handle to a TCP socket within a [`Stack`].
@@ -18,41 +18,6 @@ pub struct TcpHandle(usize);
 /// Handle to a UDP socket within a [`Stack`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHandle(usize);
-
-/// A retired stack's storage: every socket's ropes, pools and queues and
-/// the stack's own vectors, emptied, for the next stack of its shape —
-/// [`Stack::on_storage`] hands socket `i`'s storage to the `i`-th socket
-/// created, so each inherits the working set its predecessor grew.
-/// Capacity only: a stack on warm storage behaves bit-identically to
-/// [`Stack::new`]'s.
-#[derive(Debug, Default)]
-pub struct StackStorage {
-    /// TCP sockets' storage in creation order, reversed: the next on top.
-    tcp: Vec<TcpStorage>,
-    /// UDP sockets' queues, likewise.
-    udp: Vec<UdpStorage>,
-    /// The stack's own vectors, empty.
-    tcp_sockets: Vec<TcpSocket>,
-    udp_sockets: Vec<UdpSocket>,
-    pending_rsts: Vec<Packet<Segment>>,
-}
-
-impl StackStorage {
-    /// Bytes of storage held: what a retired stack carries into the next
-    /// session, and what a test of the recycling contract reads to see
-    /// that a warm session grew none.
-    pub fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let tcp: usize = self.tcp.iter().map(TcpStorage::retained_bytes).sum();
-        let udp: usize = self.udp.iter().map(UdpStorage::retained_bytes).sum();
-        tcp + udp
-            + self.tcp.capacity() * size_of::<TcpStorage>()
-            + self.udp.capacity() * size_of::<UdpStorage>()
-            + self.tcp_sockets.capacity() * size_of::<TcpSocket>()
-            + self.udp_sockets.capacity() * size_of::<UdpSocket>()
-            + self.pending_rsts.capacity() * size_of::<Packet<Segment>>()
-    }
-}
 
 /// The transport stack of one host.
 #[derive(Debug)]
@@ -86,55 +51,72 @@ pub struct Stack {
     /// Debug builds recompute the sweep on every query and assert the
     /// memo equals it.
     attention: Cell<Option<(bool, SimTime)>>,
-    /// Retired sockets' storage for the sockets still to be created, the
-    /// next one's on top (see [`Stack::on_storage`]).
-    spare_tcp: Vec<TcpStorage>,
-    spare_udp: Vec<UdpStorage>,
+    /// Retired sockets for the sockets still to be created, the next
+    /// one's on top: [`Stack::renew`] moves the live sockets here, so the
+    /// `i`-th socket created renews the `i`-th the last session created
+    /// and inherits the working set it grew.
+    spare_tcp: Vec<TcpSocket>,
+    spare_udp: Vec<UdpSocket>,
+}
+
+/// An empty stack for host 0: the retired stack a cold scratch holds.
+impl Default for Stack {
+    fn default() -> Self {
+        Stack::new(HostId(0))
+    }
 }
 
 impl Stack {
     /// Creates an empty stack for `host`.
     pub fn new(host: HostId) -> Self {
-        Stack::on_storage(host, StackStorage::default())
-    }
-
-    /// An empty stack for `host` on a retired stack's storage
-    /// ([`Stack::into_storage`]): its vectors, and for the sockets it
-    /// creates, in creation order, the storage of the sockets the retired
-    /// stack created in that order. Sockets past the end start cold.
-    pub fn on_storage(host: HostId, storage: StackStorage) -> Self {
         Stack {
             host,
-            tcp: storage.tcp_sockets,
-            udp: storage.udp_sockets,
+            tcp: Vec::new(),
+            udp: Vec::new(),
             dropped_no_socket: 0,
-            pending_rsts: storage.pending_rsts,
+            pending_rsts: Vec::new(),
             udp_blackhole: false,
             udp_blackholed: 0,
             attention: Cell::new(None),
-            spare_tcp: storage.tcp,
-            spare_udp: storage.udp,
+            spare_tcp: Vec::new(),
+            spare_udp: Vec::new(),
         }
     }
 
-    /// Retires the stack, keeping every socket's storage and its own
-    /// vectors, emptied — each byte, payload and packet it held is
-    /// dropped here. Storage the stack was given and never used is not
-    /// kept.
-    pub fn into_storage(mut self) -> StackStorage {
-        let (mut tcp, mut udp) = (self.spare_tcp, self.spare_udp);
-        tcp.clear();
-        udp.clear();
-        tcp.extend(self.tcp.drain(..).rev().map(TcpSocket::into_storage));
-        udp.extend(self.udp.drain(..).rev().map(UdpSocket::into_storage));
-        self.pending_rsts.clear();
-        StackStorage {
-            tcp,
-            udp,
-            tcp_sockets: self.tcp,
-            udp_sockets: self.udp,
-            pending_rsts: self.pending_rsts,
-        }
+    /// Returns to [`Stack::new`]`(host)`'s state, keeping its vectors'
+    /// storage and its sockets as spares, which [`Stack::tcp_socket`] and
+    /// [`Stack::udp_socket`] renew in creation order. Spares the last
+    /// session never used are not kept.
+    pub fn renew(&mut self, host: HostId) {
+        let mut spare_tcp = std::mem::take(&mut self.spare_tcp);
+        let mut spare_udp = std::mem::take(&mut self.spare_udp);
+        spare_tcp.clear();
+        spare_udp.clear();
+        spare_tcp.extend(self.tcp.drain(..).rev());
+        spare_udp.extend(self.udp.drain(..).rev());
+        let mut pending_rsts = std::mem::take(&mut self.pending_rsts);
+        pending_rsts.clear();
+        *self = Stack {
+            tcp: std::mem::take(&mut self.tcp),
+            udp: std::mem::take(&mut self.udp),
+            pending_rsts,
+            spare_tcp,
+            spare_udp,
+            ..Stack::new(host)
+        };
+    }
+
+    /// Bytes of storage held, live sockets and spares: what a retired
+    /// stack carries into the next session.
+    pub fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let tcp = self.tcp.iter().chain(&self.spare_tcp);
+        let udp = self.udp.iter().chain(&self.spare_udp);
+        tcp.map(TcpSocket::retained_bytes).sum::<usize>()
+            + udp.map(UdpSocket::retained_bytes).sum::<usize>()
+            + (self.tcp.capacity() + self.spare_tcp.capacity()) * size_of::<TcpSocket>()
+            + (self.udp.capacity() + self.spare_udp.capacity()) * size_of::<UdpSocket>()
+            + self.pending_rsts.capacity() * size_of::<Packet<Segment>>()
     }
 
     /// The host this stack belongs to.
@@ -146,8 +128,14 @@ impl Stack {
     pub fn tcp_socket(&mut self, port: u16, cfg: TcpConfig) -> TcpHandle {
         self.attention.set(None);
         let local = Addr::new(self.host, port);
-        let storage = self.spare_tcp.pop().unwrap_or_default();
-        self.tcp.push(TcpSocket::on_storage(local, cfg, storage));
+        let socket = match self.spare_tcp.pop() {
+            Some(mut spare) => {
+                spare.renew(local, cfg);
+                spare
+            }
+            None => TcpSocket::new(local, cfg),
+        };
+        self.tcp.push(socket);
         TcpHandle(self.tcp.len() - 1)
     }
 
@@ -155,8 +143,14 @@ impl Stack {
     pub fn udp_socket(&mut self, port: u16) -> UdpHandle {
         self.attention.set(None);
         let local = Addr::new(self.host, port);
-        let storage = self.spare_udp.pop().unwrap_or_default();
-        self.udp.push(UdpSocket::on_storage(local, storage));
+        let socket = match self.spare_udp.pop() {
+            Some(mut spare) => {
+                spare.renew(local);
+                spare
+            }
+            None => UdpSocket::new(local),
+        };
+        self.udp.push(socket);
         UdpHandle(self.udp.len() - 1)
     }
 
@@ -524,53 +518,6 @@ mod tests {
             got > 150 && got < 200,
             "got {got}: loss should drop some but not most"
         );
-    }
-
-    /// Recycled storage is capacity only: a stack pair on the storage a
-    /// lossy transfer left behind — ropes and their pools, out-of-order
-    /// and ACK queues, UDP queues — repeats that transfer exactly.
-    #[test]
-    fn stacks_on_retired_storage_repeat_a_transfer_exactly() {
-        let params = LinkParams::lan()
-            .rate(500_000.0)
-            .delay(SimDuration::from_millis(20))
-            .loss(0.05);
-        let run = |[client, server]: [StackStorage; 2]| {
-            let (mut net, _, _) = world(params);
-            let mut cs = Stack::on_storage(HostId(0), client);
-            let mut ss = Stack::on_storage(HostId(1), server);
-            let (ch, cu) = (
-                cs.tcp_socket(2000, TcpConfig::default()),
-                cs.udp_socket(5000),
-            );
-            let sh = ss.tcp_socket(554, TcpConfig::default());
-            ss.tcp(sh).listen();
-            cs.tcp(ch).connect(Addr::new(HostId(1), 554), SimTime::ZERO);
-            let payload: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
-            cs.tcp(ch).send(&payload);
-            for i in 0..50u8 {
-                cs.udp(cu).send_to(Addr::new(HostId(1), 9), vec![i; 300]);
-            }
-            let (mut now, mut received) = (SimTime::ZERO, Vec::new());
-            for step in 1..400 {
-                drive(
-                    &mut net,
-                    &mut cs,
-                    &mut ss,
-                    &mut now,
-                    SimTime::from_millis(step * 100),
-                );
-                received.extend(ss.tcp(sh).recv(usize::MAX));
-            }
-            assert_eq!(received, payload);
-            let seen = (cs.total_tcp_stats(), ss.total_tcp_stats(), net.delivered());
-            (seen, [cs.into_storage(), ss.into_storage()])
-        };
-        let (cold, storage) = run(Default::default());
-        assert!(storage.iter().all(|s| s.retained_bytes() > 0));
-        assert!(cold.0.retransmits > 0, "the path must lose segments");
-        let (warm, _) = run(storage);
-        assert_eq!(warm, cold);
     }
 
     #[test]

@@ -112,29 +112,6 @@ pub struct TcpStats {
     pub bytes_delivered: u64,
 }
 
-/// A retired socket's storage: both ropes (chunk deques and payload
-/// pools), the out-of-order queue and the ACK queue, emptied. Capacity
-/// only — [`TcpSocket::on_storage`] starts a socket on it that behaves
-/// bit-identically to [`TcpSocket::new`]'s.
-#[derive(Debug, Default)]
-pub(crate) struct TcpStorage {
-    send_buf: ByteRope,
-    recv_buf: ByteRope,
-    ooo: Vec<(u64, PayloadBytes)>,
-    pending_acks: VecDeque<(u64, u32)>,
-}
-
-impl TcpStorage {
-    /// Bytes of storage held.
-    pub(crate) fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.send_buf.retained_bytes()
-            + self.recv_buf.retained_bytes()
-            + self.ooo.capacity() * size_of::<(u64, PayloadBytes)>()
-            + self.pending_acks.capacity() * size_of::<(u64, u32)>()
-    }
-}
-
 /// A TCP connection endpoint.
 #[derive(Debug)]
 pub struct TcpSocket {
@@ -215,17 +192,6 @@ pub struct TcpSocket {
 impl TcpSocket {
     /// Creates a closed socket bound to `local`.
     pub fn new(local: Addr, cfg: TcpConfig) -> Self {
-        TcpSocket::on_storage(local, cfg, TcpStorage::default())
-    }
-
-    /// [`TcpSocket::new`] on a retired socket's storage.
-    pub(crate) fn on_storage(local: Addr, cfg: TcpConfig, storage: TcpStorage) -> Self {
-        let TcpStorage {
-            send_buf,
-            recv_buf,
-            ooo,
-            pending_acks,
-        } = storage;
         TcpSocket {
             cfg,
             local,
@@ -235,7 +201,7 @@ impl TcpSocket {
             snd_una: 0,
             snd_nxt: 0,
             buf_seq: 1,
-            send_buf,
+            send_buf: ByteRope::new(),
             cwnd: f64::from(cfg.initial_cwnd_segments * cfg.mss),
             ssthresh: f64::from(cfg.initial_ssthresh),
             rwnd: cfg.recv_capacity as u32,
@@ -248,13 +214,13 @@ impl TcpSocket {
             rto_deadline: None,
             rtt_sample: None,
             rcv_nxt: 0,
-            recv_buf,
-            ooo,
+            recv_buf: ByteRope::new(),
+            ooo: Vec::new(),
             ooo_bytes: 0,
             peer_fin: false,
             fin_seq: None,
             close_requested: false,
-            pending_acks,
+            pending_acks: VecDeque::new(),
             pending_retransmit: false,
             syn_retries: 0,
             last_error: None,
@@ -263,20 +229,35 @@ impl TcpSocket {
         }
     }
 
-    /// Retires the socket, keeping its storage emptied: every byte and
-    /// payload it held is dropped here.
-    pub(crate) fn into_storage(self) -> TcpStorage {
-        let mut storage = TcpStorage {
-            send_buf: self.send_buf,
-            recv_buf: self.recv_buf,
-            ooo: self.ooo,
-            pending_acks: self.pending_acks,
+    /// Returns to [`TcpSocket::new`]`(local, cfg)`'s state, keeping the
+    /// storage both ropes (chunk deques and payload pools), the
+    /// out-of-order queue and the ACK queue grew. Every byte and payload
+    /// the socket held is dropped here.
+    pub(crate) fn renew(&mut self, local: Addr, cfg: TcpConfig) {
+        let mut send_buf = std::mem::take(&mut self.send_buf);
+        let mut recv_buf = std::mem::take(&mut self.recv_buf);
+        let mut ooo = std::mem::take(&mut self.ooo);
+        let mut pending_acks = std::mem::take(&mut self.pending_acks);
+        send_buf.clear();
+        recv_buf.clear();
+        ooo.clear();
+        pending_acks.clear();
+        *self = TcpSocket {
+            send_buf,
+            recv_buf,
+            ooo,
+            pending_acks,
+            ..TcpSocket::new(local, cfg)
         };
-        storage.send_buf.clear();
-        storage.recv_buf.clear();
-        storage.ooo.clear();
-        storage.pending_acks.clear();
-        storage
+    }
+
+    /// Bytes of storage held: both ropes, the out-of-order and ACK queues.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.send_buf.retained_bytes()
+            + self.recv_buf.retained_bytes()
+            + self.ooo.capacity() * size_of::<(u64, PayloadBytes)>()
+            + self.pending_acks.capacity() * size_of::<(u64, u32)>()
     }
 
     /// The local endpoint.
@@ -735,10 +716,10 @@ impl TcpSocket {
     }
 
     fn update_rtt(&mut self, sample: SimDuration) {
-        match self.srtt {
+        let srtt = match self.srtt {
             None => {
-                self.srtt = Some(sample);
                 self.rttvar = sample / 2;
+                sample
             }
             Some(srtt) => {
                 let delta = if sample > srtt {
@@ -748,10 +729,10 @@ impl TcpSocket {
                 };
                 // RTTVAR = 3/4 RTTVAR + 1/4 |delta|; SRTT = 7/8 SRTT + 1/8 sample.
                 self.rttvar = (self.rttvar * 3) / 4 + delta / 4;
-                self.srtt = Some((srtt * 7) / 8 + sample / 8);
+                (srtt * 7) / 8 + sample / 8
             }
-        }
-        let srtt = self.srtt.expect("set above");
+        };
+        self.srtt = Some(srtt);
         self.rto = (srtt + (self.rttvar * 4).max(SimDuration::from_millis(10)))
             .clamp(self.cfg.min_rto, self.cfg.max_rto);
     }

@@ -24,22 +24,6 @@ pub struct UdpStats {
     pub bytes_received: u64,
 }
 
-/// A retired socket's queues, emptied (capacity only).
-#[derive(Debug, Default)]
-pub(crate) struct UdpStorage {
-    outbox: VecDeque<Packet<Segment>>,
-    inbox: VecDeque<(Addr, PayloadBytes)>,
-}
-
-impl UdpStorage {
-    /// Bytes of storage held.
-    pub(crate) fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.outbox.capacity() * size_of::<Packet<Segment>>()
-            + self.inbox.capacity() * size_of::<(Addr, PayloadBytes)>()
-    }
-}
-
 /// An unconnected UDP socket.
 #[derive(Debug)]
 pub struct UdpSocket {
@@ -55,30 +39,34 @@ pub struct UdpSocket {
 impl UdpSocket {
     /// Creates a socket bound to `local`.
     pub fn new(local: Addr) -> Self {
-        UdpSocket::on_storage(local, UdpStorage::default())
-    }
-
-    /// [`UdpSocket::new`] on a retired socket's queues.
-    pub(crate) fn on_storage(local: Addr, storage: UdpStorage) -> Self {
         UdpSocket {
             local,
-            outbox: storage.outbox,
-            inbox: storage.inbox,
+            outbox: VecDeque::new(),
+            inbox: VecDeque::new(),
             inbox_capacity: 4096,
             stats: UdpStats::default(),
         }
     }
 
-    /// Retires the socket, keeping its queues emptied: every datagram it
-    /// held is dropped here.
-    pub(crate) fn into_storage(self) -> UdpStorage {
-        let mut storage = UdpStorage {
-            outbox: self.outbox,
-            inbox: self.inbox,
+    /// Returns to [`UdpSocket::new`]`(local)`'s state, keeping both
+    /// queues' storage. Every datagram the socket held is dropped here.
+    pub(crate) fn renew(&mut self, local: Addr) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let mut inbox = std::mem::take(&mut self.inbox);
+        outbox.clear();
+        inbox.clear();
+        *self = UdpSocket {
+            outbox,
+            inbox,
+            ..UdpSocket::new(local)
         };
-        storage.outbox.clear();
-        storage.inbox.clear();
-        storage
+    }
+
+    /// Bytes of storage held: both queues.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.outbox.capacity() * size_of::<Packet<Segment>>()
+            + self.inbox.capacity() * size_of::<(Addr, PayloadBytes)>()
     }
 
     /// The local endpoint.

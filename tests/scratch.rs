@@ -69,8 +69,8 @@ fn warm_scratch_in_any_order_equals_cold_scratch() {
     // Nor does the client's player, depacketizer and event log, nor any
     // socket's ropes, pools and queues, client's or server's.
     let player_and_sockets = |scratch: &WorldScratch| -> (usize, Vec<usize>) {
-        let servers = scratch.servers.iter().map(|s| s.sockets.retained_bytes());
-        let sockets = std::iter::once(scratch.client.sockets.retained_bytes()).chain(servers);
+        let servers = scratch.servers.iter().map(|s| s.stack.retained_bytes());
+        let sockets = std::iter::once(scratch.client.stack.retained_bytes()).chain(servers);
         (scratch.client.player_bytes(), sockets.collect())
     };
     let warm = frame_capacity(&scratch);
