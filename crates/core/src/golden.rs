@@ -1,20 +1,28 @@
-//! Bit-identity against history, checked by a machine.
+//! Bit-identity, checked by a machine: the one executable spec that a
+//! campaign's output is a pure function of its seed and configuration.
 //!
 //! `GOLDEN.json` (repository root) records, for a small fixed matrix of
-//! campaign configurations, one digest of everything the campaign prints
-//! — the played-session dump, all figures, the failure report — and,
-//! apart from it, one of the counter totals: adding a counter changes
-//! one digest per configuration, never the other. `repro golden --check`
-//! recomputes the matrix and names the first configuration that differs;
-//! `repro golden --record` rewrites the file. A change that *means* to
-//! alter behaviour bumps the file's `epoch` and re-records in the same
-//! commit, so "bit-identical" and "deliberately different" are both
-//! explicit states of the repository.
+//! campaign configurations, three digests: everything the campaign
+//! prints (the played-session dump, all figures, the failure report);
+//! every retained [`SessionRecord`] at full precision, played or not,
+//! its counters included; and the counter totals. Adding a counter moves
+//! the last two and leaves the first as proof that nothing printed
+//! moved. `repro golden --check` recomputes the matrix and names the
+//! first configuration that differs; `repro golden --record` rewrites
+//! the file. A change that *means* to alter behaviour bumps the file's
+//! `epoch` and re-records in the same commit, so "bit-identical" and
+//! "deliberately different" are both explicit states of the repository.
+//!
+//! Checking the matrix at one worker and at several, in a debug build
+//! and a release build, is the whole contract: both sides match the
+//! committed digests, so `--jobs 1` equals `--jobs k` and debug equals
+//! release (whose debug-only slow paths assert that the skipped work was
+//! a no-op), and both equal history.
 
 use std::fmt::Write as _;
 
 use rv_sim::{FaultScenario, Fnv};
-use rv_study::{run_campaign_with_records, GatewayPolicy, StudyData, StudyParams};
+use rv_study::{run_campaign_with_records, GatewayPolicy, SessionRecord, StudyData, StudyParams};
 
 use crate::analysis::dump_table;
 use crate::figures::all_figures;
@@ -24,22 +32,28 @@ use crate::figures::all_figures;
 /// every transport, outcome class and fault kind occurs.
 pub const SCALE: f64 = 0.05;
 
-/// The configurations: faults off/on × replicas 1/2 (two replicas sit
-/// behind the nearest-healthy gateway, as in CI's cluster dumps).
-pub const CONFIGS: [(&str, bool, u8); 4] = [
-    ("faults=off replicas=1", false, 1),
-    ("faults=on replicas=1", true, 1),
-    ("faults=off replicas=2", false, 2),
-    ("faults=on replicas=2", true, 2),
+/// The configurations: `(name, seed, faults, replicas)`, the seed `None`
+/// for the default. Faults off/on × replicas 1/2 (two replicas sit
+/// behind the nearest-healthy gateway), plus a second seed with faults
+/// on a single server, where hardened clients stream to their watch
+/// limit.
+pub const CONFIGS: [(&str, Option<u64>, bool, u8); 5] = [
+    ("faults=off replicas=1", None, false, 1),
+    ("faults=on replicas=1", None, true, 1),
+    ("faults=off replicas=2", None, false, 2),
+    ("faults=on replicas=2", None, true, 2),
+    ("seed=777 faults=on replicas=1", Some(777), true, 1),
 ];
 
-/// One configuration's two fingerprints.
+/// One configuration's three fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Digests {
     /// Dump, figures and failure report.
     pub artifacts: u64,
     /// Counter names and totals.
     pub counters: u64,
+    /// Every retained record, in plan order, at full precision.
+    pub records: u64,
 }
 
 /// Fingerprints a finished campaign (one run with records retained).
@@ -59,18 +73,36 @@ pub fn digests(data: &StudyData) -> Digests {
     Digests {
         artifacts: artifacts.finish(),
         counters: counters.finish(),
+        records: records_digest(data.records()),
     }
+}
+
+/// What the dump rounds and the aggregates never read — metrics at full
+/// precision, unplayed attempts, ratings, per-record counters — hashed
+/// through each record's `Debug` form.
+fn records_digest(records: &[SessionRecord]) -> u64 {
+    let mut digest = Fnv::default();
+    let mut line = String::new();
+    for record in records {
+        line.clear();
+        let _ = write!(line, "{record:?}");
+        digest.field(line.as_bytes());
+    }
+    digest.finish()
 }
 
 /// Runs the matrix on `jobs` workers (the digests do not depend on it).
 pub fn compute(jobs: usize) -> Result<Vec<(&'static str, Digests)>, String> {
-    let run = |&(name, faults, replicas): &(&'static str, bool, u8)| {
+    let run = |&(name, seed, faults, replicas): &(&'static str, Option<u64>, bool, u8)| {
         let mut params = StudyParams {
             scale: SCALE,
             jobs,
             replicas,
             ..StudyParams::default()
         };
+        if let Some(seed) = seed {
+            params.seed = seed;
+        }
         if faults {
             params.faults = FaultScenario::default_on();
         }
@@ -91,8 +123,8 @@ pub fn render(epoch: u32, rows: &[(&str, Digests)]) -> String {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"config\": \"{name}\", \"artifacts\": \"{:016x}\", \"counters\": \"{:016x}\"}}{comma}",
-            d.artifacts, d.counters
+            "    {{\"config\": \"{name}\", \"artifacts\": \"{:016x}\", \"counters\": \"{:016x}\", \"records\": \"{:016x}\"}}{comma}",
+            d.artifacts, d.counters, d.records
         );
     }
     out.push_str("  ]\n}\n");
@@ -119,6 +151,7 @@ pub fn parse(text: &str) -> Result<(u32, Vec<(String, Digests)>), String> {
             let digests = Digests {
                 artifacts: hex(line, "artifacts")?,
                 counters: hex(line, "counters")?,
+                records: hex(line, "records")?,
             };
             Some((quoted(line, "config")?.to_string(), digests))
         })();
@@ -128,7 +161,7 @@ pub fn parse(text: &str) -> Result<(u32, Vec<(String, Digests)>), String> {
 }
 
 /// Recomputes the matrix and compares it with `golden` (the file's
-/// text), naming the first configuration that differs and which half.
+/// text), naming the first configuration that differs and which digest.
 pub fn check(golden: &str, jobs: usize) -> Result<(), String> {
     let (epoch, recorded) = parse(golden)?;
     let now = compute(jobs)?;
@@ -146,8 +179,12 @@ pub fn check(golden: &str, jobs: usize) -> Result<(), String> {
                 "dump/figures/failure report differ: recorded {:016x}, now {:016x}",
                 was.artifacts, is.artifacts
             ),
+            _ if was.records != is.records => format!(
+                "records differ (dump/figures/failure report identical): recorded {:016x}, now {:016x}",
+                was.records, is.records
+            ),
             _ if was.counters != is.counters => format!(
-                "counter totals differ (artifacts identical): recorded {:016x}, now {:016x}",
+                "counter totals differ (everything else identical): recorded {:016x}, now {:016x}",
                 was.counters, is.counters
             ),
             _ => continue,
@@ -173,6 +210,7 @@ mod tests {
                 Digests {
                     artifacts: 0x1,
                     counters: u64::MAX,
+                    records: 0x42,
                 },
             ),
             (
@@ -180,6 +218,7 @@ mod tests {
                 Digests {
                     artifacts: 0xdead_beef,
                     counters: 0,
+                    records: 0xfeed,
                 },
             ),
         ];

@@ -231,11 +231,6 @@ impl FrameSchedule {
         }
     }
 
-    /// Total encoded bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| u64::from(f.size)).sum()
-    }
-
     /// Index of the first frame with `pts >= t`, or `len()` past the end.
     pub fn first_frame_at(&self, t: SimDuration) -> usize {
         self.frames.partition_point(|f| f.pts < t)
@@ -374,7 +369,8 @@ mod tests {
     fn bitrate_tracks_video_budget() {
         let enc = standard_rung(150_000);
         let s = FrameSchedule::generate(&enc, ContentKind::News, SimDuration::from_secs(120), 7);
-        let bps = s.total_bytes() as f64 * 8.0 / 120.0;
+        let bytes: u64 = s.frames().iter().map(|f| u64::from(f.size)).sum();
+        let bps = bytes as f64 * 8.0 / 120.0;
         let target = f64::from(enc.video_bps());
         // Keyframe overhead pushes realized above target somewhat.
         assert!(

@@ -184,11 +184,6 @@ impl Playout {
         self.stats
     }
 
-    /// Frames waiting in the buffer.
-    pub fn buffered_frames(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Media span buffered ahead of the cursor.
     pub fn buffered_span(&self) -> SimDuration {
         match self.buffer.back() {
@@ -646,6 +641,11 @@ mod tests {
         f2.rung = 2;
         p.push_frame(t, f1);
         p.push_frame(t, f2);
-        assert_eq!(p.buffered_frames(), 1);
+        p.source_ended();
+        let mut rungs = Vec::new();
+        for secs in [11, 12] {
+            rungs.extend(p.poll(SimTime::from_secs(secs)).iter().map(|e| e.rung));
+        }
+        assert_eq!(rungs, [1]);
     }
 }

@@ -59,11 +59,6 @@ impl Catalog {
         self.entry(name).filter(|e| e.available).map(|e| &e.clip)
     }
 
-    /// Looks up a clip regardless of availability.
-    pub fn get_any(&self, name: &str) -> Option<&Arc<Clip>> {
-        self.entry(name).map(|e| &e.clip)
-    }
-
     /// Marks a clip (un)available; returns `false` if unknown.
     pub fn set_available(&mut self, name: &str, available: bool) -> bool {
         match self.find(name) {
@@ -124,7 +119,6 @@ mod tests {
         c.add(clip("a.rm"));
         assert!(c.set_available("a.rm", false));
         assert!(c.get("a.rm").is_none());
-        assert!(c.get_any("a.rm").is_some());
         assert!(c.set_available("a.rm", true));
         assert!(c.get("a.rm").is_some());
         assert!(!c.set_available("nope.rm", false));

@@ -105,11 +105,6 @@ impl TfrcController {
         }
     }
 
-    /// `true` while still in the initial slow-start phase.
-    pub fn in_slow_start(&self) -> bool {
-        self.slow_start
-    }
-
     /// The current allowed sending rate, bits/second.
     pub fn allowed_bps(&self) -> f64 {
         self.allowed_bps
@@ -255,7 +250,6 @@ mod tests {
     #[test]
     fn clean_reports_probe_upward() {
         let mut c = TfrcController::new(TfrcConfig::default(), 20_000.0);
-        assert!(c.in_slow_start());
         // Slow-start doubles per clean report until the configured ceiling.
         let r1 = c.on_report(
             SimTime::from_secs(1),

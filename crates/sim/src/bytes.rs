@@ -561,11 +561,6 @@ impl ByteRope {
         self.len -= read;
         read
     }
-
-    /// Number of chunks currently chained (instrumentation/tests).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
 }
 
 #[cfg(test)]
@@ -629,13 +624,14 @@ mod tests {
         r.push(PayloadBytes::from_vec(vec![4, 5]));
         r.push(PayloadBytes::empty()); // no-op
         assert_eq!(r.len(), 5);
-        assert_eq!(r.chunk_count(), 2);
         r.advance(4);
         assert_eq!(r.len(), 1);
         assert_eq!(r.slice(0, 1), [5u8]);
         r.advance(1);
         assert!(r.is_empty());
-        assert_eq!(r.chunk_count(), 0);
+        // The consumed chunk left the chain: its backing is free again.
+        r.push_slice(&[6]);
+        assert_eq!(r.pool.footprint().backings, 1);
     }
 
     #[test]
@@ -871,6 +867,7 @@ mod tests {
         r.push_slice(&[1, 2, 3]);
         r.clear();
         assert!(r.is_empty());
-        assert_eq!(r.chunk_count(), 0);
+        r.push_slice(&[4]);
+        assert_eq!(r.pool.footprint().backings, 1);
     }
 }

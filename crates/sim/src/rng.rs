@@ -216,16 +216,6 @@ impl SimRng {
         weights.iter().rposition(|w| *w > 0.0)
     }
 
-    /// Picks a reference to a uniformly random element; `None` when empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.range(0..items.len());
-            Some(&items[i])
-        }
-    }
-
     /// Fisher-Yates shuffle, in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -444,13 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn shuffle_permutes() {
         let mut rng = SimRng::seed_from_u64(29);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
-
         let mut v: Vec<u32> = (0..100).collect();
         let orig = v.clone();
         rng.shuffle(&mut v);

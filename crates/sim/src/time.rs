@@ -70,11 +70,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// The duration from `earlier` to `self`; `None` if `earlier` is later.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -382,7 +377,6 @@ mod tests {
         assert_eq!((t + d) - t, d);
         assert_eq!(t.saturating_since(t + d), SimDuration::ZERO);
         assert_eq!((t + d).saturating_since(t), d);
-        assert_eq!(t.checked_since(t + d), None);
     }
 
     #[test]

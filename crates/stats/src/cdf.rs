@@ -57,12 +57,6 @@ impl Cdf {
         *self.sorted.last().expect("nonempty by construction")
     }
 
-    /// Evaluates the CDF at `points.len()` fixed x positions, producing the
-    /// `(x, F(x))` series a figure plots.
-    pub fn series_at(&self, points: &[f64]) -> Vec<(f64, f64)> {
-        points.iter().map(|&x| (x, self.at(x))).collect()
-    }
-
     /// Evaluates the CDF on a uniform grid of `n >= 2` points spanning
     /// `[lo, hi]`.
     pub fn series_on_grid(&self, lo: f64, hi: f64, n: usize) -> Vec<(f64, f64)> {
@@ -152,15 +146,6 @@ mod tests {
     fn steps_deduplicate_values() {
         let c = cdf(&[2.0, 2.0, 2.0, 5.0]);
         assert_eq!(c.steps(), vec![(2.0, 0.75), (5.0, 1.0)]);
-    }
-
-    #[test]
-    fn series_at_fixed_points() {
-        let c = cdf(&[1.0, 2.0]);
-        assert_eq!(
-            c.series_at(&[0.0, 1.5, 3.0]),
-            vec![(0.0, 0.0), (1.5, 0.5), (3.0, 1.0)]
-        );
     }
 
     #[test]

@@ -322,11 +322,6 @@ impl CoMoments {
         self.sum_xy.merge(&other.sum_xy);
     }
 
-    /// Mean of x, or `None` when empty.
-    pub fn mean_x(&self) -> Option<f64> {
-        self.sum_x.mean(self.n)
-    }
-
     /// Pearson correlation coefficient; `None` with fewer than two pairs
     /// or when either variable is constant.
     pub fn pearson(&self) -> Option<f64> {
@@ -475,7 +470,6 @@ mod tests {
         }
         assert!((m.pearson().unwrap() - 1.0).abs() < 1e-6);
         assert!((m.slope().unwrap() - 2.0).abs() < 1e-4);
-        assert!((m.mean_x().unwrap() - 24.5).abs() < 1e-6);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl Summary {
         let k = self.sorted.partition_point(|v| *v < x);
         k as f64 / self.count as f64
     }
-
-    /// Fraction of samples at or above `x`.
-    pub fn fraction_at_or_above(&self, x: f64) -> f64 {
-        1.0 - self.fraction_below(x)
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +136,7 @@ mod tests {
         assert_eq!(s.fraction_below(3.0), 0.5);
         assert_eq!(s.fraction_below(0.5), 0.0);
         assert_eq!(s.fraction_below(10.0), 1.0);
-        assert_eq!(s.fraction_at_or_above(3.0), 0.5);
-        // Samples equal to x count as at-or-above, not below.
+        // Samples equal to x do not count as below.
         assert_eq!(s.fraction_below(1.0), 0.0);
     }
 }

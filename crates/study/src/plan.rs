@@ -169,13 +169,6 @@ impl CampaignPlan {
             .flat_map(|u| self.user_jobs(u))
             .collect()
     }
-
-    /// Number of jobs whose clip was available at plan time.
-    pub fn available_jobs(&self) -> usize {
-        (0..self.num_users())
-            .map(|u| self.user_jobs(u).iter().filter(|j| j.available).count())
-            .sum()
-    }
 }
 
 /// Plans a campaign. Pure and serial: same `params`, same plan, bit for
@@ -313,7 +306,7 @@ mod tests {
     #[test]
     fn availability_fraction_in_figure_10_band() {
         let plan = full_scale();
-        let unavailable = plan.total_jobs() - plan.available_jobs();
+        let unavailable = plan.collect_jobs().iter().filter(|j| !j.available).count();
         let frac = unavailable as f64 / plan.total_jobs() as f64;
         // Figure 10: overall clip unavailability averaged ≈ 10 %.
         assert!((0.05..0.18).contains(&frac), "unavailable fraction {frac}");

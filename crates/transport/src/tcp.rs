@@ -462,11 +462,6 @@ impl TcpSocket {
         self.recv_buf.len()
     }
 
-    /// `true` once the peer closed and all its data has been read.
-    pub fn recv_finished(&self) -> bool {
-        self.peer_fin && self.recv_buf.is_empty()
-    }
-
     fn queue_ack(&mut self) {
         if self.pending_acks.len() < 64 {
             self.pending_acks
@@ -1385,7 +1380,6 @@ mod tests {
         c.close();
         pump(SimTime::from_millis(1), &mut c, &mut s);
         assert_eq!(s.recv(16), b"bye".to_vec());
-        assert!(s.recv_finished());
         assert!(c.is_closed());
     }
 

@@ -6,8 +6,8 @@
 
 use realvideo_core::all_figures;
 use rv_study::{
-    plan_campaign, run_campaign_with_records, CampaignAccumulator, CampaignAggregates,
-    SessionRecord, StudyParams,
+    plan_campaign, run_campaign, run_campaign_with_records, CampaignAccumulator,
+    CampaignAggregates, GatewayPolicy, SessionRecord, StudyParams,
 };
 
 /// The aggregation spec: one serial pass over a retained record set, in
@@ -72,4 +72,23 @@ fn streaming_aggregates_match_retained_records_with_faults() {
         },
         "faults on",
     );
+}
+
+/// `repro`'s figures come from the streaming path (`run_campaign`, no
+/// records), `GOLDEN.json`'s digests from the records path: on several
+/// workers, both fold the same aggregates.
+#[test]
+fn streaming_path_folds_what_the_records_path_folds() {
+    let params = StudyParams {
+        scale: 0.05,
+        jobs: 4,
+        faults: rv_sim::FaultScenario::default_on(),
+        replicas: 2,
+        gateway: GatewayPolicy::NearestHealthy,
+        ..StudyParams::default()
+    };
+    let streamed = run_campaign(params).unwrap();
+    assert!(streamed.records.is_none());
+    let retained = run_campaign_with_records(params).unwrap();
+    assert_eq!(streamed.aggregates, retained.aggregates);
 }

@@ -2,13 +2,11 @@
 //! through sessions to figures, checked against the paper's headline
 //! claims at reduced scale. The shape checks read the streaming
 //! aggregates — what `repro` computes every figure from — so they run the
-//! constant-memory path; only the determinism check retains records.
+//! constant-memory path.
 
 use realvideo_core::{all_figures, figure};
-use rv_study::{
-    run_campaign, run_campaign_with_records, CampaignAggregates, ConnectionClass, StudyParams,
-    UserRegion,
-};
+use rv_sim::Counter;
+use rv_study::{run_campaign, CampaignAggregates, ConnectionClass, StudyParams, UserRegion};
 
 fn params() -> StudyParams {
     StudyParams {
@@ -35,6 +33,7 @@ fn campaign_structure_matches_study() {
         agg.attempts_by_server.len() >= 9,
         "most of the 11 servers visited"
     );
+    assert!(data.summary.counters.get(Counter::PacketsDelivered) > 0);
 }
 
 #[test]
@@ -148,14 +147,4 @@ fn every_figure_renders_from_campaign_data() {
     // Spot-check one known body.
     let f16 = figure("fig16", &data).unwrap();
     assert!(f16.body.contains("UDP") && f16.body.contains("TCP"));
-}
-
-#[test]
-fn campaign_is_deterministic() {
-    let a = run_campaign_with_records(params()).unwrap();
-    let b = run_campaign_with_records(params()).unwrap();
-    assert_eq!(a.records().len(), b.records().len());
-    for (x, y) in a.records().iter().zip(b.records()) {
-        assert_eq!(x.metrics, y.metrics);
-    }
 }

@@ -5,17 +5,18 @@
 //! replica degrades to a played-through-failover session when a healthy
 //! replica exists, and exhausting the replica list degrades to the
 //! classic `ServerDown`. Campaign level: replica clusters survive the
-//! crash scenario that kills the single-server study, admission rejects
-//! surface as their own outcome, and every gateway configuration stays
-//! bit-identical across worker counts. Baseline level: the default
+//! crash scenario that kills the single-server study and admission
+//! rejects surface as their own outcome (bit-identity across worker
+//! counts is `GOLDEN.json`'s, whose matrix holds both two-replica
+//! clusters). Baseline level: the default
 //! params (replicas=1, sticky, no capacity) never touch the gateway
 //! machinery — no gateway events, every session served by replica 0.
 
 use rv_media::{Clip, ContentKind};
 use rv_sim::{Counter, FaultPlan, FaultScenario, ServerCrash, SimDuration, SimRng, SimTime};
 use rv_study::{
-    build_population, build_session_world_gw, run_campaign, run_campaign_with_records,
-    server_roster, ConnectionClass, GatewayPolicy, GatewaySpec, StudyParams, UserProfile,
+    build_population, build_session_world_gw, run_campaign, server_roster, ConnectionClass,
+    GatewayPolicy, GatewaySpec, StudyParams, UserProfile,
 };
 use rv_tracer::{SessionOutcome, WorldScratch};
 
@@ -130,10 +131,9 @@ fn failover_exhaustion_degrades_to_server_down() {
     assert_eq!(m.outcome, SessionOutcome::ServerDown);
 }
 
-fn faulted(replicas: u8, jobs: usize) -> StudyParams {
+fn faulted(replicas: u8) -> StudyParams {
     StudyParams {
         scale: 0.05,
-        jobs,
         faults: FaultScenario::default_on(),
         replicas,
         gateway: GatewayPolicy::NearestHealthy,
@@ -143,8 +143,29 @@ fn faulted(replicas: u8, jobs: usize) -> StudyParams {
 
 #[test]
 fn replica_clusters_survive_crashes_that_kill_the_single_server() {
-    let single = run_campaign(faulted(1, 1)).unwrap();
-    let cluster = run_campaign(faulted(2, 1)).unwrap();
+    let single = run_campaign(faulted(1)).unwrap();
+    let cluster = run_campaign(faulted(2)).unwrap();
+    // The scenario bites the single server: outages drop packets, TCP
+    // retransmits, the fault-only failure classes appear, and someone
+    // limped home through a retry or a UDP->TCP fallback.
+    let counters = &single.summary.counters;
+    assert!(counters.get(Counter::DropsOutage) > 0);
+    assert!(counters.get(Counter::TcpRetransmits) > 0);
+    let report = single.failure_report();
+    let count = |label: &str| {
+        report
+            .outcomes
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map_or(0, |(_, c)| *c)
+    };
+    let hard_failures =
+        count("timed-out") + count("server-down") + count("starved") + count("aborted");
+    assert!(hard_failures > 0, "outcomes: {:?}", report.outcomes);
+    assert!(
+        report.retried + report.fallbacks > 0,
+        "no session retried or fell back"
+    );
     let down = |d: &rv_study::StudyData| d.aggregates.failures.outcomes.get("server-down").copied();
     let single_down = down(&single).unwrap_or(0);
     let cluster_down = down(&cluster).unwrap_or(0);
@@ -165,31 +186,7 @@ fn replica_clusters_survive_crashes_that_kill_the_single_server() {
         .copied()
         .unwrap_or(0);
     assert!(spread > 0, "no session served by replica 1");
-}
-
-#[test]
-fn gateway_campaigns_are_bit_identical_across_worker_counts() {
-    for faults_on in [true, false] {
-        let mut base = faulted(2, 1);
-        if !faults_on {
-            base.faults = FaultScenario::off();
-        }
-        let serial = run_campaign_with_records(base).unwrap();
-        for jobs in [4, 8] {
-            let parallel = run_campaign_with_records(StudyParams { jobs, ..base }).unwrap();
-            assert_eq!(
-                serial.aggregates, parallel.aggregates,
-                "gateway aggregates differ at jobs={jobs} faults={faults_on}"
-            );
-            assert_eq!(
-                serial.summary.counters, parallel.summary.counters,
-                "gateway counter totals differ at jobs={jobs} faults={faults_on}"
-            );
-            for (i, (s, p)) in serial.records().iter().zip(parallel.records()).enumerate() {
-                assert_eq!(s.metrics, p.metrics, "record {i} at jobs={jobs}");
-            }
-        }
-    }
+    assert!(cluster.summary.counters.get(Counter::GatewayRedirects) > 0);
 }
 
 #[test]
