@@ -32,8 +32,9 @@
 //!
 //! `--bench-out PATH` additionally writes the run's throughput accounting
 //! (wall time, sessions/sec, simulated-seconds/sec, worker split, peak
-//! memory, phase walls, per-worker profile, and the campaign counter
-//! totals) as a JSON object, so CI and benchmarking scripts can track
+//! memory, phase walls, per-worker profile, the campaign counter totals
+//! and, as `"work"`, the session driver's exact work counts) as a JSON
+//! object, so CI and benchmarking scripts can track
 //! campaign performance without scraping the human-readable summary line.
 //!
 //! `--profile` prints the phase walls (plan/execute/figures) and the
@@ -333,6 +334,11 @@ fn main() {
             .iter()
             .map(|(c, v)| format!("\"{}\": {v}", c.name()))
             .collect();
+        // Driver work: exact and identical across `--jobs`, but what the
+        // driver did, not what the simulation did — outside `counters`.
+        let work: Vec<String> = (s.driver_work().fields().iter())
+            .map(|(name, v)| format!("\"{name}\": {v}"))
+            .collect();
         let workers: Vec<String> = s
             .profiles
             .iter()
@@ -366,7 +372,8 @@ fn main() {
                 "  \"per_worker\": [{}],\n",
                 "  \"phases\": {{\"plan_secs\": {:.6}, \"execute_secs\": {:.6}, \"figures_secs\": {:.6}}},\n",
                 "  \"workers\": [{}],\n",
-                "  \"counters\": {{{}}}\n",
+                "  \"counters\": {{{}}},\n",
+                "  \"work\": {{{}}}\n",
                 "}}\n"
             ),
             params.seed,
@@ -389,6 +396,7 @@ fn main() {
             figures_wall.as_secs_f64(),
             workers.join(", "),
             counters.join(", "),
+            work.join(", "),
         );
         if let Err(e) = std::fs::write(&path, json) {
             die(&format!("cannot write --bench-out {path:?}: {e}"));
@@ -491,11 +499,10 @@ fn run_trace(params: StudyParams, user: Option<u32>, clip: Option<String>, out: 
         if trace.faulted { "on" } else { "off" },
     );
     eprintln!("counters: {}", counters_line(&trace.counters));
-    let driver = trace.driver;
-    eprintln!(
-        "driver: instants={} light_instants={} settle_guard_trips={}",
-        driver.instants, driver.light_instants, driver.settle_guard_trips
-    );
+    let driver: Vec<String> = (trace.driver.fields().iter())
+        .map(|(name, v)| format!("{name}={v}"))
+        .collect();
+    eprintln!("driver: {}", driver.join(" "));
     eprintln!("wrote {jsonl_path} and {chrome_path}");
 }
 

@@ -80,13 +80,19 @@ impl MediaPacket {
     }
 
     /// Serializes header + zero-filled payload onto the end of `out`,
-    /// reusing the caller's buffer (the batch-transmit path encodes many
-    /// packets into one staging buffer before a single socket write).
+    /// reusing the caller's buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        out.reserve(self.wire_len());
-        out.extend_from_slice(&MAGIC.to_be_bytes());
-        out.push(VERSION);
+        out.resize(start + self.wire_len(), 0);
+        self.write_to(&mut out[start..]);
+    }
+
+    /// Writes header + zero-filled payload over `out`, which is exactly
+    /// [`MediaPacket::wire_len`] bytes: the one wire writer, for callers
+    /// that place many packets in one buffer (the server's pump writes a
+    /// whole pump's packets into one pooled backing). Every byte is
+    /// written, so whatever `out` held before cannot show through.
+    pub fn write_to(&self, out: &mut [u8]) {
         let mut flags = 0u8;
         if self.key {
             flags |= FLAG_KEY;
@@ -97,18 +103,21 @@ impl MediaPacket {
             PacketKind::Parity => flags |= FLAG_PARITY,
             PacketKind::EndOfStream => flags |= FLAG_EOS,
         }
-        out.push(flags);
-        out.push(self.rung);
-        out.push(0); // reserved
-        out.extend_from_slice(&self.frame_index.to_be_bytes());
-        out.extend_from_slice(&self.frag_index.to_be_bytes());
-        out.extend_from_slice(&self.frag_count.to_be_bytes());
-        out.extend_from_slice(&self.pts_micros.to_be_bytes());
-        out.extend_from_slice(&self.group_id.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.payload_len.to_be_bytes());
-        debug_assert_eq!(out.len() - start, MEDIA_HEADER_BYTES);
-        out.resize(start + self.wire_len(), 0);
+        let (header, payload) = out.split_at_mut(MEDIA_HEADER_BYTES);
+        header[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+        header[2] = VERSION;
+        header[3] = flags;
+        header[4] = self.rung;
+        header[5] = 0; // reserved
+        header[6..10].copy_from_slice(&self.frame_index.to_be_bytes());
+        header[10..12].copy_from_slice(&self.frag_index.to_be_bytes());
+        header[12..14].copy_from_slice(&self.frag_count.to_be_bytes());
+        header[14..22].copy_from_slice(&self.pts_micros.to_be_bytes());
+        header[22..26].copy_from_slice(&self.group_id.to_be_bytes());
+        header[26..30].copy_from_slice(&self.seq.to_be_bytes());
+        header[30..32].copy_from_slice(&self.payload_len.to_be_bytes());
+        debug_assert_eq!(payload.len(), usize::from(self.payload_len));
+        payload.fill(0);
     }
 
     /// Decodes one packet from the front of `buf`. Returns the packet and

@@ -523,7 +523,10 @@ impl Decoder {
     /// `Ok(None)` when more bytes are needed; an `Err` has discarded the
     /// bytes it names (see [`DecodeError`]), so the next call moves on.
     pub fn next_message(&mut self) -> Result<Option<MessageView<'_>>, DecodeError> {
-        if self.buffered() < self.want {
+        // An empty buffer holds no message, and asking it changes nothing:
+        // a caller that polls an idle connection leaves the decoder as
+        // it was.
+        if self.buffered() < self.want.max(1) {
             return Ok(None);
         }
         // Cursor updates are spelled out per arm: the view borrows `buf`.
@@ -714,6 +717,20 @@ mod tests {
         dec.feed(b"d");
         assert_eq!(dec.next_message().unwrap().unwrap().body(), b"abcd");
         assert_eq!((dec.scanned, dec.want, dec.buffered()), (0, 0, 0));
+    }
+
+    /// An idle connection's decoder is asked at every poll: with nothing
+    /// buffered — new, or every message taken — asking changes nothing.
+    #[test]
+    fn asking_an_empty_decoder_changes_nothing() {
+        let mut dec = Decoder::new();
+        for _ in 0..2 {
+            let before = format!("{dec:?}");
+            assert_eq!(dec.next_message(), Ok(None));
+            assert_eq!(format!("{dec:?}"), before);
+            dec.feed(b"PLAY rtsp://s/c RTSP/1.0\r\nCSeq: 1\r\n\r\n");
+            assert!(dec.next_message().unwrap().is_some());
+        }
     }
 
     /// The duplicate rule the view documents, against the map-by-exact-

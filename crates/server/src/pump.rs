@@ -153,18 +153,19 @@ pub(crate) struct ActiveStream {
     pub(crate) claim: PumpClaim,
 }
 
-/// One pump's encoded packets, back to back in one buffer, handed to the
-/// transport at the end of the pump as slices of a single pooled backing:
-/// one chunk for TCP (so segmentization slices one allocation instead of
-/// straddling per-packet buffers), one zero-copy slice per datagram for
-/// UDP. Queue order and simulated time are exactly those of per-packet
-/// eager sends. Empty between pumps.
+/// One pump's packets, numbered as they are staged and written once, at
+/// the end of the pump, back to back into a single pooled backing handed
+/// to the transport: one chunk for TCP (so segmentization slices one
+/// allocation instead of straddling per-packet buffers), one zero-copy
+/// slice per datagram for UDP. Queue order and simulated time are exactly
+/// those of per-packet eager sends. Empty between pumps.
 #[derive(Debug, Default)]
 pub(crate) struct Staging {
-    buf: Vec<u8>,
-    /// Where each staged datagram ends in `buf`; stays empty on TCP,
-    /// whose bytes are one stream.
-    ends: Vec<usize>,
+    /// The staged packets, numbered, in send order.
+    staged: Vec<MediaPacket>,
+    /// Their wire bytes, summed: what the staged packets take of the
+    /// transport's budget.
+    len: usize,
     /// Reusable packetization scratch (one frame's packets).
     packets: Vec<MediaPacket>,
     /// Recycled payload backings: once warm, a flush allocates nothing.
@@ -173,39 +174,50 @@ pub(crate) struct Staging {
 
 impl Staging {
     /// Numbers and stages `pkt`; returns it as sent.
-    fn send(&mut self, outlet: &Outlet, mut pkt: MediaPacket, next_seq: &mut u32) -> MediaPacket {
+    fn send(&mut self, mut pkt: MediaPacket, next_seq: &mut u32) -> MediaPacket {
         pkt.seq = *next_seq;
         *next_seq += 1;
-        pkt.encode_into(&mut self.buf);
-        if let Outlet::Udp { .. } = outlet {
-            self.ends.push(self.buf.len());
-        }
+        self.len += pkt.wire_len();
+        self.staged.push(pkt);
         pkt
     }
 
-    /// Hands the staged bytes to the transport and leaves nothing behind.
-    /// On TCP capacity was reserved per packet as it was staged, so the
-    /// socket accepts the whole buffer (modulo the same tail truncation an
-    /// unchecked eager write would have hit).
+    /// Writes the staged packets into one backing, hands it to the
+    /// transport and leaves nothing behind. On TCP capacity was reserved
+    /// per packet as it was staged, so the socket accepts the whole
+    /// backing (modulo the same tail truncation an unchecked eager write
+    /// would have hit).
     fn flush(&mut self, outlet: &Outlet, stack: &mut Stack, data_tcp: TcpHandle, udp: UdpHandle) {
         self.packets.clear();
-        if self.buf.is_empty() {
+        if self.staged.is_empty() {
             return;
         }
-        let bytes = self.pool.copy_in(&self.buf);
+        let staged = &self.staged;
+        // Each packet writes every byte of its window: a recycled
+        // backing's old bytes never reach the wire.
+        let bytes = self.pool.gather(self.len, |out| {
+            let mut start = 0;
+            for pkt in staged {
+                let end = start + pkt.wire_len();
+                pkt.write_to(&mut out[start..end]);
+                start = end;
+            }
+        });
         match outlet {
             Outlet::Tcp => {
                 stack.tcp(data_tcp).send_bytes(bytes);
             }
             Outlet::Udp { client, .. } => {
                 let mut start = 0;
-                for end in self.ends.drain(..) {
+                for pkt in staged {
+                    let end = start + pkt.wire_len();
                     stack.udp(udp).send_to(*client, bytes.slice(start..end));
                     start = end;
                 }
             }
         }
-        self.buf.clear();
+        self.staged.clear();
+        self.len = 0;
     }
 }
 
@@ -481,11 +493,11 @@ impl RealServer {
             let (seq, pts) = (stream.audio_seq, stream.next_audio);
             let pkt = stream.unfragmented(PacketKind::Audio, seq, pts, audio_bytes.max(8));
             let wire = pkt.wire_len() as u32;
-            if !stream.outlet.spend(now, wire, socket, staging.buf.len()) {
+            if !stream.outlet.spend(now, wire, socket, staging.len) {
                 audio_need = Some(wire);
                 break;
             }
-            staging.send(&stream.outlet, pkt, next_seq);
+            staging.send(pkt, next_seq);
             stats.audio_packets += 1;
             emitted += 1;
             stream.audio_seq += 1;
@@ -518,18 +530,17 @@ impl RealServer {
                 0 => wire,
                 group => wire + wire / group as u32 + 8,
             };
-            let staged = staging.buf.len();
-            if !stream.outlet.spend(now, wire_with_fec, socket, staged) {
+            if !stream.outlet.spend(now, wire_with_fec, socket, staging.len) {
                 video_need = Some(wire_with_fec);
                 break;
             }
             for i in 0..staging.packets.len() {
-                let pkt = staging.send(&stream.outlet, staging.packets[i], next_seq);
+                let pkt = staging.send(staging.packets[i], next_seq);
                 if fec_group > 0 {
                     stream.fec_buf.push(pkt);
                     if stream.fec_buf.len() >= fec_group {
                         let parity = parity_packet(stream.group_id, &stream.fec_buf);
-                        staging.send(&stream.outlet, parity, next_seq);
+                        staging.send(parity, next_seq);
                         stats.parity_packets += 1;
                         stream.fec_buf.clear();
                         stream.group_id += 1;
@@ -550,13 +561,13 @@ impl RealServer {
         // --- end of stream ---
         if !stream.eos_sent && upcoming.is_none() && stream.next_audio >= stream.clip.duration {
             let pkt = stream.unfragmented(PacketKind::EndOfStream, 0, stream.clip.duration, 0);
-            staging.send(&stream.outlet, pkt, next_seq);
+            staging.send(pkt, next_seq);
             stream.eos_sent = true;
             emitted += 1;
         }
 
         // Every staged byte goes out: headers and payloads of all tracks.
-        stats.bytes_sent += staging.buf.len() as u64;
+        stats.bytes_sent += staging.len as u64;
         staging.flush(&stream.outlet, stack, self.data_tcp, self.udp);
         let lead = self.cfg.buffer_lead;
         stream.claim = stream.claim_after(audio_need, video_need, upcoming, thin_ratio, lead);
@@ -726,16 +737,37 @@ mod tests {
         packets.push(parity_packet(7, &packets));
         assert!(packets.len() > 3, "a frame of several fragments");
 
+        // The server's data connection to a client host, established.
+        let mut b = rv_net::NetBuilder::new();
+        let (client_host, server_host) = (b.host(), b.host());
+        b.duplex(client_host, server_host, rv_net::LinkParams::lan());
+        let mut net = b.build_with_payload::<Segment>(&mut rv_sim::SimRng::seed_from_u64(1));
+        let mut client = Stack::new(rv_net::HostId(0));
+        let receiver = client.tcp_socket(2001, TcpConfig::default());
+        client.tcp(receiver).listen();
         let mut stack = Stack::new(rv_net::HostId(1));
         let data = stack.tcp_socket(555, TcpConfig::default());
         let udp = stack.udp_socket(6970);
+        let mut now = SimTime::ZERO;
+        stack
+            .tcp(data)
+            .connect(Addr::new(rv_net::HostId(0), 2001), now);
+        let mut run = |now: SimTime, client: &mut Stack, stack: &mut Stack| {
+            net.poll(now);
+            stack.poll(now, &mut net);
+            client.poll(now, &mut net);
+        };
+        while !stack.tcp_ref(data).is_established() {
+            now += SimDuration::from_millis(1);
+            run(now, &mut client, &mut stack);
+        }
         let mut staging = Staging::default();
         let mut seq = 0;
 
         // UDP: one datagram per packet, in order, each exactly its bytes.
         let outlet = drained_udp();
         for pkt in &mut packets {
-            *pkt = staging.send(&outlet, *pkt, &mut seq);
+            *pkt = staging.send(*pkt, &mut seq);
         }
         assert_eq!(seq as usize, packets.len());
         staging.flush(&outlet, &mut stack, data, udp);
@@ -749,20 +781,29 @@ mod tests {
             assert_eq!(&dgram.data[..], &pkt.encode()[..]);
         }
 
-        // TCP on the same buffer: emptied by the flush, it carries the
-        // same packets as one stream of bytes and no datagram bounds.
-        assert!(staging.buf.is_empty() && staging.ends.is_empty());
+        // TCP through the same staging, emptied by the flush: the same
+        // packets as one stream of bytes and no datagram bounds — read
+        // back off the connection. The flush writes into a recycled
+        // backing last filled with junk, none of which shows through.
+        assert!(staging.staged.is_empty() && staging.len == 0);
         for pkt in &mut packets {
-            *pkt = staging.send(&Outlet::Tcp, *pkt, &mut seq);
+            *pkt = staging.send(*pkt, &mut seq);
         }
         let stream: Vec<u8> = packets.iter().flat_map(MediaPacket::encode).collect();
-        assert_eq!(staging.buf, stream);
+        drop(sent);
+        drop(staging.pool.gather(stream.len(), |out| out.fill(0xA5)));
+        assert_eq!(staging.len, stream.len());
         let room = stack.tcp_ref(data).send_capacity_left();
         staging.flush(&Outlet::Tcp, &mut stack, data, udp);
         assert_eq!(
             stack.tcp_ref(data).send_capacity_left(),
             room - stream.len()
         );
-        assert!(staging.buf.is_empty() && staging.ends.is_empty());
+        assert!(staging.staged.is_empty() && staging.len == 0);
+        while client.tcp_ref(receiver).recv_available() < stream.len() {
+            now += SimDuration::from_millis(1);
+            run(now, &mut client, &mut stack);
+        }
+        assert_eq!(client.tcp(receiver).recv(usize::MAX), stream);
     }
 }

@@ -116,7 +116,7 @@ pub struct ServerScratch {
     pub(crate) decoder: Decoder,
     /// Reused staging buffer for outgoing control responses.
     pub(crate) ctrl_buf: Vec<u8>,
-    /// The data path's staging buffer and payload pool.
+    /// The data path's staged packets and payload pool.
     pub(crate) staging: Staging,
     /// Parked schedules and recycled frame tables, per rung.
     pub(crate) schedules: RungSchedules,

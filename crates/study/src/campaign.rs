@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use rv_sim::{CounterSet, FaultScenario, SimDuration, SimTime};
-use rv_tracer::SessionMetrics;
+use rv_tracer::{DriverWork, SessionMetrics};
 
 use crate::accumulate::{CampaignAccumulator, CampaignAggregates, RecordSink};
 use crate::error::CampaignError;
@@ -174,6 +174,16 @@ impl CampaignSummary {
         } else {
             f64::INFINITY
         }
+    }
+
+    /// What the session driver did across the campaign: the workers'
+    /// tallies summed, identical across worker counts.
+    pub fn driver_work(&self) -> DriverWork {
+        let mut work = DriverWork::default();
+        for p in &self.profiles {
+            work += p.work;
+        }
+        work
     }
 
     /// Simulated seconds per wall-clock second (time compression).

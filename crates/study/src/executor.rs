@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rv_sim::{CounterSet, SimRng};
-use rv_tracer::{rate, SessionMetrics, SessionOutcome, WorldScratch};
+use rv_tracer::{rate, DriverWork, SessionMetrics, SessionOutcome, WorldScratch};
 
 use crate::accumulate::CampaignAccumulator;
 use crate::campaign::SessionRecord;
@@ -63,6 +63,9 @@ pub struct WorkerProfile {
     pub busy: Duration,
     /// The worker's total lifetime, claim loop included.
     pub wall: Duration,
+    /// What the session driver did across this worker's sessions. Exact,
+    /// and summed over the workers the same whatever their number.
+    pub work: DriverWork,
 }
 
 impl WorkerProfile {
@@ -96,6 +99,7 @@ fn work<A: CampaignAccumulator>(plan: &CampaignPlan, cursor: &AtomicUsize) -> (A
         }
     }
     profile.wall = started.elapsed();
+    profile.work = scratch.work;
     (acc, profile)
 }
 

@@ -204,7 +204,8 @@ pub struct SessionWorld {
 
 /// What the driver loop did, as opposed to what the simulation did — so
 /// plain numbers beside the world, not [`CounterSet`] keys: a faster
-/// driver must not move a digest of the simulation's counters.
+/// driver must not move a digest of the simulation's counters. Every
+/// field is an exact count, the same whatever the worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverWork {
     /// Instants [`SessionWorld::run`] visited.
@@ -214,6 +215,91 @@ pub struct DriverWork {
     pub light_instants: u64,
     /// Instants the settle loop left unconverged at its 64-round guard.
     pub settle_guard_trips: u64,
+    /// Instants settled in full because the network had filled a stack's
+    /// inbox during the network-only stretch.
+    pub settled_inbox: u64,
+    /// Instants settled in full because a server's
+    /// [`RealServer::quiet_step`] found it owed a poll.
+    pub settled_quiet_step: u64,
+    /// Instants settled in full because the quiet claim had run out (or
+    /// some component made none): the first instant of a `run`, and
+    /// every instant at or past the earliest `quiet_until`.
+    pub settled_lapsed: u64,
+    /// Instants settled in full because the settle before them tripped
+    /// the guard, after which nobody is quiet.
+    pub settled_guard: u64,
+    /// Rounds of the settle loop, over every settled instant.
+    pub settle_rounds: u64,
+    /// Server application polls issued (the primary's and the replicas').
+    pub server_polls: u64,
+    /// Those that did any work.
+    pub server_polls_useful: u64,
+    /// Client application polls issued.
+    pub client_polls: u64,
+    /// Those that did any work.
+    pub client_polls_useful: u64,
+}
+
+/// What ended the network-only stretch before a settled instant.
+#[derive(Debug, Clone, Copy)]
+enum SettledBy {
+    Inbox,
+    QuietStep,
+    Lapsed,
+    Guard,
+}
+
+impl DriverWork {
+    /// Every field by name, in declaration order: the `driver:` line of
+    /// `repro trace` and the `"work"` block of `--bench-out` JSON.
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
+        [
+            ("instants", self.instants),
+            ("light_instants", self.light_instants),
+            ("settle_guard_trips", self.settle_guard_trips),
+            ("settled_inbox", self.settled_inbox),
+            ("settled_quiet_step", self.settled_quiet_step),
+            ("settled_lapsed", self.settled_lapsed),
+            ("settled_guard", self.settled_guard),
+            ("settle_rounds", self.settle_rounds),
+            ("server_polls", self.server_polls),
+            ("server_polls_useful", self.server_polls_useful),
+            ("client_polls", self.client_polls),
+            ("client_polls_useful", self.client_polls_useful),
+        ]
+    }
+
+    /// Instants settled in full: every instant that was not light.
+    pub fn settled_instants(&self) -> u64 {
+        self.settled_inbox + self.settled_quiet_step + self.settled_lapsed + self.settled_guard
+    }
+
+    fn settled(&mut self, by: SettledBy) {
+        self.instants += 1;
+        *match by {
+            SettledBy::Inbox => &mut self.settled_inbox,
+            SettledBy::QuietStep => &mut self.settled_quiet_step,
+            SettledBy::Lapsed => &mut self.settled_lapsed,
+            SettledBy::Guard => &mut self.settled_guard,
+        } += 1;
+    }
+}
+
+impl std::ops::AddAssign for DriverWork {
+    fn add_assign(&mut self, other: DriverWork) {
+        self.instants += other.instants;
+        self.light_instants += other.light_instants;
+        self.settle_guard_trips += other.settle_guard_trips;
+        self.settled_inbox += other.settled_inbox;
+        self.settled_quiet_step += other.settled_quiet_step;
+        self.settled_lapsed += other.settled_lapsed;
+        self.settled_guard += other.settled_guard;
+        self.settle_rounds += other.settle_rounds;
+        self.server_polls += other.server_polls;
+        self.server_polls_useful += other.server_polls_useful;
+        self.client_polls += other.client_polls;
+        self.client_polls_useful += other.client_polls_useful;
+    }
 }
 
 impl SessionWorld {
@@ -333,6 +419,8 @@ impl SessionWorld {
         // Strictly before this instant every component but the network
         // has promised to be quiet; `ZERO` promises nothing.
         let mut quiet_until = SimTime::ZERO;
+        // Why the next instant is settled if the stretch runs out.
+        let mut unclaimed = SettledBy::Lapsed;
         loop {
             // Network-only instants: while the promise holds and no inbox
             // fills, an instant costs the network's poll and nothing else.
@@ -340,33 +428,45 @@ impl SessionWorld {
             // visit — same wake fold — because they cannot be skipped:
             // server and client tick `now + 20 ms`, and a blocked token
             // bucket's `f64` fill depends on every instant it is asked at.
+            let mut why = unclaimed;
             while now < quiet_until.min(deadline) {
                 self.net.poll(now);
-                if self.inbound_waiting() || !self.servers_stay_quiet(now) {
-                    // Someone has work after all: settle this instant in
-                    // full (its `net.poll` finds nothing left to do).
+                // Someone has work after all: settle this instant in full
+                // (its `net.poll` finds nothing left to do).
+                if self.inbound_waiting() {
+                    why = SettledBy::Inbox;
+                    break;
+                }
+                if !self.servers_stay_quiet(now) {
+                    why = SettledBy::QuietStep;
                     break;
                 }
                 // Executable spec of the promise: debug builds settle the
-                // instant anyway and hold the settle to having moved nothing.
-                debug_assert_eq!(self.settle(now), Some(0), "quiet world moved at {now:?}");
+                // instant anyway, uncounted, and hold the settle to having
+                // moved nothing.
+                if cfg!(debug_assertions) {
+                    let work = self.work;
+                    let moved = self.settle(now);
+                    self.work = work;
+                    assert_eq!(moved, Some(0), "quiet world moved at {now:?}");
+                }
                 self.work.instants += 1;
                 self.work.light_instants += 1;
                 now = self.next_instant(now, deadline);
             }
             self.apply_faults(now);
-            self.work.instants += 1;
+            self.work.settled(why);
             let converged = self.settle(now).is_some();
             if self.client.is_done() || now >= deadline {
                 self.now = now;
                 break;
             }
-            quiet_until = if converged {
-                self.quiet_until()
+            (quiet_until, unclaimed) = if converged {
+                (self.quiet_until(), SettledBy::Lapsed)
             } else {
                 // Still moving at the guard: nobody is quiet.
                 self.work.settle_guard_trips += 1;
-                SimTime::ZERO
+                (SimTime::ZERO, SettledBy::Guard)
             };
             now = self.next_instant(now, deadline);
         }
@@ -396,7 +496,7 @@ impl SessionWorld {
     /// only after their stack delivered or flushed something. All
     /// poll results, the applications' included, feed the `moved`
     /// fixed-point counter uniformly.
-    fn settle(&mut self, now: SimTime) -> Option<usize> {
+    pub(crate) fn settle(&mut self, now: SimTime) -> Option<usize> {
         let mut total = 0;
         let mut client_app_ran = false;
         let mut server_app_ran = false;
@@ -406,6 +506,7 @@ impl SessionWorld {
             *flags = (false, true);
         }
         for _ in 0..64 {
+            self.work.settle_rounds += 1;
             let mut moved = self.net.poll(now);
             if self.client_stack.needs_poll(&self.net, now) || client_app_ran {
                 let handled = self.client_stack.poll(now, &mut self.net);
@@ -422,12 +523,16 @@ impl SessionWorld {
             if poll_server_app {
                 poll_server_app = false;
                 let worked = self.server.poll(now, &mut self.server_stack);
+                self.work.server_polls += 1;
+                self.work.server_polls_useful += u64::from(worked > 0);
                 server_app_ran |= worked > 0;
                 moved += worked;
             }
             if poll_client_app {
                 poll_client_app = false;
                 let worked = self.client.poll(now, &mut self.client_stack);
+                self.work.client_polls += 1;
+                self.work.client_polls_useful += u64::from(worked > 0);
                 client_app_ran |= worked > 0;
                 moved += worked;
             }
@@ -446,6 +551,8 @@ impl SessionWorld {
                 if *poll_app {
                     *poll_app = false;
                     let worked = server.poll(now, stack);
+                    self.work.server_polls += 1;
+                    self.work.server_polls_useful += u64::from(worked > 0);
                     *app_ran |= worked > 0;
                     moved += worked;
                 }
@@ -482,7 +589,7 @@ impl SessionWorld {
     /// all-idle world and a wake at `MAX` both land on `deadline`),
     /// without building the by-value `Option` array whose reload stalls
     /// on every instant.
-    fn next_instant(&self, now: SimTime, deadline: SimTime) -> SimTime {
+    pub(crate) fn next_instant(&self, now: SimTime, deadline: SimTime) -> SimTime {
         let wake = |t: Option<SimTime>| t.unwrap_or(SimTime::MAX);
         let mut next = wake(self.net.next_wake())
             .min(wake(self.client_stack.next_wake()))
@@ -601,9 +708,7 @@ impl SessionWorld {
     /// component still holds are dropped before their backings are
     /// wanted.
     pub fn retire(self, scratch: &mut WorldScratch) {
-        scratch.work.instants += self.work.instants;
-        scratch.work.light_instants += self.work.light_instants;
-        scratch.work.settle_guard_trips += self.work.settle_guard_trips;
+        scratch.work += self.work;
         scratch.net = self.net;
         scratch.client = self.client.into_scratch();
         scratch.client.stack = self.client_stack;
@@ -709,6 +814,10 @@ mod tests {
             prop_assert_eq!(work.instants, all.instants);
             prop_assert_eq!(work.settle_guard_trips, 0);
             prop_assert!(work.light_instants < work.instants);
+            prop_assert_eq!(work.settled_instants() + work.light_instants, work.instants);
+            // A skipped poll is one that would have done nothing.
+            prop_assert_eq!(work.server_polls_useful, all.server_polls_useful);
+            prop_assert_eq!(work.client_polls_useful, all.client_polls_useful);
         }
     }
 }

@@ -311,6 +311,12 @@ fn the_driver_reports_its_work_and_most_instants_need_only_the_network() {
     assert!(work.instants > 1_000_000, "{work:?}");
     let light = work.light_instants as f64 / work.instants as f64;
     assert!(light >= 0.70, "light share {light:.3}: {work:?}");
+    // Every instant is light or settled for one named reason.
+    assert_eq!(work.settled_instants() + work.light_instants, work.instants);
+    assert_eq!(work.settled_guard, 0);
+    assert!(work.settle_rounds >= work.settled_instants(), "{work:?}");
+    assert!(work.client_polls_useful > 0 && work.client_polls_useful < work.client_polls);
+    assert!(work.server_polls_useful > 0 && work.server_polls_useful < work.server_polls);
 
     // `repro trace` prints the same tally for one session.
     let job = plan.user_jobs(0).into_iter().find(|j| j.available).unwrap();
