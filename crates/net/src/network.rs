@@ -378,10 +378,12 @@ impl<P> Network<P> {
     ///
     /// Due links are found by scanning the `serve_at` mirror in ascending
     /// `LinkId` order, behind a nothing-due fast path; the same scan
-    /// recomputes the service minimum.
+    /// recomputes the service minimum. An instant at which only arrivals
+    /// are due skips the scan: the service minimum is exact, so past
+    /// `now` it says no link is due and the scan would leave it as it is.
     pub fn poll(&mut self, now: SimTime) -> usize {
-        // Fast path: nothing due. Drivers re-poll every settle iteration,
-        // so this single cached read is the common case.
+        // Fast path: nothing due. Drivers poll the network once an
+        // instant, so this single cached read is the common case.
         if self.next_due() > now {
             return 0;
         }
@@ -390,14 +392,16 @@ impl<P> Network<P> {
             // Drains only move completions later and the scan reads each
             // link's after its drain, so its minimum is exact; the
             // forwarding enqueues below fold into it.
-            let mut service_next = SimTime::MAX;
-            for i in 0..self.serve_at.len() {
-                if self.serve_at[i] <= now {
-                    moved += self.drain_link(i, now);
+            if self.service_next <= now {
+                let mut service_next = SimTime::MAX;
+                for i in 0..self.serve_at.len() {
+                    if self.serve_at[i] <= now {
+                        moved += self.drain_link(i, now);
+                    }
+                    service_next = service_next.min(self.serve_at[i]);
                 }
-                service_next = service_next.min(self.serve_at[i]);
+                self.service_next = service_next;
             }
-            self.service_next = service_next;
             // Another round is needed only when forwarding parked a
             // serialization completing by `now`: a drained link never
             // stays due (`serve_one` runs until its completion passes
@@ -414,12 +418,17 @@ impl<P> Network<P> {
     }
 
     /// The mirrors' executable spec: every entry equals what it mirrors,
-    /// and every wire is in `(arrival, seq)` order. Compiled out of
-    /// release builds.
+    /// the service minimum is the `serve_at` minimum, and every wire is in
+    /// `(arrival, seq)` order. Compiled out of release builds.
     fn debug_check_mirrors(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
+        assert_eq!(
+            self.service_next,
+            self.serve_at.iter().copied().min().unwrap_or(SimTime::MAX),
+            "service minimum drifted from the serve_at mirror"
+        );
         for (i, link) in self.links.iter().enumerate() {
             assert_eq!(
                 self.serve_at[i],

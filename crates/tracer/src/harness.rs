@@ -195,9 +195,9 @@ pub struct SessionWorld {
     pub now: SimTime,
     /// Scheduled faults, if this session has any.
     faults: Option<FaultInjector>,
-    /// Per-replica settle-loop scheduling flags `(app_ran, poll_app)`,
-    /// kept across `run` calls so their capacity is allocated once.
-    replica_flags: Vec<(bool, bool)>,
+    /// Each replica's claim (see [`SessionWorld::run`]), parallel to
+    /// `replicas`, kept across runs so its capacity is allocated once.
+    replica_claims: Vec<SimTime>,
     /// What `run` has done so far.
     work: DriverWork,
 }
@@ -210,25 +210,23 @@ pub struct SessionWorld {
 pub struct DriverWork {
     /// Instants [`SessionWorld::run`] visited.
     pub instants: u64,
-    /// Those at which only the network had work — every other component
-    /// was strictly before its `quiet_until` — and only the network ran.
+    /// Those at which no endpoint owed work (see [`SessionWorld::run`])
+    /// and only the network ran.
     pub light_instants: u64,
-    /// Instants the settle loop left unconverged at its 64-round guard.
+    /// Endpoint settles the 64-round guard cut short.
     pub settle_guard_trips: u64,
-    /// Instants settled in full because the network had filled a stack's
-    /// inbox during the network-only stretch.
+    /// Instants settled because the network filled an endpoint's inbox.
     pub settled_inbox: u64,
-    /// Instants settled in full because a server's
-    /// [`RealServer::quiet_step`] found it owed a poll.
+    /// Instants settled because a server's [`RealServer::quiet_step`]
+    /// found it owed a poll.
     pub settled_quiet_step: u64,
-    /// Instants settled in full because the quiet claim had run out (or
-    /// some component made none): the first instant of a `run`, and
-    /// every instant at or past the earliest `quiet_until`.
+    /// Instants settled because an endpoint's claim had run out: the
+    /// first of a `run`, every one at or past the earliest claim, a
+    /// fault's (which voids every claim) and the deadline's.
     pub settled_lapsed: u64,
-    /// Instants settled in full because the settle before them tripped
-    /// the guard, after which nobody is quiet.
+    /// Instants after an endpoint's settle tripped the guard.
     pub settled_guard: u64,
-    /// Rounds of the settle loop, over every settled instant.
+    /// Rounds of the settle loop, over every endpoint settled.
     pub settle_rounds: u64,
     /// Server application polls issued (the primary's and the replicas').
     pub server_polls: u64,
@@ -240,11 +238,12 @@ pub struct DriverWork {
     pub client_polls_useful: u64,
 }
 
-/// What ended the network-only stretch before a settled instant.
-#[derive(Debug, Clone, Copy)]
+/// Why an endpoint settled, least compelling first: an instant counts
+/// once, by its endpoints' most compelling reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SettledBy {
-    Inbox,
     QuietStep,
+    Inbox,
     Lapsed,
     Guard,
 }
@@ -269,18 +268,20 @@ impl DriverWork {
         ]
     }
 
-    /// Instants settled in full: every instant that was not light.
+    /// Instants at which some endpoint settled: every one not light.
     pub fn settled_instants(&self) -> u64 {
         self.settled_inbox + self.settled_quiet_step + self.settled_lapsed + self.settled_guard
     }
 
-    fn settled(&mut self, by: SettledBy) {
+    /// Counts one instant, light when no endpoint settled.
+    fn count(&mut self, by: Option<SettledBy>) {
         self.instants += 1;
         *match by {
-            SettledBy::Inbox => &mut self.settled_inbox,
-            SettledBy::QuietStep => &mut self.settled_quiet_step,
-            SettledBy::Lapsed => &mut self.settled_lapsed,
-            SettledBy::Guard => &mut self.settled_guard,
+            None => &mut self.light_instants,
+            Some(SettledBy::QuietStep) => &mut self.settled_quiet_step,
+            Some(SettledBy::Inbox) => &mut self.settled_inbox,
+            Some(SettledBy::Lapsed) => &mut self.settled_lapsed,
+            Some(SettledBy::Guard) => &mut self.settled_guard,
         } += 1;
     }
 }
@@ -320,7 +321,7 @@ impl SessionWorld {
             replicas: Vec::new(),
             now: SimTime::ZERO,
             faults: None,
-            replica_flags: Vec::new(),
+            replica_claims: Vec::new(),
             work: DriverWork::default(),
         }
     }
@@ -336,7 +337,7 @@ impl SessionWorld {
     /// snapshot exactly like the primary.
     pub fn add_replica(&mut self, endpoint: (Stack, RealServer)) {
         self.replicas.push(endpoint);
-        self.replica_flags.push((false, true));
+        self.replica_claims.push(SimTime::ZERO);
     }
 
     /// Server `r` with its stack: the primary is server 0, `replicas[k]`
@@ -378,9 +379,11 @@ impl SessionWorld {
         self.faults = Some(FaultInjector::new(plan, map));
     }
 
-    /// Applies every fault event due at `now`.
-    fn apply_faults(&mut self, now: SimTime) {
+    /// Applies every fault event due at `now`. Returns whether any was.
+    fn apply_faults(&mut self, now: SimTime) -> bool {
+        let mut fired = false;
         while let Some(action) = self.faults.as_mut().and_then(|f| f.pop_due(now)) {
+            fired = true;
             // Fault events are traced here rather than in the components:
             // this is the one place that has both the simulated clock and
             // the decoded action.
@@ -409,66 +412,64 @@ impl SessionWorld {
                 }
             }
         }
+        fired
     }
 
     /// Drives everything until the client finishes or `deadline` passes.
     /// Returns the session record. May be called repeatedly with growing
     /// deadlines; the clock picks up where it left off.
+    ///
+    /// An instant is the network's poll, then a visit to each endpoint
+    /// (the client, the primary, each replica), which settles it only if
+    /// it owes work. Endpoints share nothing within an instant but the
+    /// network, which delivers nothing sent at `now` before the next
+    /// microsecond, so settling one never gives another work.
     pub fn run(&mut self, deadline: SimTime) -> SessionMetrics {
         let mut now = self.now;
-        // Strictly before this instant every component but the network
-        // has promised to be quiet; `ZERO` promises nothing.
-        let mut quiet_until = SimTime::ZERO;
-        // Why the next instant is settled if the stretch runs out.
-        let mut unclaimed = SettledBy::Lapsed;
+        // `ZERO` claims nothing: a run starts by settling every endpoint.
+        let (mut client_claim, mut server_claim) = (SimTime::ZERO, SimTime::ZERO);
+        self.replica_claims.fill(SimTime::ZERO);
+        let mut wakes = self.wakes(now);
+        let mut tripped = false;
         loop {
-            // Network-only instants: while the promise holds and no inbox
-            // fills, an instant costs the network's poll and nothing else.
-            // The instants themselves are the ones the settle loop would
-            // visit — same wake fold — because they cannot be skipped:
-            // server and client tick `now + 20 ms`, and a blocked token
-            // bucket's `f64` fill depends on every instant it is asked at.
-            let mut why = unclaimed;
-            while now < quiet_until.min(deadline) {
-                self.net.poll(now);
-                // Someone has work after all: settle this instant in full
-                // (its `net.poll` finds nothing left to do).
-                if self.inbound_waiting() {
-                    why = SettledBy::Inbox;
-                    break;
-                }
-                if !self.servers_stay_quiet(now) {
-                    why = SettledBy::QuietStep;
-                    break;
-                }
-                // Executable spec of the promise: debug builds settle the
-                // instant anyway, uncounted, and hold the settle to having
-                // moved nothing.
-                if cfg!(debug_assertions) {
-                    let work = self.work;
-                    let moved = self.settle(now);
-                    self.work = work;
-                    assert_eq!(moved, Some(0), "quiet world moved at {now:?}");
-                }
-                self.work.instants += 1;
-                self.work.light_instants += 1;
-                now = self.next_instant(now, deadline);
+            // A fault may have changed any endpoint, and the deadline's
+            // instant settles them all: every claim lapses.
+            let void = self.apply_faults(now) || now >= deadline;
+            self.net.poll(now);
+            let trips = self.work.settle_guard_trips;
+            let Self {
+                net,
+                client_stack,
+                server_stack,
+                server,
+                client,
+                replicas,
+                replica_claims,
+                work,
+                ..
+            } = self;
+            let mut visit = |stack: &mut Stack, app: App<'_>, claim: &mut SimTime| {
+                visit(net, stack, app, claim, void, now, work)
+            };
+            let mut why = visit(client_stack, App::Client(client), &mut client_claim);
+            why = why.max(visit(server_stack, App::Server(server), &mut server_claim));
+            for ((stack, server), claim) in replicas.iter_mut().zip(replica_claims.iter_mut()) {
+                why = why.max(visit(stack, App::Server(server), claim));
             }
-            self.apply_faults(now);
-            self.work.settled(why);
-            let converged = self.settle(now).is_some();
-            if self.client.is_done() || now >= deadline {
+            work.count(if tripped { Some(SettledBy::Guard) } else { why });
+            tripped = work.settle_guard_trips > trips;
+            if client.is_done() || now >= deadline {
                 self.now = now;
                 break;
             }
-            (quiet_until, unclaimed) = if converged {
-                (self.quiet_until(), SettledBy::Lapsed)
-            } else {
-                // Still moving at the guard: nobody is quiet.
-                self.work.settle_guard_trips += 1;
-                (SimTime::ZERO, SettledBy::Guard)
-            };
-            now = self.next_instant(now, deadline);
+            // Beside the network, only a settle moves what the wake fold
+            // reads (a fault's instant settles every endpoint).
+            if why.is_some() {
+                wakes = self.wakes(now);
+            }
+            let next = wakes.next(&self.net, now, deadline);
+            debug_assert_eq!(next, self.wakes(now).next(&self.net, now, deadline));
+            now = next;
         }
         self.client.metrics().cloned().unwrap_or_else(|| {
             // Deadline hit before the client finished (should be rare: the
@@ -483,172 +484,19 @@ impl SessionWorld {
         })
     }
 
-    /// Settles all work at instant `now`. Returns what the rounds moved in
-    /// total, or `None` if the guard — which bounds pathological ping-pong
-    /// at one instant — cut the loop short while things still moved.
-    ///
-    /// Components are wake-scheduled: a stack is polled only when it
-    /// has observable work (`needs_poll`: inbound packets, deferred
-    /// output, a due timer) or its application has run since the
-    /// stack was last flushed. Applications run once per instant
-    /// unconditionally (their time-based triggers — pacing, reports,
-    /// timeouts — fire on the first poll of an instant) and again
-    /// only after their stack delivered or flushed something. All
-    /// poll results, the applications' included, feed the `moved`
-    /// fixed-point counter uniformly.
-    pub(crate) fn settle(&mut self, now: SimTime) -> Option<usize> {
-        let mut total = 0;
-        let mut client_app_ran = false;
-        let mut server_app_ran = false;
-        let mut poll_client_app = true;
-        let mut poll_server_app = true;
-        for flags in &mut self.replica_flags {
-            *flags = (false, true);
-        }
-        for _ in 0..64 {
-            self.work.settle_rounds += 1;
-            let mut moved = self.net.poll(now);
-            if self.client_stack.needs_poll(&self.net, now) || client_app_ran {
-                let handled = self.client_stack.poll(now, &mut self.net);
-                client_app_ran = false;
-                poll_client_app |= handled > 0;
-                moved += handled;
-            }
-            if self.server_stack.needs_poll(&self.net, now) || server_app_ran {
-                let handled = self.server_stack.poll(now, &mut self.net);
-                server_app_ran = false;
-                poll_server_app |= handled > 0;
-                moved += handled;
-            }
-            if poll_server_app {
-                poll_server_app = false;
-                let worked = self.server.poll(now, &mut self.server_stack);
-                self.work.server_polls += 1;
-                self.work.server_polls_useful += u64::from(worked > 0);
-                server_app_ran |= worked > 0;
-                moved += worked;
-            }
-            if poll_client_app {
-                poll_client_app = false;
-                let worked = self.client.poll(now, &mut self.client_stack);
-                self.work.client_polls += 1;
-                self.work.client_polls_useful += u64::from(worked > 0);
-                client_app_ran |= worked > 0;
-                moved += worked;
-            }
-            // Replica servers ride the same wake-scheduling contract
-            // as the primary: stack when it has observable work, app
-            // once per instant and again after stack progress.
-            for ((stack, server), (app_ran, poll_app)) in
-                self.replicas.iter_mut().zip(&mut self.replica_flags)
-            {
-                if stack.needs_poll(&self.net, now) || *app_ran {
-                    let handled = stack.poll(now, &mut self.net);
-                    *app_ran = false;
-                    *poll_app |= handled > 0;
-                    moved += handled;
-                }
-                if *poll_app {
-                    *poll_app = false;
-                    let worked = server.poll(now, stack);
-                    self.work.server_polls += 1;
-                    self.work.server_polls_useful += u64::from(worked > 0);
-                    *app_ran |= worked > 0;
-                    moved += worked;
-                }
-                if stack.needs_poll(&self.net, now) || *app_ran {
-                    let handled = stack.poll(now, &mut self.net);
-                    *app_ran = false;
-                    *poll_app |= handled > 0;
-                    moved += handled;
-                }
-            }
-            if self.client_stack.needs_poll(&self.net, now) || client_app_ran {
-                let handled = self.client_stack.poll(now, &mut self.net);
-                client_app_ran = false;
-                poll_client_app |= handled > 0;
-                moved += handled;
-            }
-            if self.server_stack.needs_poll(&self.net, now) || server_app_ran {
-                let handled = self.server_stack.poll(now, &mut self.net);
-                server_app_ran = false;
-                poll_server_app |= handled > 0;
-                moved += handled;
-            }
-            if moved == 0 {
-                return Some(total);
-            }
-            total += moved;
-        }
-        None
-    }
-
-    /// The instant after `now`: the wake fan-in, folded as scalars with
-    /// `MAX` for "idle" — the same instant as
-    /// `earliest([...]).unwrap_or(deadline)` clamped the same way (an
-    /// all-idle world and a wake at `MAX` both land on `deadline`),
-    /// without building the by-value `Option` array whose reload stalls
-    /// on every instant.
-    pub(crate) fn next_instant(&self, now: SimTime, deadline: SimTime) -> SimTime {
+    /// What the wake fold reads beside the network, read at `now`.
+    fn wakes(&self, now: SimTime) -> Wakes {
         let wake = |t: Option<SimTime>| t.unwrap_or(SimTime::MAX);
-        let mut next = wake(self.net.next_wake())
-            .min(wake(self.client_stack.next_wake()))
-            .min(wake(self.server_stack.next_wake()))
-            .min(wake(self.server.next_wake(now)))
-            .min(wake(self.client.next_wake(now)))
-            .min(wake(
-                self.faults.as_ref().and_then(FaultInjector::next_wake),
-            ));
-        for (stack, server) in &self.replicas {
-            next = next
-                .min(wake(stack.next_wake()))
-                .min(wake(server.next_wake(now)));
-        }
-        let step_floor = now + SimDuration::from_micros(1);
-        next.min(deadline).max(step_floor)
-    }
-
-    /// The instant strictly before which — unless the network delivers a
-    /// packet — settling an instant does nothing beyond the network's own
-    /// poll and each server's [`RealServer::quiet_step`]: the earliest of
-    /// every component's `quiet_until` and the next scheduled fault.
-    /// Asked right after a settle converged.
-    fn quiet_until(&self) -> SimTime {
-        let mut until = self
-            .client
-            .quiet_until(&self.client_stack)
-            .min(self.client_stack.quiet_until())
-            .min(
-                self.faults
-                    .as_ref()
-                    .and_then(FaultInjector::next_wake)
-                    .unwrap_or(SimTime::MAX),
-            );
+        let faults = self.faults.as_ref().and_then(FaultInjector::next_wake);
+        let mut wakes = Wakes {
+            timers: wake(self.client_stack.next_wake()).min(wake(faults)),
+            apps: wake(self.client.next_wake(now)),
+        };
         for (stack, server) in (0..).map_while(|r| self.server(r)) {
-            until = until
-                .min(stack.quiet_until())
-                .min(server.quiet_until(stack));
+            wakes.timers = wakes.timers.min(wake(stack.next_wake()));
+            wakes.apps = wakes.apps.min(wake(server.next_wake(now)));
         }
-        until
-    }
-
-    /// Whether the network has delivered anything a stack must look at.
-    fn inbound_waiting(&self) -> bool {
-        self.net.inbox_len(self.client_stack.host()) > 0
-            || (0..)
-                .map_while(|r| self.server(r))
-                .any(|(stack, _)| self.net.inbox_len(stack.host()) > 0)
-    }
-
-    /// Takes the servers through a network-only instant, stopping at the
-    /// first that turns out to owe a full poll (a blocked bucket refilled
-    /// far enough to send) — the settle that follows polls them all.
-    fn servers_stay_quiet(&mut self, now: SimTime) -> bool {
-        self.server.quiet_step(now, &self.server_stack)
-            && self
-                .replicas
-                .iter_mut()
-                .all(|(stack, server)| server.quiet_step(now, stack))
+        wakes
     }
 
     /// Snapshots this world's deterministic counters. Collected from the
@@ -725,18 +573,215 @@ impl SessionWorld {
     }
 }
 
+/// The steady tick both applications ask for while they are live
+/// ([`RealServer::next_wake`], [`TracerClient::next_wake`]).
+const APP_TICK: SimDuration = SimDuration::from_millis(20);
+
+/// What the wake fold reads beside the network: the earliest stack timer
+/// or fault, and the earliest application wake. Only a settle or a fault
+/// moves them: an application's wake is `max(w, now + APP_TICK)` for a
+/// `w` fixed between its polls, so the one read at a settle stands.
+#[derive(Debug, Clone, Copy)]
+struct Wakes {
+    timers: SimTime,
+    apps: SimTime,
+}
+
+impl Wakes {
+    /// The instant after `now`: the earliest wake, at least a
+    /// microsecond on and at most `deadline`.
+    fn next(self, net: &Network<Segment>, now: SimTime, deadline: SimTime) -> SimTime {
+        net.next_wake()
+            .unwrap_or(SimTime::MAX)
+            .min(self.timers)
+            .min(self.apps.max(now + APP_TICK))
+            .min(deadline)
+            .max(now + SimDuration::from_micros(1))
+    }
+}
+
+/// An endpoint's application, as the driver polls it.
+enum App<'a> {
+    Client(&'a mut TracerClient),
+    Server(&'a mut RealServer),
+}
+
+impl App<'_> {
+    /// Polls the application at `now`, counting the poll in `work`.
+    fn poll(&mut self, now: SimTime, stack: &mut Stack, work: &mut DriverWork) -> usize {
+        let worked = match self {
+            App::Client(client) => client.poll(now, stack),
+            App::Server(server) => server.poll(now, stack),
+        };
+        let (polls, useful) = match self {
+            App::Client(_) => (&mut work.client_polls, &mut work.client_polls_useful),
+            App::Server(_) => (&mut work.server_polls, &mut work.server_polls_useful),
+        };
+        *polls += 1;
+        *useful += u64::from(worked > 0);
+        worked
+    }
+
+    /// The endpoint's claim, asked right after it settled: the earlier of
+    /// the application's and the stack's `quiet_until`.
+    fn claim(&self, stack: &Stack) -> SimTime {
+        let app = match self {
+            App::Client(client) => client.quiet_until(stack),
+            App::Server(server) => server.quiet_until(stack),
+        };
+        app.min(stack.quiet_until())
+    }
+
+    /// A server's [`RealServer::quiet_step`], the one per-instant
+    /// obligation of a claim; a client has none.
+    fn quiet_step(&mut self, now: SimTime, stack: &Stack) -> bool {
+        match self {
+            App::Client(_) => true,
+            App::Server(server) => server.quiet_step(now, stack),
+        }
+    }
+}
+
+/// Takes one endpoint through instant `now`, after the network's poll. It
+/// settles if its claim is `void` or reached, its host's inbox holds a
+/// packet, or its `quiet_step` refuses (asked last, so a bucket refills
+/// after this instant's receiver report), and is asked for a new claim.
+/// Returns why it settled, `None` if it stayed quiet.
+fn visit(
+    net: &mut Network<Segment>,
+    stack: &mut Stack,
+    mut app: App<'_>,
+    claim: &mut SimTime,
+    void: bool,
+    now: SimTime,
+    work: &mut DriverWork,
+) -> Option<SettledBy> {
+    let why = if void || *claim <= now {
+        SettledBy::Lapsed
+    } else if net.inbox_len(stack.host()) > 0 {
+        SettledBy::Inbox
+    } else if !app.quiet_step(now, stack) {
+        SettledBy::QuietStep
+    } else {
+        // Executable spec of the claim: debug builds settle the endpoint
+        // anyway, uncounted, and hold the settle to having moved nothing.
+        if cfg!(debug_assertions) {
+            let counted = *work;
+            let moved = settle_endpoint(net, stack, &mut app, now, work);
+            *work = counted;
+            assert_eq!(moved, Some(0), "quiet endpoint moved at {now:?}");
+        }
+        return None;
+    };
+    *claim = match settle_endpoint(net, stack, &mut app, now, work) {
+        Some(_) => app.claim(stack),
+        None => {
+            work.settle_guard_trips += 1;
+            SimTime::ZERO
+        }
+    };
+    Some(why)
+}
+
+/// Settles one endpoint at `now`: the fixed point of stack, application,
+/// stack. Returns what the rounds moved, or `None` if the guard (which
+/// bounds ping-pong at one instant) cut them short while things moved.
+///
+/// The stack is polled only when it has observable work (`needs_poll`)
+/// or its application has run since it was last flushed. The application
+/// runs once unconditionally (its time-based triggers fire on the first
+/// poll of an instant) and again only after its stack moved something.
+fn settle_endpoint(
+    net: &mut Network<Segment>,
+    stack: &mut Stack,
+    app: &mut App<'_>,
+    now: SimTime,
+    work: &mut DriverWork,
+) -> Option<usize> {
+    let flush = |net: &mut Network<Segment>, stack: &mut Stack, app_ran: bool| {
+        if app_ran || stack.needs_poll(net, now) {
+            stack.poll(now, net)
+        } else {
+            0
+        }
+    };
+    let (mut total, mut poll_app) = (0, true);
+    for _ in 0..64 {
+        work.settle_rounds += 1;
+        let handled = flush(net, stack, false);
+        let worked = if poll_app || handled > 0 {
+            app.poll(now, stack, work)
+        } else {
+            0
+        };
+        let flushed = flush(net, stack, worked > 0);
+        poll_app = flushed > 0;
+        let moved = handled + worked + flushed;
+        if moved == 0 {
+            return Some(total);
+        }
+        total += moved;
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::GatewayEndpoint;
     use proptest::prelude::*;
     use rv_media::ContentKind;
     use rv_net::LinkId;
     use rv_rtsp::TransportPreference;
-    use rv_sim::{FaultSegment, LinkOutage, OutagePolicy};
+    use rv_sim::{FaultSegment, LinkOutage, OutagePolicy, ServerCrash};
 
     impl SessionWorld {
-        /// The reference driver: `run` without its network-only stretch —
-        /// every instant is settled in full.
+        /// Settles every endpoint at `now`, whatever its claim: the
+        /// instant's network poll, then each endpoint's fixed point.
+        pub(crate) fn settle(&mut self, now: SimTime) {
+            self.net.poll(now);
+            let Self {
+                net,
+                client_stack,
+                server_stack,
+                server,
+                client,
+                replicas,
+                work,
+                ..
+            } = self;
+            settle_endpoint(net, client_stack, &mut App::Client(client), now, work);
+            settle_endpoint(net, server_stack, &mut App::Server(server), now, work);
+            for (stack, server) in replicas {
+                settle_endpoint(net, stack, &mut App::Server(server), now, work);
+            }
+        }
+
+        /// The instant after `now` by the full wake fan-in, every
+        /// component's `next_wake` read afresh: the reference for the
+        /// [`Wakes`] that `run` steps by.
+        pub(crate) fn next_instant(&self, now: SimTime, deadline: SimTime) -> SimTime {
+            let wake = |t: Option<SimTime>| t.unwrap_or(SimTime::MAX);
+            let mut next = wake(self.net.next_wake())
+                .min(wake(self.client_stack.next_wake()))
+                .min(wake(self.server_stack.next_wake()))
+                .min(wake(self.server.next_wake(now)))
+                .min(wake(self.client.next_wake(now)))
+                .min(wake(
+                    self.faults.as_ref().and_then(FaultInjector::next_wake),
+                ));
+            for (stack, server) in &self.replicas {
+                next = next
+                    .min(wake(stack.next_wake()))
+                    .min(wake(server.next_wake(now)));
+            }
+            let step_floor = now + SimDuration::from_micros(1);
+            next.min(deadline).max(step_floor)
+        }
+
+        /// The reference driver: `run` without its claims — every
+        /// endpoint is settled at every instant, and the next instant is
+        /// the full wake fold's.
         fn run_settling_every_instant(&mut self, deadline: SimTime) -> SessionMetrics {
             let mut now = self.now;
             loop {
@@ -753,11 +798,13 @@ mod tests {
     }
 
     proptest! {
-        /// Random two-host worlds — path, transport, watch limit, seed, and
-        /// optionally an access-link outage (which hardens the client) —
-        /// end in the same record, counters and clock, after the same
-        /// number of instants, whether `run` drives them or the reference
-        /// that settles every instant does.
+        /// Random worlds — path, transport, watch limit, seed, optionally
+        /// an access-link outage and optionally a second server the client
+        /// reaches through a gateway list, one of the two crashing and
+        /// perhaps restarting (either fault hardens the client) — end in
+        /// the same record, counters and clock, after the same number of
+        /// instants, whether `run` drives them or the reference that
+        /// settles every endpoint at every instant does.
         #[test]
         fn run_visits_and_leaves_what_settling_every_instant_does(
             (rate, delay_ms, loss, queue) in (30_000.0f64..2_000_000.0, 1u64..300, 0.0f64..0.08, 8u32..128),
@@ -765,6 +812,7 @@ mod tests {
             watch_s in 3u64..25,
             seed in any::<u64>(),
             outage in prop::option::of((1u64..20, 1u64..25, any::<bool>())),
+            replica in prop::option::of((any::<bool>(), 0u64..20, prop::option::of(1u64..15))),
         ) {
             let build = || {
                 let params = LinkParams::lan()
@@ -772,16 +820,51 @@ mod tests {
                     .delay(SimDuration::from_millis(delay_ms))
                     .loss(loss)
                     .queue(queue * 1024);
-                let clip = Clip::new("c.rm", SimDuration::from_secs(90), ContentKind::News);
-                let mut world = two_host_world(params, clip, seed, |c, _| {
-                    c.watch_limit = SimDuration::from_secs(watch_s);
-                    if tcp {
-                        c.transport_pref = TransportPreference::ForceTcp;
-                    }
-                });
-                if let Some((start, len, carry)) = outage {
-                    let plan = FaultPlan {
-                        link_outages: vec![LinkOutage {
+                let mut b = NetBuilder::new();
+                let client = b.host();
+                let servers = if replica.is_some() { 2 } else { 1 };
+                for _ in 0..servers {
+                    let server = b.host();
+                    b.duplex(client, server, params);
+                }
+                let net = b.build_with_payload::<Segment>(&mut SimRng::seed_from_u64(seed));
+                let ctrl = |k: u32| Addr::new(HostId(1 + k), ports::CTRL);
+                let data = |k: u32| Addr::new(HostId(1 + k), ports::DATA_TCP);
+                let mut cfg = ClientConfig::new("rtsp://server/c.rm", ctrl(0), data(0));
+                cfg.watch_limit = SimDuration::from_secs(watch_s);
+                if tcp {
+                    cfg.transport_pref = TransportPreference::ForceTcp;
+                }
+                if replica.is_some() {
+                    cfg.gateway = (0..2)
+                        .map(|k| GatewayEndpoint { replica: k as u8, ctrl: ctrl(k), data: data(k) })
+                        .collect();
+                }
+                let server = |k: u32| {
+                    let mut catalog = Catalog::new();
+                    catalog.add(Clip::new("c.rm", SimDuration::from_secs(90), ContentKind::News));
+                    server_endpoint(
+                        HostId(1 + k),
+                        TcpConfig::default(),
+                        ServerConfig::default(),
+                        catalog,
+                        seed ^ u64::from(k),
+                        ServerScratch::default(),
+                    )
+                };
+                let client = client_endpoint(
+                    HostId(0),
+                    client_data_tcp_config(),
+                    cfg,
+                    ClientScratch::default(),
+                );
+                let mut world = SessionWorld::new(net, client, server(0));
+                if replica.is_some() {
+                    world.add_replica(server(1));
+                }
+                let plan = FaultPlan {
+                    link_outages: outage
+                        .map(|(start, len, carry)| LinkOutage {
                             segment: FaultSegment::ClientAccess,
                             start: SimTime::from_secs(start),
                             end: SimTime::from_secs(start + len),
@@ -790,15 +873,24 @@ mod tests {
                             } else {
                                 OutagePolicy::DropInFlight
                             },
-                        }],
-                        ..FaultPlan::none()
-                    };
-                    let map = FaultLinkMap {
-                        client_access: vec![LinkId(0), LinkId(1)],
-                        ..FaultLinkMap::default()
-                    };
-                    world.set_faults(&plan, &map);
-                }
+                        })
+                        .into_iter()
+                        .collect(),
+                    server_crashes: replica
+                        .map(|(primary, at, restart)| ServerCrash {
+                            at: SimTime::from_secs(at),
+                            restart_after: restart.map(SimDuration::from_secs),
+                            replica: u8::from(!primary),
+                        })
+                        .into_iter()
+                        .collect(),
+                    ..FaultPlan::none()
+                };
+                let map = FaultLinkMap {
+                    client_access: vec![LinkId(0), LinkId(1)],
+                    ..FaultLinkMap::default()
+                };
+                world.set_faults(&plan, &map);
                 world
             };
             let deadline = SimTime::from_secs(200);
