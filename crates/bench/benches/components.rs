@@ -288,13 +288,12 @@ fn bench_net_hotpath(c: &mut Criterion) {
     g.finish();
 }
 
-/// The questions a session driver asks every instant, one call each:
-/// the `earliest` fold over the six primary wake sources, the network's
-/// `next_wake`, and the stack's `needs_poll` / `next_wake` — the latter
-/// two on a warm attention memo (a read) and, for `needs_poll`, right
-/// after a `tcp()` access cleared it (the sweep over the three sockets a
-/// session server holds). An established connection with unacked data
-/// keeps a retransmission deadline pending, so every answer is `Some`.
+/// The wake questions a session driver asks, one call each: the
+/// `earliest` fold over the six primary wake sources, the network's
+/// `next_wake`, and the stack's `next_wake` (a sweep over the three
+/// sockets a session server holds). An established connection with
+/// unacked data keeps a retransmission deadline pending, so every answer
+/// is `Some`.
 fn bench_wake_queries(c: &mut Criterion) {
     let mut bld = NetBuilder::new();
     let cn = bld.host();
@@ -334,7 +333,7 @@ fn bench_wake_queries(c: &mut Criterion) {
         net.next_wake(),
         cs.next_wake(),
         ss.next_wake(),
-        Some(now + SimDuration::from_millis(20)),
+        Some(now + rv_sim::APP_TICK),
         None,
         None,
     ];
@@ -345,15 +344,6 @@ fn bench_wake_queries(c: &mut Criterion) {
     });
     g.bench_function("network_next_wake", |b| {
         b.iter(|| std::hint::black_box(&net).next_wake())
-    });
-    g.bench_function("stack_needs_poll_memo_hit", |b| {
-        b.iter(|| std::hint::black_box(&ss).needs_poll(&net, now))
-    });
-    g.bench_function("stack_needs_poll_memo_miss", |b| {
-        b.iter(|| {
-            std::hint::black_box(ss.tcp(sh));
-            ss.needs_poll(&net, now)
-        })
     });
     g.bench_function("stack_next_wake", |b| {
         b.iter(|| std::hint::black_box(&ss).next_wake())

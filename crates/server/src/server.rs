@@ -23,7 +23,7 @@
 use rv_media::MediaPacket;
 use rv_rtsp::{Decoder, ServerSession};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{PoolFootprint, SimDuration, SimTime};
+use rv_sim::{PoolFootprint, SimDuration, SimTime, APP_TICK};
 use rv_transport::{Stack, TcpHandle, UdpHandle};
 
 use crate::catalog::Catalog;
@@ -371,9 +371,7 @@ impl RealServer {
         }
         // While streaming, pacing and rate evaluation need a steady tick;
         // idle servers are woken by control-connection arrivals.
-        self.stream
-            .as_ref()
-            .map(|_| now + SimDuration::from_millis(20))
+        self.stream.as_ref().map(|_| now + APP_TICK)
     }
 }
 

@@ -6,7 +6,13 @@
 //! the library is `rv_tracer::SessionWorld::run` — and [`earliest`] folds
 //! the components' answers into the next instant to visit.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// The steady tick a live application asks to be woken at: a streaming
+/// server paces and evaluates its rate on it, and a client that is not
+/// done wakes on it whatever else it waits for. Both wake at `now +
+/// APP_TICK` or later, which the driver's wake fold relies on.
+pub const APP_TICK: SimDuration = SimDuration::from_millis(20);
 
 /// Folds optional wake-up times down to the earliest one.
 ///

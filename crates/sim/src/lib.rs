@@ -55,7 +55,7 @@ mod time;
 pub mod trace;
 
 pub use bytes::{ByteRope, PayloadBytes, PayloadPool, PoolFootprint};
-pub use clock::earliest;
+pub use clock::{earliest, APP_TICK};
 pub use counters::{Counter, CounterSet};
 pub use digest::Fnv;
 pub use fault::{

@@ -16,7 +16,7 @@ use rv_rtsp::{
 };
 use rv_server::{ReceiverReport, REPORT_PARAM};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{SimDuration, SimTime};
+use rv_sim::{SimDuration, SimTime, APP_TICK};
 use rv_transport::{Stack, TcpError, TcpHandle, UdpHandle};
 
 use crate::metrics::{finalize, SessionMetrics, SessionOutcome};
@@ -404,14 +404,57 @@ impl TracerClient {
     /// progress into their settle fixed point uniformly with the stacks
     /// and the network.
     pub fn poll(&mut self, now: SimTime, stack: &mut Stack) -> usize {
-        // Executable spec of `quiet_until`: debug builds still run the
-        // poll and hold it to having done nothing.
-        let idle = now < self.quiet_until(stack);
-        if idle && !cfg!(debug_assertions) {
+        if self.phase == Phase::Done {
             return 0;
         }
-        let work = self.poll_active(now, stack);
-        debug_assert!(!idle || work == 0, "client worked at {now:?} while idle");
+        let mut work = 0;
+        if self.phase == Phase::Idle {
+            self.start(now, stack);
+            work += 1;
+        }
+        // Safety timeout: a wedged session still yields a record,
+        // classified by where it wedged — silence after PLAY is data
+        // starvation, silence before it is a control-channel failure.
+        if let Some(start) = self.start_time {
+            if now.saturating_since(start) >= self.cfg.session_timeout {
+                let outcome = self.outcome.unwrap_or(match self.phase {
+                    Phase::Playing => SessionOutcome::Starved,
+                    _ => SessionOutcome::TimedOut,
+                });
+                self.finish(now, outcome);
+                return work + 1;
+            }
+        }
+        if self.phase == Phase::Waiting {
+            if self.next_retry_at.is_some_and(|t| now >= t) {
+                self.next_retry_at = None;
+                let (_, ctrl_addr, _) = self.current_endpoint();
+                stack.tcp(self.ctrl).connect(ctrl_addr, now);
+                self.set_phase(Phase::Connecting, now);
+                work += 1;
+            }
+            return work;
+        }
+        work += self.watch_faults(now, stack);
+        if matches!(self.phase, Phase::Done | Phase::Waiting) {
+            return work;
+        }
+
+        work += self.pump_control(now, stack);
+        if self.phase == Phase::Connecting && stack.tcp_ref(self.ctrl).is_established() {
+            let speed = Some(self.cfg.max_bandwidth_bps);
+            self.send_control(stack, |session, out| session.describe(speed, out));
+            self.set_phase(Phase::Describing, now);
+            work += 1;
+        }
+        if self.phase == Phase::ConnectingData && stack.tcp_ref(self.data_tcp).is_established() {
+            self.send_control(stack, ClientSession::play);
+            self.set_phase(Phase::Starting, now);
+            work += 1;
+        }
+        if self.phase == Phase::Playing {
+            work += self.pump_data(now, stack);
+        }
         work
     }
 
@@ -531,61 +574,6 @@ impl TracerClient {
         self.transport == Some(TransportKind::Udp) && !self.fell_back && self.last_data.is_none()
     }
 
-    fn poll_active(&mut self, now: SimTime, stack: &mut Stack) -> usize {
-        if self.phase == Phase::Done {
-            return 0;
-        }
-        let mut work = 0;
-        if self.phase == Phase::Idle {
-            self.start(now, stack);
-            work += 1;
-        }
-        // Safety timeout: a wedged session still yields a record,
-        // classified by where it wedged — silence after PLAY is data
-        // starvation, silence before it is a control-channel failure.
-        if let Some(start) = self.start_time {
-            if now.saturating_since(start) >= self.cfg.session_timeout {
-                let outcome = self.outcome.unwrap_or(match self.phase {
-                    Phase::Playing => SessionOutcome::Starved,
-                    _ => SessionOutcome::TimedOut,
-                });
-                self.finish(now, outcome);
-                return work + 1;
-            }
-        }
-        if self.phase == Phase::Waiting {
-            if self.next_retry_at.is_some_and(|t| now >= t) {
-                self.next_retry_at = None;
-                let (_, ctrl_addr, _) = self.current_endpoint();
-                stack.tcp(self.ctrl).connect(ctrl_addr, now);
-                self.set_phase(Phase::Connecting, now);
-                work += 1;
-            }
-            return work;
-        }
-        work += self.watch_faults(now, stack);
-        if matches!(self.phase, Phase::Done | Phase::Waiting) {
-            return work;
-        }
-
-        work += self.pump_control(now, stack);
-        if self.phase == Phase::Connecting && stack.tcp_ref(self.ctrl).is_established() {
-            let speed = Some(self.cfg.max_bandwidth_bps);
-            self.send_control(stack, |session, out| session.describe(speed, out));
-            self.set_phase(Phase::Describing, now);
-            work += 1;
-        }
-        if self.phase == Phase::ConnectingData && stack.tcp_ref(self.data_tcp).is_established() {
-            self.send_control(stack, ClientSession::play);
-            self.set_phase(Phase::Starting, now);
-            work += 1;
-        }
-        if self.phase == Phase::Playing {
-            work += self.pump_data(now, stack);
-        }
-        work
-    }
-
     fn set_phase(&mut self, phase: Phase, now: SimTime) {
         trace::emit(now, || TraceEvent::ClientPhase {
             phase: phase.label(),
@@ -636,11 +624,11 @@ impl TracerClient {
         if !self.hardened {
             return 0;
         }
-        if let Some(err) = take_error(stack, self.ctrl) {
+        if let Some(err) = stack.tcp(self.ctrl).take_error() {
             return self.fail_or_reroute(now, stack, err);
         }
         if self.watches_data() {
-            if let Some(err) = take_error(stack, self.data_tcp) {
+            if let Some(err) = stack.tcp(self.data_tcp).take_error() {
                 return self.fail_or_reroute(now, stack, err);
             }
         }
@@ -793,12 +781,10 @@ impl TracerClient {
 
     fn pump_control(&mut self, now: SimTime, stack: &mut Stack) -> usize {
         let mut handled = 0;
-        if stack.tcp_ref(self.ctrl).recv_available() > 0 {
-            let decoder = &mut self.scratch.decoder;
-            stack
-                .tcp(self.ctrl)
-                .recv_with(usize::MAX, &mut |chunk| decoder.feed(chunk));
-        }
+        let decoder = &mut self.scratch.decoder;
+        stack
+            .tcp(self.ctrl)
+            .recv_with(usize::MAX, &mut |chunk| decoder.feed(chunk));
         loop {
             let msg = match self.scratch.decoder.next_message() {
                 Ok(Some(msg)) => msg,
@@ -897,31 +883,27 @@ impl TracerClient {
     fn pump_data(&mut self, now: SimTime, stack: &mut Stack) -> usize {
         let mut work = 0;
         // UDP datagrams: one media packet each.
-        if stack.udp_ref(self.udp).recv_queue_len() > 0 {
-            while let Some((_, data)) = stack.udp(self.udp).recv() {
-                work += 1;
-                if let Some((pkt, _)) = MediaPacket::decode(&data) {
-                    self.note_rung(now, pkt.rung);
-                    self.last_rung = pkt.rung;
-                    self.note_media(now);
-                    self.scratch.player.on_packet(now, pkt);
-                }
-            }
-        }
-        // TCP stream: depacketize straight out of the receive rope —
-        // no intermediate `Vec` between the socket and the depacketizer.
-        if stack.tcp_ref(self.data_tcp).recv_available() > 0 {
-            let depkt = &mut self.scratch.depkt;
-            stack
-                .tcp(self.data_tcp)
-                .recv_with(usize::MAX, &mut |chunk| depkt.feed(chunk));
-            while let Some(pkt) = self.scratch.depkt.next_packet() {
-                work += 1;
+        while let Some((_, data)) = stack.udp(self.udp).recv() {
+            work += 1;
+            if let Some((pkt, _)) = MediaPacket::decode(&data) {
                 self.note_rung(now, pkt.rung);
                 self.last_rung = pkt.rung;
                 self.note_media(now);
                 self.scratch.player.on_packet(now, pkt);
             }
+        }
+        // TCP stream: depacketize straight out of the receive rope —
+        // no intermediate `Vec` between the socket and the depacketizer.
+        let depkt = &mut self.scratch.depkt;
+        stack
+            .tcp(self.data_tcp)
+            .recv_with(usize::MAX, &mut |chunk| depkt.feed(chunk));
+        while let Some(pkt) = self.scratch.depkt.next_packet() {
+            work += 1;
+            self.note_rung(now, pkt.rung);
+            self.last_rung = pkt.rung;
+            self.note_media(now);
+            self.scratch.player.on_packet(now, pkt);
         }
 
         let before = self.scratch.events.len();
@@ -1020,24 +1002,11 @@ impl TracerClient {
             // that a live client always reports a wake.
             Phase::Waiting => Some(
                 self.next_retry_at
-                    .map_or(now + SimDuration::from_millis(20), |t| {
-                        t.max(now + SimDuration::from_millis(20))
-                    }),
+                    .map_or(now + APP_TICK, |t| t.max(now + APP_TICK)),
             ),
             // Steady tick: cheap, and robust against missed edges.
-            _ => Some(now + SimDuration::from_millis(20)),
+            _ => Some(now + APP_TICK),
         }
-    }
-}
-
-/// Takes a socket's error, if it holds one. The `&mut` route to a socket
-/// empties the stack's attention memo, so it is taken only when there is
-/// something to take.
-fn take_error(stack: &mut Stack, socket: TcpHandle) -> Option<TcpError> {
-    if stack.tcp_ref(socket).has_error() {
-        stack.tcp(socket).take_error()
-    } else {
-        None
     }
 }
 
@@ -1158,7 +1127,7 @@ mod tests {
     }
 
     /// Every clock edge the client acts on, read off its fields: what
-    /// `poll_active` compares `now` against in its current phase.
+    /// `poll` compares `now` against in its current phase.
     fn edges(c: &TracerClient) -> Vec<SimTime> {
         let cfg = &c.cfg;
         let mut edges = Vec::new();
@@ -1202,8 +1171,8 @@ mod tests {
         edges
     }
 
-    /// The client and its stack as `{:?}`, the stack's attention memo
-    /// included: a quiet poll leaves it as it found it.
+    /// The client and its stack as `{:?}`: a quiet poll leaves both as it
+    /// found them.
     fn snapshot(world: &SessionWorld) -> String {
         format!("{:?}\n{:?}", world.client, world.client_stack)
     }
@@ -1212,7 +1181,7 @@ mod tests {
     /// last quiet instant, at the claim, at the instant the driver would
     /// visit next, or `dt_us` on), a world-side action, then a full
     /// settle — holding every claim to both
-    /// directions: strictly before it a `poll_active` changes nothing,
+    /// directions: strictly before it a `poll` changes nothing,
     /// and it never reaches past an edge the client acts on. Returns how
     /// many claims were exercised in each phase.
     fn drive(case: Case, script: &[(u8, u64, u8)]) -> Result<[u32; 10], String> {
@@ -1267,7 +1236,7 @@ mod tests {
                 exercised[world.client.phase as usize] += 1;
                 let before = snapshot(&world);
                 let phase = world.client.phase;
-                let work = world.client.poll_active(t, &mut world.client_stack);
+                let work = world.client.poll(t, &mut world.client_stack);
                 prop_assert_eq!(
                     work,
                     0,
@@ -1291,12 +1260,7 @@ mod tests {
                 // Done claims everything, and keeps to it.
                 prop_assert_eq!(world.client.quiet_until(&world.client_stack), SimTime::MAX);
                 let before = snapshot(&world);
-                prop_assert_eq!(
-                    world
-                        .client
-                        .poll_active(now + TICK, &mut world.client_stack),
-                    0
-                );
+                prop_assert_eq!(world.client.poll(now + TICK, &mut world.client_stack), 0);
                 prop_assert!(before == snapshot(&world));
                 exercised[Phase::Done as usize] += 1;
                 break;
@@ -1372,7 +1336,7 @@ mod tests {
             .tcp(data)
             .recv_with(usize::MAX, &mut |_| {});
         assert_eq!(world.client.quiet_until(&world.client_stack), SimTime::ZERO);
-        assert!(world.client.poll_active(now, &mut world.client_stack) > 0);
+        assert!(world.client.poll(now, &mut world.client_stack) > 0);
         assert_eq!(world.client.phase, Phase::Waiting);
     }
 

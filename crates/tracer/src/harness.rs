@@ -9,7 +9,7 @@ use rv_media::Clip;
 use rv_net::{Addr, HostId, LinkParams, NetBuilder, Network, PrototypeCache};
 use rv_server::{Catalog, RealServer, ServerConfig, ServerScratch, ServerStats};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{Counter, CounterSet, FaultPlan, SimDuration, SimRng, SimTime};
+use rv_sim::{Counter, CounterSet, FaultPlan, SimDuration, SimRng, SimTime, APP_TICK};
 use rv_transport::{Segment, Stack, TcpConfig};
 
 use crate::client::{ClientConfig, ClientScratch, TracerClient};
@@ -573,10 +573,6 @@ impl SessionWorld {
     }
 }
 
-/// The steady tick both applications ask for while they are live
-/// ([`RealServer::next_wake`], [`TracerClient::next_wake`]).
-const APP_TICK: SimDuration = SimDuration::from_millis(20);
-
 /// What the wake fold reads beside the network: the earliest stack timer
 /// or fault, and the earliest application wake. Only a settle or a fault
 /// moves them: an application's wake is `max(w, now + APP_TICK)` for a
@@ -684,13 +680,17 @@ fn visit(
 }
 
 /// Settles one endpoint at `now`: the fixed point of stack, application,
-/// stack. Returns what the rounds moved, or `None` if the guard (which
-/// bounds ping-pong at one instant) cut them short while things moved.
+/// stack. Returns what it moved, or `None` if the guard (which bounds
+/// ping-pong at one instant) cut the rounds short while things moved.
 ///
-/// The stack is polled only when it has observable work (`needs_poll`)
-/// or its application has run since it was last flushed. The application
-/// runs once unconditionally (its time-based triggers fire on the first
-/// poll of an instant) and again only after its stack moved something.
+/// The stack is flushed first if it has observable work (`needs_poll`).
+/// Each round then polls the application and flushes the stack again if
+/// the application worked or the stack has work. A round ends the settle
+/// unless that flush sent something, which may give the application room
+/// to act: a poll leaves its stack owing nothing at `now`, and a poll
+/// right after it handles nothing and changes nothing
+/// (`stack_claims_agree_with_a_socket_sweep` in rv-transport), so another
+/// round could only ask again.
 fn settle_endpoint(
     net: &mut Network<Segment>,
     stack: &mut Stack,
@@ -705,22 +705,15 @@ fn settle_endpoint(
             0
         }
     };
-    let (mut total, mut poll_app) = (0, true);
+    let mut total = flush(net, stack, false);
     for _ in 0..64 {
         work.settle_rounds += 1;
-        let handled = flush(net, stack, false);
-        let worked = if poll_app || handled > 0 {
-            app.poll(now, stack, work)
-        } else {
-            0
-        };
+        let worked = app.poll(now, stack, work);
         let flushed = flush(net, stack, worked > 0);
-        poll_app = flushed > 0;
-        let moved = handled + worked + flushed;
-        if moved == 0 {
+        total += worked + flushed;
+        if flushed == 0 {
             return Some(total);
         }
-        total += moved;
     }
     None
 }

@@ -1,8 +1,6 @@
 //! Per-host socket stack: owns a host's sockets, demultiplexes inbound
 //! packets, and pumps outbound segments into the network.
 
-use std::cell::Cell;
-
 use rv_net::{Addr, HostId, Network, Packet};
 use rv_sim::SimTime;
 
@@ -36,21 +34,6 @@ pub struct Stack {
     udp_blackhole: bool,
     /// Datagrams eaten by the black hole.
     udp_blackholed: u64,
-    /// Memo of the socket sweep every driver query needs: `(any socket
-    /// has deferred output, earliest TCP `rto_deadline` or
-    /// [`SimTime::MAX`])`. `None` = stale; the next query refills it with
-    /// one sweep, every later one is a read. A `Cell` because the queries
-    /// (`needs_poll`, `next_wake`, `quiet_until`, `has_pending_work`)
-    /// take `&self` and run eight-plus times per simulated instant
-    /// between mutations.
-    ///
-    /// Invariant: every route by which a socket can be reached mutably
-    /// clears it — [`Stack::tcp`], [`Stack::udp`], [`Stack::tcp_socket`],
-    /// [`Stack::udp_socket`] and entry of [`Stack::poll`] (which covers
-    /// `dispatch`). **A new `&mut` route to a socket must clear it too.**
-    /// Debug builds recompute the sweep on every query and assert the
-    /// memo equals it.
-    attention: Cell<Option<(bool, SimTime)>>,
     /// Retired sockets for the sockets still to be created, the next
     /// one's on top: [`Stack::renew`] moves the live sockets here, so the
     /// `i`-th socket created renews the `i`-th the last session created
@@ -77,7 +60,6 @@ impl Stack {
             pending_rsts: Vec::new(),
             udp_blackhole: false,
             udp_blackholed: 0,
-            attention: Cell::new(None),
             spare_tcp: Vec::new(),
             spare_udp: Vec::new(),
         }
@@ -126,7 +108,6 @@ impl Stack {
 
     /// Creates a TCP socket bound to `port`.
     pub fn tcp_socket(&mut self, port: u16, cfg: TcpConfig) -> TcpHandle {
-        self.attention.set(None);
         let local = Addr::new(self.host, port);
         let socket = match self.spare_tcp.pop() {
             Some(mut spare) => {
@@ -141,7 +122,6 @@ impl Stack {
 
     /// Creates a UDP socket bound to `port`.
     pub fn udp_socket(&mut self, port: u16) -> UdpHandle {
-        self.attention.set(None);
         let local = Addr::new(self.host, port);
         let socket = match self.spare_udp.pop() {
             Some(mut spare) => {
@@ -156,7 +136,6 @@ impl Stack {
 
     /// Access a TCP socket.
     pub fn tcp(&mut self, h: TcpHandle) -> &mut TcpSocket {
-        self.attention.set(None);
         &mut self.tcp[h.0]
     }
 
@@ -167,7 +146,6 @@ impl Stack {
 
     /// Access a UDP socket.
     pub fn udp(&mut self, h: UdpHandle) -> &mut UdpSocket {
-        self.attention.set(None);
         &mut self.udp[h.0]
     }
 
@@ -211,7 +189,6 @@ impl Stack {
     /// sockets, then transmits everything the sockets produce. Returns the
     /// number of packets handled.
     pub fn poll(&mut self, now: SimTime, net: &mut Network<Segment>) -> usize {
-        self.attention.set(None);
         let mut handled = 0;
 
         while let Some(pkt) = net.recv(self.host) {
@@ -299,50 +276,9 @@ impl Stack {
         }
     }
 
-    /// The full socket sweep behind [`Stack::attention`]: whether any
-    /// socket holds deferred output, and the earliest TCP retransmission
-    /// deadline ([`SimTime::MAX`] for none).
-    fn sweep_attention(&self) -> (bool, SimTime) {
-        let mut pending = self.udp.iter().any(|s| s.has_pending_work());
-        let mut due = SimTime::MAX;
-        for s in &self.tcp {
-            pending |= s.has_pending_work();
-            due = due.min(s.next_wake().unwrap_or(SimTime::MAX));
-        }
-        (pending, due)
-    }
-
-    /// The memoized sweep, refilled here when stale. Debug builds are the
-    /// invalidation set's executable spec: they sweep on every call and
-    /// hold the memo to the result.
-    fn attention(&self) -> (bool, SimTime) {
-        match self.attention.get() {
-            Some(memo) => {
-                debug_assert_eq!(
-                    memo,
-                    self.sweep_attention(),
-                    "a socket changed without clearing the attention memo"
-                );
-                memo
-            }
-            None => {
-                let fresh = self.sweep_attention();
-                self.attention.set(Some(fresh));
-                fresh
-            }
-        }
-    }
-
     /// When any socket next needs attention (retransmission timers).
     pub fn next_wake(&self) -> Option<SimTime> {
-        let (_, due) = self.attention();
-        (due != SimTime::MAX).then_some(due)
-    }
-
-    /// `true` if any socket has deferred work a poll would emit (TCP pure
-    /// ACKs or retransmissions, queued UDP datagrams, owed RSTs).
-    pub fn has_pending_work(&self) -> bool {
-        !self.pending_rsts.is_empty() || self.attention().0
+        self.tcp.iter().filter_map(TcpSocket::next_wake).min()
     }
 
     /// `true` when a poll at `now` could do anything at all: inbound
@@ -352,28 +288,26 @@ impl Stack {
     /// application running, which the driver tracks itself — so a driver
     /// may safely skip polls where this is `false` and the application has
     /// not run since the last poll.
-    ///
-    /// This runs several times per simulated instant, so the socket part
-    /// is a read of the memoized sweep, not a sweep.
     pub fn needs_poll(&self, net: &Network<Segment>, now: SimTime) -> bool {
-        if net.inbox_len(self.host) > 0 || !self.pending_rsts.is_empty() {
-            return true;
-        }
-        let (pending, due) = self.attention();
-        pending || due <= now
+        net.inbox_len(self.host) > 0 || self.quiet_until() <= now
     }
 
     /// The instant strictly before which — with no new inbound packet and
     /// no application call on a socket — a poll does nothing:
     /// [`Stack::needs_poll`] answered once for a whole stretch of instants
     /// instead of per instant. [`SimTime::ZERO`] (no claim) while anything
-    /// is deferred, else the earliest socket timer ([`SimTime::MAX`] with
-    /// none armed).
+    /// is deferred (TCP pure ACKs or retransmissions, queued UDP
+    /// datagrams, owed RSTs), else the earliest socket timer
+    /// ([`SimTime::MAX`] with none armed). A sweep of the host's few
+    /// sockets; the driver asks it only of an endpoint it settles.
     pub fn quiet_until(&self) -> SimTime {
-        if self.has_pending_work() {
+        let pending = !self.pending_rsts.is_empty()
+            || self.tcp.iter().any(TcpSocket::has_pending_work)
+            || self.udp.iter().any(UdpSocket::has_pending_work);
+        if pending {
             SimTime::ZERO
         } else {
-            self.attention().1
+            self.next_wake().unwrap_or(SimTime::MAX)
         }
     }
 }

@@ -1018,9 +1018,14 @@ impl TcpSocket {
     }
 
     /// `true` when the socket has work a poll would emit (pure ACKs, a
-    /// pending loss-recovery retransmission, or an abort's RST).
+    /// pending loss-recovery retransmission, or an abort's RST). A poll
+    /// sends ACKs and retransmissions only on an open connection, so a
+    /// socket closed while it owed some owes nothing.
     pub fn has_pending_work(&self) -> bool {
-        !self.pending_acks.is_empty() || self.pending_retransmit || self.pending_rst.is_some()
+        let open = self.remote.is_some()
+            && matches!(self.state, TcpState::Established | TcpState::FinSent);
+        (open && (!self.pending_acks.is_empty() || self.pending_retransmit))
+            || self.pending_rst.is_some()
     }
 }
 
@@ -1060,9 +1065,9 @@ mod tests {
     }
 
     /// The minimal hostile script behind the `flight_size` underflow
-    /// (`snd_nxt - snd_una`, found by `attention_memo_tracks_every_socket_change`
-    /// at 1,000 cases): a peer acknowledges a SYN+ACK — or a SYN — that
-    /// has not been sent yet.
+    /// (`snd_nxt - snd_una`, found by the stack-claim socket scripts in
+    /// `tests/properties.rs` at 1,000 cases): a peer acknowledges a
+    /// SYN+ACK — or a SYN — that has not been sent yet.
     #[test]
     fn ack_of_unsent_data_is_ignored_in_both_handshakes() {
         let now = SimTime::ZERO;

@@ -1,6 +1,7 @@
 //! Property-based tests: TCP's reliable-delivery invariant under arbitrary
 //! loss patterns, segment arithmetic, stack demux invariants, and the
-//! stack's memoized attention summary under arbitrary socket scripts.
+//! stack's claims (`needs_poll`, `next_wake`, `quiet_until`) under
+//! arbitrary socket scripts.
 
 use proptest::prelude::*;
 use rv_net::{Addr, HostId, LinkParams, NetBuilder, Network};
@@ -212,7 +213,7 @@ proptest! {
     }
 }
 
-/// One host of the attention-memo script: its stack and every handle it
+/// One host of the stack-claim script: its stack and every handle it
 /// has issued so far (sockets are added mid-script).
 struct ScriptHost {
     stack: Stack,
@@ -238,11 +239,9 @@ impl ScriptHost {
         }
     }
 
-    /// Holds the stack's four driver queries to a sweep of every socket
+    /// Holds the stack's three driver queries to a sweep of every socket
     /// made through the shared accessors. (Owed RSTs never outlive the
-    /// poll that queued them, so the sockets are the whole answer.) In
-    /// debug builds each query also asserts its memo against the stack's
-    /// own sweep.
+    /// poll that queued them, so the sockets are the whole answer.)
     fn check(&self, net: &Network<Segment>, now: SimTime) -> Result<(), String> {
         let tcp = || self.tcp.iter().map(|&h| self.stack.tcp_ref(h));
         let pending = tcp().any(TcpSocket::has_pending_work)
@@ -252,7 +251,6 @@ impl ScriptHost {
                 .any(|&h| self.stack.udp_ref(h).has_pending_work());
         let due = tcp().filter_map(TcpSocket::next_wake).min();
         prop_assert_eq!(self.stack.next_wake(), due);
-        prop_assert_eq!(self.stack.has_pending_work(), pending);
         prop_assert_eq!(
             self.stack.needs_poll(net, now),
             net.inbox_len(self.stack.host()) > 0 || pending || due.is_some_and(|t| t <= now)
@@ -269,14 +267,18 @@ impl ScriptHost {
 }
 
 proptest! {
-    /// The stack's memoized attention summary is cleared by every path
-    /// that can change what it summarizes: arbitrary scripts of socket
-    /// calls through `tcp()` / `udp()`, new sockets, inbound segments and
-    /// datagrams over a real two-host network, polls, and clock steps up
-    /// to and past retransmission deadlines, with all three queries
-    /// checked on both hosts after every step.
+    /// The stack's claims agree with a sweep of its sockets under
+    /// arbitrary scripts of socket calls through `tcp()` / `udp()`, new
+    /// sockets, inbound segments and datagrams over a real two-host
+    /// network, polls, and clock steps up to and past retransmission
+    /// deadlines, with all three queries checked on both hosts after every
+    /// step. A claim is exact both ways: a quiet stack handles nothing
+    /// when polled, and a poll leaves nothing owed at its own instant —
+    /// with an empty inbox, `quiet_until() > now` right after `poll(now)`,
+    /// and a second `poll(now)` handles nothing and changes nothing. The
+    /// driver's settle loop stops on this law.
     #[test]
-    fn attention_memo_tracks_every_socket_change(
+    fn stack_claims_agree_with_a_socket_sweep(
         ops in prop::collection::vec((0u8..14, 0usize..4, 0usize..4, 1u64..2_500), 1..120),
         loss in 0.0f64..0.3,
         seed in any::<u64>(),
@@ -321,7 +323,7 @@ proptest! {
                 }
                 7 => {
                     // Reads reach the sockets mutably without changing
-                    // what the memo summarizes; they must stay coherent.
+                    // what the claims summarize.
                     hosts[me].stack.tcp(th).recv(usize::MAX);
                     hosts[me].stack.udp(uh).recv();
                 }
@@ -346,12 +348,19 @@ proptest! {
                         && now < stack.quiet_until();
                     let handled = stack.poll(now, &mut net);
                     prop_assert!(!quiet || handled == 0, "quiet stack handled {}", handled);
+                    if net.inbox_len(stack.host()) == 0 {
+                        let until = stack.quiet_until();
+                        prop_assert!(until > now, "polled at {:?}, owes work at {:?}", now, until);
+                    }
+                    let polled = format!("{:?}", stack);
+                    prop_assert_eq!(stack.poll(now, &mut net), 0, "a second poll at {:?} handled", now);
+                    prop_assert!(polled == format!("{:?}", stack), "a second poll at {:?} moved", now);
                     *app_ran = false;
                 }
                 12 => now += SimDuration::from_millis(dt),
                 _ => {
                     // Step exactly onto a retransmission deadline, so the
-                    // memo's `due <= now` edge is hit, not jumped over.
+                    // claim's `due <= now` edge is hit, not jumped over.
                     if let Some(t) = hosts[me].stack.next_wake() {
                         now = now.max(t);
                     }
