@@ -632,8 +632,8 @@ impl<P> Network<P> {
     }
 
     /// When the network next needs polling, `None` when nothing is
-    /// pending. Two word reads and a `min` — drivers peek this several
-    /// times per settle iteration.
+    /// pending. Two word reads and a `min`; the session driver reads it
+    /// once an instant, when it picks the next instant to visit.
     pub fn next_wake(&self) -> Option<SimTime> {
         let due = self.next_due();
         (due != SimTime::MAX).then_some(due)

@@ -61,5 +61,5 @@ pub use digest::Fnv;
 pub use fault::{
     FaultPlan, FaultScenario, FaultSegment, LinkOutage, LossBurst, OutagePolicy, ServerCrash,
 };
-pub use rng::SimRng;
+pub use rng::{SimRng, Weights};
 pub use time::{SimDuration, SimTime};

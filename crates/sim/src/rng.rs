@@ -28,6 +28,26 @@ pub struct SimRng {
     inner: ChaCha12,
 }
 
+/// A table of `N` weights, every one positive: what [`SimRng::pick`]
+/// draws from. Build it in a `const` item, so `new`'s assertion runs at
+/// compile time and a table that could draw nothing does not build.
+#[derive(Debug, Clone, Copy)]
+pub struct Weights<const N: usize>([f64; N]);
+
+impl<const N: usize> Weights<N> {
+    /// The table of `weights`; panics (at compile time, in a `const`)
+    /// unless there is at least one and each is positive.
+    pub const fn new(weights: [f64; N]) -> Self {
+        assert!(N > 0, "a weight table needs an entry");
+        let mut i = 0;
+        while i < N {
+            assert!(weights[i] > 0.0, "every weight must be positive");
+            i += 1;
+        }
+        Weights(weights)
+    }
+}
+
 /// One round of the SplitMix64 output finalizer: a bijective mixer with
 /// full avalanche (every input bit flips each output bit with probability
 /// ~1/2). The standard constants are from Steele et al.'s SplitMix64.
@@ -214,6 +234,13 @@ impl SimRng {
         }
         // Floating point slop: fall back to the last positive-weight entry.
         weights.iter().rposition(|w| *w > 0.0)
+    }
+
+    /// [`weighted_index`](Self::weighted_index) over a table that cannot
+    /// fail it: the same `unit()` draw and the same index.
+    pub fn pick<const N: usize>(&mut self, table: &Weights<N>) -> usize {
+        // Infallible: `Weights::new` proved a positive total.
+        self.weighted_index(&table.0).unwrap_or(N - 1)
     }
 
     /// Fisher-Yates shuffle, in place.
@@ -431,6 +458,22 @@ mod tests {
         assert_eq!(rng.weighted_index(&[]), None);
         assert_eq!(rng.weighted_index(&[0.0, -1.0]), None);
         assert_eq!(rng.weighted_index(&[0.0, 2.0]), Some(1));
+    }
+
+    #[test]
+    fn pick_draws_what_weighted_index_draws() {
+        const TABLE: Weights<4> = Weights::new([0.6, 0.25, 0.1, 0.05]);
+        let (mut a, mut b) = (SimRng::seed_from_u64(37), SimRng::seed_from_u64(37));
+        for _ in 0..1_000 {
+            assert_eq!(Some(a.pick(&TABLE)), b.weighted_index(&TABLE.0));
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "every weight must be positive")]
+    fn weights_refuse_a_non_positive_entry() {
+        let _ = Weights::new([1.0, 0.0]);
     }
 
     #[test]

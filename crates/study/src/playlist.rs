@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use rv_media::{Clip, ContentKind, SureStream};
-use rv_sim::{SimDuration, SimRng};
+use rv_sim::{SimDuration, SimRng, Weights};
 
 use crate::servers::ServerSite;
 
@@ -27,17 +27,19 @@ pub struct PlaylistEntry {
 pub const PLAYLIST_LEN: usize = 98;
 
 /// Content mix by site character: news outlets vs. general entertainment.
-fn content_weights(site: &ServerSite) -> [f64; 4] {
+fn content_weights(site: &ServerSite) -> &'static Weights<4> {
     // [News, Sports, Music, Talk] — matches ContentKind::ALL order.
+    const NEWS_SITE: Weights<4> = Weights::new([0.55, 0.15, 0.05, 0.25]);
+    const ENTERTAINMENT_SITE: Weights<4> = Weights::new([0.25, 0.30, 0.30, 0.15]);
     if site.name.contains("CNN")
         || site.name.contains("BBC")
         || site.name.contains("ITN")
         || site.name.contains("CBC")
         || site.name.contains("ABC")
     {
-        [0.55, 0.15, 0.05, 0.25]
+        &NEWS_SITE
     } else {
-        [0.25, 0.30, 0.30, 0.15]
+        &ENTERTAINMENT_SITE
     }
 }
 
@@ -68,7 +70,7 @@ pub fn build_playlist(roster: &[ServerSite], rng: &mut SimRng) -> Vec<PlaylistEn
     for (server_idx, (site, n)) in roster.iter().zip(&slots).enumerate() {
         let weights = content_weights(site);
         for k in 0..*n {
-            let content = ContentKind::ALL[rng.weighted_index(&weights).expect("weights positive")];
+            let content = ContentKind::ALL[rng.pick(weights)];
             // "Even small clips lasting several minutes": 2–10 minutes.
             let minutes = rng.range(2.0..10.0);
             let name = format!(
@@ -81,10 +83,8 @@ pub fn build_playlist(roster: &[ServerSite], rng: &mut SimRng) -> Vec<PlaylistEn
             // broadband audiences only, and a sizable tail was single-rate.
             // Modem users hitting broadband-only clips is a major source of
             // the paper's slideshow-rate (<3 fps) modem sessions.
-            let ladder = match rng
-                .weighted_index(&[0.6, 0.25, 0.1, 0.05])
-                .expect("weights")
-            {
+            const LADDERS: Weights<4> = Weights::new([0.6, 0.25, 0.1, 0.05]);
+            let ladder = match rng.pick(&LADDERS) {
                 0 => SureStream::standard(),
                 1 => SureStream::broadband_only(),
                 2 => SureStream::single(150_000),

@@ -7,7 +7,7 @@
 //! is calibrated against).
 
 use rv_rtsp::{FirewallPolicy, TransportPreference};
-use rv_sim::SimRng;
+use rv_sim::{SimRng, Weights};
 use rv_tracer::RaterProfile;
 
 use crate::geography::{user_region, Country, UserRegion};
@@ -175,20 +175,35 @@ pub const US_STATE_WEIGHTS: [(&str, f64); 17] = [
 /// toward broadband and office LANs (the study was solicited through
 /// computer-science colleagues); Australia/NZ and Asia volunteers were
 /// mostly on modems — the mechanism behind Figure 15's orderings.
-fn connection_weights(region: UserRegion) -> [f64; 3] {
+fn connection_weights(region: UserRegion) -> &'static Weights<3> {
+    const US_CANADA: Weights<3> = Weights::new([0.25, 0.40, 0.35]);
+    const EUROPE: Weights<3> = Weights::new([0.30, 0.30, 0.40]);
+    const ASIA: Weights<3> = Weights::new([0.55, 0.15, 0.30]);
+    const AUSTRALIA_NZ: Weights<3> = Weights::new([0.85, 0.05, 0.10]);
     match region {
-        UserRegion::UsCanada => [0.25, 0.40, 0.35],
-        UserRegion::Europe => [0.30, 0.30, 0.40],
-        UserRegion::Asia => [0.55, 0.15, 0.30],
-        UserRegion::AustraliaNz => [0.85, 0.05, 0.10],
+        UserRegion::UsCanada => &US_CANADA,
+        UserRegion::Europe => &EUROPE,
+        UserRegion::Asia => &ASIA,
+        UserRegion::AustraliaNz => &AUSTRALIA_NZ,
     }
 }
+
+/// [`US_STATE_WEIGHTS`]' weights, in its order.
+const US_STATES: Weights<17> = {
+    let mut weights = [0.0; 17];
+    let mut i = 0;
+    while i < weights.len() {
+        weights[i] = US_STATE_WEIGHTS[i].1;
+        i += 1;
+    }
+    Weights::new(weights)
+};
 
 /// PC-class mix (era-typical: mostly recent machines, a tail of relics).
 /// Modem households skew old — people who had not upgraded their access
 /// generally had not upgraded their PC either.
-const PC_WEIGHTS_BROADBAND: [f64; 6] = [0.03, 0.07, 0.18, 0.30, 0.17, 0.25];
-const PC_WEIGHTS_MODEM: [f64; 6] = [0.22, 0.22, 0.22, 0.18, 0.08, 0.08];
+const PC_WEIGHTS_BROADBAND: Weights<6> = Weights::new([0.03, 0.07, 0.18, 0.30, 0.17, 0.25]);
+const PC_WEIGHTS_MODEM: Weights<6> = Weights::new([0.22, 0.22, 0.22, 0.18, 0.08, 0.08]);
 
 /// The study population: the 63 analyzable participants plus the
 /// volunteers whose firewalls blocked RTSP entirely (the paper removed
@@ -224,15 +239,13 @@ pub fn build_population(rng: &mut SimRng, scale: f64) -> Population {
         let clip_counts = apportion_clips(rng, n_users, total_clips);
         for clips in clip_counts {
             let region = user_region(country);
-            let cw = connection_weights(region);
-            let connection =
-                ConnectionClass::ALL[rng.weighted_index(&cw).expect("weights positive")];
+            let connection = ConnectionClass::ALL[rng.pick(connection_weights(region))];
             let pc_weights = if connection == ConnectionClass::Modem56k {
-                PC_WEIGHTS_MODEM
+                &PC_WEIGHTS_MODEM
             } else {
-                PC_WEIGHTS_BROADBAND
+                &PC_WEIGHTS_BROADBAND
             };
-            let pc = PcClass::ALL[rng.weighted_index(&pc_weights).expect("weights positive")];
+            let pc = PcClass::ALL[rng.pick(pc_weights)];
             // Corporate LANs sit behind firewalls that often block UDP
             // (RTSP-blocking volunteers are generated separately below —
             // the paper excluded them from all analysis).
@@ -272,10 +285,7 @@ pub fn build_population(rng: &mut SimRng, scale: f64) -> Population {
             } else {
                 TransportPreference::Auto
             };
-            let state = (country == Country::Us).then(|| {
-                let weights: Vec<f64> = US_STATE_WEIGHTS.iter().map(|(_, w)| *w).collect();
-                US_STATE_WEIGHTS[rng.weighted_index(&weights).expect("positive")].0
-            });
+            let state = (country == Country::Us).then(|| US_STATE_WEIGHTS[rng.pick(&US_STATES)].0);
             let clips_to_play = ((f64::from(clips) * scale).round() as u32).max(1);
             // Figure 6: half the users rated ~3 clips, some none, a few many.
             let clips_to_rate = if rng.chance(0.18) {

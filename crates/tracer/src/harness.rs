@@ -96,8 +96,8 @@ pub fn client_endpoint(
 /// watch-for-a-minute client. `cfg_fn` customizes the client and server
 /// configurations before construction.
 ///
-/// Tests, examples, and benches build their worlds through this function;
-/// richer topologies (the study's access/transit/server-access chains) are
+/// Tests and examples build their worlds through this function; richer
+/// topologies (the study's access/transit/server-access chains) are
 /// assembled in `rv-study` from the same two endpoint constructors.
 pub fn two_host_world(
     params: LinkParams,
@@ -226,8 +226,6 @@ pub struct DriverWork {
     pub settled_lapsed: u64,
     /// Instants after an endpoint's settle tripped the guard.
     pub settled_guard: u64,
-    /// Rounds of the settle loop, over every endpoint settled.
-    pub settle_rounds: u64,
     /// Server application polls issued (the primary's and the replicas').
     pub server_polls: u64,
     /// Those that did any work.
@@ -251,7 +249,7 @@ enum SettledBy {
 impl DriverWork {
     /// Every field by name, in declaration order: the `driver:` line of
     /// `repro trace` and the `"work"` block of `--bench-out` JSON.
-    pub fn fields(&self) -> [(&'static str, u64); 12] {
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
         [
             ("instants", self.instants),
             ("light_instants", self.light_instants),
@@ -260,7 +258,6 @@ impl DriverWork {
             ("settled_quiet_step", self.settled_quiet_step),
             ("settled_lapsed", self.settled_lapsed),
             ("settled_guard", self.settled_guard),
-            ("settle_rounds", self.settle_rounds),
             ("server_polls", self.server_polls),
             ("server_polls_useful", self.server_polls_useful),
             ("client_polls", self.client_polls),
@@ -295,7 +292,6 @@ impl std::ops::AddAssign for DriverWork {
         self.settled_quiet_step += other.settled_quiet_step;
         self.settled_lapsed += other.settled_lapsed;
         self.settled_guard += other.settled_guard;
-        self.settle_rounds += other.settle_rounds;
         self.server_polls += other.server_polls;
         self.server_polls_useful += other.server_polls_useful;
         self.client_polls += other.client_polls;
@@ -707,7 +703,6 @@ fn settle_endpoint(
     };
     let mut total = flush(net, stack, false);
     for _ in 0..64 {
-        work.settle_rounds += 1;
         let worked = app.poll(now, stack, work);
         let flushed = flush(net, stack, worked > 0);
         total += worked + flushed;

@@ -23,6 +23,16 @@ the benchmark's own target directory so the timed binary is not disturbed:
 `--focus` names are matched as substrings of the demangled names; each
 prints its inclusive share, and all of them together print the share of
 samples holding any of them (what "Network::poll + send" means).
+
+`--by-module` adds each repository module's self share: a sample counts
+toward the first `crates/<crate>/src/<file>.rs` frame on its stack,
+innermost first, so time in the standard library (called, or inlined
+into a repository function) counts toward the repository code that ran
+it:
+
+    python3 scripts/profile_stacks.py target/profile/release/rvbench \\
+        --workload faulted_gateway --seeds 536937988 20010611 --by-module
+
 Linux x86-64 only. Frames in code without frame pointers (libc's memcpy,
 the prebuilt standard library) hide their caller.
 """
@@ -100,6 +110,44 @@ def walk(mem, regs):
     return stack
 
 
+def reap(pid, seized):
+    """Takes every pending wait status of the traced threads: a stop is
+    resumed (a signal's passes the signal on; an interrupt that
+    `sample` stopped waiting for resumes as it was) and an exit is
+    forgotten. True once the process has exited."""
+    while True:
+        try:
+            wpid, status = os.waitpid(-1, os.WNOHANG | WALL)
+        except ChildProcessError:
+            return True
+        if wpid == 0:
+            return False
+        if os.WIFSTOPPED(status):
+            ours = status >> 16 == PTRACE_EVENT_STOP
+            try:
+                ptrace(PTRACE_CONT, wpid, None, 0 if ours else os.WSTOPSIG(status))
+            except OSError:
+                pass
+        else:
+            seized.discard(wpid)
+            if wpid == pid:
+                return True
+
+
+def stopped(tid, timeout=0.05):
+    """`tid`'s next wait status, or None if it has none within `timeout`
+    (`reap` then takes it). Never blocks: a thread group leader that
+    exits is not reported until its traced siblings are reaped."""
+    give_up = time.monotonic() + timeout
+    while True:
+        wpid, status = os.waitpid(tid, os.WNOHANG | WALL)
+        if wpid:
+            return status
+        if time.monotonic() > give_up:
+            return None
+        time.sleep(0.0001)
+
+
 def sample(pid, hz):
     """Samples every running thread of `pid` until it exits."""
     samples = []
@@ -108,27 +156,26 @@ def sample(pid, hz):
     regs = (ctypes.c_ulong * REGS_WORDS)()
     period = 1.0 / hz
     next_at = time.monotonic()
-    while True:
-        try:
-            wpid, status = os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            break  # reaped below: the main thread exited while stopping it
-        if wpid == pid:
-            if not os.WIFSTOPPED(status):
-                break
-            # A signal stopped the traced main thread: deliver it.
-            ptrace(PTRACE_CONT, pid, None, os.WSTOPSIG(status))
+    done = False
+    while not done and not reap(pid, seized):
         for tid in running_threads(pid):
             try:
                 if tid not in seized:
                     ptrace(PTRACE_SEIZE, tid)
                     seized.add(tid)
                 ptrace(PTRACE_INTERRUPT, tid)
-                _, status = os.waitpid(tid, WALL)
+                status = stopped(tid)
+                if status is None:
+                    continue
+                if not os.WIFSTOPPED(status):
+                    seized.discard(tid)
+                    done = done or tid == pid
+                    continue
                 ptrace(PTRACE_GETREGS, tid, None, ctypes.byref(regs))
                 samples.append(walk(mem, regs))
                 # The interrupt's own stop resumes as it was; a stop for a
-                # signal that arrived meanwhile passes the signal on.
+                # signal that arrived meanwhile passes the signal on (and
+                # `reap` resumes the interrupt's stop when it comes).
                 ours = status >> 16 == PTRACE_EVENT_STOP
                 ptrace(PTRACE_CONT, tid, None, 0 if ours else os.WSTOPSIG(status))
             except (OSError, ChildProcessError):
@@ -160,7 +207,8 @@ def executable_range(pid, binary):
 
 
 def symbolise(binary, addresses):
-    """address -> [function, ...] innermost first, inlined frames included."""
+    """address -> [(function, source file), ...] innermost first, inlined
+    frames included."""
     names = {}
     addresses = sorted(addresses)
     for start in range(0, len(addresses), 2000):
@@ -178,14 +226,29 @@ def symbolise(binary, addresses):
                 names[current] = []
                 i += 1
                 continue
-            names[current].append(clean(line))
-            i += 2  # the function line, then its file:line
+            # The function line, then its `file:line (discriminator n)`.
+            path = out[i + 1].split(" (")[0].rsplit(":", 1)[0]
+            names[current].append((clean(line), path))
+            i += 2
     return names
 
 
 def clean(name):
     """Drops the legacy-mangling hash suffix from a name."""
     return re.sub(r"::h[0-9a-f]{16}$", "", name)
+
+
+# A repository module's source file, as `<crate>/<file>.rs`.
+MODULE = re.compile(r"crates/([^/]+)/src/(.+\.rs)$")
+
+
+def module_of(stack):
+    """The first repository module on `stack` (innermost first)."""
+    for _, path in stack:
+        m = MODULE.search(path)
+        if m:
+            return f"{m[1]}/{m[2]}"
+    return "[no crates/ frame]"
 
 
 def profile(binary, workload, seed, hz):
@@ -212,6 +275,8 @@ def main():
     p.add_argument("--hz", type=float, default=1000.0, help="samples a second a thread")
     p.add_argument("--top", type=int, default=30)
     p.add_argument("--focus", nargs="*", default=[], help="name substrings to report")
+    p.add_argument("--by-module", action="store_true",
+                   help="also print self shares by the first crates/<crate>/src/<file>.rs frame")
     args = p.parse_args()
 
     stacks = []
@@ -222,8 +287,9 @@ def main():
     if not stacks:
         sys.exit("no samples: is ptrace permitted here?")
     names = symbolise(args.binary, {a for s in stacks for a in s if a is not None})
-    names[None] = ["[another object]"]
-    frames = [[f for a in s for f in names.get(a, ["??"])] for s in stacks]
+    names[None] = [("[another object]", "")]
+    located = [[f for a in s for f in names.get(a, [("??", "")])] for s in stacks]
+    frames = [[name for name, _ in fs] for fs in located]
 
     n = len(frames)
     inclusive = collections.Counter()
@@ -245,6 +311,11 @@ def main():
             print(f"{100 * hits / n:8.1f}%  {pattern}")
         hits = sum(any(pat in f for pat in args.focus for f in fs) for fs in frames)
         print(f"{100 * hits / n:8.1f}%  any of the above")
+    if args.by_module:
+        modules = collections.Counter(module_of(fs) for fs in located)
+        print(f"\n{'self':>9}  module (first crates/<crate>/src/<file>.rs frame)")
+        for name, count in modules.most_common():
+            print(f"{100 * count / n:8.1f}%  {name}")
 
 
 if __name__ == "__main__":
