@@ -133,34 +133,40 @@ pub fn summarize_by(data: &StudyData, dim: GroupBy) -> Vec<GroupSummary> {
 
 /// Renders group summaries as an aligned table.
 pub fn render_summaries(dim: GroupBy, summaries: &[GroupSummary]) -> String {
-    let rows: Vec<Vec<String>> = summaries
-        .iter()
-        .map(|s| {
-            vec![
-                s.key.clone(),
-                s.sessions.to_string(),
-                format!("{:.1}", s.mean_fps),
-                format!("{:.1}", s.median_fps),
-                format!("{:.0}%", s.below_3fps * 100.0),
-                s.median_jitter_ms.map_or("-".into(), |j| format!("{j:.0}")),
-                format!("{:.0}", s.mean_kbps),
-                s.mean_rating.map_or("-".into(), |r| format!("{r:.1}")),
-            ]
-        })
-        .collect();
-    table(
-        &[
-            dim.name(),
-            "n",
-            "mean fps",
-            "med fps",
-            "<3fps",
-            "med jit(ms)",
-            "kbps",
-            "rating",
-        ],
-        &rows,
-    )
+    use std::fmt::Write as _;
+    let header = [
+        dim.name(),
+        "n",
+        "mean fps",
+        "med fps",
+        "<3fps",
+        "med jit(ms)",
+        "kbps",
+        "rating",
+    ];
+    let mut out = String::new();
+    table(&mut out, header.len(), summaries.iter(), |out, row, col| {
+        let Some(s) = row else {
+            return out.write_str(header[col]);
+        };
+        match col {
+            0 => out.write_str(&s.key),
+            1 => write!(out, "{}", s.sessions),
+            2 => write!(out, "{:.1}", s.mean_fps),
+            3 => write!(out, "{:.1}", s.median_fps),
+            4 => write!(out, "{:.0}%", s.below_3fps * 100.0),
+            5 => match s.median_jitter_ms {
+                Some(j) => write!(out, "{j:.0}"),
+                None => out.write_str("-"),
+            },
+            6 => write!(out, "{:.0}", s.mean_kbps),
+            _ => match s.mean_rating {
+                Some(r) => write!(out, "{r:.1}"),
+                None => out.write_str("-"),
+            },
+        }
+    });
+    out
 }
 
 /// The `repro dump` table: a header, then one space-separated row per

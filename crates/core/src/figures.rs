@@ -1,24 +1,30 @@
 //! Regenerates every figure of the paper from campaign data.
 //!
 //! One generator per figure (1, 5–28) plus the Section IV aggregate table.
-//! Each returns a [`FigureOutput`]: a text rendering (CDF plot + data
-//! series, bar chart, or scatter summary) and the headline statistics the
-//! paper reports for that figure, so EXPERIMENTS.md can compare
-//! paper-vs-measured directly.
+//! Each renders a body into one pre-sized `String`: a text rendering (CDF
+//! plot + data series, bar chart, or scatter summary) and the headline
+//! statistics the paper reports for that figure, so EXPERIMENTS.md can
+//! compare paper-vs-measured directly. [`figure`] and [`all_figures`]
+//! wrap it in a [`FigureOutput`] with its id and caption.
 //!
-//! Every figure is computed from the streaming [`CampaignAggregates`] —
-//! never from retained records — so figure generation works on the
+//! Every figure is computed from the streaming
+//! [`CampaignAggregates`](rv_study::CampaignAggregates) — never from
+//! retained records — so figure generation works on the
 //! constant-memory campaign path at any scale. Composition figures
 //! (5–10, 16, agg) read exact counts; distribution figures (11–27) read
 //! [`QuantileSketch`]es (~1 % relative quantile accuracy, exact
 //! count/mean/extrema); the scatter figure (28) reads exact co-moments.
 
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
+
 use rv_media::{Clip, ContentKind};
 use rv_sim::{SimDuration, SimTime};
-use rv_stats::{bar_chart, cdf_plot, table, Cdf, QuantileSketch};
+use rv_stats::{bar_chart, cdf_plot, table, CategoryCount, Cdf, Grid, QuantileSketch};
 use rv_study::{
-    build_population, server_roster, CampaignAggregates, ConnectionClass, PcClass, ServerRegion,
-    StudyData, UserRegion, BANDWIDTH_BINS,
+    build_population, server_roster, ConnectionClass, PcClass, ServerRegion, StudyData, UserRegion,
+    BANDWIDTH_BINS,
 };
 
 /// A regenerated figure: identifier, caption, and text body.
@@ -32,251 +38,283 @@ pub struct FigureOutput {
     pub body: String,
 }
 
-/// All figure ids, in paper order.
-pub const FIGURE_IDS: [&str; 26] = [
-    "fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
-    "fig25", "fig26", "fig27", "fig28", "agg",
+/// One figure: its id, the paper's caption, and what renders its body.
+type Generator = (&'static str, &'static str, fn(&StudyData) -> String);
+
+/// Every figure, in paper order.
+const FIGURES: [Generator; 26] = [
+    ("fig1", "Buffering and playout of a RealVideo clip", fig1),
+    ("fig5", "CDF of video clips played per user", fig5),
+    ("fig6", "CDF of video clips rated per user", fig6),
+    (
+        "fig7",
+        "Video clips played by users from each country",
+        |d| bar_figure(&d.aggregates.user_countries),
+    ),
+    (
+        "fig8",
+        "Video clips served by RealServers from each country",
+        |d| bar_figure(&d.aggregates.server_countries),
+    ),
+    (
+        "fig9",
+        "Video clips played by U.S. users from each state",
+        |d| bar_figure(&d.aggregates.us_states),
+    ),
+    ("fig10", "Fraction of unavailable clips per server", fig10),
+    ("fig11", "CDF of frame rate for all video clips", fig11),
+    (
+        "fig12",
+        "CDF of frame rate for different end-host network configurations",
+        |d| by_connection(&d.aggregates.fps_by_connection, FPS),
+    ),
+    (
+        "fig13",
+        "CDF of bandwidth for different end-host network configurations",
+        |d| by_connection(&d.aggregates.bw_by_connection, KBPS),
+    ),
+    (
+        "fig14",
+        "CDF of frame rate for RealServers in different geographic regions",
+        |d| by_server_region(&d.aggregates.fps_by_server_region, FPS),
+    ),
+    (
+        "fig15",
+        "CDF of frame rate for users in different geographic regions",
+        |d| by_user_region(&d.aggregates.fps_by_user_region, FPS),
+    ),
+    ("fig16", "Fraction of transport protocols observed", fig16),
+    ("fig17", "CDF of frame rate for transport protocols", |d| {
+        by_protocol(&d.aggregates.fps_by_protocol, FPS)
+    }),
+    ("fig18", "CDF of bandwidth for transport protocols", |d| {
+        by_protocol(&d.aggregates.bw_by_protocol, KBPS)
+    }),
+    ("fig19", "CDF of frame rate for classes of user PCs", |d| {
+        sketch_figure(
+            keyed_series(&PcClass::ALL, PcClass::name, &d.aggregates.fps_by_pc),
+            FPS,
+        )
+    }),
+    ("fig20", "CDF of overall jitter", fig20),
+    (
+        "fig21",
+        "CDF of jitter for different network configurations",
+        |d| by_connection(&d.aggregates.jitter_by_connection, MS),
+    ),
+    (
+        "fig22",
+        "CDF of jitter for RealServers in different geographic regions",
+        |d| by_server_region(&d.aggregates.jitter_by_server_region, MS),
+    ),
+    (
+        "fig23",
+        "CDF of jitter for users in different geographic regions",
+        |d| by_user_region(&d.aggregates.jitter_by_user_region, MS),
+    ),
+    ("fig24", "CDF of jitter for transport protocols", |d| {
+        by_protocol(&d.aggregates.jitter_by_protocol, MS)
+    }),
+    ("fig25", "CDF of jitter for observed bandwidth", fig25),
+    ("fig26", "CDF of overall quality", fig26),
+    (
+        "fig27",
+        "CDF of quality for different end-host network configurations",
+        |d| by_connection(&d.aggregates.ratings_by_connection, RATING),
+    ),
+    ("fig28", "Quality rating vs. network bandwidth", fig28),
+    (
+        "agg",
+        "Section IV aggregates: paper vs. reproduction",
+        aggregate,
+    ),
 ];
+
+/// All figure ids, in paper order.
+pub const FIGURE_IDS: [&str; 26] = {
+    let mut ids = [""; 26];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = FIGURES[i].0;
+        i += 1;
+    }
+    ids
+};
+
+/// Room for the longest body but Figure 1's (≈ 2,000 bytes at any
+/// scale), so a figure renders into the one buffer it starts with.
+const BODY_CAPACITY: usize = 2048;
+
+fn generate(&(id, title, body): &Generator, data: &StudyData) -> FigureOutput {
+    FigureOutput {
+        id,
+        title,
+        body: body(data),
+    }
+}
 
 /// Generates one figure by id. `None` for an unknown id.
 pub fn figure(id: &str, data: &StudyData) -> Option<FigureOutput> {
-    let agg = &data.aggregates;
-    Some(match id {
-        "fig1" => fig1(),
-        "fig5" => fig5(agg),
-        "fig6" => fig6(agg),
-        "fig7" => bar_figure(
-            "fig7",
-            "Video clips played by users from each country",
-            &agg.user_countries,
-        ),
-        "fig8" => bar_figure(
-            "fig8",
-            "Video clips served by RealServers from each country",
-            &agg.server_countries,
-        ),
-        "fig9" => bar_figure(
-            "fig9",
-            "Video clips played by U.S. users from each state",
-            &agg.us_states,
-        ),
-        "fig10" => fig10(agg),
-        "fig11" => fig11(agg),
-        "fig12" => sketch_figure(
-            "fig12",
-            "CDF of frame rate for different end-host network configurations",
-            keyed_series(&ConnectionClass::ALL, |c| c.name(), &agg.fps_by_connection),
-            " fps",
-            &[3.0, 15.0],
-        ),
-        "fig13" => sketch_figure(
-            "fig13",
-            "CDF of bandwidth for different end-host network configurations",
-            keyed_series(&ConnectionClass::ALL, |c| c.name(), &agg.bw_by_connection),
-            " kbps",
-            &[50.0, 250.0],
-        ),
-        "fig14" => sketch_figure(
-            "fig14",
-            "CDF of frame rate for RealServers in different geographic regions",
-            keyed_series(&ServerRegion::ALL, |c| c.name(), &agg.fps_by_server_region),
-            " fps",
-            &[3.0, 15.0],
-        ),
-        "fig15" => sketch_figure(
-            "fig15",
-            "CDF of frame rate for users in different geographic regions",
-            keyed_series(&UserRegion::ALL, |c| c.name(), &agg.fps_by_user_region),
-            " fps",
-            &[3.0, 15.0],
-        ),
-        "fig16" => fig16(agg),
-        "fig17" => sketch_figure(
-            "fig17",
-            "CDF of frame rate for transport protocols",
-            protocol_series(&agg.fps_by_protocol),
-            " fps",
-            &[3.0, 15.0],
-        ),
-        "fig18" => sketch_figure(
-            "fig18",
-            "CDF of bandwidth for transport protocols",
-            protocol_series(&agg.bw_by_protocol),
-            " kbps",
-            &[50.0, 250.0],
-        ),
-        "fig19" => sketch_figure(
-            "fig19",
-            "CDF of frame rate for classes of user PCs",
-            keyed_series(&PcClass::ALL, |c| c.name(), &agg.fps_by_pc),
-            " fps",
-            &[3.0, 15.0],
-        ),
-        "fig20" => fig20(agg),
-        "fig21" => sketch_figure(
-            "fig21",
-            "CDF of jitter for different network configurations",
-            keyed_series(
-                &ConnectionClass::ALL,
-                |c| c.name(),
-                &agg.jitter_by_connection,
-            ),
-            " ms",
-            &[50.0, 300.0],
-        ),
-        "fig22" => sketch_figure(
-            "fig22",
-            "CDF of jitter for RealServers in different geographic regions",
-            keyed_series(
-                &ServerRegion::ALL,
-                |c| c.name(),
-                &agg.jitter_by_server_region,
-            ),
-            " ms",
-            &[50.0, 300.0],
-        ),
-        "fig23" => sketch_figure(
-            "fig23",
-            "CDF of jitter for users in different geographic regions",
-            keyed_series(&UserRegion::ALL, |c| c.name(), &agg.jitter_by_user_region),
-            " ms",
-            &[50.0, 300.0],
-        ),
-        "fig24" => sketch_figure(
-            "fig24",
-            "CDF of jitter for transport protocols",
-            protocol_series(&agg.jitter_by_protocol),
-            " ms",
-            &[50.0, 300.0],
-        ),
-        "fig25" => fig25(agg),
-        "fig26" => fig26(agg),
-        "fig27" => sketch_figure(
-            "fig27",
-            "CDF of quality for different end-host network configurations",
-            keyed_series(
-                &ConnectionClass::ALL,
-                |c| c.name(),
-                &agg.ratings_by_connection,
-            ),
-            "",
-            &[3.0, 7.0],
-        ),
-        "fig28" => fig28(agg),
-        "agg" => aggregate(data),
-        _ => return None,
-    })
+    FIGURES
+        .iter()
+        .find(|figure| figure.0 == id)
+        .map(|figure| generate(figure, data))
 }
 
 /// Generates every figure.
 pub fn all_figures(data: &StudyData) -> Vec<FigureOutput> {
-    FIGURE_IDS
+    FIGURES
         .iter()
-        .map(|id| figure(id, data).expect("known id"))
+        .map(|figure| generate(figure, data))
         .collect()
 }
 
 // ---------- sketch rendering helpers ----------
 
-/// Pulls one sketch per stratum in figure order, empty sketches for
-/// strata the campaign never observed.
-fn keyed_series<K: Ord + Copy>(
-    keys: &[K],
-    name: impl Fn(K) -> &'static str,
-    map: &std::collections::BTreeMap<K, QuantileSketch>,
-) -> Vec<(String, QuantileSketch)> {
+/// What a stratum the campaign never observed plots as.
+static EMPTY: QuantileSketch = QuantileSketch::new();
+
+/// A CDF figure's unit and the x values its `F(x)` columns read.
+type Cuts = (&'static str, &'static [f64]);
+
+const FPS: Cuts = (" fps", &[3.0, 15.0]);
+const KBPS: Cuts = (" kbps", &[50.0, 250.0]);
+const MS: Cuts = (" ms", &[50.0, 300.0]);
+const RATING: Cuts = ("", &[3.0, 7.0]);
+
+/// One borrowed sketch per stratum in figure order, the empty sketch
+/// for strata the campaign never observed.
+fn keyed_series<'a, K: Ord + Copy>(
+    keys: &'static [K],
+    name: fn(K) -> &'static str,
+    map: &'a BTreeMap<K, QuantileSketch>,
+) -> impl Iterator<Item = (&'static str, &'a QuantileSketch)> + Clone {
     keys.iter()
-        .map(|k| {
-            (
-                name(*k).to_string(),
-                map.get(k).cloned().unwrap_or_default(),
-            )
-        })
-        .collect()
+        .map(move |k| (name(*k), map.get(k).unwrap_or(&EMPTY)))
+}
+
+fn by_connection(map: &BTreeMap<ConnectionClass, QuantileSketch>, cuts: Cuts) -> String {
+    sketch_figure(
+        keyed_series(&ConnectionClass::ALL, ConnectionClass::name, map),
+        cuts,
+    )
+}
+
+fn by_server_region(map: &BTreeMap<ServerRegion, QuantileSketch>, cuts: Cuts) -> String {
+    sketch_figure(
+        keyed_series(&ServerRegion::ALL, ServerRegion::name, map),
+        cuts,
+    )
+}
+
+fn by_user_region(map: &BTreeMap<UserRegion, QuantileSketch>, cuts: Cuts) -> String {
+    sketch_figure(keyed_series(&UserRegion::ALL, UserRegion::name, map), cuts)
 }
 
 /// Transport series, TCP first (the paper's ordering).
-fn protocol_series(
-    map: &std::collections::BTreeMap<&'static str, QuantileSketch>,
-) -> Vec<(String, QuantileSketch)> {
-    ["TCP", "UDP"]
-        .iter()
-        .map(|p| (p.to_string(), map.get(p).cloned().unwrap_or_default()))
-        .collect()
+fn by_protocol(map: &BTreeMap<&'static str, QuantileSketch>, cuts: Cuts) -> String {
+    let series = ["TCP", "UDP"]
+        .into_iter()
+        .map(|p| (p, map.get(p).unwrap_or(&EMPTY)));
+    sketch_figure(series, cuts)
 }
 
-/// Renders a multi-series CDF figure from sketches: plot + per-series
-/// headline stats. The sketch counterpart of the old record-path
-/// `cdf_figure`, with the same layout.
-fn sketch_figure(
-    id: &'static str,
-    title: &'static str,
-    series: Vec<(String, QuantileSketch)>,
-    unit: &str,
-    thresholds: &[f64],
-) -> FigureOutput {
-    let mut body = String::new();
-    let mut plots: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-    let lo = 0.0;
+/// A multi-series CDF figure's body, rendered from sketches.
+fn sketch_figure<'a>(
+    series: impl Iterator<Item = (&'static str, &'a QuantileSketch)> + Clone,
+    cuts: Cuts,
+) -> String {
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    sketch_body(&mut body, series, cuts);
+    body
+}
+
+/// Appends a multi-series CDF figure to `out`: per-series headline
+/// stats, then a plot of the series that observed anything.
+fn sketch_body<'a>(
+    out: &mut String,
+    series: impl Iterator<Item = (&'static str, &'a QuantileSketch)> + Clone,
+    (unit, thresholds): Cuts,
+) {
+    const STATS: [&str; 4] = ["series", "n", "mean", "median"];
+    let columns = STATS.len() + thresholds.len();
+    table(out, columns, series.clone(), |out, row, col| {
+        let Some((name, sketch)) = row else {
+            return match STATS.get(col) {
+                Some(label) => out.write_str(label),
+                None => write!(out, "F({}{unit})", thresholds[col - STATS.len()]),
+            };
+        };
+        // An empty sketch has no mean and no median: its row is dashes.
+        match (col, sketch.mean(), sketch.quantile(0.5)) {
+            (0, ..) => out.write_str(name),
+            (1, ..) => write!(out, "{}", sketch.count()),
+            (2, Some(mean), _) => write!(out, "{mean:.2}"),
+            (3, _, Some(median)) => write!(out, "{median:.2}"),
+            (col, Some(_), _) if col >= STATS.len() => {
+                let t = thresholds[col - STATS.len()];
+                write!(out, "{:.1}%", sketch.at(t) * 100.0)
+            }
+            _ => out.write_str("-"),
+        }
+    });
+    out.push('\n');
     let hi = series
-        .iter()
+        .clone()
         .filter_map(|(_, s)| s.max())
         .fold(1.0f64, f64::max);
-    let mut stats_rows: Vec<Vec<String>> = Vec::new();
-    for (name, sketch) in &series {
-        if sketch.is_empty() {
-            let mut row = vec![name.clone(), "0".into(), "-".into(), "-".into()];
-            row.extend(thresholds.iter().map(|_| "-".to_string()));
-            stats_rows.push(row);
-            continue;
-        }
-        let mut row = vec![
-            name.clone(),
-            sketch.count().to_string(),
-            format!("{:.2}", sketch.mean().expect("nonempty")),
-            format!("{:.2}", sketch.quantile(0.5).expect("nonempty")),
-        ];
-        for t in thresholds {
-            row.push(format!("{:.1}%", sketch.at(*t) * 100.0));
-        }
-        stats_rows.push(row);
-        plots.push((name.clone(), sketch.series_on_grid(lo, hi, 56)));
+    let plotted = series
+        .filter(|(_, s)| !s.is_empty())
+        .map(|(name, s)| (name, |x| s.at(x)));
+    if plotted.clone().next().is_some() {
+        let grid = Grid {
+            lo: 0.0,
+            hi,
+            points: 56,
+        };
+        cdf_plot(out, plotted, grid, 64, 16);
     }
-    let mut header = vec!["series", "n", "mean", "median"];
-    let thr_labels: Vec<String> = thresholds.iter().map(|t| format!("F({t}{unit})")).collect();
-    header.extend(thr_labels.iter().map(String::as_str));
-    body.push_str(&table(&header, &stats_rows));
-    body.push('\n');
-    let plot_refs: Vec<(&str, &[(f64, f64)])> = plots
-        .iter()
-        .map(|(n, p)| (n.as_str(), p.as_slice()))
-        .collect();
-    if !plot_refs.is_empty() {
-        body.push_str(&cdf_plot(&plot_refs, 64, 16));
+}
+
+/// Prints an optional number with the format's precision and sign, or
+/// `-` when there is none.
+struct Dash(Option<f64>);
+
+impl fmt::Display for Dash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(v) => fmt::Display::fmt(&v, f),
+            None => f.write_str("-"),
+        }
     }
-    FigureOutput { id, title, body }
 }
 
 // ---------- Figure 1: buffering & playout timeline ----------
 
-fn fig1() -> FigureOutput {
+/// Figure 1's body. It reads nothing of the campaign (a population and
+/// a 70 s session from fixed seeds), so it is simulated once a process.
+fn fig1(_: &StudyData) -> String {
+    static BODY: OnceLock<String> = OnceLock::new();
+    BODY.get_or_init(simulate_fig1).clone()
+}
+
+fn simulate_fig1() -> String {
     // A single broadband session, sampled once a second: coded vs. current
     // bandwidth and frame rate, showing the prebuffer burst and smooth
     // playout (the paper's Figure 1).
     let mut rng = rv_sim::SimRng::seed_from_u64(0xF161);
     let pop = build_population(&mut rng, 1.0);
-    let user = pop
-        .participants
-        .iter()
-        .find(|u| {
-            u.connection == ConnectionClass::DslCable
-                && u.firewall == rv_rtsp::FirewallPolicy::Open
-                && u.pc.cpu_power() > 0.9
-        })
-        .expect("population has healthy DSL users");
+    let user = pop.participants.iter().find(|u| {
+        u.connection == ConnectionClass::DslCable
+            && u.firewall == rv_rtsp::FirewallPolicy::Open
+            && u.pc.cpu_power() > 0.9
+    });
     let roster = server_roster();
-    let site = roster.iter().find(|s| s.name == "US/CNN").expect("CNN");
+    let site = roster.iter().find(|s| s.name == "US/CNN");
+    let (Some(user), Some(site)) = (user, site) else {
+        // Unreachable with the fixed seed and roster, which a test pins.
+        return "No healthy DSL user or no US/CNN server to replay.\n".to_owned();
+    };
     let clip = std::sync::Arc::new(Clip::new(
         "fig1-clip.rm",
         SimDuration::from_secs(300),
@@ -299,8 +337,7 @@ fn fig1() -> FigureOutput {
     for sec in 1..=70u64 {
         world.run(SimTime::from_secs(sec));
         let stats = world.client.events();
-        let played: Vec<_> = stats.iter().filter(|e| e.played_at.is_some()).collect();
-        let frames_now = played.len();
+        let frames_now = stats.iter().filter(|e| e.played_at.is_some()).count();
         // Server-sent bytes proxy for delivered bytes (loss-free broadband
         // path); used consistently so per-second deltas never go negative.
         let bytes = world.server.stats().bytes_sent;
@@ -338,305 +375,260 @@ fn fig1() -> FigureOutput {
         "Buffering and playout of one DSL RealVideo session.\n\
          Playout begins after {playback_start} s of buffering (paper: ~13 s).\n\n"
     );
-    body.push_str(&table(
-        &[
-            "t(s)",
-            "coded bw (kbps)",
-            "current bw (kbps)",
-            "coded fps",
-            "current fps",
-        ],
-        &rows,
-    ));
-    FigureOutput {
-        id: "fig1",
-        title: "Buffering and playout of a RealVideo clip",
-        body,
-    }
+    const HEADER: [&str; 5] = [
+        "t(s)",
+        "coded bw (kbps)",
+        "current bw (kbps)",
+        "coded fps",
+        "current fps",
+    ];
+    // Rendered once a process, so its cells stay strings.
+    table(&mut body, HEADER.len(), rows.iter(), |out, row, col| {
+        out.write_str(row.map_or(HEADER[col], |cells| &cells[col]))
+    });
+    body
 }
 
 // ---------- Figures 5–9: campaign composition ----------
 
-fn fig5(agg: &CampaignAggregates) -> FigureOutput {
-    // Per-user attempt counts are exact integers in the aggregates, so
-    // this CDF is exact, not sketched.
-    let counts: Vec<f64> = agg.plays_per_user.values().map(|c| *c as f64).collect();
-    let cdf = Cdf::from_samples(&counts).expect("users exist");
-    let mut body = format!(
-        "Users: {}   median clips/user: {:.0}   max: {:.0} (playlist holds 98)\n\n",
+/// A per-user count CDF: a headline naming `what`, then the plot. Exact,
+/// not sketched: per-user counts are exact integers in the aggregates.
+fn per_user_cdf(counts: &[f64], what: &str, note: &str, grid: Grid, series: &str) -> String {
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    let Some(cdf) = Cdf::from_samples(counts) else {
+        body.push_str("Users: 0\n\n(no data)\n");
+        return body;
+    };
+    let _ = write!(
+        body,
+        "Users: {}   median {what}: {:.0}   max: {:.0}{note}\n\n",
         cdf.count(),
         cdf.quantile(0.5),
         cdf.max()
     );
-    let series = cdf.series_on_grid(0.0, 100.0, 51);
-    body.push_str(&cdf_plot(&[("clips/user", &series)], 64, 16));
-    FigureOutput {
-        id: "fig5",
-        title: "CDF of video clips played per user",
-        body,
-    }
+    cdf_plot(
+        &mut body,
+        std::iter::once((series, |x| cdf.at(x))),
+        grid,
+        64,
+        16,
+    );
+    body
 }
 
-fn fig6(agg: &CampaignAggregates) -> FigureOutput {
+fn fig5(data: &StudyData) -> String {
+    let agg = &data.aggregates;
+    let counts: Vec<f64> = agg.plays_per_user.values().map(|c| *c as f64).collect();
+    let grid = Grid {
+        lo: 0.0,
+        hi: 100.0,
+        points: 51,
+    };
+    per_user_cdf(
+        &counts,
+        "clips/user",
+        " (playlist holds 98)",
+        grid,
+        "clips/user",
+    )
+}
+
+fn fig6(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     // Every participant appears (users who rated nothing count as zero).
     let counts: Vec<f64> = agg
         .plays_per_user
         .keys()
         .map(|user| agg.rated_by(*user) as f64)
         .collect();
-    let cdf = Cdf::from_samples(&counts).expect("users exist");
-    let mut body = format!(
-        "Users: {}   median rated clips/user: {:.0}   max: {:.0}\n\n",
-        cdf.count(),
-        cdf.quantile(0.5),
-        cdf.max()
-    );
-    let series = cdf.series_on_grid(0.0, 35.0, 36);
-    body.push_str(&cdf_plot(&[("rated/user", &series)], 64, 16));
-    FigureOutput {
-        id: "fig6",
-        title: "CDF of video clips rated per user",
-        body,
-    }
+    let grid = Grid {
+        lo: 0.0,
+        hi: 35.0,
+        points: 36,
+    };
+    per_user_cdf(&counts, "rated clips/user", "", grid, "rated/user")
 }
 
-fn bar_figure(
-    id: &'static str,
-    title: &'static str,
-    counts: &rv_stats::CategoryCount,
-) -> FigureOutput {
-    let items: Vec<(&str, f64)> = counts
-        .by_count_ascending()
-        .into_iter()
-        .map(|(k, v)| (k, v as f64))
-        .collect();
-    FigureOutput {
-        id,
-        title,
-        body: bar_chart(&items, 48),
-    }
+fn bar_figure(counts: &CategoryCount) -> String {
+    let items = counts.by_count_ascending();
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    bar_chart(&mut body, items.iter().map(|&(k, v)| (k, v as f64)), 48);
+    body
 }
 
-fn fig10(agg: &CampaignAggregates) -> FigureOutput {
-    let mut items: Vec<(&str, f64)> = agg
-        .attempts_by_server
-        .by_name()
-        .into_iter()
-        .map(|(name, total)| {
-            (
-                name,
-                agg.unavailable_by_server.get(name) as f64 / total as f64,
-            )
-        })
-        .collect();
-    items.sort_by(|a, b| a.0.cmp(b.0));
+fn fig10(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     let overall = agg.unavailable as f64 / agg.total_attempts as f64;
-    let mut body = format!("Overall unavailable fraction: {overall:.3} (paper: ~0.10)\n\n");
-    body.push_str(&bar_chart(&items, 48));
-    FigureOutput {
-        id: "fig10",
-        title: "Fraction of unavailable clips per server",
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    let _ = write!(
         body,
-    }
+        "Overall unavailable fraction: {overall:.3} (paper: ~0.10)\n\n"
+    );
+    let items = agg.attempts_by_server.iter().map(|(name, total)| {
+        (
+            name,
+            agg.unavailable_by_server.get(name) as f64 / total as f64,
+        )
+    });
+    bar_chart(&mut body, items, 48);
+    body
 }
 
 // ---------- Figures 11–19: frame rate & bandwidth ----------
 
-fn fig11(agg: &CampaignAggregates) -> FigureOutput {
+fn fig11(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     let fps = &agg.fps;
-    let mut out = sketch_figure(
-        "fig11",
-        "CDF of frame rate for all video clips",
-        vec![("all clips".to_string(), fps.clone())],
-        " fps",
-        &[3.0, 15.0, 24.0],
-    );
-    out.body = format!(
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    let _ = write!(
+        body,
         "mean {:.1} fps (paper: 10)   <3 fps: {:.0}% (paper: ~25%)   \
-         >=15 fps: {:.0}% (paper: ~25%)   >=24 fps: {:.1}% (paper: <1%)\n\n{}",
+         >=15 fps: {:.0}% (paper: ~25%)   >=24 fps: {:.1}% (paper: <1%)\n\n",
         fps.mean().unwrap_or(0.0),
         fps.at(3.0) * 100.0,
         (1.0 - fps.at(15.0 - 1e-9)) * 100.0,
         (1.0 - fps.at(24.0 - 1e-9)) * 100.0,
-        out.body
     );
-    out
+    sketch_body(
+        &mut body,
+        std::iter::once(("all clips", fps)),
+        (" fps", &[3.0, 15.0, 24.0]),
+    );
+    body
 }
 
-fn fig16(agg: &CampaignAggregates) -> FigureOutput {
+fn fig16(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     let counts = &agg.protocol_played;
     let udp = counts.fraction("UDP");
-    let body = format!(
-        "UDP: {:.1}% (paper: ~56%)   TCP: {:.1}% (paper: ~44%)\n\n{}",
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    let _ = write!(
+        body,
+        "UDP: {:.1}% (paper: ~56%)   TCP: {:.1}% (paper: ~44%)\n\n",
         udp * 100.0,
         (1.0 - udp) * 100.0,
-        bar_chart(
-            &[
-                ("UDP", counts.get("UDP") as f64),
-                ("TCP", counts.get("TCP") as f64)
-            ],
-            48
-        )
     );
-    FigureOutput {
-        id: "fig16",
-        title: "Fraction of transport protocols observed",
-        body,
-    }
+    let items = [
+        ("UDP", counts.get("UDP") as f64),
+        ("TCP", counts.get("TCP") as f64),
+    ];
+    bar_chart(&mut body, items.into_iter(), 48);
+    body
 }
 
 // ---------- Figures 20–25: jitter ----------
 
-fn fig20(agg: &CampaignAggregates) -> FigureOutput {
+fn fig20(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     let jitter = &agg.jitter;
-    let mut out = sketch_figure(
-        "fig20",
-        "CDF of overall jitter",
-        vec![("all clips".to_string(), jitter.clone())],
-        " ms",
-        &[50.0, 300.0],
-    );
-    out.body = format!(
-        "jitter <=50 ms: {:.0}% (paper: ~50%)   >=300 ms: {:.0}% (paper: ~15%)\n\n{}",
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    let _ = write!(
+        body,
+        "jitter <=50 ms: {:.0}% (paper: ~50%)   >=300 ms: {:.0}% (paper: ~15%)\n\n",
         jitter.at(50.0) * 100.0,
         (1.0 - jitter.at(300.0)) * 100.0,
-        out.body
     );
-    out
+    sketch_body(&mut body, std::iter::once(("all clips", jitter)), MS);
+    body
 }
 
-fn fig25(agg: &CampaignAggregates) -> FigureOutput {
+fn fig25(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     let names = ["< 10K", "10K - 100K", "> 100K"];
-    let series = (0u8..3)
-        .map(|b| {
-            (
-                names[usize::from(b)].to_string(),
-                agg.jitter_by_bw_bucket.get(&b).cloned().unwrap_or_default(),
-            )
-        })
-        .collect();
-    sketch_figure(
-        "fig25",
-        "CDF of jitter for observed bandwidth",
-        series,
-        " ms",
-        &[50.0, 300.0],
-    )
+    let series = (0u8..)
+        .zip(names)
+        .map(|(bucket, name)| (name, agg.jitter_by_bw_bucket.get(&bucket).unwrap_or(&EMPTY)));
+    sketch_figure(series, MS)
 }
 
 // ---------- Figures 26–28: perceptual quality ----------
 
-fn fig26(agg: &CampaignAggregates) -> FigureOutput {
+fn fig26(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     let ratings = &agg.ratings;
-    let mut out = sketch_figure(
-        "fig26",
-        "CDF of overall quality",
-        vec![("ratings".to_string(), ratings.clone())],
-        "",
-        &[2.0, 5.0, 8.0],
-    );
-    out.body = format!(
-        "rated clips: {}   mean rating: {:.2} (paper: ~5, near-uniform CDF)\n\n{}",
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    let _ = write!(
+        body,
+        "rated clips: {}   mean rating: {:.2} (paper: ~5, near-uniform CDF)\n\n",
         ratings.count(),
         ratings.mean().unwrap_or(0.0),
-        out.body
     );
-    out
+    sketch_body(
+        &mut body,
+        std::iter::once(("ratings", ratings)),
+        ("", &[2.0, 5.0, 8.0]),
+    );
+    body
 }
 
-fn fig28(agg: &CampaignAggregates) -> FigureOutput {
+fn fig28(data: &StudyData) -> String {
+    let agg = &data.aggregates;
     let q = &agg.quality;
-    let mut body = format!(
-        "points: {}   pearson r: {}   slope: {} rating/kbps\n\
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    let _ = write!(
+        body,
+        "points: {}   pearson r: {:.3}   slope: {:+.4} rating/kbps\n\
          low ratings (<=2) at high bandwidth (>250 kbps): {} of {}\n\
          (paper: weak correlation, slight upward trend, no low ratings at high bandwidth)\n\n",
         q.moments.n,
-        q.moments
-            .pearson()
-            .map_or("-".to_string(), |v| format!("{v:.3}")),
-        q.moments
-            .slope()
-            .map_or("-".to_string(), |s| format!("{s:+.4}")),
+        Dash(q.moments.pearson()),
+        Dash(q.moments.slope()),
         q.high_bw_low_rating,
         q.high_bw,
     );
     // Scatter summary: mean rating per bandwidth bin.
-    let mut rows = Vec::new();
-    for ((lo, hi), (n, rating_sum)) in BANDWIDTH_BINS.iter().zip(&q.bins) {
-        let mean = rating_sum
-            .mean(*n)
-            .map_or("-".to_string(), |m| format!("{m:.2}"));
-        rows.push(vec![format!("{lo:.0}-{hi:.0}"), n.to_string(), mean]);
-    }
-    body.push_str(&table(&["bandwidth (kbps)", "n", "mean rating"], &rows));
-    FigureOutput {
-        id: "fig28",
-        title: "Quality rating vs. network bandwidth",
-        body,
-    }
+    const HEADER: [&str; 3] = ["bandwidth (kbps)", "n", "mean rating"];
+    let bins = BANDWIDTH_BINS.iter().zip(&q.bins);
+    table(&mut body, HEADER.len(), bins, |out, row, col| match row {
+        None => out.write_str(HEADER[col]),
+        Some(((lo, hi), (n, rating_sum))) => match col {
+            0 => write!(out, "{lo:.0}-{hi:.0}"),
+            1 => write!(out, "{n}"),
+            _ => write!(out, "{:.2}", Dash(rating_sum.mean(*n))),
+        },
+    });
+    body
 }
 
 // ---------- Section IV aggregates ----------
 
-fn aggregate(data: &StudyData) -> FigureOutput {
+fn aggregate(data: &StudyData) -> String {
     let agg = &data.aggregates;
-    let rows = vec![
-        vec![
-            "participants".into(),
-            data.participants.to_string(),
-            "63".into(),
-        ],
-        vec![
-            "clip plays (sessions)".into(),
-            agg.total_attempts.to_string(),
-            "~2855".into(),
-        ],
-        vec![
-            "clips watched & rated".into(),
-            agg.rated.to_string(),
-            "~388".into(),
-        ],
-        vec![
-            "user countries".into(),
-            agg.user_countries.by_name().len().to_string(),
-            "12".into(),
-        ],
-        vec![
-            "servers".into(),
-            agg.attempts_by_server.by_name().len().to_string(),
-            "11".into(),
-        ],
-        vec![
-            "server countries".into(),
-            agg.server_countries.by_name().len().to_string(),
-            "8".into(),
-        ],
-        vec![
-            "unavailable fraction".into(),
-            format!("{:.3}", agg.unavailable as f64 / agg.total_attempts as f64),
-            "~0.10".into(),
-        ],
-        vec![
-            "played successfully".into(),
-            agg.played.to_string(),
-            "-".into(),
-        ],
-        vec![
-            "firewall-excluded volunteers".into(),
-            data.excluded_users.to_string(),
-            "\"several\"".into(),
-        ],
-        vec![
-            "blocked sessions recorded".into(),
-            agg.blocked.to_string(),
-            "0".into(),
-        ],
+    let unavailable = agg.unavailable as f64 / agg.total_attempts as f64;
+    let rows: [(&str, &dyn fmt::Display, &str); 10] = [
+        ("participants", &data.participants, "63"),
+        ("clip plays (sessions)", &agg.total_attempts, "~2855"),
+        ("clips watched & rated", &agg.rated, "~388"),
+        ("user countries", &agg.user_countries.len(), "12"),
+        ("servers", &agg.attempts_by_server.len(), "11"),
+        ("server countries", &agg.server_countries.len(), "8"),
+        (
+            "unavailable fraction",
+            &format_args!("{unavailable:.3}"),
+            "~0.10",
+        ),
+        ("played successfully", &agg.played, "-"),
+        (
+            "firewall-excluded volunteers",
+            &data.excluded_users,
+            "\"several\"",
+        ),
+        ("blocked sessions recorded", &agg.blocked, "0"),
     ];
-    FigureOutput {
-        id: "agg",
-        title: "Section IV aggregates: paper vs. reproduction",
-        body: table(&["quantity", "measured", "paper"], &rows),
-    }
+    const HEADER: [&str; 3] = ["quantity", "measured", "paper"];
+    let mut body = String::with_capacity(BODY_CAPACITY);
+    table(
+        &mut body,
+        HEADER.len(),
+        rows.iter(),
+        |out, row, col| match (row, col) {
+            (None, _) => out.write_str(HEADER[col]),
+            (Some((quantity, _, _)), 0) => out.write_str(quantity),
+            (Some((_, measured, _)), 1) => write!(out, "{measured}"),
+            (Some((_, _, paper)), _) => out.write_str(paper),
+        },
+    );
+    body
 }
 
 // ---------- gateway-tier figures ----------
@@ -648,36 +640,35 @@ fn aggregate(data: &StudyData) -> FigureOutput {
 /// all` output is unchanged by the gateway tier.
 pub fn gateway_figures(sweep: &[(u8, StudyData)]) -> Vec<FigureOutput> {
     use rv_sim::Counter;
-    use std::fmt::Write as _;
 
-    let mut quality_rows = Vec::new();
-    for (replicas, data) in sweep {
+    const HEADER: [&str; 8] = [
+        "replicas",
+        "played",
+        "mean rating",
+        "mean fps",
+        "server-down",
+        "rejected",
+        "redirects",
+        "failovers",
+    ];
+    let mut quality = String::new();
+    table(&mut quality, HEADER.len(), sweep.iter(), |out, row, col| {
+        let Some((replicas, data)) = row else {
+            return out.write_str(HEADER[col]);
+        };
         let agg = &data.aggregates;
         let outcome = |label: &str| agg.failures.outcomes.get(label).copied().unwrap_or(0);
-        quality_rows.push(vec![
-            replicas.to_string(),
-            agg.played.to_string(),
-            agg.ratings.mean().map_or("-".into(), |m| format!("{m:.2}")),
-            agg.fps.mean().map_or("-".into(), |m| format!("{m:.2}")),
-            outcome("server-down").to_string(),
-            outcome("rejected").to_string(),
-            agg.counters.get(Counter::GatewayRedirects).to_string(),
-            agg.counters.get(Counter::Failovers).to_string(),
-        ]);
-    }
-    let quality = table(
-        &[
-            "replicas",
-            "played",
-            "mean rating",
-            "mean fps",
-            "server-down",
-            "rejected",
-            "redirects",
-            "failovers",
-        ],
-        &quality_rows,
-    );
+        match col {
+            0 => write!(out, "{replicas}"),
+            1 => write!(out, "{}", agg.played),
+            2 => write!(out, "{:.2}", Dash(agg.ratings.mean())),
+            3 => write!(out, "{:.2}", Dash(agg.fps.mean())),
+            4 => write!(out, "{}", outcome("server-down")),
+            5 => write!(out, "{}", outcome("rejected")),
+            6 => write!(out, "{}", agg.counters.get(Counter::GatewayRedirects)),
+            _ => write!(out, "{}", agg.counters.get(Counter::Failovers)),
+        }
+    });
 
     let mut skew = String::new();
     for (replicas, data) in sweep {
@@ -781,5 +772,28 @@ mod tests {
     fn all_figures_yields_26() {
         let d = data();
         assert_eq!(all_figures(&d).len(), 26);
+    }
+
+    #[test]
+    fn fig1_finds_its_user_and_server_and_plays() {
+        // The fixed seed's population has a healthy open DSL user and the
+        // roster has US/CNN: `simulate_fig1`'s fallback never renders.
+        let body = simulate_fig1();
+        assert!(body.starts_with("Buffering and playout"), "{body}");
+        assert!(body.lines().count() > 60);
+    }
+
+    #[test]
+    fn bodies_fit_their_first_buffer() {
+        let d = data();
+        // Figure 1 renders once a process; it is not sized.
+        for f in all_figures(&d).iter().filter(|f| f.id != "fig1") {
+            assert!(
+                f.body.len() <= BODY_CAPACITY,
+                "{} is {} bytes",
+                f.id,
+                f.body.len()
+            );
+        }
     }
 }

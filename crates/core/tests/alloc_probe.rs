@@ -19,7 +19,10 @@ use rv_rtsp::{
 };
 use rv_server::{ReceiverReport, REPORT_PARAM};
 use rv_sim::{alloc_stats, PayloadPool, SimDuration, SimRng, SimTime};
-use rv_study::{build_session_world_gw, plan_campaign, run_job_with, StudyParams};
+use rv_study::{
+    build_session_world_gw, plan_campaign, run_campaign, run_job_with, CampaignAccumulator,
+    CampaignAggregates, StudyParams,
+};
 use rv_tracer::WorldScratch;
 use rv_transport::{Segment, Stack, TcpConfig};
 
@@ -33,6 +36,14 @@ fn allocs() -> u64 {
 /// The counting allocator is process-global, so probes that difference
 /// its snapshots must not overlap with each other.
 static PROBE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Takes [`PROBE_LOCK`], also after another probe failed holding it: one
+/// failing probe must not fail the others.
+fn probe_lock() -> std::sync::MutexGuard<'static, ()> {
+    PROBE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Allocation counts by site: the first in-workspace frame of each
 /// sampled backtrace, with the container operation it called.
@@ -120,19 +131,20 @@ fn print_sites(sites: &Sites, per: f64, top: usize) {
     }
 }
 
-/// The every-allocation census behind EXPERIMENTS.md's per-site tables:
-/// each warm session of the scale-0.02 plan once more with every
-/// allocation's backtrace kept, printed per session. Slow and
-/// print-only, so ignored by default:
+/// A warm session allocates nothing: each session of the scale-0.02
+/// plan, replayed on the scratch that already ran them all, takes no
+/// allocation. When one does, the every-allocation census behind
+/// EXPERIMENTS.md's per-site tables says where: each warm session once
+/// more with every allocation's backtrace kept, printed per session.
+/// Run it with `--nocapture` to read the census:
 ///
 /// ```text
 /// cargo test -p realvideo-core --features alloc-stats --release \
-///     --test alloc_probe -- --ignored --nocapture alloc_census
+///     --test alloc_probe -- --nocapture alloc_census
 /// ```
 #[test]
-#[ignore = "print-only census; see the doc comment for the command"]
 fn alloc_census() {
-    let _serial = PROBE_LOCK.lock().unwrap();
+    let _serial = probe_lock();
     let plan = plan_campaign(StudyParams {
         scale: 0.02,
         ..StudyParams::default()
@@ -149,26 +161,105 @@ fn alloc_census() {
         run_job_with(&plan, job, &mut scratch);
     }
     let counted = allocs() - before;
-    let mut sites = Sites::new();
-    for job in &jobs {
-        sample_sites(1, &mut sites, || {
-            run_job_with(&plan, job, &mut scratch);
-        });
-    }
     let n = jobs.len() as f64;
-    let sampled: u64 = sites.values().sum();
     println!(
-        "{} sessions: {:.1} allocations a session sampled, {:.1} counted unsampled",
+        "{} sessions: {:.1} allocations a warm session",
         jobs.len(),
-        sampled as f64 / n,
         counted as f64 / n
     );
-    print_sites(&sites, n, 60);
+    if counted > 0 {
+        let mut sites = Sites::new();
+        for job in &jobs {
+            sample_sites(1, &mut sites, || {
+                run_job_with(&plan, job, &mut scratch);
+            });
+        }
+        let sampled: u64 = sites.values().sum();
+        println!("{:.1} allocations a session sampled", sampled as f64 / n);
+        print_sites(&sites, n, 60);
+    }
+    assert_eq!(
+        counted, 0,
+        "warm sessions allocated; the census above says where"
+    );
 }
+
+/// The results path's steady state: folding a record into the campaign
+/// aggregates allocates only for a key (a category, a stratum, a sketch
+/// bucket, a user) the aggregates have not seen, so a second fold of the
+/// same records, every key already present, allocates nothing.
+#[test]
+fn observing_seen_keys_allocates_nothing() {
+    let _serial = probe_lock();
+    let plan = plan_campaign(StudyParams {
+        scale: 0.02,
+        faults: rv_sim::FaultScenario::default_on(),
+        ..StudyParams::default()
+    });
+    let jobs = plan.collect_jobs();
+    let mut scratch = WorldScratch::default();
+    let records: Vec<_> = jobs
+        .iter()
+        .map(|job| run_job_with(&plan, job, &mut scratch))
+        .collect();
+    let mut aggregates = CampaignAggregates::default();
+    let fold = |aggregates: &mut CampaignAggregates| {
+        for (job, record) in jobs.iter().zip(&records) {
+            aggregates.observe(job, record);
+        }
+    };
+    let before = allocs();
+    fold(&mut aggregates);
+    let first = allocs() - before;
+    let before = allocs();
+    fold(&mut aggregates);
+    let second = allocs() - before;
+    println!(
+        "results path: {first} allocations folding {} records, {second} folding them again",
+        records.len()
+    );
+    assert!(
+        first > 0,
+        "the first fold created no key: the probe is vacuous"
+    );
+    assert_eq!(second, 0, "a fold over seen keys allocated");
+}
+
+/// Rendering every figure a second time from the same campaign: each
+/// figure writes into one pre-sized body (Figure 1's is simulated once a
+/// process and cloned), so the count is a few per figure whatever the
+/// campaign's size.
+#[test]
+fn figures_allocate_a_few_each() {
+    let _serial = probe_lock();
+    let data = run_campaign(StudyParams {
+        scale: 0.05,
+        ..StudyParams::default()
+    })
+    .unwrap();
+    let first = realvideo_core::all_figures(&data);
+    let before = allocs();
+    let again = realvideo_core::all_figures(&data);
+    let spent = allocs() - before;
+    assert_eq!(first.len(), again.len());
+    let per_figure = spent as f64 / again.len() as f64;
+    println!("all_figures again: {spent} allocations, {per_figure:.1} a figure");
+    assert!(
+        spent <= FIGURE_BUDGET,
+        "figure rendering allocated {spent} (budget {FIGURE_BUDGET})"
+    );
+}
+
+/// [`figures_allocate_a_few_each`]'s ceiling. It reads 52 at any scale
+/// (0.05 and 0.3 agree): the 26 bodies, the returned vector, a column
+/// width vector per table (18), Figures 5 and 6's per-user samples and
+/// sorted CDFs (6), and the three bar charts' sorted categories. Before
+/// the figures rendered in place it read ≈ 3,600 plus Figure 1's 2,318.
+const FIGURE_BUDGET: u64 = 60;
 
 #[test]
 fn alloc_breakdown_per_session() {
-    let _serial = PROBE_LOCK.lock().unwrap();
+    let _serial = probe_lock();
     let params = StudyParams {
         scale: 0.02,
         ..StudyParams::default()
@@ -269,17 +360,18 @@ fn alloc_breakdown_per_session() {
     });
     print_sites(&sites, 1.0, 20);
 
-    // Measured steady state is 16.7 allocs/session (TCP 25.8, UDP 9.5),
+    // Measured steady state is 15.6 allocs/session (TCP 24.9, UDP 8.4),
     // and all of it is growth: this pass is the scratch's first over these
     // sessions, so a socket's ropes and pools, the player's slots and the
     // event log still grow to the largest session so far. Run again over
-    // the same sessions (`alloc_census`) a session allocates 1.0 — the
-    // ladder the client parses out of the DESCRIBE body. The budget sits
-    // close enough above it that any allocation creep on the session path
-    // trips this probe rather than hiding under slack.
+    // the same sessions (`alloc_census`) a session allocates nothing: the
+    // client parses the DESCRIBE ladder into its recycled scratch. The
+    // budget keeps the 3.3 of slack it had over the 16.7 this read while
+    // that ladder was a fresh vector a session, close enough that any
+    // allocation creep on the session path trips this probe.
     assert!(
-        per_session < 20.0,
-        "allocation budget blown: {per_session:.1} allocs/session (budget 20)"
+        per_session < 19.0,
+        "allocation budget blown: {per_session:.1} allocs/session (budget 19)"
     );
 }
 
@@ -291,7 +383,7 @@ fn alloc_breakdown_per_session() {
 /// place, reply in place, feed, read in place. Not one allocation.
 #[test]
 fn receiver_reports_allocate_nothing() {
-    let _serial = PROBE_LOCK.lock().unwrap();
+    let _serial = probe_lock();
 
     /// Keeps the last report it was handed, parsed, as the server does.
     struct Sink(Option<ReceiverReport>);
@@ -526,7 +618,7 @@ impl DataPath {
 /// session, and one clean window of several proves the claim.
 #[test]
 fn warm_player_and_sockets_allocate_nothing() {
-    let _serial = PROBE_LOCK.lock().unwrap();
+    let _serial = probe_lock();
     for udp in [false, true] {
         let mut path = DataPath::new();
         // The first sessions grow every buffer to the stream's needs.
@@ -549,7 +641,7 @@ fn warm_player_and_sockets_allocate_nothing() {
 
 #[test]
 fn disarmed_flight_recorder_allocates_nothing() {
-    let _serial = PROBE_LOCK.lock().unwrap();
+    let _serial = probe_lock();
     // The observability contract's zero-overhead clause, measured: with
     // the recorder disarmed, a session allocates *exactly* what it
     // allocated before the recorder existed — the emit sites are one

@@ -250,32 +250,58 @@ impl Clip {
     /// Parses a presentation description produced by [`Clip::describe`].
     /// Returns `None` on any malformed line.
     pub fn parse_description(name: &str, body: &[u8]) -> Option<Clip> {
-        let text = std::str::from_utf8(body).ok()?;
-        let mut content = None;
-        let mut duration = None;
-        // Sized once: a ladder is one allocation, not one per doubling.
-        let mut rungs = Vec::with_capacity(text.lines().filter(|l| l.starts_with("s=")).count());
-        for line in text.lines() {
-            if let Some(tag) = line.strip_prefix("c=") {
-                content = Some(ContentKind::from_tag(tag)?);
-            } else if let Some(ms) = line.strip_prefix("d=") {
-                duration = Some(SimDuration::from_millis(ms.parse().ok()?));
-            } else if let Some(spec) = line.strip_prefix("s=") {
-                rungs.push(parse_rung(spec)?);
-            } else if !line.is_empty() {
-                return None;
-            }
-        }
-        if rungs.is_empty() {
-            return None;
-        }
+        let mut rungs = Vec::new();
+        let (duration, content) = Clip::parse_description_into(body, &mut rungs)?;
         Some(Clip {
             name: name.to_string(),
-            duration: duration?,
-            content: content?,
+            duration,
+            content,
             ladder: SureStream::new(rungs),
         })
     }
+
+    /// [`Clip::parse_description`] into storage the caller keeps: the
+    /// ladder replaces `rungs`' contents, sorted as [`SureStream::new`]
+    /// sorts it, and the duration and content kind are returned. On a
+    /// malformed description (or one with no rung) `rungs` is left
+    /// empty and the answer is `None`. A client that parses into the
+    /// same vector every session allocates only for a longer ladder.
+    pub fn parse_description_into(
+        body: &[u8],
+        rungs: &mut Vec<Encoding>,
+    ) -> Option<(SimDuration, ContentKind)> {
+        rungs.clear();
+        let parsed = parse_lines(body, rungs);
+        if parsed.is_none() {
+            rungs.clear();
+        }
+        parsed
+    }
+}
+
+fn parse_lines(body: &[u8], rungs: &mut Vec<Encoding>) -> Option<(SimDuration, ContentKind)> {
+    let text = std::str::from_utf8(body).ok()?;
+    let mut content = None;
+    let mut duration = None;
+    // Sized once: a fresh ladder is one allocation, not one per doubling.
+    rungs.reserve(text.lines().filter(|l| l.starts_with("s=")).count());
+    for line in text.lines() {
+        if let Some(tag) = line.strip_prefix("c=") {
+            content = Some(ContentKind::from_tag(tag)?);
+        } else if let Some(ms) = line.strip_prefix("d=") {
+            duration = Some(SimDuration::from_millis(ms.parse().ok()?));
+        } else if let Some(spec) = line.strip_prefix("s=") {
+            rungs.push(parse_rung(spec)?);
+        } else if !line.is_empty() {
+            return None;
+        }
+    }
+    if rungs.is_empty() {
+        return None;
+    }
+    // `SureStream::new`'s order; a short slice sorts without allocating.
+    rungs.sort_by_key(|r| r.total_bps);
+    Some((duration?, content?))
 }
 
 fn parse_rung(spec: &str) -> Option<Encoding> {
@@ -360,6 +386,27 @@ mod tests {
         let body = clip.describe();
         let parsed = Clip::parse_description("news1.rm", &body).unwrap();
         assert_eq!(parsed, clip);
+    }
+
+    #[test]
+    fn parse_into_reuses_the_ladder_and_empties_it_on_garbage() {
+        let clip = Clip::with_ladder(
+            "c.rm",
+            SimDuration::from_secs(60),
+            ContentKind::Sports,
+            SureStream::broadband_only(),
+        );
+        let mut rungs = SureStream::standard().rungs().to_vec();
+        let (duration, content) = Clip::parse_description_into(&clip.describe(), &mut rungs)
+            .expect("a description parses");
+        assert_eq!((duration, content), (clip.duration, clip.content));
+        assert_eq!(rungs, clip.ladder.rungs());
+        assert!(Clip::parse_description_into(
+            b"c=news\ns=total:1;audio:1;fps:1;dim:1x1;ki:1\nbad\n",
+            &mut rungs
+        )
+        .is_none());
+        assert!(rungs.is_empty());
     }
 
     #[test]

@@ -22,9 +22,15 @@ impl CategoryCount {
         self.add_n(category, 1);
     }
 
-    /// Adds `n` observations of `category`.
+    /// Adds `n` observations of `category`. Allocates only for a
+    /// category not seen before.
     pub fn add_n(&mut self, category: &str, n: u64) {
-        *self.counts.entry(category.to_string()).or_insert(0) += n;
+        match self.counts.get_mut(category) {
+            Some(count) => *count += n,
+            None => {
+                self.counts.insert(category.to_string(), n);
+            }
+        }
     }
 
     /// The count for `category` (zero if never seen).
@@ -57,16 +63,21 @@ impl CategoryCount {
         }
     }
 
+    /// `(category, count)` pairs in category-name order, borrowed.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + Clone {
+        self.counts.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
     /// `(category, count)` pairs sorted by category name.
     pub fn by_name(&self) -> Vec<(&str, u64)> {
-        self.counts.iter().map(|(k, v)| (k.as_str(), *v)).collect()
+        self.iter().collect()
     }
 
     /// `(category, count)` pairs sorted by ascending count, then name —
     /// the ordering the paper's bar charts use.
     pub fn by_count_ascending(&self) -> Vec<(&str, u64)> {
         let mut v = self.by_name();
-        v.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+        v.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
         v
     }
 
@@ -75,7 +86,7 @@ impl CategoryCount {
     /// tally bitwise.
     pub fn merge(&mut self, other: &CategoryCount) {
         for (k, v) in &other.counts {
-            *self.counts.entry(k.clone()).or_insert(0) += v;
+            self.add_n(k, *v);
         }
     }
 }

@@ -23,6 +23,6 @@ mod summary;
 
 pub use cdf::Cdf;
 pub use histogram::CategoryCount;
-pub use render::{bar_chart, cdf_plot, series_columns, table};
+pub use render::{bar_chart, cdf_plot, series_columns, table, Grid};
 pub use sketch::{CoMoments, FixedSum, QuantileSketch};
 pub use summary::Summary;

@@ -126,8 +126,15 @@ fn bucket_value(i: i32) -> f64 {
 
 impl QuantileSketch {
     /// An empty sketch.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        QuantileSketch {
+            pos: BTreeMap::new(),
+            neg: BTreeMap::new(),
+            zero: 0,
+            count: 0,
+            sum: FixedSum(0),
+            bounds: None,
+        }
     }
 
     /// Builds a sketch from a sample slice (fold order is irrelevant).
@@ -257,19 +264,6 @@ impl QuantileSketch {
             below += self.neg.range(cutoff..).map(|(_, c)| *c).sum::<u64>();
         }
         below as f64 / self.count as f64
-    }
-
-    /// Evaluates F on a uniform grid of `n ≥ 2` points spanning
-    /// `[lo, hi]` — the `(x, F(x))` series a CDF figure plots.
-    pub fn series_on_grid(&self, lo: f64, hi: f64, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "grid needs at least two points");
-        assert!(hi >= lo, "grid bounds reversed");
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
     }
 
     /// Number of occupied buckets (memory proxy, for tests and docs).

@@ -147,7 +147,7 @@ pub struct FailureTallies {
     /// Per-server tallies, keyed by roster name.
     pub by_server: BTreeMap<&'static str, OutcomeTally>,
     /// Per-server-country tallies, keyed by the country's debug name.
-    pub by_country: BTreeMap<String, OutcomeTally>,
+    pub by_country: BTreeMap<&'static str, OutcomeTally>,
     /// Per-negotiated-transport tallies ("udp"/"tcp"); unavailable
     /// attempts never negotiated a transport and are excluded here.
     pub by_transport: BTreeMap<&'static str, OutcomeTally>,
@@ -165,7 +165,7 @@ impl FailureTallies {
         }
         self.by_server.entry(r.server_name).or_default().observe(r);
         self.by_country
-            .entry(format!("{:?}", r.server_country))
+            .entry(r.server_country.ident())
             .or_default()
             .observe(r);
         if r.available {

@@ -50,6 +50,28 @@ impl Country {
             Country::Us => "US",
         }
     }
+
+    /// The variant's name as `{:?}` prints it: the failure report's
+    /// by-country key, without formatting one per session.
+    pub fn ident(self) -> &'static str {
+        match self {
+            Country::Australia => "Australia",
+            Country::Brazil => "Brazil",
+            Country::Canada => "Canada",
+            Country::China => "China",
+            Country::Egypt => "Egypt",
+            Country::France => "France",
+            Country::Germany => "Germany",
+            Country::India => "India",
+            Country::Italy => "Italy",
+            Country::Japan => "Japan",
+            Country::NewZealand => "NewZealand",
+            Country::Romania => "Romania",
+            Country::Uae => "Uae",
+            Country::Uk => "Uk",
+            Country::Us => "Us",
+        }
+    }
 }
 
 /// The paper's five server regions (Figure 14's grouping).
@@ -246,6 +268,29 @@ mod tests {
         assert_eq!(user_region(Country::NewZealand), UserRegion::AustraliaNz);
         assert_eq!(user_region(Country::Egypt), UserRegion::Asia);
         assert_eq!(user_region(Country::Romania), UserRegion::Europe);
+    }
+
+    #[test]
+    fn country_ident_is_its_debug_name() {
+        for c in [
+            Country::Australia,
+            Country::Brazil,
+            Country::Canada,
+            Country::China,
+            Country::Egypt,
+            Country::France,
+            Country::Germany,
+            Country::India,
+            Country::Italy,
+            Country::Japan,
+            Country::NewZealand,
+            Country::Romania,
+            Country::Uae,
+            Country::Uk,
+            Country::Us,
+        ] {
+            assert_eq!(c.ident(), format!("{c:?}"));
+        }
     }
 
     #[test]

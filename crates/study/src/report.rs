@@ -117,7 +117,7 @@ impl FailureReport {
             by_country: tallies
                 .by_country
                 .iter()
-                .map(|(name, t)| breakdown(name.clone(), t))
+                .map(|(name, t)| breakdown(name.to_string(), t))
                 .collect(),
             by_transport: tallies
                 .by_transport
@@ -134,7 +134,7 @@ impl FailureReport {
         let mut retried = 0;
         let mut fallbacks = 0;
         let mut by_server: BTreeMap<&str, FailureBreakdown> = BTreeMap::new();
-        let mut by_country: BTreeMap<String, FailureBreakdown> = BTreeMap::new();
+        let mut by_country: BTreeMap<&str, FailureBreakdown> = BTreeMap::new();
         let mut by_transport: BTreeMap<&'static str, FailureBreakdown> = BTreeMap::new();
 
         for r in records {
@@ -150,9 +150,10 @@ impl FailureReport {
                 .entry(r.server_name)
                 .or_insert_with(|| FailureBreakdown::new(r.server_name.to_string()))
                 .add(r);
+            let country = r.server_country.ident();
             by_country
-                .entry(format!("{:?}", r.server_country))
-                .or_insert_with(|| FailureBreakdown::new(format!("{:?}", r.server_country)))
+                .entry(country)
+                .or_insert_with(|| FailureBreakdown::new(country.to_string()))
                 .add(r);
             if r.available {
                 let proto = match r.metrics.protocol {

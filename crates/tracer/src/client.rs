@@ -7,7 +7,7 @@
 //! TEARDOWN after the watch limit — recording the per-clip statistics the
 //! study analyzes.
 
-use rv_media::{Clip, MediaPacket, StreamDepacketizer};
+use rv_media::{Clip, Encoding, MediaPacket, StreamDepacketizer};
 use rv_net::Addr;
 use rv_player::{Player, PlayoutConfig, PlayoutEvent, PlayoutState};
 use rv_rtsp::{
@@ -154,11 +154,12 @@ impl Phase {
 /// Recyclable client storage: every per-attempt component a
 /// [`TracerClient`] holds for its whole life — the RTSP session, the
 /// control decoder and staging buffer, the player, the TCP depacketizer,
-/// the playout event log, the config's strings — handed back as it was
-/// from [`TracerClient::into_scratch`] for the next session's client,
-/// which renews each component (`ClientScratch::renew`). Only capacity
-/// carries over, so a client built on a retired client's scratch behaves
-/// bit-identically to one built on `ClientScratch::default()`.
+/// the playout event log, the described ladder, the config's strings —
+/// handed back as it was from [`TracerClient::into_scratch`] for the
+/// next session's client, which renews each component
+/// (`ClientScratch::renew`). Only capacity carries over, so a client
+/// built on a retired client's scratch behaves bit-identically to one
+/// built on `ClientScratch::default()`.
 #[derive(Debug, Default)]
 pub struct ClientScratch {
     session: ClientSession,
@@ -168,6 +169,9 @@ pub struct ClientScratch {
     encode_buf: Vec<u8>,
     player: Player,
     depkt: StreamDepacketizer,
+    /// The ladder the DESCRIBE answer listed, ascending; empty until one
+    /// parsed this attempt.
+    ladder: Vec<Encoding>,
     /// The retired stack this client ran on.
     /// [`client_endpoint`](crate::client_endpoint) renews it for the next
     /// session, `SessionWorld::retire` puts it back.
@@ -214,6 +218,7 @@ impl ClientScratch {
         self.encode_buf.clear();
         self.player.renew(cfg.playout, cfg.cpu_power);
         self.depkt.renew();
+        self.ladder.clear();
     }
 }
 
@@ -226,7 +231,6 @@ pub struct TracerClient {
     udp: UdpHandle,
     phase: Phase,
     transport: Option<TransportKind>,
-    clip: Option<Clip>,
     start_time: Option<SimTime>,
     play_start: Option<SimTime>,
     last_report: SimTime,
@@ -297,7 +301,6 @@ impl TracerClient {
             udp,
             phase: Phase::Idle,
             transport: None,
-            clip: None,
             start_time: None,
             play_start: None,
             last_report: SimTime::ZERO,
@@ -755,7 +758,6 @@ impl TracerClient {
         self.scratch.renew(&self.cfg);
         self.transport = None;
         self.rung_seen = None;
-        self.clip = None;
         self.play_start = None;
         self.last_data = None;
         self.outcome = None;
@@ -799,8 +801,9 @@ impl TracerClient {
             handled += 1;
             match self.scratch.session.on_response(&msg) {
                 ClientEvent::Described(body) => {
-                    // Only the ladder is read (at `finish`): no name.
-                    self.clip = Clip::parse_description("", body);
+                    // Only the ladder is read (at `finish`), parsed into
+                    // the scratch's: a warm session allocates nothing.
+                    let _ = Clip::parse_description_into(body, &mut self.scratch.ladder);
                     let spec = self.pick_transport();
                     self.send_control(stack, |session, out| session.setup(spec, out));
                     self.set_phase(Phase::SettingUp, now);
@@ -959,14 +962,13 @@ impl TracerClient {
             other => other,
         };
         let protocol = self.transport.unwrap_or(TransportKind::Tcp);
-        let (encoded_fps, encoded_bps) = match &self.clip {
-            Some(clip) => {
-                let rung = (usize::from(self.last_rung)).min(clip.ladder.len() - 1);
-                let enc = &clip.ladder.rungs()[rung];
-                (enc.frame_rate, enc.total_bps)
-            }
-            None => (0.0, 0),
-        };
+        // The rung last streamed (the top one past the ladder's end);
+        // zeros when no description parsed.
+        let ladder = &self.scratch.ladder;
+        let (encoded_fps, encoded_bps) = ladder
+            .get(usize::from(self.last_rung))
+            .or(ladder.last())
+            .map_or((0.0, 0), |enc| (enc.frame_rate, enc.total_bps));
         let mut metrics = finalize(
             outcome,
             protocol,

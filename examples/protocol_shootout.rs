@@ -86,21 +86,21 @@ fn main() {
             ]);
         }
     }
-    println!(
-        "{}",
-        table(
-            &[
-                "path",
-                "transport",
-                "fps",
-                "jitter(ms)",
-                "kbps",
-                "lost",
-                "rebuffers"
-            ],
-            &rows
-        )
-    );
+    let header = [
+        "path",
+        "transport",
+        "fps",
+        "jitter(ms)",
+        "kbps",
+        "lost",
+        "rebuffers",
+    ];
+    let mut out = String::new();
+    table(&mut out, header.len(), rows.iter(), |out, row, col| {
+        out.push_str(row.map_or(header[col], |cells| &cells[col]));
+        Ok(())
+    });
+    println!("{out}");
     println!("The paper's finding: UDP and TCP deliver comparable video quality and");
     println!("bandwidth — RealVideo's UDP mode is congestion-responsive (Figs 17, 18, 24).");
 }
