@@ -14,14 +14,20 @@
 use realvideo_core::analysis::{csv_header, csv_row, render_summaries, summarize_by, GroupBy};
 use rv_study::{run_campaign_with_records, StudyParams};
 
+/// What to print from the campaign's records.
+enum Command {
+    Summary,
+    By(GroupBy),
+    Csv,
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut params = StudyParams {
         scale: 0.2,
         ..StudyParams::default()
     };
-    let mut command: Option<String> = None;
-    let mut dimension: Option<GroupBy> = None;
+    let mut command: Option<Command> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -54,18 +60,16 @@ fn main() {
                 }
                 return;
             }
-            cmd @ ("summary" | "by" | "csv") if command.is_none() => {
-                command = Some(cmd.to_string());
-                if cmd == "by" {
-                    i += 1;
-                    let name = args.get(i).unwrap_or_else(|| {
-                        die("`by` wants a dimension; see `realdata dimensions`")
-                    });
-                    dimension = Some(
-                        GroupBy::parse(name)
-                            .unwrap_or_else(|| die(&format!("unknown dimension {name:?}"))),
-                    );
-                }
+            "summary" if command.is_none() => command = Some(Command::Summary),
+            "csv" if command.is_none() => command = Some(Command::Csv),
+            "by" if command.is_none() => {
+                i += 1;
+                let name = args
+                    .get(i)
+                    .unwrap_or_else(|| die("`by` wants a dimension; see `realdata dimensions`"));
+                let dim = GroupBy::parse(name)
+                    .unwrap_or_else(|| die(&format!("unknown dimension {name:?}")));
+                command = Some(Command::By(dim));
             }
             other => die(&format!("unknown argument {other:?}")),
         }
@@ -87,24 +91,20 @@ fn main() {
     });
     eprintln!("{}\n", data.summary);
 
-    match command.as_str() {
-        "summary" => {
+    match command {
+        Command::Summary => {
             for dim in [GroupBy::Connection, GroupBy::Protocol, GroupBy::UserRegion] {
                 println!("{}", render_summaries(dim, &summarize_by(&data, dim)));
                 println!();
             }
         }
-        "by" => {
-            let dim = dimension.expect("parsed with `by`");
-            println!("{}", render_summaries(dim, &summarize_by(&data, dim)));
-        }
-        "csv" => {
+        Command::By(dim) => println!("{}", render_summaries(dim, &summarize_by(&data, dim))),
+        Command::Csv => {
             println!("{}", csv_header());
-            for r in data.records() {
+            for r in data.records().unwrap_or_default() {
                 println!("{}", csv_row(r));
             }
         }
-        _ => unreachable!("validated above"),
     }
 }
 

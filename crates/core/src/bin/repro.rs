@@ -271,11 +271,12 @@ fn main() {
     eprintln!("counters: {}", counters_line(&data.summary.counters));
     eprintln!("campaign done: {} rated\n", data.aggregates.rated);
 
-    if let Some(path) = dump_records {
-        let mut out = String::with_capacity(64 * (data.records().len() + 1));
+    // `need_records` retained them for a dump.
+    if let (Some(path), Some(records)) = (dump_records, data.records()) {
+        let mut out = String::with_capacity(64 * (records.len() + 1));
         out.push_str(csv_header());
         out.push('\n');
-        for r in data.records() {
+        for r in records {
             out.push_str(&csv_row(r));
             out.push('\n');
         }
@@ -285,7 +286,7 @@ fn main() {
             if let Err(e) = std::fs::write(&path, out) {
                 die(&format!("cannot write --dump-records {path:?}: {e}"));
             }
-            eprintln!("wrote {} session records to {path}", data.records().len());
+            eprintln!("wrote {} session records to {path}", records.len());
         }
     }
 
@@ -299,7 +300,9 @@ fn main() {
             print!("{}", dump_table(&data));
             continue;
         }
-        let FigureOutput { id, title, body } = figure(&id, &data).expect("validated id");
+        let Some(FigureOutput { id, title, body }) = figure(&id, &data) else {
+            die(&format!("unknown figure {id:?}; try `repro list`"));
+        };
         println!("==================================================================");
         println!("{id}: {title}");
         println!("==================================================================");

@@ -73,7 +73,7 @@ pub fn digests(data: &StudyData) -> Digests {
     Digests {
         artifacts: artifacts.finish(),
         counters: counters.finish(),
-        records: records_digest(data.records()),
+        records: records_digest(data.records().unwrap_or_default()),
     }
 }
 

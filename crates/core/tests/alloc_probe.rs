@@ -131,12 +131,45 @@ fn print_sites(sites: &Sites, per: f64, top: usize) {
     }
 }
 
-/// A warm session allocates nothing: each session of the scale-0.02
-/// plan, replayed on the scratch that already ran them all, takes no
-/// allocation. When one does, the every-allocation census behind
-/// EXPERIMENTS.md's per-site tables says where: each warm session once
-/// more with every allocation's backtrace kept, printed per session.
-/// Run it with `--nocapture` to read the census:
+/// Every world shape the campaign builds: classic, faulted with one, two
+/// and three servers, and each gateway policy (`least-loaded` with
+/// admission control on).
+fn world_shapes() -> Vec<(&'static str, StudyParams)> {
+    use rv_sim::FaultScenario;
+    use rv_study::GatewayPolicy;
+    let shape = |faults: bool, replicas: u8, gateway: GatewayPolicy, capacity: u32| StudyParams {
+        scale: 0.02,
+        faults: if faults {
+            FaultScenario::default_on()
+        } else {
+            FaultScenario::off()
+        },
+        replicas,
+        gateway,
+        capacity,
+        ..StudyParams::default()
+    };
+    let (nearest, sticky) = (GatewayPolicy::NearestHealthy, GatewayPolicy::Sticky);
+    vec![
+        ("classic", shape(false, 1, sticky, 0)),
+        ("faults, 1 server", shape(true, 1, sticky, 0)),
+        ("faults, 2 replicas, nearest", shape(true, 2, nearest, 0)),
+        ("faults, 3 replicas, nearest", shape(true, 3, nearest, 0)),
+        ("2 replicas, nearest", shape(false, 2, nearest, 0)),
+        (
+            "3 replicas, least-loaded, capacity 2",
+            shape(false, 3, GatewayPolicy::LeastLoaded, 2),
+        ),
+        ("2 replicas, sticky", shape(false, 2, sticky, 0)),
+    ]
+}
+
+/// A warm session allocates nothing, in every world shape: each session
+/// of a scale-0.02 plan, replayed on the scratch that already ran them
+/// all, takes no allocation. When one does, the every-allocation census
+/// behind EXPERIMENTS.md's per-site tables says where: each warm session
+/// of that shape once more with every allocation's backtrace kept,
+/// printed per session. Run it with `--nocapture` to read the census:
 ///
 /// ```text
 /// cargo test -p realvideo-core --features alloc-stats --release \
@@ -145,42 +178,43 @@ fn print_sites(sites: &Sites, per: f64, top: usize) {
 #[test]
 fn alloc_census() {
     let _serial = probe_lock();
-    let plan = plan_campaign(StudyParams {
-        scale: 0.02,
-        ..StudyParams::default()
-    });
-    let jobs = plan.collect_jobs();
-    let jobs: Vec<_> = jobs.iter().filter(|j| j.available).collect();
-    let mut scratch = WorldScratch::default();
-    for job in &jobs {
-        run_job_with(&plan, job, &mut scratch);
-    }
-    // The same warm pass unsampled: what the census must add up to.
-    let before = allocs();
-    for job in &jobs {
-        run_job_with(&plan, job, &mut scratch);
-    }
-    let counted = allocs() - before;
-    let n = jobs.len() as f64;
-    println!(
-        "{} sessions: {:.1} allocations a warm session",
-        jobs.len(),
-        counted as f64 / n
-    );
-    if counted > 0 {
-        let mut sites = Sites::new();
+    let mut allocating = Vec::new();
+    for (shape, params) in world_shapes() {
+        let plan = plan_campaign(params);
+        let jobs = plan.collect_jobs();
+        let jobs: Vec<_> = jobs.iter().filter(|j| j.available).collect();
+        let mut scratch = WorldScratch::default();
         for job in &jobs {
-            sample_sites(1, &mut sites, || {
-                run_job_with(&plan, job, &mut scratch);
-            });
+            run_job_with(&plan, job, &mut scratch);
         }
-        let sampled: u64 = sites.values().sum();
-        println!("{:.1} allocations a session sampled", sampled as f64 / n);
-        print_sites(&sites, n, 60);
+        // The same warm pass unsampled: what the census must add up to.
+        let before = allocs();
+        for job in &jobs {
+            run_job_with(&plan, job, &mut scratch);
+        }
+        let counted = allocs() - before;
+        let n = jobs.len() as f64;
+        println!(
+            "{shape}: {} sessions, {:.2} allocations a warm session",
+            jobs.len(),
+            counted as f64 / n
+        );
+        if counted > 0 {
+            let mut sites = Sites::new();
+            for job in &jobs {
+                sample_sites(1, &mut sites, || {
+                    run_job_with(&plan, job, &mut scratch);
+                });
+            }
+            let sampled: u64 = sites.values().sum();
+            println!("{:.2} allocations a session sampled", sampled as f64 / n);
+            print_sites(&sites, n, 60);
+            allocating.push(shape);
+        }
     }
-    assert_eq!(
-        counted, 0,
-        "warm sessions allocated; the census above says where"
+    assert!(
+        allocating.is_empty(),
+        "warm sessions allocated in {allocating:?}; the census above says where"
     );
 }
 

@@ -237,21 +237,18 @@ pub struct StudyData {
 }
 
 impl StudyData {
-    /// The retained records, in canonical plan order.
-    ///
-    /// # Panics
-    /// When the campaign ran the streaming path ([`run_campaign`]);
-    /// use [`run_campaign_with_records`] for record-level access.
-    pub fn records(&self) -> &[SessionRecord] {
-        self.records
-            .as_deref()
-            .expect("records not retained: use run_campaign_with_records")
+    /// The retained records, in canonical plan order: `None` when the
+    /// campaign ran the streaming path ([`run_campaign`]); use
+    /// [`run_campaign_with_records`] for record-level access.
+    pub fn records(&self) -> Option<&[SessionRecord]> {
+        self.records.as_deref()
     }
 
-    /// Retained records that played successfully. Panics like
-    /// [`StudyData::records`].
+    /// Retained records that played successfully: none when the campaign
+    /// retained no records (see [`StudyData::records`]).
     pub fn played(&self) -> impl Iterator<Item = &SessionRecord> {
-        self.records().iter().filter(|r| r.played())
+        let records = self.records().unwrap_or_default();
+        records.iter().filter(|r| r.played())
     }
 
     /// The failure-taxonomy report, built from the streaming tallies in
@@ -380,8 +377,9 @@ mod tests {
     fn deterministic_given_seed() {
         let a = run_campaign_with_records(quick_params()).unwrap();
         let b = run_campaign_with_records(quick_params()).unwrap();
-        assert_eq!(a.records().len(), b.records().len());
-        for (x, y) in a.records().iter().zip(b.records()) {
+        let (ra, rb) = (a.records().unwrap(), b.records().unwrap());
+        assert_eq!(ra.len(), rb.len());
+        for (x, y) in ra.iter().zip(rb) {
             assert_eq!(x.metrics, y.metrics);
             assert_eq!(x.rating, y.rating);
         }

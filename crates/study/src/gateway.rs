@@ -60,15 +60,6 @@ pub struct GatewaySpec {
     pub seed: u64,
 }
 
-/// The gateway's decision for one session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GatewayPlan {
-    /// Replica indices in the order the client should try them.
-    pub order: Vec<u8>,
-    /// Seeded standing load per replica (indexed by replica, not order).
-    pub loads: Vec<u32>,
-}
-
 /// The zone replica `k` of a site is deployed in. Replica 0 sits in the
 /// site's own zone; further replicas rotate through the remaining zones,
 /// so a 2-replica US site has one domestic and one overseas box.
@@ -78,7 +69,11 @@ pub fn replica_zone(site_zone: Zone, k: u8) -> Zone {
     CYCLE[(base + usize::from(k)) % CYCLE.len()]
 }
 
-/// Compute the routing decision for one session.
+/// Compute the routing decision for one session into recycled storage:
+/// `order` is refilled with the replica indices in the order the client
+/// should try them, and `loads` with each replica's seeded standing load
+/// (indexed by replica, not order). Allocates only past the most
+/// replicas the two vectors held.
 ///
 /// Loads are drawn from a fresh generator over `spec.seed` only — the
 /// session's own RNG streams are untouched, so enabling the gateway
@@ -86,34 +81,50 @@ pub fn replica_zone(site_zone: Zone, k: u8) -> Zone {
 /// (`capacity > 0`) loads land in `0..=capacity`, so some replicas start
 /// full and SETUPs against them bounce with 453; without it a small
 /// `0..4` load exists purely as a `LeastLoaded` signal.
-pub fn route(spec: &GatewaySpec, site_zone: Zone, user_zone: Zone) -> GatewayPlan {
+pub fn route(
+    spec: &GatewaySpec,
+    site_zone: Zone,
+    user_zone: Zone,
+    order: &mut Vec<u8>,
+    loads: &mut Vec<u32>,
+) {
     let n = spec.replicas.max(1);
     let mut rng = SimRng::seed_from_u64(spec.seed);
-    let loads: Vec<u32> = (0..n)
-        .map(|_| {
-            if spec.capacity > 0 {
-                rng.range(0..spec.capacity + 1)
-            } else {
-                rng.range(0..4u32)
-            }
-        })
-        .collect();
-    let mut order: Vec<u8> = (0..n).collect();
+    loads.clear();
+    loads.extend((0..n).map(|_| {
+        if spec.capacity > 0 {
+            rng.range(0..spec.capacity + 1)
+        } else {
+            rng.range(0..4u32)
+        }
+    }));
+    order.clear();
+    order.extend(0..n);
+    // Every key ends in the replica index, so no two are equal and the
+    // unstable sort (which never allocates) orders as a stable one would.
     match spec.policy {
         GatewayPolicy::Sticky => {}
         GatewayPolicy::NearestHealthy => {
-            order.sort_by_key(|&k| (path_profile(user_zone, replica_zone(site_zone, k)).delay, k));
+            order.sort_unstable_by_key(|&k| {
+                (path_profile(user_zone, replica_zone(site_zone, k)).delay, k)
+            });
         }
         GatewayPolicy::LeastLoaded => {
-            order.sort_by_key(|&k| (loads[usize::from(k)], k));
+            order.sort_unstable_by_key(|&k| (loads[usize::from(k)], k));
         }
     }
-    GatewayPlan { order, loads }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `route` into fresh vectors: the order and the loads.
+    fn plan(spec: &GatewaySpec, site_zone: Zone, user_zone: Zone) -> (Vec<u8>, Vec<u32>) {
+        let (mut order, mut loads) = (Vec::new(), Vec::new());
+        route(spec, site_zone, user_zone, &mut order, &mut loads);
+        (order, loads)
+    }
 
     fn spec(replicas: u8, policy: GatewayPolicy, capacity: u32) -> GatewaySpec {
         GatewaySpec {
@@ -126,48 +137,53 @@ mod tests {
 
     #[test]
     fn sticky_keeps_plan_order() {
-        let plan = route(&spec(4, GatewayPolicy::Sticky, 0), Zone::Na, Zone::Eu);
-        assert_eq!(plan.order, vec![0, 1, 2, 3]);
-        assert_eq!(plan.loads.len(), 4);
+        let (order, loads) = plan(&spec(4, GatewayPolicy::Sticky, 0), Zone::Na, Zone::Eu);
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(loads.len(), 4);
     }
 
     #[test]
     fn nearest_prefers_the_users_zone() {
         // US site, EU user: replica 1 of a Na site rotates into Eu, the
         // user's own zone, and must be tried first.
-        let plan = route(
+        let (order, _) = plan(
             &spec(2, GatewayPolicy::NearestHealthy, 0),
             Zone::Na,
             Zone::Eu,
         );
-        assert_eq!(plan.order[0], 1);
+        assert_eq!(order[0], 1);
     }
 
     #[test]
     fn least_loaded_sorts_by_load_then_index() {
-        let plan = route(&spec(4, GatewayPolicy::LeastLoaded, 8), Zone::Na, Zone::Na);
-        for pair in plan.order.windows(2) {
+        let (order, loads) = plan(&spec(4, GatewayPolicy::LeastLoaded, 8), Zone::Na, Zone::Na);
+        for pair in order.windows(2) {
             let (a, b) = (usize::from(pair[0]), usize::from(pair[1]));
-            assert!(
-                plan.loads[a] < plan.loads[b]
-                    || (plan.loads[a] == plan.loads[b] && pair[0] < pair[1])
-            );
+            assert!(loads[a] < loads[b] || (loads[a] == loads[b] && pair[0] < pair[1]));
         }
     }
 
     #[test]
     fn loads_respect_the_capacity_band() {
-        let plan = route(&spec(8, GatewayPolicy::Sticky, 3), Zone::As, Zone::As);
-        assert!(plan.loads.iter().all(|&l| l <= 3));
-        let plan = route(&spec(8, GatewayPolicy::Sticky, 0), Zone::As, Zone::As);
-        assert!(plan.loads.iter().all(|&l| l < 4));
+        let (_, loads) = plan(&spec(8, GatewayPolicy::Sticky, 3), Zone::As, Zone::As);
+        assert!(loads.iter().all(|&l| l <= 3));
+        let (_, loads) = plan(&spec(8, GatewayPolicy::Sticky, 0), Zone::As, Zone::As);
+        assert!(loads.iter().all(|&l| l < 4));
     }
 
+    /// The same spec routes the same way, also into storage a wider
+    /// plan left behind.
     #[test]
     fn routing_is_deterministic_in_the_seed() {
-        let a = route(&spec(4, GatewayPolicy::LeastLoaded, 6), Zone::Eu, Zone::Oc);
-        let b = route(&spec(4, GatewayPolicy::LeastLoaded, 6), Zone::Eu, Zone::Oc);
-        assert_eq!(a, b);
+        let (narrow, wide) = (
+            spec(4, GatewayPolicy::LeastLoaded, 6),
+            spec(8, GatewayPolicy::Sticky, 9),
+        );
+        let fresh = plan(&narrow, Zone::Eu, Zone::Oc);
+        assert_eq!(plan(&narrow, Zone::Eu, Zone::Oc), fresh);
+        let (mut order, mut loads) = plan(&wide, Zone::Na, Zone::Na);
+        route(&narrow, Zone::Eu, Zone::Oc, &mut order, &mut loads);
+        assert_eq!((order, loads), fresh);
     }
 
     #[test]

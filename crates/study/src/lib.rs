@@ -42,7 +42,7 @@ pub use campaign::{
 };
 pub use error::CampaignError;
 pub use executor::{fold, gateway_spec, run_job_with, Fold, WorkerProfile};
-pub use gateway::{replica_zone, route as gateway_route, GatewayPlan, GatewayPolicy, GatewaySpec};
+pub use gateway::{replica_zone, route as gateway_route, GatewayPolicy, GatewaySpec};
 pub use geography::{
     path_profile, server_region, user_region, zone, Country, PathProfile, ServerRegion, UserRegion,
     Zone,

@@ -286,7 +286,7 @@ mod tests {
                 ..StudyParams::default()
             })
             .unwrap();
-            let from_records = FailureReport::from_records(data.records());
+            let from_records = FailureReport::from_records(data.records().unwrap());
             let from_tallies = FailureReport::from_tallies(&data.aggregates.failures);
             assert_eq!(from_records, from_tallies);
         }

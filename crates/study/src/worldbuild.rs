@@ -111,9 +111,11 @@ fn study_fault_links() -> &'static FaultLinkMap {
 /// `spec.replicas` servers for the site (replica 0 is the classic server;
 /// replicas 1.. get their own hosts behind cloud B), seeds each with a
 /// standing load, arms admission control, and hands the client the
-/// gateway's replica order to walk on busy/crash. `None` — and any spec
-/// with `replicas <= 1` and `capacity == 0` — builds the single-server
-/// world bit for bit.
+/// gateway's replica order to walk on busy/crash. The order is also the
+/// world's role map: the replica tried first builds on the storage the
+/// last world's first-tried server retired (see [`WorldScratch::roles`]).
+/// `None` — and any spec with `replicas <= 1` and `capacity == 0` —
+/// builds the single-server world bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn build_session_world_gw(
     user: &UserProfile,
@@ -167,7 +169,18 @@ pub fn build_session_world_gw(
         let replica = b.host();
         b.duplex(cloud_b, replica, server_access);
     }
-    let gw_plan = gateway.map(|g| gateway_route(g, zone(site.country), zone(user.country)));
+    // The gateway's plan, into the scratch's storage: the order is the
+    // role map the servers' storage is taken by.
+    match gateway {
+        Some(g) => gateway_route(
+            g,
+            zone(site.country),
+            zone(user.country),
+            &mut scratch.roles,
+            &mut scratch.loads,
+        ),
+        None => scratch.roles.clear(),
+    }
 
     // Routing for this shape is computed once per worker and replayed
     // into every session (`TopologyPrototype` asserts the structural
@@ -196,18 +209,17 @@ pub fn build_session_world_gw(
         ..TcpConfig::default()
     };
     // Server `k` of the site: the same shared clip, own host, stack and
-    // RNG stream, standing load from the gateway plan, and the storage
-    // server `k` of this worker's previous world retired (cold the first
-    // time).
-    let mut server_at = |k: u8| {
+    // RNG stream, standing load from the gateway plan, and the storage the
+    // server of its role in this worker's previous world retired (cold
+    // the first time).
+    let server_at = |scratch: &mut WorldScratch, k: u8| {
         let cfg = ServerConfig {
             prefers_udp: site.prefers_udp,
             capacity: gateway.map_or(0, |g| g.capacity),
-            background_sessions: gw_plan.as_ref().map_or(0, |p| p.loads[usize::from(k)]),
+            background_sessions: gateway.map_or(0, |_| scratch.loads[usize::from(k)]),
             ..ServerConfig::default()
         };
-        let warm = scratch.servers.get_mut(usize::from(k)).map(std::mem::take);
-        let mut warm = warm.unwrap_or_default();
+        let mut warm = scratch.server(k);
         let mut catalog = warm.catalog();
         catalog.add(Arc::clone(clip));
         server_endpoint(
@@ -257,16 +269,15 @@ pub fn build_session_world_gw(
     client_cfg.watch_limit = watch_limit;
     // The gateway's routing decision, as the ordered endpoint list the
     // client walks: first entry is the chosen replica, the rest are the
-    // failover chain for busy/crashed destinations.
-    if let Some(plan) = gw_plan.as_ref() {
-        client_cfg
-            .gateway
-            .extend(plan.order.iter().map(|&k| GatewayEndpoint {
-                replica: k,
-                ctrl: Addr::new(HostId(1 + u32::from(k)), ports::CTRL),
-                data: Addr::new(HostId(1 + u32::from(k)), ports::DATA_TCP),
-            }));
-    }
+    // failover chain for busy/crashed destinations (none without a
+    // gateway).
+    client_cfg
+        .gateway
+        .extend(scratch.roles.iter().map(|&k| GatewayEndpoint {
+            replica: k,
+            ctrl: Addr::new(HostId(1 + u32::from(k)), ports::CTRL),
+            data: Addr::new(HostId(1 + u32::from(k)), ports::DATA_TCP),
+        }));
     let c_data_cfg = TcpConfig {
         mss: data_mss,
         recv_capacity: if dialup { 8 * 1024 } else { 32 * 1024 },
@@ -279,9 +290,10 @@ pub fn build_session_world_gw(
         std::mem::take(&mut scratch.client),
     );
 
-    let mut world = SessionWorld::new(net, tracer, server_at(0));
+    let primary = server_at(scratch, 0);
+    let mut world = SessionWorld::on_scratch(net, tracer, primary, scratch);
     for k in 1..n_replicas {
-        world.add_replica(server_at(k));
+        world.add_replica(server_at(scratch, k));
     }
     world.set_faults(fault_plan, study_fault_links());
     world
@@ -390,6 +402,69 @@ mod tests {
         let m = classic_world(user, site, &clip, SimDuration::from_secs(30), 42, &cut)
             .run(SimTime::from_secs(150));
         assert!(!m.outcome.is_played(), "outcome {:?}", m.outcome);
+    }
+
+    /// The server a gateway plan tries first builds on slot 0 of the
+    /// scratch's server storage, whichever replica it is, and retires to
+    /// it: here a 2-replica US site whose nearest replica for an EU user
+    /// is its overseas replica 1.
+    #[test]
+    fn servers_build_and_retire_on_the_storage_of_their_role() {
+        use crate::gateway::GatewayPolicy;
+        use crate::geography::Zone;
+        use rv_server::ServerScratch;
+
+        let mut rng = SimRng::seed_from_u64(1);
+        let pop = build_population(&mut rng, 1.0);
+        let user = pop
+            .participants
+            .iter()
+            .find(|u| zone(u.country) == Zone::Eu)
+            .expect("some EU user");
+        let roster = server_roster();
+        let site = &roster[9]; // US/CNN
+        let spec = GatewaySpec {
+            replicas: 2,
+            policy: GatewayPolicy::NearestHealthy,
+            capacity: 0,
+            seed: 7,
+        };
+        let clip = Arc::new(Clip::new(
+            "t.rm",
+            SimDuration::from_secs(240),
+            ContentKind::News,
+        ));
+        let build = |scratch: &mut WorldScratch| {
+            build_session_world_gw(
+                user,
+                site,
+                &clip,
+                SimDuration::from_secs(30),
+                42,
+                &FaultPlan::none(),
+                Some(&spec),
+                scratch,
+            )
+        };
+        let frames = |scratch: &WorldScratch| -> Vec<usize> {
+            let servers = scratch.servers.iter();
+            servers.map(ServerScratch::frame_capacity).collect()
+        };
+
+        let mut scratch = WorldScratch::default();
+        let mut world = build(&mut scratch);
+        assert_eq!(scratch.roles, [1, 0], "the plan tries replica 1 first");
+        let m = world.run(SimTime::from_secs(120));
+        assert_eq!(m.served_replica, 1);
+        world.retire(&mut scratch);
+        // Replica 1 streamed and filed its storage under role 0; the
+        // primary, never asked, grew none.
+        let streamed = frames(&scratch);
+        assert!(streamed[0] > 0 && streamed[1] == 0, "{streamed:?}");
+        // Built again, replica 1 takes slot 0's storage: retired unrun,
+        // each server files what it took straight back.
+        build(&mut scratch).retire(&mut scratch);
+        assert_eq!(frames(&scratch), streamed);
     }
 
     #[test]

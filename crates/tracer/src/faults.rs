@@ -4,9 +4,10 @@
 //! it: a [`FaultLinkMap`] names the concrete links realizing each path
 //! segment, and the [`FaultInjector`] fires the plan's events — link
 //! down/up, loss-burst on/off, server crash/restart — at their scheduled
-//! instants as the harness drives the world. A world with no injector
-//! (every fault-free campaign) pays nothing: the harness skips the whole
-//! machinery on a `None`.
+//! instants as the harness drives the world. A world with an empty plan
+//! (every fault-free campaign) holds an idle injector, whose cost per
+//! instant is one bounds check. A world's injector is recycled with it:
+//! `FaultInjector::renew` grounds the next plan on the last one's queue.
 
 use rv_net::LinkId;
 use rv_sim::{FaultPlan, FaultSegment, OutagePolicy, SimTime};
@@ -56,7 +57,17 @@ impl FaultInjector {
     /// Grounds `plan` against `map`. Events at equal times apply in plan
     /// order (the sort is stable), so injection is deterministic.
     pub fn new(plan: &FaultPlan, map: &FaultLinkMap) -> Self {
-        let mut events = Vec::new();
+        let mut injector = FaultInjector::default();
+        injector.renew(plan, map);
+        injector
+    }
+
+    /// Grounds `plan` against `map` on this injector's storage, as
+    /// [`FaultInjector::new`] would: it allocates only for a plan with
+    /// more events than any it held before.
+    pub(crate) fn renew(&mut self, plan: &FaultPlan, map: &FaultLinkMap) {
+        self.disarm();
+        let events = &mut self.events;
         for o in &plan.link_outages {
             for &l in map.links(o.segment) {
                 events.push((o.start, FaultAction::LinkDown(l, o.policy)));
@@ -76,7 +87,12 @@ impl FaultInjector {
             }
         }
         events.sort_by_key(|(t, _)| *t);
-        FaultInjector { events, next: 0 }
+    }
+
+    /// Drops every event, keeping the storage: an idle injector.
+    pub(crate) fn disarm(&mut self) {
+        self.events.clear();
+        self.next = 0;
     }
 
     /// When the next unapplied event fires, if any remain.
@@ -152,6 +168,43 @@ mod tests {
         ));
         assert!(inj.pop_due(SimTime::from_secs(100)).is_none());
         assert_eq!(inj.next_wake(), None);
+    }
+
+    /// An injector renewed after another plan, part drained, queues
+    /// exactly what a new one would.
+    #[test]
+    fn renew_equals_new() {
+        let map = FaultLinkMap {
+            client_access: vec![LinkId(0), LinkId(1)],
+            transit: vec![LinkId(2), LinkId(3)],
+            ..FaultLinkMap::default()
+        };
+        let outage = |segment, start| LinkOutage {
+            segment,
+            start: SimTime::from_secs(start),
+            end: SimTime::from_secs(start + 3),
+            policy: OutagePolicy::CarryInFlight,
+        };
+        let a = FaultPlan {
+            link_outages: vec![outage(FaultSegment::ClientAccess, 4)],
+            ..FaultPlan::none()
+        };
+        let b = FaultPlan {
+            link_outages: vec![outage(FaultSegment::Transit, 1)],
+            server_crashes: vec![ServerCrash {
+                at: SimTime::from_secs(1),
+                restart_after: None,
+                replica: 1,
+            }],
+            ..FaultPlan::none()
+        };
+        let mut injector = FaultInjector::new(&a, &map);
+        assert!(injector.pop_due(SimTime::from_secs(5)).is_some());
+        injector.renew(&b, &map);
+        let fresh = FaultInjector::new(&b, &map);
+        assert_eq!(format!("{injector:?}"), format!("{fresh:?}"));
+        injector.disarm();
+        assert_eq!(injector.next_wake(), None);
     }
 
     #[test]

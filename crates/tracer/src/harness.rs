@@ -152,9 +152,21 @@ pub fn two_host_world(
 pub struct WorldScratch {
     /// A retired network whose link rings/inboxes/tables keep their capacity.
     pub net: Network<Segment>,
-    /// Buffers harvested from the retired servers, indexed by replica
-    /// (the primary is replica 0).
+    /// Buffers harvested from the retired servers, filed by role: slot
+    /// `p` holds the storage of the server a world's client tried `p`-th
+    /// (see [`WorldScratch::roles`]), so the server that streams builds
+    /// on the storage the last streaming server grew, whichever replica
+    /// it is.
     pub servers: Vec<ServerScratch>,
+    /// The next world's role map, which its builder writes before it
+    /// takes any server's storage: `roles[p]` is the server its client
+    /// tries `p`-th, which builds on `servers[p]`; when it is empty,
+    /// server `k` has role `k`. [`SessionWorld::on_scratch`] copies it
+    /// into the world, which files its servers by it when it retires.
+    pub roles: Vec<u8>,
+    /// Each server's standing load for the next world, by server index:
+    /// the builder's working space for its routing plan.
+    pub loads: Vec<u32>,
     /// Buffers harvested from the retired client.
     pub client: ClientScratch,
     /// The last world's topology declarations, for the next world to
@@ -170,6 +182,37 @@ pub struct WorldScratch {
     /// The driver work of every world retired into this scratch, summed:
     /// a worker's tally, which no session ever reads back.
     pub work: DriverWork,
+    /// The last world's own vectors, for the next world to grow in.
+    spare: Spare,
+}
+
+/// A retired world's replica list, claims and role map, emptied, and its
+/// fault queue, disarmed.
+#[derive(Debug, Default)]
+struct Spare {
+    replicas: Vec<(Stack, RealServer)>,
+    replica_claims: Vec<SimTime>,
+    roles: Vec<u8>,
+    faults: FaultInjector,
+}
+
+impl WorldScratch {
+    /// Takes the storage server `k` of the next world builds on: the slot
+    /// of its role in [`WorldScratch::roles`], or a cold default if that
+    /// slot was never filled.
+    pub fn server(&mut self, k: u8) -> ServerScratch {
+        let slot = role_of(&self.roles, usize::from(k));
+        self.servers
+            .get_mut(slot)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+}
+
+/// Server `k`'s role under `roles`: its place in the order, or `k` when
+/// the order does not name it.
+fn role_of(roles: &[u8], k: usize) -> usize {
+    roles.iter().position(|&r| usize::from(r) == k).unwrap_or(k)
 }
 
 /// One complete streaming world: network, two stacks, server, client.
@@ -193,11 +236,14 @@ pub struct SessionWorld {
     /// The world's clock: persists across `run` calls so a world can be
     /// driven in increments.
     pub now: SimTime,
-    /// Scheduled faults, if this session has any.
-    faults: Option<FaultInjector>,
+    /// Scheduled faults: idle (no event) unless a plan armed it.
+    faults: FaultInjector,
     /// Each replica's claim (see [`SessionWorld::run`]), parallel to
     /// `replicas`, kept across runs so its capacity is allocated once.
     replica_claims: Vec<SimTime>,
+    /// The role map [`SessionWorld::retire`] files the servers by (see
+    /// [`WorldScratch::roles`]).
+    roles: Vec<u8>,
     /// What `run` has done so far.
     work: DriverWork,
 }
@@ -305,8 +351,32 @@ impl SessionWorld {
     /// pairs [`client_endpoint`] and [`server_endpoint`] return.
     pub fn new(
         net: Network<Segment>,
+        client: (Stack, TracerClient),
+        server: (Stack, RealServer),
+    ) -> Self {
+        Self::assemble(net, client, server, Spare::default())
+    }
+
+    /// As [`SessionWorld::new`], on the replica list, claims and fault
+    /// queue of the last world retired into `scratch`, with a copy of
+    /// `scratch.roles` as its role map: a warm scratch builds a world of
+    /// any shape without allocating.
+    pub fn on_scratch(
+        net: Network<Segment>,
+        client: (Stack, TracerClient),
+        server: (Stack, RealServer),
+        scratch: &mut WorldScratch,
+    ) -> Self {
+        let mut spare = std::mem::take(&mut scratch.spare);
+        spare.roles.extend_from_slice(&scratch.roles);
+        Self::assemble(net, client, server, spare)
+    }
+
+    fn assemble(
+        net: Network<Segment>,
         (client_stack, client): (Stack, TracerClient),
         (server_stack, server): (Stack, RealServer),
+        spare: Spare,
     ) -> Self {
         SessionWorld {
             net,
@@ -314,10 +384,11 @@ impl SessionWorld {
             server_stack,
             server,
             client,
-            replicas: Vec::new(),
+            replicas: spare.replicas,
             now: SimTime::ZERO,
-            faults: None,
-            replica_claims: Vec::new(),
+            faults: spare.faults,
+            replica_claims: spare.replica_claims,
+            roles: spare.roles,
             work: DriverWork::default(),
         }
     }
@@ -372,13 +443,13 @@ impl SessionWorld {
         // what keeps fault-free campaigns bit-identical to pre-fault
         // builds.
         self.client.harden();
-        self.faults = Some(FaultInjector::new(plan, map));
+        self.faults.renew(plan, map);
     }
 
     /// Applies every fault event due at `now`. Returns whether any was.
     fn apply_faults(&mut self, now: SimTime) -> bool {
         let mut fired = false;
-        while let Some(action) = self.faults.as_mut().and_then(|f| f.pop_due(now)) {
+        while let Some(action) = self.faults.pop_due(now) {
             fired = true;
             // Fault events are traced here rather than in the components:
             // this is the one place that has both the simulated clock and
@@ -483,9 +554,8 @@ impl SessionWorld {
     /// What the wake fold reads beside the network, read at `now`.
     fn wakes(&self, now: SimTime) -> Wakes {
         let wake = |t: Option<SimTime>| t.unwrap_or(SimTime::MAX);
-        let faults = self.faults.as_ref().and_then(FaultInjector::next_wake);
         let mut wakes = Wakes {
-            timers: wake(self.client_stack.next_wake()).min(wake(faults)),
+            timers: wake(self.client_stack.next_wake()).min(wake(self.faults.next_wake())),
             apps: wake(self.client.next_wake(now)),
         };
         for (stack, server) in (0..).map_while(|r| self.server(r)) {
@@ -545,27 +615,39 @@ impl SessionWorld {
     }
 
     /// Retires this world, moving its recyclable storage into `scratch`
-    /// for the next session: the network, the client with its stack and
-    /// every server with its stack, each into its replica's slot. Nothing
-    /// is scrubbed here: the next build renews each component before
-    /// anything claims from a payload pool, so the payloads a retired
-    /// component still holds are dropped before their backings are
-    /// wanted.
-    pub fn retire(self, scratch: &mut WorldScratch) {
+    /// for the next session: the network, the client with its stack,
+    /// every server with its stack, each into the slot of its role, and
+    /// the world's own vectors, emptied. Nothing is scrubbed here: the
+    /// next build renews each component before anything claims from a
+    /// payload pool, so the payloads a retired component still holds are
+    /// dropped before their backings are wanted.
+    pub fn retire(mut self, scratch: &mut WorldScratch) {
         scratch.work += self.work;
         scratch.net = self.net;
         scratch.client = self.client.into_scratch();
         scratch.client.stack = self.client_stack;
         let primary = (self.server_stack, self.server);
-        let servers = std::iter::once(primary).chain(self.replicas);
+        let servers = std::iter::once(primary).chain(self.replicas.drain(..));
         for (r, (stack, server)) in servers.enumerate() {
             let mut harvested = server.into_scratch();
             harvested.stack = stack;
-            match scratch.servers.get_mut(r) {
-                Some(slot) => *slot = harvested,
-                None => scratch.servers.push(harvested),
+            let slot = role_of(&self.roles, r);
+            if scratch.servers.len() <= slot {
+                scratch
+                    .servers
+                    .resize_with(slot + 1, ServerScratch::default);
             }
+            scratch.servers[slot] = harvested;
         }
+        self.replica_claims.clear();
+        self.roles.clear();
+        self.faults.disarm();
+        scratch.spare = Spare {
+            replicas: self.replicas,
+            replica_claims: self.replica_claims,
+            roles: self.roles,
+            faults: self.faults,
+        };
     }
 }
 
@@ -755,9 +837,7 @@ mod tests {
                 .min(wake(self.server_stack.next_wake()))
                 .min(wake(self.server.next_wake(now)))
                 .min(wake(self.client.next_wake(now)))
-                .min(wake(
-                    self.faults.as_ref().and_then(FaultInjector::next_wake),
-                ));
+                .min(wake(self.faults.next_wake()));
             for (stack, server) in &self.replicas {
                 next = next
                     .min(wake(stack.next_wake()))

@@ -26,7 +26,7 @@ fn check_equivalence(params: StudyParams, label: &str) {
     let data = run_campaign_with_records(params).expect("campaign runs");
     // The campaign streamed `data.aggregates` as each session finished;
     // rebuilding from the retained records must land on the same bits.
-    let rebuilt = from_records(params, data.records());
+    let rebuilt = from_records(params, data.records().unwrap());
     assert_eq!(
         data.aggregates, rebuilt,
         "streaming vs rebuilt aggregates differ ({label})"

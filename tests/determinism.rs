@@ -29,8 +29,16 @@ fn zero_rate_fault_scenario_matches_fault_free_campaign() {
     let clean = run_campaign_with_records(params()).unwrap();
     let armed = run_campaign_with_records(zero).unwrap();
     assert_eq!(clean.aggregates, armed.aggregates);
-    assert_eq!(clean.records().len(), armed.records().len());
-    for (c, a) in clean.records().iter().zip(armed.records()) {
+    assert_eq!(
+        clean.records().unwrap().len(),
+        armed.records().unwrap().len()
+    );
+    for (c, a) in clean
+        .records()
+        .unwrap()
+        .iter()
+        .zip(armed.records().unwrap())
+    {
         assert_eq!(c.metrics, a.metrics);
         assert_eq!(c.rating, a.rating);
     }

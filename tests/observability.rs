@@ -56,7 +56,12 @@ fn tracing_is_a_pure_observer_of_the_campaign() {
     let after = run_campaign_with_records(params()).unwrap();
     assert_eq!(before.aggregates, after.aggregates);
     assert_eq!(before.summary.counters, after.summary.counters);
-    for (b, a) in before.records().iter().zip(after.records()) {
+    for (b, a) in before
+        .records()
+        .unwrap()
+        .iter()
+        .zip(after.records().unwrap())
+    {
         assert_eq!(b.metrics, a.metrics);
         assert_eq!(b.counters, a.counters);
     }
@@ -64,6 +69,7 @@ fn tracing_is_a_pure_observer_of_the_campaign() {
     // recorded for that (user, clip) row.
     let row = before
         .records()
+        .unwrap()
         .iter()
         .find(|r| r.user_id == user_id && r.clip_name.as_ref() == clip)
         .expect("traced session missing from campaign records");
@@ -227,6 +233,7 @@ fn gateway_trace_tells_the_failover_story() {
     let data = run_campaign_with_records(params).unwrap();
     let row = data
         .records()
+        .unwrap()
         .iter()
         .find(|r| r.user_id == user_id && r.clip_name.as_ref() == clip)
         .expect("traced session missing from campaign records");
