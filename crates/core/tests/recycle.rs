@@ -829,7 +829,7 @@ impl Recycled for ClientScratch {
     }
 
     fn retained_bytes(&self) -> usize {
-        self.player_bytes() + self.stack.retained_bytes()
+        ClientScratch::retained_bytes(self)
     }
 }
 
@@ -890,8 +890,7 @@ impl Recycled for ServerScratch {
     }
 
     fn retained_bytes(&self) -> usize {
-        let frames = self.frame_capacity() * std::mem::size_of::<Frame>();
-        frames + self.payload_footprint().bytes + self.stack.retained_bytes()
+        ServerScratch::retained_bytes(self)
     }
 }
 

@@ -154,11 +154,13 @@ pub(crate) struct ActiveStream {
 }
 
 /// One pump's packets, numbered as they are staged and written once, at
-/// the end of the pump, back to back into a single pooled backing handed
-/// to the transport: one chunk for TCP (so segmentization slices one
-/// allocation instead of straddling per-packet buffers), one zero-copy
-/// slice per datagram for UDP. Queue order and simulated time are exactly
-/// those of per-packet eager sends. Empty between pumps.
+/// the end of the pump, to the transport. On TCP each packet is written
+/// straight into the data socket's send buffer, whose open tail the
+/// pump's packets share (and the next pumps' too, while the path is
+/// slower than the stream): a stalled stream owns about the bytes it has
+/// queued. On UDP they go back to back into one pooled backing, one
+/// zero-copy slice per datagram. Queue order and simulated time are
+/// exactly those of per-packet eager sends. Empty between pumps.
 #[derive(Debug, Default)]
 pub(crate) struct Staging {
     /// The staged packets, numbered, in send order.
@@ -168,11 +170,18 @@ pub(crate) struct Staging {
     len: usize,
     /// Reusable packetization scratch (one frame's packets).
     packets: Vec<MediaPacket>,
-    /// Recycled payload backings: once warm, a flush allocates nothing.
+    /// Recycled datagram backings: once warm, a UDP flush allocates
+    /// nothing.
     pub(crate) pool: PayloadPool,
 }
 
 impl Staging {
+    /// Bytes of storage held: the packet vectors and the pool's backings.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        let packets = self.staged.capacity() + self.packets.capacity();
+        packets * std::mem::size_of::<MediaPacket>() + self.pool.footprint().bytes
+    }
+
     /// Numbers and stages `pkt`; returns it as sent.
     fn send(&mut self, mut pkt: MediaPacket, next_seq: &mut u32) -> MediaPacket {
         pkt.seq = *next_seq;
@@ -182,32 +191,34 @@ impl Staging {
         pkt
     }
 
-    /// Writes the staged packets into one backing, hands it to the
-    /// transport and leaves nothing behind. On TCP capacity was reserved
-    /// per packet as it was staged, so the socket accepts the whole
-    /// backing (modulo the same tail truncation an unchecked eager write
-    /// would have hit).
+    /// Hands the staged packets to the transport and leaves nothing
+    /// behind. On TCP capacity was reserved per packet as it was staged,
+    /// so the socket accepts every packet (modulo the same tail
+    /// truncation an unchecked eager write would have hit).
     fn flush(&mut self, outlet: &Outlet, stack: &mut Stack, data_tcp: TcpHandle, udp: UdpHandle) {
         self.packets.clear();
         if self.staged.is_empty() {
             return;
         }
         let staged = &self.staged;
-        // Each packet writes every byte of its window: a recycled
-        // backing's old bytes never reach the wire.
-        let bytes = self.pool.gather(self.len, |out| {
-            let mut start = 0;
-            for pkt in staged {
-                let end = start + pkt.wire_len();
-                pkt.write_to(&mut out[start..end]);
-                start = end;
-            }
-        });
         match outlet {
             Outlet::Tcp => {
-                stack.tcp(data_tcp).send_bytes(bytes);
+                let socket = stack.tcp(data_tcp);
+                for pkt in staged {
+                    socket.send_with(pkt.wire_len(), |out| pkt.write_to(out));
+                }
             }
             Outlet::Udp { client, .. } => {
+                // Each packet writes every byte of its window: a recycled
+                // backing's old bytes never reach the wire.
+                let bytes = self.pool.gather(self.len, |out| {
+                    let mut start = 0;
+                    for pkt in staged {
+                        let end = start + pkt.wire_len();
+                        pkt.write_to(&mut out[start..end]);
+                        start = end;
+                    }
+                });
                 let mut start = 0;
                 for pkt in staged {
                     let end = start + pkt.wire_len();
@@ -387,9 +398,11 @@ impl RealServer {
         // Cap the rate controller at the top rung (plus pacing headroom):
         // a media server has nothing to gain from probing beyond the
         // encoded rate, and doing so only manufactures queue loss.
-        // Infallible because `SureStream::new` refuses an empty rung list
-        // and the list is private to it.
-        let top_bps = f64::from(rungs.last().expect("ladder nonempty").total_bps);
+        // The ladder's top rate, folded from the chosen rung's (one of
+        // them): no empty-ladder case to handle.
+        let top_bps = rungs
+            .iter()
+            .fold(rung_bps, |top, r| top.max(f64::from(r.total_bps)));
         // ... and never above the client's stated connection speed:
         // pushing past the access link only fills its queue with loss and
         // delay. 0.85: leave room for FEC (+1/8), audio, and headers so
@@ -765,11 +778,14 @@ mod tests {
         let mut seq = 0;
 
         // UDP: one datagram per packet, in order, each exactly its bytes.
+        // The flush writes into a recycled backing last filled with junk,
+        // none of which shows through.
         let outlet = drained_udp();
         for pkt in &mut packets {
             *pkt = staging.send(*pkt, &mut seq);
         }
         assert_eq!(seq as usize, packets.len());
+        drop(staging.pool.gather(staging.len, |out| out.fill(0xA5)));
         staging.flush(&outlet, &mut stack, data, udp);
         let sent = stack.udp(udp).poll(SimTime::ZERO);
         assert_eq!(sent.len(), packets.len());
@@ -783,18 +799,19 @@ mod tests {
 
         // TCP through the same staging, emptied by the flush: the same
         // packets as one stream of bytes and no datagram bounds — read
-        // back off the connection. The flush writes into a recycled
-        // backing last filled with junk, none of which shows through.
+        // back off the connection. The packets are written into the
+        // socket's send buffer, not the staging pool.
         assert!(staging.staged.is_empty() && staging.len == 0);
         for pkt in &mut packets {
             *pkt = staging.send(*pkt, &mut seq);
         }
         let stream: Vec<u8> = packets.iter().flat_map(MediaPacket::encode).collect();
         drop(sent);
-        drop(staging.pool.gather(stream.len(), |out| out.fill(0xA5)));
         assert_eq!(staging.len, stream.len());
         let room = stack.tcp_ref(data).send_capacity_left();
+        let pooled = staging.pool.footprint();
         staging.flush(&Outlet::Tcp, &mut stack, data, udp);
+        assert_eq!(staging.pool.footprint(), pooled);
         assert_eq!(
             stack.tcp_ref(data).send_capacity_left(),
             room - stream.len()

@@ -20,7 +20,7 @@
 //! is `control.rs`, the data pump and its claim `pump.rs`, schedule
 //! storage `schedules.rs`.
 
-use rv_media::MediaPacket;
+use rv_media::{Frame, MediaPacket};
 use rv_rtsp::{Decoder, ServerSession};
 use rv_sim::trace::{self, TraceEvent};
 use rv_sim::{PoolFootprint, SimDuration, SimTime, APP_TICK};
@@ -159,12 +159,28 @@ impl ServerScratch {
         self.schedules.storage.iter().map(Vec::capacity).sum()
     }
 
-    /// Backings and bytes the payload pool owns, and the most it had in
-    /// flight at once: read beside [`ServerScratch::frame_capacity`] to
-    /// see that a warm session grew nothing and that what is owned
-    /// tracks what was in flight.
+    /// Backings and bytes the server's payload pools own, and the most
+    /// each had in flight at once: the staging pool's (UDP datagrams) and
+    /// the stack's TCP send buffers' (the data socket's holds every TCP
+    /// media byte, in its pool and open tail; the control socket's, RTSP
+    /// replies). Read beside [`ServerScratch::frame_capacity`] to see that
+    /// a warm session grew nothing and that what is owned tracks what was
+    /// in flight.
     pub fn payload_footprint(&self) -> PoolFootprint {
-        self.staging.pool.footprint()
+        self.staging.pool.footprint() + self.stack.send_footprint()
+    }
+
+    /// Bytes of storage held, the retired stack's included: what this
+    /// scratch carries into the next session.
+    pub fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.frame_capacity() * size_of::<Frame>()
+            + self.staging.retained_bytes()
+            + self.decoder.retained_bytes()
+            + self.ctrl_buf.capacity()
+            + self.reports.capacity() * size_of::<ReceiverReport>()
+            + self.fec_buf.capacity() * size_of::<MediaPacket>()
+            + self.stack.retained_bytes()
     }
 }
 
@@ -1045,8 +1061,9 @@ mod tests {
         use rv_media::MediaPacket;
         use rv_transport::Segment;
 
-        // A TCP stream retired mid-stream: both transports stage through
-        // the one buffer its scratch carries to the next server.
+        // A TCP stream retired mid-stream, its packets in the data
+        // socket's send buffer: the next server, on its scratch, stages
+        // UDP through the staging pool.
         let (mut first, mut stack) = streaming(long_lead(), 300_000);
         let now = SimTime::from_millis(20);
         first.poll(now, &mut stack);

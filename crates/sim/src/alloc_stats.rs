@@ -48,6 +48,20 @@ std::thread_local! {
     /// Reentrancy guard: capturing/formatting a backtrace allocates, and
     /// those allocations must not recurse into the sampler.
     static IN_SAMPLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Allocations made by this thread: see [`thread_allocs`].
+    static THREAD_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Allocations the calling thread has made since it started, counted as
+/// [`snapshot`] counts them: what a probe of one call reads when other
+/// threads (a test harness's, say) allocate beside it.
+pub fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(std::cell::Cell::get)
+}
+
+fn count_thread_alloc() {
+    // A thread being torn down has no counter left to bump.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 /// Turns on backtrace sampling: every `every`-th allocation records its
@@ -89,6 +103,7 @@ fn maybe_sample(size: u64, count: u64) {
 }
 
 fn on_alloc(size: u64) {
+    count_thread_alloc();
     let count = ALLOCS.fetch_add(1, Ordering::Relaxed) + 1;
     BYTES.fetch_add(size, Ordering::Relaxed);
     BY_SIZE[size_class(size)].fetch_add(1, Ordering::Relaxed);
@@ -125,6 +140,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // purposes (that is what it costs when it cannot grow in place);
         // the live gauge nets out the old block. Sampled like `alloc`, so
         // a census of sites adds up to `ALLOCS`.
+        count_thread_alloc();
         let count = ALLOCS.fetch_add(1, Ordering::Relaxed) + 1;
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         BY_SIZE[size_class(new_size as u64)].fetch_add(1, Ordering::Relaxed);

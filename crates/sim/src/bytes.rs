@@ -204,7 +204,7 @@ impl<const N: usize> PartialEq<[u8; N]> for PayloadBytes {
 /// The size classes, derived here and nowhere else: class `c` holds
 /// backings of `1 << (POOL_MIN_SHIFT + c)` bytes.
 const POOL_MIN_SHIFT: u32 = 9;
-const POOL_MAX_SHIFT: u32 = 18;
+const POOL_MAX_SHIFT: u32 = 16;
 const POOL_CLASSES: usize = (POOL_MAX_SHIFT - POOL_MIN_SHIFT + 1) as usize;
 
 /// The class whose backings hold `len` bytes, for `len` in
@@ -216,7 +216,7 @@ fn pool_class(len: usize) -> usize {
 
 /// A window's length as the `u32` that keeps a payload 24 bytes.
 /// Precondition, infallible because every payload the simulator makes is
-/// bounded four orders of magnitude below 4 GiB (the largest is a 256 KiB
+/// bounded four orders of magnitude below 4 GiB (none outgrows a 256 KiB
 /// send buffer): a longer one is a caller bug, refused here.
 fn window_len(len: usize) -> u32 {
     assert!(
@@ -242,7 +242,7 @@ fn zeroed_backing(len: usize) -> Arc<[u8]> {
 /// what it touches track what is in flight:
 ///
 /// * **Size classes.** Backings are powers of two from 512 B to
-///   [`PayloadPool::MAX_POOLED`] (256 KiB); a payload is written into the
+///   [`PayloadPool::MAX_POOLED`] (64 KiB); a payload is written into the
 ///   smallest class that holds it, so a 1.2 KB pump occupies 2 KiB, not
 ///   the largest payload's capacity. Anything larger is one exact
 ///   allocation the pool never keeps.
@@ -294,10 +294,34 @@ pub struct PoolFootprint {
     pub peak_out_bytes: usize,
 }
 
+/// Two holdings together: backings and bytes add, and so do the peaks —
+/// each pool's own busiest moment, which need not have been at once.
+impl std::ops::Add for PoolFootprint {
+    type Output = PoolFootprint;
+
+    fn add(self, other: PoolFootprint) -> PoolFootprint {
+        PoolFootprint {
+            backings: self.backings + other.backings,
+            bytes: self.bytes + other.bytes,
+            peak_out_bytes: self.peak_out_bytes + other.peak_out_bytes,
+        }
+    }
+}
+
+impl std::iter::Sum for PoolFootprint {
+    fn sum<I: Iterator<Item = PoolFootprint>>(iter: I) -> PoolFootprint {
+        iter.fold(PoolFootprint::default(), std::ops::Add::add)
+    }
+}
+
 impl PayloadPool {
     /// The largest payload the pool recycles a backing for: the top size
-    /// class. Covers a full TCP send buffer, the largest single write the
-    /// data path makes.
+    /// class. Covers the largest write the data path makes, a UDP pump
+    /// spending the token bucket's 32,000-byte burst (33,018 bytes at
+    /// most over the benchmark's campaigns, FEC parity and the
+    /// end-of-stream marker included). TCP media is written packet by
+    /// packet into [`ByteRope`] tails of at most 16 KiB, and TCP's
+    /// spanning gathers are one segment long.
     pub const MAX_POOLED: usize = 1 << POOL_MAX_SHIFT;
 
     /// An empty pool. Allocation-free until the first claim.
@@ -316,23 +340,39 @@ impl PayloadPool {
     /// exactly `len` bytes of unspecified content and must overwrite all
     /// of them (`len` is under 4 GiB, the precondition of `window_len`).
     /// The pool's one writing primitive: a backing of `len`'s class is
-    /// claimed, filled, and queued behind the other claims.
+    /// claimed (`take`), filled, and queued behind the other claims
+    /// (`hand_out`); a rope's open tail is the same two steps with many
+    /// fills between them.
     pub fn gather(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> PayloadBytes {
         if len == 0 {
             return PayloadBytes::empty();
         }
-        let window = window_len(len);
-        let pooled = len <= Self::MAX_POOLED;
-        let mut buf = if pooled {
-            self.claim(pool_class(len))
-        } else {
-            zeroed_backing(len)
-        };
+        let mut buf = self.take(len);
         // Writes in place, never copying: a fresh backing has one owner,
         // and a shelved one had none but the pool when it was shelved and
         // can gain none since.
         fill(&mut Arc::make_mut(&mut buf)[..len]);
-        if pooled {
+        self.hand_out(buf, len)
+    }
+
+    /// A backing that holds `len` bytes and that nobody else can see: a
+    /// claimed one of `len`'s class, or for `len` above
+    /// [`PayloadPool::MAX_POOLED`] an exact allocation.
+    fn take(&mut self, len: usize) -> Arc<[u8]> {
+        if len <= Self::MAX_POOLED {
+            self.claim(pool_class(len))
+        } else {
+            zeroed_backing(len)
+        }
+    }
+
+    /// The first `len` bytes of `buf`, a backing [`PayloadPool::take`]
+    /// returned and its caller filled, as a window; a pooled backing joins
+    /// the claim-order queue, to be recycled once the window and its
+    /// slices are gone.
+    fn hand_out(&mut self, buf: Arc<[u8]>, len: usize) -> PayloadBytes {
+        let window = window_len(len);
+        if buf.len() <= Self::MAX_POOLED {
             self.out_bytes += len;
             self.peak_out_bytes = self.peak_out_bytes.max(self.out_bytes);
             self.out.push_back((Arc::clone(&buf), window));
@@ -341,6 +381,14 @@ impl PayloadPool {
             buf,
             off: 0,
             len: window,
+        }
+    }
+
+    /// Puts a backing [`PayloadPool::take`] returned and no window was
+    /// made of back on its class's stack.
+    fn put_back(&mut self, buf: Arc<[u8]>) {
+        if buf.len() <= Self::MAX_POOLED {
+            self.free[pool_class(buf.len())].push(buf);
         }
     }
 
@@ -409,6 +457,12 @@ impl PayloadPool {
     }
 }
 
+/// The largest open tail a [`ByteRope`] writes into: a stalled sender's
+/// bytes sit in backings of this size, so it owns about what it has
+/// queued. Larger tails would save little (a 256 KiB send buffer is 16
+/// of these) and pin more behind one unacknowledged byte.
+const TAIL_MAX: usize = 16 * 1024;
+
 /// A byte-offset-indexed chain of [`PayloadBytes`] chunks: the TCP
 /// send/receive buffer representation.
 ///
@@ -416,19 +470,38 @@ impl PayloadPool {
 /// returns a zero-copy sub-window when the requested range lies within
 /// one chunk and pays one bounded gather copy when it spans chunks —
 /// segment sizes are dictated by MSS/window arithmetic and must not bend
-/// to chunk geometry, or the wire trace would change. Spanning is not
-/// rare: the server stages one chunk per pacing pump, 1,219 bytes on
-/// average in a June-2001 campaign against a 1,460- or 536-byte MSS, and
-/// a session takes the spanning arm 119.5 times. So the gather's backing
-/// comes from the rope's own [`PayloadPool`], as does the chunk
-/// [`ByteRope::push_slice`] copies into: one copy, and once the pool is
-/// warm no allocation.
+/// to chunk geometry, or the wire trace would change. So the gather's
+/// backing comes from the rope's own [`PayloadPool`]: one copy, and once
+/// the pool is warm no allocation.
+///
+/// Copies in ([`ByteRope::push_with`], [`ByteRope::push_slice`]) land in
+/// the rope's *open tail*: a backing from that pool that only the rope
+/// can see, so each write appends in place and many small writes share
+/// one backing. The tail is sealed — handed to the pool's claim queue and
+/// appended to the chunks — when a read ([`ByteRope::slice`],
+/// [`ByteRope::advance`], [`ByteRope::read_with`]) reaches into it, when a
+/// zero-copy [`ByteRope::push`] follows it, or when a write does not fit.
+/// A tail that filled unread is followed by one twice its size, up to
+/// 16 KiB; after a read the next is sized to the write that opens it. A
+/// sender whose path drains slower than it writes thus owns about the
+/// bytes it has queued, in 16 KiB backings, and one that is read as it
+/// writes owns about one small backing per flight of writes.
 #[derive(Debug, Default)]
 pub struct ByteRope {
+    /// The sealed chunks, oldest first.
     chunks: VecDeque<PayloadBytes>,
+    /// Buffered bytes: the chunks' and the open tail's.
     len: usize,
     /// Backings for the copies the rope itself makes; survives `clear`.
     pool: PayloadPool,
+    /// The open tail, if one was opened and not sealed since: its first
+    /// `open_len` bytes are the rope's last. No window of it exists, so
+    /// it is written in place. Survives `clear`, emptied.
+    open: Option<Arc<[u8]>>,
+    open_len: usize,
+    /// The least capacity the next tail opens with: twice the last one's
+    /// when it filled unread, 0 when a read or a push sealed it.
+    next_open: usize,
 }
 
 impl ByteRope {
@@ -448,31 +521,125 @@ impl ByteRope {
         self.len == 0
     }
 
-    /// Drops all buffered bytes, keeping the chunk deque's capacity and
-    /// the pool: a cleared rope is an empty one with its storage warm.
+    /// Drops all buffered bytes, keeping the chunk deque's capacity, the
+    /// pool and the open tail's backing: a cleared rope is an empty one
+    /// with its storage warm.
     pub fn clear(&mut self) {
         self.chunks.clear();
         self.len = 0;
+        self.open_len = 0;
+        self.next_open = 0;
     }
 
-    /// Bytes of storage held: the chunk deque and the pool's backings.
+    /// Bytes of storage held: the chunk deque, the pool's backings and
+    /// the open tail's.
     pub fn retained_bytes(&self) -> usize {
-        self.chunks.capacity() * std::mem::size_of::<PayloadBytes>() + self.pool.footprint().bytes
+        self.chunks.capacity() * std::mem::size_of::<PayloadBytes>() + self.footprint().bytes
     }
 
-    /// Appends a chunk, taking ownership (no copy).
+    /// What the rope's pool holds, the open tail's backing counted with
+    /// it (instrumentation/tests).
+    pub fn footprint(&self) -> PoolFootprint {
+        let open = self.open.as_ref().map(|buf| PoolFootprint {
+            backings: 1,
+            bytes: buf.len(),
+            peak_out_bytes: 0,
+        });
+        self.pool.footprint() + open.unwrap_or_default()
+    }
+
+    /// Bytes the open tail can still take without a new backing: 0 when
+    /// none is open (instrumentation/tests).
+    pub fn tail_room(&self) -> usize {
+        self.open
+            .as_ref()
+            .map_or(0, |buf| buf.len() - self.open_len)
+    }
+
+    /// Appends a chunk, taking ownership (no copy). Seals the open tail
+    /// first: its bytes come before the chunk's.
     pub fn push(&mut self, chunk: PayloadBytes) {
         if chunk.is_empty() {
             return;
         }
+        self.seal(0);
         self.len += chunk.len();
         self.chunks.push_back(chunk);
     }
 
-    /// Appends by copying `bytes` into one chunk from the rope's pool.
+    /// Appends by copying `bytes` in (see [`ByteRope::push_with`]).
     pub fn push_slice(&mut self, bytes: &[u8]) {
-        let chunk = self.pool.copy_in(bytes);
-        self.push(chunk);
+        self.push_with(bytes.len(), bytes.len(), |out| out.copy_from_slice(bytes));
+    }
+
+    /// Appends the first `keep` of `len` bytes that `fill` writes: it
+    /// receives exactly `len` bytes of unspecified content and must
+    /// overwrite all of them. Written into the open tail while it has
+    /// room — no allocation, no new chunk — and otherwise into a new
+    /// tail from the rope's pool. `keep` above `len` keeps `len`; a
+    /// `keep` of 0 appends nothing and does not call `fill`.
+    pub fn push_with(&mut self, len: usize, keep: usize, fill: impl FnOnce(&mut [u8])) {
+        let keep = keep.min(len);
+        if keep == 0 {
+            return;
+        }
+        if len > self.tail_room() {
+            self.reopen(len);
+        }
+        let start = self.open_len;
+        match self.open.as_mut() {
+            // Writes in place, never copying: the rope is the tail's one
+            // owner until it is sealed.
+            Some(buf) => fill(&mut Arc::make_mut(buf)[start..start + len]),
+            // Above the largest tail: a chunk of its own, sealed at once.
+            None => {
+                let chunk = self.pool.gather(len, fill);
+                self.len += keep;
+                self.chunks.push_back(chunk.slice(..keep));
+                return;
+            }
+        }
+        self.open_len += keep;
+        self.len += keep;
+    }
+
+    /// Makes room for a `len`-byte write the open tail cannot take: seals
+    /// it (it filled unread) and opens one that holds `len` bytes and is
+    /// at least as large as the growth rule asks. A write larger than
+    /// [`TAIL_MAX`] opens none.
+    fn reopen(&mut self, len: usize) {
+        let grown = self.open.as_ref().map_or(0, |buf| 2 * buf.len());
+        self.seal(grown.min(TAIL_MAX));
+        // Still open: emptied by `clear` and too small. Back to the pool.
+        if let Some(buf) = self.open.take() {
+            self.pool.put_back(buf);
+        }
+        if len <= TAIL_MAX {
+            self.open = Some(self.pool.take(len.max(self.next_open)));
+        }
+    }
+
+    /// Hands the open tail's bytes to the pool as one window and appends
+    /// it to the chunks; the next tail opens with at least `next_open`
+    /// bytes. An empty tail stays open.
+    fn seal(&mut self, next_open: usize) {
+        if self.open_len == 0 {
+            return;
+        }
+        if let Some(buf) = self.open.take() {
+            let chunk = self.pool.hand_out(buf, self.open_len);
+            self.chunks.push_back(chunk);
+        }
+        self.open_len = 0;
+        self.next_open = next_open;
+    }
+
+    /// Seals the open tail if any of the first `upto` bytes lie in it: a
+    /// read that reaches the tail needs it as a chunk.
+    fn seal_for_read(&mut self, upto: usize) {
+        if upto > self.len - self.open_len {
+            self.seal(0);
+        }
     }
 
     /// The bytes at `off..off + len` as one payload. Zero-copy when the
@@ -490,6 +657,7 @@ impl ByteRope {
         if len == 0 {
             return PayloadBytes::empty();
         }
+        self.seal_for_read(off + len);
         let mut start = off;
         let mut iter = self.chunks.iter();
         // Skip chunks wholly before the window; the assert above puts
@@ -527,6 +695,7 @@ impl ByteRope {
     /// in place via a zero-copy sub-slice.
     pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len, "advance {n} past rope of {} bytes", self.len);
+        self.seal_for_read(n);
         let mut left = n;
         // The assert above leaves a chunk under every byte to drop.
         while let Some(head) = self.chunks.front_mut().filter(|_| left > 0) {
@@ -544,6 +713,7 @@ impl ByteRope {
     /// Reads and consumes up to `max` bytes from the front, handing each
     /// contiguous chunk to `sink` without copying. Returns bytes consumed.
     pub fn read_with(&mut self, max: usize, sink: &mut dyn FnMut(&[u8])) -> usize {
+        self.seal_for_read(max.min(self.len));
         let mut read = 0;
         while read < max {
             let Some(head) = self.chunks.front_mut() else {
@@ -629,9 +799,10 @@ mod tests {
         assert_eq!(r.slice(0, 1), [5u8]);
         r.advance(1);
         assert!(r.is_empty());
-        // The consumed chunk left the chain: its backing is free again.
+        // The consumed chunk left the chain: its backing is free again,
+        // and the next write's tail opens on it.
         r.push_slice(&[6]);
-        assert_eq!(r.pool.footprint().backings, 1);
+        assert_eq!(r.footprint().backings, 1);
     }
 
     #[test]
@@ -725,8 +896,8 @@ mod tests {
         );
         assert_eq!(pool.backings_for(big.len()), 0);
         assert!(pool.copy_in(&[]).is_empty());
-        // The bound is the top class, inclusive: a full TCP send buffer
-        // written in one pump is recycled.
+        // The bound is the top class, inclusive: the largest UDP pump is
+        // recycled.
         let top = pool.copy_in(&vec![6; PayloadPool::MAX_POOLED]);
         assert_eq!(top.len(), PayloadPool::MAX_POOLED);
         assert!(top.iter().all(|&b| b == 6));
@@ -833,17 +1004,19 @@ mod tests {
     #[test]
     fn rope_copies_come_from_its_pool() {
         let mut r = ByteRope::new();
+        // Two 700-byte writes: the second does not fit the first's 1 KiB
+        // tail, which is sealed, and opens a 2 KiB one.
         r.push_slice(&[1; 700]);
         r.push_slice(&[2; 700]);
         let spanning = r.slice(600, 200);
         assert_eq!(&spanning[..100], &[1; 100]);
         assert_eq!(&spanning[100..], &[2; 100]);
-        assert_eq!(r.pool.footprint().backings, 3);
+        assert_eq!(r.footprint().backings, 3, "two tails and a 512 B gather");
         // Once the segment is gone its backing serves the next gather,
         // and a retransmission of the same range reads the same bytes.
         drop(spanning);
         let again = r.slice(600, 200);
-        assert_eq!(r.pool.footprint().backings, 3);
+        assert_eq!(r.footprint().backings, 3);
         assert_eq!(&again[..100], &[1; 100]);
         assert_eq!(&again[100..], &[2; 100]);
         // `clear` drops the bytes, not the pool: what the rope copies
@@ -852,12 +1025,12 @@ mod tests {
         r.clear();
         r.push_slice(&[3; 900]);
         r.push_slice(&[4; 300]);
-        assert_eq!(r.pool.footprint().backings, 3);
+        assert_eq!(r.footprint().backings, 3);
         assert_eq!(r.slice(0, 1_200)[899..901], [3, 4]);
         assert_eq!(
-            r.pool.footprint().backings,
+            r.footprint().backings,
             4,
-            "a 2 KiB gather: a new class"
+            "a 2 KiB gather while both tails are out: a new backing"
         );
     }
 
@@ -867,7 +1040,83 @@ mod tests {
         r.push_slice(&[1, 2, 3]);
         r.clear();
         assert!(r.is_empty());
+        // The open tail survives, emptied: the next write lands in it.
         r.push_slice(&[4]);
-        assert_eq!(r.pool.footprint().backings, 1);
+        assert_eq!(r.footprint().backings, 1);
+        assert_eq!(r.pool.footprint().backings, 0, "the tail is the rope's");
+        assert_eq!(r.slice(0, 1), [4u8]);
+    }
+
+    #[test]
+    fn rope_writes_share_the_open_tail_until_it_fills() {
+        let mut r = ByteRope::new();
+        r.push_with(300, 300, |out| out.fill(1));
+        assert_eq!(r.tail_room(), 212, "a 512 B tail");
+        r.push_with(200, 200, |out| out.fill(2));
+        assert_eq!((r.tail_room(), r.footprint().backings), (12, 1));
+        // A write the tail cannot take seals it and opens one twice its
+        // size; unread tails keep doubling up to 16 KiB.
+        let mut capacities = Vec::new();
+        for _ in 0..40 {
+            r.push_with(1_000, 1_000, |out| out.fill(3));
+            let owned = r.footprint().bytes;
+            if capacities.last() != Some(&owned) {
+                capacities.push(owned);
+            }
+        }
+        let step = |n: usize| 512 + (1..=n).map(|k| 512 << k.min(5)).sum::<usize>();
+        assert_eq!(
+            capacities[..6],
+            [step(1), step(2), step(3), step(4), step(5), step(6)]
+        );
+        assert_eq!(r.len(), 500 + 40_000);
+        let bytes = r.slice(0, r.len());
+        assert!(bytes[..300].iter().all(|&b| b == 1));
+        assert!(bytes[300..500].iter().all(|&b| b == 2));
+        assert!(bytes[500..].iter().all(|&b| b == 3));
+    }
+
+    #[test]
+    fn a_read_into_the_tail_seals_it_and_the_next_opens_small() {
+        let mut r = ByteRope::new();
+        for _ in 0..20 {
+            r.push_with(1_000, 1_000, |out| out.fill(7));
+        }
+        assert_eq!(r.footprint().bytes, 1_024 + 2_048 + 4_096 + 8_192 + 16_384);
+        // A read short of the tail leaves it open ...
+        let before = r.tail_room();
+        assert_eq!(r.slice(0, 1_460).len(), 1_460);
+        assert_eq!(r.tail_room(), before);
+        // ... one that reaches it seals it, and the next write opens a
+        // tail of its own class.
+        r.advance(r.len() - 1);
+        assert_eq!(r.tail_room(), 0);
+        r.push_with(600, 600, |out| out.fill(8));
+        assert_eq!(r.tail_room(), 1_024 - 600);
+        let mut read = Vec::new();
+        assert_eq!(r.read_with(601, &mut |c| read.extend_from_slice(c)), 601);
+        assert_eq!(read[0], 7);
+        assert!(read[1..].iter().all(|&b| b == 8));
+        assert_eq!(r.tail_room(), 0);
+    }
+
+    #[test]
+    fn push_with_keeps_the_first_keep_bytes() {
+        let mut r = ByteRope::new();
+        r.push_with(4, 2, |out| out.copy_from_slice(&[1, 2, 3, 4]));
+        r.push_with(3, 9, |out| out.copy_from_slice(&[5, 6, 7]));
+        r.push_with(3, 0, |_| panic!("nothing kept, nothing written"));
+        assert_eq!(r.len(), 5);
+        assert_eq!(r.slice(0, 5), [1u8, 2, 5, 6, 7]);
+        // Above the largest tail: a chunk of its own, truncated alike.
+        let big = 20 * 1024;
+        r.push_with(big, big - 1, |out| out.fill(9));
+        assert_eq!(r.len(), 5 + big - 1);
+        assert_eq!(r.tail_room(), 0, "no tail opened for it");
+        r.push_slice(&[10]);
+        let all = r.slice(0, r.len());
+        assert_eq!(all[..5], [1, 2, 5, 6, 7]);
+        assert!(all[5..5 + big - 1].iter().all(|&b| b == 9));
+        assert_eq!(all[5 + big - 1], 10);
     }
 }

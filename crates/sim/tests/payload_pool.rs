@@ -1,17 +1,41 @@
-//! The executable spec of [`PayloadPool`]: what it may write into, how
-//! much it may own, and which backing a claim lands on.
+//! The executable spec of [`PayloadPool`] and of the [`ByteRope`] open
+//! tail written through it: what they may write into, how much they may
+//! own, and which backing a claim lands on.
 //!
 //! The pool is invisible to everything but the allocator — every window is
 //! length-exact and fully overwritten — so the simulation's bit-identity
 //! tests cannot see a pool that owns too much or reuses the wrong backing.
-//! These scripts can.
+//! These scripts can. Built with `--features alloc-stats` they also count
+//! the allocations a write into the open tail makes (none).
 
 use proptest::prelude::*;
-use rv_sim::{PayloadBytes, PayloadPool};
+use rv_sim::{ByteRope, PayloadBytes, PayloadPool};
+
+#[cfg(feature = "alloc-stats")]
+#[global_allocator]
+static ALLOC: rv_sim::alloc_stats::CountingAlloc = rv_sim::alloc_stats::CountingAlloc;
+
+/// Allocations this thread has made, when the counting allocator is built
+/// in; `None` otherwise.
+fn allocs() -> Option<u64> {
+    #[cfg(feature = "alloc-stats")]
+    return Some(rv_sim::alloc_stats::thread_allocs());
+    #[cfg(not(feature = "alloc-stats"))]
+    None
+}
+
+/// 256 cases a property in tier-1, where the harness default is 64;
+/// `PROPTEST_CASES` (CI runs 2,000) overrides.
+fn cases() -> ProptestConfig {
+    match std::env::var("PROPTEST_CASES") {
+        Ok(_) => ProptestConfig::default(),
+        Err(_) => ProptestConfig::with_cases(256),
+    }
+}
 
 /// A capacity of every class, smallest first (the pool's own bounds are
 /// private; a length maps to the first of these that holds it).
-const CLASS_CAPACITIES: [usize; 10] = [
+const CLASS_CAPACITIES: [usize; 8] = [
     512,
     1 << 10,
     1 << 11,
@@ -19,8 +43,6 @@ const CLASS_CAPACITIES: [usize; 10] = [
     1 << 13,
     1 << 14,
     1 << 15,
-    1 << 16,
-    1 << 17,
     PayloadPool::MAX_POOLED,
 ];
 
@@ -44,18 +66,31 @@ fn intact(view: &View) -> bool {
     view.bytes.iter().all(|&b| b == stamp(view.claim))
 }
 
-/// Pump-sized lengths mostly; now and then anything up to 300 KiB, so the
+/// Pump-sized lengths mostly; now and then anything up to 96 KiB, so the
 /// top classes and the unpooled arm above them are reached.
 fn lengths() -> impl Strategy<Value = usize> {
     prop_oneof![
         0usize..2_100,
         400usize..1_600,
         0usize..20_000,
-        0usize..300 * 1024,
+        0usize..96 * 1024,
     ]
 }
 
+/// Write lengths for a rope: packet-sized mostly, now and then past the
+/// largest open tail (16 KiB).
+fn write_lengths() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..1_600, 0usize..600, 1usize..20_000]
+}
+
+/// `len` bytes no earlier write left in that order: a stamp-shifted ramp.
+fn ramp(stamp: u8, len: usize) -> Vec<u8> {
+    (0..len).map(|i| stamp ^ (i as u8)).collect()
+}
+
 proptest! {
+    #![proptest_config(cases())]
+
     /// Arbitrary scripts of `copy_in` / `gather`, sub-slices kept alive
     /// across later claims, and drops in any order.
     ///
@@ -186,6 +221,109 @@ proptest! {
         }
         prop_assert_eq!(pool.footprint().backings, peak);
         prop_assert_eq!(pool.backings_for(2_048), peak);
+    }
+
+    /// The open tail: arbitrary scripts of writes (`push_with`, whole or
+    /// a prefix kept, and `push_slice`), zero-copy `push`es, reads
+    /// (`slice`, `advance`, `read_with`) and `clear`, against a `Vec<u8>`.
+    ///
+    /// (d) The rope holds the model's bytes throughout: every read returns
+    /// them, every slice kept alive keeps its bytes whatever is written
+    /// after it, and the whole rope reads as the model at the end.
+    /// (e) A write the open tail has room for allocates nothing: no new
+    /// backing, no chunk, and — counted when the allocator is — not one
+    /// allocation.
+    #[test]
+    fn the_open_tail_holds_the_models_bytes_and_writes_in_place(
+        script in prop::collection::vec((0u8..10, write_lengths(), any::<u32>(), any::<u32>()), 1..120),
+    ) {
+        let mut rope = ByteRope::new();
+        let mut model: Vec<u8> = Vec::new();
+        let mut kept: Vec<(PayloadBytes, Vec<u8>)> = Vec::new();
+        for (step, (op, len, x, y)) in script.into_iter().enumerate() {
+            let (x, y) = (x as usize, y as usize);
+            let bytes = ramp(step as u8, len);
+            match op {
+                // A write: whole, or only a prefix kept.
+                0..=2 => {
+                    let keep = if op == 2 { x % (len + 1) } else { len };
+                    let room = rope.tail_room();
+                    let (owned, retained) = (rope.footprint(), rope.retained_bytes());
+                    let before = allocs();
+                    rope.push_with(len, keep, |out| out.copy_from_slice(&bytes));
+                    let after = allocs();
+                    if keep > 0 && len <= room {
+                        prop_assert_eq!(after, before, "a write of {} B into {} B of room allocated", len, room);
+                        prop_assert_eq!(rope.footprint(), owned);
+                        prop_assert_eq!(rope.retained_bytes(), retained);
+                        prop_assert_eq!(rope.tail_room(), room - keep);
+                    }
+                    model.extend_from_slice(&bytes[..keep]);
+                }
+                3 => {
+                    rope.push_slice(&bytes);
+                    model.extend_from_slice(&bytes);
+                }
+                4 => {
+                    rope.push(PayloadBytes::from_vec(bytes.clone()));
+                    model.extend_from_slice(&bytes);
+                }
+                // A read of any range, now and then kept alive.
+                5 | 6 => {
+                    let off = x % (model.len() + 1);
+                    let n = y % (model.len() - off + 1);
+                    let got = rope.slice(off, n);
+                    prop_assert_eq!(&got[..], &model[off..off + n]);
+                    if kept.len() == 8 {
+                        kept.swap_remove(x % 8);
+                    }
+                    kept.push((got, model[off..off + n].to_vec()));
+                }
+                7 => {
+                    let n = x % (model.len() + 1);
+                    rope.advance(n);
+                    model.drain(..n);
+                }
+                8 => {
+                    let mut got = Vec::new();
+                    let max = x % (model.len() + 2);
+                    let n = rope.read_with(max, &mut |chunk| got.extend_from_slice(chunk));
+                    prop_assert_eq!(n, max.min(model.len()));
+                    prop_assert_eq!(&got[..], &model[..n]);
+                    model.drain(..n);
+                }
+                _ => {
+                    rope.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(rope.len(), model.len());
+        }
+        for (slice, want) in &kept {
+            prop_assert_eq!(&slice[..], &want[..], "a kept slice was rewritten");
+        }
+        let all = rope.slice(0, model.len());
+        prop_assert_eq!(&all[..], &model[..]);
+    }
+
+    /// (f) A stalled writer — `n` writes of `k` bytes, never read, at most
+    /// a 256 KiB send buffer's worth — owns at most ⌈n·k / 16 KiB⌉ + 6
+    /// backings: its bytes fill 16 KiB tails, after a few smaller ones
+    /// while the tail grows, and read back as written.
+    #[test]
+    fn a_stalled_writer_owns_about_the_bytes_it_queued(k in 1usize..2_049, n in 1usize..4_000) {
+        let n = n.min(256 * 1024 / k);
+        let mut rope = ByteRope::new();
+        for i in 0..n {
+            rope.push_with(k, k, |out| out.fill(i as u8));
+        }
+        let owned = rope.footprint().backings;
+        let bound = (n * k).div_ceil(16 * 1024) + 6;
+        prop_assert!(owned <= bound, "{} writes of {} B own {} backings, bound {}", n, k, owned, bound);
+        let all = rope.slice(0, n * k);
+        for (i, write) in all.chunks(k).enumerate() {
+            prop_assert!(write.iter().all(|&b| b == i as u8), "write {} reads back wrong", i);
+        }
     }
 }
 

@@ -208,6 +208,16 @@ impl ClientScratch {
             + self.events.capacity() * std::mem::size_of::<PlayoutEvent>()
     }
 
+    /// Bytes of storage held, the retired stack's included: what this
+    /// scratch carries into the next session.
+    pub fn retained_bytes(&self) -> usize {
+        self.player_bytes()
+            + self.session.retained_bytes()
+            + self.decoder.retained_bytes()
+            + self.encode_buf.capacity()
+            + self.stack.retained_bytes()
+    }
+
     /// Returns every per-attempt component to the state a client for
     /// `cfg` starts an attempt in, keeping its storage: the one scrub,
     /// run by [`TracerClient::new`] and at every relaunch.

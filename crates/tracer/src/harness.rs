@@ -207,6 +207,17 @@ impl WorldScratch {
             .map(std::mem::take)
             .unwrap_or_default()
     }
+
+    /// Bytes of recycled storage held: the network, the topology
+    /// declarations, every server slot and the client — what a worker
+    /// keeps between sessions, less the read-shared prototype cache.
+    pub fn retained_bytes(&self) -> usize {
+        let servers = self.servers.iter().map(ServerScratch::retained_bytes);
+        self.net.retained_bytes()
+            + self.builder.retained_bytes()
+            + servers.sum::<usize>()
+            + self.client.retained_bytes()
+    }
 }
 
 /// Server `k`'s role under `roles`: its place in the order, or `k` when

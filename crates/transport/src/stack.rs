@@ -7,7 +7,7 @@ use rv_sim::SimTime;
 use crate::segment::{Segment, TcpFlags, TcpSegment};
 use crate::tcp::{TcpConfig, TcpSocket, TcpState};
 use crate::udp::UdpSocket;
-use rv_sim::PayloadBytes;
+use rv_sim::{PayloadBytes, PoolFootprint};
 
 /// Handle to a TCP socket within a [`Stack`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +99,14 @@ impl Stack {
             + (self.tcp.capacity() + self.spare_tcp.capacity()) * size_of::<TcpSocket>()
             + (self.udp.capacity() + self.spare_udp.capacity()) * size_of::<UdpSocket>()
             + self.pending_rsts.capacity() * size_of::<Packet<Segment>>()
+    }
+
+    /// What the TCP sockets' send buffers own, live sockets and spares,
+    /// summed (see [`TcpSocket::send_footprint`]; the peaks are each
+    /// socket's own, added).
+    pub fn send_footprint(&self) -> PoolFootprint {
+        let tcp = self.tcp.iter().chain(&self.spare_tcp);
+        tcp.map(TcpSocket::send_footprint).sum()
     }
 
     /// The host this stack belongs to.

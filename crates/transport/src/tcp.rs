@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use rv_net::{Addr, Packet};
 use rv_sim::trace::{self, TraceEvent};
-use rv_sim::{ByteRope, PayloadBytes, SimDuration, SimTime};
+use rv_sim::{ByteRope, PayloadBytes, PoolFootprint, SimDuration, SimTime};
 
 use crate::segment::{Segment, TcpFlags, TcpSegment, DEFAULT_MSS};
 
@@ -130,7 +130,8 @@ pub struct TcpSocket {
     /// Sequence number of the first byte in `send_buf`.
     buf_seq: u64,
     /// Unacknowledged + unsent bytes as a rope of shared chunks:
-    /// `send_bytes` pushes the caller's buffer without copying, and
+    /// `send_bytes` pushes the caller's buffer without copying,
+    /// `send_with` and `send` write into the rope's open tail, and
     /// segmentize/retransmit window it with zero-copy sub-slices.
     send_buf: ByteRope,
     /// Congestion window, bytes (f64 so congestion-avoidance fractions accumulate).
@@ -322,10 +323,10 @@ impl TcpSocket {
         self.cfg.send_capacity - self.send_buf.len()
     }
 
-    /// Queues application data by copying it into one fresh chunk;
-    /// returns bytes accepted. Callers that already own their bytes
-    /// should prefer [`TcpSocket::send_bytes`], which queues without
-    /// copying at all.
+    /// Queues application data by copying it into the send buffer's open
+    /// tail (see [`TcpSocket::send_with`]); returns bytes accepted.
+    /// Callers that already own their bytes should prefer
+    /// [`TcpSocket::send_bytes`], which queues without copying at all.
     pub fn send(&mut self, data: &[u8]) -> usize {
         if self.close_requested {
             return 0;
@@ -351,6 +352,29 @@ impl TcpSocket {
             self.send_buf.push(data.slice(..n));
         }
         n
+    }
+
+    /// Queues `len` bytes of application data written in place by
+    /// `fill`, which receives exactly `len` bytes of unspecified content
+    /// and must overwrite all of them: the copy-once ingress for data
+    /// the caller encodes on the spot. Consecutive writes share the send
+    /// buffer's open tail, so a sender the path cannot keep up with owns
+    /// about the bytes it has queued, not a backing per write. Accepts
+    /// and truncates exactly as [`TcpSocket::send_bytes`] would a
+    /// `len`-byte payload; returns bytes accepted.
+    pub fn send_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> usize {
+        if self.close_requested {
+            return 0;
+        }
+        let n = len.min(self.send_capacity_left());
+        self.send_buf.push_with(len, n, fill);
+        n
+    }
+
+    /// What the send buffer's pool owns, its open tail included
+    /// (instrumentation/tests).
+    pub fn send_footprint(&self) -> PoolFootprint {
+        self.send_buf.footprint()
     }
 
     /// Bytes queued but not yet acknowledged.
@@ -1232,10 +1256,27 @@ mod tests {
 
     #[test]
     fn a_full_send_buffer_is_a_pooled_payload() {
-        // The largest single write the data path makes is a pump filling
-        // the send buffer; the pool's top class must hold it, or every
-        // first pump of a session allocates its payload afresh.
-        assert!(TcpConfig::default().send_capacity <= rv_sim::PayloadPool::MAX_POOLED);
+        // A stream fills its send buffer packet by packet, each write
+        // landing in the buffer's open tail. Every queued byte sits in a
+        // pooled backing (the footprint counts no other kind), and the
+        // backings are about the bytes' worth of 16 KiB tails, not one
+        // per write.
+        let (mut c, _s) = established_pair();
+        let capacity = c.send_capacity_left();
+        let mut writes = 0u8;
+        while c.send_capacity_left() > 0 {
+            writes = writes.wrapping_add(1);
+            c.send_with(1_400, |out| out.fill(writes));
+        }
+        assert_eq!(c.unacked_and_unsent(), capacity);
+        assert_eq!(c.send_with(1_400, |_| panic!("nothing accepted")), 0);
+        let owned = c.send_footprint();
+        assert!(owned.bytes >= capacity, "{owned:?}");
+        assert!(
+            owned.backings <= capacity.div_ceil(16 * 1024) + 6,
+            "{owned:?}"
+        );
+        assert_eq!(c.send_buf.slice(1_400, 1_400), [2u8; 1_400]);
     }
 
     #[test]

@@ -60,8 +60,9 @@ fn warm_scratch_in_any_order_equals_cold_scratch() {
         let servers = scratch.servers.iter();
         servers.map(|s| s.frame_capacity()).collect()
     };
-    // Nor does a payload pool: per size class it already owns as many
-    // backings as its busiest session had in flight at once.
+    // Nor do the server's payload pools — the staging pool and the send
+    // buffers' pools and open tails: per size class each already owns as
+    // many backings as its busiest session had in flight at once.
     let pool_owned = |scratch: &WorldScratch| -> Vec<(usize, usize)> {
         let pools = scratch.servers.iter().map(|s| s.payload_footprint());
         pools.map(|owned| (owned.backings, owned.bytes)).collect()
@@ -103,16 +104,21 @@ fn warm_scratch_in_any_order_equals_cold_scratch() {
     }
 }
 
-/// What a worker's payload pool owns tracks what its sessions had in
-/// flight, not how many payloads they staged: after a classic campaign the
-/// bytes owned are a small multiple of the most payload bytes that were
-/// out at once — 4.1× here: each class keeps its own busiest moment, and a
-/// payload occupies up to twice its length (a 16 KiB backing for every
-/// payload, handed out in rotation, owned 933 of them: 29×).
+/// What a worker's server owns for payloads tracks what its sessions had
+/// in flight, not how many payloads they wrote: after a classic campaign
+/// the staging pool (UDP datagrams) and the send buffers' pools and open
+/// tails (TCP media, RTSP replies) own under 2.5× the payload bytes each
+/// had out at its busiest (1.9× here: a TCP stream's packets share 16 KiB
+/// open tails, so a stalled sender owns about what it queued). It read
+/// 4.1× while every pacing pump took a backing of its own, each class
+/// keeping its own busiest moment (and 29× when every payload took a
+/// 16 KiB backing). Everything a worker keeps between sessions — network,
+/// server slots, client — stays under 2 MiB: 1.59 MiB here, 2.90 MiB with
+/// a backing per pump.
 #[test]
 fn payload_pool_owns_what_was_in_flight() {
     let plan = plan_campaign(StudyParams {
-        scale: 0.1,
+        scale: 0.125,
         ..StudyParams::default()
     });
     let mut scratch = WorldScratch::default();
@@ -121,7 +127,12 @@ fn payload_pool_owns_what_was_in_flight() {
     }
     let owned = scratch.servers[0].payload_footprint();
     assert!(owned.peak_out_bytes > 256 * 1024, "{owned:?}");
-    assert!(owned.bytes <= 6 * owned.peak_out_bytes, "{owned:?}");
+    assert!(2 * owned.bytes <= 5 * owned.peak_out_bytes, "{owned:?}");
+    let kept = scratch.retained_bytes();
+    assert!(
+        kept <= 2 << 20,
+        "a worker keeps {kept} bytes between sessions"
+    );
 }
 
 /// `PrototypeCache`'s hit rate, and the scratch's replica slots under
