@@ -498,15 +498,14 @@ fn receiver_reports_allocate_nothing() {
 }
 
 /// What one session's data path keeps from the last: the topology, both
-/// hosts' stacks, the network, the server's staging buffer and
-/// payload pool, and the client's player, depacketizer and event log.
+/// hosts' stacks, the network, the server's datagram payload pool, and
+/// the client's player, depacketizer and event log.
 struct DataPath {
     topology: NetBuilder,
     routes: TopologyPrototype,
     net: Network<Segment>,
     stacks: [Stack; 2],
     pool: PayloadPool,
-    staging: Vec<u8>,
     packets: Vec<MediaPacket>,
     fec: Vec<MediaPacket>,
     player: Player,
@@ -530,7 +529,6 @@ impl DataPath {
             net: Network::new(),
             stacks: Default::default(),
             pool: PayloadPool::new(),
-            staging: Vec::new(),
             packets: Vec::new(),
             fec: Vec::new(),
             player: Player::default(),
@@ -584,39 +582,43 @@ impl DataPath {
                 };
                 self.packets.clear();
                 packetize_frame_into(&frame, 0, group, &mut self.packets);
-                self.staging.clear();
                 for pkt in &mut self.packets {
                     pkt.seq = seq;
                     seq += 1;
-                    pkt.encode_into(&mut self.staging);
                 }
                 if udp {
                     let client = Addr::new(HostId(0), 5002);
                     for i in 0..self.packets.len() {
                         let pkt = self.packets[i];
-                        self.staging.clear();
-                        pkt.encode_into(&mut self.staging);
-                        ss.udp(su).send_to(client, self.pool.copy_in(&self.staging));
+                        let datagram = self.pool.gather(pkt.wire_len(), |out| pkt.write_to(out));
+                        ss.udp(su).send_to(client, datagram);
                         self.fec.push(pkt);
                         if self.fec.len() == 8 {
                             let mut parity = parity_packet(group, &self.fec);
                             parity.seq = seq;
                             seq += 1;
-                            self.staging.clear();
-                            parity.encode_into(&mut self.staging);
-                            ss.udp(su).send_to(client, self.pool.copy_in(&self.staging));
+                            let datagram = self
+                                .pool
+                                .gather(parity.wire_len(), |out| parity.write_to(out));
+                            ss.udp(su).send_to(client, datagram);
                             self.fec.clear();
                             group += 1;
                         }
                     }
                 } else {
                     if !ss.tcp_ref(st).is_established()
-                        || ss.tcp_ref(st).send_capacity_left() < self.staging.len()
+                        || ss.tcp_ref(st).send_capacity_left()
+                            < self.packets.iter().map(MediaPacket::wire_len).sum()
                     {
                         seq -= self.packets.len() as u32;
                         break;
                     }
-                    ss.tcp(st).send_bytes(self.pool.copy_in(&self.staging));
+                    // Packet by packet into the send buffer, as the
+                    // server's pump writes them.
+                    for pkt in &self.packets {
+                        ss.tcp(st)
+                            .send_with(pkt.wire_len(), |out| pkt.write_to(out));
+                    }
                 }
                 next += 1;
             }

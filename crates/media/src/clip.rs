@@ -160,6 +160,12 @@ impl SureStream {
         &self.rungs
     }
 
+    /// The top rung, the fastest: the last, which exists because
+    /// [`SureStream::new`] refuses an empty ladder.
+    pub fn top(&self) -> &Encoding {
+        &self.rungs[self.rungs.len() - 1]
+    }
+
     /// Number of rungs.
     pub fn len(&self) -> usize {
         self.rungs.len()

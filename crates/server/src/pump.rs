@@ -398,11 +398,7 @@ impl RealServer {
         // Cap the rate controller at the top rung (plus pacing headroom):
         // a media server has nothing to gain from probing beyond the
         // encoded rate, and doing so only manufactures queue loss.
-        // The ladder's top rate, folded from the chosen rung's (one of
-        // them): no empty-ladder case to handle.
-        let top_bps = rungs
-            .iter()
-            .fold(rung_bps, |top, r| top.max(f64::from(r.total_bps)));
+        let top_bps = f64::from(clip.ladder.top().total_bps);
         // ... and never above the client's stated connection speed:
         // pushing past the access link only fills its queue with loss and
         // delay. 0.85: leave room for FEC (+1/8), audio, and headers so

@@ -159,13 +159,13 @@ impl ServerScratch {
         self.schedules.storage.iter().map(Vec::capacity).sum()
     }
 
-    /// Backings and bytes the server's payload pools own, and the most
-    /// each had in flight at once: the staging pool's (UDP datagrams) and
-    /// the stack's TCP send buffers' (the data socket's holds every TCP
-    /// media byte, in its pool and open tail; the control socket's, RTSP
-    /// replies). Read beside [`ServerScratch::frame_capacity`] to see that
-    /// a warm session grew nothing and that what is owned tracks what was
-    /// in flight.
+    /// Backings and bytes the server's payload pools own, and the largest
+    /// payload peak any one of them had out: the staging pool's (UDP
+    /// datagrams) and the stack's TCP send buffers' (the data socket's
+    /// holds every TCP media byte, in its pool and open tail; the control
+    /// socket's, RTSP replies). Read beside
+    /// [`ServerScratch::frame_capacity`] to see that a warm session grew
+    /// nothing and that what is owned tracks what was in flight.
     pub fn payload_footprint(&self) -> PoolFootprint {
         self.staging.pool.footprint() + self.stack.send_footprint()
     }

@@ -91,7 +91,7 @@ fn ramp(stamp: u8, len: usize) -> Vec<u8> {
 proptest! {
     #![proptest_config(cases())]
 
-    /// Arbitrary scripts of `copy_in` / `gather`, sub-slices kept alive
+    /// Arbitrary scripts of `gather` claims, sub-slices kept alive
     /// across later claims, and drops in any order.
     ///
     /// (a) No backing is written while a view of it lives: a new window
@@ -113,17 +113,13 @@ proptest! {
         for (op, len, x, y) in script {
             let (x, y) = (x as usize, y as usize);
             match op {
-                // Claim: by `copy_in` or by `gather`.
+                // Claim.
                 0..=3 => {
                     let claim = claims.len();
-                    let bytes = if op & 1 == 0 {
-                        pool.copy_in(&vec![stamp(claim); len])
-                    } else {
-                        pool.gather(len, |out| {
-                            assert_eq!(out.len(), len, "fill sees exactly the window");
-                            out.fill(stamp(claim));
-                        })
-                    };
+                    let bytes = pool.gather(len, |out| {
+                        assert_eq!(out.len(), len, "fill sees exactly the window");
+                        out.fill(stamp(claim));
+                    });
                     prop_assert_eq!(bytes.len(), len);
                     for old in &views {
                         prop_assert!(
@@ -338,7 +334,7 @@ fn a_thousand_fifo_claims_with_forty_live_own_forty_backings() {
         if live.len() == 40 {
             live.pop_front();
         }
-        live.push_back(pool.copy_in(&vec![stamp(claim); 1_200]));
+        live.push_back(pool.gather(1_200, |out| out.fill(stamp(claim))));
     }
     let owned = pool.footprint();
     assert_eq!(owned.backings, 40);

@@ -102,8 +102,8 @@ impl Stack {
     }
 
     /// What the TCP sockets' send buffers own, live sockets and spares,
-    /// summed (see [`TcpSocket::send_footprint`]; the peaks are each
-    /// socket's own, added).
+    /// summed (see [`TcpSocket::send_footprint`]; the peak is the largest
+    /// any one socket had out).
     pub fn send_footprint(&self) -> PoolFootprint {
         let tcp = self.tcp.iter().chain(&self.spare_tcp);
         tcp.map(TcpSocket::send_footprint).sum()

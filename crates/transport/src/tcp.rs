@@ -130,7 +130,6 @@ pub struct TcpSocket {
     /// Sequence number of the first byte in `send_buf`.
     buf_seq: u64,
     /// Unacknowledged + unsent bytes as a rope of shared chunks:
-    /// `send_bytes` pushes the caller's buffer without copying,
     /// `send_with` and `send` write into the rope's open tail, and
     /// segmentize/retransmit window it with zero-copy sub-slices.
     send_buf: ByteRope,
@@ -325,8 +324,6 @@ impl TcpSocket {
 
     /// Queues application data by copying it into the send buffer's open
     /// tail (see [`TcpSocket::send_with`]); returns bytes accepted.
-    /// Callers that already own their bytes should prefer
-    /// [`TcpSocket::send_bytes`], which queues without copying at all.
     pub fn send(&mut self, data: &[u8]) -> usize {
         if self.close_requested {
             return 0;
@@ -336,32 +333,14 @@ impl TcpSocket {
         n
     }
 
-    /// Queues application data, taking ownership of the shared buffer —
-    /// the zero-copy ingress: transmission and every retransmission
-    /// window this very allocation. Returns bytes accepted; on a partial
-    /// accept the tail is dropped (slice and re-offer, as with
-    /// [`TcpSocket::send`]).
-    pub fn send_bytes(&mut self, data: PayloadBytes) -> usize {
-        if self.close_requested {
-            return 0;
-        }
-        let n = data.len().min(self.send_capacity_left());
-        if n == data.len() {
-            self.send_buf.push(data);
-        } else {
-            self.send_buf.push(data.slice(..n));
-        }
-        n
-    }
-
     /// Queues `len` bytes of application data written in place by
     /// `fill`, which receives exactly `len` bytes of unspecified content
     /// and must overwrite all of them: the copy-once ingress for data
     /// the caller encodes on the spot. Consecutive writes share the send
     /// buffer's open tail, so a sender the path cannot keep up with owns
     /// about the bytes it has queued, not a backing per write. Accepts
-    /// and truncates exactly as [`TcpSocket::send_bytes`] would a
-    /// `len`-byte payload; returns bytes accepted.
+    /// as much as the buffer has room for and drops the rest (re-offer
+    /// it, as with [`TcpSocket::send`]); returns bytes accepted.
     pub fn send_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> usize {
         if self.close_requested {
             return 0;
@@ -1165,11 +1144,11 @@ mod tests {
     #[test]
     fn transmit_and_retransmit_share_the_senders_backing_buffer() {
         let (mut c, mut _s) = established_pair();
-        let original = PayloadBytes::from_vec((0..800u32).map(|i| (i % 256) as u8).collect());
-        assert_eq!(c.send_bytes(original.clone()), 800);
+        let original: Vec<u8> = (0..800u32).map(|i| (i % 256) as u8).collect();
+        assert_eq!(c.send_with(800, |out| out.copy_from_slice(&original)), 800);
 
         // First transmission: the segment's payload is a sub-slice of the
-        // enqueued chunk, not a copy.
+        // send buffer's chunk (its sealed tail), not a copy.
         let pkts = c.poll(SimTime::from_millis(1));
         let first: Vec<&TcpSegment> = pkts
             .iter()
@@ -1179,8 +1158,9 @@ mod tests {
             })
             .collect();
         assert_eq!(first.len(), 1);
+        let queued = c.send_buf.slice(0, 800);
         assert!(
-            first[0].data.same_backing(&original),
+            first[0].data.same_backing(&queued),
             "segmentize must slice the sender's buffer, not copy it"
         );
         assert_eq!(first[0].data, original);
@@ -1198,7 +1178,7 @@ mod tests {
             .collect();
         assert!(!retx.is_empty(), "timeout must produce a retransmission");
         assert!(
-            retx[0].data.same_backing(&original),
+            retx[0].data.same_backing(&queued),
             "retransmit must slice the sender's buffer, not copy it"
         );
         assert_eq!(retx[0].data, original);
@@ -1217,19 +1197,28 @@ mod tests {
     #[test]
     fn spanning_segment_and_its_retransmits_gather_the_same_bytes() {
         let (mut c, mut _s) = established_pair();
-        // Two pump-sized writes: the first MSS takes all of one and 660
-        // bytes of the other, the second lies within the second write.
-        let a = PayloadBytes::from_vec((0..800u32).map(|i| i as u8).collect());
-        let b = PayloadBytes::from_vec((0..800u32).map(|i| (i * 7) as u8).collect());
-        assert_eq!(c.send_bytes(a.clone()) + c.send_bytes(b.clone()), 1600);
+        // Two pump-sized writes in two chunks: the first fills its 1 KiB
+        // tail's room, so the second opens a tail of its own. The first
+        // MSS takes all of one and 660 bytes of the other, the second
+        // lies within the second chunk.
+        let a: Vec<u8> = (0..800u32).map(|i| i as u8).collect();
+        let b: Vec<u8> = (0..800u32).map(|i| (i * 7) as u8).collect();
+        let write = |c: &mut TcpSocket, bytes: &[u8]| {
+            c.send_with(bytes.len(), |out| out.copy_from_slice(bytes))
+        };
+        assert_eq!(write(&mut c, &a) + write(&mut c, &b), 1600);
         let stream: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
 
         let sent = data_of(&c.poll(SimTime::from_millis(1)));
         assert_eq!(sent.len(), 2);
         assert_eq!(sent[0], stream[..1460]);
-        assert!(!sent[0].same_backing(&a) && !sent[0].same_backing(&b));
+        let (head, second) = (c.send_buf.slice(0, 800), c.send_buf.slice(800, 800));
+        assert!(!sent[0].same_backing(&head) && !sent[0].same_backing(&second));
         assert_eq!(sent[1], stream[1460..]);
-        assert!(sent[1].same_backing(&b), "within one write: still a slice");
+        assert!(
+            sent[1].same_backing(&second),
+            "within one chunk: still a slice"
+        );
 
         // Nothing is delivered. The head is gathered again at each RTO:
         // while the first copy is in flight, into another backing ...
@@ -1248,8 +1237,8 @@ mod tests {
         assert_eq!(again[0], stream[..1460]);
         assert!(!again[0].same_backing(&in_flight));
         assert_eq!(in_flight, stream[..1460]);
-        assert_eq!(a, stream[..800]);
-        assert_eq!(b, stream[800..]);
+        assert_eq!(head, a[..]);
+        assert_eq!(second, b[..]);
         assert_eq!(c.stats().retransmits, 2);
         assert_eq!(c.send_buf.slice(0, 1600), stream[..]);
     }
@@ -1277,6 +1266,20 @@ mod tests {
             "{owned:?}"
         );
         assert_eq!(c.send_buf.slice(1_400, 1_400), [2u8; 1_400]);
+    }
+
+    #[test]
+    fn send_with_keeps_what_fits() {
+        // `fill` writes the whole offer; only the first bytes that fit are
+        // queued, and an offer to a full buffer is not written at all.
+        let (mut c, _s) = established_pair();
+        let room = c.send_capacity_left();
+        assert_eq!(c.send_with(room - 500, |out| out.fill(1)), room - 500);
+        let offer: Vec<u8> = (0..1_400u32).map(|i| i as u8).collect();
+        assert_eq!(c.send_with(1_400, |out| out.copy_from_slice(&offer)), 500);
+        assert_eq!(c.send_capacity_left(), 0);
+        assert_eq!(c.send_with(1_400, |_| panic!("nothing accepted")), 0);
+        assert_eq!(c.send_buf.slice(room - 500, 500), offer[..500]);
     }
 
     #[test]

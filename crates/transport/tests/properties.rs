@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rv_net::{Addr, HostId, LinkParams, NetBuilder, Network};
-use rv_sim::{PayloadBytes, SimDuration, SimRng, SimTime};
+use rv_sim::{SimDuration, SimRng, SimTime};
 use rv_transport::{
     Segment, Stack, TcpConfig, TcpFlags, TcpHandle, TcpSegment, TcpSocket, UdpHandle,
 };
@@ -65,20 +65,25 @@ fn lossy_transfer(payload: &[u8], drops: &[bool]) -> Vec<u8> {
     received
 }
 
-/// Like [`lossy_transfer`] but the application writes through the
-/// shared-slice path: each chunk goes in via `send_bytes` (ownership of a
-/// [`PayloadBytes`]) or `send` (borrowed slice) per `as_bytes`, and each
-/// round's data-path segments are delivered in reverse order when the
-/// corresponding `reorder` flag fires (forcing out-of-order reassembly
-/// and duplicate ACKs on top of the losses).
+/// Like [`lossy_transfer`] but the application writes chunk by chunk:
+/// each goes in via `send_with` (written in place, as the server writes
+/// media) or `send` (borrowed slice) per `in_place`, into an 8 KiB send
+/// buffer that a chunk of up to 4,000 bytes often overflows, so both
+/// truncate and re-offer. Each round's data-path segments are delivered
+/// in reverse order when the corresponding `reorder` flag fires (forcing
+/// out-of-order reassembly and duplicate ACKs on top of the losses).
 fn lossy_chunked_transfer(
     chunks: &[Vec<u8>],
-    as_bytes: &[bool],
+    in_place: &[bool],
     drops: &[bool],
     reorder: &[bool],
 ) -> Vec<u8> {
     let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut client = TcpSocket::new(addr(0, 1), TcpConfig::default());
+    let cfg = TcpConfig {
+        send_capacity: 8 * 1024,
+        ..TcpConfig::default()
+    };
+    let mut client = TcpSocket::new(addr(0, 1), cfg);
     let mut server = TcpSocket::new(addr(1, 2), TcpConfig::default());
     server.listen();
     client.connect(addr(1, 2), SimTime::ZERO);
@@ -91,11 +96,11 @@ fn lossy_chunked_transfer(
     for round in 0..6_000 {
         while client.is_established() && chunk_idx < chunks.len() {
             let chunk = &chunks[chunk_idx];
-            let accepted = if as_bytes[chunk_idx % as_bytes.len()] {
-                let owned = PayloadBytes::from_vec(chunk[chunk_off..].to_vec());
-                client.send_bytes(owned)
+            let rest = &chunk[chunk_off..];
+            let accepted = if in_place[chunk_idx % in_place.len()] {
+                client.send_with(rest.len(), |out| out.copy_from_slice(rest))
             } else {
-                client.send(&chunk[chunk_off..])
+                client.send(rest)
             };
             chunk_off += accepted;
             if chunk_off < chunk.len() {
@@ -145,14 +150,14 @@ fn lossy_chunked_transfer(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The rope-backed send path (mixed owned-chunk and borrowed-slice
-    /// writes) delivers the exact concatenated byte stream no matter how
+    /// The rope-backed send path (mixed in-place and borrowed-slice
+    /// writes, truncated when the buffer is full) delivers the exact concatenated byte stream no matter how
     /// sends are sized or how the wire drops and reorders segments —
     /// byte-identical to what the old contiguous-`Vec` sender delivered.
     #[test]
     fn rope_backed_sends_deliver_identical_stream(
         chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..4_000), 1..12),
-        as_bytes in prop::collection::vec(any::<bool>(), 1..12),
+        in_place in prop::collection::vec(any::<bool>(), 1..12),
         mut drops in prop::collection::vec(prop::bool::weighted(0.15), 1..48),
         reorder in prop::collection::vec(prop::bool::weighted(0.2), 1..16),
     ) {
@@ -160,7 +165,7 @@ proptest! {
         // live slot so the transfer is completable by construction.
         drops.push(false);
         let expected: Vec<u8> = chunks.iter().flatten().copied().collect();
-        let received = lossy_chunked_transfer(&chunks, &as_bytes, &drops, &reorder);
+        let received = lossy_chunked_transfer(&chunks, &in_place, &drops, &reorder);
         prop_assert_eq!(received, expected);
     }
 

@@ -107,14 +107,15 @@ fn warm_scratch_in_any_order_equals_cold_scratch() {
 /// What a worker's server owns for payloads tracks what its sessions had
 /// in flight, not how many payloads they wrote: after a classic campaign
 /// the staging pool (UDP datagrams) and the send buffers' pools and open
-/// tails (TCP media, RTSP replies) own under 2.5× the payload bytes each
-/// had out at its busiest (1.9× here: a TCP stream's packets share 16 KiB
-/// open tails, so a stalled sender owns about what it queued). It read
-/// 4.1× while every pacing pump took a backing of its own, each class
-/// keeping its own busiest moment (and 29× when every payload took a
-/// 16 KiB backing). Everything a worker keeps between sessions — network,
-/// server slots, client — stays under 2 MiB: 1.59 MiB here, 2.90 MiB with
-/// a backing per pump.
+/// tails (TCP media, RTSP replies) together own under 3.5× the largest
+/// payload peak any one of them had out at once — a floor on what was in
+/// flight at once (3.09× here: a TCP stream's packets share 16 KiB open
+/// tails, so a stalled sender owns about what it queued). It read 4.1×
+/// from the staging pool alone while every pacing pump took a backing of
+/// its own, each class keeping its own busiest moment (and 29× when every
+/// payload took a 16 KiB backing). Everything a worker keeps between
+/// sessions — network, server slots, client — stays under 2 MiB: 1.59 MiB
+/// here, 2.90 MiB with a backing per pump.
 #[test]
 fn payload_pool_owns_what_was_in_flight() {
     let plan = plan_campaign(StudyParams {
@@ -127,7 +128,7 @@ fn payload_pool_owns_what_was_in_flight() {
     }
     let owned = scratch.servers[0].payload_footprint();
     assert!(owned.peak_out_bytes > 256 * 1024, "{owned:?}");
-    assert!(2 * owned.bytes <= 5 * owned.peak_out_bytes, "{owned:?}");
+    assert!(2 * owned.bytes <= 7 * owned.peak_out_bytes, "{owned:?}");
     let kept = scratch.retained_bytes();
     assert!(
         kept <= 2 << 20,
