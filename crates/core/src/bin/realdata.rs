@@ -12,6 +12,7 @@
 //! table and CSV row is bit-identical for every J.
 
 use realvideo_core::analysis::{csv_header, csv_row, render_summaries, summarize_by, GroupBy};
+use realvideo_core::cli::campaign_flag;
 use rv_study::{run_campaign_with_records, StudyParams};
 
 /// What to print from the campaign's records.
@@ -30,30 +31,15 @@ fn main() {
     let mut command: Option<Command> = None;
     let mut i = 0;
     while i < args.len() {
+        match campaign_flag(&mut params, &args[i], args.get(i + 1).map(String::as_str)) {
+            Ok(true) => {
+                i += 2;
+                continue;
+            }
+            Ok(false) => {}
+            Err(e) => die(&e.to_string()),
+        }
         match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                params.scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|s: &f64| *s > 0.0 && s.is_finite())
-                    .unwrap_or_else(|| die("--scale wants a positive number"));
-            }
-            "--seed" => {
-                i += 1;
-                params.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed wants an integer"));
-            }
-            "--jobs" => {
-                i += 1;
-                params.jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|j| *j >= 1)
-                    .unwrap_or_else(|| die("--jobs wants a positive integer"));
-            }
             "dimensions" => {
                 for g in GroupBy::ALL {
                     println!("{}", g.name());

@@ -55,6 +55,7 @@
 //! empty trace.
 
 use realvideo_core::analysis::{csv_header, csv_row, dump_table};
+use realvideo_core::cli::campaign_flag;
 use realvideo_core::{figure, gateway_figures, golden, FigureOutput, FIGURE_IDS};
 use rv_study::{run_campaign, run_campaign_with_records, GatewayPolicy, StudyParams};
 
@@ -101,30 +102,15 @@ fn main() {
     let mut golden_epoch: Option<u32> = None;
     let mut i = 0;
     while i < args.len() {
+        match campaign_flag(&mut params, &args[i], args.get(i + 1).map(String::as_str)) {
+            Ok(true) => {
+                i += 2;
+                continue;
+            }
+            Ok(false) => {}
+            Err(e) => die(&e.to_string()),
+        }
         match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                params.scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|s: &f64| *s > 0.0 && s.is_finite())
-                    .unwrap_or_else(|| die("--scale wants a positive number"));
-            }
-            "--seed" => {
-                i += 1;
-                params.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed wants an integer"));
-            }
-            "--jobs" => {
-                i += 1;
-                params.jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|j| *j >= 1)
-                    .unwrap_or_else(|| die("--jobs wants a positive integer"));
-            }
             "--bench-out" => {
                 i += 1;
                 bench_out = Some(

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod cli;
 pub mod figures;
 pub mod golden;
 

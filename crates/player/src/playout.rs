@@ -15,7 +15,18 @@ use rv_sim::{SimDuration, SimTime};
 
 use crate::reassembly::CompleteFrame;
 
-/// Playout engine parameters.
+/// How late a frame may be and still play.
+const LATE_GRACE: SimDuration = SimDuration::from_millis(400);
+/// Fixed decode cost per frame at cpu_power = 1.
+const DECODE_BASE: SimDuration = SimDuration::from_millis(25);
+/// Additional decode cost per KiB of frame data at cpu_power = 1.
+const DECODE_PER_KIB: SimDuration = SimDuration::from_millis(2);
+
+/// Playout engine parameters: the buffering thresholds the prebuffer
+/// ablation sweeps and the tests shorten. The late-frame grace
+/// (`LATE_GRACE` 400 ms) and the decode model's cost per frame
+/// (`DECODE_BASE` 25 ms) and per KiB (`DECODE_PER_KIB` 2 ms) are
+/// constants in this module.
 #[derive(Debug, Clone, Copy)]
 pub struct PlayoutConfig {
     /// Media to accumulate before playout starts.
@@ -26,12 +37,6 @@ pub struct PlayoutConfig {
     pub rebuffer_halt: SimDuration,
     /// Media to accumulate before resuming from a rebuffer.
     pub rebuffer_target: SimDuration,
-    /// How late a frame may be and still play.
-    pub late_grace: SimDuration,
-    /// Fixed decode cost per frame at cpu_power = 1.
-    pub decode_base: SimDuration,
-    /// Additional decode cost per KiB of frame data at cpu_power = 1.
-    pub decode_per_kib: SimDuration,
 }
 
 impl Default for PlayoutConfig {
@@ -41,9 +46,6 @@ impl Default for PlayoutConfig {
             prebuffer_timeout: SimDuration::from_secs(20),
             rebuffer_halt: SimDuration::from_secs(20),
             rebuffer_target: SimDuration::from_secs(4),
-            late_grace: SimDuration::from_millis(400),
-            decode_base: SimDuration::from_millis(25),
-            decode_per_kib: SimDuration::from_millis(2),
         }
     }
 }
@@ -249,7 +251,7 @@ impl Playout {
                 None => {
                     // Starvation needs `clock > cursor + grace`: strictly
                     // after the edge, hence the extra microsecond.
-                    let edge = self.cursor + self.cfg.late_grace;
+                    let edge = self.cursor + LATE_GRACE;
                     if edge < self.origin {
                         SimTime::ZERO
                     } else {
@@ -328,7 +330,7 @@ impl Playout {
             // deadline and its arrival-completion time.
             let play_at = due_wall.max(frame.completed_at);
 
-            if play_at.saturating_since(due_wall) > self.cfg.late_grace {
+            if play_at.saturating_since(due_wall) > LATE_GRACE {
                 self.stats.dropped_late += 1;
                 events.push(PlayoutEvent {
                     frame_index: frame.index,
@@ -352,12 +354,8 @@ impl Playout {
                 });
                 continue;
             }
-            let decode = (self.cfg.decode_base
-                + self
-                    .cfg
-                    .decode_per_kib
-                    .mul_f64(f64::from(frame.size) / 1024.0))
-            .mul_f64(1.0 / self.cpu_power);
+            let decode = (DECODE_BASE + DECODE_PER_KIB.mul_f64(f64::from(frame.size) / 1024.0))
+                .mul_f64(1.0 / self.cpu_power);
             // Saturating: a PC with no decode power finishes never.
             self.decode_ready_at = play_at.saturating_add(decode);
             self.stats.decode_busy = self.stats.decode_busy.saturating_add(decode);
@@ -374,7 +372,7 @@ impl Playout {
         if self.buffer.is_empty() {
             if self.source_ended {
                 self.state = PlayoutState::Ended;
-            } else if clock > self.cursor + self.cfg.late_grace {
+            } else if clock > self.cursor + LATE_GRACE {
                 // Nothing left although the clock marched past the last
                 // frame: the buffer starved.
                 self.state = PlayoutState::Rebuffering;

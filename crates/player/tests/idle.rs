@@ -16,7 +16,6 @@ fn engine() -> Playout {
             prebuffer_timeout: SimDuration::from_secs(5),
             rebuffer_target: SimDuration::from_secs(1),
             rebuffer_halt: SimDuration::from_secs(4),
-            ..PlayoutConfig::default()
         },
         1.0,
     )

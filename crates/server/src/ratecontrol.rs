@@ -46,30 +46,32 @@ impl ReceiverReport {
     }
 }
 
-/// Controller parameters.
+/// Packet size used in the throughput equation, bytes.
+const PACKET_BYTES: f64 = 1_000.0;
+/// Multiplicative probe step per clean report (no loss).
+const PROBE_GAIN: f64 = 1.22;
+/// EWMA weight of the newest loss sample.
+const LOSS_SMOOTHING: f64 = 0.4;
+
+/// Controller bounds: what the rate-control ablation pins and
+/// `open_stream` caps per stream. The equation's packet size
+/// (`PACKET_BYTES` 1,000), the clean-report probe step (`PROBE_GAIN`
+/// 1.22) and the loss EWMA weight (`LOSS_SMOOTHING` 0.4) are constants
+/// in this module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TfrcConfig {
-    /// Packet size used in the throughput equation, bytes.
-    pub packet_bytes: f64,
     /// Lower bound on the allowed rate (one packet per RTT floor stands in
     /// for TCP's one-segment minimum), bits/second.
     pub min_rate_bps: f64,
     /// Upper bound on the allowed rate, bits/second.
     pub max_rate_bps: f64,
-    /// Multiplicative probe step per clean report (no loss).
-    pub probe_gain: f64,
-    /// EWMA weight of the newest loss sample.
-    pub loss_smoothing: f64,
 }
 
 impl Default for TfrcConfig {
     fn default() -> Self {
         TfrcConfig {
-            packet_bytes: 1_000.0,
             min_rate_bps: 10_000.0,
             max_rate_bps: 600_000.0,
-            probe_gain: 1.22,
-            loss_smoothing: 0.4,
         }
     }
 }
@@ -120,14 +122,14 @@ impl TfrcController {
     pub fn tcp_equation(&self, rtt: SimDuration, loss: f64) -> f64 {
         let rtt_s = rtt.as_secs_f64().max(0.005);
         let p = loss.max(1e-4);
-        1.22 * self.cfg.packet_bytes * 8.0 / (rtt_s * p.sqrt())
+        1.22 * PACKET_BYTES * 8.0 / (rtt_s * p.sqrt())
     }
 
     /// Applies a receiver report with the current RTT estimate (taken from
     /// the control connection's SRTT). Returns the new allowed rate.
     pub fn on_report(&mut self, now: SimTime, report: ReceiverReport, rtt: SimDuration) -> f64 {
         self.last_report = Some(now);
-        let w = self.cfg.loss_smoothing;
+        let w = LOSS_SMOOTHING;
         self.smoothed_loss = (1.0 - w) * self.smoothed_loss + w * report.loss_rate;
 
         if self.smoothed_loss > 0.005 {
@@ -147,7 +149,7 @@ impl TfrcController {
         } else {
             // Steady state: gentle multiplicative probe.
             let base = self.allowed_bps.max(report.recv_rate_bps);
-            self.allowed_bps = base * self.cfg.probe_gain;
+            self.allowed_bps = base * PROBE_GAIN;
         }
         self.allowed_bps = self
             .allowed_bps
@@ -326,7 +328,6 @@ mod tests {
         let cfg = TfrcConfig {
             min_rate_bps: 350_000.0,
             max_rate_bps: 326_000.0,
-            ..TfrcConfig::default()
         };
         let mut c = TfrcController::new(cfg, 400_000.0);
         assert_eq!(c.allowed_bps(), 350_000.0);

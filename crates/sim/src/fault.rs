@@ -10,10 +10,9 @@
 //! from the campaign seed, like session seeds), so the faults a session
 //! suffers are independent of execution order and worker count: the
 //! determinism contract of the plan/execute split extends to failures.
-//! A [`FaultScenario`] with `enabled: false` — or one whose rates are
-//! all zero — generates the empty plan, and an empty plan injects
-//! nothing: fault-free campaigns are bit-identical to a build that has
-//! never heard of faults.
+//! A [`FaultScenario`] with `enabled: false` generates the empty plan,
+//! and an empty plan injects nothing: fault-free campaigns are
+//! bit-identical to a build that has never heard of faults.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -86,71 +85,54 @@ pub struct ServerCrash {
     pub replica: u8,
 }
 
-/// Knobs for how often and how hard faults hit. Probabilities are
-/// per-session; durations are means of exponential draws.
+/// Probability a session suffers a link outage.
+const OUTAGE_PROB: f64 = 0.06;
+/// Mean outage duration, seconds.
+const OUTAGE_MEAN_SECS: f64 = 12.0;
+/// Probability an outage drops in-flight packets (vs carrying them).
+const OUTAGE_DROP_INFLIGHT: f64 = 0.5;
+/// Probability of a mid-session loss burst.
+const BURST_PROB: f64 = 0.08;
+/// Peak extra loss probability during a burst.
+const BURST_LOSS: f64 = 0.25;
+/// Mean burst duration, seconds.
+const BURST_MEAN_SECS: f64 = 6.0;
+/// Probability the server crashes mid-session.
+const SERVER_CRASH_PROB: f64 = 0.03;
+/// Probability a crashed server restarts within the session.
+const SERVER_RESTART_PROB: f64 = 0.6;
+/// Probability the server is down before the session starts.
+const SERVER_DOWN_PROB: f64 = 0.02;
+/// Probability the UDP data path is silently black-holed (the
+/// firewall/NAT cases RealPlayer masked with TCP fallback).
+const UDP_BLACKHOLE_PROB: f64 = 0.04;
+
+/// Whether faults hit at all. How often and how hard they hit when they
+/// do are the constants of this module (`OUTAGE_PROB` 0.06,
+/// `OUTAGE_MEAN_SECS` 12, `OUTAGE_DROP_INFLIGHT` 0.5, `BURST_PROB` 0.08,
+/// `BURST_LOSS` 0.25, `BURST_MEAN_SECS` 6, `SERVER_CRASH_PROB` 0.03,
+/// `SERVER_RESTART_PROB` 0.6, `SERVER_DOWN_PROB` 0.02,
+/// `UDP_BLACKHOLE_PROB` 0.04): rates sized so a campaign shows a clear
+/// unsuccessful-session tail (a few percent of sessions each way)
+/// without drowning the played distributions the figures need.
+/// Probabilities are per-session; durations are means of exponential
+/// draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultScenario {
     /// Master switch. When false, [`FaultPlan::generate`] returns the
     /// empty plan without drawing a single random number.
     pub enabled: bool,
-    /// Probability a session suffers a link outage.
-    pub outage_prob: f64,
-    /// Mean outage duration, seconds.
-    pub outage_mean_secs: f64,
-    /// Probability an outage drops in-flight packets (vs carrying them).
-    pub outage_drop_inflight: f64,
-    /// Probability of a mid-session loss burst.
-    pub burst_prob: f64,
-    /// Peak extra loss probability during a burst.
-    pub burst_loss: f64,
-    /// Mean burst duration, seconds.
-    pub burst_mean_secs: f64,
-    /// Probability the server crashes mid-session.
-    pub server_crash_prob: f64,
-    /// Probability a crashed server restarts within the session.
-    pub server_restart_prob: f64,
-    /// Probability the server is down before the session starts.
-    pub server_down_prob: f64,
-    /// Probability the UDP data path is silently black-holed (the
-    /// firewall/NAT cases RealPlayer masked with TCP fallback).
-    pub udp_blackhole_prob: f64,
 }
 
 impl FaultScenario {
     /// No faults at all. This is the default campaign scenario.
     pub fn off() -> Self {
-        FaultScenario {
-            enabled: false,
-            outage_prob: 0.0,
-            outage_mean_secs: 0.0,
-            outage_drop_inflight: 0.0,
-            burst_prob: 0.0,
-            burst_loss: 0.0,
-            burst_mean_secs: 0.0,
-            server_crash_prob: 0.0,
-            server_restart_prob: 0.0,
-            server_down_prob: 0.0,
-            udp_blackhole_prob: 0.0,
-        }
+        FaultScenario { enabled: false }
     }
 
-    /// The default faults-on scenario: rates sized so a campaign shows a
-    /// clear unsuccessful-session tail (a few percent of sessions each
-    /// way) without drowning the played distributions the figures need.
+    /// The faults-on scenario: this module's rates.
     pub fn default_on() -> Self {
-        FaultScenario {
-            enabled: true,
-            outage_prob: 0.06,
-            outage_mean_secs: 12.0,
-            outage_drop_inflight: 0.5,
-            burst_prob: 0.08,
-            burst_loss: 0.25,
-            burst_mean_secs: 6.0,
-            server_crash_prob: 0.03,
-            server_restart_prob: 0.6,
-            server_down_prob: 0.02,
-            udp_blackhole_prob: 0.04,
-        }
+        FaultScenario { enabled: true }
     }
 }
 
@@ -201,15 +183,15 @@ impl FaultPlan {
         let mut plan = FaultPlan::none();
         let horizon_s = horizon.as_secs_f64().max(10.0);
 
-        if rng.chance(scenario.outage_prob) {
+        if rng.chance(OUTAGE_PROB) {
             let segment = pick_segment(&mut rng);
             // Land the outage in the live middle of the session: after
             // startup, early enough that recovery can still be observed.
             let start = rng.range(3.0..horizon_s * 0.6);
             let dur = rng
-                .exponential(scenario.outage_mean_secs.max(0.5))
+                .exponential(OUTAGE_MEAN_SECS)
                 .clamp(2.0, horizon_s * 0.5);
-            let policy = if rng.chance(scenario.outage_drop_inflight) {
+            let policy = if rng.chance(OUTAGE_DROP_INFLIGHT) {
                 OutagePolicy::DropInFlight
             } else {
                 OutagePolicy::CarryInFlight
@@ -222,13 +204,11 @@ impl FaultPlan {
             });
         }
 
-        if rng.chance(scenario.burst_prob) {
+        if rng.chance(BURST_PROB) {
             let segment = pick_segment(&mut rng);
             let start = rng.range(2.0..horizon_s * 0.7);
-            let dur = rng
-                .exponential(scenario.burst_mean_secs.max(0.5))
-                .clamp(1.0, horizon_s * 0.4);
-            let loss = rng.range(scenario.burst_loss * 0.4..scenario.burst_loss.max(1e-9));
+            let dur = rng.exponential(BURST_MEAN_SECS).clamp(1.0, horizon_s * 0.4);
+            let loss = rng.range(BURST_LOSS * 0.4..BURST_LOSS);
             plan.loss_bursts.push(LossBurst {
                 segment,
                 start: SimTime::from_secs_f64(start),
@@ -237,16 +217,16 @@ impl FaultPlan {
             });
         }
 
-        if rng.chance(scenario.server_down_prob) {
+        if rng.chance(SERVER_DOWN_PROB) {
             // Down before the session starts; SYNs meet RSTs or silence.
             plan.server_crashes.push(ServerCrash {
                 at: SimTime::ZERO,
                 restart_after: None,
                 replica: 0,
             });
-        } else if rng.chance(scenario.server_crash_prob) {
+        } else if rng.chance(SERVER_CRASH_PROB) {
             let at = rng.range(4.0..horizon_s * 0.6);
-            let restart_after = if rng.chance(scenario.server_restart_prob) {
+            let restart_after = if rng.chance(SERVER_RESTART_PROB) {
                 Some(SimDuration::from_secs_f64(rng.range(2.0..8.0)))
             } else {
                 None
@@ -258,7 +238,7 @@ impl FaultPlan {
             });
         }
 
-        plan.udp_blackhole = rng.chance(scenario.udp_blackhole_prob);
+        plan.udp_blackhole = rng.chance(UDP_BLACKHOLE_PROB);
         plan
     }
 
@@ -297,17 +277,6 @@ mod tests {
         let plan = FaultPlan::generate(&FaultScenario::off(), 123, HORIZON);
         assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::none());
-    }
-
-    #[test]
-    fn zero_rate_enabled_scenario_is_also_empty() {
-        let scenario = FaultScenario {
-            enabled: true,
-            ..FaultScenario::off()
-        };
-        for seed in 0..64 {
-            assert!(FaultPlan::generate(&scenario, seed, HORIZON).is_empty());
-        }
     }
 
     #[test]

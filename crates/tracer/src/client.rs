@@ -32,7 +32,18 @@ pub struct GatewayEndpoint {
     pub data: Addr,
 }
 
-/// Client-side configuration for one session.
+/// Receiver-report interval for UDP sessions.
+const REPORT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Full-session retry budget after connection failures.
+const MAX_RETRIES: u8 = 3;
+/// Maximum gateway redirects (replica hops) per session.
+const MAX_HOPS: u8 = 4;
+
+/// Client-side configuration for one session: what the world builder
+/// sets per user and the claim specs shorten. The UDP receiver-report
+/// interval (`REPORT_INTERVAL` 1 s), the full-session retry budget
+/// (`MAX_RETRIES` 3) and the gateway hop budget (`MAX_HOPS` 4) are
+/// constants in this module.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// The clip URL, e.g. `rtsp://server/news1.rm`.
@@ -57,8 +68,6 @@ pub struct ClientConfig {
     pub server_ctrl: Addr,
     /// Server TCP data endpoint.
     pub server_data: Addr,
-    /// Receiver-report interval for UDP sessions.
-    pub report_interval: SimDuration,
     /// Give up on a TCP connect (control or data) after this long. Far
     /// beyond any fault-free handshake (worst case a few lost SYNs retry
     /// at 3/9/21 s) but well inside the session deadline.
@@ -73,8 +82,6 @@ pub struct ClientConfig {
     /// After data has flowed: a stream silent for this long is dead; the
     /// user gives up (the paper's abandoned-rebuffer behavior).
     pub stall_limit: SimDuration,
-    /// Full-session retry budget after connection failures.
-    pub max_retries: u8,
     /// First retry backoff; doubles per retry.
     pub retry_backoff: SimDuration,
     /// Backoff ceiling.
@@ -84,8 +91,6 @@ pub struct ClientConfig {
     /// the client speaks only to `server_ctrl`/`server_data`, the
     /// legacy single-server path.
     pub gateway: Vec<GatewayEndpoint>,
-    /// Maximum gateway redirects (replica hops) per session.
-    pub max_hops: u8,
 }
 
 impl ClientConfig {
@@ -103,16 +108,13 @@ impl ClientConfig {
             udp_port: 5002,
             server_ctrl,
             server_data,
-            report_interval: SimDuration::from_secs(1),
             connect_timeout: SimDuration::from_secs(45),
             response_timeout: SimDuration::from_secs(20),
             data_timeout: SimDuration::from_secs(6),
             stall_limit: SimDuration::from_secs(20),
-            max_retries: 3,
             retry_backoff: SimDuration::from_secs(1),
             retry_backoff_cap: SimDuration::from_secs(8),
             gateway: Vec::new(),
-            max_hops: 4,
         }
     }
 }
@@ -265,7 +267,7 @@ pub struct TracerClient {
     fell_back: bool,
     /// Index into `cfg.gateway` of the replica currently targeted.
     hop: usize,
-    /// Gateway redirects consumed (bounded by `cfg.max_hops`).
+    /// Gateway redirects consumed (bounded by `MAX_HOPS`).
     hops_used: u8,
     /// Gateway redirects, any reason (busy, crash, dead).
     gateway_redirects: u64,
@@ -506,7 +508,7 @@ impl TracerClient {
                 }
                 let mut until = self.scratch.player.idle_until();
                 if self.transport == Some(TransportKind::Udp) {
-                    until = until.min(self.last_report + self.cfg.report_interval);
+                    until = until.min(self.last_report + REPORT_INTERVAL);
                 }
                 if let Some(play_start) = self.play_start {
                     until = until.min(play_start + self.cfg.watch_limit);
@@ -695,7 +697,7 @@ impl TracerClient {
         stack: &mut Stack,
         reason: SessionOutcome,
     ) -> usize {
-        if self.retries >= self.cfg.max_retries {
+        if self.retries >= MAX_RETRIES {
             self.finish(now, reason);
             return 1;
         }
@@ -731,7 +733,7 @@ impl TracerClient {
 
     /// Whether the gateway plan has another replica to offer.
     fn can_hop(&self) -> bool {
-        self.hops_used < self.cfg.max_hops && self.hop + 1 < self.cfg.gateway.len()
+        self.hops_used < MAX_HOPS && self.hop + 1 < self.cfg.gateway.len()
     }
 
     /// Redirects the session to the gateway's next choice: counts the
@@ -925,7 +927,7 @@ impl TracerClient {
 
         // Receiver reports keep the server's UDP rate control fed.
         if self.transport == Some(TransportKind::Udp)
-            && now.saturating_since(self.last_report) >= self.cfg.report_interval
+            && now.saturating_since(self.last_report) >= REPORT_INTERVAL
         {
             let interval = now.saturating_since(self.last_report).as_secs_f64();
             self.last_report = now;
@@ -1155,7 +1157,7 @@ mod tests {
             edges.push(c.scratch.player.idle_until());
             edges.extend(c.play_start.map(|s| s + cfg.watch_limit));
             if c.transport == Some(TransportKind::Udp) {
-                edges.push(c.last_report + cfg.report_interval);
+                edges.push(c.last_report + REPORT_INTERVAL);
             }
         }
         if c.hardened {

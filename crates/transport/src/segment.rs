@@ -48,6 +48,20 @@ impl TcpFlags {
         fin: false,
         rst: false,
     };
+    /// A FIN, acknowledging what was received.
+    pub const FIN_ACK: TcpFlags = TcpFlags {
+        syn: false,
+        ack: true,
+        fin: true,
+        rst: false,
+    };
+    /// A bare RST: an aborted connection, or a segment to a dead port.
+    pub const RST: TcpFlags = TcpFlags {
+        syn: false,
+        ack: false,
+        fin: false,
+        rst: true,
+    };
 }
 
 /// A TCP segment: sequence/ack numbers in byte space plus payload bytes.

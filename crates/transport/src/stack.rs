@@ -251,12 +251,7 @@ impl Stack {
                             let rst = TcpSegment {
                                 seq: seg.ack,
                                 ack: seg.seq + seg.data.len() as u64 + u64::from(seg.flags.syn),
-                                flags: TcpFlags {
-                                    rst: true,
-                                    ack: false,
-                                    syn: false,
-                                    fin: false,
-                                },
+                                flags: TcpFlags::RST,
                                 window: 0,
                                 data: PayloadBytes::empty(),
                             };

@@ -41,7 +41,26 @@ pub enum TcpState {
     FinSent,
 }
 
-/// Tunable parameters. Defaults model a 2001-era BSD-ish stack.
+/// Initial slow-start threshold in bytes.
+const INITIAL_SSTHRESH: u32 = 64 * 1024;
+/// RTO floor (RFC 2988 recommends 1 s; common stacks used lower).
+const MIN_RTO: SimDuration = SimDuration::from_millis(1000);
+/// RTO ceiling.
+const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+/// Handshake retransmissions before an active open gives up with
+/// [`TcpError::ConnectTimeout`] (BSD `tcp_syn_retries`-style). 6 gives
+/// up only after ~213 s of cumulative backoff (3+6+12+24+48+60+60 with
+/// the RTO bounds above) — beyond any session deadline in the study, so
+/// a connect against a live server behaves exactly as an unbounded
+/// retry would.
+const MAX_SYN_RETRIES: u32 = 6;
+
+/// Tunable parameters: what differs between dial-up and broadband and
+/// what the truncation and fast-retransmit specs shrink or widen.
+/// Defaults model a 2001-era BSD-ish stack. The initial slow-start
+/// threshold (`INITIAL_SSTHRESH` 64 KiB), the RTO bounds (`MIN_RTO` 1 s,
+/// `MAX_RTO` 60 s) and the handshake retry budget (`MAX_SYN_RETRIES` 6)
+/// are constants in this module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment size (application bytes per segment).
@@ -52,19 +71,6 @@ pub struct TcpConfig {
     pub recv_capacity: usize,
     /// Initial congestion window, in segments.
     pub initial_cwnd_segments: u32,
-    /// Initial slow-start threshold in bytes.
-    pub initial_ssthresh: u32,
-    /// RTO floor (RFC 2988 recommends 1 s; common stacks used lower).
-    pub min_rto: SimDuration,
-    /// RTO ceiling.
-    pub max_rto: SimDuration,
-    /// Handshake retransmissions before an active open gives up with
-    /// [`TcpError::ConnectTimeout`] (BSD `tcp_syn_retries`-style). The
-    /// default of 6 gives up only after ~213 s of cumulative backoff
-    /// (3+6+12+24+48+60+60 with the default RTO bounds) — beyond any
-    /// session deadline in the study, so a connect against a live server
-    /// behaves exactly as the old unbounded retry did.
-    pub max_syn_retries: u32,
 }
 
 impl Default for TcpConfig {
@@ -74,10 +80,6 @@ impl Default for TcpConfig {
             send_capacity: 256 * 1024,
             recv_capacity: 64 * 1024,
             initial_cwnd_segments: 2,
-            initial_ssthresh: 64 * 1024,
-            min_rto: SimDuration::from_millis(1000),
-            max_rto: SimDuration::from_secs(60),
-            max_syn_retries: 6,
         }
     }
 }
@@ -203,7 +205,7 @@ impl TcpSocket {
             buf_seq: 1,
             send_buf: ByteRope::new(),
             cwnd: f64::from(cfg.initial_cwnd_segments * cfg.mss),
-            ssthresh: f64::from(cfg.initial_ssthresh),
+            ssthresh: f64::from(INITIAL_SSTHRESH),
             rwnd: cfg.recv_capacity as u32,
             dup_acks: 0,
             in_fast_recovery: false,
@@ -234,6 +236,13 @@ impl TcpSocket {
     /// out-of-order queue and the ACK queue grew. Every byte and payload
     /// the socket held is dropped here.
     pub(crate) fn renew(&mut self, local: Addr, cfg: TcpConfig) {
+        *self = self.fresh(local, cfg, TcpStats::default());
+    }
+
+    /// [`TcpSocket::new`]`(local, cfg)` with `stats`, built on this
+    /// socket's emptied ropes and queues: the one way a socket starts
+    /// over, so no field can be forgotten.
+    fn fresh(&mut self, local: Addr, cfg: TcpConfig, stats: TcpStats) -> TcpSocket {
         let mut send_buf = std::mem::take(&mut self.send_buf);
         let mut recv_buf = std::mem::take(&mut self.recv_buf);
         let mut ooo = std::mem::take(&mut self.ooo);
@@ -242,13 +251,14 @@ impl TcpSocket {
         recv_buf.clear();
         ooo.clear();
         pending_acks.clear();
-        *self = TcpSocket {
+        TcpSocket {
             send_buf,
             recv_buf,
             ooo,
             pending_acks,
+            stats,
             ..TcpSocket::new(local, cfg)
-        };
+        }
     }
 
     /// Bytes of storage held: both ropes, the out-of-order and ACK queues.
@@ -370,15 +380,20 @@ impl TcpSocket {
     /// (emitted by the next poll). Models a process crash taking its
     /// connections with it.
     pub fn abort(&mut self) {
-        if !matches!(self.state, TcpState::Closed | TcpState::Listen) {
-            self.pending_rst = self.remote;
-        }
-        self.reset_conn_state();
-        self.state = TcpState::Closed;
-        // Forget the peer: an aborted socket must not keep exact-matching
-        // its old remote (that would silently swallow segments the host
-        // should now answer with RSTs from the no-socket path).
-        self.remote = None;
+        let pending_rst = if matches!(self.state, TcpState::Closed | TcpState::Listen) {
+            self.pending_rst
+        } else {
+            self.remote
+        };
+        // The fresh socket forgets the peer too: an aborted socket must
+        // not keep exact-matching its old remote (that would silently
+        // swallow segments the host should now answer with RSTs from the
+        // no-socket path).
+        *self = TcpSocket {
+            pending_rst,
+            last_error: self.last_error,
+            ..self.fresh(self.local, self.cfg, self.stats)
+        };
     }
 
     /// Returns the socket to a fresh Closed state (same local address,
@@ -387,42 +402,7 @@ impl TcpSocket {
     /// server restarts. Unlike [`TcpSocket::abort`], owes the peer
     /// nothing and clears any pending error.
     pub fn reset(&mut self) {
-        self.reset_conn_state();
-        self.state = TcpState::Closed;
-        self.last_error = None;
-        self.pending_rst = None;
-        self.remote = None;
-    }
-
-    /// Clears per-connection state common to [`TcpSocket::abort`] and
-    /// [`TcpSocket::reset`].
-    fn reset_conn_state(&mut self) {
-        self.iss = 0;
-        self.snd_una = 0;
-        self.snd_nxt = 0;
-        self.buf_seq = 1;
-        self.send_buf.clear();
-        self.cwnd = f64::from(self.cfg.initial_cwnd_segments * self.cfg.mss);
-        self.ssthresh = f64::from(self.cfg.initial_ssthresh);
-        self.rwnd = self.cfg.recv_capacity as u32;
-        self.dup_acks = 0;
-        self.in_fast_recovery = false;
-        self.recover = 0;
-        self.srtt = None;
-        self.rttvar = SimDuration::ZERO;
-        self.rto = SimDuration::from_secs(3);
-        self.rto_deadline = None;
-        self.rtt_sample = None;
-        self.rcv_nxt = 0;
-        self.recv_buf.clear();
-        self.ooo.clear();
-        self.ooo_bytes = 0;
-        self.peer_fin = false;
-        self.fin_seq = None;
-        self.close_requested = false;
-        self.pending_acks.clear();
-        self.pending_retransmit = false;
-        self.syn_retries = 0;
+        *self = self.fresh(self.local, self.cfg, self.stats);
     }
 
     /// `true` while an abnormal-close reason waits to be collected by
@@ -731,8 +711,8 @@ impl TcpSocket {
             }
         };
         self.srtt = Some(srtt);
-        self.rto = (srtt + (self.rttvar * 4).max(SimDuration::from_millis(10)))
-            .clamp(self.cfg.min_rto, self.cfg.max_rto);
+        self.rto =
+            (srtt + (self.rttvar * 4).max(SimDuration::from_millis(10))).clamp(MIN_RTO, MAX_RTO);
     }
 
     /// Produces segments ready to transmit at `now` (including handshake,
@@ -759,12 +739,7 @@ impl TcpSocket {
                 TcpSegment {
                     seq: self.snd_nxt,
                     ack: 0,
-                    flags: TcpFlags {
-                        rst: true,
-                        ack: false,
-                        syn: false,
-                        fin: false,
-                    },
+                    flags: TcpFlags::RST,
                     window: 0,
                     data: PayloadBytes::empty(),
                 },
@@ -889,12 +864,7 @@ impl TcpSocket {
             let seg = TcpSegment {
                 seq: self.snd_nxt,
                 ack: self.rcv_nxt,
-                flags: TcpFlags {
-                    fin: true,
-                    ack: true,
-                    syn: false,
-                    rst: false,
-                },
+                flags: TcpFlags::FIN_ACK,
                 window: self.advertised_window(),
                 data: PayloadBytes::empty(),
             };
@@ -933,7 +903,7 @@ impl TcpSocket {
         match self.state {
             TcpState::SynSent | TcpState::SynRcvd => {
                 self.syn_retries += 1;
-                if self.syn_retries > self.cfg.max_syn_retries {
+                if self.syn_retries > MAX_SYN_RETRIES {
                     // Handshake abandoned: a black-holed or dead peer.
                     if self.state == TcpState::SynSent {
                         self.last_error = Some(TcpError::ConnectTimeout);
@@ -959,7 +929,7 @@ impl TcpSocket {
                 });
             }
         }
-        self.rto = (self.rto * 2).min(self.cfg.max_rto);
+        self.rto = (self.rto * 2).min(MAX_RTO);
         self.rto_deadline = Some(now + self.rto);
         trace::emit(now, || TraceEvent::TcpRto {
             port: self.local.port,
@@ -979,12 +949,7 @@ impl TcpSocket {
                 TcpSegment {
                     seq: self.snd_una,
                     ack: self.rcv_nxt,
-                    flags: TcpFlags {
-                        fin: true,
-                        ack: true,
-                        syn: false,
-                        rst: false,
-                    },
+                    flags: TcpFlags::FIN_ACK,
                     window: self.advertised_window(),
                     data: PayloadBytes::empty(),
                 },
@@ -1491,16 +1456,15 @@ mod tests {
     }
 
     #[test]
-    fn syn_retries_exhaust_into_connect_timeout() {
-        let cfg = TcpConfig {
-            max_syn_retries: 2,
-            ..TcpConfig::default()
-        };
-        let mut c = TcpSocket::new(addr(0, 1000), cfg);
+    fn default_syn_retry_budget_outlives_a_session_deadline() {
+        // The fault-free determinism guarantee: a connect only gives up
+        // after the cumulative backoff exceeds the study's 150 s session
+        // deadline, so no fault-free session can see a ConnectTimeout.
+        let mut c = TcpSocket::new(addr(0, 1000), TcpConfig::default());
         c.connect(addr(1, 554), SimTime::ZERO);
         let mut now = SimTime::ZERO;
         let mut syns = 0;
-        // Nothing ever answers; walk well past every backoff deadline.
+        // Nothing ever answers; walk past every backoff deadline.
         for _ in 0..64 {
             syns += c.poll(now).len();
             if c.is_closed() {
@@ -1509,28 +1473,10 @@ mod tests {
             now = c.next_wake().expect("handshake timer armed");
         }
         assert!(c.is_closed());
-        // Initial SYN + 2 retries.
-        assert_eq!(syns, 3);
+        // Initial SYN + MAX_SYN_RETRIES retries.
+        assert_eq!(syns, 7);
         assert_eq!(c.take_error(), Some(TcpError::ConnectTimeout));
         assert_eq!(c.next_wake(), None);
-    }
-
-    #[test]
-    fn default_syn_retry_budget_outlives_a_session_deadline() {
-        // The fault-free determinism guarantee: with the default config, a
-        // connect only gives up after the cumulative backoff exceeds the
-        // study's 150 s session deadline, so no fault-free session can see
-        // a ConnectTimeout.
-        let mut c = TcpSocket::new(addr(0, 1000), TcpConfig::default());
-        c.connect(addr(1, 554), SimTime::ZERO);
-        let mut now = SimTime::ZERO;
-        while !c.is_closed() {
-            c.poll(now);
-            match c.next_wake() {
-                Some(t) => now = t,
-                None => break,
-            }
-        }
         assert!(
             now > SimTime::from_secs(150),
             "gave up at {now}, inside the session deadline"

@@ -133,7 +133,6 @@ fn each_ablation_moves_the_way_design_md_says() {
     let pinned = rate_control(TfrcConfig {
         min_rate_bps: 350_000.0,
         max_rate_bps: 350_000.0,
-        ..TfrcConfig::default()
     });
     row("rate control", "TFRC", &responsive);
     row("rate control", "pinned 350 kbps", &pinned);
