@@ -1455,16 +1455,12 @@ mod tests {
         assert_eq!(c.take_error(), Some(TcpError::Reset));
     }
 
-    #[test]
-    fn default_syn_retry_budget_outlives_a_session_deadline() {
-        // The fault-free determinism guarantee: a connect only gives up
-        // after the cumulative backoff exceeds the study's 150 s session
-        // deadline, so no fault-free session can see a ConnectTimeout.
-        let mut c = TcpSocket::new(addr(0, 1000), TcpConfig::default());
+    /// Nothing ever answers: walks past every backoff deadline and returns
+    /// the SYNs sent and the time the connect gave up.
+    fn connect_into_silence(c: &mut TcpSocket) -> (usize, SimTime) {
         c.connect(addr(1, 554), SimTime::ZERO);
         let mut now = SimTime::ZERO;
         let mut syns = 0;
-        // Nothing ever answers; walk past every backoff deadline.
         for _ in 0..64 {
             syns += c.poll(now).len();
             if c.is_closed() {
@@ -1472,11 +1468,28 @@ mod tests {
             }
             now = c.next_wake().expect("handshake timer armed");
         }
+        (syns, now)
+    }
+
+    #[test]
+    fn syn_retries_exhaust_into_connect_timeout() {
+        let mut c = TcpSocket::new(addr(0, 1000), TcpConfig::default());
+        let (syns, _) = connect_into_silence(&mut c);
         assert!(c.is_closed());
         // Initial SYN + MAX_SYN_RETRIES retries.
-        assert_eq!(syns, 7);
+        assert_eq!(syns, 1 + MAX_SYN_RETRIES as usize);
         assert_eq!(c.take_error(), Some(TcpError::ConnectTimeout));
         assert_eq!(c.next_wake(), None);
+    }
+
+    #[test]
+    fn default_syn_retry_budget_outlives_a_session_deadline() {
+        // The fault-free determinism guarantee: a connect only gives up
+        // after the cumulative backoff exceeds the study's 150 s session
+        // deadline, so no fault-free session can see a ConnectTimeout.
+        let mut c = TcpSocket::new(addr(0, 1000), TcpConfig::default());
+        let (_, now) = connect_into_silence(&mut c);
+        assert!(c.is_closed());
         assert!(
             now > SimTime::from_secs(150),
             "gave up at {now}, inside the session deadline"
